@@ -113,8 +113,9 @@ func benchMEMMix(b *testing.B, disableSkip, observed bool) {
 // the serving daemon's progress observer. simcycles/run must be identical
 // across all three (the skip is byte-equivalent by construction), the
 // Observed skiprate must match the bare one (observers ride the deep path,
-// they don't disable it), and ns/op is ~3x apart between skip and NoSkip on
-// this mix (BENCH_memskip.json records the measured numbers).
+// they don't disable it). The CI bench-smoke step pins 968233 simcycles/run on
+// all three and a 0.83 skiprate floor on the two skipping variants; wall-clock
+// numbers live in the cmd/bench ledger (mem8, core.noskip_ratio).
 func BenchmarkRunMEMMix(b *testing.B)         { benchMEMMix(b, false, false) }
 func BenchmarkRunMEMMixNoSkip(b *testing.B)   { benchMEMMix(b, true, false) }
 func BenchmarkRunMEMMixObserved(b *testing.B) { benchMEMMix(b, false, true) }
@@ -169,8 +170,8 @@ func BenchmarkParallelFiguresUncheckpointed(b *testing.B) {
 // warmup-boundary machine state and simulates only the measurement phase.
 // With the benchmark's 60k-warmup/40k-target split, skipping warmup bounds
 // the ideal speedup at 2.5x; the CI checkpoint-smoke step gates the measured
-// ratio over the uncheckpointed baseline at >= 1.5x (BENCH_sweep.json records
-// the numbers). Every iteration's rows are asserted identical to a plainly
+// ratio over the uncheckpointed baseline at >= 1.5x (the cmd/bench ledger's
+// fig10_sweep workload measures the same path). Every iteration's rows are asserted identical to a plainly
 // computed golden — the cache may only change wall-clock time — and the
 // warm-phase hit ratio is reported as a metric (and gated nonzero in CI).
 func BenchmarkParallelFiguresCheckpointed(b *testing.B) {

@@ -58,7 +58,6 @@ func main() {
 		metricsInt = flag.Uint64("metrics-interval", 1000, "metrics sampling period in cycles")
 		profile    = flag.Bool("profile", false, "print event-loop profiling (events/cycle, wall time per simulated megacycle) to stderr")
 
-		noskip     = flag.Bool("noskip", false, "force the clock to tick every cycle (results are byte-identical either way; this exists to demonstrate that)")
 		cpuprofile = flag.String("cpuprofile", "", "write a pprof CPU profile to this file")
 		memprofile = flag.String("memprofile", "", "write a pprof heap profile to this file at exit")
 	)
@@ -100,7 +99,6 @@ func main() {
 	}
 	cfg := core.DefaultConfig(names...)
 	cfg.WarmupInstr, cfg.TargetInstr, cfg.Seed = *warmup, *target, *seed
-	cfg.DisableClockSkip = *noskip
 	cfg.Mem.PhysChannels = *channels
 	cfg.Mem.Gang = *gang
 

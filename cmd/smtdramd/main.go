@@ -10,15 +10,12 @@
 //	smtdramd -addr :9000 -queue 128 -workers 8
 //	smtdramd -data-dir /var/lib/smtdram       # durable: results + job journal survive kill -9
 //	smtdramd -data-dir d -fsync always        # also survive OS crash / power loss
-//	smtdramd -loadgen -loadgen-requests 200   # benchmark an in-process daemon
-//	smtdramd -loadgen -loadgen-url http://127.0.0.1:8321
 //
 // Fleet mode (DESIGN §16) shards the API across worker daemons by
 // configuration fingerprint over a consistent-hash ring:
 //
 //	smtdramd -node-id w1 -data-dir d1 -peers w2=http://127.0.0.1:8322   # worker
 //	smtdramd -coordinator -workers http://127.0.0.1:8321,http://127.0.0.1:8322
-//	smtdramd -fleet -fleet-out BENCH_fleet.json                          # fleet benchmark
 //
 // On SIGTERM or SIGINT the daemon stops admitting work (new submissions get
 // 503), waits up to -drain-timeout for in-flight jobs, and exits cleanly.
@@ -26,7 +23,6 @@ package main
 
 import (
 	"context"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"log/slog"
@@ -42,7 +38,6 @@ import (
 
 	"smtdram/internal/fleet"
 	"smtdram/internal/server"
-	"smtdram/internal/server/client"
 	"smtdram/internal/store"
 )
 
@@ -67,21 +62,10 @@ func main() {
 		peerTimeout = flag.Duration("peer-timeout", 2*time.Second, "per-fetch timeout when consulting fleet peers for a cached entry")
 		tenantRate  = flag.Float64("tenant-rate", 0, "per-tenant admission tokens per second (0 disables tenant quotas)")
 		tenantBurst = flag.Float64("tenant-burst", 0, "per-tenant bucket capacity (default 2×rate, min 1)")
-		prioSlots   = flag.Int("priority-slots", 0, "concurrently admitted computed jobs across all tenants (0 disables the priority gate)")
-		prioReserve = flag.Int("priority-reserve", 0, "slots held back for X-Smtdram-Priority: high submissions")
 
 		coordinator = flag.Bool("coordinator", false, "serve as a fleet coordinator: shard /v1/sim and /v1/figures across -workers by fingerprint")
 		probeIntv   = flag.Duration("probe-interval", 500*time.Millisecond, "coordinator health-probe period")
 		failAfter   = flag.Int("fail-after", 3, "consecutive failed probes before a worker is ejected from the ring")
-
-		fleetBench = flag.Bool("fleet", false, "run the fleet benchmark (1/2/3-worker scaling + warm-restart peering) and write a report")
-		fleetOut   = flag.String("fleet-out", "", "write the -fleet report JSON to this file (default stdout)")
-
-		loadgen   = flag.Bool("loadgen", false, "run as a load generator instead of serving, then print a throughput/latency report")
-		lgURL     = flag.String("loadgen-url", "", "daemon base URL for -loadgen (empty: benchmark an in-process daemon)")
-		lgReqs    = flag.Int("loadgen-requests", 100, "total submissions for -loadgen")
-		lgClients = flag.Int("loadgen-clients", 8, "concurrent submitters for -loadgen")
-		lgOut     = flag.String("loadgen-out", "", "write the -loadgen report JSON to this file (default stdout)")
 	)
 	flag.Parse()
 	if flag.NArg() > 0 {
@@ -164,21 +148,8 @@ func main() {
 		cfg.PeerFetch = fleet.NewPeerClient(*nodeID, peers, fleet.DefaultVNodes, *peerTimeout, logger)
 	}
 	var quota *fleet.Quota
-	if *tenantRate > 0 || *prioSlots > 0 {
-		quota = fleet.NewQuota(fleet.QuotaConfig{
-			RatePerSec:  *tenantRate,
-			Burst:       *tenantBurst,
-			Slots:       *prioSlots,
-			HighReserve: *prioReserve,
-		})
-	}
-
-	if *fleetBench {
-		if err := runFleetBench(*fleetOut); err != nil {
-			fmt.Fprintln(os.Stderr, "smtdramd:", err)
-			os.Exit(1)
-		}
-		return
+	if *tenantRate > 0 {
+		quota = fleet.NewQuota(fleet.QuotaConfig{RatePerSec: *tenantRate, Burst: *tenantBurst})
 	}
 	if *coordinator {
 		if err := serveCoordinator(fleet.CoordinatorConfig{
@@ -197,13 +168,6 @@ func main() {
 		cfg.Admission = quota
 	}
 
-	if *loadgen {
-		if err := runLoadGen(cfg, *lgURL, *lgReqs, *lgClients, *lgOut); err != nil {
-			fmt.Fprintln(os.Stderr, "smtdramd:", err)
-			os.Exit(1)
-		}
-		return
-	}
 	if err := serve(cfg, *addr, *drainT); err != nil {
 		fmt.Fprintln(os.Stderr, "smtdramd:", err)
 		os.Exit(1)
@@ -256,60 +220,6 @@ func workersOf(cfg server.Config) int {
 		return runtime.GOMAXPROCS(0)
 	}
 	return cfg.Workers
-}
-
-// runLoadGen benchmarks a daemon — a remote one at baseURL, or an in-process
-// one when baseURL is empty — and writes the report JSON.
-func runLoadGen(cfg server.Config, baseURL string, requests, clients int, outPath string) error {
-	if baseURL == "" {
-		srv := server.New(cfg)
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			return err
-		}
-		hs := &http.Server{Handler: srv.Handler()}
-		go func() { _ = hs.Serve(ln) }()
-		defer func() {
-			_ = hs.Close()
-			srv.Close()
-		}()
-		baseURL = "http://" + ln.Addr().String()
-		slog.Info("load-generating against in-process daemon", "url", baseURL)
-	}
-
-	c := client.New(baseURL)
-	start := time.Now()
-	rep, err := c.LoadGen(context.Background(), client.LoadGenConfig{
-		Requests: requests,
-		Clients:  clients,
-	})
-	if err != nil {
-		return err
-	}
-	slog.Info("loadgen complete",
-		"requests", rep.Requests,
-		"elapsed", time.Since(start).Truncate(10*time.Millisecond),
-		"req_per_sec", fmt.Sprintf("%.1f", rep.RequestsPerSec),
-		"p50_ms", fmt.Sprintf("%.1f", rep.P50Ms),
-		"p99_ms", fmt.Sprintf("%.1f", rep.P99Ms),
-		"cache_hit_pct", fmt.Sprintf("%.0f", 100*rep.CacheHitRatio),
-		"rejections", rep.Rejections,
-		"sims_run", rep.SimsRun)
-
-	b, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		return err
-	}
-	b = append(b, '\n')
-	if outPath == "" {
-		_, err = os.Stdout.Write(b)
-		return err
-	}
-	if err := os.WriteFile(outPath, b, 0o644); err != nil {
-		return err
-	}
-	slog.Info("report written", "path", outPath)
-	return nil
 }
 
 // splitNonEmpty splits a comma-separated list, dropping empty elements.
@@ -370,27 +280,5 @@ func serveCoordinator(cfg fleet.CoordinatorConfig, addr string) error {
 	if err := hs.Shutdown(ctx); err != nil {
 		_ = hs.Close()
 	}
-	return nil
-}
-
-// runFleetBench runs the fleet benchmark and writes BENCH_fleet-style JSON.
-func runFleetBench(outPath string) error {
-	rep, err := fleet.RunBench(context.Background(), fleet.BenchConfig{Logger: slog.Default()})
-	if err != nil {
-		return err
-	}
-	b, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		return err
-	}
-	b = append(b, '\n')
-	if outPath == "" {
-		_, err = os.Stdout.Write(b)
-		return err
-	}
-	if err := os.WriteFile(outPath, b, 0o644); err != nil {
-		return err
-	}
-	slog.Info("fleet report written", "path", outPath)
 	return nil
 }

@@ -22,6 +22,7 @@ package checkpoint
 import (
 	"context"
 	"encoding/binary"
+	"errors"
 	"sync/atomic"
 
 	"smtdram/internal/core"
@@ -54,19 +55,20 @@ type Stats struct {
 
 // Cache memoizes warmup checkpoints by warmup-prefix fingerprint.
 //
-// The in-memory tier is a single-flight LRU memo: concurrent requests for one
-// prefix share a single warmup simulation. Warmups execute on the cache's own
-// worker pool, never on the caller's, so a sweep worker blocked on a shared
-// warmup cannot deadlock the pool it runs in. The optional store tier
-// persists frames across processes; corrupt or missing entries silently fall
-// back to recomputation (the frame's CRC and fingerprint are validated on
-// restore, so a bad entry can degrade speed, never correctness).
+// It is an instance of runner.Memo: concurrent requests for one prefix share
+// a single warmup simulation, which survives any one of them giving up.
+// Warmups execute on the cache's own worker pool, never on the caller's, so a
+// sweep worker blocked on a shared warmup cannot deadlock the pool it runs
+// in. The optional store tier persists frames across processes; corrupt or
+// missing entries silently fall back to recomputation (the frame's CRC and
+// fingerprint are validated on restore, so a bad entry can degrade speed,
+// never correctness).
 type Cache struct {
 	pool *runner.Pool
 	memo runner.Memo[string, *core.Checkpoint]
 	st   *store.Store
 
-	hits, misses, forks, bypassed atomic.Uint64
+	forks, bypassed atomic.Uint64
 }
 
 // New builds an in-memory cache. Attach a persistence tier with Persist.
@@ -85,10 +87,48 @@ func Open(dir string, fsync store.FsyncPolicy) (*Cache, error) {
 	return c, nil
 }
 
-// Persist attaches a backing store: captured checkpoints are written through,
-// and an in-memory miss consults the store before simulating warmup. Install
-// before the first Run; later attachment races with in-flight lookups.
-func (c *Cache) Persist(st *store.Store) { c.st = st }
+// cfgKey carries the requesting configuration to the store tier, which needs
+// a machine of the right shape to trial-restore a read-back frame into.
+type cfgKey struct{}
+
+// Persist attaches a backing store as the memo's one tier: captured
+// checkpoints are written through, and an in-memory miss consults the store
+// before simulating warmup. Install before the first Run; later attachment
+// races with in-flight lookups.
+func (c *Cache) Persist(st *store.Store) {
+	c.st = st
+	c.memo.Tiers = []*runner.Tier[string, *core.Checkpoint]{{
+		// A read-back is only a hit if its frame actually restores: the
+		// store's own CRC covers what was written, not that what was written
+		// is a decodable checkpoint. Anything else reports corrupt and is
+		// recomputed, so a damaged entry degrades speed, never correctness.
+		// (The store quarantines entries failing its own CRC itself.)
+		Get: func(ctx context.Context, prefix string) (*core.Checkpoint, error) {
+			payload, meta, err := st.Get(keyPrefix + prefix)
+			if errors.Is(err, store.ErrNotFound) {
+				return nil, runner.ErrMiss
+			}
+			if err != nil {
+				return nil, err
+			}
+			if len(meta) != 8 || binary.LittleEndian.Uint64(meta) == 0 || len(payload) == 0 {
+				return nil, errors.New("checkpoint: malformed store entry")
+			}
+			chk := &core.Checkpoint{Prefix: prefix, Now: binary.LittleEndian.Uint64(meta), Data: payload}
+			if _, err := core.NewCheckpointedSimulator(ctx.Value(cfgKey{}).(core.Config), chk); err != nil {
+				return nil, err
+			}
+			return chk, nil
+		},
+		// Write errors are swallowed: the store degrades to memory-only mode
+		// on its own and the cache keeps working from RAM.
+		Put: func(prefix string, chk *core.Checkpoint) {
+			var meta [8]byte
+			binary.LittleEndian.PutUint64(meta[:], chk.Now)
+			_ = st.Put(keyPrefix+prefix, chk.Data, meta[:])
+		},
+	}}
+}
 
 // Store returns the backing store, nil when the cache is memory-only.
 func (c *Cache) Store() *store.Store {
@@ -101,20 +141,21 @@ func (c *Cache) Store() *store.Store {
 // SetCap bounds the in-memory tier to n checkpoints with LRU eviction
 // (n <= 0 restores the unbounded default). A store-backed cache re-reads
 // evicted entries from disk; a memory-only cache re-simulates them.
-func (c *Cache) SetCap(n int) { c.memo.SetCap(n) }
+func (c *Cache) SetCap(n int) { c.memo.SetCap(max(n, 0)) }
 
 // Snapshot returns the cache's counters. Nil-safe (all zeros).
 func (c *Cache) Snapshot() Stats {
 	if c == nil {
 		return Stats{}
 	}
+	st := c.memo.Stats()
 	return Stats{
-		Hits:      c.hits.Load(),
-		Misses:    c.misses.Load(),
+		Hits:      st.Hits + st.Joins,
+		Misses:    st.Starts,
 		Forks:     c.forks.Load(),
 		Bypassed:  c.bypassed.Load(),
-		Evictions: c.memo.Evictions(),
-		Entries:   c.memo.Len(),
+		Evictions: st.Evictions,
+		Entries:   st.Entries,
 	}
 }
 
@@ -139,64 +180,14 @@ func (c *Cache) Run(ctx context.Context, cfg core.Config) (core.Result, error) {
 
 // Get returns the warmup checkpoint for cfg's prefix, simulating the warmup
 // phase only if neither tier holds it. Concurrent Gets for one prefix share a
-// single flight; the flight runs under the first caller's context.
+// single warmup, which keeps running for the others when one caller's ctx is
+// cancelled; ctx bounds only this caller's wait.
 func (c *Cache) Get(ctx context.Context, cfg core.Config) (*core.Checkpoint, error) {
 	if err := core.CheckpointSupported(cfg); err != nil {
 		return nil, err
 	}
-	prefix := cfg.WarmupFingerprint()
-	f, created := c.memo.GetCtx(c.pool, ctx, prefix, func(ctx context.Context) (*core.Checkpoint, error) {
-		// A store read-back is only a hit if its frame actually restores: the
-		// store's own CRC covers what was written, not that what was written
-		// is a decodable checkpoint. A frame that fails the trial restore is
-		// recomputed, so a damaged entry degrades speed, never correctness.
-		if chk := c.fromStore(prefix); chk != nil {
-			if _, err := core.NewCheckpointedSimulator(cfg, chk); err == nil {
-				c.hits.Add(1)
-				return chk, nil
-			}
-		}
-		c.misses.Add(1)
-		chk, err := core.WarmupCheckpoint(ctx, cfg)
-		if err != nil {
-			return nil, err
-		}
-		c.toStore(chk)
-		return chk, nil
+	ctx = context.WithValue(ctx, cfgKey{}, cfg)
+	return c.memo.Do(ctx, c.pool, cfg.WarmupFingerprint(), func(ctx context.Context) (*core.Checkpoint, error) {
+		return core.WarmupCheckpoint(ctx, cfg)
 	})
-	if !created {
-		c.hits.Add(1)
-	}
-	return f.Wait()
-}
-
-// fromStore reads a persisted checkpoint back; any miss, corruption, or
-// malformed metadata returns nil and the caller recomputes. The store
-// quarantines corrupt entries itself, and the frame's own CRC plus the
-// fingerprint check at restore time guard the payload end-to-end.
-func (c *Cache) fromStore(prefix string) *core.Checkpoint {
-	if c.st == nil {
-		return nil
-	}
-	payload, meta, err := c.st.Get(keyPrefix + prefix)
-	if err != nil || len(meta) != 8 {
-		return nil
-	}
-	now := binary.LittleEndian.Uint64(meta)
-	if now == 0 || len(payload) == 0 {
-		return nil
-	}
-	return &core.Checkpoint{Prefix: prefix, Now: now, Data: payload}
-}
-
-// toStore writes a fresh checkpoint through to the persistence tier. Write
-// errors are swallowed: the store degrades to memory-only mode on its own and
-// the cache keeps working from RAM.
-func (c *Cache) toStore(chk *core.Checkpoint) {
-	if c.st == nil {
-		return
-	}
-	var meta [8]byte
-	binary.LittleEndian.PutUint64(meta[:], chk.Now)
-	_ = c.st.Put(keyPrefix+chk.Prefix, chk.Data, meta[:])
 }

@@ -4,8 +4,10 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"sync"
 	"testing"
+	"time"
 
 	"smtdram/internal/core"
 	"smtdram/internal/store"
@@ -209,5 +211,52 @@ func TestSetCapEvicts(t *testing.T) {
 	st := c.Snapshot()
 	if st.Evictions != 1 || st.Entries != 1 {
 		t.Fatalf("counters = %+v, want 1 eviction leaving 1 entry", st)
+	}
+}
+
+// TestCancelledGetDoesNotFailJoinedGet: a warmup belongs to the cache, not to
+// the caller that happened to start it. Two Gets share one prefix; the first
+// caller's context is cancelled after the second has joined; the second must
+// still receive a checkpoint that restores, from the one warmup that ran.
+func TestCancelledGetDoesNotFailJoinedGet(t *testing.T) {
+	cfg := fastCfg("mcf", "art")
+	cfg.WarmupInstr = 100_000 // long enough that the cancel lands mid-warmup
+	c := New()
+
+	ctxA, cancelA := context.WithCancel(context.Background())
+	defer cancelA()
+	errA := make(chan error, 1)
+	go func() {
+		_, err := c.Get(ctxA, cfg)
+		errA <- err
+	}()
+	for c.Snapshot().Misses == 0 { // A's warmup is in flight
+		time.Sleep(time.Millisecond)
+	}
+	type res struct {
+		chk *core.Checkpoint
+		err error
+	}
+	resB := make(chan res, 1)
+	go func() {
+		chk, err := c.Get(context.Background(), cfg)
+		resB <- res{chk, err}
+	}()
+	for c.Snapshot().Hits == 0 { // B has joined it
+		time.Sleep(time.Millisecond)
+	}
+	cancelA()
+	if err := <-errA; !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled Get returned %v, want context.Canceled (warmup finished before the cancel?)", err)
+	}
+	b := <-resB
+	if b.err != nil {
+		t.Fatalf("joined Get failed with the other caller's cancellation: %v", b.err)
+	}
+	if _, err := core.NewCheckpointedSimulator(cfg, b.chk); err != nil {
+		t.Fatalf("joined Get's checkpoint does not restore: %v", err)
+	}
+	if st := c.Snapshot(); st.Misses != 1 {
+		t.Fatalf("Misses = %d, want the one shared warmup", st.Misses)
 	}
 }

@@ -121,7 +121,23 @@ func (o Options) newRun() *figRun {
 	if jobs < 1 {
 		jobs = 1
 	}
-	return &figRun{o: o, pool: runner.New(jobs)}
+	r := &figRun{o: o, pool: runner.New(jobs)}
+	r.memo.Tiers = []*runner.Tier[string, float64]{{
+		Get: func(_ context.Context, key string) (float64, error) {
+			r.mu.Lock()
+			defer r.mu.Unlock()
+			if v, ok := r.o.Baselines[key]; ok {
+				return v, nil
+			}
+			return 0, runner.ErrMiss
+		},
+		Put: func(key string, v float64) {
+			r.mu.Lock()
+			r.o.Baselines[key] = v
+			r.mu.Unlock()
+		},
+	}}
+	return r
 }
 
 // submitRun schedules one simulation on the pool under the run's context.
@@ -133,40 +149,33 @@ func (r *figRun) submitRun(cfg core.Config) *runner.Future[core.Result] {
 	})
 }
 
-// baseline returns the future of app's single-thread IPC on the paper's
-// *reference* machine (the default 2-channel DDR configuration). Values
-// persist into Options.Baselines so later figures of the same invocation
-// reuse them; within one figure the memo guarantees each baseline simulation
+// baseline returns a wait function for app's single-thread IPC on the paper's
+// *reference* machine (the default 2-channel DDR configuration). The memo's
+// one tier is Options.Baselines, so values persist across the figures of one
+// invocation; within one figure the memo guarantees each baseline simulation
 // is submitted at most once, however many mixes share the application.
-func (r *figRun) baseline(app string) *runner.Future[float64] {
+func (r *figRun) baseline(app string) func() (float64, error) {
 	key := fmt.Sprintf("%s|%d|%d|%d", app, r.o.Warmup, r.o.Target, r.o.Seed)
-	r.mu.Lock()
-	v, ok := r.o.Baselines[key]
-	r.mu.Unlock()
-	if ok {
-		return runner.Resolved(v, nil)
+	if v, _, ok := r.memo.Lookup(r.o.Ctx, key, -1); ok {
+		return func() (float64, error) { return v, nil }
 	}
 	ref := r.o.baseConfig(app) // the reference machine, always
 	ref.Apps = []string{app}   // what RunAlone would simulate, checkpoint-aware
-	f, _ := r.memo.GetCtx(r.pool, r.o.Ctx, key, func(ctx context.Context) (float64, error) {
+	f, _ := r.memo.Join(r.o.Ctx, r.pool, key, func(ctx context.Context) (float64, error) {
 		res, err := r.o.Checkpoints.Run(ctx, ref)
 		if err != nil {
 			return 0, err
 		}
-		v := res.IPC[0]
-		r.mu.Lock()
-		r.o.Baselines[key] = v
-		r.mu.Unlock()
-		return v, nil
+		return res.IPC[0], nil
 	})
-	return f
+	return func() (float64, error) { return f.Wait(r.o.Ctx) }
 }
 
 // wsJob is one in-flight weighted-speedup computation: the mix run plus the
 // baseline futures for its applications.
 type wsJob struct {
 	run   *runner.Future[core.Result]
-	alone []*runner.Future[float64]
+	alone []func() (float64, error)
 }
 
 // submitWS schedules cfg and its baselines on the pool. Neither the run nor
@@ -194,7 +203,7 @@ func (j wsJob) Wait() (float64, core.Result, error) {
 	}
 	alone := make([]float64, len(j.alone))
 	for i, f := range j.alone {
-		v, err := f.Wait()
+		v, err := f()
 		if err != nil {
 			return 0, core.Result{}, err
 		}
@@ -207,7 +216,7 @@ func (j wsJob) Wait() (float64, core.Result, error) {
 // weightedSpeedup is the single-run form of submitWS/Wait, kept for callers
 // (and tests) that need one weighted speedup outside a figure sweep.
 func (o Options) weightedSpeedup(cfg core.Config) (float64, core.Result, error) {
-	return o.newRun().submitWS(cfg).Wait()
+	return o.withDefaults().newRun().submitWS(cfg).Wait()
 }
 
 // ---------------------------------------------------------------- Table 2

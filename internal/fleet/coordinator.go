@@ -35,7 +35,7 @@ type CoordinatorConfig struct {
 	// FailAfter ejects a worker from the ring after this many consecutive
 	// failed probes (default 3); one successful probe re-admits it.
 	FailAfter int
-	// Quota layers fleet-wide tenant/priority admission in front of
+	// Quota layers fleet-wide tenant admission in front of
 	// forwarding (nil admits everything).
 	Quota *Quota
 	// Logger receives lifecycle logs. Nil discards.

@@ -110,7 +110,7 @@ func StartLocal(cfg LocalConfig) (*LocalFleet, error) {
 		wcfg.DataDir = n.DataDir
 		wcfg.PeerTimeout = cfg.PeerTimeout
 		wcfg.PeerFetch = NewPeerClient(n.ID, peers, cfg.Coordinator.VNodes, cfg.PeerTimeout, cfg.Worker.Logger)
-		if cfg.Quota.RatePerSec > 0 || cfg.Quota.Slots > 0 {
+		if cfg.Quota.RatePerSec > 0 {
 			wcfg.Admission = NewQuota(cfg.Quota)
 		}
 		srv := server.New(wcfg)

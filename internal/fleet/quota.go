@@ -14,13 +14,6 @@ type QuotaConfig struct {
 	RatePerSec float64
 	// Burst is each tenant's bucket capacity (default 2×RatePerSec, min 1).
 	Burst float64
-	// Slots bounds concurrently admitted computed jobs across every tenant;
-	// <=0 disables the class gate.
-	Slots int
-	// HighReserve holds back this many of Slots for X-Smtdram-Priority: high
-	// submissions: low-priority work may occupy at most Slots-HighReserve, so
-	// a saturating low-priority sweep can never starve interactive traffic.
-	HighReserve int
 	// MaxTenants bounds the bucket table (default 4096); full buckets are
 	// evicted first when it overflows.
 	MaxTenants int
@@ -29,19 +22,16 @@ type QuotaConfig struct {
 	now func() time.Time
 }
 
-// Quota implements the daemon's admission hooks (server.Config.Admission):
-// a token bucket per tenant plus a two-level priority slot gate. It layers in
-// front of the existing bounded queue — the queue still bounds total work;
-// the quota decides whose work and in what class.
+// Quota implements the daemon's admission hook (server.Config.Admission): a
+// token bucket per tenant. It layers in front of the existing bounded queue —
+// the queue still bounds total work; the quota decides whose.
 type Quota struct {
 	cfg QuotaConfig
 
 	mu      sync.Mutex
 	buckets map[string]*bucket
-	// low/high count admitted-and-unfinished jobs per class.
-	low, high int
-	// rejected tallies per-reason rejections for /v1/fleet.
-	rejectedTenant, rejectedClass uint64
+	// rejectedTenant tallies over-quota rejections for /v1/fleet.
+	rejectedTenant uint64
 }
 
 type bucket struct {
@@ -57,9 +47,6 @@ func NewQuota(cfg QuotaConfig) *Quota {
 	}
 	if cfg.MaxTenants <= 0 {
 		cfg.MaxTenants = 4096
-	}
-	if cfg.HighReserve > cfg.Slots {
-		cfg.HighReserve = cfg.Slots
 	}
 	if cfg.now == nil {
 		cfg.now = time.Now
@@ -106,52 +93,13 @@ func (q *Quota) evictFullLocked(now time.Time) {
 	}
 }
 
-// Acquire takes one priority-class slot for an admitted computed job: high
-// may use every slot, low only Slots-HighReserve. release frees the slot
-// (idempotent is the caller's job — the server releases exactly once, with
-// the admission token). ok=false tells the server to shed with a 429.
-func (q *Quota) Acquire(high bool) (release func(), ok bool) {
-	if q == nil || q.cfg.Slots <= 0 {
-		return func() {}, true
-	}
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	if high {
-		if q.high+q.low >= q.cfg.Slots {
-			q.rejectedClass++
-			return nil, false
-		}
-		q.high++
-		return func() {
-			q.mu.Lock()
-			q.high--
-			q.mu.Unlock()
-		}, true
-	}
-	if q.high+q.low >= q.cfg.Slots-q.cfg.HighReserve {
-		q.rejectedClass++
-		return nil, false
-	}
-	q.low++
-	return func() {
-		q.mu.Lock()
-		q.low--
-		q.mu.Unlock()
-	}, true
-}
-
 // QuotaStats is the quota section of /v1/fleet.
 type QuotaStats struct {
 	Enabled        bool     `json:"enabled"`
 	RatePerSec     float64  `json:"rate_per_sec,omitempty"`
 	Burst          float64  `json:"burst,omitempty"`
-	Slots          int      `json:"slots,omitempty"`
-	HighReserve    int      `json:"high_reserve,omitempty"`
 	Tenants        []string `json:"tenants,omitempty"`
-	InFlightHigh   int      `json:"in_flight_high"`
-	InFlightLow    int      `json:"in_flight_low"`
 	RejectedTenant uint64   `json:"rejected_tenant"`
-	RejectedClass  uint64   `json:"rejected_class"`
 }
 
 // Snapshot reports the quota's current state.
@@ -165,12 +113,7 @@ func (q *Quota) Snapshot() QuotaStats {
 		Enabled:        true,
 		RatePerSec:     q.cfg.RatePerSec,
 		Burst:          q.cfg.Burst,
-		Slots:          q.cfg.Slots,
-		HighReserve:    q.cfg.HighReserve,
-		InFlightHigh:   q.high,
-		InFlightLow:    q.low,
 		RejectedTenant: q.rejectedTenant,
-		RejectedClass:  q.rejectedClass,
 	}
 	for t := range q.buckets {
 		st.Tenants = append(st.Tenants, t)

@@ -43,55 +43,13 @@ func TestQuotaTenantBuckets(t *testing.T) {
 	}
 }
 
-func TestQuotaPrioritySlots(t *testing.T) {
-	q := NewQuota(QuotaConfig{Slots: 3, HighReserve: 1})
-
-	// Low priority may fill only Slots-HighReserve.
-	rel1, ok := q.Acquire(false)
-	rel2, ok2 := q.Acquire(false)
-	if !ok || !ok2 {
-		t.Fatal("low-priority slots under the cap rejected")
-	}
-	if _, ok := q.Acquire(false); ok {
-		t.Fatal("low priority occupied the reserved headroom")
-	}
-	// High priority can still get in — that's what the reserve is for.
-	relH, ok := q.Acquire(true)
-	if !ok {
-		t.Fatal("high priority rejected while its reserve was free")
-	}
-	if _, ok := q.Acquire(true); ok {
-		t.Fatal("acquire beyond total slots admitted")
-	}
-	relH()
-	rel1()
-	rel2()
-	if _, ok := q.Acquire(false); !ok {
-		t.Fatal("released slots not reusable")
-	}
-
-	st := q.Snapshot()
-	if st.InFlightLow != 1 || st.InFlightHigh != 0 {
-		t.Fatalf("snapshot in-flight = %d low / %d high", st.InFlightLow, st.InFlightHigh)
-	}
-	if st.RejectedClass != 2 {
-		t.Fatalf("snapshot rejected_class = %d, want 2", st.RejectedClass)
-	}
-}
-
 func TestQuotaDisabled(t *testing.T) {
 	var q *Quota // nil quota admits everything
 	if ok, _ := q.Charge("anyone"); !ok {
 		t.Fatal("nil quota rejected a charge")
 	}
-	if _, ok := q.Acquire(false); !ok {
-		t.Fatal("nil quota rejected an acquire")
-	}
 	q = NewQuota(QuotaConfig{}) // zero config likewise
 	if ok, _ := q.Charge("anyone"); !ok {
 		t.Fatal("zero-config quota rejected a charge")
-	}
-	if _, ok := q.Acquire(true); !ok {
-		t.Fatal("zero-config quota rejected an acquire")
 	}
 }

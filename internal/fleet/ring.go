@@ -3,8 +3,8 @@
 // worker daemons via a consistent-hash ring keyed by the same
 // Config.Fingerprint that names results everywhere else, workers fetch warm
 // results from each other peer-to-peer in the durable store's CRC-framed
-// entry format, and per-tenant token buckets with two-level priority
-// admission sit in front of the existing bounded queue.
+// entry format, and per-tenant token buckets sit in front of the existing
+// bounded queue.
 //
 // The ring is the load balancer's whole brain: because a fingerprint fully
 // names a result, routing by fingerprint keeps dedup, LRU locality, and

@@ -21,6 +21,7 @@ type GaugeFunc func(now uint64) float64
 type Counter struct {
 	name string
 	v    atomic.Uint64
+	read func() uint64 // CounterFunc: the tally lives elsewhere
 }
 
 // Inc adds one.
@@ -41,6 +42,9 @@ func (c *Counter) Add(n uint64) {
 func (c *Counter) Value() uint64 {
 	if c == nil {
 		return 0
+	}
+	if c.read != nil {
+		return c.read()
 	}
 	return c.v.Load()
 }
@@ -279,6 +283,16 @@ func (r *Registry) Counter(name string) *Counter {
 	c := &Counter{name: name}
 	r.counters = append(r.counters, c)
 	return c
+}
+
+// CounterFunc registers a counter whose value is read from f: a monotonic
+// tally another component already keeps (a memo's hits, a tier's misses),
+// exported with counter semantics instead of being mirrored into a second
+// counter. f must be safe to call from the rendering goroutine.
+func (r *Registry) CounterFunc(name string, f func() uint64) {
+	if r != nil {
+		r.counters = append(r.counters, &Counter{name: name, read: f})
+	}
 }
 
 // Histogram registers (or returns the existing) named histogram.

@@ -15,11 +15,14 @@
 package runner
 
 import (
+	"container/list"
 	"context"
+	"errors"
 	"fmt"
 	"runtime"
 	"runtime/debug"
 	"sync"
+	"sync/atomic"
 	"time"
 )
 
@@ -203,148 +206,347 @@ func SubmitNamedCtx[T any](p *Pool, ctx context.Context, name string, fn func(co
 	return f
 }
 
-// Memo is a concurrency-safe, single-flight memoization table: the first
-// Get for a key submits the compute job, every later Get — concurrent or
-// not — receives the same future. The figures package uses it to run each
-// alone-IPC baseline exactly once per experiments invocation, no matter how
-// many figures (or concurrent weighted-speedup jobs) need it; the server's
-// result path uses it to collapse identical in-flight simulation requests
-// into one run.
-//
-// Only successes stay cached. A fn that returns an error or panics is
-// forgotten the moment it fails: concurrent Gets already holding the future
-// still see the failure (that flight is shared), but a later Get with the
-// same key re-executes instead of replaying a stale error forever.
-// A Memo is unbounded by default; SetCap bounds it, evicting the
-// least-recently-used *resolved* entry when an insertion overflows the cap.
-// In-flight futures are never evicted (they represent running work whose
-// waiters hold the future anyway), so a memo can transiently exceed its cap
-// while more than cap flights are airborne.
-type Memo[K comparable, V any] struct {
-	mu sync.Mutex
-	m  map[K]*Future[V]
-	// use is each key's last-touch stamp from clock, the LRU order.
-	use   map[K]uint64
-	clock uint64
-	cap   int
-	// evicted counts cap-driven removals over the memo's lifetime.
-	evicted uint64
+// ErrMiss is what a Tier's Get returns for a key the tier does not hold. Any
+// other error means the tier held a damaged entry: it counts as corrupt and
+// as a miss, and the value is recomputed.
+var ErrMiss = errors.New("runner: memo tier miss")
+
+// Tier is one slower level behind a Memo's memory: a disk store, a fleet
+// peer, a caller-owned map. Get may block on IO and must honour ctx; Put (nil
+// for a read-only tier) receives every value the memo computes or finds in a
+// later tier. Both run with no memo lock held.
+type Tier[K comparable, V any] struct {
+	Get func(ctx context.Context, key K) (V, error)
+	Put func(key K, v V)
+
+	hits, misses, corrupt atomic.Uint64
 }
 
-// SetCap bounds the memo to n entries with LRU eviction of resolved futures
-// (n <= 0 restores the unbounded default). Safe to call at any time; an
-// over-cap memo sheds entries on subsequent insertions, not immediately.
+// TierStats counts one tier's lookups; a corrupt entry counts as a miss too.
+type TierStats struct{ Hits, Misses, Corrupt uint64 }
+
+// Stats snapshots the tier's counters. Nil-safe (zeros).
+func (t *Tier[K, V]) Stats() TierStats {
+	if t == nil {
+		return TierStats{}
+	}
+	return TierStats{Hits: t.hits.Load(), Misses: t.misses.Load(), Corrupt: t.corrupt.Load()}
+}
+
+// MemoStats is a Memo's one counter set. Hits counts Lookups and Joins
+// answered without computing (from memory or a tier), Misses Lookups that
+// found nothing, Joins callers that attached to a computation in flight,
+// Starts computations started, Evictions resolved entries shed by the cap;
+// Entries is the table size, computations in flight included.
+type MemoStats struct {
+	Hits, Misses, Joins, Starts, Evictions uint64
+	Entries                                int
+}
+
+// Memo is the repo's one keyed memoization mechanism: a concurrency-safe
+// table of resolved values in LRU order and computations in flight, with
+// optional slower tiers behind it. The daemon's result cache, its
+// warmup-checkpoint cache and a figure sweep's alone-IPC baselines are all
+// instances. The zero Memo is ready to use: unbounded, no tiers.
+//
+// Lookup answers from memory, then the tiers, and never computes. Join
+// attaches the caller to the key's computation, starting it when there is
+// none; Do is Lookup, then Join, then Wait. A computation runs under a
+// context the memo owns: each attached caller waits under its own, and the
+// computation is cancelled only when the last of them has left, so one caller
+// giving up never fails another. Only successes stay: a computation that
+// errors or panics is forgotten, its waiters see the failure, the next caller
+// recomputes. A computation in flight is never evicted, so the table can
+// exceed its cap while more than cap of them are airborne.
+type Memo[K comparable, V any] struct {
+	// Tiers are the levels behind memory, fastest first; set before first
+	// use. A value found in tier i is put into memory and tiers 0..i-1, a
+	// computed value into memory and every tier.
+	Tiers []*Tier[K, V]
+
+	mu      sync.Mutex
+	cap     int // 0 unbounded, < 0 retain nothing
+	table   map[K]*memoEntry[K, V]
+	probing map[K]*memoProbe[K, V]
+	lru     list.List // resolved entries, most recent first; values are *memoEntry[K, V]
+	stats   MemoStats
+}
+
+// memoEntry is resolved (elem set, val valid) or in flight (flight set).
+type memoEntry[K comparable, V any] struct {
+	key    K
+	val    V
+	elem   *list.Element
+	flight *Flight[V]
+}
+
+// memoProbe is one Lookup reading the tiers for a key; identical concurrent
+// Lookups wait for it instead of repeating the IO.
+type memoProbe[K comparable, V any] struct {
+	done  chan struct{}
+	depth int
+	val   V
+	src   *Tier[K, V]
+	ok    bool
+}
+
+// Flight is a caller's handle on one computation. Every Join is matched by
+// one Wait or one Leave.
+type Flight[V any] struct {
+	// Tag is the starter's to set, under whatever lock serializes its Joins,
+	// before a joiner can read it: per-computation state the callers share.
+	Tag any
+
+	fut *Future[V]
+	// detach(true) takes one waiter off; detach(false) only frees the key.
+	// Nil when Join found the value resolved.
+	detach  func(leaving bool)
+	waiters int  // guarded by the memo's mu
+	settled bool // guarded by the memo's mu
+}
+
+// Wait blocks until the computation finishes or ctx is done. In the second
+// case the caller leaves the flight and gets ctx.Err(); the computation goes
+// on for whoever is still attached. On a lazy (1-job) pool the computation
+// runs here, on the calling goroutine.
+func (f *Flight[V]) Wait(ctx context.Context) (V, error) {
+	if f.fut.done != nil {
+		select {
+		case <-f.fut.done:
+		case <-ctx.Done():
+			f.Leave()
+			var zero V
+			return zero, ctx.Err()
+		}
+	}
+	v, err := f.fut.Wait()
+	if err != nil && f.detach != nil {
+		f.detach(false) // a flight cancelled while queued never ran, so never forgot itself
+	}
+	return v, err
+}
+
+// Leave detaches the caller without waiting. The last caller to leave an
+// unfinished computation cancels it and frees the key, so a later Join starts
+// afresh instead of boarding a doomed flight.
+func (f *Flight[V]) Leave() {
+	if f.detach != nil {
+		f.detach(true)
+	}
+}
+
+// SetCap bounds the memo to n entries with LRU eviction of resolved values;
+// n == 0 removes the bound and n < 0 retains nothing (computations are still
+// shared while in flight). An over-cap memo sheds entries at its next
+// insertion, not immediately.
 func (m *Memo[K, V]) SetCap(n int) {
 	m.mu.Lock()
 	m.cap = n
 	m.mu.Unlock()
 }
 
-// Evictions reports how many entries the cap has evicted.
-func (m *Memo[K, V]) Evictions() uint64 {
+// Stats snapshots the memo's counters.
+func (m *Memo[K, V]) Stats() MemoStats {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	return m.evicted
+	st := m.stats
+	st.Entries = len(m.table)
+	return st
 }
 
-// resolvedForEvict reports whether the future has a value (or error) and no
-// pending execution — the only state eviction may discard. Pooled futures
-// answer via their done channel; lazy and pre-resolved futures via fn.
-func (f *Future[T]) resolvedForEvict() bool {
-	if f.done != nil {
-		select {
-		case <-f.done:
-			return true
-		default:
-			return false
-		}
+// insertLocked files e — resolved or in flight — and sheds least-recently-used
+// resolved entries until the table fits its cap or only flights remain.
+func (m *Memo[K, V]) insertLocked(e *memoEntry[K, V]) {
+	if e.flight == nil && m.cap < 0 {
+		delete(m.table, e.key)
+		return
 	}
-	return f.fn == nil
-}
-
-// evictLocked sheds least-recently-used resolved entries until the memo fits
-// its cap. Caller holds m.mu.
-func (m *Memo[K, V]) evictLocked() {
-	for m.cap > 0 && len(m.m) > m.cap {
-		var (
-			victim    K
-			victimUse uint64
-			found     bool
-		)
-		for k, f := range m.m {
-			if !f.resolvedForEvict() {
-				continue
-			}
-			if u := m.use[k]; !found || u < victimUse {
-				victim, victimUse, found = k, u, true
-			}
-		}
-		if !found {
-			return // everything in flight: stay over cap rather than drop work
-		}
-		delete(m.m, victim)
-		delete(m.use, victim)
-		m.evicted++
+	if m.table == nil {
+		m.table = make(map[K]*memoEntry[K, V])
+	}
+	m.table[e.key] = e
+	if e.flight == nil {
+		e.elem = m.lru.PushFront(e)
+	}
+	for m.cap > 0 && len(m.table) > m.cap && m.lru.Len() > 0 {
+		old := m.lru.Remove(m.lru.Back()).(*memoEntry[K, V])
+		delete(m.table, old.key)
+		m.stats.Evictions++
 	}
 }
 
-// Get returns the future for key, submitting fn on p only on the first call.
-func (m *Memo[K, V]) Get(p *Pool, key K, fn func() (V, error)) *Future[V] {
-	f, _ := m.GetCtx(p, context.Background(), key, func(context.Context) (V, error) { return fn() })
-	return f
-}
-
-// GetCtx is Get with a cancellation context for the submitted job and a
-// report of whether this call started the flight (created) or joined an
-// existing one — the daemon's dedup counter. The context belongs to the
-// flight, not the caller: it is the first Get's ctx that governs the run, so
-// callers sharing a flight must manage a joint context themselves (the server
-// refcounts one per fingerprint).
-func (m *Memo[K, V]) GetCtx(p *Pool, ctx context.Context, key K, fn func(context.Context) (V, error)) (f *Future[V], created bool) {
+// Lookup answers key from memory or, failing that, from the first depth
+// tiers (depth < 0: all of them), promoting a tier hit into memory and the
+// tiers before it. It never computes and never waits for a computation: a key
+// in flight is a miss. src is the tier that answered, nil for memory.
+// Concurrent Lookups of one key read the tiers once.
+func (m *Memo[K, V]) Lookup(ctx context.Context, key K, depth int) (v V, src *Tier[K, V], ok bool) {
+	if depth < 0 || depth > len(m.Tiers) {
+		depth = len(m.Tiers)
+	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if m.m == nil {
-		m.m = make(map[K]*Future[V])
-		m.use = make(map[K]uint64)
+	for {
+		if e := m.table[key]; e != nil {
+			if e.elem == nil {
+				break // in flight: whoever started it already missed the tiers
+			}
+			m.lru.MoveToFront(e.elem)
+			m.stats.Hits++
+			return e.val, nil, true
+		}
+		p := m.probing[key]
+		if p == nil {
+			if depth == 0 {
+				break
+			}
+			p = m.probeLocked(ctx, key, depth)
+		} else {
+			m.mu.Unlock()
+			select {
+			case <-p.done:
+			case <-ctx.Done():
+			}
+			m.mu.Lock()
+		}
+		if p.ok {
+			m.stats.Hits++
+			return p.val, p.src, true
+		}
+		if p.depth >= depth || ctx.Err() != nil {
+			break
+		}
 	}
-	m.clock++
-	if f, ok := m.m[key]; ok {
-		m.use[key] = m.clock
-		return f, false
+	m.stats.Misses++
+	return v, nil, false
+}
+
+// probeLocked reads the first depth tiers for key on behalf of every
+// concurrent Lookup of it. Called with m.mu held; the IO runs unlocked.
+func (m *Memo[K, V]) probeLocked(ctx context.Context, key K, depth int) *memoProbe[K, V] {
+	p := &memoProbe[K, V]{done: make(chan struct{}), depth: depth}
+	if m.probing == nil {
+		m.probing = make(map[K]*memoProbe[K, V])
 	}
-	f = SubmitCtx(p, ctx, func(ctx context.Context) (V, error) {
+	m.probing[key] = p
+	m.mu.Unlock()
+	for i, t := range m.Tiers[:depth] {
+		v, err := t.Get(ctx, key)
+		if err != nil {
+			t.misses.Add(1)
+			if !errors.Is(err, ErrMiss) {
+				t.corrupt.Add(1)
+			}
+			continue
+		}
+		t.hits.Add(1)
+		p.val, p.src, p.ok = v, t, true
+		m.putTiers(m.Tiers[:i], key, v)
+		break
+	}
+	m.mu.Lock()
+	delete(m.probing, key)
+	if p.ok && m.table[key] == nil {
+		m.insertLocked(&memoEntry[K, V]{key: key, val: p.val})
+	}
+	close(p.done)
+	return p
+}
+
+func (m *Memo[K, V]) putTiers(tiers []*Tier[K, V], key K, v V) {
+	for _, t := range tiers {
+		if t.Put != nil {
+			t.Put(key, v)
+		}
+	}
+}
+
+// Outcome says how a Join attached its caller.
+type Outcome int
+
+const (
+	Started Outcome = iota // no computation was in flight; this call started one
+	Joined                 // attached to a computation already in flight
+	Hit                    // the value was already resolved; the flight is complete
+)
+
+// Join attaches the caller to key's computation, starting fn on p when none
+// is in flight. It does not read the tiers (Lookup does). parent supplies the
+// computation's context values and an outer cancellation — a server's
+// shutdown, a sweep's context — but never a single caller's: callers come and
+// go through Wait and Leave.
+func (m *Memo[K, V]) Join(parent context.Context, p *Pool, key K, fn func(context.Context) (V, error)) (*Flight[V], Outcome) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if e := m.table[key]; e != nil {
+		if e.elem != nil {
+			m.lru.MoveToFront(e.elem)
+			m.stats.Hits++
+			return &Flight[V]{fut: Resolved(e.val, nil)}, Hit
+		}
+		e.flight.waiters++
+		m.stats.Joins++
+		return e.flight, Joined
+	}
+	m.stats.Starts++
+	ctx, cancel := context.WithCancel(parent)
+	f := &Flight[V]{waiters: 1}
+	e := &memoEntry[K, V]{key: key, flight: f}
+	f.detach = func(leaving bool) {
+		m.mu.Lock()
+		if leaving {
+			if !f.settled {
+				f.waiters--
+			}
+			if f.settled || f.waiters > 0 {
+				m.mu.Unlock()
+				return
+			}
+		}
+		if m.table[key] == e {
+			delete(m.table, key)
+		}
+		m.mu.Unlock()
+		if leaving {
+			cancel()
+		}
+	}
+	m.insertLocked(e)
+	f.fut = SubmitCtx(p, ctx, func(ctx context.Context) (v V, err error) {
 		defer func() {
-			if r := recover(); r != nil {
-				m.Forget(key) // panic = failure: do not cache (guard rethrows as PanicError)
-				panic(r)
+			r := recover()
+			m.mu.Lock()
+			f.settled = true
+			if m.table[key] == e { // not abandoned by its last waiter
+				if e.val, e.flight = v, nil; err != nil || r != nil {
+					delete(m.table, key)
+				} else {
+					m.insertLocked(e)
+				}
+			}
+			m.mu.Unlock()
+			cancel()
+			if r != nil {
+				panic(r) // guard turns it into the future's PanicError
 			}
 		}()
-		v, err := fn(ctx)
-		if err != nil {
-			m.Forget(key)
+		if v, err = fn(ctx); err == nil {
+			// Write through before the future resolves: a waiter that sees
+			// the value may promise it is durable.
+			m.putTiers(m.Tiers, key, v)
 		}
 		return v, err
 	})
-	m.m[key] = f
-	m.use[key] = m.clock
-	m.evictLocked()
-	return f, true
+	return f, Started
 }
 
-// Forget drops key's entry so the next Get re-executes. The memo calls it
-// itself on failures; long-lived callers (the serving daemon) also call it
-// after migrating a completed value into a bounded cache so the memo tracks
-// only in-flight work and cannot grow without bound.
-func (m *Memo[K, V]) Forget(key K) {
-	m.mu.Lock()
-	delete(m.m, key)
-	delete(m.use, key)
-	m.mu.Unlock()
-}
-
-// Len reports how many entries (in-flight or cached successes) the memo holds.
-func (m *Memo[K, V]) Len() int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return len(m.m)
+// Do returns key's value: from memory or a tier if present, else by joining
+// or starting the single computation fn. The computation inherits ctx's
+// values but not its cancellation; ctx only bounds this caller's wait.
+func (m *Memo[K, V]) Do(ctx context.Context, p *Pool, key K, fn func(context.Context) (V, error)) (V, error) {
+	if v, _, ok := m.Lookup(ctx, key, -1); ok {
+		return v, nil
+	}
+	f, _ := m.Join(context.WithoutCancel(ctx), p, key, fn)
+	return f.Wait(ctx)
 }

@@ -116,17 +116,18 @@ func TestMemoSingleFlight(t *testing.T) {
 	p := New(8)
 	var memo Memo[string, int]
 	var computes int32
-	var futs []*Future[int]
+	var futs []*Flight[int]
 	for i := 0; i < 32; i++ {
 		key := fmt.Sprintf("k%d", i%4)
-		futs = append(futs, memo.Get(p, key, func() (int, error) {
+		f, _ := memo.Join(context.Background(), p, key, func(context.Context) (int, error) {
 			atomic.AddInt32(&computes, 1)
 			time.Sleep(time.Millisecond)
 			return len(key), nil
-		}))
+		})
+		futs = append(futs, f)
 	}
 	for _, f := range futs {
-		if v, err := f.Wait(); err != nil || v != 2 {
+		if v, err := f.Wait(context.Background()); err != nil || v != 2 {
 			t.Fatalf("memo Wait = %d, %v", v, err)
 		}
 	}
@@ -252,18 +253,18 @@ func TestMemoErrorNotCached(t *testing.T) {
 		}
 		return 42, nil
 	}
-	if _, err := memo.Get(p, "k", fn).Wait(); !errors.Is(err, boom) {
+	if _, err := memoGet(&memo, p, "k", fn); !errors.Is(err, boom) {
 		t.Fatalf("first flight returned %v, want the injected error", err)
 	}
 	// The failure must not be cached: a later Get re-executes.
-	if v, err := memo.Get(p, "k", fn).Wait(); err != nil || v != 42 {
+	if v, err := memoGet(&memo, p, "k", fn); err != nil || v != 42 {
 		t.Fatalf("retry after error = %d, %v; want 42, nil", v, err)
 	}
 	if got := calls.Load(); got != 2 {
 		t.Fatalf("fn ran %d times, want 2", got)
 	}
 	// The success IS cached: a third Get does not re-execute.
-	if v, err := memo.Get(p, "k", fn).Wait(); err != nil || v != 42 {
+	if v, err := memoGet(&memo, p, "k", fn); err != nil || v != 42 {
 		t.Fatalf("cached success = %d, %v", v, err)
 	}
 	if got := calls.Load(); got != 2 {
@@ -287,16 +288,16 @@ func TestMemoPanicNotCached(t *testing.T) {
 			}
 			return 7, nil
 		}
-		_, err := memo.Get(p, "k", fn).Wait()
+		_, err := memoGet(&memo, p, "k", fn)
 		var pe *PanicError
 		if !errors.As(err, &pe) {
 			t.Fatalf("jobs=%d: first flight returned %v, want *PanicError", jobs, err)
 		}
-		if v, err := memo.Get(p, "k", fn).Wait(); err != nil || v != 7 {
+		if v, err := memoGet(&memo, p, "k", fn); err != nil || v != 7 {
 			t.Fatalf("jobs=%d: retry after panic = %d, %v; want 7, nil", jobs, v, err)
 		}
-		if memo.Len() != 1 {
-			t.Fatalf("jobs=%d: memo holds %d entries, want 1 cached success", jobs, memo.Len())
+		if memo.Stats().Entries != 1 {
+			t.Fatalf("jobs=%d: memo holds %d entries, want 1 cached success", jobs, memo.Stats().Entries)
 		}
 	}
 }
@@ -306,27 +307,30 @@ func TestMemoGetCtxReportsCreated(t *testing.T) {
 	var memo Memo[string, int]
 	var release sync.WaitGroup
 	release.Add(1)
-	f1, created := memo.GetCtx(p, context.Background(), "k", func(context.Context) (int, error) {
+	f1, out := memo.Join(context.Background(), p, "k", func(context.Context) (int, error) {
 		release.Wait()
 		return 3, nil
 	})
-	if !created {
-		t.Fatal("first GetCtx must report created")
+	if out != Started {
+		t.Fatal("first Join must report Started")
 	}
-	f2, created := memo.GetCtx(p, context.Background(), "k", func(context.Context) (int, error) { return 0, nil })
-	if created {
-		t.Fatal("second GetCtx must join the in-flight future")
+	f2, out := memo.Join(context.Background(), p, "k", func(context.Context) (int, error) { return 0, nil })
+	if out != Joined {
+		t.Fatal("second Join must join the in-flight computation")
 	}
 	if f1 != f2 {
-		t.Fatal("joined flight returned a different future")
+		t.Fatal("joined flight returned a different handle")
 	}
 	release.Done()
-	if v, err := f2.Wait(); err != nil || v != 3 {
+	if v, err := f2.Wait(context.Background()); err != nil || v != 3 {
 		t.Fatalf("joined flight = %d, %v", v, err)
 	}
-	memo.Forget("k")
-	if memo.Len() != 0 {
-		t.Fatalf("after Forget, memo holds %d entries", memo.Len())
+	f3, out := memo.Join(context.Background(), p, "k", func(context.Context) (int, error) { return 0, nil })
+	if v, _ := f3.Wait(context.Background()); out != Hit || v != 3 {
+		t.Fatalf("Join after resolution = %d, outcome %v; want 3, Hit", v, out)
+	}
+	if st := memo.Stats(); st.Starts != 1 || st.Joins != 1 || st.Hits != 1 || st.Misses != 0 || st.Entries != 1 {
+		t.Fatalf("Stats = %+v, want 1 start, 1 join, 1 hit, 0 misses (only Lookup counts those), 1 entry", st)
 	}
 }
 

@@ -359,8 +359,8 @@ func waitReady(t *testing.T, c *client.Client, timeout time.Duration) {
 	}
 }
 
-// benchReport is the BENCH_durable.json payload: the warm-restart cache-hit
-// ratio the acceptance criteria ask for, plus the recovery tallies behind it.
+// benchReport is the optional warm-restart report: the cache-hit ratio after
+// the last restart, plus the recovery tallies behind it.
 type benchReport struct {
 	Cycles          int     `json:"cycles"`
 	Seed            int64   `json:"seed"`
@@ -377,7 +377,7 @@ type benchReport struct {
 }
 
 // writeBench records the chaos run's measurements when CHAOS_BENCH_OUT names
-// a destination file (how BENCH_durable.json at the repo root is produced).
+// a destination file.
 func writeBench(t *testing.T, rep benchReport) {
 	t.Helper()
 	path := os.Getenv("CHAOS_BENCH_OUT")

@@ -3,6 +3,7 @@ package client
 import (
 	"context"
 	"errors"
+	"math/rand"
 	"net/http"
 	"sync/atomic"
 	"time"
@@ -30,8 +31,7 @@ type RetryPolicy struct {
 	// transient and retries while the parent context is still live.
 	PerAttemptTimeout time.Duration
 
-	// retried counts attempts that were retried, for the load generator's
-	// report.
+	// retried counts attempts that were retried (Retried).
 	retried atomic.Uint64
 }
 
@@ -82,6 +82,14 @@ func (p *RetryPolicy) backoff(i int) time.Duration {
 		d = maxB
 	}
 	return jitter(d)
+}
+
+// jitter spreads d uniformly over [d/2, 3d/2).
+func jitter(d time.Duration) time.Duration {
+	if d <= 0 {
+		return 0
+	}
+	return d/2 + time.Duration(rand.Int63n(int64(d)))
 }
 
 // doRetry runs one API call under the policy. With no policy attached it is

@@ -11,14 +11,15 @@ import (
 
 	"smtdram/internal/core"
 	"smtdram/internal/obs"
+	"smtdram/internal/runner"
 	"smtdram/internal/store"
 )
 
 // This file wires the durability layer (internal/store) into the daemon:
 //
-//   - the result cache gains a disk tier: lookups fall back LRU → disk →
-//     compute, and every computed result is written through to the
-//     content-addressed store before its jobs resolve;
+//   - the result memo gains a disk tier (results.go): lookups fall back
+//     memory → disk → compute, and every computed result is written through
+//     to the content-addressed store before its jobs resolve;
 //   - every job lifecycle transition is journaled write-ahead (submitted
 //     with the full request, started, resolved, cancelled);
 //   - startup replays the journal: finished jobs are rehydrated from the
@@ -35,26 +36,8 @@ import (
 // journalFileName is the write-ahead journal's file name under DataDir.
 const journalFileName = "journal.wal"
 
-// storeMeta is the sidecar blob stored beside each result payload: data that
-// rides next to — never inside — the byte-identical result bytes.
-type storeMeta struct {
-	Skip *SkipInfo `json:"skip,omitempty"`
-}
-
-func skipFromMeta(meta []byte) *SkipInfo {
-	if len(meta) == 0 {
-		return nil
-	}
-	var m storeMeta
-	if json.Unmarshal(meta, &m) != nil {
-		return nil
-	}
-	return m.Skip
-}
-
-// openDurable opens the store and journal under cfg.DataDir and runs crash
-// recovery. Open failures degrade to memory-only serving with a warning —
-// the daemon always comes up.
+// openDurable opens the result store under cfg.DataDir. Open failures degrade
+// to memory-only serving with a warning — the daemon always comes up.
 func (s *Server) openDurable() {
 	if s.cfg.DataDir == "" {
 		return
@@ -66,49 +49,6 @@ func (s *Server) openDurable() {
 		return
 	}
 	s.store = st
-	s.recoverFromJournal(filepath.Join(s.cfg.DataDir, journalFileName))
-}
-
-// storeGet is the disk tier of the cache ladder. A corrupt entry has already
-// been quarantined by the store; it reports as a miss and the caller
-// recomputes.
-func (s *Server) storeGet(fp string) ([]byte, *SkipInfo, bool) {
-	if s.store == nil {
-		return nil, nil, false
-	}
-	payload, meta, err := s.store.Get(fp)
-	switch {
-	case err == nil:
-		s.count(s.mStoreHits)
-		return payload, skipFromMeta(meta), true
-	case errors.Is(err, store.ErrNotFound):
-		s.count(s.mStoreMisses)
-	default:
-		s.count(s.mStoreCorrupt)
-		s.count(s.mStoreMisses)
-		s.log.Warn("store entry corrupt; quarantined, recomputing", "fp", fp, "err", err)
-	}
-	return nil, nil, false
-}
-
-// storePut writes a computed result through to the disk tier. Write errors
-// degrade the store to memory-only mode: serving continues from the LRU and
-// recomputation, and /readyz turns unready.
-func (s *Server) storePut(fp string, payload []byte, skip *SkipInfo) {
-	if s.store == nil {
-		return
-	}
-	var meta []byte
-	if skip != nil {
-		meta, _ = json.Marshal(storeMeta{Skip: skip})
-	}
-	if err := s.store.Put(fp, payload, meta); err != nil {
-		s.count(s.mStoreWriteErrors)
-		if !errors.Is(err, store.ErrDegraded) {
-			s.log.Warn("store write failed; degrading to memory-only result serving",
-				"fp", fp, "err", err)
-		}
-	}
 }
 
 // journalAppend writes one write-ahead record; append failures disable the
@@ -166,7 +106,8 @@ type foldedJob struct {
 // inside New, before the handler is reachable, so clients never observe a
 // half-recovered table; the re-enqueued runs themselves proceed in the
 // background and /readyz reports 503 until they finish.
-func (s *Server) recoverFromJournal(path string) {
+func (s *Server) recoverFromJournal() {
+	path := filepath.Join(s.cfg.DataDir, journalFileName)
 	recs, err := store.ReadJournal(path)
 	if err != nil {
 		s.log.Warn("journal unreadable; starting with an empty job table", "path", path, "err", err)
@@ -230,8 +171,8 @@ func (s *Server) recoverFromJournal(path string) {
 			// Done jobs rehydrate from the store; interrupted jobs whose
 			// fingerprint already has a stored result (a sibling finished
 			// and persisted before the crash) rehydrate the same way.
-			if payload, sk, ok := s.storeGet(f.fp); ok {
-				s.rehydrateTerminal(id, f.kind, f.fp, StateDone, "", payload, sk)
+			if res, _, ok := s.results.Lookup(s.baseCtx, f.fp, s.localDepth()); ok {
+				s.rehydrateTerminal(id, f.kind, f.fp, StateDone, "", res)
 				s.recRehydrated++
 				// Keep the (tiny) request in the compacted record: if the
 				// stored result is ever quarantined, a later recovery re-runs
@@ -242,7 +183,7 @@ func (s *Server) recoverFromJournal(path string) {
 			if len(f.req) == 0 {
 				// Result lost and no request to re-run (pre-durability
 				// record or torn journal): the id must still answer.
-				s.rehydrateTerminal(id, f.kind, f.fp, StateFailed, "recovery: result lost and request not journaled", nil, nil)
+				s.rehydrateTerminal(id, f.kind, f.fp, StateFailed, "recovery: result lost and request not journaled", result{})
 				compact = append(compact, store.Record{Type: store.RecResolved, Job: id, Kind: f.kind, FP: f.fp, State: string(StateFailed), Error: "recovery: result lost and request not journaled"})
 				continue
 			}
@@ -250,7 +191,7 @@ func (s *Server) recoverFromJournal(path string) {
 			compact = append(compact, store.Record{Type: store.RecSubmitted, Job: id, Kind: f.kind, FP: f.fp, Request: f.req})
 			continue
 		}
-		s.rehydrateTerminal(id, f.kind, f.fp, f.state, f.errMsg, nil, nil)
+		s.rehydrateTerminal(id, f.kind, f.fp, f.state, f.errMsg, result{})
 		rec := store.Record{Type: store.RecResolved, Job: id, Kind: f.kind, FP: f.fp, State: string(f.state), Error: f.errMsg}
 		if f.state == StateCancelled {
 			rec = store.Record{Type: store.RecCancelled, Job: id, Kind: f.kind, FP: f.fp}
@@ -299,14 +240,14 @@ func parseJobID(id string) (uint64, bool) {
 
 // rehydrateTerminal registers a job already in a terminal state — a finished
 // job surviving the restart, so its id keeps answering /v1/jobs/{id}.
-func (s *Server) rehydrateTerminal(id, kind, fp string, state State, errMsg string, result []byte, skip *SkipInfo) *job {
+func (s *Server) rehydrateTerminal(id, kind, fp string, state State, errMsg string, res result) *job {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	j := s.registerJobLocked(id, kind, fp)
 	j.state = state
 	j.errMsg = errMsg
-	j.result = result
-	j.skip = skip
+	j.result = res.val
+	j.skip = res.skip
 	j.slotFreed = true // never held an admission token in this process
 	return j
 }
@@ -316,7 +257,7 @@ func (s *Server) rehydrateTerminal(id, kind, fp string, state State, errMsg stri
 // no longer parses (schema drift across a binary upgrade) fails the job
 // rather than dropping it.
 func (s *Server) reenqueueRecovered(id string, f *foldedJob) *job {
-	var fn func(*flight) func(context.Context) (json.RawMessage, error)
+	var fn computeFn
 	switch f.kind {
 	case "sim":
 		var req SimRequest
@@ -326,7 +267,7 @@ func (s *Server) reenqueueRecovered(id string, f *foldedJob) *job {
 			cfg, err = req.Config()
 		}
 		if err != nil {
-			return s.rehydrateTerminal(id, f.kind, f.fp, StateFailed, "recovery: "+err.Error(), nil, nil)
+			return s.rehydrateTerminal(id, f.kind, f.fp, StateFailed, "recovery: "+err.Error(), result{})
 		}
 		fn = func(fl *flight) func(context.Context) (json.RawMessage, error) {
 			return s.simFlightFn(fl, cfg, req.Trace)
@@ -338,36 +279,30 @@ func (s *Server) reenqueueRecovered(id string, f *foldedJob) *job {
 			err = (FigRequest{Fig: req.Fig}).validate()
 		}
 		if err != nil {
-			return s.rehydrateTerminal(id, f.kind, f.fp, StateFailed, "recovery: "+err.Error(), nil, nil)
+			return s.rehydrateTerminal(id, f.kind, f.fp, StateFailed, "recovery: "+err.Error(), result{})
 		}
 		fn = func(fl *flight) func(context.Context) (json.RawMessage, error) {
 			return s.figFlightFn(fl, req)
 		}
 	default:
-		return s.rehydrateTerminal(id, f.kind, f.fp, StateFailed, fmt.Sprintf("recovery: unknown job kind %q", f.kind), nil, nil)
+		return s.rehydrateTerminal(id, f.kind, f.fp, StateFailed, fmt.Sprintf("recovery: unknown job kind %q", f.kind), result{})
 	}
 
 	root := s.spans.Start("job", obs.A("kind", f.kind), obs.A("fp", f.fp), obs.A("recovered", "true"))
 	s.mu.Lock()
-	fl, created := s.flightForLocked(f.fp, root, fn)
-	j := s.registerJobLocked(id, f.kind, f.fp)
-	j.deduped = !created
-	j.flight = fl
-	j.flightID = fl.id
-	j.span = root
-	root.SetAttr("job", j.id)
-	root.SetAttr("flight", fl.id)
-	j.tAdmitted = j.created
-	if fl.started {
-		j.state = StateRunning
-		j.tRunStart = j.tAdmitted
-	} else {
-		j.queueSpan = root.Child("queue_wait")
+	fl, res, out := s.joinFlightLocked(f.fp, root, fn)
+	if out == runner.Hit {
+		// A sibling re-enqueued just before this job has already finished.
+		s.mu.Unlock()
+		root.End()
+		s.journalAppend(store.Record{Type: store.RecResolved, Job: id, Kind: f.kind, FP: f.fp, State: string(StateDone)})
+		return s.rehydrateTerminal(id, f.kind, f.fp, StateDone, "", res)
 	}
-	fl.refs++
-	fl.jobs = append(fl.jobs, j)
-	// Take an admission token if one is free; recovered jobs were admitted
-	// before the crash, so they re-enter even when the queue shrank.
+	j := s.registerJobLocked(id, f.kind, f.fp)
+	j.tAdmitted = j.created
+	s.attachLocked(j, fl, root, out)
+	// Take a queue slot if one is free; recovered jobs were admitted before
+	// the crash, so they re-enter even when the queue shrank.
 	select {
 	case s.slots <- struct{}{}:
 	default:

@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"smtdram/internal/obs"
-	"smtdram/internal/store"
 )
 
 // maxBodyBytes bounds request bodies; configurations are tiny.
@@ -128,48 +127,7 @@ func (s *Server) handleJobDelete(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	// Detach from the flight first so a concurrent completion cannot race a
-	// double cancel; the last job off a flight cancels the simulation.
-	s.mu.Lock()
-	fl := j.flight
-	var cancelFlight bool
-	if fl != nil {
-		j.flight = nil
-		for i, jj := range fl.jobs {
-			if jj == j {
-				fl.jobs = append(fl.jobs[:i], fl.jobs[i+1:]...)
-				break
-			}
-		}
-		fl.refs--
-		cancelFlight = fl.refs == 0
-	}
-	s.mu.Unlock()
-
-	j.mu.Lock()
-	already := j.state.Terminal()
-	if !already {
-		j.state = StateCancelled
-		for _, ch := range j.subs {
-			close(ch)
-		}
-		j.subs = nil
-	}
-	dur := time.Since(j.created)
-	j.mu.Unlock()
-
-	if !already {
-		s.releaseSlot(j)
-		s.count(s.mCancelled)
-		s.journalAppend(store.Record{Type: store.RecCancelled, Job: j.id, Kind: j.kind, FP: j.fp})
-		j.span.SetAttr("state", string(StateCancelled))
-		j.span.End()
-		s.log.Info("job cancelled", "job", j.id, "flight", j.flightID,
-			"dur", dur.Truncate(time.Millisecond), "flight_cancelled", cancelFlight)
-	}
-	if cancelFlight {
-		fl.cancel()
-	}
+	s.cancelJob(j)
 	writeJSON(w, http.StatusOK, j.status(false))
 }
 
@@ -250,7 +208,6 @@ func (s *Server) handleJobEvents(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	s.syncCheckpointMetrics() // fold the checkpoint cache's tallies in first
 	// Fleet nodes label every sample with their identity so a multi-node
 	// scrape stays distinguishable; standalone daemons render unlabeled,
 	// byte-compatible with pre-fleet scrapes.

@@ -10,6 +10,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -345,30 +346,141 @@ func TestDrainRejectsNewWork(t *testing.T) {
 	}
 }
 
-// TestLoadGenSmoke runs the load generator against an in-process daemon with
-// a tiny repeated mix: no request may be dropped, and the repeats must be
-// served by cache or dedup rather than fresh simulations.
-func TestLoadGenSmoke(t *testing.T) {
-	_, c := newTestDaemon(t, server.Config{Workers: 2, QueueDepth: 4})
-	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
-	defer cancel()
+// TestCancelOneFigureKeepsSiblingSweep: two figure sweeps with the same
+// warmup and seed share warmup checkpoints — every figure forks the reference
+// machine's alone-IPC baselines from one prefix. Cancelling the first job must
+// not fail the second through a shared warmup: it finishes done, with the
+// bytes a solo run of the same figure produces.
+func TestCancelOneFigureKeepsSiblingSweep(t *testing.T) {
+	ctx := context.Background()
+	first := server.FigRequest{Fig: "6", Warmup: 10_000, Target: 1_000}
+	second := server.FigRequest{Fig: "3", Warmup: 10_000, Target: 1_000}
 
-	w, tgt := uint64(1_000), uint64(5_000)
-	mix := []server.SimRequest{
-		{Apps: []string{"mcf"}, Warmup: &w, Target: &tgt},
-		{Apps: []string{"ammp"}, Warmup: &w, Target: &tgt},
-	}
-	rep, err := c.LoadGen(ctx, client.LoadGenConfig{Requests: 10, Clients: 4, Mix: mix})
+	_, solo := newTestDaemon(t, server.Config{})
+	st, err := solo.SubmitFigure(ctx, second)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.Completed != 10 || rep.Failed != 0 {
-		t.Fatalf("completed=%d failed=%d, want 10/0", rep.Completed, rep.Failed)
+	if st, err = solo.Wait(ctx, st.ID, 0); err != nil || st.State != server.StateDone {
+		t.Fatalf("solo figure: %v, state %s (%s)", err, st.State, st.Error)
 	}
-	if rep.SimsRun > 2 {
-		t.Fatalf("sims_run = %.0f, want at most 2 (everything else cached or deduped)", rep.SimsRun)
+	want, err := solo.Result(ctx, st.ID)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if rep.CacheHitRatio <= 0 {
-		t.Fatalf("cache_hit_ratio = %v, want > 0", rep.CacheHitRatio)
+
+	_, c := newTestDaemon(t, server.Config{Workers: 2, Logger: testLogger(t)})
+	a, err := c.SubmitFigure(ctx, first)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := c.SubmitFigure(ctx, second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for { // both sweeps are on workers, warming the shared prefixes
+		sa, errA := c.Job(ctx, a.ID)
+		sb, errB := c.Job(ctx, b.ID)
+		if errA != nil || errB != nil {
+			t.Fatal(errA, errB)
+		}
+		if sa.State != server.StateQueued && sb.State != server.StateQueued {
+			break
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if st, err := c.Cancel(ctx, a.ID); err != nil || st.State != server.StateCancelled {
+		t.Fatalf("cancel first figure: %v, state %s", err, st.State)
+	}
+	if b, err = c.Wait(ctx, b.ID, 0); err != nil || b.State != server.StateDone {
+		t.Fatalf("sibling figure after the cancel: %v, state %s (%s)", err, b.State, b.Error)
+	}
+	got, err := c.Result(ctx, b.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("sibling figure diverged from a solo run\ngot:  %s\nwant: %s", got, want)
+	}
+}
+
+// fakeAdmission charges from fixed per-tenant budgets and counts every charge.
+type fakeAdmission struct {
+	mu      sync.Mutex
+	budget  map[string]int
+	charged map[string]int
+}
+
+func (f *fakeAdmission) Charge(tenant string) (bool, time.Duration) {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	f.charged[tenant]++
+	if f.budget[tenant] == 0 {
+		return false, 2500 * time.Millisecond
+	}
+	f.budget[tenant]--
+	return true, 0
+}
+
+// TestTenantAdmissionOnWorker: a daemon with no coordinator in front of it
+// enforces Config.Admission itself. An over-quota tenant gets 429 with the
+// bucket's own Retry-After and its name echoed, another tenant is still
+// admitted, and an answer from the cache is charged like any other request.
+func TestTenantAdmissionOnWorker(t *testing.T) {
+	adm := &fakeAdmission{budget: map[string]int{"alice": 2, "bob": 1}, charged: map[string]int{}}
+	_, c := newTestDaemon(t, server.Config{Admission: adm})
+	body, _ := json.Marshal(smallSim())
+	post := func(tenant string) (*http.Response, server.JobStatus) {
+		t.Helper()
+		req, _ := http.NewRequest(http.MethodPost, c.BaseURL+"/v1/sim", bytes.NewReader(body))
+		if tenant != "" {
+			req.Header.Set("X-Smtdram-Tenant", tenant)
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var st server.JobStatus
+		_ = json.NewDecoder(resp.Body).Decode(&st)
+		return resp, st
+	}
+
+	resp, st := post("alice")
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("first alice submission: %d, want 202", resp.StatusCode)
+	}
+	if _, err := c.Wait(context.Background(), st.ID, 0); err != nil {
+		t.Fatal(err)
+	}
+	if resp, st = post("alice"); resp.StatusCode != http.StatusOK || !st.Cached {
+		t.Fatalf("repeat alice submission: %d cached=%v, want a 200 cache answer", resp.StatusCode, st.Cached)
+	}
+	if adm.charged["alice"] != 2 {
+		t.Fatalf("alice charged %d times, want 2: the cached answer is priced too", adm.charged["alice"])
+	}
+	resp, _ = post("alice")
+	if resp.StatusCode != http.StatusTooManyRequests {
+		t.Fatalf("over-quota alice: %d, want 429", resp.StatusCode)
+	}
+	if ra := resp.Header.Get("Retry-After"); ra != "3" {
+		t.Fatalf("Retry-After = %q, want the bucket's 2.5s rounded up to 3", ra)
+	}
+	if got := resp.Header.Get("X-Smtdram-Tenant"); got != "alice" {
+		t.Fatalf("X-Smtdram-Tenant = %q, want alice", got)
+	}
+	if resp, st = post("bob"); resp.StatusCode != http.StatusOK || !st.Cached {
+		t.Fatalf("bob while alice is shed: %d cached=%v, want admitted", resp.StatusCode, st.Cached)
+	}
+	if resp, _ = post(""); resp.StatusCode != http.StatusTooManyRequests || resp.Header.Get("X-Smtdram-Tenant") != "default" {
+		t.Fatalf("headerless submission: %d tenant %q, want the default tenant's 429",
+			resp.StatusCode, resp.Header.Get("X-Smtdram-Tenant"))
+	}
+	stats, err := c.Stats(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if stats.Jobs.QuotaRejected != 2 || stats.Jobs.Rejected != 2 {
+		t.Fatalf("quota_rejected=%d rejected=%d, want 2/2", stats.Jobs.QuotaRejected, stats.Jobs.Rejected)
 	}
 }

@@ -72,7 +72,7 @@ type Stats struct {
 		Misses   uint64  `json:"misses"`
 		HitRatio float64 `json:"hit_ratio"`
 	} `json:"cache"`
-	// Store is the disk tier of the cache ladder (LRU → disk → compute):
+	// Store is the disk tier behind the result memo (memory → disk → compute):
 	// content-addressed results that survive restarts. Degraded means an IO
 	// error flipped the daemon to memory-only serving.
 	Store struct {
@@ -84,7 +84,7 @@ type Stats struct {
 		// JournalRecords counts write-ahead records appended this process.
 		JournalRecords uint64 `json:"journal_records"`
 	} `json:"store"`
-	// Peer is the fleet-peering tier of the cache ladder: entries fetched
+	// Peer is the fleet-peering tier behind the result memo: entries fetched
 	// from (and served to) other fleet nodes. Corrupt counts peer entries
 	// that failed CRC verification and were recomputed locally instead.
 	Peer struct {
@@ -147,7 +147,7 @@ type Stats struct {
 }
 
 // statsSnapshot assembles the current Stats. Lock order: s.mu first (job
-// table, cache), then metricsMu (histograms) — never nested.
+// table), then metricsMu (histograms) — never nested.
 func (s *Server) statsSnapshot() Stats {
 	var st Stats
 	st.NodeID = s.cfg.NodeID
@@ -166,20 +166,23 @@ func (s *Server) statsSnapshot() Stats {
 	st.Queue.Capacity = s.cfg.QueueDepth
 	st.Workers.Total = s.pool.Jobs()
 	st.Workers.Busy = s.busy.Load()
-	st.Cache.Hits = s.mCacheHits.Value()
-	st.Cache.Misses = s.mCacheMisses.Value()
+	memo := s.results.Stats()
+	st.Cache.Entries = memo.Entries
+	st.Cache.Hits = memo.Hits
+	st.Cache.Misses = memo.Misses
 	if lookups := st.Cache.Hits + st.Cache.Misses; lookups > 0 {
 		st.Cache.HitRatio = float64(st.Cache.Hits) / float64(lookups)
 	}
 	st.Store.StoreHealth = s.storeHealth()
-	st.Store.Hits = s.mStoreHits.Value()
-	st.Store.Misses = s.mStoreMisses.Value()
-	st.Store.Corrupt = s.mStoreCorrupt.Value()
+	disk, peer := s.storeTier.Stats(), s.peerTier.Stats()
+	st.Store.Hits = disk.Hits
+	st.Store.Misses = disk.Misses
+	st.Store.Corrupt = disk.Corrupt
 	st.Store.WriteErrors = s.mStoreWriteErrors.Value()
 	st.Store.JournalRecords = s.mJournalRecords.Value()
-	st.Peer.Hits = s.mPeerHits.Value()
-	st.Peer.Misses = s.mPeerMisses.Value()
-	st.Peer.Corrupt = s.mPeerCorrupt.Value()
+	st.Peer.Hits = peer.Hits
+	st.Peer.Misses = peer.Misses
+	st.Peer.Corrupt = peer.Corrupt
 	st.Peer.Served = s.mPeerServed.Value()
 	st.Recovery = s.recoveryStatus()
 	st.Skip.SimRuns = s.mSkipRuns.Value()
@@ -188,7 +191,7 @@ func (s *Server) statsSnapshot() Stats {
 	if st.Skip.CyclesWall > 0 {
 		st.Skip.Rate = float64(st.Skip.CyclesSkipped) / float64(st.Skip.CyclesWall)
 	}
-	ck := s.syncCheckpointMetrics()
+	ck := s.checkpoints.Snapshot()
 	st.Checkpoint.Hits = ck.Hits
 	st.Checkpoint.Misses = ck.Misses
 	st.Checkpoint.Forks = ck.Forks
@@ -201,7 +204,6 @@ func (s *Server) statsSnapshot() Stats {
 
 	s.mu.Lock()
 	st.Jobs.Tracked = len(s.jobs)
-	st.Cache.Entries = s.cache.len()
 	s.mu.Unlock()
 
 	s.metricsMu.Lock()
