@@ -6,6 +6,7 @@ package cache
 
 import (
 	"fmt"
+	"math/bits"
 	"strings"
 
 	"smtdram/internal/event"
@@ -71,6 +72,9 @@ func (c Config) Validate() error {
 	}
 	if c.SizeBytes <= 0 || c.Assoc <= 0 || c.LineBytes <= 0 {
 		return fmt.Errorf("cache %s: non-positive geometry %+v", c.Name, c)
+	}
+	if c.LineBytes&(c.LineBytes-1) != 0 {
+		return fmt.Errorf("cache %s: line size %d is not a power of two", c.Name, c.LineBytes)
 	}
 	lines := c.SizeBytes / c.LineBytes
 	if lines%c.Assoc != 0 || lines/c.Assoc == 0 {
@@ -161,8 +165,12 @@ type Level struct {
 	lower Backend
 	sets  [][]line
 	nsets uint64
-	mshrs map[uint64]*mshr
-	tick  uint64 // LRU clock
+	// lineShift is log2(LineBytes); setShift is log2(nsets), or -1 when the
+	// set count is not a power of two and index must divide.
+	lineShift uint
+	setShift  int
+	mshrs     map[uint64]*mshr
+	tick      uint64 // LRU clock
 
 	// snapID names this level in snapshot references (see SetSnapID).
 	snapID uint8
@@ -232,6 +240,11 @@ func New(q *event.Queue, cfg Config, lower Backend) (*Level, error) {
 	l.wbretry = wbRetry{l: l}
 	if !cfg.Perfect {
 		l.nsets = uint64(cfg.SizeBytes / cfg.LineBytes / cfg.Assoc)
+		l.lineShift = uint(bits.TrailingZeros(uint(cfg.LineBytes)))
+		l.setShift = -1
+		if l.nsets&(l.nsets-1) == 0 {
+			l.setShift = bits.TrailingZeros64(l.nsets)
+		}
 		l.sets = make([][]line, l.nsets)
 		backing := make([]line, int(l.nsets)*cfg.Assoc)
 		for i := range l.sets {
@@ -252,10 +265,24 @@ func (l *Level) OutstandingMisses() int { return len(l.mshrs) }
 
 func (l *Level) lineAddr(addr uint64) uint64 { return addr &^ uint64(l.cfg.LineBytes-1) }
 
+// index splits a line address into its set index and tag: shift and mask
+// when the set count is a power of two, divide otherwise. It is the one
+// place the set geometry is applied; victimAddr inverts it.
+func (l *Level) index(la uint64) (set, tag uint64) {
+	n := la >> l.lineShift
+	if l.setShift >= 0 {
+		return n & (l.nsets - 1), n >> uint(l.setShift)
+	}
+	return n % l.nsets, n / l.nsets
+}
+
+// victimAddr rebuilds the line address of the way holding tag in set.
+func (l *Level) victimAddr(set, tag uint64) uint64 { return (tag*l.nsets + set) << l.lineShift }
+
 // lookup returns the way holding addr, or nil.
 func (l *Level) lookup(la uint64) *line {
-	set := l.sets[(la/uint64(l.cfg.LineBytes))%l.nsets]
-	tag := la / uint64(l.cfg.LineBytes) / l.nsets
+	si, tag := l.index(la)
+	set := l.sets[si]
 	for i := range set {
 		if set[i].valid && set[i].tag == tag {
 			return &set[i]
@@ -423,8 +450,8 @@ const retryGap = 8
 // install places la in its set, evicting the LRU way; dirty victims are
 // written back down.
 func (l *Level) install(now uint64, la uint64, dirty bool, meta Meta) {
-	set := l.sets[(la/uint64(l.cfg.LineBytes))%l.nsets]
-	tag := la / uint64(l.cfg.LineBytes) / l.nsets
+	si, tag := l.index(la)
+	set := l.sets[si]
 	victim := 0
 	for i := range set {
 		if !set[i].valid {
@@ -437,9 +464,7 @@ func (l *Level) install(now uint64, la uint64, dirty bool, meta Meta) {
 	}
 	v := &set[victim]
 	if v.valid && v.dirty {
-		setIdx := (la / uint64(l.cfg.LineBytes)) % l.nsets
-		victimAddr := (v.tag*l.nsets + setIdx) * uint64(l.cfg.LineBytes)
-		l.writeback(now, victimAddr)
+		l.writeback(now, l.victimAddr(si, v.tag))
 	}
 	l.tick++
 	*v = line{tag: tag, valid: true, dirty: dirty, used: l.tick}

@@ -32,6 +32,8 @@ func TestValidate(t *testing.T) {
 		{"zero size", Config{SizeBytes: 0, Assoc: 2, LineBytes: 64, MSHRs: 1}, false},
 		{"bad assoc split", Config{SizeBytes: 192, Assoc: 4, LineBytes: 64, MSHRs: 1}, false},
 		{"no mshrs", Config{SizeBytes: 1024, Assoc: 2, LineBytes: 64, MSHRs: 0}, false},
+		{"line size not a power of two", Config{SizeBytes: 960, Assoc: 2, LineBytes: 48, MSHRs: 1}, false},
+		{"set count not a power of two", Config{SizeBytes: 96 << 10, Assoc: 2, LineBytes: 64, MSHRs: 1}, true},
 	}
 	for _, c := range cases {
 		if err := c.cfg.Validate(); (err == nil) != c.ok {
@@ -112,6 +114,76 @@ func TestMSHRExhaustion(t *testing.T) {
 	q.RunUntil(1 << 20)
 	if l.OutstandingMisses() != 0 {
 		t.Fatal("MSHRs not released after fills")
+	}
+}
+
+// index is the one place set geometry is applied: on power-of-two and other
+// set counts alike it must agree with the plain division it replaced, and
+// victimAddr must invert it.
+func TestIndexMatchesDivision(t *testing.T) {
+	for _, g := range []struct {
+		name                   string
+		size, assoc, lineBytes int
+		wantSets               uint64
+	}{
+		{"8 sets", 1024, 2, 64, 8},
+		{"one set", 256, 4, 64, 1},
+		{"96KB 3-way: odd ways, 512 sets", 96 << 10, 3, 64, 512},
+		{"96KB 2-way: 768 sets", 96 << 10, 2, 64, 768},
+		{"3 sets of 128B lines", 384, 1, 128, 3},
+	} {
+		var q event.Queue
+		l, err := New(&q, Config{Name: g.name, SizeBytes: g.size, Assoc: g.assoc, LineBytes: g.lineBytes, MSHRs: 1}, nil)
+		if err != nil {
+			t.Fatalf("%s: %v", g.name, err)
+		}
+		if l.nsets != g.wantSets {
+			t.Fatalf("%s: %d sets, want %d", g.name, l.nsets, g.wantSets)
+		}
+		for _, addr := range []uint64{0, 63, 64, 4096, 96<<10 - 1, 96 << 10, 0xdeadbeef, 7<<40 + 12345, ^uint64(0)} {
+			la := l.lineAddr(addr)
+			n := la / uint64(g.lineBytes)
+			set, tag := l.index(la)
+			if set != n%g.wantSets || tag != n/g.wantSets {
+				t.Errorf("%s: index(%#x) = (%d, %d), want (%d, %d)", g.name, la, set, tag, n%g.wantSets, n/g.wantSets)
+			}
+			if got := l.victimAddr(set, tag); got != la {
+				t.Errorf("%s: victimAddr(index(%#x)) = %#x", g.name, la, got)
+			}
+		}
+	}
+}
+
+// writeLog is a Backend that records the address of every writeback.
+type writeLog struct{ writes []uint64 }
+
+func (w *writeLog) ReadLine(uint64, uint64, Meta, event.Filler) bool { return true }
+func (w *writeLog) WriteLine(_ uint64, addr uint64, _ Meta) bool {
+	w.writes = append(w.writes, addr)
+	return true
+}
+
+// A dirty victim's writeback address survives the divide path: 768 sets,
+// two lines a set stride apart share a set, the third evicts the first.
+func TestWritebackAddressWithOddSetCount(t *testing.T) {
+	var q event.Queue
+	lower := &writeLog{}
+	l, err := New(&q, Config{Name: "odd", SizeBytes: 96 << 10, Assoc: 2, LineBytes: 64, Latency: 1, MSHRs: 4}, lower)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const stride = 768 * 64
+	base := uint64(5*stride + 17*64)
+	for i := uint64(0); i < 3; i++ {
+		if !l.WriteLine(i, base+i*stride, Meta{}) {
+			t.Fatal("writeback install rejected")
+		}
+	}
+	if len(lower.writes) != 1 || lower.writes[0] != base {
+		t.Fatalf("writebacks = %#x, want exactly [%#x]", lower.writes, base)
+	}
+	if l.Contains(base) || !l.Contains(base+stride) || !l.Contains(base+2*stride) {
+		t.Fatal("wrong line evicted")
 	}
 }
 

@@ -3,13 +3,16 @@ package checkpoint
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"encoding/json"
 	"errors"
+	"hash/crc32"
 	"sync"
 	"testing"
 	"time"
 
 	"smtdram/internal/core"
+	"smtdram/internal/snap"
 	"smtdram/internal/store"
 )
 
@@ -159,47 +162,68 @@ func TestStorePersistsAcrossCaches(t *testing.T) {
 	}
 }
 
-// TestCorruptStoreEntryRecomputes: a store entry whose payload is not a
-// decodable checkpoint frame (the store's own CRC can still pass — it seals
-// whatever was written) must degrade to a recomputed warmup, never a failed
+// TestCorruptStoreEntryRecomputes: a store entry that is not a checkpoint
+// this build can restore — undecodable bytes (the store's own CRC can still
+// pass: it seals whatever was written), or a well-formed frame an earlier
+// codec version wrote — must degrade to a recomputed warmup, never a failed
 // or wrong run.
 func TestCorruptStoreEntryRecomputes(t *testing.T) {
-	dir := t.TempDir()
 	cfg := fastCfg("mcf")
 	want, err := core.Run(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	wantJSON, _ := json.Marshal(want)
-
-	c, err := Open(dir, store.FsyncOff)
+	chk, err := core.WarmupCheckpoint(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Plant a well-stored but undecodable entry under the prefix's key.
-	meta := []byte{1, 0, 0, 0, 0, 0, 0, 0}
-	if err := c.Store().Put(keyPrefix+cfg.WarmupFingerprint(), []byte("not a checkpoint frame"), meta); err != nil {
-		t.Fatal(err)
+	// The frame as the previous codec version would have stamped it: version
+	// byte (after the 4-byte magic) one lower, checksum re-sealed so only the
+	// version check can object.
+	older := append([]byte(nil), chk.Data...)
+	older[4]--
+	binary.LittleEndian.PutUint32(older[len(older)-4:],
+		crc32.Checksum(older[:len(older)-4], crc32.MakeTable(crc32.Castagnoli)))
+	if _, err := core.NewCheckpointedSimulator(cfg, &core.Checkpoint{Prefix: chk.Prefix, Now: chk.Now, Data: older}); !errors.Is(err, snap.ErrVersion) {
+		t.Fatalf("previous-version frame: got %v, want snap.ErrVersion", err)
 	}
+	var now [8]byte
+	binary.LittleEndian.PutUint64(now[:], chk.Now)
 
-	if got := run(t, c, cfg); !bytes.Equal(got, wantJSON) {
-		t.Fatalf("run over corrupt entry diverged\ngot:  %s\nwant: %s", got, wantJSON)
-	}
-	st := c.Snapshot()
-	if st.Misses != 1 || st.Hits != 0 {
-		t.Fatalf("counters = %+v, want the corrupt entry to recompute as a miss", st)
-	}
+	for name, payload := range map[string][]byte{
+		"undecodable":      []byte("not a checkpoint frame"),
+		"previous version": older,
+	} {
+		t.Run(name, func(t *testing.T) {
+			dir := t.TempDir()
+			c, err := Open(dir, store.FsyncOff)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := c.Store().Put(keyPrefix+cfg.WarmupFingerprint(), payload, now[:]); err != nil {
+				t.Fatal(err)
+			}
+			if got := run(t, c, cfg); !bytes.Equal(got, wantJSON) {
+				t.Fatalf("run over unusable entry diverged\ngot:  %s\nwant: %s", got, wantJSON)
+			}
+			st := c.Snapshot()
+			if st.Misses != 1 || st.Hits != 0 {
+				t.Fatalf("counters = %+v, want the unusable entry to recompute as a miss", st)
+			}
 
-	// The recompute overwrote the bad entry: a fresh cache now hits cleanly.
-	again, err := Open(dir, store.FsyncOff)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := run(t, again, cfg); !bytes.Equal(got, wantJSON) {
-		t.Fatalf("post-repair run diverged\ngot:  %s\nwant: %s", got, wantJSON)
-	}
-	if st := again.Snapshot(); st.Hits != 1 || st.Misses != 0 {
-		t.Fatalf("post-repair counters = %+v, want a disk hit", st)
+			// The recompute overwrote the bad entry: a fresh cache now hits cleanly.
+			again, err := Open(dir, store.FsyncOff)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := run(t, again, cfg); !bytes.Equal(got, wantJSON) {
+				t.Fatalf("post-repair run diverged\ngot:  %s\nwant: %s", got, wantJSON)
+			}
+			if st := again.Snapshot(); st.Hits != 1 || st.Misses != 0 {
+				t.Fatalf("post-repair counters = %+v, want a disk hit", st)
+			}
+		})
 	}
 }
 

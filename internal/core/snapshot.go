@@ -20,7 +20,7 @@ import (
 
 const (
 	ckptMagic   = "SMTC"
-	ckptVersion = 1
+	ckptVersion = 2          // 2: the cpu section derives its wakeup state instead of carrying readiness memos
 	sectionSim  = 0x434F5245 // "CORE"
 )
 

@@ -12,6 +12,7 @@ package cpu
 
 import (
 	"fmt"
+	"math/bits"
 
 	"smtdram/internal/cache"
 	"smtdram/internal/event"
@@ -103,27 +104,37 @@ const (
 
 const noDep = ^uint64(0)
 const pendingDone = ^uint64(0)
+const poisoned = ^uint64(0) // epoch of a squashed uop: stale callbacks miss it
+
+// link names one consumer-list node: 0 ends a list, otherwise it is
+// 1 + (the consumer's ROB slot<<1 | which of its two deps the node serves).
+type link uint32
 
 // uop is one in-flight instruction.
 type uop struct {
-	in         workload.Instr // retained for replay after squash
-	seq        uint64
-	epoch      uint64
-	tid        int32 // owning hardware thread
-	state      uint8
-	doneAt     uint64 // pendingDone while a load is in flight
-	issuedAt   uint64
+	in       workload.Instr // retained for replay after squash
+	seq      uint64
+	epoch    uint64
+	tid      int32 // owning hardware thread
+	state    uint8
+	unknown  uint8  // producers whose completion time is not yet known (wakeup state, below)
+	doneAt   uint64 // pendingDone until the completion time is known: while waiting, or a load in flight
+	issuedAt uint64
+
 	dep1, dep2 uint64 // absolute producer sequence numbers (noDep = none)
 
-	// readySeen/readyAt memoize the dependence-readiness bound
-	// max(depReadyAt(dep1), depReadyAt(dep2)) as of the owning thread's
-	// wakeSeq epoch. Producer completion times only ever move earlier, and
-	// every state change that can move a bound (an issue granting a finite
-	// doneAt, a load fill, a squash) bumps wakeSeq, so a cached bound with a
-	// matching epoch is exact: issue's scan and the quiescence probe skip the
-	// two-ROB-slot walk for the common not-yet-ready case.
-	readySeen uint64
-	readyAt   uint64
+	// Wakeup state (DESIGN §11). A waiting uop is linked into the consumer
+	// list of each distinct in-ROB producer whose doneAt is still pendingDone,
+	// and unknown counts those links. When a producer's completion time
+	// becomes known (an ALU issue, a load fill) it walks its list, folds its
+	// doneAt into each consumer's readyAt, and a consumer whose count reaches
+	// zero enters the CPU's ready set — so issue never looks at a uop that
+	// cannot issue. Lists are pushed newest-first: a squash, which unlinks
+	// youngest-first, always finds the node to drop at its producer's head.
+	readyAt uint64  // max doneAt over the producers known so far
+	stamp   uint64  // global dispatch order: the ready set's sort key
+	cons    link    // head of this uop's consumer list
+	next    [2]link // this uop's node in dep1's / dep2's producer list
 }
 
 type feEntry struct {
@@ -138,17 +149,22 @@ type thread struct {
 
 	peeked    workload.Instr // valid only while hasPeeked
 	hasPeeked bool
-	replay    []workload.Instr
+	// replay, frontend and inFlight are head-indexed deques: live entries are
+	// buf[head:], a pop advances the head, and pushes compact in place —
+	// re-slicing from the front would give the buffer's capacity away and
+	// make every refill reallocate.
+	replay []workload.Instr
+	rpHead int
 	// replayScratch is the spare buffer resolveBranch builds the next replay
 	// list into; it swaps with replay so squashes stop allocating once the
 	// two buffers have grown.
 	replayScratch []workload.Instr
-	// frontend is a head-indexed deque: live entries are frontend[feHead:],
-	// dispatch pops by advancing feHead, and fePush compacts in place instead
-	// of re-slicing away the buffer's capacity.
-	frontend  []feEntry
-	feHead    int
+	frontend      []feEntry
+	feHead        int
+	// rob is a power-of-two ring indexed by seq&robMask; occupancy is still
+	// bounded by Config.ROBPerThread.
 	rob       []uop
+	robMask   uint64
 	headSeq   uint64
 	nextSeq   uint64
 	epoch     uint64
@@ -157,12 +173,8 @@ type thread struct {
 	lq, sq    int // this thread's LQ/SQ occupancy
 	committed uint64
 
-	// wakeSeq is the readiness-cache epoch: bumped whenever this thread's
-	// dependence-readiness picture can change — an instruction issues with a
-	// finite completion time, a load fill lands. It versions uop.readySeen.
-	wakeSeq uint64
-
 	inFlight []*uop // loads in flight, issue order (for miss classification)
+	ifHead   int
 
 	curILine          uint64
 	imissPending      bool
@@ -184,6 +196,28 @@ type thread struct {
 
 func (t *thread) robCount() int { return int(t.nextSeq - t.headSeq) }
 
+func (t *thread) slot(seq uint64) *uop { return &t.rob[seq&t.robMask] }
+
+// producer returns the in-ROB uop that u's k-th dep names, or nil when there
+// is none to wait for: no dep, a committed one, or dep2 repeating dep1 (one
+// producer is linked and counted once).
+func (t *thread) producer(u *uop, k int) *uop {
+	dep := u.dep1
+	if k == 1 {
+		if dep = u.dep2; dep == u.dep1 {
+			return nil
+		}
+	}
+	if dep == noDep || dep < t.headSeq {
+		return nil
+	}
+	return t.slot(dep)
+}
+
+// outstanding is the in-flight load list's depth (matured entries included
+// until oldestLoadAge pops them).
+func (t *thread) outstanding() int { return len(t.inFlight) - t.ifHead }
+
 // hasL1DMiss reports whether the thread is experiencing a data-cache miss:
 // its oldest in-flight load has been outstanding longer than an L1 hit.
 func (t *thread) hasL1DMiss(now uint64, cfg Config) bool {
@@ -197,14 +231,15 @@ func (t *thread) hasL2Miss(now uint64, cfg Config) bool {
 }
 
 func (t *thread) oldestLoadAge(now uint64) uint64 {
-	for len(t.inFlight) > 0 {
-		u := t.inFlight[0]
+	for t.ifHead < len(t.inFlight) {
+		u := t.inFlight[t.ifHead]
 		if u.state == stDone || (u.state == stIssued && u.doneAt <= now) || u.in.Kind != workload.Load {
-			t.inFlight = t.inFlight[1:]
+			t.ifHead++
 			continue
 		}
 		return now - u.issuedAt
 	}
+	t.inFlight, t.ifHead = t.inFlight[:0], 0
 	return 0
 }
 
@@ -213,9 +248,11 @@ func (t *thread) oldestLoadAge(now uint64) uint64 {
 // to the heap.
 func (t *thread) next() *workload.Instr {
 	if !t.hasPeeked {
-		if len(t.replay) > 0 {
-			t.peeked = t.replay[0]
-			t.replay = t.replay[1:]
+		if t.rpHead < len(t.replay) {
+			t.peeked = t.replay[t.rpHead]
+			if t.rpHead++; t.rpHead == len(t.replay) {
+				t.replay, t.rpHead = t.replay[:0], 0
+			}
 		} else {
 			t.peeked = t.gen.Next()
 		}
@@ -232,20 +269,13 @@ func (t *thread) consume() workload.Instr {
 // feLen is the live frontend-buffer depth.
 func (t *thread) feLen() int { return len(t.frontend) - t.feHead }
 
-// fePush appends to the frontend deque, reclaiming popped-off head space
-// rather than growing the buffer.
-func (t *thread) fePush(e feEntry) {
-	if t.feHead > 0 {
-		if t.feHead == len(t.frontend) {
-			t.frontend = t.frontend[:0]
-			t.feHead = 0
-		} else if len(t.frontend) == cap(t.frontend) {
-			n := copy(t.frontend, t.frontend[t.feHead:])
-			t.frontend = t.frontend[:n]
-			t.feHead = 0
-		}
+// pushDeque appends v to the head-indexed deque buf[head:], reclaiming
+// popped-off head space rather than growing the buffer.
+func pushDeque[T any](buf []T, head int, v T) ([]T, int) {
+	if head > 0 && len(buf) == cap(buf) {
+		buf, head = buf[:copy(buf, buf[head:])], 0
 	}
-	t.frontend = append(t.frontend, e)
+	return append(buf, v), head
 }
 
 type pendingStore struct {
@@ -270,11 +300,10 @@ func (f *loadFill) OnFill(at uint64) {
 	f.t = nil
 	c.wake = true
 	c.freeLoadFills = append(c.freeLoadFills, f)
-	v := &t.rob[seq%uint64(len(t.rob))]
+	v := t.slot(seq)
 	if v.seq == seq && v.epoch == epoch && v.state == stIssued {
 		v.doneAt = at
-		t.wakeSeq++ // the load's consumers may have become ready
-		c.issueDirty = true
+		c.wakeConsumers(t, v)
 	}
 }
 
@@ -367,17 +396,12 @@ type CPU struct {
 	threads  []*thread
 	l1i, l1d *cache.Level
 
-	waiting []*uop // issue-queue contents in dispatch order
-
-	// issueIdleUntil/issueDirty memoize a whole no-op issue scan: after a
-	// scan that issues nothing and parks nothing, every live waiting entry
-	// carries a fresh readiness bound, so the scan's outcome is fixed until
-	// the earliest such bound (issueIdleUntil) arrives, a fill bumps a
-	// thread's wakeSeq, or dispatch adds an entry (both set issueDirty).
-	// Skipped scans have no observable effect: they would issue nothing,
-	// touch no stat, and only defer dropping already-inert entries.
-	issueIdleUntil uint64
-	issueDirty     bool
+	// ready is the ready set: the waiting uops whose producers all have a
+	// known completion time (uop.unknown == 0), in dispatch order. It is the
+	// only part of the issue queue issue() and ProbeQuiet look at; the rest
+	// are parked on their producers' consumer lists.
+	ready     []*uop
+	nextStamp uint64 // dispatch stamp of the next uop to enter the issue queue
 
 	rrFetch    int
 	rrDispatch int
@@ -446,15 +470,14 @@ func New(q *event.Queue, cfg Config, gens []Source, l1i, l1d *cache.Level) (*CPU
 		cfg: cfg, q: q, l1i: l1i, l1d: l1d,
 		scratchThreads: make([]*thread, 0, len(gens)),
 	}
+	robLen := 1 << bits.Len(uint(cfg.ROBPerThread-1))
 	for i, g := range gens {
 		t := &thread{
 			id:       i,
 			gen:      g,
-			rob:      make([]uop, cfg.ROBPerThread),
+			rob:      make([]uop, robLen),
+			robMask:  uint64(robLen - 1),
 			curILine: ^uint64(0),
-			// The readiness-cache epoch starts at 1 so a freshly dispatched
-			// uop's zero-value readySeen can never alias a live epoch.
-			wakeSeq: 1,
 		}
 		c.threads = append(c.threads, t)
 	}
@@ -503,7 +526,7 @@ func (c *CPU) RegisterMetrics(reg *obs.Registry) {
 	for i, t := range c.threads {
 		t := t
 		reg.Sampled(fmt.Sprintf("cpu.inflight_loads.t%d", i),
-			func(uint64) float64 { return float64(len(t.inFlight)) })
+			func(uint64) float64 { return float64(t.outstanding()) })
 		reg.Sampled(fmt.Sprintf("cpu.rob.t%d", i),
 			func(uint64) float64 { return float64(t.robCount()) })
 		reg.Gauge(fmt.Sprintf("cpu.gated_dispatch.t%d", i),
@@ -580,7 +603,7 @@ func (c *CPU) meta(t *thread, critical bool) cache.Meta {
 		Thread:   t.id,
 		Critical: critical,
 		State: mem.ThreadState{
-			Outstanding:  len(t.inFlight),
+			Outstanding:  t.outstanding(),
 			ROBOccupancy: t.robCount(),
 			IQOccupancy:  t.iqInt,
 		},
@@ -630,7 +653,7 @@ func (c *CPU) fetchThread(now uint64, t *thread, budget int) int {
 			t.curILine = line
 		}
 		inst := t.consume()
-		t.fePush(feEntry{in: inst, readyAt: now + c.cfg.FrontendDelay})
+		t.frontend, t.feHead = pushDeque(t.frontend, t.feHead, feEntry{in: inst, readyAt: now + c.cfg.FrontendDelay})
 		budget--
 		c.acted = true
 		if inst.Kind == workload.Branch && inst.Taken {
@@ -740,9 +763,10 @@ func (c *CPU) dispatchOne(t *thread) bool {
 
 	seq := t.nextSeq
 	t.nextSeq++
-	u := &t.rob[seq%uint64(len(t.rob))]
-	*u = uop{in: in, seq: seq, epoch: t.epoch, tid: int32(t.id), state: stWaiting, doneAt: pendingDone}
-	u.dep1, u.dep2 = depSeq(seq, in.Dep1), depSeq(seq, in.Dep2)
+	u := t.slot(seq)
+	*u = uop{in: in, seq: seq, epoch: t.epoch, tid: int32(t.id), state: stWaiting, doneAt: pendingDone,
+		dep1: depSeq(seq, in.Dep1), dep2: depSeq(seq, in.Dep2)}
+	c.enqueue(t, u)
 
 	if fp {
 		c.fpIQUsed++
@@ -759,8 +783,6 @@ func (c *CPU) dispatchOne(t *thread) bool {
 		c.sqUsed++
 		t.sq++
 	}
-	c.waiting = append(c.waiting, u)
-	c.issueDirty = true // the new entry may be immediately issuable
 	t.feHead++
 	if t.feHead == len(t.frontend) {
 		t.frontend = t.frontend[:0]
@@ -778,107 +800,118 @@ func depSeq(seq uint64, dist int) uint64 {
 
 // ---------------------------------------------------------------- issue
 
-func (c *CPU) issue(now uint64) {
-	if !c.issueDirty && now < c.issueIdleUntil {
-		return // memoized no-op: nothing can become issuable before issueIdleUntil
+// enqueue enters a waiting uop into the issue queue: it takes the next
+// dispatch stamp, parks on each distinct producer whose completion time is
+// still unknown, and joins the ready set at once when there is none. Restore
+// rebuilds the wakeup state through the same path.
+func (c *CPU) enqueue(t *thread, u *uop) {
+	u.stamp = c.nextStamp
+	c.nextStamp++
+	self := link(u.seq&t.robMask)<<1 + 1
+	for k := range u.next {
+		p := t.producer(u, k)
+		if p == nil {
+			continue
+		}
+		if p.doneAt != pendingDone {
+			if p.doneAt > u.readyAt {
+				u.readyAt = p.doneAt
+			}
+			continue
+		}
+		u.next[k] = p.cons
+		p.cons = self + link(k)
+		u.unknown++
 	}
+	if u.unknown == 0 {
+		c.ready = append(c.ready, u) // the newest stamp sorts last
+	}
+}
+
+// wakeConsumers publishes producer p's now-known completion time to the
+// uops parked on it. A consumer whose last unknown producer this was enters
+// the ready set at its dispatch-order position. When p is issuing, issue()
+// is mid-walk with its cursor on p: the consumer is younger than p and than
+// everything at or before the cursor, so it lands ahead of the cursor and
+// the same walk reaches it — which is how a zero-latency producer's consumer
+// issues in the same cycle.
+func (c *CPU) wakeConsumers(t *thread, p *uop) {
+	for l := p.cons; l != 0; {
+		v := &t.rob[(l-1)>>1]
+		l = v.next[(l-1)&1]
+		if p.doneAt > v.readyAt {
+			v.readyAt = p.doneAt
+		}
+		if v.unknown--; v.unknown > 0 {
+			continue
+		}
+		lo, hi := 0, len(c.ready)
+		for lo < hi {
+			if mid := int(uint(lo+hi) >> 1); c.ready[mid].stamp < v.stamp {
+				lo = mid + 1
+			} else {
+				hi = mid
+			}
+		}
+		c.ready = append(c.ready, nil)
+		copy(c.ready[lo+1:], c.ready[lo:])
+		c.ready[lo] = v
+	}
+	p.cons = 0
+}
+
+// issue walks the ready set in dispatch order, issuing every uop whose
+// ready time has arrived while issue width and a functional unit remain.
+// Uops with an unknown producer are not in the set, so the walk visits
+// exactly the entries a scan of the whole queue would have acted on, in the
+// same order.
+func (c *CPU) issue(now uint64) {
 	intLeft, fpLeft := c.cfg.IntIssueWidth, c.cfg.FPIssueWidth
 	aluInt, multInt := c.cfg.IntALU, c.cfg.IntMult
 	aluFP, multFP := c.cfg.FPALU, c.cfg.FPMult
 
-	// idle accumulates the min readiness bound over kept live entries; any
-	// issue or ready-but-blocked park forces it to 0 (scan again next cycle).
-	idle := ^uint64(0)
-	issued := false
-	keep := c.waiting[:0]
-	for _, u := range c.waiting {
-		t := c.threads[u.tid]
-		if u.epoch == ^uint64(0) || u.state != stWaiting {
-			continue // squashed (poisoned) or already issued: drop
-		}
+	// The walk compacts in place: c.ready[:w] are the entries kept so far,
+	// and the slots from w up to the cursor hold stale copies of older
+	// entries, which leaves the slice sorted for a mid-walk wakeConsumers.
+	w := 0
+	for i := 0; i < len(c.ready); i++ {
+		u := c.ready[i]
 		if intLeft == 0 && fpLeft == 0 {
-			idle = 0 // readiness unknown: budget ran out before the check
-			keep = append(keep, u)
+			w += copy(c.ready[w:], c.ready[i:]) // both widths spent: nothing else can issue
+			break
+		}
+		c.ready[w] = u
+		w++ // kept, unless it issues below
+		if u.readyAt > now {
 			continue
 		}
-		if u.readySeen == t.wakeSeq {
-			if u.readyAt > now {
-				if u.readyAt < idle {
-					idle = u.readyAt
-				}
-				keep = append(keep, u)
-				continue
-			}
-		} else {
-			r := t.depReadyAt(u.dep1)
-			if r2 := t.depReadyAt(u.dep2); r2 > r {
-				r = r2
-			}
-			u.readySeen, u.readyAt = t.wakeSeq, r
-			if r > now {
-				if r < idle {
-					idle = r
-				}
-				keep = append(keep, u)
-				continue
-			}
-		}
 		fp := u.in.Kind == workload.FPOp
-		long := u.in.Lat >= 7
-		switch {
+		width, unit := &intLeft, &aluInt
+		switch long := u.in.Lat >= 7; {
 		case fp && long:
-			if fpLeft == 0 || multFP == 0 {
-				idle = 0
-				keep = append(keep, u)
-				continue
-			}
-			fpLeft--
-			multFP--
+			width, unit = &fpLeft, &multFP
 		case fp:
-			if fpLeft == 0 || aluFP == 0 {
-				idle = 0
-				keep = append(keep, u)
-				continue
-			}
-			fpLeft--
-			aluFP--
+			width, unit = &fpLeft, &aluFP
 		case long:
-			if intLeft == 0 || multInt == 0 {
-				idle = 0
-				keep = append(keep, u)
-				continue
-			}
-			intLeft--
-			multInt--
-		default:
-			if intLeft == 0 || aluInt == 0 {
-				idle = 0
-				keep = append(keep, u)
-				continue
-			}
-			intLeft--
-			aluInt--
+			unit = &multInt
 		}
-
+		if *width == 0 || *unit == 0 {
+			continue
+		}
+		t := c.threads[u.tid]
 		if u.in.Kind == workload.Load {
+			// A load issues with doneAt still pendingDone; its consumers stay
+			// parked until the fill lands. MSHR full: retry next cycle.
 			if !c.issueLoad(now, t, u) {
-				// MSHR full: undo the slot and retry next cycle. The retry
-				// bumps MSHRFull every cycle, so the memo must stay off.
-				intLeft++
-				aluInt++
-				idle = 0
-				keep = append(keep, u)
 				continue
 			}
-			// A load issues with doneAt still pendingDone: consumers' cached
-			// bounds stay infinite until the fill lands (which bumps wakeSeq),
-			// so the cache epoch need not move here.
 		} else {
 			c.issueALU(now, t, u)
-			t.wakeSeq++ // a finite doneAt appeared: cached bounds are stale
+			c.wakeConsumers(t, u)
 		}
-		// Issued: leave the issue queue.
-		issued = true
+		*width--
+		*unit--
+		w-- // issued: leave the issue queue
 		c.acted = true
 		if fp {
 			c.fpIQUsed--
@@ -888,11 +921,7 @@ func (c *CPU) issue(now uint64) {
 			t.iqInt--
 		}
 	}
-	c.waiting = keep
-	if issued {
-		idle = 0 // widths/units refresh next cycle; kept entries may issue then
-	}
-	c.issueIdleUntil, c.issueDirty = idle, false
+	c.ready = c.ready[:w]
 }
 
 func (c *CPU) issueALU(now uint64, t *thread, u *uop) {
@@ -925,7 +954,7 @@ func (c *CPU) issueLoad(now uint64, t *thread, u *uop) bool {
 	u.issuedAt = now
 	u.doneAt = pendingDone
 	t.loads++
-	t.inFlight = append(t.inFlight, u)
+	t.inFlight, t.ifHead = pushDeque(t.inFlight, t.ifHead, u)
 	return true
 }
 
@@ -935,7 +964,7 @@ func (c *CPU) issueLoad(now uint64, t *thread, u *uop) bool {
 // younger instructions of the thread are squashed and queued for replay, and
 // fetch stalls for the mispredict penalty.
 func (c *CPU) resolveBranch(now uint64, t *thread, seq, epoch uint64) {
-	u := &t.rob[seq%uint64(len(t.rob))]
+	u := t.slot(seq)
 	if u.seq != seq || u.epoch != epoch {
 		return // itself squashed by an older branch first
 	}
@@ -947,10 +976,33 @@ func (c *CPU) resolveBranch(now uint64, t *thread, seq, epoch uint64) {
 	// spare buffer, which then swaps with the old replay slice.
 	replay := t.replayScratch[:0]
 	for s := seq + 1; s < t.nextSeq; s++ {
-		v := &t.rob[s%uint64(len(t.rob))]
-		replay = append(replay, v.in)
+		replay = append(replay, t.slot(s).in)
+	}
+	// Release youngest-first, so each parked uop's nodes sit at the head of
+	// the lists they are unlinked from. Replayed instructions re-enter the
+	// same seq and slot, so no link or ready-set entry may outlive the squash.
+	wasReady := false
+	for s := t.nextSeq; s > seq+1; {
+		s--
+		v := t.slot(s)
+		if v.state == stWaiting {
+			if v.unknown > 0 {
+				t.unpark(v)
+			} else {
+				wasReady = true
+			}
+		}
 		c.releaseSquashed(t, v)
-		v.epoch = ^uint64(0) // poison: stale waiting refs and callbacks miss
+		v.epoch = poisoned // stale callbacks miss
+	}
+	if wasReady {
+		keep := c.ready[:0]
+		for _, v := range c.ready {
+			if v.epoch != poisoned {
+				keep = append(keep, v)
+			}
+		}
+		c.ready = keep
 	}
 	for _, fe := range t.frontend[t.feHead:] {
 		replay = append(replay, fe.in)
@@ -959,9 +1011,9 @@ func (c *CPU) resolveBranch(now uint64, t *thread, seq, epoch uint64) {
 		replay = append(replay, t.peeked)
 		t.hasPeeked = false
 	}
-	replay = append(replay, t.replay...)
+	replay = append(replay, t.replay[t.rpHead:]...)
 	t.replayScratch = t.replay[:0]
-	t.replay = replay
+	t.replay, t.rpHead = replay, 0
 	t.frontend = t.frontend[:0]
 	t.feHead = 0
 	t.nextSeq = seq + 1
@@ -973,12 +1025,22 @@ func (c *CPU) resolveBranch(now uint64, t *thread, seq, epoch uint64) {
 	// Drop squashed loads from the in-flight list (everything younger than
 	// the branch; older loads, whatever epoch they were fetched in, stay).
 	kept := t.inFlight[:0]
-	for _, v := range t.inFlight {
-		if v.seq <= seq && v.epoch != ^uint64(0) {
+	for _, v := range t.inFlight[t.ifHead:] {
+		if v.seq <= seq && v.epoch != poisoned {
 			kept = append(kept, v)
 		}
 	}
-	t.inFlight = kept
+	t.inFlight, t.ifHead = kept, 0
+}
+
+// unpark removes squashed waiting uop v from the consumer lists it is parked
+// on: those of its distinct producers whose completion is still unknown.
+func (t *thread) unpark(v *uop) {
+	for k := range v.next {
+		if p := t.producer(v, k); p != nil && p.doneAt == pendingDone {
+			p.cons = v.next[k] // v's node is the list head: everything younger is already gone
+		}
+	}
 }
 
 // releaseSquashed returns a squashed uop's queue resources.
@@ -1010,7 +1072,7 @@ func (c *CPU) commit(now uint64) {
 	for i := 0; i < n && budget > 0; i++ {
 		t := c.threads[(i+c.rrCommit)%n]
 		for budget > 0 && t.robCount() > 0 {
-			u := &t.rob[t.headSeq%uint64(len(t.rob))]
+			u := t.slot(t.headSeq)
 			if u.state == stIssued && u.doneAt <= now {
 				u.state = stDone
 			}
@@ -1021,7 +1083,8 @@ func (c *CPU) commit(now uint64) {
 				if len(c.pendingStores)-c.psHead >= c.cfg.SQ {
 					break // store buffer full: stall commit
 				}
-				c.psPush(pendingStore{addr: u.in.Addr, meta: c.meta(t, false)})
+				c.pendingStores, c.psHead = pushDeque(c.pendingStores, c.psHead,
+					pendingStore{addr: u.in.Addr, meta: c.meta(t, false)})
 				c.sqUsed--
 				t.sq--
 			}
@@ -1043,17 +1106,6 @@ func (c *CPU) commit(now uint64) {
 		}
 	}
 	c.rrCommit++
-}
-
-// psPush appends to the committed-store deque, reclaiming drained head space
-// rather than growing the buffer.
-func (c *CPU) psPush(s pendingStore) {
-	if c.psHead > 0 && len(c.pendingStores) == cap(c.pendingStores) {
-		n := copy(c.pendingStores, c.pendingStores[c.psHead:])
-		c.pendingStores = c.pendingStores[:n]
-		c.psHead = 0
-	}
-	c.pendingStores = append(c.pendingStores, s)
 }
 
 // drainStores pushes committed stores into the L1D; MSHR backpressure keeps

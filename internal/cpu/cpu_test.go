@@ -42,6 +42,7 @@ func nops() *script {
 }
 
 type rig struct {
+	t   testing.TB
 	q   event.Queue
 	cpu *CPU
 	l1i *cache.Level
@@ -50,11 +51,16 @@ type rig struct {
 }
 
 // newRig builds a CPU with perfect L1I and a small real L1D over a
-// fixed-latency memory.
-func newRig(t *testing.T, cfg Config, srcs ...Source) *rig {
+// fixed-latency (200-cycle) memory.
+func newRig(t testing.TB, cfg Config, srcs ...Source) *rig {
 	t.Helper()
-	r := &rig{}
-	r.low = cache.NewFixedLatency(&r.q, 200)
+	return newRigLat(t, cfg, 200, srcs...)
+}
+
+func newRigLat(t testing.TB, cfg Config, memLat uint64, srcs ...Source) *rig {
+	t.Helper()
+	r := &rig{t: t}
+	r.low = cache.NewFixedLatency(&r.q, memLat)
 	var err error
 	r.l1i, err = cache.New(&r.q, cache.Config{Name: "L1I", Latency: 1, Perfect: true}, nil)
 	if err != nil {
@@ -73,9 +79,20 @@ func newRig(t *testing.T, cfg Config, srcs ...Source) *rig {
 
 func (r *rig) run(cycles uint64) {
 	for c := uint64(1); c <= cycles; c++ {
-		r.q.RunUntil(c)
-		r.cpu.Tick(c)
+		r.step(c)
 	}
+}
+
+// step lands cycle c — its events, then its Tick — with the wakeup
+// structures' invariants checked after each half and the Tick's issue
+// decisions checked against the full-queue oracle (wakeup_test.go).
+func (r *rig) step(c uint64) {
+	r.q.RunUntil(c)
+	checkWakeup(r.t, r.cpu, c)
+	o := beginOracle(r.cpu, r.l1d)
+	r.cpu.Tick(c)
+	o.verify(r.t, c)
+	checkWakeup(r.t, r.cpu, c)
 }
 
 func TestValidateConfig(t *testing.T) {
@@ -360,7 +377,7 @@ func TestRealWorkloadRuns(t *testing.T) {
 		t.Fatal(err)
 	}
 	// A realistic L1D (gzip's hot pool fits) over a 30-cycle lower level.
-	r := &rig{}
+	r := &rig{t: t}
 	r.low = cache.NewFixedLatency(&r.q, 30)
 	r.l1i, err = cache.New(&r.q, cache.Config{Name: "L1I", Latency: 1, Perfect: true}, nil)
 	if err != nil {
@@ -389,8 +406,7 @@ func TestInvariantCountersStayConsistent(t *testing.T) {
 	g, _ := workload.NewGen(app, 0, 3)
 	r := newRig(t, DefaultConfig(), g)
 	for c := uint64(1); c <= 30000; c++ {
-		r.q.RunUntil(c)
-		r.cpu.Tick(c)
+		r.step(c)
 		if r.cpu.intIQUsed < 0 || r.cpu.fpIQUsed < 0 || r.cpu.lqUsed < 0 || r.cpu.sqUsed < 0 {
 			t.Fatalf("cycle %d: negative resource counter (%d,%d,%d,%d)",
 				c, r.cpu.intIQUsed, r.cpu.fpIQUsed, r.cpu.lqUsed, r.cpu.sqUsed)

@@ -24,7 +24,7 @@ func TestLQBoundsOutstandingLoads(t *testing.T) {
 	if r.cpu.lqUsed > cfg.LQ {
 		t.Fatalf("lqUsed = %d exceeds LQ %d", r.cpu.lqUsed, cfg.LQ)
 	}
-	if got := len(r.cpu.threads[0].inFlight); got > cfg.LQ {
+	if got := r.cpu.threads[0].outstanding(); got > cfg.LQ {
 		t.Fatalf("%d loads in flight exceeds LQ %d", got, cfg.LQ)
 	}
 }
@@ -38,8 +38,7 @@ func TestSQBoundsOutstandingStores(t *testing.T) {
 	}
 	r := newRig(t, cfg, stores)
 	for c := uint64(1); c <= 400; c++ {
-		r.q.RunUntil(c)
-		r.cpu.Tick(c)
+		r.step(c)
 		if r.cpu.sqUsed > cfg.SQ {
 			t.Fatalf("cycle %d: sqUsed = %d exceeds SQ %d", c, r.cpu.sqUsed, cfg.SQ)
 		}
@@ -50,8 +49,7 @@ func TestCommitWidthBoundsRetirement(t *testing.T) {
 	r := newRig(t, DefaultConfig(), nops())
 	var last uint64
 	for c := uint64(1); c <= 500; c++ {
-		r.q.RunUntil(c)
-		r.cpu.Tick(c)
+		r.step(c)
 		if got := r.cpu.Committed(0) - last; got > uint64(r.cpu.cfg.CommitWidth) {
 			t.Fatalf("cycle %d: committed %d in one cycle, width %d", c, got, r.cpu.cfg.CommitWidth)
 		}
@@ -83,7 +81,7 @@ func TestTakenBranchEndsFetchBlock(t *testing.T) {
 func TestICacheMissStallsFetch(t *testing.T) {
 	// Real (small) L1I: a PC stream jumping across many lines must generate
 	// I-cache misses and fetch stalls.
-	r := &rig{}
+	r := &rig{t: t}
 	r.low = cache.NewFixedLatency(&r.q, 100)
 	var err error
 	r.l1i, err = cache.New(&r.q, cache.Config{Name: "L1I", SizeBytes: 1024, Assoc: 2, LineBytes: 64, Latency: 1, MSHRs: 4}, r.low)
@@ -125,7 +123,7 @@ func TestStoreBufferBackpressureDoesNotDeadlock(t *testing.T) {
 	for i := 0; i < 1000; i++ {
 		stores.ins = append(stores.ins, workload.Instr{Kind: workload.Store, Addr: uint64(0x40000 + i*4096), Lat: 1})
 	}
-	r := &rig{}
+	r := &rig{t: t}
 	r.low = cache.NewFixedLatency(&r.q, 300)
 	var err error
 	r.l1i, err = cache.New(&r.q, cache.Config{Name: "L1I", Latency: 1, Perfect: true}, nil)

@@ -38,8 +38,8 @@ func (c *CPU) NextWorkAt(now uint64) uint64 {
 
 // ProbeQuiet is the fused quiescence probe: one pass over the machine
 // computes both NextWorkAt's bound and QuietFx's replay terms, sharing the
-// expensive scans (the waiting-list dependence walk, the per-thread gate
-// evaluation) that calling the two separately would repeat. quiet is false
+// scans (the ready set, the per-thread gate evaluation) that calling the two
+// separately would repeat. quiet is false
 // when Tick could do real work at now+1 — the window never opens, and next
 // and fx are meaningless. The run loop's deep-skip path calls this at every
 // span open and re-open, so the shared pass is directly on the skip-mode
@@ -70,7 +70,7 @@ func (c *CPU) ProbeQuiet(now uint64) (next uint64, fx QuietFx, quiet bool) {
 		// a finite completion time retires after it. A head whose doneAt is
 		// pendingDone is an in-flight load — only a fill event wakes it.
 		if t.robCount() > 0 {
-			u := &t.rob[t.headSeq%uint64(len(t.rob))]
+			u := t.slot(t.headSeq)
 			switch {
 			case u.state == stDone:
 				return 0, fx, false
@@ -116,42 +116,29 @@ func (c *CPU) ProbeQuiet(now uint64) (next uint64, fx QuietFx, quiet bool) {
 			}
 		}
 	}
-	// Issue: a waiting uop with every dependence ready issues next cycle —
-	// unless it is a load parked on a full MSHR file, whose every retry
-	// fails identically until a landed fill event frees an entry; its one
-	// observable effect per cycle (an MSHRFull count) is replayed by
-	// ApplyQuiet. A not-yet-ready uop's latest finite dependence-completion
-	// time bounds the skip.
-	for _, u := range c.waiting {
-		if u.epoch == ^uint64(0) || u.state != stWaiting {
-			continue // squashed or stale: Tick drops these without effect
-		}
-		t := c.threads[u.tid]
-		r := u.readyAt
-		if u.readySeen != t.wakeSeq {
-			// Refreshing the shared readiness memo is state-neutral: issue()
-			// would compute and cache the identical bound.
-			r = t.depReadyAt(u.dep1)
-			if r2 := t.depReadyAt(u.dep2); r2 > r {
-				r = r2
+	// Issue: a uop in the ready set whose ready time has arrived issues next
+	// cycle — unless it is a load parked on a full MSHR file, whose every
+	// retry fails identically until a landed fill event frees an entry; its
+	// one observable effect per cycle (an MSHRFull count) is replayed by
+	// ApplyQuiet. A later ready time bounds the skip. Uops outside the set
+	// wait on a producer only landed work (an issue, a fill) can complete.
+	for _, u := range c.ready {
+		if u.readyAt > now {
+			if u.readyAt < next {
+				next = u.readyAt
 			}
-			u.readySeen, u.readyAt = t.wakeSeq, r
+			continue
 		}
-		if r <= now {
-			if u.in.Kind == workload.Load && c.l1d.WouldBlock(u.in.Addr) {
-				// MSHR-parked: constant retry, replayed in aggregate.
-				// issue() always reaches issueLoad for these: Validate
-				// guarantees non-empty functional-unit pools, and the failed
-				// attempt restores the issue width, so neither depletes
-				// across a quiet window.
-				fx.mshrBump++
-				continue
-			}
-			return 0, fx, false
+		if u.in.Kind == workload.Load && c.l1d.WouldBlock(u.in.Addr) {
+			// MSHR-parked: constant retry, replayed in aggregate. issue()
+			// always reaches issueLoad for these: Validate guarantees
+			// non-empty functional-unit pools, and the failed attempt leaves
+			// the issue width untouched, so neither depletes across a quiet
+			// window.
+			fx.mshrBump++
+			continue
 		}
-		if r < next {
-			next = r
-		}
+		return 0, fx, false
 	}
 	return next, fx, true
 }
@@ -290,7 +277,7 @@ func (c *CPU) gateInfo(now uint64, t *thread) (gated bool, flipAt uint64) {
 // one cycle ahead of now right after an in-span fill), which bounds when an
 // on gate can open.
 func (t *thread) oldestLivePeek(now uint64) (issuedAt, doneAt uint64, live bool) {
-	for _, u := range t.inFlight {
+	for _, u := range t.inFlight[t.ifHead:] {
 		if u.state == stDone || (u.state == stIssued && u.doneAt <= now) || u.in.Kind != workload.Load {
 			continue
 		}
@@ -347,29 +334,4 @@ func (c *CPU) Fingerprint() string {
 			t.squashes, t.loads, t.stores, t.imisses, t.warmedAt, t.finishedAt)
 	}
 	return b.String()
-}
-
-// depReadyAt reports when producer dep's result becomes available purely by
-// time passing: 0 when it already is, the producer's finite completion
-// cycle, or ^uint64(0) when only an event (a load fill) or the producer's
-// own issue — which is itself landed work — can supply it. A uop is
-// issue-eligible at now exactly when max over its deps of this bound is
-// <= now; issue() and the probe share that bound through the uop's
-// readySeen/readyAt memo.
-func (t *thread) depReadyAt(dep uint64) uint64 {
-	if dep == noDep || dep < t.headSeq {
-		return 0 // committed, or no producer
-	}
-	u := &t.rob[dep%uint64(len(t.rob))]
-	if u.seq != dep {
-		return 0 // slot recycled: producer long gone
-	}
-	switch u.state {
-	case stDone:
-		return 0
-	case stIssued:
-		return u.doneAt // pendingDone == ^uint64(0): an in-flight load
-	default:
-		return ^uint64(0) // unissued: its issue is itself landed work
-	}
 }

@@ -18,7 +18,7 @@ func obsFingerprint(c *CPU) string { return c.Fingerprint() }
 // NextWorkAt at now+1 and would make these tests vacuous.
 func newQuiesceRig(t *testing.T, cfg Config, srcs ...Source) *rig {
 	t.Helper()
-	r := &rig{}
+	r := &rig{t: t}
 	r.low = cache.NewFixedLatency(&r.q, 300)
 	var err error
 	r.l1i, err = cache.New(&r.q, cache.Config{Name: "L1I", Latency: 1, Perfect: true}, nil)
@@ -60,8 +60,7 @@ func TestNextWorkAtPredictsQuietCycles(t *testing.T) {
 	predictedQuiet := false
 	var before string
 	for now := uint64(1); now <= 30_000; now++ {
-		r.q.RunUntil(now)
-		r.cpu.Tick(now)
+		r.step(now)
 		after := obsFingerprint(r.cpu)
 		if predictedQuiet && after != before {
 			t.Fatalf("cycle %d was predicted quiet but Tick changed state\nbefore: %s\nafter:  %s",
@@ -85,8 +84,7 @@ func TestNextWorkAtPredictsQuietCycles(t *testing.T) {
 func runSkipping(r *rig, cycles uint64) uint64 {
 	var skipped uint64
 	for now := uint64(1); now <= cycles; now++ {
-		r.q.RunUntil(now)
-		r.cpu.Tick(now)
+		r.step(now)
 		qa, qok := r.q.NextAt()
 		if qok && qa <= now+1 {
 			continue

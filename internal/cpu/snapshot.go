@@ -1,17 +1,29 @@
 package cpu
 
-// Snapshot/Restore for the SMT core (DESIGN §15). Everything mutable is
+// Snapshot/Restore for the SMT core (DESIGN §15). Architectural state is
 // serialized verbatim: per-thread ROB arrays (whole arrays, not just live
-// entries — stale slots participate in slot-recycling checks), frontend
-// deques, replay lists, issue-queue contents (as (thread, slot) pairs, since
-// the waiting list holds pointers into the ROB arrays), in-flight load
-// lists, readiness-memo epochs, and every counter the run loop or stats
-// collection reads. Configuration and wiring (caches, event queue, warmup
-// targets) are not serialized — restore targets a CPU assembled from an
-// identical Config.
+// entries — stale slots participate in slot-recycling checks), the live part
+// of the frontend, replay and in-flight-load deques, and every counter the
+// run loop or stats collection reads. Configuration and wiring (caches, event
+// queue, warmup targets) are not serialized — restore targets a CPU
+// assembled from an identical Config.
+//
+// The wakeup state (DESIGN §11) is derived, not serialized. The format
+// carries only the issue queue's order — every live waiting uop as a
+// (thread, slot) pair in dispatch order — and Restore re-enters them through
+// enqueue, which rebuilds dispatch stamps, unknown-producer counts, consumer
+// lists and the ready set. The rebuild is exact where it matters: a consumer
+// is linked to a producer exactly when that producer's completion time is
+// unknown now, live and restored alike, and pushing in dispatch order
+// reproduces each list's order. A rebuilt readyAt can be lower than the live
+// one only where a producer has since committed — then both are <= now, and
+// every use of readyAt compares it against a cycle >= now.
+// TestSnapshotFieldCoverage lists which field of uop, thread and CPU falls
+// in which class.
 
 import (
 	"fmt"
+	"sort"
 
 	"smtdram/internal/cache"
 	"smtdram/internal/snap"
@@ -69,31 +81,41 @@ func writeUop(w *snap.Writer, u *uop) {
 	w.U64(u.issuedAt)
 	w.U64(u.dep1)
 	w.U64(u.dep2)
-	w.U64(u.readySeen)
-	w.U64(u.readyAt)
 }
 
 func readUop(r *snap.Reader, tid int32) uop {
 	return uop{
-		in:        readInstr(r),
-		seq:       r.U64(),
-		epoch:     r.U64(),
-		tid:       tid,
-		state:     r.U8(),
-		doneAt:    r.U64(),
-		issuedAt:  r.U64(),
-		dep1:      r.U64(),
-		dep2:      r.U64(),
-		readySeen: r.U64(),
-		readyAt:   r.U64(),
+		in:       readInstr(r),
+		seq:      r.U64(),
+		epoch:    r.U64(),
+		tid:      tid,
+		state:    r.U8(),
+		doneAt:   r.U64(),
+		issuedAt: r.U64(),
+		dep1:     r.U64(),
+		dep2:     r.U64(),
 	}
 }
 
-// slotOf is how ROB-internal pointers (waiting list, in-flight loads)
+// slotOf is how ROB-internal pointers (issue queue, in-flight loads)
 // serialize: any occupant's seq maps to the slot it lives in, so the pair
-// (thread, seq%len(rob)) names the pointed-at slot even for poisoned or
+// (thread, seq&robMask) names the pointed-at slot even for poisoned or
 // recycled entries.
-func slotOf(t *thread, u *uop) uint64 { return u.seq % uint64(len(t.rob)) }
+func slotOf(t *thread, u *uop) uint64 { return u.seq & t.robMask }
+
+// issueQueue lists every live waiting uop in dispatch order.
+func (c *CPU) issueQueue() []*uop {
+	iq := make([]*uop, 0, c.intIQUsed+c.fpIQUsed)
+	for _, t := range c.threads {
+		for s := t.headSeq; s < t.nextSeq; s++ {
+			if u := t.slot(s); u.state == stWaiting {
+				iq = append(iq, u)
+			}
+		}
+	}
+	sort.Slice(iq, func(i, j int) bool { return iq[i].stamp < iq[j].stamp })
+	return iq
+}
 
 // Snapshot serializes the core's mutable state.
 func (c *CPU) Snapshot(w *snap.Writer) error {
@@ -107,8 +129,6 @@ func (c *CPU) Snapshot(w *snap.Writer) error {
 	w.I64(int64(c.fpIQUsed))
 	w.I64(int64(c.lqUsed))
 	w.I64(int64(c.sqUsed))
-	w.U64(c.issueIdleUntil)
-	w.Bool(c.issueDirty)
 	w.Bool(c.wake)
 	w.Bool(c.acted)
 
@@ -120,11 +140,11 @@ func (c *CPU) Snapshot(w *snap.Writer) error {
 		writeCacheMeta(w, s.meta)
 	}
 
-	w.U64(uint64(len(c.waiting)))
-	for _, u := range c.waiting {
-		t := c.threads[u.tid]
+	iq := c.issueQueue()
+	w.U64(uint64(len(iq)))
+	for _, u := range iq {
 		w.U64(uint64(u.tid))
-		w.U64(slotOf(t, u))
+		w.U64(slotOf(c.threads[u.tid], u))
 	}
 
 	w.U64(uint64(len(c.threads)))
@@ -133,8 +153,8 @@ func (c *CPU) Snapshot(w *snap.Writer) error {
 		if t.hasPeeked {
 			writeInstr(w, t.peeked)
 		}
-		w.U64(uint64(len(t.replay)))
-		for _, in := range t.replay {
+		w.U64(uint64(len(t.replay) - t.rpHead))
+		for _, in := range t.replay[t.rpHead:] {
 			writeInstr(w, in)
 		}
 		fe := t.frontend[t.feHead:]
@@ -155,9 +175,8 @@ func (c *CPU) Snapshot(w *snap.Writer) error {
 		w.I64(int64(t.lq))
 		w.I64(int64(t.sq))
 		w.U64(t.committed)
-		w.U64(t.wakeSeq)
-		w.U64(uint64(len(t.inFlight)))
-		for _, u := range t.inFlight {
+		w.U64(uint64(t.outstanding()))
+		for _, u := range t.inFlight[t.ifHead:] {
 			w.U64(slotOf(t, u))
 		}
 		w.U64(t.curILine)
@@ -188,8 +207,6 @@ func (c *CPU) Restore(r *snap.Reader) error {
 	c.fpIQUsed = int(r.I64())
 	c.lqUsed = int(r.I64())
 	c.sqUsed = int(r.I64())
-	c.issueIdleUntil = r.U64()
-	c.issueDirty = r.Bool()
 	c.wake = r.Bool()
 	c.acted = r.Bool()
 
@@ -222,7 +239,7 @@ func (c *CPU) Restore(r *snap.Reader) error {
 		if t.hasPeeked {
 			t.peeked = readInstr(r)
 		}
-		t.replay = t.replay[:0]
+		t.replay, t.rpHead = t.replay[:0], 0
 		nRep := r.U64()
 		if err := r.Err(); err != nil {
 			return err
@@ -254,8 +271,7 @@ func (c *CPU) Restore(r *snap.Reader) error {
 		t.lq = int(r.I64())
 		t.sq = int(r.I64())
 		t.committed = r.U64()
-		t.wakeSeq = r.U64()
-		t.inFlight = t.inFlight[:0]
+		t.inFlight, t.ifHead = t.inFlight[:0], 0
 		nIF := r.U64()
 		if err := r.Err(); err != nil {
 			return err
@@ -279,7 +295,10 @@ func (c *CPU) Restore(r *snap.Reader) error {
 		t.gated = r.U64()
 	}
 
-	c.waiting = c.waiting[:0]
+	// Rebuild the wakeup state: re-enter the issue queue in dispatch order.
+	// Only the order of stamps matters, so they restart — at 1, which leaves
+	// 0 (what readUop produced) to mark a slot not yet re-entered.
+	c.ready, c.nextStamp = c.ready[:0], 1
 	for _, wr := range waitRefs {
 		if wr.tid >= uint64(len(c.threads)) {
 			return fmt.Errorf("%w: waiting entry thread %d out of range", snap.ErrCorrupt, wr.tid)
@@ -288,7 +307,11 @@ func (c *CPU) Restore(r *snap.Reader) error {
 		if wr.slot >= uint64(len(t.rob)) {
 			return fmt.Errorf("%w: waiting entry slot %d out of range", snap.ErrCorrupt, wr.slot)
 		}
-		c.waiting = append(c.waiting, &t.rob[wr.slot])
+		u := &t.rob[wr.slot]
+		if u.state != stWaiting || u.seq < t.headSeq || u.seq >= t.nextSeq || u.stamp != 0 {
+			return fmt.Errorf("%w: waiting entry (%d, %d) is not a live waiting uop", snap.ErrCorrupt, wr.tid, wr.slot)
+		}
+		c.enqueue(t, u)
 	}
 	return r.Err()
 }

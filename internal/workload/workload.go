@@ -258,6 +258,18 @@ func NewGen(app App, threadID int, seed int64) (*Gen, error) {
 	return g, nil
 }
 
+// float64 is rng.Float64 drawn straight from the counted source, skipping two
+// layers of dispatch on the generator's most frequent call. It is Go 1's
+// definition value for value — float64(Int63())/(1<<63), re-drawn when that
+// rounds to 1 — so the instruction stream and the draw count are unchanged.
+func (g *Gen) float64() float64 {
+	for {
+		if f := float64(g.src.Int63()) / (1 << 63); f != 1 {
+			return f
+		}
+	}
+}
+
 // App returns the model being generated.
 func (g *Gen) App() App { return g.app }
 
@@ -281,7 +293,7 @@ func (g *Gen) Next() Instr {
 	in := Instr{PC: g.pc, Lat: 1}
 	g.pc += 4
 
-	r := g.rng.Float64()
+	r := g.float64()
 	switch {
 	case r < a.LoadFrac:
 		in.Kind = Load
@@ -291,20 +303,20 @@ func (g *Gen) Next() Instr {
 		in.Addr = g.dataAddr(nil)
 	case r < a.LoadFrac+a.StoreFrac+a.BranchFrac:
 		in.Kind = Branch
-		in.Mispredict = g.rng.Float64() < a.MispredictRate
-		if g.rng.Float64() < a.TakenRate {
+		in.Mispredict = g.float64() < a.MispredictRate
+		if g.float64() < a.TakenRate {
 			in.Taken = true
 			g.branchTarget()
 		}
 	default:
-		if g.rng.Float64() < a.FPFrac {
+		if g.float64() < a.FPFrac {
 			in.Kind = FPOp
 			in.Lat = 4
 		} else {
 			in.Kind = IntOp
 			in.Lat = 1
 		}
-		if g.rng.Float64() < a.LongLatFrac {
+		if g.float64() < a.LongLatFrac {
 			in.Lat = 7
 		}
 	}
@@ -312,10 +324,10 @@ func (g *Gen) Next() Instr {
 	switch {
 	case in.Dep1 < 0:
 		in.Dep1 = 0 // forced independent
-	case in.Dep1 == 0 && g.rng.Float64() >= a.IndepFrac:
+	case in.Dep1 == 0 && g.float64() >= a.IndepFrac:
 		in.Dep1 = g.depDist()
 	}
-	if in.Dep1 != 0 && g.rng.Float64() < a.Dep2Frac {
+	if in.Dep1 != 0 && g.float64() < a.Dep2Frac {
 		in.Dep2 = g.depDist()
 	}
 	if g.sinceCold >= 0 {
@@ -328,7 +340,7 @@ func (g *Gen) Next() Instr {
 func (g *Gen) depDist() int {
 	d := 1
 	p := 1 - 1/g.app.MeanDep
-	for g.rng.Float64() < p && d < 64 {
+	for g.float64() < p && d < 64 {
 		d++
 	}
 	return d
@@ -348,11 +360,11 @@ func (g *Gen) burstStep() float64 {
 		blen = 300
 	}
 	if g.inBurst {
-		if g.rng.Float64() < 1/blen {
+		if g.float64() < 1/blen {
 			g.inBurst = false
 		}
 	} else {
-		if g.rng.Float64() < duty/((1-duty)*blen) {
+		if g.float64() < duty/((1-duty)*blen) {
 			g.inBurst = true
 		}
 	}
@@ -371,12 +383,12 @@ func (g *Gen) burstStep() float64 {
 func (g *Gen) dataAddr(in *Instr) uint64 {
 	a := &g.app
 	cold := g.burstStep()
-	r := g.rng.Float64()
+	r := g.float64()
 	switch {
 	case r >= 1-cold:
 		if in != nil {
 			if a.ChaseFrac > 0 && g.sinceCold >= 0 &&
-				g.sinceCold < 64 && g.rng.Float64() < a.ChaseFrac {
+				g.sinceCold < 64 && g.float64() < a.ChaseFrac {
 				in.Dep1 = g.sinceCold
 			} else {
 				// Non-chased cold loads are independent gathers: their
@@ -404,7 +416,7 @@ func (g *Gen) dataAddr(in *Instr) uint64 {
 func (g *Gen) branchTarget() {
 	a := &g.app
 	cb := g.codeBase()
-	if g.rng.Float64() < a.JumpFrac {
+	if g.float64() < a.JumpFrac {
 		g.pc = cb + uint64(g.rng.Int63n(a.CodeBytes))&^3
 		return
 	}
