@@ -178,15 +178,23 @@ func TestCorruptStoreEntryRecomputes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The frame as the previous codec version would have stamped it: version
-	// byte (after the 4-byte magic) one lower, checksum re-sealed so only the
-	// version check can object.
-	older := append([]byte(nil), chk.Data...)
-	older[4]--
-	binary.LittleEndian.PutUint32(older[len(older)-4:],
-		crc32.Checksum(older[:len(older)-4], crc32.MakeTable(crc32.Castagnoli)))
-	if _, err := core.NewCheckpointedSimulator(cfg, &core.Checkpoint{Prefix: chk.Prefix, Now: chk.Now, Data: older}); !errors.Is(err, snap.ErrVersion) {
-		t.Fatalf("previous-version frame: got %v, want snap.ErrVersion", err)
+	// The frame as another codec version would have stamped it: the version
+	// byte (after the 4-byte magic) changed, checksum re-sealed so only the
+	// version check can object. Version 2 is pinned by number: it carried each
+	// generator's RNG as a draw count where this build expects the register,
+	// so a reader that let it through would mis-restore rather than fail.
+	stamp := func(version byte) []byte {
+		f := append([]byte(nil), chk.Data...)
+		f[4] = version
+		binary.LittleEndian.PutUint32(f[len(f)-4:],
+			crc32.Checksum(f[:len(f)-4], crc32.MakeTable(crc32.Castagnoli)))
+		return f
+	}
+	older, v2 := stamp(chk.Data[4]-1), stamp(2)
+	for name, frame := range map[string][]byte{"previous-version": older, "version-2": v2} {
+		if _, err := core.NewCheckpointedSimulator(cfg, &core.Checkpoint{Prefix: chk.Prefix, Now: chk.Now, Data: frame}); !errors.Is(err, snap.ErrVersion) {
+			t.Fatalf("%s frame: got %v, want snap.ErrVersion", name, err)
+		}
 	}
 	var now [8]byte
 	binary.LittleEndian.PutUint64(now[:], chk.Now)
@@ -194,6 +202,7 @@ func TestCorruptStoreEntryRecomputes(t *testing.T) {
 	for name, payload := range map[string][]byte{
 		"undecodable":      []byte("not a checkpoint frame"),
 		"previous version": older,
+		"version 2":        v2,
 	} {
 		t.Run(name, func(t *testing.T) {
 			dir := t.TempDir()

@@ -106,7 +106,7 @@ func TestChannelFailRunCompletesViaFailover(t *testing.T) {
 type stuckSource struct{}
 
 func (stuckSource) Next() workload.Instr {
-	return workload.Instr{Kind: workload.IntOp, Lat: 1 << 40}
+	return workload.Instr{Kind: workload.IntOp, Lat: 1 << 31}
 }
 
 func TestWatchdogAbortsLivelock(t *testing.T) {

@@ -20,7 +20,7 @@ import (
 
 const (
 	ckptMagic   = "SMTC"
-	ckptVersion = 2          // 2: the cpu section derives its wakeup state instead of carrying readiness memos
+	ckptVersion = 3          // 3: generators carry their random source as state (no draw-count replay); Instr fields narrowed
 	sectionSim  = 0x434F5245 // "CORE"
 )
 

@@ -12,6 +12,7 @@ package cpu
 
 import (
 	"fmt"
+	"math"
 	"math/bits"
 
 	"smtdram/internal/cache"
@@ -511,7 +512,7 @@ func (c *CPU) LoadsStores(i int) (loads, stores uint64) {
 func (c *CPU) IMisses(i int) uint64 { return c.threads[i].imisses }
 
 // GatedDispatches returns how many times thread i's dispatch was cut short by
-// the fetch policy's resource gate (see dispatchGated).
+// the fetch policy's resource gate (see gateLimit).
 func (c *CPU) GatedDispatches(i int) uint64 { return c.threads[i].gated }
 
 // RegisterMetrics exposes core occupancies and counters through the metrics
@@ -670,11 +671,18 @@ func (c *CPU) dispatch(now uint64) {
 	n := len(c.threads)
 	for i := 0; i < n && budget > 0; i++ {
 		t := c.threads[(i+c.rrDispatch)%n]
+		// The gate's miss half walks the in-flight loads, and nothing in this
+		// loop can change its answer: evaluate it once, when the thread first
+		// reaches the gate, and compare occupancies per instruction.
+		limit := -1
 		for budget > 0 {
 			if t.feLen() == 0 || t.frontend[t.feHead].readyAt > now {
 				break
 			}
-			if c.dispatchGated(now, t) {
+			if limit < 0 {
+				limit = c.gateLimit(now, t)
+			}
+			if t.iqInt+t.iqFP >= limit {
 				t.gated++
 				break
 			}
@@ -688,9 +696,11 @@ func (c *CPU) dispatch(now uint64) {
 	c.rrDispatch++
 }
 
-// dispatchGated applies the fetch policies' resource feedback at the
-// dispatch stage: when the shared issue queues are under pressure, a thread
-// the policy considers stalled may not grow its share past an allowance.
+// gateLimit applies the fetch policies' resource feedback at the dispatch
+// stage: when the shared issue queues are under pressure, a thread the
+// policy considers stalled may not grow its share past an allowance. It
+// returns the issue-queue occupancy at which t's dispatch is gated this
+// cycle (math.MaxInt: not at all).
 //
 // Under the miss-aware policies (FetchStall, DG, DWarn) the allowance is
 // MissIQAllowance for threads experiencing a miss. Under ICOUNT the
@@ -699,27 +709,30 @@ func (c *CPU) dispatch(now uint64) {
 // stalled thread's occupancy near the equal-share point but no lower; this
 // is exactly why ICOUNT survives at 2–4 threads but clogs on 8-thread MEM
 // mixes in the paper, where even equal shares saturate the queues.
-func (c *CPU) dispatchGated(now uint64, t *thread) bool {
+func (c *CPU) gateLimit(now uint64, t *thread) int {
 	n := len(c.threads)
 	if n == 1 {
-		return false
+		return math.MaxInt
 	}
 	total := c.cfg.IntIQ + c.cfg.FPIQ
+	missing := false
 	switch c.cfg.Policy {
 	case FetchStall:
-		return t.hasL2Miss(now, c.cfg) && t.iqInt+t.iqFP >= c.missAllowance(total, n)
+		missing = t.hasL2Miss(now, c.cfg)
 	case DG, DWarn, Coop:
-		return t.hasL1DMiss(now, c.cfg) && t.iqInt+t.iqFP >= c.missAllowance(total, n)
+		missing = t.hasL1DMiss(now, c.cfg)
 	case ICOUNT, RoundRobin:
 		// ICOUNT's fetch feedback equalizes per-thread in-flight counts at
 		// an equilibrium set by the front-end depth, independent of thread
 		// count: roughly a quarter of the queue capacity here. With few
 		// threads that leaves slack; with eight threads the equal shares sum
 		// to well past capacity — ICOUNT clogs, exactly as in the paper.
-		return t.iqInt+t.iqFP >= total/4
-	default:
-		return false
+		return total / 4
 	}
+	if missing {
+		return c.missAllowance(total, n)
+	}
+	return math.MaxInt
 }
 
 // missAllowance is the issue-queue share a stalled thread may keep under the
@@ -791,7 +804,7 @@ func (c *CPU) dispatchOne(t *thread) bool {
 	return true
 }
 
-func depSeq(seq uint64, dist int) uint64 {
+func depSeq(seq uint64, dist int16) uint64 {
 	if dist <= 0 || uint64(dist) > seq {
 		return noDep
 	}

@@ -9,6 +9,12 @@ import (
 // These tests pin down the dispatch-stage resource gate that realizes the
 // fetch policies' anti-clog behaviour (see Config.MissIQAllowance).
 
+// dispatchGated is the gate's verdict as dispatch reaches it: the thread's
+// issue-queue occupancy against this cycle's limit.
+func (c *CPU) dispatchGated(now uint64, t *thread) bool {
+	return t.iqInt+t.iqFP >= c.gateLimit(now, t)
+}
+
 // missThread fakes a thread that is experiencing a long data-cache miss and
 // holds n issue-queue entries.
 func missThread(r *rig, id, iqHeld int) *thread {

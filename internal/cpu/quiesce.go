@@ -108,7 +108,7 @@ func (c *CPU) ProbeQuiet(now uint64) (next uint64, fx QuietFx, quiet bool) {
 				} else if flip > now && flip < next {
 					next = flip // the gate may open when its oldest load matures
 				}
-				if len(c.threads) > 1 { // dispatchGated never gates a lone thread
+				if len(c.threads) > 1 { // gateLimit never gates a lone thread
 					if gated, _ := c.gateInfo(now+1, t); gated {
 						fx.gated |= 1 << uint(i)
 					}
@@ -215,8 +215,9 @@ func (c *CPU) TakeWake() bool {
 	return w
 }
 
-// gateInfo is the read-only twin of dispatchGated. It reports whether the
-// thread's dispatch is gated at cycle now and the first cycle the gate's
+// gateInfo is the read-only twin of dispatch's gate (gateLimit against the
+// thread's issue-queue occupancy). It reports whether the thread's
+// dispatch is gated at cycle now and the first cycle the gate's
 // value could flip purely by time passing (0 when it cannot): an off gate
 // turns on as the oldest in-flight load ages past the policy's miss
 // threshold; an on gate turns off when the load holding it open matures.

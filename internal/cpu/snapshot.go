@@ -48,9 +48,9 @@ func readInstr(r *snap.Reader) workload.Instr {
 		Kind:       workload.Kind(r.U8()),
 		PC:         r.U64(),
 		Addr:       r.U64(),
-		Dep1:       int(r.I64()),
-		Dep2:       int(r.I64()),
-		Lat:        int(r.I64()),
+		Dep1:       int16(r.I64()),
+		Dep2:       int16(r.I64()),
+		Lat:        uint32(r.I64()),
 		Mispredict: r.Bool(),
 		Taken:      r.Bool(),
 	}

@@ -3,6 +3,8 @@ package workload
 import (
 	"encoding/binary"
 	"hash/fnv"
+	"math"
+	"math/rand"
 	"testing"
 )
 
@@ -31,22 +33,70 @@ func streamHash(g *Gen, n int) uint64 {
 	return h.Sum64()
 }
 
+// countedRand is the reference: math/rand over its own seeded source, with
+// the source steps counted.
+type countedRand struct {
+	rand.Source64
+	n uint64
+}
+
+func (c *countedRand) Int63() int64   { c.n++; return c.Source64.Int63() }
+func (c *countedRand) Uint64() uint64 { c.n++; return c.Source64.Uint64() }
+
+func mirror(seed int64) (*source, *rand.Rand, *countedRand) {
+	own := new(source)
+	own.seed(seed)
+	ref := &countedRand{Source64: rand.NewSource(seed).(rand.Source64)}
+	return own, rand.New(ref), ref
+}
+
 // The generator's own float64 must be rand.Rand.Float64 value for value and
-// draw for draw: every Result in the repository hangs off this stream, and
-// the snapshot codec restores a generator by replaying the draw count.
+// draw for draw: every Result in the repository hangs off this stream.
 func TestFloat64MirrorsRandFloat64(t *testing.T) {
-	a, _ := ByName("mcf")
-	own, err := NewGen(a, 3, 11)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ref, _ := NewGen(a, 3, 11)
+	own, ref, cnt := mirror(11)
 	for i := 0; i < 100_000; i++ {
-		if x, y := own.float64(), ref.rng.Float64(); x != y {
+		if x, y := own.float64(), ref.Float64(); x != y {
 			t.Fatalf("draw %d: float64() = %v, rand.Float64() = %v", i, x, y)
 		}
-		if own.src.n != ref.src.n {
-			t.Fatalf("draw %d: %d source steps against rand's %d", i, own.src.n, ref.src.n)
+		if own.draws() != cnt.n {
+			t.Fatalf("draw %d: %d source steps against rand's %d", i, own.draws(), cnt.n)
+		}
+	}
+}
+
+// Every draw the generators make, against math/rand on the same seed, far past
+// the seeded register (2M draws is over 3000 block refills): values and
+// source-step counts must agree at every step, rejection loops included.
+// The bounds cover the power-of-two shortcut, small moduli as the models use
+// them, and moduli just over a power of two, which reject half their draws.
+func TestSourceMirrorsMathRand(t *testing.T) {
+	n63 := []int64{1 << 20, 3, 600 << 20, 1<<62 + 1}
+	nInt := []int{64, 3, 1<<30 + 1, 1<<31 + 5}
+	for _, seed := range []int64{1, 42, -7, 0x5E3779B97F4A7C15} {
+		own, ref, cnt := mirror(seed)
+		for i := 0; cnt.n < 2_000_000; i++ {
+			var x, y uint64
+			switch i % 5 {
+			case 0:
+				x, y = own.uint64(), ref.Uint64()
+			case 1:
+				x, y = uint64(own.int63()), uint64(ref.Int63())
+			case 2:
+				x, y = math.Float64bits(own.float64()), math.Float64bits(ref.Float64())
+			case 3:
+				n := n63[i/5%len(n63)]
+				x, y = uint64(own.int63n(n)), uint64(ref.Int63n(n))
+			case 4:
+				n := nInt[i/5%len(nInt)]
+				x, y = uint64(own.intn(n)), uint64(ref.Intn(n))
+			}
+			if x != y || own.draws() != cnt.n {
+				t.Fatalf("seed %d step %d (kind %d): got %#x after %d draws, math/rand %#x after %d",
+					seed, i, i%5, x, own.draws(), y, cnt.n)
+			}
+		}
+		if own.refills < 3000 {
+			t.Fatalf("seed %d: only %d refills exercised", seed, own.refills)
 		}
 	}
 }

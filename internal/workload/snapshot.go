@@ -1,9 +1,9 @@
 package workload
 
 // Snapshot/Restore for the synthetic instruction generators (DESIGN §15).
-// The RNG serializes as its draw count: restore rebuilds the seeded source
-// and fast-forwards it, which reproduces the stream position exactly (see
-// countingSource). Everything else is plain scalar state.
+// The RNG serializes as its state — the source's 607-word register, cursor
+// and draw count (see source.go) — so restoring costs the same however long
+// the generator had been running. Everything else is plain scalar state.
 
 import (
 	"fmt"
@@ -19,7 +19,7 @@ const sectionGen = 0x4E454757 // "WGEN"
 // warmup-prefix fingerprint).
 func (g *Gen) Snapshot(w *snap.Writer) error {
 	w.Marker(sectionGen)
-	w.U64(g.src.n)
+	g.src.snapshot(w)
 	w.U64(g.pc)
 	w.U64(uint64(len(g.streamPos)))
 	for _, p := range g.streamPos {
@@ -31,12 +31,13 @@ func (g *Gen) Snapshot(w *snap.Writer) error {
 	return nil
 }
 
-// Restore rebuilds the generator's state from r. The receiver must be
-// freshly built by NewGen with the same app/thread/seed as the snapshotted
-// generator: the RNG is fast-forwarded from its seeded origin.
+// Restore installs the state in r. The receiver must have been built by
+// NewGen with the same app/thread/seed as the snapshotted generator and not
+// have run past it. The whole section is decoded and validated before any
+// field is assigned: a rejected frame leaves the generator as it was.
 func (g *Gen) Restore(r *snap.Reader) error {
 	r.Expect(sectionGen)
-	draws := r.U64()
+	words, pos, draws := r.Bytes(), r.U64(), r.U64()
 	pc := r.U64()
 	nStreams := r.U64()
 	if err := r.Err(); err != nil {
@@ -45,21 +46,19 @@ func (g *Gen) Restore(r *snap.Reader) error {
 	if nStreams != uint64(len(g.streamPos)) {
 		return fmt.Errorf("%w: snapshot has %d streams, generator %d", snap.ErrCorrupt, nStreams, len(g.streamPos))
 	}
-	for i := range g.streamPos {
-		g.streamPos[i] = r.I64()
+	streamPos := make([]int64, nStreams)
+	for i := range streamPos {
+		streamPos[i] = r.I64()
 	}
-	g.sinceCold = int(r.I64())
-	g.count = r.U64()
-	g.inBurst = r.Bool()
+	sinceCold := int(r.I64())
+	count := r.U64()
+	inBurst := r.Bool()
 	if err := r.Err(); err != nil {
 		return err
 	}
-	if g.src.n > draws {
-		return fmt.Errorf("%w: generator already advanced %d draws, snapshot at %d", snap.ErrCorrupt, g.src.n, draws)
+	if err := g.src.restore(words, pos, draws); err != nil {
+		return err
 	}
-	for g.src.n < draws {
-		g.src.Uint64()
-	}
-	g.pc = pc
+	g.pc, g.streamPos, g.sinceCold, g.count, g.inBurst = pc, streamPos, sinceCold, count, inBurst
 	return nil
 }

@@ -1,0 +1,147 @@
+package workload
+
+// The generators' random source (DESIGN §2). Every simulated number hangs off
+// the stream math/rand's seeded source produces, and Go 1 freezes that
+// stream; what math/rand does not offer is its state. So the generator owns
+// the generator: math/rand's source is an additive lagged-Fibonacci register,
+// x[n] = x[n-607] + x[n-273] over 64-bit words, which means its last 607
+// outputs are its whole state. source reads the first 607 outputs from
+// rand.NewSource(seed) and computes every later one itself, a block of 607 at
+// a time — value for value and draw for draw what math/rand would have
+// returned, with the state in plain sight for Snapshot/Restore and no
+// interface call per draw.
+
+import (
+	"encoding/binary"
+	"fmt"
+	"math/rand"
+
+	"smtdram/internal/snap"
+)
+
+const (
+	srcLen = 607 // register length: the recurrence's long lag
+	srcTap = 273 // the short lag
+)
+
+type source struct {
+	buf  [srcLen]uint64 // outputs base .. base+srcLen-1 of the stream
+	pos  int            // next unread word; srcLen when the block is spent
+	base uint64         // draws that came before buf[0]
+	// refills counts the blocks this value has computed. It is not state and
+	// is never serialized: a restored source that reports zero has provably
+	// not stepped through the draws its snapshot was taken behind.
+	refills uint64
+}
+
+func (s *source) seed(seed int64) {
+	r := rand.NewSource(seed).(rand.Source64)
+	for i := range s.buf {
+		s.buf[i] = r.Uint64()
+	}
+	s.pos, s.base = 0, 0
+}
+
+// refill replaces the spent block with the next one in place. Word i of the
+// new block is the old word i (607 draws back) plus the word 273 draws back:
+// still in the old block for the first 273 words, already rewritten after.
+func (s *source) refill() {
+	b := &s.buf
+	for i := 0; i < srcTap; i++ {
+		b[i] += b[i+srcLen-srcTap]
+	}
+	for i := srcTap; i < srcLen; i++ {
+		b[i] += b[i-srcTap]
+	}
+	s.pos = 0
+	s.base += srcLen
+	s.refills++
+}
+
+// draws is the number of words drawn since the seed.
+func (s *source) draws() uint64 { return s.base + uint64(s.pos) }
+
+func (s *source) uint64() uint64 {
+	if s.pos == srcLen {
+		s.refill()
+	}
+	x := s.buf[s.pos]
+	s.pos++
+	return x
+}
+
+func (s *source) int63() int64 { return int64(s.uint64() & (1<<63 - 1)) }
+
+// float64, int63n and intn are rand.Rand's Float64, Int63n and Intn, Go 1's
+// definitions line for line (rejection loops included), so they consume the
+// same draws and return the same values. n must be positive.
+
+func (s *source) float64() float64 {
+	for {
+		if f := float64(s.int63()) / (1 << 63); f != 1 {
+			return f
+		}
+	}
+}
+
+func (s *source) int63n(n int64) int64 {
+	if n&(n-1) == 0 {
+		return s.int63() & (n - 1)
+	}
+	max := int64((1 << 63) - 1 - (1<<63)%uint64(n))
+	v := s.int63()
+	for v > max {
+		v = s.int63()
+	}
+	return v % n
+}
+
+func (s *source) int31() int32 { return int32(s.int63() >> 32) }
+
+func (s *source) intn(n int) int {
+	if n > 1<<31-1 {
+		return int(s.int63n(int64(n)))
+	}
+	m := int32(n)
+	if m&(m-1) == 0 {
+		return int(s.int31() & (m - 1))
+	}
+	max := int32((1 << 31) - 1 - (1<<31)%uint32(m))
+	v := s.int31()
+	for v > max {
+		v = s.int31()
+	}
+	return int(v % m)
+}
+
+// snapshot writes the register fixed-width (a varint would spend ten bytes on
+// most of these words), then the cursor and the draw count.
+func (s *source) snapshot(w *snap.Writer) {
+	b := make([]byte, 8*srcLen)
+	for i, x := range s.buf {
+		binary.LittleEndian.PutUint64(b[8*i:], x)
+	}
+	w.Bytes(b)
+	w.U64(uint64(s.pos))
+	w.U64(s.draws())
+}
+
+// restore installs a snapshotted state, or rejects it and leaves s untouched.
+// It costs O(state) whatever the draw count. The receiver is a source seeded
+// like the snapshotted one, normally fresh; a snapshot taken behind it would
+// silently rewind the stream.
+func (s *source) restore(words []byte, pos, draws uint64) error {
+	switch {
+	case len(words) != 8*srcLen:
+		return fmt.Errorf("%w: random source state is %d bytes, want %d", snap.ErrCorrupt, len(words), 8*srcLen)
+	case pos > srcLen || draws < pos || (draws-pos)%srcLen != 0:
+		return fmt.Errorf("%w: random source cursor %d does not fit draw count %d", snap.ErrCorrupt, pos, draws)
+	case s.draws() > draws:
+		return fmt.Errorf("%w: generator already advanced %d draws, snapshot at %d", snap.ErrCorrupt, s.draws(), draws)
+	}
+	for i := range s.buf {
+		s.buf[i] = binary.LittleEndian.Uint64(words[8*i:])
+	}
+	s.pos, s.base = int(pos), draws-pos
+	return nil
+}

@@ -25,6 +25,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 )
 
 // traceMagic identifies the trace format ("SMTDRAM1").
@@ -175,14 +176,17 @@ func NewReplay(r io.Reader) (*Replay, error) {
 		if err != nil {
 			return nil, fmt.Errorf("%w: %v", ErrBadTrace, err)
 		}
+		if lat > math.MaxUint32 || dep1 > math.MaxInt16 || dep2 > math.MaxInt16 {
+			return nil, fmt.Errorf("%w: record %d: lat %d / deps %d, %d do not fit an Instr", ErrBadTrace, len(rep.ins), lat, dep1, dep2)
+		}
 		pc = uint64(int64(pc) + pcDelta)
 		in := Instr{
 			Kind:       Kind(kind),
 			Mispredict: flags&1 != 0,
 			Taken:      flags&2 != 0,
-			Lat:        int(lat),
-			Dep1:       int(dep1),
-			Dep2:       int(dep2),
+			Lat:        uint32(lat),
+			Dep1:       int16(dep1),
+			Dep2:       int16(dep2),
 			PC:         pc,
 		}
 		if in.Kind == Load || in.Kind == Store {

@@ -2,7 +2,9 @@ package workload
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
+	"math"
 	"testing"
 	"testing/quick"
 )
@@ -65,6 +67,51 @@ func TestReplayRejectsGarbage(t *testing.T) {
 	}
 }
 
+// rawRecord encodes one IntOp trace record with arbitrary field values, as a
+// foreign converter could.
+func rawRecord(lat, dep1, dep2 uint64) []byte {
+	b := append([]byte{}, traceMagic[:]...)
+	for _, v := range []uint64{uint64(IntOp), 0, lat, dep1, dep2} {
+		b = binary.AppendUvarint(b, v)
+	}
+	return binary.AppendVarint(b, 4) // pcDelta
+}
+
+// The widest values an Instr holds round-trip; one past them is a malformed
+// trace, not a silently truncated latency or dependence.
+func TestReplayRejectsFieldsThatDoNotFit(t *testing.T) {
+	widest := Instr{Kind: IntOp, PC: 4, Lat: math.MaxUint32, Dep1: math.MaxInt16, Dep2: math.MaxInt16}
+	var buf bytes.Buffer
+	tw, err := NewTraceWriter(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := tw.Write(widest); err != nil || tw.Flush() != nil {
+		t.Fatal("write failed")
+	}
+	if !bytes.Equal(buf.Bytes(), rawRecord(math.MaxUint32, math.MaxInt16, math.MaxInt16)) {
+		t.Fatal("rawRecord does not encode what TraceWriter writes")
+	}
+	rep, err := NewReplay(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := rep.Next(); got != widest {
+		t.Fatalf("widest record came back as %+v", got)
+	}
+	for name, data := range map[string][]byte{
+		"lat":         rawRecord(math.MaxUint32+1, 1, 1),
+		"dep1":        rawRecord(1, math.MaxInt16+1, 1),
+		"dep2":        rawRecord(1, 1, math.MaxInt16+1),
+		"dep1 = -1":   rawRecord(1, math.MaxUint64, 0),
+		"lat = 1<<40": rawRecord(1<<40, 0, 0),
+	} {
+		if _, err := NewReplay(bytes.NewReader(data)); !errors.Is(err, ErrBadTrace) {
+			t.Errorf("%s out of range: error = %v, want ErrBadTrace", name, err)
+		}
+	}
+}
+
 func TestTraceWriterCount(t *testing.T) {
 	var buf bytes.Buffer
 	tw, err := NewTraceWriter(&buf)
@@ -88,9 +135,9 @@ func TestPropertyTraceEncoding(t *testing.T) {
 			Kind:       Kind(kind8 % 5),
 			Mispredict: mispredict,
 			Taken:      taken,
-			Lat:        int(lat8%16) + 1,
-			Dep1:       int(d1 % 64),
-			Dep2:       int(d2 % 64),
+			Lat:        uint32(lat8%16) + 1,
+			Dep1:       int16(d1 % 64),
+			Dep2:       int16(d2 % 64),
 			PC:         uint64(pc),
 		}
 		if in.Kind == Load || in.Kind == Store {

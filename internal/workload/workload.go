@@ -14,10 +14,7 @@
 // ammp). See DESIGN.md §2 for the substitution rationale.
 package workload
 
-import (
-	"fmt"
-	"math/rand"
-)
+import "fmt"
 
 // Kind is an instruction class.
 type Kind uint8
@@ -72,20 +69,22 @@ func (c Class) String() string {
 	}
 }
 
-// Instr is one dynamic instruction produced by a generator.
+// Instr is one dynamic instruction produced by a generator. The pipeline
+// copies it by value at every stage, so the fields are ordered and sized to
+// fit 32 bytes.
 type Instr struct {
-	// Kind classifies the instruction.
-	Kind Kind
 	// PC is the instruction's address (for I-cache modeling).
 	PC uint64
 	// Addr is the data address for Load/Store.
 	Addr uint64
+	// Lat is the execution latency in cycles (loads: cache adds more).
+	Lat uint32
 	// Dep1 and Dep2 are producer distances in dynamic instructions
 	// (0 = no dependence). The consumer cannot issue until instructions
 	// Dep* earlier have completed.
-	Dep1, Dep2 int
-	// Lat is the execution latency in cycles (loads: cache adds more).
-	Lat int
+	Dep1, Dep2 int16
+	// Kind classifies the instruction.
+	Kind Kind
 	// Mispredict marks a branch that will squash younger instructions when
 	// it resolves.
 	Mispredict bool
@@ -193,35 +192,10 @@ const threadAddrBits = 40
 // size, so consecutive threads land on well-separated sets at every level.
 const threadSkew = 64 * 22651
 
-// countingSource wraps the generator's random source, counting draws at the
-// source level. Every rand.Rand method the generator uses bottoms out in
-// exactly one source step per draw (with identical internal rejection loops
-// re-drawing through the same path), so the count is a complete description
-// of the stream position: a fresh source fast-forwarded count steps is
-// byte-identical to the live one. That is what makes the generator's RNG
-// state serializable without exposing math/rand internals.
-type countingSource struct {
-	src rand.Source64
-	n   uint64
-}
-
-func (s *countingSource) Int63() int64 {
-	s.n++
-	return s.src.Int63()
-}
-
-func (s *countingSource) Uint64() uint64 {
-	s.n++
-	return s.src.Uint64()
-}
-
-func (s *countingSource) Seed(seed int64) { s.src.Seed(seed) }
-
 // Gen produces the dynamic instruction stream of one thread running app.
 type Gen struct {
 	app  App
-	rng  *rand.Rand
-	src  *countingSource
+	src  source
 	base uint64
 	skew uint64
 
@@ -237,17 +211,13 @@ func NewGen(app App, threadID int, seed int64) (*Gen, error) {
 	if err := app.Validate(); err != nil {
 		return nil, err
 	}
-	src := &countingSource{
-		src: rand.NewSource(seed ^ int64(threadID+1)*0x5E3779B97F4A7C15).(rand.Source64),
-	}
 	g := &Gen{
 		app:       app,
-		rng:       rand.New(src),
-		src:       src,
 		base:      uint64(threadID) << threadAddrBits,
 		skew:      uint64(threadID) * threadSkew,
 		streamPos: make([]int64, max(app.Streams, 1)),
 	}
+	g.src.seed(seed ^ int64(threadID+1)*0x5E3779B97F4A7C15)
 	g.pc = g.codeBase() // code region starts at the (skewed) thread base
 	// Stagger stream start positions so streams live in distinct rows.
 	for i := range g.streamPos {
@@ -256,18 +226,6 @@ func NewGen(app App, threadID int, seed int64) (*Gen, error) {
 		}
 	}
 	return g, nil
-}
-
-// float64 is rng.Float64 drawn straight from the counted source, skipping two
-// layers of dispatch on the generator's most frequent call. It is Go 1's
-// definition value for value — float64(Int63())/(1<<63), re-drawn when that
-// rounds to 1 — so the instruction stream and the draw count are unchanged.
-func (g *Gen) float64() float64 {
-	for {
-		if f := float64(g.src.Int63()) / (1 << 63); f != 1 {
-			return f
-		}
-	}
 }
 
 // App returns the model being generated.
@@ -293,7 +251,7 @@ func (g *Gen) Next() Instr {
 	in := Instr{PC: g.pc, Lat: 1}
 	g.pc += 4
 
-	r := g.float64()
+	r := g.src.float64()
 	switch {
 	case r < a.LoadFrac:
 		in.Kind = Load
@@ -303,20 +261,20 @@ func (g *Gen) Next() Instr {
 		in.Addr = g.dataAddr(nil)
 	case r < a.LoadFrac+a.StoreFrac+a.BranchFrac:
 		in.Kind = Branch
-		in.Mispredict = g.float64() < a.MispredictRate
-		if g.float64() < a.TakenRate {
+		in.Mispredict = g.src.float64() < a.MispredictRate
+		if g.src.float64() < a.TakenRate {
 			in.Taken = true
 			g.branchTarget()
 		}
 	default:
-		if g.float64() < a.FPFrac {
+		if g.src.float64() < a.FPFrac {
 			in.Kind = FPOp
 			in.Lat = 4
 		} else {
 			in.Kind = IntOp
 			in.Lat = 1
 		}
-		if g.float64() < a.LongLatFrac {
+		if g.src.float64() < a.LongLatFrac {
 			in.Lat = 7
 		}
 	}
@@ -324,10 +282,10 @@ func (g *Gen) Next() Instr {
 	switch {
 	case in.Dep1 < 0:
 		in.Dep1 = 0 // forced independent
-	case in.Dep1 == 0 && g.float64() >= a.IndepFrac:
+	case in.Dep1 == 0 && g.src.float64() >= a.IndepFrac:
 		in.Dep1 = g.depDist()
 	}
-	if in.Dep1 != 0 && g.float64() < a.Dep2Frac {
+	if in.Dep1 != 0 && g.src.float64() < a.Dep2Frac {
 		in.Dep2 = g.depDist()
 	}
 	if g.sinceCold >= 0 {
@@ -337,10 +295,10 @@ func (g *Gen) Next() Instr {
 }
 
 // depDist samples a geometric-ish producer distance with mean MeanDep.
-func (g *Gen) depDist() int {
-	d := 1
+func (g *Gen) depDist() int16 {
+	d := int16(1)
 	p := 1 - 1/g.app.MeanDep
-	for g.float64() < p && d < 64 {
+	for g.src.float64() < p && d < 64 {
 		d++
 	}
 	return d
@@ -360,11 +318,11 @@ func (g *Gen) burstStep() float64 {
 		blen = 300
 	}
 	if g.inBurst {
-		if g.float64() < 1/blen {
+		if g.src.float64() < 1/blen {
 			g.inBurst = false
 		}
 	} else {
-		if g.float64() < duty/((1-duty)*blen) {
+		if g.src.float64() < duty/((1-duty)*blen) {
 			g.inBurst = true
 		}
 	}
@@ -383,13 +341,13 @@ func (g *Gen) burstStep() float64 {
 func (g *Gen) dataAddr(in *Instr) uint64 {
 	a := &g.app
 	cold := g.burstStep()
-	r := g.float64()
+	r := g.src.float64()
 	switch {
 	case r >= 1-cold:
 		if in != nil {
 			if a.ChaseFrac > 0 && g.sinceCold >= 0 &&
-				g.sinceCold < 64 && g.float64() < a.ChaseFrac {
-				in.Dep1 = g.sinceCold
+				g.sinceCold < 64 && g.src.float64() < a.ChaseFrac {
+				in.Dep1 = int16(g.sinceCold) // < 64
 			} else {
 				// Non-chased cold loads are independent gathers: their
 				// index arithmetic is cache-resident and long since done.
@@ -399,11 +357,11 @@ func (g *Gen) dataAddr(in *Instr) uint64 {
 			}
 			g.sinceCold = 0
 		}
-		return g.base + coldOff + g.skew + uint64(g.rng.Int63n(a.ColdBytes))&^7
+		return g.base + coldOff + g.skew + uint64(g.src.int63n(a.ColdBytes))&^7
 	case r < a.HotFrac || r >= a.HotFrac+a.StreamFrac:
-		return g.base + hotOff + g.skew + uint64(g.rng.Int63n(a.HotBytes))&^7
+		return g.base + hotOff + g.skew + uint64(g.src.int63n(a.HotBytes))&^7
 	default:
-		s := g.rng.Intn(a.Streams)
+		s := g.src.intn(a.Streams)
 		span := a.StreamBytes / int64(a.Streams)
 		addr := g.base + streamOff + g.skew + uint64(int64(s)*span+g.streamPos[s]%span)
 		g.streamPos[s] += a.StrideBytes
@@ -416,12 +374,12 @@ func (g *Gen) dataAddr(in *Instr) uint64 {
 func (g *Gen) branchTarget() {
 	a := &g.app
 	cb := g.codeBase()
-	if g.float64() < a.JumpFrac {
-		g.pc = cb + uint64(g.rng.Int63n(a.CodeBytes))&^3
+	if g.src.float64() < a.JumpFrac {
+		g.pc = cb + uint64(g.src.int63n(a.CodeBytes))&^3
 		return
 	}
 	// Local backward jump of up to 64 instructions: a loop.
-	back := uint64(g.rng.Intn(64)+1) * 4
+	back := uint64(g.src.intn(64)+1) * 4
 	if g.pc-cb > back {
 		g.pc -= back
 	}

@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 func TestCatalogComplete(t *testing.T) {
@@ -254,6 +255,15 @@ func TestValidateCatchesBadModels(t *testing.T) {
 	}
 }
 
+// The pipeline copies an Instr by value five times per instruction (Next,
+// the peek slot, consume, the frontend entry, the uop); 32 bytes is the
+// budget that copying was sized against.
+func TestInstrFitsThirtyTwoBytes(t *testing.T) {
+	if n := unsafe.Sizeof(Instr{}); n > 32 {
+		t.Fatalf("Instr is %d bytes, want <= 32", n)
+	}
+}
+
 // Property: every generated instruction is well-formed — dependences point
 // backwards by a bounded distance, latencies are positive, and memory ops
 // carry addresses.
@@ -262,7 +272,7 @@ func TestPropertyWellFormedInstructions(t *testing.T) {
 	g, _ := NewGen(a, 2, 17)
 	f := func(_ uint8) bool {
 		in := g.Next()
-		if in.Lat <= 0 || in.Dep1 < 0 || in.Dep1 > 64 || in.Dep2 < 0 || in.Dep2 > 64 {
+		if in.Lat == 0 || in.Dep1 < 0 || in.Dep1 > 64 || in.Dep2 < 0 || in.Dep2 > 64 {
 			return false
 		}
 		if (in.Kind == Load || in.Kind == Store) && in.Addr == 0 {
