@@ -63,26 +63,16 @@ func (p *pooledReq) complete(at uint64) {
 func (p *pooledReq) SnapRef() snap.Ref {
 	ref := snap.Ref{Kind: snap.KMemBackendReq, Args: []uint64{
 		p.req.ID, p.req.Addr, uint64(p.req.Kind), snap.Zig(int64(p.req.Thread)),
-		boolArg(p.req.Critical), p.req.Arrive,
+		snap.BoolArg(p.req.Critical), p.req.Arrive,
 		snap.Zig(int64(p.req.State.Outstanding)),
 		snap.Zig(int64(p.req.State.ROBOccupancy)),
 		snap.Zig(int64(p.req.State.IQOccupancy)),
 	}}
 	if p.done != nil {
-		inner := snap.Ref{Kind: snap.KNone}
-		if rm, ok := p.done.(event.RefMaker); ok {
-			inner = rm.SnapRef()
-		}
+		inner := event.RefOf(p.done)
 		ref.Inner = &inner
 	}
 	return ref
-}
-
-func boolArg(b bool) uint64 {
-	if b {
-		return 1
-	}
-	return 0
 }
 
 func (b *MemBackend) getReq() *pooledReq {

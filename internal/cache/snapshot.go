@@ -1,15 +1,14 @@
 package cache
 
-// Snapshot/Restore for the cache hierarchy (DESIGN §15): each Level
-// serializes its line arrays, LRU clock, MSHR file (including waiter
-// references), writeback buffer, and prefetch state; the MemBackend
-// serializes its retry buffer and request-ID counter. References to pending
-// completions are encoded as typed snap.Refs and resolved back to live
-// objects by the core resolver at restore time.
+// The cache hierarchy's snapshot walks (DESIGN §15): each Level walks its
+// line arrays, LRU clock, MSHR file (including waiter references), writeback
+// buffer, and prefetch state; the MemBackend walks its retry buffer and
+// request-ID counter. References to pending completions are typed snap.Refs,
+// resolved back to live objects by the core resolver when loading.
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"smtdram/internal/event"
 	"smtdram/internal/mem"
@@ -26,9 +25,21 @@ const (
 // never snapshot, so their zero ID is unused.
 func (l *Level) SetSnapID(id uint8) { l.snapID = id }
 
+// SnapMeta walks an access's processor-side context. Exported for the CPU,
+// whose committed-store buffer holds the same record.
+func SnapMeta(c *snap.Codec, m *Meta) {
+	c.Int(&m.Thread)
+	c.Bool(&m.Critical)
+	c.Int(&m.State.Outstanding)
+	c.Int(&m.State.ROBOccupancy)
+	c.Int(&m.State.IQOccupancy)
+}
+
+// metaArgs and metaFromArgs are the same record in the uint64 Ref-arg space
+// (a scheduled prefetch issue carries its Meta in its reference).
 func metaArgs(m Meta) []uint64 {
 	return []uint64{
-		snap.Zig(int64(m.Thread)), boolArg(m.Critical),
+		snap.Zig(int64(m.Thread)), snap.BoolArg(m.Critical),
 		snap.Zig(int64(m.State.Outstanding)),
 		snap.Zig(int64(m.State.ROBOccupancy)),
 		snap.Zig(int64(m.State.IQOccupancy)),
@@ -50,189 +61,93 @@ func metaFromArgs(a []uint64) (Meta, error) {
 	}, nil
 }
 
-func writeMeta(w *snap.Writer, m Meta) {
-	for _, a := range metaArgs(m) {
-		w.U64(a)
+// sortedKeys lists m's keys in ascending order: maps are walked sorted, so
+// saving the same state twice yields the same bytes.
+func sortedKeys[V any](m map[uint64]V) []uint64 {
+	keys := make([]uint64, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
 	}
+	slices.Sort(keys)
+	return keys
 }
 
-func readMeta(r *snap.Reader) Meta {
-	m, _ := metaFromArgs([]uint64{r.U64(), r.U64(), r.U64(), r.U64(), r.U64()})
-	return m
-}
-
-// fillerRef encodes a pending completion carrier, failing on carriers the
-// codec cannot name (test closures wrapped in event.FillFunc).
-func fillerRef(f event.Filler) (snap.Ref, error) {
-	rm, ok := f.(event.RefMaker)
-	if !ok {
-		return snap.Ref{}, fmt.Errorf("%w: fill carrier %T has no SnapRef", snap.ErrUnsupported, f)
+// Snap walks the level's mutable state. The configuration is not in the
+// format: a restore targets a level built from an identical Config (enforced
+// upstream by the warmup-prefix fingerprint). Loading recreates the MSHRs
+// from the pool and resolves their waiters through resolve, which must
+// already cover the CPU and any level above this one — the core walks
+// top-down.
+func (l *Level) Snap(c *snap.Codec, resolve event.Resolver) error {
+	c.Marker(sectionLevel)
+	id := l.snapID
+	if c.U8(&id); id != l.snapID {
+		c.Fail(fmt.Errorf("%w: level snapshot for id %d, restoring into %d", snap.ErrCorrupt, id, l.snapID))
 	}
-	return rm.SnapRef(), nil
-}
+	c.U64(&l.tick)
+	c.U64(&l.Stats.Accesses)
+	c.U64(&l.Stats.Misses)
+	c.U64(&l.Stats.Merged)
+	c.U64(&l.Stats.Writebacks)
+	c.U64(&l.Stats.MSHRFull)
+	c.U64(&l.Prefetch.Issued)
+	c.U64(&l.Prefetch.Useful)
+	c.U64(&l.Prefetch.Late)
+	c.U64(&l.Prefetch.Dropped)
 
-// Snapshot serializes the level's mutable state. The configuration is not
-// written: restore targets a level built from an identical Config (enforced
-// upstream by the warmup-prefix fingerprint).
-func (l *Level) Snapshot(w *snap.Writer) error {
-	w.Marker(sectionLevel)
-	w.U8(l.snapID)
-	w.U64(l.tick)
-	w.U64(l.Stats.Accesses)
-	w.U64(l.Stats.Misses)
-	w.U64(l.Stats.Merged)
-	w.U64(l.Stats.Writebacks)
-	w.U64(l.Stats.MSHRFull)
-	w.U64(l.Prefetch.Issued)
-	w.U64(l.Prefetch.Useful)
-	w.U64(l.Prefetch.Late)
-	w.U64(l.Prefetch.Dropped)
+	snap.Slice(c, &l.pendingWB, func(e *wbEntry) {
+		c.U64(&e.addr)
+		SnapMeta(c, &e.meta)
+	})
 
-	w.U64(uint64(len(l.pendingWB)))
-	for _, e := range l.pendingWB {
-		w.U64(e.addr)
-		writeMeta(w, e.meta)
-	}
-
-	w.U64(uint64(l.pfInFlight))
-	pf := make([]uint64, 0, len(l.pfPending))
-	for la := range l.pfPending {
-		pf = append(pf, la)
-	}
-	sort.Slice(pf, func(i, j int) bool { return pf[i] < pf[j] })
-	w.U64(uint64(len(pf)))
-	for _, la := range pf {
-		w.U64(la)
-	}
-
-	w.Bool(l.cfg.Perfect)
-	if !l.cfg.Perfect {
-		for _, set := range l.sets {
-			for _, ln := range set {
-				w.U64(ln.tag)
-				w.Bool(ln.valid)
-				w.Bool(ln.dirty)
-				w.Bool(ln.prefetched)
-				w.U64(ln.used)
-			}
+	snap.U64As(c, &l.pfInFlight)
+	pf := sortedKeys(l.pfPending)
+	snap.Slice(c, &pf, c.U64)
+	if c.Loading() {
+		clear(l.pfPending)
+		for _, la := range pf {
+			l.pfPending[la] = struct{}{}
 		}
 	}
 
-	addrs := make([]uint64, 0, len(l.mshrs))
-	for a := range l.mshrs {
-		addrs = append(addrs, a)
+	perfect := l.cfg.Perfect
+	if c.Bool(&perfect); perfect != l.cfg.Perfect {
+		c.Fail(fmt.Errorf("%w: snapshot perfect=%v, level perfect=%v", snap.ErrCorrupt, perfect, l.cfg.Perfect))
 	}
-	sort.Slice(addrs, func(i, j int) bool { return addrs[i] < addrs[j] })
-	w.U64(uint64(len(addrs)))
-	for _, a := range addrs {
-		m := l.mshrs[a]
-		w.U64(m.addr)
-		w.Bool(m.dirty)
-		w.Bool(m.issued)
-		writeMeta(w, m.meta)
-		w.U64(uint64(len(m.waiters)))
-		for _, wt := range m.waiters {
-			ref, err := fillerRef(wt)
-			if err != nil {
-				return fmt.Errorf("level %s mshr %#x: %w", l.cfg.Name, m.addr, err)
-			}
-			w.Ref(&ref)
-		}
-	}
-	return nil
-}
-
-// Restore rebuilds the level's mutable state from r. MSHRs are recreated
-// first (so queue restoration can resolve references to them); their waiter
-// references resolve through resolve, which must already cover the CPU and
-// any level above this one — the core restores top-down.
-func (l *Level) Restore(r *snap.Reader, resolve event.Resolver) error {
-	r.Expect(sectionLevel)
-	if id := r.U8(); r.Err() == nil && id != l.snapID {
-		return fmt.Errorf("%w: level snapshot for id %d, restoring into %d", snap.ErrCorrupt, id, l.snapID)
-	}
-	l.tick = r.U64()
-	l.Stats = Stats{
-		Accesses:   r.U64(),
-		Misses:     r.U64(),
-		Merged:     r.U64(),
-		Writebacks: r.U64(),
-		MSHRFull:   r.U64(),
-	}
-	l.Prefetch = prefetchStats{
-		Issued:  r.U64(),
-		Useful:  r.U64(),
-		Late:    r.U64(),
-		Dropped: r.U64(),
-	}
-
-	l.pendingWB = l.pendingWB[:0]
-	nWB := r.U64()
-	for i := uint64(0); i < nWB && r.Err() == nil; i++ {
-		l.pendingWB = append(l.pendingWB, wbEntry{addr: r.U64(), meta: readMeta(r)})
-	}
-
-	l.pfInFlight = int(r.U64())
-	for la := range l.pfPending {
-		delete(l.pfPending, la)
-	}
-	nPf := r.U64()
-	for i := uint64(0); i < nPf && r.Err() == nil; i++ {
-		l.pfPending[r.U64()] = struct{}{}
-	}
-
-	perfect := r.Bool()
-	if r.Err() == nil && perfect != l.cfg.Perfect {
-		return fmt.Errorf("%w: snapshot perfect=%v, level perfect=%v", snap.ErrCorrupt, perfect, l.cfg.Perfect)
-	}
-	if !l.cfg.Perfect {
-		for si := range l.sets {
-			set := l.sets[si]
-			for wi := range set {
-				set[wi] = line{
-					tag:        r.U64(),
-					valid:      r.Bool(),
-					dirty:      r.Bool(),
-					prefetched: r.Bool(),
-					used:       r.U64(),
-				}
-			}
+	for _, set := range l.sets { // a perfect level has none
+		for i := range set {
+			ln := &set[i]
+			c.U64(&ln.tag)
+			c.Bool(&ln.valid)
+			c.Bool(&ln.dirty)
+			c.Bool(&ln.prefetched)
+			c.U64(&ln.used)
 		}
 	}
 
-	for a, m := range l.mshrs {
-		l.releaseMSHR(m)
-		delete(l.mshrs, a)
-	}
-	nM := r.U64()
-	for i := uint64(0); i < nM; i++ {
-		m := l.getMSHR()
-		m.addr = r.U64()
-		m.dirty = r.Bool()
-		m.issued = r.Bool()
-		m.meta = readMeta(r)
-		nw := r.U64()
-		if err := r.Err(); err != nil {
-			return err
+	addrs := sortedKeys(l.mshrs)
+	if c.Loading() {
+		for a, m := range l.mshrs {
+			l.releaseMSHR(m)
+			delete(l.mshrs, a)
 		}
-		for j := uint64(0); j < nw; j++ {
-			ref := r.Ref()
-			if err := r.Err(); err != nil {
-				return err
-			}
-			obj, err := resolve(ref, event.RoleFiller)
-			if err != nil {
-				return fmt.Errorf("level %s mshr %#x waiter: %w", l.cfg.Name, m.addr, err)
-			}
-			f, ok := obj.(event.Filler)
-			if !ok {
-				return fmt.Errorf("%w: mshr waiter resolved to %T", snap.ErrCorrupt, obj)
-			}
-			m.waiters = append(m.waiters, f)
-		}
-		l.mshrs[m.addr] = m
 	}
-	return r.Err()
+	snap.Slice(c, &addrs, func(a *uint64) {
+		c.U64(a)
+		m := l.mshrs[*a]
+		if c.Loading() {
+			// Recreated from the pool and entered in the map, where the
+			// references to it — a lower level's waiter, an event — resolve.
+			m = l.getMSHR()
+			m.addr = *a
+			l.mshrs[*a] = m
+		}
+		c.Bool(&m.dirty)
+		c.Bool(&m.issued)
+		SnapMeta(c, &m.meta)
+		snap.Slice(c, &m.waiters, func(f *event.Filler) { event.Link(c, f, event.RoleFiller, resolve) })
+	})
+	return c.Err()
 }
 
 // ResolveRef maps a cache-kind reference back to this level's live object.
@@ -268,54 +183,16 @@ func (l *Level) ResolveRef(ref *snap.Ref) (any, error) {
 	}
 }
 
-// Snapshot serializes the backend's retry buffer and ID counter.
-func (b *MemBackend) Snapshot(w *snap.Writer) error {
-	w.Marker(sectionBackend)
-	w.U64(b.nextID)
-	w.U64(uint64(len(b.pending)))
-	for _, req := range b.pending {
-		rm, ok := req.Src.(event.RefMaker)
-		if !ok {
-			return fmt.Errorf("%w: pending request %d has no source wrapper", snap.ErrUnsupported, req.ID)
-		}
-		ref := rm.SnapRef()
-		w.Ref(&ref)
-	}
-	return nil
-}
-
-// Restore rebuilds the backend's retry buffer. It also arms the restore-time
-// request memo that ResolveRef uses, so every reference to one in-flight
-// request (the controller's queue entry, this retry buffer) resolves to the
-// same wrapper; the core calls FinishRestore once the whole machine is back.
-func (b *MemBackend) Restore(r *snap.Reader, resolve event.Resolver) error {
-	b.restoreReqs = make(map[uint64]*pooledReq)
-	for i := range b.pending {
-		b.pending[i] = nil
-	}
-	b.pending = b.pending[:0]
-	r.Expect(sectionBackend)
-	b.nextID = r.U64()
-	n := r.U64()
-	if err := r.Err(); err != nil {
-		return err
-	}
-	for i := uint64(0); i < n; i++ {
-		ref := r.Ref()
-		if err := r.Err(); err != nil {
-			return err
-		}
-		obj, err := resolve(ref, event.RoleHandler)
-		if err != nil {
-			return fmt.Errorf("backend pending %d: %w", i, err)
-		}
-		req, ok := obj.(*mem.Request)
-		if !ok {
-			return fmt.Errorf("%w: pending entry resolved to %T", snap.ErrCorrupt, obj)
-		}
-		b.pending = append(b.pending, req)
-	}
-	return nil
+// Snap walks the backend's ID counter and retry buffer. The buffered requests
+// are references into the restore-time request memo (see ResolveRef), so
+// every reference to one in-flight request — this buffer's, the controller's
+// queue entry's — resolves to the same wrapper; the core calls FinishRestore
+// once the whole machine is back.
+func (b *MemBackend) Snap(c *snap.Codec, resolve event.Resolver) error {
+	c.Marker(sectionBackend)
+	c.U64(&b.nextID)
+	snap.Slice(c, &b.pending, func(p **mem.Request) { event.Link(c, p, event.RoleHandler, resolve) })
+	return c.Err()
 }
 
 // FinishRestore drops the restore-time request memo.
@@ -353,16 +230,9 @@ func (b *MemBackend) ResolveRef(ref *snap.Ref, resolve event.Resolver) (any, err
 		}
 		p.done = nil
 		if ref.Inner != nil {
-			if ref.Inner.Kind == snap.KNone {
-				return nil, fmt.Errorf("%w: request %d carries an unserializable completion", snap.ErrUnsupported, id)
-			}
-			obj, err := resolve(ref.Inner, event.RoleFiller)
+			f, err := event.ResolveAs[event.Filler](resolve, ref.Inner, event.RoleFiller)
 			if err != nil {
 				return nil, fmt.Errorf("request %d completion: %w", id, err)
-			}
-			f, ok := obj.(event.Filler)
-			if !ok {
-				return nil, fmt.Errorf("%w: request completion resolved to %T", snap.ErrCorrupt, obj)
 			}
 			p.done = f
 		}

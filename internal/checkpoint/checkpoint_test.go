@@ -162,11 +162,54 @@ func TestStorePersistsAcrossCaches(t *testing.T) {
 	}
 }
 
+// seal recomputes a checkpoint frame's trailing CRC-32C in place.
+func seal(frame []byte) []byte {
+	binary.LittleEndian.PutUint32(frame[len(frame)-4:],
+		crc32.Checksum(frame[:len(frame)-4], crc32.MakeTable(crc32.Castagnoli)))
+	return frame
+}
+
+// oversizedCount returns a sealed copy of frame whose CPU section claims
+// 1<<62 issue-queue entries: a valid frame of this build's version that lies
+// about its contents. It reads up to that count the way the walks do (the
+// simulator header, the CPU section's scalars, its committed-store buffer).
+func oversizedCount(t *testing.T, frame []byte) []byte {
+	t.Helper()
+	r, err := snap.NewReader(frame, string(frame[:4]), frame[4])
+	if err != nil {
+		t.Fatal(err)
+	}
+	r.U64() // core's section marker
+	_ = r.String()
+	for i := 0; i < 6+1+2; i++ { // run-loop registers; cpu's marker, Cycles, TotalCommitted
+		r.U64()
+	}
+	for i := 0; i < 7; i++ {
+		r.I64()
+	}
+	r.Bool()
+	r.Bool()
+	for n := r.U64(); n > 0; n-- { // committed stores: address + cache.Meta
+		r.U64()
+		r.I64()
+		r.Bool()
+		r.I64()
+		r.I64()
+		r.I64()
+	}
+	at := len(frame) - 4 - r.Remaining()
+	if old := r.U64(); r.Err() != nil || old == 0 || old > 96 {
+		t.Fatalf("issue-queue count reads %d (%v): the CPU section's layout moved, update this reader", old, r.Err())
+	}
+	out := binary.AppendUvarint(append([]byte(nil), frame[:at]...), 1<<62)
+	return seal(append(out, frame[len(frame)-4-r.Remaining():]...))
+}
+
 // TestCorruptStoreEntryRecomputes: a store entry that is not a checkpoint
 // this build can restore — undecodable bytes (the store's own CRC can still
-// pass: it seals whatever was written), or a well-formed frame an earlier
-// codec version wrote — must degrade to a recomputed warmup, never a failed
-// or wrong run.
+// pass: it seals whatever was written), a well-formed frame an earlier codec
+// version wrote, or a sealed current-version frame whose payload lies — must
+// degrade to a recomputed warmup, never a failed or wrong run.
 func TestCorruptStoreEntryRecomputes(t *testing.T) {
 	cfg := fastCfg("mcf")
 	want, err := core.Run(cfg)
@@ -186,9 +229,7 @@ func TestCorruptStoreEntryRecomputes(t *testing.T) {
 	stamp := func(version byte) []byte {
 		f := append([]byte(nil), chk.Data...)
 		f[4] = version
-		binary.LittleEndian.PutUint32(f[len(f)-4:],
-			crc32.Checksum(f[:len(f)-4], crc32.MakeTable(crc32.Castagnoli)))
-		return f
+		return seal(f)
 	}
 	older, v2 := stamp(chk.Data[4]-1), stamp(2)
 	for name, frame := range map[string][]byte{"previous-version": older, "version-2": v2} {
@@ -203,6 +244,7 @@ func TestCorruptStoreEntryRecomputes(t *testing.T) {
 		"undecodable":      []byte("not a checkpoint frame"),
 		"previous version": older,
 		"version 2":        v2,
+		"oversized count":  oversizedCount(t, chk.Data),
 	} {
 		t.Run(name, func(t *testing.T) {
 			dir := t.TempDir()

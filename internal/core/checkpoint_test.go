@@ -135,7 +135,7 @@ func TestCheckpointReencodeByteStable(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			again, err := s.encode(s.resumeAt, s.resumeLC, s.resumeLP)
+			again, err := s.encode()
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -134,16 +134,20 @@ type Simulator struct {
 	fsn  *failSnap
 	skip obs.SkipStats
 
-	// Warmup-checkpoint plumbing (see snapshot.go). pauseArmed makes
-	// RunContext serialize the machine and stop at the warmup boundary;
-	// resumeAt (with the restored watchdog registers) makes it continue a
-	// decoded checkpoint from that same boundary.
-	pauseArmed bool
-	pauseData  []byte
-	pauseNow   uint64
-	resumeAt   uint64
-	resumeLC   uint64
-	resumeLP   uint64
+	ckpt ckptRegs
+}
+
+// ckptRegs is the warmup-checkpoint plumbing (see snapshot.go). armed makes
+// RunContext freeze the machine at the warmup boundary, leave the frame in
+// data and stop. at, lastCommitted and lastProgress are the run-loop
+// registers that cross that boundary — its cycle and the watchdog's progress
+// state — which the checkpoint walk serializes: set when the run pauses, and
+// in a machine decoded from a checkpoint, where a non-zero at makes
+// RunContext continue from that same boundary.
+type ckptRegs struct {
+	armed                           bool
+	data                            []byte
+	at, lastCommitted, lastProgress uint64
 }
 
 // SkipStats reports how much of the run the two-speed clock fast-forwarded
@@ -395,6 +399,28 @@ func (s *Simulator) RunContext(ctx context.Context) (Result, error) {
 			phaseSpan = runSpan.Child("warmup", obs.A("start_cycle", "0"))
 		}
 	}
+	// startMeasuring is the warmup transition: every cumulative counter is
+	// frozen at cycle at, so results cover only what follows.
+	startMeasuring := func(at uint64) {
+		s.ctrl.FinishStats(at)
+		sn = s.takeSnapshot(at)
+		if runSpan != nil {
+			endPhase(at)
+			phaseSpan = runSpan.Child("measure", obs.A("start_cycle", strconv.FormatUint(at, 10)))
+		}
+	}
+	// closeOut ends the run at cycle at, however it ends — finished, budget
+	// spent, cancelled, or aborted by the watchdog: stats and observer are
+	// closed the same way, leaving the simulator in a consistent state.
+	closeOut := func(at uint64) {
+		endPhase(at)
+		s.ctrl.FinishStats(at)
+		s.skip.Wall = at
+		if s.obs != nil {
+			s.obs.Skip = s.skip
+			s.obs.Finish(at)
+		}
+	}
 	skipping := !s.cfg.DisableClockSkip
 	// Deep skip lets a quiet span pass through event cycles whose work is
 	// internal to the memory system (an MSHR chain hop, a controller
@@ -474,21 +500,16 @@ func (s *Simulator) RunContext(ctx context.Context) (Result, error) {
 	// the remainder of its iteration (guarded below) before continuing
 	// normally — landing on the exact instruction stream an uninterrupted run
 	// would execute.
-	resumed := s.resumeAt > 0
+	resumed := s.ckpt.at > 0
 	startAt := uint64(1)
 	if resumed {
-		startAt = s.resumeAt
-		lastCommitted, lastProgress = s.resumeLC, s.resumeLP
+		startAt = s.ckpt.at
+		lastCommitted, lastProgress = s.ckpt.lastCommitted, s.ckpt.lastProgress
 	}
 	for now = startAt; now <= limit; now++ {
 		if resumed {
 			resumed = false
-			s.ctrl.FinishStats(now)
-			sn = s.takeSnapshot(now)
-			if runSpan != nil {
-				endPhase(now)
-				phaseSpan = runSpan.Child("measure", obs.A("start_cycle", strconv.FormatUint(now, 10)))
-			}
+			startMeasuring(now)
 		} else {
 			s.q.RunUntil(now)
 			s.cpu.Tick(now)
@@ -503,25 +524,13 @@ func (s *Simulator) RunContext(ctx context.Context) (Result, error) {
 			// as an abort.
 			if now&1023 == 0 {
 				if err := ctx.Err(); err != nil {
-					endPhase(now)
-					s.ctrl.FinishStats(now)
-					s.skip.Wall = now
-					if s.obs != nil {
-						s.obs.Skip = s.skip
-						s.obs.Finish(now)
-					}
+					closeOut(now)
 					return Result{}, err
 				}
 				if c := s.cpu.TotalCommitted; c != lastCommitted {
 					lastCommitted, lastProgress = c, now
 				} else if now-lastProgress >= wd {
-					endPhase(now)
-					s.ctrl.FinishStats(now)
-					s.skip.Wall = now
-					if s.obs != nil {
-						s.obs.Skip = s.skip
-						s.obs.Finish(now)
-					}
+					closeOut(now)
 					return Result{}, &NoProgressError{Cycle: now, Window: wd, Committed: c}
 				}
 			}
@@ -532,24 +541,20 @@ func (s *Simulator) RunContext(ctx context.Context) (Result, error) {
 				}
 			}
 			if !sn.taken && s.cpu.AllWarmed() {
-				if s.pauseArmed {
+				if s.ckpt.armed {
 					// Armed warmup checkpoint: freeze the machine exactly here
 					// — before the transition work the resumed run replays —
-					// and hand the frame back through the pause fields.
-					s.pauseArmed = false
-					data, err := s.encode(now, lastCommitted, lastProgress)
+					// and hand the frame back through the checkpoint registers.
+					s.ckpt.armed = false
+					s.ckpt.at, s.ckpt.lastCommitted, s.ckpt.lastProgress = now, lastCommitted, lastProgress
+					data, err := s.encode()
 					if err != nil {
 						return Result{}, err
 					}
-					s.pauseData, s.pauseNow = data, now
+					s.ckpt.data = data
 					return Result{}, errPaused
 				}
-				s.ctrl.FinishStats(now)
-				sn = s.takeSnapshot(now)
-				if runSpan != nil {
-					endPhase(now)
-					phaseSpan = runSpan.Child("measure", obs.A("start_cycle", strconv.FormatUint(now, 10)))
-				}
+				startMeasuring(now)
 			}
 		}
 		if sn.taken && s.cpu.AllFinished() {
@@ -661,13 +666,7 @@ func (s *Simulator) RunContext(ctx context.Context) (Result, error) {
 			committed: make([]uint64, len(s.cfg.Apps)),
 		}
 	}
-	endPhase(now)
-	s.ctrl.FinishStats(now)
-	s.skip.Wall = now
-	if s.obs != nil {
-		s.obs.Skip = s.skip
-		s.obs.Finish(now)
-	}
+	closeOut(now)
 	return s.collect(now, sn)
 }
 

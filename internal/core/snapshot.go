@@ -14,7 +14,6 @@ import (
 	"fmt"
 
 	"smtdram/internal/cache"
-	"smtdram/internal/obs"
 	"smtdram/internal/snap"
 )
 
@@ -71,11 +70,11 @@ func WarmupCheckpoint(ctx context.Context, cfg Config) (*Checkpoint, error) {
 	if err != nil {
 		return nil, err
 	}
-	s.pauseArmed = true
+	s.ckpt.armed = true
 	_, err = s.RunContext(ctx)
 	switch {
 	case errors.Is(err, errPaused):
-		return &Checkpoint{Prefix: cfg.WarmupFingerprint(), Now: s.pauseNow, Data: s.pauseData}, nil
+		return &Checkpoint{Prefix: cfg.WarmupFingerprint(), Now: s.ckpt.at, Data: s.ckpt.data}, nil
 	case err != nil:
 		return nil, err
 	default:
@@ -110,107 +109,82 @@ func RunFromCheckpoint(ctx context.Context, cfg Config, chk *Checkpoint) (Result
 	return s.RunContext(ctx)
 }
 
-// encode serializes the full machine plus the run-loop registers that survive
-// the pause (cycle position, watchdog progress state, skip accounting).
-func (s *Simulator) encode(now, lastCommitted, lastProgress uint64) ([]byte, error) {
+// encode seals the machine's walk into a checkpoint frame.
+func (s *Simulator) encode() ([]byte, error) {
 	w := &snap.Writer{}
-	w.Marker(sectionSim)
-	w.String(s.cfg.WarmupFingerprint())
-	w.U64(now)
-	w.U64(lastCommitted)
-	w.U64(lastProgress)
-	w.U64(s.skip.Skipped)
-	w.U64(s.skip.Segments)
-	w.U64(s.skip.Longest)
-	if err := s.cpu.Snapshot(w); err != nil {
+	if err := s.walk(snap.Saving(w)); err != nil {
 		return nil, err
-	}
-	for _, l := range []*cache.Level{s.l1i, s.l1d, s.l2, s.l3} {
-		if err := l.Snapshot(w); err != nil {
-			return nil, err
-		}
-	}
-	if err := s.mb.Snapshot(w); err != nil {
-		return nil, err
-	}
-	if err := s.ctrl.Snapshot(w); err != nil {
-		return nil, err
-	}
-	if err := s.q.Snapshot(w); err != nil {
-		return nil, err
-	}
-	w.U64(uint64(len(s.gens)))
-	for _, g := range s.gens {
-		if err := g.Snapshot(w); err != nil {
-			return nil, err
-		}
 	}
 	return w.Frame(ckptMagic, ckptVersion), nil
 }
 
-// decode rebuilds the machine from a checkpoint frame. Restoration order
-// follows reference direction: the CPU first (its fill carriers resolve from
-// pools alone), then the cache levels top-down (a level's MSHR waiters point
-// at the level above), then the memory backend, the controller (queued
-// entries reference backend requests), the event queue (references
-// everything), and the workload generators.
+// decode rebuilds the machine from a checkpoint frame.
 func (s *Simulator) decode(data []byte) error {
 	r, err := snap.NewReader(data, ckptMagic, ckptVersion)
 	if err != nil {
 		return err
 	}
-	r.Expect(sectionSim)
-	prefix := r.String()
-	now := r.U64()
-	lastCommitted := r.U64()
-	lastProgress := r.U64()
-	skipped, segments, longest := r.U64(), r.U64(), r.U64()
-	if err := r.Err(); err != nil {
+	if err := s.walk(snap.Loading(r)); err != nil {
 		return err
 	}
-	if want := s.cfg.WarmupFingerprint(); prefix != want {
-		return fmt.Errorf("%w: checkpoint prefix %q does not match configuration %q", snap.ErrCorrupt, prefix, want)
+	r.Done()
+	s.mb.FinishRestore()
+	return r.Err()
+}
+
+// walk is the checkpoint format: the run-loop registers that survive the
+// pause (cycle position, watchdog progress state, skip accounting), then the
+// full machine. Component order follows reference direction, so that loading
+// always finds a reference's target already back: the CPU first (its fill
+// carriers resolve from pools alone), then the cache levels top-down (a
+// level's MSHR waiters point at the level above), then the memory backend,
+// the controller (queued entries reference backend requests), the event queue
+// (references everything), and the workload generators.
+func (s *Simulator) walk(c *snap.Codec) error {
+	c.Marker(sectionSim)
+	want := s.cfg.WarmupFingerprint()
+	prefix := want
+	c.String(&prefix)
+	c.U64(&s.ckpt.at)
+	c.U64(&s.ckpt.lastCommitted)
+	c.U64(&s.ckpt.lastProgress)
+	c.U64(&s.skip.Skipped)
+	c.U64(&s.skip.Segments)
+	c.U64(&s.skip.Longest)
+	switch {
+	case c.Err() != nil:
+	case prefix != want:
+		c.Fail(fmt.Errorf("%w: checkpoint prefix %q does not match configuration %q", snap.ErrCorrupt, prefix, want))
+	case s.ckpt.at == 0 || s.ckpt.at > s.cfg.maxCycles():
+		c.Fail(fmt.Errorf("%w: checkpoint cycle %d outside the run's budget", snap.ErrCorrupt, s.ckpt.at))
 	}
-	if now == 0 || now > s.cfg.maxCycles() {
-		return fmt.Errorf("%w: checkpoint cycle %d outside the run's budget", snap.ErrCorrupt, now)
+	if err := c.Err(); err != nil {
+		return err // before a frame for another machine is walked into this one
 	}
-	if err := s.cpu.Restore(r); err != nil {
+	if err := s.cpu.Snap(c); err != nil {
 		return err
 	}
 	for _, l := range []*cache.Level{s.l1i, s.l1d, s.l2, s.l3} {
-		if err := l.Restore(r, s.resolveRef); err != nil {
+		if err := l.Snap(c, s.resolveRef); err != nil {
 			return err
 		}
 	}
-	if err := s.mb.Restore(r, s.resolveRef); err != nil {
+	if err := s.mb.Snap(c, s.resolveRef); err != nil {
 		return err
 	}
-	if err := s.ctrl.Restore(r, s.resolveRef); err != nil {
+	if err := s.ctrl.Snap(c, s.resolveRef); err != nil {
 		return err
 	}
-	if err := s.q.Restore(r, s.resolveRef); err != nil {
+	if err := s.q.Snap(c, s.resolveRef); err != nil {
 		return err
 	}
-	nG := r.U64()
-	if err := r.Err(); err != nil {
-		return err
-	}
-	if nG != uint64(len(s.gens)) {
-		return fmt.Errorf("%w: checkpoint has %d generators, machine has %d", snap.ErrCorrupt, nG, len(s.gens))
-	}
+	c.Fixed(len(s.gens), "generators")
 	for _, g := range s.gens {
-		if err := g.Restore(r); err != nil {
+		if err := g.Snap(c); err != nil {
 			return err
 		}
 	}
-	r.Done()
-	if err := r.Err(); err != nil {
-		return err
-	}
-	s.mb.FinishRestore()
-	s.skip = obs.SkipStats{Skipped: skipped, Segments: segments, Longest: longest}
-	s.resumeAt, s.resumeLC, s.resumeLP = now, lastCommitted, lastProgress
-	return nil
+	return c.Err()
 }
 
 // resolveRef is the production event.Resolver: it dispatches a decoded

@@ -511,10 +511,6 @@ func (c *CPU) LoadsStores(i int) (loads, stores uint64) {
 // IMisses returns thread i's instruction-cache miss count.
 func (c *CPU) IMisses(i int) uint64 { return c.threads[i].imisses }
 
-// GatedDispatches returns how many times thread i's dispatch was cut short by
-// the fetch policy's resource gate (see gateLimit).
-func (c *CPU) GatedDispatches(i int) uint64 { return c.threads[i].gated }
-
 // RegisterMetrics exposes core occupancies and counters through the metrics
 // registry. Safe on a nil registry.
 func (c *CPU) RegisterMetrics(reg *obs.Registry) {

@@ -1,16 +1,16 @@
 package cpu
 
-// Snapshot/Restore for the SMT core (DESIGN §15). Architectural state is
-// serialized verbatim: per-thread ROB arrays (whole arrays, not just live
-// entries — stale slots participate in slot-recycling checks), the live part
-// of the frontend, replay and in-flight-load deques, and every counter the
-// run loop or stats collection reads. Configuration and wiring (caches, event
-// queue, warmup targets) are not serialized — restore targets a CPU
-// assembled from an identical Config.
+// The SMT core's snapshot walk (DESIGN §15). Architectural state is in the
+// format verbatim: per-thread ROB arrays (whole arrays, not just live entries
+// — stale slots participate in slot-recycling checks), the live part of the
+// frontend, replay and in-flight-load deques, and every counter the run loop
+// or stats collection reads. Configuration and wiring (caches, event queue,
+// warmup targets) are not — a restore targets a CPU assembled from an
+// identical Config.
 //
 // The wakeup state (DESIGN §11) is derived, not serialized. The format
 // carries only the issue queue's order — every live waiting uop as a
-// (thread, slot) pair in dispatch order — and Restore re-enters them through
+// (thread, slot) pair in dispatch order — and loading re-enters them through
 // enqueue, which rebuilds dispatch stamps, unknown-producer counts, consumer
 // lists and the ready set. The rebuild is exact where it matters: a consumer
 // is linked to a producer exactly when that producer's completion time is
@@ -32,76 +32,50 @@ import (
 
 const sectionCPU = 0x53435055 // "CPUS"
 
-func writeInstr(w *snap.Writer, in workload.Instr) {
-	w.U8(uint8(in.Kind))
-	w.U64(in.PC)
-	w.U64(in.Addr)
-	w.I64(int64(in.Dep1))
-	w.I64(int64(in.Dep2))
-	w.I64(int64(in.Lat))
-	w.Bool(in.Mispredict)
-	w.Bool(in.Taken)
+func snapInstr(c *snap.Codec, in *workload.Instr) {
+	c.U8((*uint8)(&in.Kind))
+	c.U64(&in.PC)
+	c.U64(&in.Addr)
+	snap.I64As(c, &in.Dep1)
+	snap.I64As(c, &in.Dep2)
+	snap.I64As(c, &in.Lat)
+	c.Bool(&in.Mispredict)
+	c.Bool(&in.Taken)
 }
 
-func readInstr(r *snap.Reader) workload.Instr {
-	return workload.Instr{
-		Kind:       workload.Kind(r.U8()),
-		PC:         r.U64(),
-		Addr:       r.U64(),
-		Dep1:       int16(r.I64()),
-		Dep2:       int16(r.I64()),
-		Lat:        uint32(r.I64()),
-		Mispredict: r.Bool(),
-		Taken:      r.Bool(),
+// snapDeque walks a head-indexed deque head-normalized: the live entries
+// buf[head:] are the format, and loading refills buf from its start.
+func snapDeque[T any](c *snap.Codec, buf *[]T, head *int, elem func(*T)) {
+	live := (*buf)[*head:]
+	if c.Loading() {
+		live = (*buf)[:0]
+	}
+	snap.Slice(c, &live, elem)
+	if c.Loading() {
+		*buf, *head = live, 0
 	}
 }
 
-func writeCacheMeta(w *snap.Writer, m cache.Meta) {
-	w.I64(int64(m.Thread))
-	w.Bool(m.Critical)
-	w.I64(int64(m.State.Outstanding))
-	w.I64(int64(m.State.ROBOccupancy))
-	w.I64(int64(m.State.IQOccupancy))
-}
-
-func readCacheMeta(r *snap.Reader) cache.Meta {
-	m := cache.Meta{Thread: int(r.I64()), Critical: r.Bool()}
-	m.State.Outstanding = int(r.I64())
-	m.State.ROBOccupancy = int(r.I64())
-	m.State.IQOccupancy = int(r.I64())
-	return m
-}
-
-func writeUop(w *snap.Writer, u *uop) {
-	writeInstr(w, u.in)
-	w.U64(u.seq)
-	w.U64(u.epoch)
-	w.U8(u.state)
-	w.U64(u.doneAt)
-	w.U64(u.issuedAt)
-	w.U64(u.dep1)
-	w.U64(u.dep2)
-}
-
-func readUop(r *snap.Reader, tid int32) uop {
-	return uop{
-		in:       readInstr(r),
-		seq:      r.U64(),
-		epoch:    r.U64(),
-		tid:      tid,
-		state:    r.U8(),
-		doneAt:   r.U64(),
-		issuedAt: r.U64(),
-		dep1:     r.U64(),
-		dep2:     r.U64(),
-	}
-}
-
-// slotOf is how ROB-internal pointers (issue queue, in-flight loads)
+// slotRef is how ROB-internal pointers (issue queue, in-flight loads)
 // serialize: any occupant's seq maps to the slot it lives in, so the pair
 // (thread, seq&robMask) names the pointed-at slot even for poisoned or
-// recycled entries.
-func slotOf(t *thread, u *uop) uint64 { return u.seq & t.robMask }
+// recycled entries. Loading a slot the ROB does not have fails the walk and
+// leaves *p alone.
+func slotRef(c *snap.Codec, t *thread, p **uop) {
+	var slot uint64
+	if !c.Loading() {
+		slot = (*p).seq & t.robMask
+	}
+	c.U64(&slot)
+	if !c.Loading() {
+		return
+	}
+	if slot >= uint64(len(t.rob)) {
+		c.Fail(fmt.Errorf("%w: ROB slot %d out of range", snap.ErrCorrupt, slot))
+		return
+	}
+	*p = &t.rob[slot]
+}
 
 // issueQueue lists every live waiting uop in dispatch order.
 func (c *CPU) issueQueue() []*uop {
@@ -117,203 +91,108 @@ func (c *CPU) issueQueue() []*uop {
 	return iq
 }
 
-// Snapshot serializes the core's mutable state.
-func (c *CPU) Snapshot(w *snap.Writer) error {
-	w.Marker(sectionCPU)
-	w.U64(c.Cycles)
-	w.U64(c.TotalCommitted)
-	w.I64(int64(c.rrFetch))
-	w.I64(int64(c.rrDispatch))
-	w.I64(int64(c.rrCommit))
-	w.I64(int64(c.intIQUsed))
-	w.I64(int64(c.fpIQUsed))
-	w.I64(int64(c.lqUsed))
-	w.I64(int64(c.sqUsed))
-	w.Bool(c.wake)
-	w.Bool(c.acted)
+// Snap walks the core's mutable state. A restore targets a CPU assembled
+// from the identical Config and thread count (the caller walks the
+// instruction sources separately).
+func (c *CPU) Snap(s *snap.Codec) error {
+	s.Marker(sectionCPU)
+	s.U64(&c.Cycles)
+	s.U64(&c.TotalCommitted)
+	s.Int(&c.rrFetch)
+	s.Int(&c.rrDispatch)
+	s.Int(&c.rrCommit)
+	s.Int(&c.intIQUsed)
+	s.Int(&c.fpIQUsed)
+	s.Int(&c.lqUsed)
+	s.Int(&c.sqUsed)
+	s.Bool(&c.wake)
+	s.Bool(&c.acted)
 
-	// Committed-store deque, head-normalized (live entries only).
-	live := c.pendingStores[c.psHead:]
-	w.U64(uint64(len(live)))
-	for _, s := range live {
-		w.U64(s.addr)
-		writeCacheMeta(w, s.meta)
+	snapDeque(s, &c.pendingStores, &c.psHead, func(ps *pendingStore) {
+		s.U64(&ps.addr)
+		cache.SnapMeta(s, &ps.meta)
+	})
+
+	// The issue queue's order. Its slots are resolved after the ROBs they
+	// point into are back, at the end of the walk.
+	type waitRef struct{ tid, slot uint64 }
+	var iq []waitRef
+	if !s.Loading() {
+		for _, u := range c.issueQueue() {
+			iq = append(iq, waitRef{uint64(u.tid), u.seq & c.threads[u.tid].robMask})
+		}
 	}
+	snap.Slice(s, &iq, func(w *waitRef) {
+		s.U64(&w.tid)
+		s.U64(&w.slot)
+	})
 
-	iq := c.issueQueue()
-	w.U64(uint64(len(iq)))
-	for _, u := range iq {
-		w.U64(uint64(u.tid))
-		w.U64(slotOf(c.threads[u.tid], u))
-	}
-
-	w.U64(uint64(len(c.threads)))
+	s.Fixed(len(c.threads), "threads")
 	for _, t := range c.threads {
-		w.Bool(t.hasPeeked)
+		s.Bool(&t.hasPeeked)
 		if t.hasPeeked {
-			writeInstr(w, t.peeked)
+			snapInstr(s, &t.peeked)
 		}
-		w.U64(uint64(len(t.replay) - t.rpHead))
-		for _, in := range t.replay[t.rpHead:] {
-			writeInstr(w, in)
-		}
-		fe := t.frontend[t.feHead:]
-		w.U64(uint64(len(fe)))
-		for _, e := range fe {
-			writeInstr(w, e.in)
-			w.U64(e.readyAt)
-		}
-		w.U64(uint64(len(t.rob)))
+		snapDeque(s, &t.replay, &t.rpHead, func(in *workload.Instr) { snapInstr(s, in) })
+		snapDeque(s, &t.frontend, &t.feHead, func(e *feEntry) {
+			snapInstr(s, &e.in)
+			s.U64(&e.readyAt)
+		})
+		s.Fixed(len(t.rob), "ROB slots")
 		for i := range t.rob {
-			writeUop(w, &t.rob[i])
-		}
-		w.U64(t.headSeq)
-		w.U64(t.nextSeq)
-		w.U64(t.epoch)
-		w.I64(int64(t.iqInt))
-		w.I64(int64(t.iqFP))
-		w.I64(int64(t.lq))
-		w.I64(int64(t.sq))
-		w.U64(t.committed)
-		w.U64(uint64(t.outstanding()))
-		for _, u := range t.inFlight[t.ifHead:] {
-			w.U64(slotOf(t, u))
-		}
-		w.U64(t.curILine)
-		w.Bool(t.imissPending)
-		w.U64(t.fetchBlockedUntil)
-		w.U64(t.warmedAt)
-		w.U64(t.finishedAt)
-		w.U64(t.squashes)
-		w.U64(t.loads)
-		w.U64(t.stores)
-		w.U64(t.imisses)
-		w.U64(t.gated)
-	}
-	return nil
-}
-
-// Restore rebuilds the core's mutable state from r into a CPU assembled from
-// the identical Config and thread count (instruction sources are restored
-// separately by the caller).
-func (c *CPU) Restore(r *snap.Reader) error {
-	r.Expect(sectionCPU)
-	c.Cycles = r.U64()
-	c.TotalCommitted = r.U64()
-	c.rrFetch = int(r.I64())
-	c.rrDispatch = int(r.I64())
-	c.rrCommit = int(r.I64())
-	c.intIQUsed = int(r.I64())
-	c.fpIQUsed = int(r.I64())
-	c.lqUsed = int(r.I64())
-	c.sqUsed = int(r.I64())
-	c.wake = r.Bool()
-	c.acted = r.Bool()
-
-	c.pendingStores = c.pendingStores[:0]
-	c.psHead = 0
-	nPS := r.U64()
-	if err := r.Err(); err != nil {
-		return err
-	}
-	for i := uint64(0); i < nPS; i++ {
-		c.pendingStores = append(c.pendingStores, pendingStore{addr: r.U64(), meta: readCacheMeta(r)})
-	}
-
-	type slotRef struct{ tid, slot uint64 }
-	nW := r.U64()
-	if err := r.Err(); err != nil {
-		return err
-	}
-	waitRefs := make([]slotRef, nW)
-	for i := range waitRefs {
-		waitRefs[i] = slotRef{tid: r.U64(), slot: r.U64()}
-	}
-
-	nT := r.U64()
-	if r.Err() == nil && nT != uint64(len(c.threads)) {
-		return fmt.Errorf("%w: snapshot has %d threads, cpu has %d", snap.ErrCorrupt, nT, len(c.threads))
-	}
-	for _, t := range c.threads {
-		t.hasPeeked = r.Bool()
-		if t.hasPeeked {
-			t.peeked = readInstr(r)
-		}
-		t.replay, t.rpHead = t.replay[:0], 0
-		nRep := r.U64()
-		if err := r.Err(); err != nil {
-			return err
-		}
-		for i := uint64(0); i < nRep; i++ {
-			t.replay = append(t.replay, readInstr(r))
-		}
-		t.frontend = t.frontend[:0]
-		t.feHead = 0
-		nFE := r.U64()
-		if err := r.Err(); err != nil {
-			return err
-		}
-		for i := uint64(0); i < nFE; i++ {
-			t.frontend = append(t.frontend, feEntry{in: readInstr(r), readyAt: r.U64()})
-		}
-		nROB := r.U64()
-		if r.Err() == nil && nROB != uint64(len(t.rob)) {
-			return fmt.Errorf("%w: snapshot ROB depth %d, configured %d", snap.ErrCorrupt, nROB, len(t.rob))
-		}
-		for i := range t.rob {
-			t.rob[i] = readUop(r, int32(t.id))
-		}
-		t.headSeq = r.U64()
-		t.nextSeq = r.U64()
-		t.epoch = r.U64()
-		t.iqInt = int(r.I64())
-		t.iqFP = int(r.I64())
-		t.lq = int(r.I64())
-		t.sq = int(r.I64())
-		t.committed = r.U64()
-		t.inFlight, t.ifHead = t.inFlight[:0], 0
-		nIF := r.U64()
-		if err := r.Err(); err != nil {
-			return err
-		}
-		for i := uint64(0); i < nIF; i++ {
-			slot := r.U64()
-			if slot >= uint64(len(t.rob)) {
-				return fmt.Errorf("%w: in-flight slot %d out of range", snap.ErrCorrupt, slot)
+			u := &t.rob[i]
+			if s.Loading() {
+				*u = uop{tid: int32(t.id)} // derived fields restart from zero
 			}
-			t.inFlight = append(t.inFlight, &t.rob[slot])
+			snapInstr(s, &u.in)
+			s.U64(&u.seq)
+			s.U64(&u.epoch)
+			s.U8(&u.state)
+			s.U64(&u.doneAt)
+			s.U64(&u.issuedAt)
+			s.U64(&u.dep1)
+			s.U64(&u.dep2)
 		}
-		t.curILine = r.U64()
-		t.imissPending = r.Bool()
-		t.fetchBlockedUntil = r.U64()
-		t.warmedAt = r.U64()
-		t.finishedAt = r.U64()
-		t.squashes = r.U64()
-		t.loads = r.U64()
-		t.stores = r.U64()
-		t.imisses = r.U64()
-		t.gated = r.U64()
+		s.U64(&t.headSeq)
+		s.U64(&t.nextSeq)
+		s.U64(&t.epoch)
+		s.Int(&t.iqInt)
+		s.Int(&t.iqFP)
+		s.Int(&t.lq)
+		s.Int(&t.sq)
+		s.U64(&t.committed)
+		snapDeque(s, &t.inFlight, &t.ifHead, func(p **uop) { slotRef(s, t, p) })
+		s.U64(&t.curILine)
+		s.Bool(&t.imissPending)
+		s.U64(&t.fetchBlockedUntil)
+		s.U64(&t.warmedAt)
+		s.U64(&t.finishedAt)
+		s.U64(&t.squashes)
+		s.U64(&t.loads)
+		s.U64(&t.stores)
+		s.U64(&t.imisses)
+		s.U64(&t.gated)
 	}
 
-	// Rebuild the wakeup state: re-enter the issue queue in dispatch order.
-	// Only the order of stamps matters, so they restart — at 1, which leaves
-	// 0 (what readUop produced) to mark a slot not yet re-entered.
-	c.ready, c.nextStamp = c.ready[:0], 1
-	for _, wr := range waitRefs {
-		if wr.tid >= uint64(len(c.threads)) {
-			return fmt.Errorf("%w: waiting entry thread %d out of range", snap.ErrCorrupt, wr.tid)
+	if s.Loading() && s.Err() == nil {
+		// Rebuild the wakeup state: re-enter the issue queue in dispatch
+		// order. Only the order of stamps matters, so they restart — at 1,
+		// which leaves 0 (what the ROB walk left) to mark a slot not yet
+		// re-entered.
+		c.ready, c.nextStamp = c.ready[:0], 1
+		for _, w := range iq {
+			if w.tid >= uint64(len(c.threads)) || w.slot >= uint64(len(c.threads[w.tid].rob)) {
+				return fmt.Errorf("%w: waiting entry (%d, %d) out of range", snap.ErrCorrupt, w.tid, w.slot)
+			}
+			t := c.threads[w.tid]
+			u := &t.rob[w.slot]
+			if u.state != stWaiting || u.seq < t.headSeq || u.seq >= t.nextSeq || u.stamp != 0 {
+				return fmt.Errorf("%w: waiting entry (%d, %d) is not a live waiting uop", snap.ErrCorrupt, w.tid, w.slot)
+			}
+			c.enqueue(t, u)
 		}
-		t := c.threads[wr.tid]
-		if wr.slot >= uint64(len(t.rob)) {
-			return fmt.Errorf("%w: waiting entry slot %d out of range", snap.ErrCorrupt, wr.slot)
-		}
-		u := &t.rob[wr.slot]
-		if u.state != stWaiting || u.seq < t.headSeq || u.seq >= t.nextSeq || u.stamp != 0 {
-			return fmt.Errorf("%w: waiting entry (%d, %d) is not a live waiting uop", snap.ErrCorrupt, wr.tid, wr.slot)
-		}
-		c.enqueue(t, u)
 	}
-	return r.Err()
+	return s.Err()
 }
 
 // ResolveRef maps CPU-kind references (pending load fills, I-fills, branch

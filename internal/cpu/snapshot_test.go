@@ -7,9 +7,10 @@ import (
 
 // Every field of the core's three state structs is one of:
 //
-//	serialized — written by Snapshot and read back by Restore (a deque is
-//	             written head-normalized: buffer and head index together);
-//	derived    — rebuilt by Restore from serialized state (snapshot.go's
+//	serialized — walked by Snap, so written when saving and assigned when
+//	             loading (a deque is walked head-normalized: buffer and head
+//	             index together);
+//	derived    — rebuilt by a loading Snap from serialized state (snapshot.go's
 //	             file comment says how and why that is exact);
 //	wiring     — configuration, links to other components, and scratch
 //	             buffers and pools that carry nothing across a cycle; the

@@ -373,7 +373,7 @@ func TestSquashHeavyStreamDoesNotAllocate(t *testing.T) {
 	}
 }
 
-// Restore rebuilds the wakeup structures from the issue queue's order alone.
+// Loading rebuilds the wakeup structures from the issue queue's order alone.
 // The rebuild must reproduce the live machine's counts, lists and ready set
 // exactly; ready times may differ only where both are already in the past.
 func TestRestoreRebuildsWakeupState(t *testing.T) {
@@ -386,7 +386,7 @@ func TestRestoreRebuildsWakeupState(t *testing.T) {
 			live.step(c)
 		}
 		var w snap.Writer
-		if err := live.cpu.Snapshot(&w); err != nil {
+		if err := live.cpu.Snap(snap.Saving(&w)); err != nil {
 			t.Fatal(err)
 		}
 		rd, err := snap.NewReader(w.Frame("TEST", 1), "TEST", 1)
@@ -394,7 +394,7 @@ func TestRestoreRebuildsWakeupState(t *testing.T) {
 			t.Fatal(err)
 		}
 		fresh := mk()
-		if err := fresh.cpu.Restore(rd); err != nil {
+		if err := fresh.cpu.Snap(snap.Loading(rd)); err != nil {
 			t.Fatal(err)
 		}
 		checkWakeup(t, fresh.cpu, stop)
@@ -412,7 +412,7 @@ func TestRestoreRebuildsWakeupState(t *testing.T) {
 			ft := fresh.cpu.threads[i]
 			for s := lt.headSeq; s < lt.nextSeq; s++ {
 				lu, fu := lt.slot(s), ft.slot(s)
-				// Whole-uop equality, so a field Restore forgets shows up here.
+				// Whole-uop equality, so a field the walk forgets shows up here.
 				// Stamps carry only an order (the ready set's, compared above).
 				l, f := *lu, *fu
 				l.stamp, f.stamp = 0, 0

@@ -209,9 +209,6 @@ func (c *Channel) applyRefresh(now uint64) {
 // Params returns the channel's timing parameters.
 func (c *Channel) Params() Params { return c.p }
 
-// Banks returns the number of independent banks on the channel.
-func (c *Channel) Banks() int { return len(c.banks) }
-
 func (c *Channel) bankAt(chip, b int) *bank { return &c.banks[chip*c.perChip+b] }
 
 // Classify reports what outcome an access to (chip, bank, row) would see

@@ -1,72 +1,37 @@
 package dram
 
-// Snapshot/Restore for the DRAM device models (DESIGN §15). A Channel is
-// pure timestamp state — no events, no pointers — so the codec is a flat
-// field dump: bank row/ready state, bus state, the refresh clock, and the
-// outcome counters (including the ECC decoder's).
+// The DRAM device models' snapshot walk (DESIGN §15). A Channel is pure
+// timestamp state — no events, no pointers — so the walk is a flat field
+// list: bank row/ready state, bus state, the refresh clock, and the outcome
+// counters (including the ECC decoder's).
 
-import (
-	"fmt"
-
-	"smtdram/internal/snap"
-)
+import "smtdram/internal/snap"
 
 const sectionChannel = 0x4452414D // "DRAM"
 
-// Snapshot serializes the channel's mutable state. Timing parameters and the
-// bank grid shape are configuration and are not written; restore targets a
-// channel built by NewChannel with identical arguments.
-func (c *Channel) Snapshot(w *snap.Writer) error {
-	w.Marker(sectionChannel)
-	w.U64(uint64(len(c.banks)))
+// Snap walks the channel's mutable state. Timing parameters and the bank
+// grid shape are configuration and are not in the format; a restore targets
+// a channel built by NewChannel with identical arguments.
+func (c *Channel) Snap(s *snap.Codec) error {
+	s.Marker(sectionChannel)
+	s.Fixed(len(c.banks), "banks")
 	for i := range c.banks {
-		w.I64(c.banks[i].openRow)
-		w.U64(c.banks[i].readyAt)
+		s.I64(&c.banks[i].openRow)
+		s.U64(&c.banks[i].readyAt)
 	}
-	w.U64(c.busFreeAt)
-	w.Bool(c.lastWasWrite)
-	w.U64(c.nextRefreshAt)
-	w.U64(c.ECC.Stats.Detected)
-	w.U64(c.ECC.Stats.Corrected)
-	w.U64(c.ECC.Stats.Uncorrected)
-	w.U64(c.Stats.Hits)
-	w.U64(c.Stats.Closed)
-	w.U64(c.Stats.Conflicts)
-	w.U64(c.Stats.Reads)
-	w.U64(c.Stats.Writes)
-	w.U64(c.Stats.BusBusy)
-	w.U64(c.Stats.Turnarounds)
-	w.U64(c.Stats.Refreshes)
-	return nil
-}
-
-// Restore rebuilds the channel's mutable state from r.
-func (c *Channel) Restore(r *snap.Reader) error {
-	r.Expect(sectionChannel)
-	n := r.U64()
-	if err := r.Err(); err != nil {
-		return err
-	}
-	if n != uint64(len(c.banks)) {
-		return fmt.Errorf("%w: snapshot has %d banks, channel has %d", snap.ErrCorrupt, n, len(c.banks))
-	}
-	for i := range c.banks {
-		c.banks[i].openRow = r.I64()
-		c.banks[i].readyAt = r.U64()
-	}
-	c.busFreeAt = r.U64()
-	c.lastWasWrite = r.Bool()
-	c.nextRefreshAt = r.U64()
-	c.ECC.Stats.Detected = r.U64()
-	c.ECC.Stats.Corrected = r.U64()
-	c.ECC.Stats.Uncorrected = r.U64()
-	c.Stats.Hits = r.U64()
-	c.Stats.Closed = r.U64()
-	c.Stats.Conflicts = r.U64()
-	c.Stats.Reads = r.U64()
-	c.Stats.Writes = r.U64()
-	c.Stats.BusBusy = r.U64()
-	c.Stats.Turnarounds = r.U64()
-	c.Stats.Refreshes = r.U64()
-	return r.Err()
+	s.U64(&c.busFreeAt)
+	s.Bool(&c.lastWasWrite)
+	s.U64(&c.nextRefreshAt)
+	s.U64(&c.ECC.Stats.Detected)
+	s.U64(&c.ECC.Stats.Corrected)
+	s.U64(&c.ECC.Stats.Uncorrected)
+	s.U64(&c.Stats.Hits)
+	s.U64(&c.Stats.Closed)
+	s.U64(&c.Stats.Conflicts)
+	s.U64(&c.Stats.Reads)
+	s.U64(&c.Stats.Writes)
+	s.U64(&c.Stats.BusBusy)
+	s.U64(&c.Stats.Turnarounds)
+	s.U64(&c.Stats.Refreshes)
+	return s.Err()
 }

@@ -29,22 +29,116 @@ const (
 // or look up the object.
 type Resolver func(ref *snap.Ref, role uint8) (any, error)
 
+// RefOf names obj for a snapshot: its SnapRef, or — for an object the codec
+// cannot name, such as a test's closure wrapped in FillFunc — a KNone
+// reference, which Link refuses to save and ResolveAs to resolve.
+func RefOf(obj any) snap.Ref {
+	if rm, ok := obj.(RefMaker); ok {
+		return rm.SnapRef()
+	}
+	return snap.Ref{Kind: snap.KNone}
+}
+
+// ResolveAs resolves ref in role and asserts the live object is a T: the one
+// place a decoded reference turns back into a typed pointer.
+func ResolveAs[T any](resolve Resolver, ref *snap.Ref, role uint8) (T, error) {
+	var zero T
+	switch {
+	case ref == nil:
+		return zero, fmt.Errorf("%w: missing reference", snap.ErrCorrupt)
+	case ref.Kind == snap.KNone:
+		return zero, fmt.Errorf("%w: reference to an object the codec could not name", snap.ErrUnsupported)
+	}
+	obj, err := resolve(ref, role)
+	if err != nil {
+		return zero, err
+	}
+	v, ok := obj.(T)
+	if !ok {
+		return zero, fmt.Errorf("%w: ref kind %d resolved to %T, which its slot cannot hold", snap.ErrCorrupt, ref.Kind, obj)
+	}
+	return v, nil
+}
+
+// Link walks one slot that holds a live object by reference: saving writes
+// the object's RefOf, loading resolves the decoded reference in role and
+// stores the result in *p.
+func Link[T any](c *snap.Codec, p *T, role uint8, resolve Resolver) {
+	var ref *snap.Ref
+	if !c.Loading() {
+		r := RefOf(*p)
+		if r.Kind == snap.KNone {
+			c.Fail(fmt.Errorf("%w: %T has no SnapRef", snap.ErrUnsupported, *p))
+		}
+		ref = &r
+	}
+	c.Ref(&ref)
+	if c.Loading() && c.Err() == nil {
+		v, err := ResolveAs[T](resolve, ref, role)
+		if err != nil {
+			c.Fail(err)
+			return
+		}
+		*p = v
+	}
+}
+
 const sectionQueue = 0x51455645 // "EVEQ"
 
-// Snapshot serializes the queue — counters and every pending event in exact
-// global (cycle, seq) order — into w. Events scheduled as raw closures
-// (Schedule/FillFunc) have no name to serialize and yield ErrUnsupported;
-// all production scheduling goes through Handler/Filler objects implementing
+// Snap walks the queue: the drain cursor and counters, then every pending
+// event — its exact (cycle, seq) pair, the role it was scheduled in and its
+// object's reference — in global (cycle, seq) order. Loading resolves each
+// reference through resolve (a Handler for RoleHandler items, a Filler for
+// RoleFiller ones) and re-places the events verbatim, so the next drain fires
+// in precisely the order the saved queue would have. Events scheduled as raw
+// closures (Schedule) have no name to save and fail with ErrUnsupported; all
+// production scheduling goes through Handler/Filler objects implementing
 // RefMaker.
-func (q *Queue) Snapshot(w *snap.Writer) error {
-	w.Marker(sectionQueue)
-	w.U64(q.base)
-	w.U64(q.seq)
-	w.U64(q.fired)
-	w.U64(q.firedAt)
-	w.U64(q.past)
-	w.U64(uint64(q.maxLen))
+func (q *Queue) Snap(c *snap.Codec, resolve Resolver) error {
+	var items []item
+	if c.Loading() {
+		q.Reset()
+	} else {
+		items = q.pending()
+	}
+	c.Marker(sectionQueue)
+	c.U64(&q.base)
+	c.U64(&q.seq)
+	c.U64(&q.fired)
+	c.U64(&q.firedAt)
+	c.U64(&q.past)
+	snap.U64As(c, &q.maxLen)
+	snap.Slice(c, &items, func(it *item) {
+		c.U64(&it.at)
+		c.U64(&it.seq)
+		role := RoleHandler
+		if it.f != nil {
+			role = RoleFiller
+		} else if it.h == nil && !c.Loading() {
+			c.Fail(fmt.Errorf("%w: raw closure event at cycle %d", snap.ErrUnsupported, it.at))
+		}
+		c.U8(&role)
+		switch role {
+		case RoleHandler:
+			Link(c, &it.h, role, resolve)
+		case RoleFiller:
+			Link(c, &it.f, role, resolve)
+		default:
+			c.Fail(fmt.Errorf("%w: event role %d", snap.ErrCorrupt, role))
+		}
+	})
+	if c.Loading() && c.Err() == nil {
+		// place bypasses push's sequence assignment and hazard accounting, so
+		// the counters decoded above stand.
+		for _, it := range items {
+			q.place(it)
+		}
+	}
+	return c.Err()
+}
 
+// pending lists every pending event in global (cycle, seq) order.
+func (q *Queue) pending() []item {
 	items := make([]item, 0, q.Len())
 	for s := range q.ring {
 		items = append(items, q.ring[s]...)
@@ -56,95 +150,10 @@ func (q *Queue) Snapshot(w *snap.Writer) error {
 		}
 		return items[i].seq < items[j].seq
 	})
-
-	w.U64(uint64(len(items)))
-	for _, it := range items {
-		var (
-			role uint8
-			obj  any
-		)
-		switch {
-		case it.h != nil:
-			role, obj = RoleHandler, it.h
-		case it.f != nil:
-			role, obj = RoleFiller, it.f
-		default:
-			return fmt.Errorf("%w: raw closure event at cycle %d", snap.ErrUnsupported, it.at)
-		}
-		rm, ok := obj.(RefMaker)
-		if !ok {
-			return fmt.Errorf("%w: event object %T at cycle %d has no SnapRef", snap.ErrUnsupported, obj, it.at)
-		}
-		ref := rm.SnapRef()
-		w.U64(it.at)
-		w.U64(it.seq)
-		w.U8(role)
-		w.Ref(&ref)
-	}
-	return nil
+	return items
 }
 
-// Restore rebuilds the queue from r, resolving each event's descriptor to a
-// live object via resolve (which must return a Handler for RoleHandler items
-// and a Filler for RoleFiller items). Counters, the drain cursor, and every
-// event's exact (cycle, seq) pair are restored verbatim, so the next drain
-// fires in precisely the order the snapshotted queue would have.
-func (q *Queue) Restore(r *snap.Reader, resolve Resolver) error {
-	q.Reset()
-	r.Expect(sectionQueue)
-	q.base = r.U64()
-	seq := r.U64()
-	fired := r.U64()
-	firedAt := r.U64()
-	past := r.U64()
-	maxLen := r.U64()
-	n := r.U64()
-	if err := r.Err(); err != nil {
-		return err
-	}
-	for i := uint64(0); i < n; i++ {
-		it := item{at: r.U64(), seq: r.U64()}
-		role := r.U8()
-		ref := r.Ref()
-		if err := r.Err(); err != nil {
-			return err
-		}
-		if ref == nil {
-			return fmt.Errorf("%w: event %d missing ref", snap.ErrCorrupt, i)
-		}
-		obj, err := resolve(ref, role)
-		if err != nil {
-			return fmt.Errorf("event %d (cycle %d): %w", i, it.at, err)
-		}
-		switch role {
-		case RoleHandler:
-			h, ok := obj.(Handler)
-			if !ok {
-				return fmt.Errorf("%w: resolved %T is not a Handler", snap.ErrCorrupt, obj)
-			}
-			it.h = h
-		case RoleFiller:
-			f, ok := obj.(Filler)
-			if !ok {
-				return fmt.Errorf("%w: resolved %T is not a Filler", snap.ErrCorrupt, obj)
-			}
-			it.f = f
-		default:
-			return fmt.Errorf("%w: event role %d", snap.ErrCorrupt, role)
-		}
-		q.place(it)
-	}
-	// Counters last: place must not disturb the restored values.
-	q.seq = seq
-	q.fired = fired
-	q.firedAt = firedAt
-	q.past = past
-	q.maxLen = int(maxLen)
-	return nil
-}
-
-// place inserts a restored item with its original seq, bypassing push's
-// sequence assignment and hazard accounting (both already restored).
+// place inserts a restored item with its original seq.
 func (q *Queue) place(it item) {
 	if it.at >= q.base && it.at < q.base+ringWindow {
 		s := int(it.at & ringMask)

@@ -4,7 +4,12 @@
 // each request.
 package mem
 
-import "fmt"
+import (
+	"fmt"
+
+	"smtdram/internal/event"
+	"smtdram/internal/snap"
+)
 
 // Kind distinguishes memory-controller request types.
 type Kind uint8
@@ -74,6 +79,11 @@ type Request struct {
 	// *Request.
 	Src any
 }
+
+// SnapRef implements event.RefMaker: a request is named by the issuer-owned
+// wrapper behind it (KNone when the issuer set none, which neither saves nor
+// resolves).
+func (r *Request) SnapRef() snap.Ref { return event.RefOf(r.Src) }
 
 // IsRead reports whether the request is a line fill.
 func (r *Request) IsRead() bool { return r.Kind == Read }

@@ -649,35 +649,16 @@ func (c *Controller) Outstanding(thread int) int {
 // channel; tests use it to observe backpressure.
 func (c *Controller) QueueLen(channel int) int { return len(c.channels[channel].queue) }
 
-// Quiet reports whether the controller is fully idle: no request queued or in
-// flight on any channel and no outstanding demand request parked elsewhere
-// (e.g. on a retry-backoff timer). The controller makes progress only from
-// event callbacks — completions, bank-ready retries, backoff expiries,
-// failover — so a non-quiet controller always has its next state change
-// covered by a pending event. core.Run leans on that invariant when the
-// two-speed clock fast-forwards: a quiescent CPU plus an empty event queue
-// plus a non-quiet controller would mean a lost wakeup, and Quiet is the
-// cheap way to refuse to skip over it.
-func (c *Controller) Quiet() bool {
-	if c.totalOut != 0 {
-		return false
-	}
-	for _, cc := range c.channels {
-		if len(cc.queue) != 0 || cc.inFlight != 0 {
-			return false
-		}
-	}
-	return true
-}
-
 // ProbeQuiet is the memory side of the two-speed clock's fused probe
 // (DESIGN §11), the mirror of cpu.ProbeQuiet: one pass over the channels
-// reports whether the controller is quiescent (exactly Quiet()'s answer) and
-// the earliest future cycle at which it will interact with the rest of the
-// machine — the next in-flight completion's last data beat, the next armed
-// bank-ready retry, the next fault-retry backoff expiry, the next device
-// timing edge of a busy channel (bank tRCD/tRP maturities, bus-slot
-// release), and the planned hard-failover cycle if it has not fired.
+// reports whether the controller is quiescent — no request queued or in
+// flight on any channel and no outstanding demand request parked elsewhere
+// (on a retry-backoff timer, say) — and the earliest future cycle at which it
+// will interact with the rest of the machine: the next in-flight completion's
+// last data beat, the next armed bank-ready retry, the next fault-retry
+// backoff expiry, the next device timing edge of a busy channel (bank
+// tRCD/tRP maturities, bus-slot release), and the planned hard-failover cycle
+// if it has not fired.
 //
 // The bound is sound, not tight: the controller changes state only from
 // event callbacks, and every deadline above has its event already scheduled

@@ -1,6 +1,6 @@
 package memctrl
 
-// Snapshot/Restore for the memory controller (DESIGN §15). Queued entries
+// The memory controller's snapshot walk (DESIGN §15). Queued entries
 // serialize as their request's reference (the request wrapper lives in the
 // cache backend; entry.loc is re-decoded through the mapper on restore);
 // dispatched entries sit in the event queue as their own completion handlers
@@ -18,24 +18,14 @@ import (
 
 const sectionCtrl = 0x4D435452 // "MCTR"
 
-func b2u(b bool) uint64 {
-	if b {
-		return 1
-	}
-	return 0
-}
-
 // SnapRef implements event.RefMaker for a dispatched entry: the channel it is
 // in flight on, its scheduling identity, and (nested) the request it carries.
 func (e *entry) SnapRef() snap.Ref {
 	ref := snap.Ref{Kind: snap.KMemEntry, Args: []uint64{
 		uint64(e.loc.Channel), e.seq, uint64(e.queuedBehind),
-		uint64(e.attempt), b2u(e.backoff),
+		uint64(e.attempt), snap.BoolArg(e.backoff),
 	}}
-	inner := snap.Ref{Kind: snap.KNone}
-	if rm, ok := e.req.Src.(event.RefMaker); ok {
-		inner = rm.SnapRef()
-	}
+	inner := e.req.SnapRef()
 	ref.Inner = &inner
 	return ref
 }
@@ -56,161 +46,60 @@ func (f *failoverEvent) SnapRef() snap.Ref {
 	return snap.Ref{Kind: snap.KMemFailover}
 }
 
-// Snapshot serializes the controller's mutable state: scheduling sequence,
-// concurrency accounting, stats, and per channel the DRAM device state, the
-// in-flight window, the armed retry, and the queued entries.
-func (c *Controller) Snapshot(w *snap.Writer) error {
+// Snap walks the controller's mutable state: scheduling sequence, concurrency
+// accounting, stats, and per channel the DRAM device state, the in-flight
+// window, the armed retry, and the queued entries. A queued entry is its
+// scheduling identity plus its request's reference, which loading resolves
+// through resolve (reaching the cache backend's request pool); its location
+// is re-decoded through the mapper.
+func (c *Controller) Snap(s *snap.Codec, resolve event.Resolver) error {
 	if c.inj != nil {
 		return fmt.Errorf("%w: controller has a fault injector attached", snap.ErrUnsupported)
 	}
-	w.Marker(sectionCtrl)
-	w.U64(c.seq)
-	w.U64(c.lastChange)
-	w.I64(int64(c.totalOut))
-	w.I64(int64(c.threadsBusy))
-	w.U64(uint64(len(c.outstanding)))
-	for _, o := range c.outstanding {
-		w.I64(int64(o))
-	}
-	w.U64(c.Stats.Reads)
-	w.U64(c.Stats.Writes)
-	w.U64(c.Stats.Rejected)
-	w.U64(c.Stats.ReadLatencySum)
-	for _, v := range c.Stats.ThreadReads {
-		w.U64(v)
-	}
-	for _, v := range c.Stats.ThreadReadLatencySum {
-		w.U64(v)
-	}
-	for _, v := range c.Stats.OutstandingHist {
-		w.U64(v)
-	}
-	for _, v := range c.Stats.ThreadSpreadHist {
-		w.U64(v)
-	}
-	w.U64(c.Stats.Retries)
-	w.U64(c.Stats.RetryGiveUps)
-	w.U64(c.Stats.FailedOver)
-
-	w.U64(uint64(len(c.channels)))
-	for _, cc := range c.channels {
-		if err := cc.dev.Snapshot(w); err != nil {
-			return err
-		}
-		w.I64(int64(cc.inFlight))
-		w.Bool(cc.retryArmed)
-		w.U64(cc.retryWakeAt)
-		w.U64(uint64(len(cc.doneTimes)))
-		for _, d := range cc.doneTimes {
-			w.U64(d)
-		}
-		w.U64(uint64(len(cc.queue)))
-		for _, e := range cc.queue {
-			rm, ok := e.req.Src.(event.RefMaker)
-			if !ok {
-				return fmt.Errorf("%w: queued request source %T has no SnapRef", snap.ErrUnsupported, e.req.Src)
-			}
-			ref := rm.SnapRef()
-			w.U64(e.seq)
-			w.I64(int64(e.queuedBehind))
-			w.Ref(&ref)
-		}
-	}
-	return nil
-}
-
-// Restore rebuilds the controller's mutable state from r into a controller
-// built from the identical Config. Queued requests are resolved through
-// resolve (reaching the cache backend's request pool) and their locations
-// re-decoded through the mapper.
-func (c *Controller) Restore(r *snap.Reader, resolve event.Resolver) error {
-	r.Expect(sectionCtrl)
-	c.seq = r.U64()
-	c.lastChange = r.U64()
-	c.totalOut = int(r.I64())
-	c.threadsBusy = int(r.I64())
-	nOut := r.U64()
-	if err := r.Err(); err != nil {
-		return err
-	}
-	if nOut != uint64(len(c.outstanding)) {
-		return fmt.Errorf("%w: snapshot has %d threads, controller has %d", snap.ErrCorrupt, nOut, len(c.outstanding))
-	}
+	s.Marker(sectionCtrl)
+	s.U64(&c.seq)
+	s.U64(&c.lastChange)
+	s.Int(&c.totalOut)
+	s.Int(&c.threadsBusy)
+	s.Fixed(len(c.outstanding), "controller threads")
 	for i := range c.outstanding {
-		c.outstanding[i] = int(r.I64())
+		s.Int(&c.outstanding[i])
 	}
-	c.Stats.Reads = r.U64()
-	c.Stats.Writes = r.U64()
-	c.Stats.Rejected = r.U64()
-	c.Stats.ReadLatencySum = r.U64()
-	for i := range c.Stats.ThreadReads {
-		c.Stats.ThreadReads[i] = r.U64()
-	}
-	for i := range c.Stats.ThreadReadLatencySum {
-		c.Stats.ThreadReadLatencySum[i] = r.U64()
-	}
-	for i := range c.Stats.OutstandingHist {
-		c.Stats.OutstandingHist[i] = r.U64()
-	}
-	for i := range c.Stats.ThreadSpreadHist {
-		c.Stats.ThreadSpreadHist[i] = r.U64()
-	}
-	c.Stats.Retries = r.U64()
-	c.Stats.RetryGiveUps = r.U64()
-	c.Stats.FailedOver = r.U64()
+	s.U64(&c.Stats.Reads)
+	s.U64(&c.Stats.Writes)
+	s.U64(&c.Stats.Rejected)
+	s.U64(&c.Stats.ReadLatencySum)
+	s.U64s(c.Stats.ThreadReads[:])
+	s.U64s(c.Stats.ThreadReadLatencySum[:])
+	s.U64s(c.Stats.OutstandingHist[:])
+	s.U64s(c.Stats.ThreadSpreadHist[:])
+	s.U64(&c.Stats.Retries)
+	s.U64(&c.Stats.RetryGiveUps)
+	s.U64(&c.Stats.FailedOver)
 
-	nCh := r.U64()
-	if err := r.Err(); err != nil {
-		return err
-	}
-	if nCh != uint64(len(c.channels)) {
-		return fmt.Errorf("%w: snapshot has %d channels, controller has %d", snap.ErrCorrupt, nCh, len(c.channels))
-	}
+	s.Fixed(len(c.channels), "channels")
 	for _, cc := range c.channels {
-		if err := cc.dev.Restore(r); err != nil {
+		if err := cc.dev.Snap(s); err != nil {
 			return err
 		}
-		cc.inFlight = int(r.I64())
-		cc.retryArmed = r.Bool()
-		cc.retryWakeAt = r.U64()
-		nDone := r.U64()
-		if err := r.Err(); err != nil {
-			return err
-		}
-		cc.doneTimes = cc.doneTimes[:0]
-		for i := uint64(0); i < nDone; i++ {
-			cc.doneTimes = append(cc.doneTimes, r.U64())
-		}
-		nQ := r.U64()
-		if err := r.Err(); err != nil {
-			return err
-		}
-		cc.queue = cc.queue[:0]
-		for i := uint64(0); i < nQ; i++ {
-			seq := r.U64()
-			queuedBehind := int(r.I64())
-			ref := r.Ref()
-			if err := r.Err(); err != nil {
-				return err
+		s.Int(&cc.inFlight)
+		s.Bool(&cc.retryArmed)
+		s.U64(&cc.retryWakeAt)
+		snap.Slice(s, &cc.doneTimes, s.U64)
+		snap.Slice(s, &cc.queue, func(p **entry) {
+			if s.Loading() {
+				*p = c.getEntry()
 			}
-			if ref == nil {
-				return fmt.Errorf("%w: queued entry missing request ref", snap.ErrCorrupt)
+			e := *p
+			s.U64(&e.seq)
+			s.Int(&e.queuedBehind)
+			event.Link(s, &e.req, event.RoleHandler, resolve)
+			if s.Loading() && s.Err() == nil {
+				e.loc = c.mapper.Map(e.req.Addr)
 			}
-			obj, err := resolve(ref, event.RoleHandler)
-			if err != nil {
-				return fmt.Errorf("queued entry seq %d: %w", seq, err)
-			}
-			req, ok := obj.(*mem.Request)
-			if !ok {
-				return fmt.Errorf("%w: queued entry resolved to %T, want *mem.Request", snap.ErrCorrupt, obj)
-			}
-			e := c.getEntry()
-			e.req, e.loc = req, c.mapper.Map(req.Addr)
-			e.seq, e.queuedBehind = seq, queuedBehind
-			cc.queue = append(cc.queue, e)
-		}
+		})
 	}
-	return r.Err()
+	return s.Err()
 }
 
 // ResolveRef maps controller-kind references back to live objects: dispatched
@@ -230,16 +119,9 @@ func (c *Controller) ResolveRef(ref *snap.Ref, resolve event.Resolver) (any, err
 		if ch >= uint64(len(c.channels)) {
 			return nil, fmt.Errorf("%w: entry ref channel %d out of range", snap.ErrCorrupt, ch)
 		}
-		if ref.Inner == nil {
-			return nil, fmt.Errorf("%w: entry ref missing request", snap.ErrCorrupt)
-		}
-		obj, err := resolve(ref.Inner, event.RoleHandler)
+		req, err := event.ResolveAs[*mem.Request](resolve, ref.Inner, event.RoleHandler)
 		if err != nil {
 			return nil, err
-		}
-		req, ok := obj.(*mem.Request)
-		if !ok {
-			return nil, fmt.Errorf("%w: entry request resolved to %T, want *mem.Request", snap.ErrCorrupt, obj)
 		}
 		e := c.getEntry()
 		e.req, e.loc = req, c.mapper.Map(req.Addr)

@@ -26,7 +26,7 @@ func mustGen(t testing.TB, app string, thread int, seed int64) *Gen {
 func genFrame(t testing.TB, g *Gen) []byte {
 	t.Helper()
 	var w snap.Writer
-	if err := g.Snapshot(&w); err != nil {
+	if err := g.Snap(snap.Saving(&w)); err != nil {
 		t.Fatal(err)
 	}
 	return w.Frame(testFrameMagic, 1)
@@ -38,7 +38,7 @@ func restoreFrame(t testing.TB, g *Gen, frame []byte) error {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return g.Restore(r)
+	return g.Snap(snap.Loading(r))
 }
 
 func sameNext(t *testing.T, what string, got, want *Gen, n int) {
@@ -79,7 +79,7 @@ func TestRestoreContinuesStreamWithoutReplay(t *testing.T) {
 	}
 }
 
-// A frame Restore rejects must leave the generator exactly as it was: the
+// A frame a loading Snap rejects must leave the generator exactly as it was: the
 // next instructions match a twin that never saw the frame.
 func TestFailedRestoreLeavesGeneratorUnchanged(t *testing.T) {
 	donor := mustGen(t, "mcf", 0, 5)
@@ -132,7 +132,7 @@ func TestFailedRestoreLeavesGeneratorUnchanged(t *testing.T) {
 		}
 		err := restoreFrame(t, g, frame)
 		if !errors.Is(err, snap.ErrCorrupt) && !errors.Is(err, snap.ErrTruncated) {
-			t.Errorf("%s: Restore returned %v, want a corrupt/truncated error", name, err)
+			t.Errorf("%s: loading returned %v, want a corrupt/truncated error", name, err)
 			continue
 		}
 		if !reflect.DeepEqual(g, twin) {
@@ -152,10 +152,10 @@ func TestFailedRestoreLeavesGeneratorUnchanged(t *testing.T) {
 	}
 }
 
-// Every field of Gen and its source is either written by Snapshot and
-// installed by Restore, fixed by NewGen's arguments, or deliberately outside
-// the state. A new field fails here until it is classified — and, if it is
-// state, carried in snapshot.go.
+// Every field of Gen and its source is either walked by Snap (written when
+// saving, installed when loading), fixed by NewGen's arguments, or
+// deliberately outside the state. A new field fails here until it is
+// classified — and, if it is state, carried in snapshot.go.
 var snapshotFieldClass = map[string]string{
 	"Gen.app":       "wiring", // NewGen's arguments: the restore target is built from the same ones
 	"Gen.base":      "wiring",

@@ -8,11 +8,10 @@ package workload
 // outputs are its whole state. source reads the first 607 outputs from
 // rand.NewSource(seed) and computes every later one itself, a block of 607 at
 // a time — value for value and draw for draw what math/rand would have
-// returned, with the state in plain sight for Snapshot/Restore and no
+// returned, with the state in plain sight for the snapshot walk and no
 // interface call per draw.
 
 import (
-	"encoding/binary"
 	"fmt"
 	"math/rand"
 
@@ -114,34 +113,28 @@ func (s *source) intn(n int) int {
 	return int(v % m)
 }
 
-// snapshot writes the register fixed-width (a varint would spend ten bytes on
-// most of these words), then the cursor and the draw count.
-func (s *source) snapshot(w *snap.Writer) {
-	b := make([]byte, 8*srcLen)
-	for i, x := range s.buf {
-		binary.LittleEndian.PutUint64(b[8*i:], x)
+// walk is the source's part of the generator's snapshot walk: the register
+// fixed-width (a varint would spend ten bytes on most of these words), then
+// the cursor and the draw count. Loading installs the state in O(state)
+// whatever the draw count, and rejects one that does not fit together or was
+// taken behind the receiver — a source seeded like the saved one, normally
+// fresh — which it would silently rewind. A rejected load leaves s
+// overwritten: Gen.Snap walks a scratch copy for that reason.
+func (s *source) walk(c *snap.Codec) {
+	before := s.draws()
+	c.Words(s.buf[:])
+	snap.U64As(c, &s.pos)
+	draws := before
+	c.U64(&draws)
+	if !c.Loading() || c.Err() != nil {
+		return
 	}
-	w.Bytes(b)
-	w.U64(uint64(s.pos))
-	w.U64(s.draws())
-}
-
-// restore installs a snapshotted state, or rejects it and leaves s untouched.
-// It costs O(state) whatever the draw count. The receiver is a source seeded
-// like the snapshotted one, normally fresh; a snapshot taken behind it would
-// silently rewind the stream.
-func (s *source) restore(words []byte, pos, draws uint64) error {
-	switch {
-	case len(words) != 8*srcLen:
-		return fmt.Errorf("%w: random source state is %d bytes, want %d", snap.ErrCorrupt, len(words), 8*srcLen)
+	switch pos := uint64(s.pos); {
 	case pos > srcLen || draws < pos || (draws-pos)%srcLen != 0:
-		return fmt.Errorf("%w: random source cursor %d does not fit draw count %d", snap.ErrCorrupt, pos, draws)
-	case s.draws() > draws:
-		return fmt.Errorf("%w: generator already advanced %d draws, snapshot at %d", snap.ErrCorrupt, s.draws(), draws)
+		c.Fail(fmt.Errorf("%w: random source cursor %d does not fit draw count %d", snap.ErrCorrupt, pos, draws))
+	case before > draws:
+		c.Fail(fmt.Errorf("%w: generator already advanced %d draws, snapshot at %d", snap.ErrCorrupt, before, draws))
+	default:
+		s.base = draws - pos
 	}
-	for i := range s.buf {
-		s.buf[i] = binary.LittleEndian.Uint64(words[8*i:])
-	}
-	s.pos, s.base = int(pos), draws-pos
-	return nil
 }
