@@ -80,19 +80,30 @@ func (c Config) Validate() error {
 	if lines%c.Assoc != 0 || lines/c.Assoc == 0 {
 		return fmt.Errorf("cache %s: %d lines not divisible into %d-way sets", c.Name, lines, c.Assoc)
 	}
+	if c.LineBytes*(lines/c.Assoc) < 1<<flagBits {
+		// A tag is an address less log2(LineBytes × sets) bits, and shares its
+		// word with the line's flags.
+		return fmt.Errorf("cache %s: %d-byte lines in %d sets leave tags wider than %d bits", c.Name, c.LineBytes, lines/c.Assoc, 64-flagBits)
+	}
 	if c.MSHRs <= 0 {
 		return fmt.Errorf("cache %s: need at least one MSHR", c.Name)
 	}
 	return nil
 }
 
+// line is one way of one set, 16 bytes: w is tag<<flagBits under the three
+// flags (zero: an empty way), used the LRU stamp.
 type line struct {
-	tag        uint64
-	valid      bool
-	dirty      bool
-	prefetched bool   // installed by a prefetch, not yet demanded
-	used       uint64 // LRU stamp
+	w    uint64
+	used uint64
 }
+
+const (
+	lineValid      uint64 = 1 << iota
+	lineDirty             // written since the fill
+	linePrefetched        // installed by a prefetch, not yet demanded
+	flagBits       = iota
+)
 
 // mshr tracks one outstanding miss. MSHRs are recycled through the level's
 // free list; each is a dual-role event object — its OnEvent is the issue
@@ -123,7 +134,11 @@ func (m *mshr) OnEvent(now uint64) {
 // waiters.
 func (m *mshr) OnFill(now uint64) {
 	l := m.l
-	l.install(now, m.addr, m.dirty, m.meta)
+	var flags uint64
+	if m.dirty {
+		flags = lineDirty
+	}
+	l.install(now, m.addr, flags)
 	delete(l.mshrs, m.addr)
 	if l.MissEnd != nil {
 		l.MissEnd(m.meta)
@@ -163,7 +178,10 @@ type Level struct {
 	cfg   Config
 	q     *event.Queue
 	lower Backend
-	sets  [][]line
+	// lines is every way of every set in one slab; set si is
+	// lines[si*assoc:][:assoc].
+	lines []line
+	assoc uint64
 	nsets uint64
 	// lineShift is log2(LineBytes); setShift is log2(nsets), or -1 when the
 	// set count is not a power of two and index must divide.
@@ -245,11 +263,8 @@ func New(q *event.Queue, cfg Config, lower Backend) (*Level, error) {
 		if l.nsets&(l.nsets-1) == 0 {
 			l.setShift = bits.TrailingZeros64(l.nsets)
 		}
-		l.sets = make([][]line, l.nsets)
-		backing := make([]line, int(l.nsets)*cfg.Assoc)
-		for i := range l.sets {
-			l.sets[i], backing = backing[:cfg.Assoc], backing[cfg.Assoc:]
-		}
+		l.assoc = uint64(cfg.Assoc)
+		l.lines = make([]line, l.nsets*l.assoc)
 	}
 	return l, nil
 }
@@ -279,12 +294,15 @@ func (l *Level) index(la uint64) (set, tag uint64) {
 // victimAddr rebuilds the line address of the way holding tag in set.
 func (l *Level) victimAddr(set, tag uint64) uint64 { return (tag*l.nsets + set) << l.lineShift }
 
+// set returns the ways of set si.
+func (l *Level) set(si uint64) []line { return l.lines[si*l.assoc:][:l.assoc] }
+
 // lookup returns the way holding addr, or nil.
 func (l *Level) lookup(la uint64) *line {
 	si, tag := l.index(la)
-	set := l.sets[si]
+	set, want := l.set(si), tag<<flagBits|lineValid
 	for i := range set {
-		if set[i].valid && set[i].tag == tag {
+		if set[i].w&^(lineDirty|linePrefetched) == want {
 			return &set[i]
 		}
 	}
@@ -341,7 +359,7 @@ func (l *Level) WriteLine(now uint64, addr uint64, meta Meta) bool {
 	if ln := l.lookup(la); ln != nil {
 		l.tick++
 		ln.used = l.tick
-		ln.dirty = true
+		ln.w |= lineDirty
 		return true
 	}
 	if _, pending := l.mshrs[la]; pending {
@@ -349,7 +367,7 @@ func (l *Level) WriteLine(now uint64, addr uint64, meta Meta) bool {
 		l.mshrs[la].dirty = true
 		return true
 	}
-	l.install(now, la, true, meta)
+	l.install(now, la, lineDirty)
 	return true
 }
 
@@ -387,7 +405,7 @@ func (l *Level) Store(now uint64, addr uint64, meta Meta) bool {
 	if ln := l.lookup(la); ln != nil {
 		l.tick++
 		ln.used = l.tick
-		ln.dirty = true
+		ln.w |= lineDirty
 		return true
 	}
 	return l.miss(now, la, meta, nil, true)
@@ -447,14 +465,14 @@ func (l *Level) releaseMSHR(m *mshr) {
 // lower level refused. A handful of cycles: short against DRAM latencies.
 const retryGap = 8
 
-// install places la in its set, evicting the LRU way; dirty victims are
-// written back down.
-func (l *Level) install(now uint64, la uint64, dirty bool, meta Meta) {
+// install places la in its set with flags (lineDirty, linePrefetched or
+// neither) set, evicting the LRU way; dirty victims are written back down.
+func (l *Level) install(now uint64, la uint64, flags uint64) {
 	si, tag := l.index(la)
-	set := l.sets[si]
+	set := l.set(si)
 	victim := 0
 	for i := range set {
-		if !set[i].valid {
+		if set[i].w&lineValid == 0 {
 			victim = i
 			break
 		}
@@ -463,15 +481,14 @@ func (l *Level) install(now uint64, la uint64, dirty bool, meta Meta) {
 		}
 	}
 	v := &set[victim]
-	if v.valid && v.dirty {
-		l.writeback(now, l.victimAddr(si, v.tag))
+	if v.w&(lineValid|lineDirty) == lineValid|lineDirty {
+		l.writeback(now, l.victimAddr(si, v.w>>flagBits))
 	}
 	l.tick++
-	*v = line{tag: tag, valid: true, dirty: dirty, used: l.tick}
+	*v = line{w: tag<<flagBits | lineValid | flags, used: l.tick}
 	if l.Wake != nil {
 		l.Wake()
 	}
-	_ = meta
 }
 
 // writeback pushes a dirty victim down, buffering it if the lower level is

@@ -34,6 +34,12 @@ func TestValidate(t *testing.T) {
 		{"no mshrs", Config{SizeBytes: 1024, Assoc: 2, LineBytes: 64, MSHRs: 0}, false},
 		{"line size not a power of two", Config{SizeBytes: 960, Assoc: 2, LineBytes: 48, MSHRs: 1}, false},
 		{"set count not a power of two", Config{SizeBytes: 96 << 10, Assoc: 2, LineBytes: 64, MSHRs: 1}, true},
+		// A tag shares its word with three flag bits, so the set index and
+		// line offset must take at least three bits off the address.
+		{"62-bit tags: two sets of 2-byte lines", Config{SizeBytes: 8, Assoc: 2, LineBytes: 2, MSHRs: 1}, false},
+		{"64-bit tags: one set of 1-byte lines", Config{SizeBytes: 4, Assoc: 4, LineBytes: 1, MSHRs: 1}, false},
+		{"61-bit tags: one set of 8-byte lines", Config{SizeBytes: 32, Assoc: 4, LineBytes: 8, MSHRs: 1}, true},
+		{"61-bit tags: eight sets of 1-byte lines", Config{SizeBytes: 8, Assoc: 1, LineBytes: 1, MSHRs: 1}, true},
 	}
 	for _, c := range cases {
 		if err := c.cfg.Validate(); (err == nil) != c.ok {

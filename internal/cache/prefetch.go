@@ -97,7 +97,7 @@ func (p *pfFill) OnFill(fillAt uint64) {
 		return
 	}
 	if l.lookup(la) == nil {
-		l.installPrefetched(fillAt, la)
+		l.install(fillAt, la, linePrefetched) // clean, and tagged until a demand access hits it
 	}
 }
 
@@ -112,21 +112,13 @@ func (l *Level) issuePrefetch(at uint64, la uint64, meta Meta) {
 	l.q.ScheduleHandler(at+l.cfg.Latency, &pfIssue{l: l, la: la, meta: meta})
 }
 
-// installPrefetched places a clean, prefetch-tagged line.
-func (l *Level) installPrefetched(now uint64, la uint64) {
-	l.install(now, la, false, Meta{Thread: -1})
-	if ln := l.lookup(la); ln != nil {
-		ln.prefetched = true
-	}
-}
-
 // notePrefetchHit records a demand hit on a prefetched line (called from the
 // hit paths) and, tagged-prefetch style, keeps the stream running by
 // prefetching the following line — otherwise a sequential walk would only
 // ever cover alternate lines.
 func (l *Level) notePrefetchHit(now uint64, la uint64, ln *line, meta Meta) {
-	if ln.prefetched {
-		ln.prefetched = false
+	if ln.w&linePrefetched != 0 {
+		ln.w &^= linePrefetched
 		l.Prefetch.Useful++
 		l.maybePrefetch(now, la, meta)
 	}

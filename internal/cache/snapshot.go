@@ -1,13 +1,14 @@
 package cache
 
 // The cache hierarchy's snapshot walks (DESIGN §15): each Level walks its
-// line arrays, LRU clock, MSHR file (including waiter references), writeback
+// valid lines, LRU clock, MSHR file (including waiter references), writeback
 // buffer, and prefetch state; the MemBackend walks its retry buffer and
 // request-ID counter. References to pending completions are typed snap.Refs,
 // resolved back to live objects by the core resolver when loading.
 
 import (
 	"fmt"
+	"math/bits"
 	"slices"
 
 	"smtdram/internal/event"
@@ -114,14 +115,32 @@ func (l *Level) Snap(c *snap.Codec, resolve event.Resolver) error {
 	if c.Bool(&perfect); perfect != l.cfg.Perfect {
 		c.Fail(fmt.Errorf("%w: snapshot perfect=%v, level perfect=%v", snap.ErrCorrupt, perfect, l.cfg.Perfect))
 	}
-	for _, set := range l.sets { // a perfect level has none
-		for i := range set {
-			ln := &set[i]
-			c.U64(&ln.tag)
-			c.Bool(&ln.valid)
-			c.Bool(&ln.dirty)
-			c.Bool(&ln.prefetched)
+	// The lines (a perfect level has none): a bitmap of the valid slab slots,
+	// its length fixed by the geometry, then each valid line's two words in
+	// slot order. An empty way costs its bit, so a frame and a restore are
+	// sized by the lines the warmup touched, not by the capacity.
+	valid := make([]uint64, (len(l.lines)+63)/64)
+	if c.Loading() {
+		clear(l.lines)
+	} else {
+		for i := range l.lines {
+			valid[i/64] |= (l.lines[i].w & lineValid) << (i % 64)
+		}
+	}
+	c.Words(valid)
+	for wi, word := range valid {
+		for ; word != 0 && c.Err() == nil; word &= word - 1 {
+			i := wi*64 + bits.TrailingZeros64(word)
+			if i >= len(l.lines) {
+				c.Fail(fmt.Errorf("%w: %s line bitmap marks slot %d of %d", snap.ErrCorrupt, l.cfg.Name, i, len(l.lines)))
+				break
+			}
+			ln := &l.lines[i]
+			c.U64(&ln.w)
 			c.U64(&ln.used)
+			if ln.w&lineValid == 0 {
+				c.Fail(fmt.Errorf("%w: %s line %d is listed but not valid (%#x)", snap.ErrCorrupt, l.cfg.Name, i, ln.w))
+			}
 		}
 	}
 

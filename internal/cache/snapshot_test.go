@@ -21,7 +21,8 @@ var snapshotFieldClass = map[string]string{
 	"Level.cfg":        "wiring",
 	"Level.q":          "wiring",
 	"Level.lower":      "wiring",
-	"Level.sets":       "serialized",
+	"Level.lines":      "serialized", // the valid ones; an empty way is its zero bit in the bitmap
+	"Level.assoc":      "wiring",
 	"Level.nsets":      "wiring",
 	"Level.lineShift":  "wiring",
 	"Level.setShift":   "wiring",
@@ -46,11 +47,8 @@ var snapshotFieldClass = map[string]string{
 	"mshr.l":       "wiring",
 	"mshr.meta":    "serialized",
 
-	"line.tag":        "serialized",
-	"line.valid":      "serialized",
-	"line.dirty":      "serialized",
-	"line.prefetched": "serialized",
-	"line.used":       "serialized",
+	"line.w":    "serialized",
+	"line.used": "serialized",
 
 	"wbEntry.addr": "serialized",
 	"wbEntry.meta": "serialized",

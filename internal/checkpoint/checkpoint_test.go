@@ -223,16 +223,18 @@ func TestCorruptStoreEntryRecomputes(t *testing.T) {
 	}
 	// The frame as another codec version would have stamped it: the version
 	// byte (after the 4-byte magic) changed, checksum re-sealed so only the
-	// version check can object. Version 2 is pinned by number: it carried each
-	// generator's RNG as a draw count where this build expects the register,
-	// so a reader that let it through would mis-restore rather than fail.
+	// version check can object. Versions 2 and 3 are pinned by number: 2
+	// carried each generator's RNG as a draw count where this build expects
+	// the register, 3 every cache line as five fields where this build expects
+	// a bitmap and the valid ones, so a reader that let either through would
+	// mis-restore rather than fail.
 	stamp := func(version byte) []byte {
 		f := append([]byte(nil), chk.Data...)
 		f[4] = version
 		return seal(f)
 	}
-	older, v2 := stamp(chk.Data[4]-1), stamp(2)
-	for name, frame := range map[string][]byte{"previous-version": older, "version-2": v2} {
+	older, v2, v3 := stamp(chk.Data[4]-1), stamp(2), stamp(3)
+	for name, frame := range map[string][]byte{"previous-version": older, "version-2": v2, "version-3": v3} {
 		if _, err := core.NewCheckpointedSimulator(cfg, &core.Checkpoint{Prefix: chk.Prefix, Now: chk.Now, Data: frame}); !errors.Is(err, snap.ErrVersion) {
 			t.Fatalf("%s frame: got %v, want snap.ErrVersion", name, err)
 		}
@@ -244,6 +246,7 @@ func TestCorruptStoreEntryRecomputes(t *testing.T) {
 		"undecodable":      []byte("not a checkpoint frame"),
 		"previous version": older,
 		"version 2":        v2,
+		"version 3":        v3,
 		"oversized count":  oversizedCount(t, chk.Data),
 	} {
 		t.Run(name, func(t *testing.T) {

@@ -36,8 +36,8 @@ func goldenFrames() []struct {
 		size   int
 		sha256 string
 	}{
-		{"2-thread-ddr-hit-first", two, 271151, 445697, "f66352b93a36e18d4e3378ff7902c306dedfe824f8e98811d151140c86d6f4b5"},
-		{"8-thread-rdram-request-based", eight, 1318305, 636364, "3d05a3478e4786725395a5fc0708a50cf898458d9ad8bd72b1c2806d278ad8c9"},
+		{"2-thread-ddr-hit-first", two, 271151, 105760, "fcc94ad783deba2afeb008c2ba210abc2b48e00d35e5f29ba43bc3ec35228901"},
+		{"8-thread-rdram-request-based", eight, 1318305, 328948, "f7c603fea7363d8b1346dd50f83c9f333c4f2c835ff91e038660e4a61b6ff35d"},
 	}
 }
 

@@ -1,12 +1,14 @@
 package core
 
 import (
+	"bytes"
 	"context"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"hash/crc32"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
@@ -93,6 +95,12 @@ func TestRestoreRejectsOversizedCount(t *testing.T) {
 	}
 }
 
+// edit is one step of restoreEdited's script: op 0 sets, 1 inserts and 2
+// deletes the payload byte at off.
+func edit(op byte, off int, val byte) []byte {
+	return []byte{op, byte(off), byte(off >> 8), byte(off >> 16), val}
+}
+
 // restoreEdited is the property's body. It applies an edit script to a copy of
 // frame's payload — five bytes an edit: what to do (set, insert or delete one
 // byte), a 24-bit payload offset, a value — re-seals, restores the frame into
@@ -143,16 +151,40 @@ func robustFrames(t testing.TB) (cfgs []Config, frames [][]byte) {
 	return cfgs, frames
 }
 
+// levelSections returns the payload offset of each cache level's section: its
+// marker, some twenty bytes of registers and counts, then the line bitmap
+// (128 bytes for an L1, 8 KB for the L3) and the valid lines it lists.
+func levelSections(t testing.TB, payload []byte) []int {
+	t.Helper()
+	marker := binary.AppendUvarint(nil, 0x4C56454C) // cache's level marker
+	var at []int
+	for off := 0; ; {
+		i := bytes.Index(payload[off:], marker)
+		if i < 0 {
+			break
+		}
+		at = append(at, off+i)
+		off += i + len(marker)
+	}
+	if len(at) < 4 {
+		t.Fatalf("found %d cache level sections in the frame, want the hierarchy's 4", len(at))
+	}
+	return at
+}
+
 // TestRestoreNeverPanics patches one payload byte of a valid two-thread and a
 // valid eight-thread frame at a few thousand seeded (offset, value) pairs. A
-// frame is nine tenths cache lines, where a wrong byte is just another tag, so
-// most patches are aimed at the two ends, where the structure is: the CPU
-// section at the head; MSHRs, controller queues, the event queue and the
-// generators at the tail. Half the patches keep the byte's varint
-// continuation bit: the rest of the frame then still decodes field for field,
-// and it is the changed value — a count, a slot, a thread, a reference kind —
-// that the walks have to survive, not a desynchronized stream that the next
-// flag byte rejects.
+// frame is mostly valid cache lines, where a wrong byte is just another tag,
+// so most patches are aimed where the structure is: the CPU section at the
+// head; MSHRs, controller queues, the event queue and the generators at the
+// tail; and the first 160 bytes of a cache level's section, which are its
+// counts and the head of its line bitmap — one flipped bit there lists a line
+// the frame does not hold, or hides one it does, and every later field is read
+// from the wrong place. Half the patches keep the byte's varint continuation
+// bit: the rest of the frame then still decodes field for field, and it is the
+// changed value — a count, a slot, a thread, a reference kind — that the walks
+// have to survive, not a desynchronized stream that the next flag byte
+// rejects.
 func TestRestoreNeverPanics(t *testing.T) {
 	patches := []int{2500, 700}
 	if testing.Short() || raceDetector { // one goroutine decodes: the detector has nothing to find here
@@ -162,19 +194,22 @@ func TestRestoreNeverPanics(t *testing.T) {
 	for i, cfg := range cfgs {
 		rng := rand.New(rand.NewSource(int64(17 + i)))
 		payload := frames[i][frameHead : len(frames[i])-frameTail]
+		levels := levelSections(t, payload)
 		for n := 0; n < patches[i]; n++ {
 			off := rng.Intn(len(payload))
-			switch rng.Intn(5) {
+			switch rng.Intn(7) {
 			case 0, 1:
 				off = rng.Intn(len(payload) / 10)
 			case 2, 3:
 				off = len(payload) - 1 - rng.Intn(len(payload)/10)
+			case 4, 5:
+				off = levels[rng.Intn(len(levels))] + rng.Intn(160)
 			}
 			val := byte(rng.Intn(256))
 			if rng.Intn(2) == 0 {
 				val = val&0x7f | payload[off]&0x80
 			}
-			restoreEdited(t, cfg, frames[i], []byte{0, byte(off), byte(off >> 8), byte(off >> 16), val})
+			restoreEdited(t, cfg, frames[i], edit(0, off, val))
 		}
 	}
 }
@@ -187,6 +222,14 @@ func FuzzCheckpointRestore(f *testing.F) {
 	f.Add(false, []byte{})
 	f.Add(true, []byte{})
 	f.Add(false, []byte{0, 40, 0, 0, 0xff, 1, 0, 1, 0, 0x80, 2, 0, 0, 6, 0})
+	// Into each frame's line bitmaps: sixteen more lines listed in the L1I's,
+	// a byte inserted into the L3's (every later bit now names another slot),
+	// a byte of the L2's deleted.
+	for i, frame := range frames {
+		at := levelSections(f, frame[frameHead:len(frame)-frameTail])
+		l1i, l2, l3 := at[0]+60, at[2]+60, at[3]+60
+		f.Add(i == 1, slices.Concat(edit(0, l1i, 0xff), edit(0, l1i+1, 0xff), edit(1, l3, 0x01), edit(2, l2, 0)))
+	}
 	f.Fuzz(func(t *testing.T, eight bool, edits []byte) {
 		i := 0
 		if eight {

@@ -19,7 +19,7 @@ import (
 
 const (
 	ckptMagic   = "SMTC"
-	ckptVersion = 3          // 3: generators carry their random source as state (no draw-count replay); Instr fields narrowed
+	ckptVersion = 4          // 4: a cache level lists its valid lines behind a bitmap, two words each (3 wrote all of them, five fields each)
 	sectionSim  = 0x434F5245 // "CORE"
 )
 

@@ -665,8 +665,11 @@ func (c *CPU) fetchThread(now uint64, t *thread, budget int) int {
 func (c *CPU) dispatch(now uint64) {
 	budget := c.cfg.DispatchWidth
 	n := len(c.threads)
-	for i := 0; i < n && budget > 0; i++ {
-		t := c.threads[(i+c.rrDispatch)%n]
+	for i, k := 0, c.rrDispatch%n; i < n && budget > 0; i++ {
+		t := c.threads[k]
+		if k++; k == n {
+			k = 0
+		}
 		// The gate's miss half walks the in-flight loads, and nothing in this
 		// loop can change its answer: evaluate it once, when the thread first
 		// reaches the gate, and compare occupancies per instruction.
@@ -1078,8 +1081,11 @@ func (c *CPU) releaseSquashed(t *thread, v *uop) {
 func (c *CPU) commit(now uint64) {
 	budget := c.cfg.CommitWidth
 	n := len(c.threads)
-	for i := 0; i < n && budget > 0; i++ {
-		t := c.threads[(i+c.rrCommit)%n]
+	for i, k := 0, c.rrCommit%n; i < n && budget > 0; i++ {
+		t := c.threads[k]
+		if k++; k == n {
+			k = 0
+		}
 		for budget > 0 && t.robCount() > 0 {
 			u := t.slot(t.headSeq)
 			if u.state == stIssued && u.doneAt <= now {
@@ -1089,8 +1095,8 @@ func (c *CPU) commit(now uint64) {
 				break
 			}
 			if u.in.Kind == workload.Store {
-				if len(c.pendingStores)-c.psHead >= c.cfg.SQ {
-					break // store buffer full: stall commit
+				if c.storeBufferFull() {
+					break // stall commit
 				}
 				c.pendingStores, c.psHead = pushDeque(c.pendingStores, c.psHead,
 					pendingStore{addr: u.in.Addr, meta: c.meta(t, false)})
@@ -1116,6 +1122,10 @@ func (c *CPU) commit(now uint64) {
 	}
 	c.rrCommit++
 }
+
+// storeBufferFull reports whether the committed-store buffer holds its SQ
+// entries, which stalls commit at a store (and, for ProbeQuiet, parks it).
+func (c *CPU) storeBufferFull() bool { return len(c.pendingStores)-c.psHead >= c.cfg.SQ }
 
 // drainStores pushes committed stores into the L1D; MSHR backpressure keeps
 // them buffered.

@@ -68,10 +68,14 @@ func (c *CPU) ProbeQuiet(now uint64) (next uint64, fx QuietFx, quiet bool) {
 		}
 		// Commit: a done (or matured) head retires next cycle; a head with
 		// a finite completion time retires after it. A head whose doneAt is
-		// pendingDone is an in-flight load — only a fill event wakes it.
+		// pendingDone is an in-flight load — only a fill event wakes it. So
+		// is a done store facing a full committed-store buffer: commit stalls
+		// on it, and the buffer's own head was found parked on the MSHR file
+		// above, so nothing drains until a fill lands in the L1D.
 		if t.robCount() > 0 {
 			u := t.slot(t.headSeq)
 			switch {
+			case u.state == stDone && u.in.Kind == workload.Store && c.storeBufferFull():
 			case u.state == stDone:
 				return 0, fx, false
 			case u.state == stIssued && u.doneAt != pendingDone:

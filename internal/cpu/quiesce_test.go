@@ -159,3 +159,71 @@ func TestAdvanceQuietMatchesTicks(t *testing.T) {
 		})
 	}
 }
+
+// A finished store at the ROB head cannot retire into a full committed-store
+// buffer, and the buffer cannot drain while its own head is parked on a full
+// MSHR file: that machine is quiet until a fill lands in the L1D. The script
+// is a single thread of stores to distinct lines, so the 8 MSHRs fill, the
+// ninth store parks at the buffer's head, the buffer fills behind it, and the
+// next store stalls commit — some 190 cycles before the first fill returns.
+func TestStoreBufferParkedHeadIsQuiet(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.SQ = 4
+	stores := &script{}
+	for i := uint64(0); i < 64; i++ {
+		stores.ins = append(stores.ins, workload.Instr{Kind: workload.Store, Addr: 0x10000 + i*64})
+	}
+	r := newRig(t, cfg, stores)
+	c, th := r.cpu, r.cpu.threads[0]
+	parked := func() bool {
+		if th.robCount() == 0 || !c.storeBufferFull() {
+			return false
+		}
+		u := th.slot(th.headSeq)
+		return u.state == stDone && u.in.Kind == workload.Store
+	}
+
+	now := uint64(0)
+	for !parked() || !r.l1d.WouldBlock(c.pendingStores[c.psHead].addr) {
+		if now++; now > 100 {
+			t.Fatalf("commit never stalled behind a full, MSHR-parked store buffer: %s", c.Fingerprint())
+		}
+		r.step(now)
+	}
+	next, fx, quiet := c.ProbeQuiet(now)
+	if !quiet || next != ^uint64(0) || fx.mshrBump != 1 {
+		t.Fatalf("ProbeQuiet at %d = (next %d, mshrBump %d, quiet %v), want quiet until an event, with the buffer head's one retry a cycle",
+			now, next, fx.mshrBump, quiet)
+	}
+
+	// Tick is the oracle: up to the first fill, every cycle changes nothing
+	// but the retry count.
+	fill, ok := r.q.NextAt()
+	if !ok || fill < now+100 {
+		t.Fatalf("first event at %d (pending %v), want the fills some 200 cycles out", fill, ok)
+	}
+	before, full := c.Fingerprint(), r.l1d.Stats.MSHRFull
+	for m := now + 1; m < fill; m++ {
+		r.step(m)
+		if got := c.Fingerprint(); got != before {
+			t.Fatalf("cycle %d was predicted quiet but Tick changed state\nbefore: %s\nafter:  %s", m, before, got)
+		}
+	}
+	if got, want := r.l1d.Stats.MSHRFull-full, fill-1-now; got != want {
+		t.Fatalf("MSHRFull grew by %d over %d quiet cycles, want one a cycle", got, want)
+	}
+
+	// The fill frees an MSHR: the buffer's head is no longer blocked, so the
+	// same stalled commit head must not be read as quiet.
+	r.q.RunUntil(fill)
+	if !parked() || r.l1d.WouldBlock(c.pendingStores[c.psHead].addr) {
+		t.Fatalf("after the fill at %d the buffer head should be free to drain: %s", fill, c.Fingerprint())
+	}
+	if _, _, quiet := c.ProbeQuiet(fill - 1); quiet {
+		t.Fatal("quiet with a drainable store buffer")
+	}
+	r.cpu.Tick(fill)
+	if got := c.Fingerprint(); got == before {
+		t.Fatal("the Tick after the fill drained nothing")
+	}
+}
