@@ -10,13 +10,16 @@
 // frozen machine and simulates only the measurement phase. The fork is
 // byte-identical to an uninterrupted run (core's equivalence suite and the
 // lockstep oracle enforce this), so memoization changes wall-clock time and
-// nothing else.
+// nothing else. The prefix includes the instruction target: a fast thread can
+// finish before the slowest one has warmed, and the cycle it finished on is
+// part of the frozen machine, so configurations differing only in TargetInstr
+// do not share a checkpoint.
 //
 // A Cache is safe for concurrent use and nil-safe: a nil *Cache runs every
 // configuration plainly, so callers thread an optional cache without
 // branching. Configurations that cannot checkpoint (no warmup phase, fault
-// plans, observers, trace sinks — see core.CheckpointSupported) bypass the
-// cache and are counted as such.
+// plans, observers, trace sinks — see core.CheckpointSupported — or a cycle
+// budget that ends inside warmup) bypass the cache and are counted as such.
 package checkpoint
 
 import (
@@ -27,6 +30,7 @@ import (
 
 	"smtdram/internal/core"
 	"smtdram/internal/runner"
+	"smtdram/internal/snap"
 	"smtdram/internal/store"
 )
 
@@ -160,18 +164,20 @@ func (c *Cache) Snapshot() Stats {
 }
 
 // Run executes cfg, forking from a memoized warmup checkpoint when the
-// configuration supports it and running plainly when it does not. On a nil
-// cache every run is plain. The result is byte-identical either way.
+// configuration supports it and running plainly when it does not — or when
+// its cycle budget ends inside warmup, where there is no boundary to fork
+// from and a plain run reports the cold window. On a nil cache every run is
+// plain. The result is byte-identical either way.
 func (c *Cache) Run(ctx context.Context, cfg core.Config) (core.Result, error) {
 	if c == nil {
 		return core.RunContext(ctx, cfg)
 	}
-	if err := core.CheckpointSupported(cfg); err != nil {
+	chk, err := c.Get(ctx, cfg)
+	switch {
+	case errors.Is(err, snap.ErrUnsupported), errors.Is(err, core.ErrWarmupBudget):
 		c.bypassed.Add(1)
 		return core.RunContext(ctx, cfg)
-	}
-	chk, err := c.Get(ctx, cfg)
-	if err != nil {
+	case err != nil:
 		return core.Result{}, err
 	}
 	c.forks.Add(1)

@@ -7,6 +7,7 @@ import (
 	"encoding/json"
 	"errors"
 	"hash/crc32"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
@@ -181,7 +182,7 @@ func oversizedCount(t *testing.T, frame []byte) []byte {
 	}
 	r.U64() // core's section marker
 	_ = r.String()
-	for i := 0; i < 6+1+2; i++ { // run-loop registers; cpu's marker, Cycles, TotalCommitted
+	for i := 0; i < 4+1+2; i++ { // run-loop registers; cpu's marker, Cycles, TotalCommitted
 		r.U64()
 	}
 	for i := 0; i < 7; i++ {
@@ -223,18 +224,19 @@ func TestCorruptStoreEntryRecomputes(t *testing.T) {
 	}
 	// The frame as another codec version would have stamped it: the version
 	// byte (after the 4-byte magic) changed, checksum re-sealed so only the
-	// version check can object. Versions 2 and 3 are pinned by number: 2
+	// version check can object. Versions 2 to 4 are pinned by number: 2
 	// carried each generator's RNG as a draw count where this build expects
 	// the register, 3 every cache line as five fields where this build expects
-	// a bitmap and the valid ones, so a reader that let either through would
-	// mis-restore rather than fail.
+	// a bitmap and the valid ones, 4 two watchdog registers ahead of the skip
+	// counters, so a reader that let any through would mis-restore rather
+	// than fail.
 	stamp := func(version byte) []byte {
 		f := append([]byte(nil), chk.Data...)
 		f[4] = version
 		return seal(f)
 	}
-	older, v2, v3 := stamp(chk.Data[4]-1), stamp(2), stamp(3)
-	for name, frame := range map[string][]byte{"previous-version": older, "version-2": v2, "version-3": v3} {
+	older, v2, v3, v4 := stamp(chk.Data[4]-1), stamp(2), stamp(3), stamp(4)
+	for name, frame := range map[string][]byte{"previous-version": older, "version-2": v2, "version-3": v3, "version-4": v4} {
 		if _, err := core.NewCheckpointedSimulator(cfg, &core.Checkpoint{Prefix: chk.Prefix, Now: chk.Now, Data: frame}); !errors.Is(err, snap.ErrVersion) {
 			t.Fatalf("%s frame: got %v, want snap.ErrVersion", name, err)
 		}
@@ -247,6 +249,7 @@ func TestCorruptStoreEntryRecomputes(t *testing.T) {
 		"previous version": older,
 		"version 2":        v2,
 		"version 3":        v3,
+		"version 4":        v4,
 		"oversized count":  oversizedCount(t, chk.Data),
 	} {
 		t.Run(name, func(t *testing.T) {
@@ -278,6 +281,34 @@ func TestCorruptStoreEntryRecomputes(t *testing.T) {
 				t.Fatalf("post-repair counters = %+v, want a disk hit", st)
 			}
 		})
+	}
+}
+
+// TestTargetKeysTheCheckpoint: a fast thread can commit warmup+target
+// instructions before the slowest thread has warmed, so the cycle it finished
+// on is frozen into the checkpoint — under the target the checkpoint was taken
+// with. Two configurations differing only in TargetInstr (an explicit budget
+// keeps every other term of the prefix equal) used to share one, and the
+// second reported the first's finishing cycles as its own IPC.
+func TestTargetKeysTheCheckpoint(t *testing.T) {
+	c := New()
+	for _, target := range []uint64{10_000, 30_000} {
+		cfg := core.DefaultConfig("mcf", "ammp", "swim", "lucas")
+		cfg.WarmupInstr, cfg.TargetInstr, cfg.MaxCycles = 20_000, target, 50_000_000
+		want, err := core.Run(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := c.Run(context.Background(), cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("target %d through the cache diverged from a plain run\ngot:  %+v\nwant: %+v", target, got, want)
+		}
+	}
+	if st := c.Snapshot(); st.Misses != 2 || st.Hits != 0 {
+		t.Fatalf("counters = %+v, want each target to warm up for itself", st)
 	}
 }
 
@@ -336,5 +367,31 @@ func TestCancelledGetDoesNotFailJoinedGet(t *testing.T) {
 	}
 	if st := c.Snapshot(); st.Misses != 1 {
 		t.Fatalf("Misses = %d, want the one shared warmup", st.Misses)
+	}
+}
+
+// TestWarmupBudgetFallsBackToPlainRun: a budget that ends inside warmup leaves
+// no boundary to capture. A plain run reports the whole run as a cold window,
+// timed out; the cache must return that same Result, not the warmup's error.
+func TestWarmupBudgetFallsBackToPlainRun(t *testing.T) {
+	cfg := core.DefaultConfig("mcf", "ammp")
+	cfg.WarmupInstr, cfg.MaxCycles = 50_000, 20_000
+	want, err := core.Run(cfg)
+	if err != nil || !want.TimedOut {
+		t.Fatalf("plain run = %+v, %v; want a timed-out cold window", want, err)
+	}
+	if _, err := core.WarmupCheckpoint(context.Background(), cfg); !errors.Is(err, core.ErrWarmupBudget) {
+		t.Fatalf("WarmupCheckpoint = %v, want core.ErrWarmupBudget", err)
+	}
+	c := New()
+	got, err := c.Run(context.Background(), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("cached run diverged from a plain run\ngot:  %+v\nwant: %+v", got, want)
+	}
+	if st := c.Snapshot(); st.Bypassed != 1 || st.Forks != 0 {
+		t.Fatalf("counters = %+v, want the run counted as bypassed", st)
 	}
 }

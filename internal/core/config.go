@@ -267,18 +267,25 @@ func (c Config) Fingerprint() string {
 
 // WarmupFingerprint identifies a configuration's warmup prefix: every knob
 // that can influence the machine's state — or the run loop's bookkeeping — at
-// the cycle the last thread crosses WarmupInstr. Sweep points that differ only
-// in knobs acting after measurement begins (TargetInstr, most prominently)
-// share a fingerprint and therefore a warmup checkpoint. Unlike Fingerprint,
-// this includes every geometry and tuning field: a checkpoint is raw machine
-// state, so anything that shapes that state must key it. The cycle budget and
-// watchdog window appear because the two-speed clock's landing schedule (and
-// with it the skip accounting a checkpoint carries) is clamped by them.
+// the cycle the last thread crosses WarmupInstr. Unlike Fingerprint, this
+// includes every geometry and tuning field: a checkpoint is raw machine state,
+// so anything that shapes that state must key it.
+//
+// TargetInstr is one of them. Threads warm at different speeds, so a fast
+// thread can commit warmup+target instructions — and have its finishing cycle
+// recorded — before the slowest one crosses the boundary; a checkpoint taken
+// under one target would hand that cycle to a run with another. The cycle
+// budget and the watchdog window key the frame for another reason, which
+// clock.mustLand makes checkable: a landing bound by either is a landing on
+// which the run ends, so neither shapes the state of a machine that reaches
+// the boundary — they decide whether it gets there. A frame taken under a
+// generous budget or window must not resurrect a run that, on its own terms,
+// times out or trips the watchdog inside warmup.
 func (c Config) WarmupFingerprint() string {
-	return fmt.Sprintf("apps=%s seed=%d warm=%d max=%d wd=%d noskip=%v cpu=%+v"+
+	return fmt.Sprintf("apps=%s seed=%d warm=%d target=%d max=%d wd=%d noskip=%v cpu=%+v"+
 		" mem=%s-%dch-g%d %s %s %s q%d if%d taf=%v refresh=%v turn=%d"+
 		" l1i=%+v l1d=%+v l2=%+v l3=%+v perfect=%v%v%v",
-		strings.Join(c.Apps, "+"), c.Seed, c.WarmupInstr, c.maxCycles(),
+		strings.Join(c.Apps, "+"), c.Seed, c.WarmupInstr, c.TargetInstr, c.maxCycles(),
 		c.WatchdogCycles, c.DisableClockSkip, c.CPU,
 		c.Mem.Kind, c.Mem.PhysChannels, c.Mem.Gang,
 		c.Mem.PageMode, c.Mem.Scheme, c.Mem.Policy,

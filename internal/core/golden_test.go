@@ -36,8 +36,8 @@ func goldenFrames() []struct {
 		size   int
 		sha256 string
 	}{
-		{"2-thread-ddr-hit-first", two, 271151, 105760, "fcc94ad783deba2afeb008c2ba210abc2b48e00d35e5f29ba43bc3ec35228901"},
-		{"8-thread-rdram-request-based", eight, 1318305, 328948, "f7c603fea7363d8b1346dd50f83c9f333c4f2c835ff91e038660e4a61b6ff35d"},
+		{"2-thread-ddr-hit-first", two, 271151, 105767, "24a125be3ba7dceab695b0a2df5476266ff19ba6c44ba18a13bbe7ee0ed25cb2"},
+		{"8-thread-rdram-request-based", eight, 1318305, 328955, "fd499174c6f6e11d2a1b3a98ff4f266610a680c4b10d74b4c32b350832af9f99"},
 	}
 }
 

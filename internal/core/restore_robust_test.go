@@ -43,7 +43,7 @@ func withIssueQueueCount(t *testing.T, frame []byte, count uint64) []byte {
 	}
 	r.Expect(sectionSim)
 	_ = r.String()
-	for i := 0; i < 6; i++ {
+	for i := 0; i < 4; i++ { // the boundary cycle and the three skip counters
 		r.U64()
 	}
 	r.Expect(0x53435055) // cpu's section marker

@@ -134,20 +134,10 @@ type Simulator struct {
 	fsn  *failSnap
 	skip obs.SkipStats
 
-	ckpt ckptRegs
-}
-
-// ckptRegs is the warmup-checkpoint plumbing (see snapshot.go). armed makes
-// RunContext freeze the machine at the warmup boundary, leave the frame in
-// data and stop. at, lastCommitted and lastProgress are the run-loop
-// registers that cross that boundary — its cycle and the watchdog's progress
-// state — which the checkpoint walk serializes: set when the run pauses, and
-// in a machine decoded from a checkpoint, where a non-zero at makes
-// RunContext continue from that same boundary.
-type ckptRegs struct {
-	armed                           bool
-	data                            []byte
-	at, lastCommitted, lastProgress uint64
+	// at is the cycle the machine stands at: 0 as built, the warmup boundary
+	// once decoded from a checkpoint (snapshot.go), which is where a run's
+	// clock starts.
+	at uint64
 }
 
 // SkipStats reports how much of the run the two-speed clock fast-forwarded
@@ -291,12 +281,11 @@ type snapshot struct {
 	rowConf   uint64
 	caches    []cache.Stats
 	committed []uint64
-	taken     bool
 	atCycle   uint64
 }
 
 func (s *Simulator) takeSnapshot(now uint64) snapshot {
-	sn := snapshot{mem: s.ctrl.Stats, taken: true, atCycle: now}
+	sn := snapshot{mem: s.ctrl.Stats, atCycle: now}
 	sn.rowHits, sn.rowClosed, sn.rowConf = s.ctrl.RowBufferStats()
 	for _, l := range []*cache.Level{s.l1i, s.l1d, s.l2, s.l3} {
 		sn.caches = append(sn.caches, l.Stats)
@@ -359,315 +348,64 @@ func (s *Simulator) Run() (Result, error) {
 // RunContext is Run with cooperative cancellation: the context is checked at
 // the same 1024-cycle boundaries as the progress watchdog, so an abandoned
 // job (an HTTP client that hung up, a deadline that passed) stops burning CPU
-// within at most one watchdog window plus the current quiet-window jump. A
+// within at most one watchdog window plus the current quiet-span jump. A
 // cancelled run returns ctx.Err() after closing its stats and observer
 // exactly like a watchdog abort, leaving the simulator in a consistent
 // (finished) state.
+//
+// The run is warm, transition, measure, close out, on one clock (clock.go).
+// A machine decoded from a warmup checkpoint stands at the boundary already
+// warmed, so its warm phase is empty and it continues with the transition an
+// uninterrupted run performs on that same cycle.
 func (s *Simulator) RunContext(ctx context.Context) (Result, error) {
-	limit := s.cfg.maxCycles()
-	wd := s.cfg.WatchdogCycles
-	if wd == 0 {
-		wd = 500_000
-	}
-	watchFail := s.cfg.Faults != nil && s.cfg.Faults.ChannelFail != nil
-	var lastCommitted, lastProgress uint64
-	var now uint64
-	var sn snapshot
-	if s.cfg.WarmupInstr == 0 {
-		sn = s.takeSnapshot(0)
-	}
-	// Serving traces: when the daemon attached a wall-clock run span, open a
-	// child per simulation phase so the Perfetto timeline shows where warmup
-	// ends and measurement begins in wall time. Spans are observation only —
-	// they never feed back into the simulation, so results stay
-	// byte-identical with tracing on or off.
-	var runSpan, phaseSpan *obs.Span
+	k := s.newClock()
+	// Serving traces: when the daemon attached a wall-clock run span, a child
+	// per simulation phase shows where warmup ends and measurement begins in
+	// wall time. Spans are observation only — they never feed back into the
+	// simulation, so results stay byte-identical with tracing on or off.
+	var runSpan, span *obs.Span
 	if s.obs != nil {
 		runSpan = s.obs.RunSpan
 	}
-	endPhase := func(at uint64) {
-		if phaseSpan != nil {
-			phaseSpan.SetAttr("end_cycle", strconv.FormatUint(at, 10))
-			phaseSpan.End()
-			phaseSpan = nil
+	// phase ends the open phase at cycle at and, given a name, opens the next.
+	phase := func(name string, at uint64) {
+		cycle := strconv.FormatUint(at, 10)
+		span.SetAttr("end_cycle", cycle)
+		span.End()
+		span = nil
+		if name != "" {
+			span = runSpan.Child(name, obs.A("start_cycle", cycle))
 		}
 	}
-	if runSpan != nil {
-		if sn.taken {
-			phaseSpan = runSpan.Child("measure", obs.A("start_cycle", "0"))
-		} else {
-			phaseSpan = runSpan.Child("warmup", obs.A("start_cycle", "0"))
-		}
-	}
-	// startMeasuring is the warmup transition: every cumulative counter is
-	// frozen at cycle at, so results cover only what follows.
-	startMeasuring := func(at uint64) {
-		s.ctrl.FinishStats(at)
-		sn = s.takeSnapshot(at)
-		if runSpan != nil {
-			endPhase(at)
-			phaseSpan = runSpan.Child("measure", obs.A("start_cycle", strconv.FormatUint(at, 10)))
-		}
-	}
-	// closeOut ends the run at cycle at, however it ends — finished, budget
-	// spent, cancelled, or aborted by the watchdog: stats and observer are
-	// closed the same way, leaving the simulator in a consistent state.
-	closeOut := func(at uint64) {
-		endPhase(at)
-		s.ctrl.FinishStats(at)
-		s.skip.Wall = at
-		if s.obs != nil {
-			s.obs.Skip = s.skip
-			s.obs.Finish(at)
-		}
-	}
-	skipping := !s.cfg.DisableClockSkip
-	// Deep skip lets a quiet span pass through event cycles whose work is
-	// internal to the memory system (an MSHR chain hop, a controller
-	// bank-ready retry, a fault-retry backoff expiry) without landing: the
-	// events fire at their exact cycles via the queue's span drain, and the
-	// span ends only when one delivers CPU-visible state — a fill reaching
-	// an L1, a branch resolving — which the caches and CPU report through
-	// the wakeup hint (cpu.TakeWake). Observed and failover-watching runs
-	// take the same path: loop profiling replays sailed-through event cycles
-	// through OnEventCycle and the skipped remainder through OnCycleSkip,
-	// registry sampling is bounded by clamp (sample cycles always land), and
-	// clamp caps any span crossing the planned channel-failure cycle so the
-	// landed failover poll below sees it exactly when a ticked run would.
-	//
-	// obsFrom/obsFired are the observer replay cursor inside the open span:
-	// the last observed cycle and the queue's cumulative event count there.
-	var obsFrom, obsFired uint64
-	// drainStop is the span drain's per-event-cycle callback: it decides
-	// whether the batch at ea delivered CPU-visible state, and keeps the
-	// observer's per-cycle accounting exact either way — the quiet gap
-	// (obsFrom, ea-1] replays as skipped, and a sailed-through ea is
-	// observed as an event cycle. On a wake the cursor stops at ea-1: cycle
-	// ea is observed by whichever path lands on or re-opens across it.
-	drainStop := func(ea uint64) bool {
-		woke := s.cpu.TakeWake()
-		if s.obs != nil {
-			s.obs.OnCycleSkip(obsFrom, ea-1, obsFired)
-			if woke {
-				obsFrom = ea - 1
-			} else {
-				obsFired = s.q.Fired()
-				s.obs.OnEventCycle(ea, obsFired)
-				obsFrom = ea
-			}
-		}
-		return woke
-	}
-	// clamp bounds a quiet jump from cycle n: the watchdog's 1024-cycle
-	// boundaries are emulated (inside a quiet window nothing commits, so the
-	// first skipped boundary would record any progress made since the last
-	// check, and the check trips at the first boundary a full watchdog window
-	// past lastProgress — replicate the recording and land on the trip
-	// boundary, where the landed check fires exactly as the baseline's
-	// would), observer sample boundaries force a landing, a still-pending
-	// planned channel failure forces a landing on its cycle (the failover
-	// snapshot is taken by landed polling), and the jump never exits the
-	// cycle budget.
-	clamp := func(n, target uint64) uint64 {
-		if c := s.cpu.TotalCommitted; c != lastCommitted {
-			if b0 := (n>>10 + 1) << 10; target > b0 {
-				lastCommitted, lastProgress = c, b0
-			}
-		}
-		if s.cpu.TotalCommitted == lastCommitted {
-			if trip := (lastProgress + wd + 1023) >> 10 << 10; trip < target {
-				target = trip
-			}
-		}
-		if s.obs != nil {
-			if b := s.obs.NextBoundary(); b > 0 && b < target {
-				target = b
-			}
-		}
-		if watchFail && s.fsn == nil {
-			if fa, ok := s.ctrl.PlannedFailAt(); ok && fa < target {
-				target = fa
-			}
-		}
-		if target > limit+1 {
-			target = limit + 1
-		}
-		return target
-	}
-	// Warmup-checkpoint restore: the checkpoint was taken at the warmup
-	// boundary, after its cycle's events and Tick but before the warmup
-	// transition, so the resumed loop enters at that cycle and performs only
-	// the remainder of its iteration (guarded below) before continuing
-	// normally — landing on the exact instruction stream an uninterrupted run
-	// would execute.
-	resumed := s.ckpt.at > 0
-	startAt := uint64(1)
-	if resumed {
-		startAt = s.ckpt.at
-		lastCommitted, lastProgress = s.ckpt.lastCommitted, s.ckpt.lastProgress
-	}
-	for now = startAt; now <= limit; now++ {
-		if resumed {
-			resumed = false
-			startMeasuring(now)
-		} else {
-			s.q.RunUntil(now)
-			s.cpu.Tick(now)
-			if s.obs != nil {
-				s.obs.OnCycle(now, s.q.Fired())
-			}
-			// Progress watchdog: a machine that commits nothing for wd cycles
-			// is livelocked, not slow — abort with a structured error instead
-			// of burning the remaining MaxCycles budget. Cancellation shares
-			// the boundary: one Err() load per 1024 cycles is noise, and a
-			// cancelled run unwinds through the same stats/observer close-out
-			// as an abort.
-			if now&1023 == 0 {
-				if err := ctx.Err(); err != nil {
-					closeOut(now)
-					return Result{}, err
-				}
-				if c := s.cpu.TotalCommitted; c != lastCommitted {
-					lastCommitted, lastProgress = c, now
-				} else if now-lastProgress >= wd {
-					closeOut(now)
-					return Result{}, &NoProgressError{Cycle: now, Window: wd, Committed: c}
-				}
-			}
-			if watchFail && s.fsn == nil {
-				if _, at := s.ctrl.Failover(); at > 0 {
-					s.fsn = &failSnap{atCycle: now, committed: s.cpu.TotalCommitted,
-						reads: s.ctrl.Stats.Reads, latSum: s.ctrl.Stats.ReadLatencySum}
-				}
-			}
-			if !sn.taken && s.cpu.AllWarmed() {
-				if s.ckpt.armed {
-					// Armed warmup checkpoint: freeze the machine exactly here
-					// — before the transition work the resumed run replays —
-					// and hand the frame back through the checkpoint registers.
-					s.ckpt.armed = false
-					s.ckpt.at, s.ckpt.lastCommitted, s.ckpt.lastProgress = now, lastCommitted, lastProgress
-					data, err := s.encode()
-					if err != nil {
-						return Result{}, err
-					}
-					s.ckpt.data = data
-					return Result{}, errPaused
-				}
-				startMeasuring(now)
-			}
-		}
-		if sn.taken && s.cpu.AllFinished() {
-			break
-		}
-		if !skipping {
-			continue
-		}
+	// A run whose budget ends inside warmup never opens a measured window; it
+	// reports whole-run (cold) measurements rather than an empty one.
+	sn := snapshot{caches: make([]cache.Stats, 4), committed: make([]uint64, len(s.cfg.Apps))}
 
-		// Two-speed clock (DESIGN §11): when neither the event queue nor the
-		// CPU can do anything before some future cycle, replace the
-		// intervening Ticks with their aggregate bookkeeping and land the
-		// loop directly on that cycle. Every per-cycle duty above is either
-		// replayed in aggregate (cycle counters, gated-dispatch accounting,
-		// loop profiling) or provably inert across a quiet window (warmup,
-		// finish, and failover transitions all require landed work), and the
-		// watchdog's 1024-cycle boundaries are emulated below — so a skipped
-		// run is byte-identical to an unskipped one.
-		if s.cpu.Acted() {
-			// The Tick above made real progress, so the machine is almost
-			// never on the edge of a quiet window — defer the (expensive)
-			// quiescence probe until a Tick comes back idle. Pure heuristic:
-			// it can only delay a window's start by a cycle, never skip a
-			// cycle the contract would forbid.
-			continue
-		}
-		// One fused probe per side yields the skip bound and the replay
-		// terms, captured before any in-window event can mutate the state
-		// they are derived from. The event queue is not consulted up front —
-		// in-span events are handled by DrainQuiet, at their exact cycles. A
-		// memory-internal event (an MSHR chain hop, a controller retry
-		// timer) changes neither the CPU nor the L1s, so the span sails
-		// straight through it. An event that does deliver CPU-visible state
-		// closes the current sub-span — but the span only ends there if the
-		// CPU actually has work at that cycle: a fill that matures a mid-ROB
-		// entry with no ready dependents leaves the machine just as idle, so
-		// the span re-opens from the post-event state, which is exactly what
-		// a ticked run's subsequent idle cycles would see.
-		cpuNext, fx, quiet := s.cpu.ProbeQuiet(now)
-		if !quiet || cpuNext <= now+1 {
-			continue
-		}
-		if cpuNext == ^uint64(0) {
-			// Only a memory-side event can unblock the CPU. The controller's
-			// mirror probe guarantees a non-quiet controller has its next
-			// interaction covered by a pending event, so an empty queue
-			// facing a non-quiet controller is a lost wakeup — a bug, but
-			// one that must deadlock identically in both modes, so step
-			// instead of skipping over it.
-			if _, qok := s.q.NextAt(); !qok {
-				if _, mquiet := s.ctrl.ProbeQuiet(now); !mquiet {
-					continue
-				}
-			}
-		}
-		target := clamp(now, cpuNext)
-		if target <= now+1 {
-			continue
-		}
-		from := now
-		var total uint64
-		s.cpu.TakeWake() // events up to now already informed this Tick
-		obsFrom, obsFired = now, s.q.Fired()
-		land := target
-		for {
-			ea, woke := s.q.DrainQuiet(land, drainStop)
-			if !woke {
-				break
-			}
-			total += ea - 1 - from
-			s.cpu.ApplyQuiet(fx, ea-1-from)
-			from = ea - 1
-			next, nfx, q := s.cpu.ProbeQuiet(from)
-			if !q || next <= ea {
-				land = ea // Tick(ea) has real work: land on it
-				break
-			}
-			fx = nfx
-			if s.obs != nil {
-				obsFired = s.q.Fired()
-				s.obs.OnEventCycle(ea, obsFired)
-				obsFrom = ea
-			}
-			land = clamp(from, next)
-			if land <= ea {
-				land = ea + 1 // defensive: next > ea keeps this exact
-			}
-		}
-		total += land - 1 - from
-		s.cpu.ApplyQuiet(fx, land-1-from)
-		if s.obs != nil {
-			s.obs.OnCycleSkip(obsFrom, land-1, obsFired)
-		}
-		// Settle the controller's span-aggregated accounting at the landing:
-		// the time-weighted concurrency histograms advance through the span
-		// in one exact step instead of lagging until the next state change.
-		s.ctrl.ApplyQuiet(land - 1)
-		if total > 0 {
-			s.recordSkip(total)
-		}
-		now = land - 1
+	if !s.cpu.AllWarmed() {
+		phase("warmup", k.now)
 	}
-	if !sn.taken {
-		// Timed out during warmup: report whole-run (cold) measurements
-		// rather than an empty window.
-		sn = snapshot{
-			taken:     true,
-			caches:    make([]cache.Stats, 4),
-			committed: make([]uint64, len(s.cfg.Apps)),
-		}
+	err := k.until(ctx, s.cpu.AllWarmed)
+	if err == nil && s.cpu.AllWarmed() {
+		// The warmup transition: every cumulative counter is frozen at this
+		// cycle, so results cover only what follows.
+		s.ctrl.FinishStats(k.now)
+		sn = s.takeSnapshot(k.now)
+		phase("measure", k.now)
+		err = k.until(ctx, s.cpu.AllFinished)
 	}
-	closeOut(now)
-	return s.collect(now, sn)
+	// However the run ends — finished, budget spent, cancelled, or aborted by
+	// the watchdog — stats and observer close the same way.
+	phase("", k.now)
+	s.ctrl.FinishStats(k.now)
+	s.skip.Wall = k.now
+	if s.obs != nil {
+		s.obs.Skip = s.skip
+		s.obs.Finish(k.now)
+	}
+	if err != nil {
+		return Result{}, err
+	}
+	return s.collect(k.now, sn)
 }
 
 func (s *Simulator) collect(now uint64, sn snapshot) (Result, error) {

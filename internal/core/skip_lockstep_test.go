@@ -1,9 +1,12 @@
 package core
 
 import (
-	"fmt"
+	"bytes"
+	"context"
+	"reflect"
 	"testing"
 
+	"smtdram/internal/cache"
 	"smtdram/internal/cpu"
 	"smtdram/internal/dram"
 	"smtdram/internal/faults"
@@ -11,25 +14,40 @@ import (
 	"smtdram/internal/obs"
 )
 
-// TestSkipLockstepDeep is the strong oracle for the deep-skip protocol: it
-// drives one machine with the exact span-drain sequence the run loop uses
-// (ProbeQuiet, DrainQuiet sail-through, wake, re-probe) and a twin with plain
-// per-cycle Ticks, comparing the full observable CPU fingerprint at every
-// landed cycle — and, stricter, asserting the twin's fingerprint never moves
-// during a cycle the protocol skipped. The end-to-end equivalence tests in
-// skip_test.go compare final Results; this test pins down *which cycle* a
-// divergence first appears at, and is the only one that can catch a
-// multi-cycle optimism bug (a probe bound that is too far out) whose damage
-// happens mid-window. The one-cycle oracle in the cpu package
+// lockstepCase is one machine the lockstep oracle runs at both speeds.
+type lockstepCase struct {
+	name string
+	cfg  func() Config
+	// observe, when set, attaches an observer built from these options to
+	// both machines.
+	observe *obs.Options
+	// restored starts the skipping machine from a warmup checkpoint; the twin
+	// ticks there from cycle 1.
+	restored bool
+}
+
+// TestSkipLockstepDeep is the strong oracle for the two-speed clock: it drives
+// one machine with the run loop's own clock (until → step → sail, clock.go)
+// and a twin with plain per-cycle Ticks, comparing the full observable CPU
+// fingerprint at every landed cycle — and, stricter, asserting the twin's
+// Tick never moves the fingerprint on a cycle the clock skipped. The
+// end-to-end equivalence tests in skip_test.go compare final Results; this
+// test pins down *which cycle* a divergence first appears at, and is the only
+// one that can catch a multi-cycle optimism bug (a probe bound that is too far
+// out) whose damage happens mid-span. The one-cycle oracle in the cpu package
 // (TestNextWorkAtPredictsQuietCycles) structurally cannot.
 //
-// The observed variant attaches a loop profiler to both machines and replays
-// it exactly as the run loop would (OnCycle on landed cycles, OnEventCycle on
-// sailed-through event cycles, OnCycleSkip on quiet gaps), asserting the
-// replayed profile is identical to the ticked twin's per-cycle one. The
-// seeded-fault variant routes retry backoff timers and ECC scrubbing through
-// the span drain, where a deadline the controller probe failed to report
-// would surface as a lockstep divergence at its exact cycle.
+// Because the clock under test is the production one, its landing rules are
+// under the oracle too. The profiled variant asserts the skipping machine's
+// loop profile — fed only landed and sailed-through event cycles — equals the
+// twin's per-cycle one. The sampled variant asserts every registry sample
+// cycle lands and the metrics export equals the twin's. The seeded-fault
+// variant routes retry backoff timers and ECC scrubbing through the span
+// drain, where a deadline the controller probe failed to report would surface
+// as a divergence at its exact cycle. The channel-fail variant asserts the
+// planned failure's cycle lands and the failover report equals a ticked run's.
+// The restored variant starts the clock from a warmup checkpoint. Every
+// variant must skip, so none can pass by ticking.
 func TestSkipLockstepDeep(t *testing.T) {
 	base := func() Config {
 		cfg := fastCfg("mcf", "ammp", "swim", "lucas")
@@ -58,214 +76,163 @@ func TestSkipLockstepDeep(t *testing.T) {
 	faulty := func() Config {
 		// Seeded bit-flip and drop faults arm retry backoff timers whose
 		// expiries are in-span events; the controller probe must report them
-		// (and the ECC scrub latency bumps) or the twin acts mid-window.
+		// (and the ECC scrub latency bumps) or the twin acts mid-span.
 		cfg := faultyCfg(&faults.Plan{BitFlipRate: 5e-2, DropRate: 5e-3, Seed: 11},
 			"mcf", "art", "swim", "lucas")
 		cfg.WarmupInstr = 60_000
 		cfg.TargetInstr = 40_000
 		return cfg
 	}
-	for _, tc := range []struct {
-		name     string
-		cfg      func() Config
-		observed bool
-	}{
-		{"default-mix", base, false},
-		{"serialized-fetchstall", serialized, false},
-		{"seeded-faults", faulty, false},
-		{"observed-default-mix", base, true},
+	failing := func() Config {
+		cfg := base()
+		cfg.Faults = &faults.Plan{ChannelFail: &faults.ChannelFail{Channel: 1, At: 40_000}}
+		return cfg
+	}
+	shortWarm := func() Config {
+		cfg := base()
+		cfg.WarmupInstr = 2_000 // the boundary falls around cycle 55k, early in the lockstep window
+		return cfg
+	}
+	for _, tc := range []lockstepCase{
+		{name: "default-mix", cfg: base},
+		{name: "serialized-fetchstall", cfg: serialized},
+		{name: "seeded-faults", cfg: faulty},
+		{name: "observed-default-mix", cfg: base, observe: &obs.Options{Profile: true}},
+		{name: "sampled-default-mix", cfg: base, observe: &obs.Options{Metrics: true, MetricsInterval: 500}},
+		{name: "channel-fail", cfg: failing},
+		{name: "restored-default-mix", cfg: shortWarm, restored: true},
 	} {
-		t.Run(tc.name, func(t *testing.T) {
-			lockstepDeep(t, tc.cfg, tc.observed)
-		})
+		t.Run(tc.name, func(t *testing.T) { lockstepDeep(t, tc) })
 	}
 }
 
-func lockstepDeep(t *testing.T, mkCfg func() Config, observed bool) {
-	mk := func() *Simulator {
-		s, err := NewSimulator(mkCfg())
+func lockstepDeep(t *testing.T, tc lockstepCase) {
+	// The cycle budget ends the lockstep window. One goroutine drives both
+	// machines, so the race detector has nothing to find in a long one.
+	limit := uint64(400_000)
+	if testing.Short() || raceDetector {
+		limit = 120_000
+	}
+	ctx := context.Background()
+	mk := func() (Config, *obs.Observer) {
+		cfg := tc.cfg()
+		cfg.MaxCycles = limit
+		var ob *obs.Observer
+		if tc.observe != nil {
+			ob = obs.New(*tc.observe)
+			cfg.Observe = func() *obs.Observer { return ob }
+		}
+		return cfg, ob
+	}
+	build := func(cfg Config) *Simulator {
+		s, err := NewSimulator(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
 		return s
 	}
-	s, u := mk(), mk()
-
-	// The observed variant profiles both machines: the skipping one through
-	// the replay protocol, the ticked twin through the plain per-cycle hook.
-	var sob, uob *obs.Observer
-	if observed {
-		sob = obs.New(obs.Options{Profile: true})
-		uob = obs.New(obs.Options{Profile: true})
-	}
-
-	// A short ring of recent protocol decisions, dumped on failure so the
-	// offending span is visible without re-instrumenting.
-	var decisions []string
-	logd := func(f string, a ...any) {
-		decisions = append(decisions, fmt.Sprintf(f, a...))
-		if len(decisions) > 12 {
-			decisions = decisions[1:]
+	scfg, sob := mk()
+	ucfg, uob := mk()
+	s, u := build(scfg), build(ucfg)
+	var uNow uint64
+	if tc.restored {
+		chk, err := WarmupCheckpoint(ctx, scfg)
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-
-	// The span drain's stop callback, mirroring Simulator.Run's drainStop:
-	// wake decision plus exact observer replay bookkeeping.
-	var obsFrom, obsFired uint64
-	drainStop := func(ea uint64) bool {
-		woke := s.cpu.TakeWake()
-		if sob != nil {
-			sob.OnCycleSkip(obsFrom, ea-1, obsFired)
-			if woke {
-				obsFrom = ea - 1
-			} else {
-				obsFired = s.q.Fired()
-				sob.OnEventCycle(ea, obsFired)
-				obsFrom = ea
-			}
+		if s, err = NewCheckpointedSimulator(scfg, chk); err != nil {
+			t.Fatal(err)
 		}
-		return woke
-	}
-
-	const limit = 400_000
-	uNow := uint64(0)
-	var now uint64
-	for now = 1; now <= limit; now++ {
-		s.q.RunUntil(now)
-		s.cpu.Tick(now)
-		if sob != nil {
-			sob.OnCycle(now, s.q.Fired())
-		}
-		for uNow < now {
+		for uNow < chk.Now {
 			uNow++
 			u.q.RunUntil(uNow)
-			pre := u.cpu.Fingerprint()
+			u.cpu.Tick(uNow)
+		}
+	}
+
+	// A short ring of recent landings, dumped on failure so the offending
+	// span is visible without re-instrumenting.
+	var landings [][2]uint64 // (landed cycle, cycles sailed to reach it)
+	fatalf := func(f string, a ...any) {
+		t.Helper()
+		for _, l := range landings {
+			t.Logf("landed %d after sailing %d", l[0], l[1])
+		}
+		t.Fatalf(f, a...)
+	}
+
+	// follow brings the twin to cycle to, one plain Tick at a time. Every
+	// cycle before to is one the clock skipped, where the twin's Tick must
+	// leave the fingerprint alone; so must to itself unless it landed.
+	follow := func(to uint64, landed bool) {
+		for uNow < to {
+			uNow++
+			u.q.RunUntil(uNow)
+			skipped := !landed || uNow < to
+			var pre string
+			if skipped {
+				pre = u.cpu.Fingerprint()
+			}
 			u.cpu.Tick(uNow)
 			if uob != nil {
 				uob.OnCycle(uNow, u.q.Fired())
 			}
-			if uNow != now {
+			if skipped {
 				if post := u.cpu.Fingerprint(); post != pre {
-					for _, d := range decisions {
-						t.Log(d)
-					}
-					t.Fatalf("twin acted at skipped cycle %d\npre:  %s\npost: %s", uNow, pre, post)
+					fatalf("twin acted at skipped cycle %d\npre:  %s\npost: %s", uNow, pre, post)
 				}
 			}
 		}
-		a, b := s.cpu.Fingerprint(), u.cpu.Fingerprint()
-		if a != b {
-			for _, d := range decisions {
-				t.Log(d)
-			}
-			t.Fatalf("diverged at landed cycle %d\nskip: %s\ntick: %s", now, a, b)
+		if a, b := s.cpu.Fingerprint(), u.cpu.Fingerprint(); a != b {
+			fatalf("diverged at cycle %d (landed %v)\nskip: %s\ntick: %s", to, landed, a, b)
 		}
-		if s.cpu.AllFinished() {
-			break
+	}
+
+	k := s.newClock()
+	if k.now != uNow {
+		t.Fatalf("clock starts at cycle %d, twin stands at %d", k.now, uNow)
+	}
+	var failAt uint64 // the planned channel failure's cycle, 0 without one
+	if f := scfg.Faults; f != nil && f.ChannelFail != nil {
+		failAt = f.ChannelFail.At
+	}
+	var sawFail bool
+	var nextSample uint64 // the registry's next sample cycle as of the last landing
+	err := k.until(ctx, func() bool {
+		prev := uNow
+		if k.now > prev+1 {
+			landings = append(landings[max(0, len(landings)-11):], [2]uint64{k.now, k.now - 1 - prev})
 		}
-		// The controller probe's soundness invariant, asserted at every
-		// landed cycle: a non-quiet controller always has a finite next
-		// deadline, and that deadline is covered by a pending event — this
-		// is what makes the run loop's empty-queue lost-wakeup guard sound.
-		if mn, mq := s.ctrl.ProbeQuiet(now); !mq {
-			if mn == ^uint64(0) {
-				t.Fatalf("cycle %d: controller non-quiet with no finite deadline", now)
-			}
-			if _, qok := s.q.NextAt(); !qok {
-				t.Fatalf("cycle %d: controller non-quiet with an empty event queue", now)
-			}
-		}
-		if s.cpu.Acted() {
-			continue
-		}
-		// Deep sub-span re-probe, mirroring Simulator.Run (no watchdog or
-		// sample-boundary clamps here; the cycle limit stands in for the
-		// budget).
-		cpuNext, fx, quiet := s.cpu.ProbeQuiet(now)
-		if !quiet || cpuNext <= now+1 {
-			continue
-		}
-		if cpuNext == ^uint64(0) {
-			if _, qok := s.q.NextAt(); !qok {
-				if _, mquiet := s.ctrl.ProbeQuiet(now); !mquiet {
-					continue
-				}
-			}
-		}
-		target := cpuNext
-		if target > limit+1 {
-			target = limit + 1
-		}
-		if target <= now+1 {
-			continue
-		}
-		from := now
-		s.cpu.TakeWake()
-		obsFrom, obsFired = now, s.q.Fired()
-		land := target
-		logd("span open now=%d cpuNext=%d", now, cpuNext)
-		for {
-			ea, woke := s.q.DrainQuiet(land, drainStop)
-			if !woke {
-				break
-			}
-			s.cpu.ApplyQuiet(fx, ea-1-from)
-			from = ea - 1
-			next, nfx, q := s.cpu.ProbeQuiet(from)
-			if !q || next <= ea {
-				land = ea
-				logd("  wake ea=%d -> land", ea)
-				break
-			}
-			fx = nfx
-			if sob != nil {
-				obsFired = s.q.Fired()
-				sob.OnEventCycle(ea, obsFired)
-				obsFrom = ea
-			}
-			land = next
-			if land > limit+1 {
-				land = limit + 1
-			}
-			if land <= ea {
-				land = ea + 1
-			}
-			logd("  wake ea=%d next=%d reopen land=%d", ea, next, land)
-		}
-		s.cpu.ApplyQuiet(fx, land-1-from)
+		follow(k.now, true)
 		if sob != nil {
-			sob.OnCycleSkip(obsFrom, land-1, obsFired)
+			if nextSample > 0 && k.now > nextSample {
+				fatalf("the clock sailed from %d to %d across the registry's sample cycle %d", prev, k.now, nextSample)
+			}
+			nextSample = sob.NextBoundary()
 		}
-		s.ctrl.ApplyQuiet(land - 1)
-		now = land - 1
+		sawFail = sawFail || (failAt > 0 && k.now == failAt)
+		assertControllerCovered(t, s, k.now)
+		return s.cpu.AllFinished()
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
+	// A final span may sail right out of the budget, leaving the twin behind:
+	// the clock settled those cycles in aggregate, so the twin idles through
+	// the same window before the closing comparison.
+	end := min(k.now, limit)
+	follow(end, false)
 
-	// A final span may fast-forward right up to the cycle limit, exiting the
-	// loop with the ticked twin still behind: the skipping machine replayed
-	// those cycles in aggregate, so catch the twin up through the same window
-	// (asserting it stays inert there too) before the closing comparison.
-	if now > limit {
-		now = limit
+	if s.SkipStats().Skipped == 0 {
+		t.Fatal("the clock never sailed: this variant checked nothing about spans")
 	}
-	for uNow < now {
-		uNow++
-		u.q.RunUntil(uNow)
-		pre := u.cpu.Fingerprint()
-		u.cpu.Tick(uNow)
-		if uob != nil {
-			uob.OnCycle(uNow, u.q.Fired())
-		}
-		if post := u.cpu.Fingerprint(); post != pre {
-			t.Fatalf("twin acted at final skipped cycle %d\npre:  %s\npost: %s", uNow, pre, post)
-		}
+	if tc.observe != nil {
+		sob.Finish(end)
+		uob.Finish(end)
 	}
-	if a, b := s.cpu.Fingerprint(), u.cpu.Fingerprint(); a != b {
-		t.Fatalf("diverged at final cycle %d\nskip: %s\ntick: %s", now, a, b)
-	}
-
-	if observed {
-		// The replayed profile must be indistinguishable from the ticked
-		// twin's: same cycle count, same events-per-cycle distribution.
+	if sob != nil && sob.Prof != nil {
+		// The skipping machine's profile must be indistinguishable from the
+		// ticked twin's: same cycle count, same events-per-cycle distribution.
 		if sc, uc := sob.Prof.Cycles(), uob.Prof.Cycles(); sc != uc {
 			t.Fatalf("profiled cycle counts diverge: skip=%d tick=%d", sc, uc)
 		}
@@ -274,6 +241,40 @@ func lockstepDeep(t *testing.T, mkCfg func() Config, observed bool) {
 		}
 		if sob.Prof.Hist.Count() == 0 {
 			t.Fatal("observed lockstep profiled nothing")
+		}
+	}
+	if sob != nil && sob.Reg != nil {
+		var sm, um bytes.Buffer
+		if err := sob.Reg.WriteJSONL(&sm, "lockstep", end); err != nil {
+			t.Fatal(err)
+		}
+		if err := uob.Reg.WriteJSONL(&um, "lockstep", end); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(sm.Bytes(), um.Bytes()) {
+			t.Fatal("metrics exports diverge between the clock-driven machine and its ticked twin")
+		}
+		if cycles, _, ok := sob.Reg.Series("event.pending"); !ok || len(cycles) < 100 {
+			t.Fatalf("sampled lockstep took %d samples", len(cycles))
+		}
+	}
+	if failAt > 0 {
+		if !sawFail || s.fsn == nil || s.fsn.atCycle != failAt {
+			t.Fatalf("planned failure at %d: landed there %v, snapshot %+v", failAt, sawFail, s.fsn)
+		}
+		// The report against a machine the production loop ticks through the
+		// same budget: same end cycle, so the same post-failure window.
+		ucfg.DisableClockSkip = true
+		want, err := Run(ucfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := s.collect(k.now, snapshot{caches: make([]cache.Stats, 4), committed: make([]uint64, len(scfg.Apps))})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want.Failover == nil || !reflect.DeepEqual(got.Failover, want.Failover) {
+			t.Fatalf("failover reports diverge:\nskip: %+v\ntick: %+v", got.Failover, want.Failover)
 		}
 	}
 }

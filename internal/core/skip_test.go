@@ -11,6 +11,7 @@ import (
 	"smtdram/internal/faults"
 	"smtdram/internal/memctrl"
 	"smtdram/internal/obs"
+	"smtdram/internal/workload"
 )
 
 // runBothSpeeds executes the same configuration with the two-speed clock
@@ -227,26 +228,86 @@ func TestSkipStatsUnchangedByObserver(t *testing.T) {
 	}
 }
 
-// The watchdog must trip at exactly the same cycle whether the livelocked
-// window was ticked through or fast-forwarded: its 1024-cycle check
-// boundaries are emulated, not approximated.
-func TestSkipWatchdogEquivalence(t *testing.T) {
-	trip := func(disable bool) *NoProgressError {
-		cfg := fastCfg("stuck")
-		cfg.Sources = []cpu.Source{stuckSource{}}
-		cfg.MaxCycles = 50_000_000
-		cfg.WatchdogCycles = 20_000
-		cfg.DisableClockSkip = disable
-		_, err := Run(cfg)
-		var npe *NoProgressError
-		if !errors.As(err, &npe) {
-			t.Fatalf("livelocked run returned %v, want *NoProgressError", err)
+// A run that spends its budget ends one cycle past it at either speed, with
+// every cycle of the budget accounted exactly once — ticked, or settled by a
+// span that stopped at the budget and not beyond. Several budgets, so that
+// some end inside a span: that is the case mustLand's budget rule exists for.
+func TestSkipEquivalenceTimedOut(t *testing.T) {
+	var endedInSpan bool
+	for _, limit := range []uint64{60_000, 60_131, 60_262, 60_393, 120_524, 120_655} {
+		run := func(disable bool) (Result, *Simulator) {
+			cfg := fastCfg("mcf", "art", "swim", "lucas")
+			cfg.WarmupInstr, cfg.MaxCycles, cfg.DisableClockSkip = 5_000, limit, disable
+			s, err := NewSimulator(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err := s.Run()
+			if err != nil {
+				t.Fatal(err)
+			}
+			return res, s
 		}
-		return npe
+		skip, ss := run(false)
+		tick, ts := run(true)
+		if !skip.TimedOut || !reflect.DeepEqual(skip, tick) {
+			t.Fatalf("budget %d: results diverge between clock speeds (or the run finished):\nskip: %+v\ntick: %+v", limit, skip, tick)
+		}
+		if ss.cpu.Cycles != limit || ts.cpu.Cycles != limit {
+			t.Fatalf("budget %d: the CPU accounts %d cycles skipping, %d ticking", limit, ss.cpu.Cycles, ts.cpu.Cycles)
+		}
+		if w := ss.SkipStats().Wall; w != limit+1 || ts.SkipStats().Wall != w {
+			t.Fatalf("budget %d: run ends at cycle %d skipping, %d ticking", limit, w, ts.SkipStats().Wall)
+		}
+		endedInSpan = endedInSpan || !ss.cpu.Acted()
 	}
-	skip, tick := trip(false), trip(true)
-	if *skip != *tick {
-		t.Fatalf("watchdog diverges between clock speeds: skip=%+v tick=%+v", skip, tick)
+	if !endedInSpan {
+		t.Fatal("no budget ended inside a quiet span; pick other budgets")
+	}
+}
+
+// stallingSource commits left instructions and then livelocks like
+// stuckSource, so the watchdog's window opens on a commit, not on cycle 0.
+type stallingSource struct{ left int }
+
+func (s *stallingSource) Next() workload.Instr {
+	if s.left > 0 {
+		s.left--
+		return workload.Instr{Kind: workload.IntOp, Lat: 1}
+	}
+	return stuckSource{}.Next()
+}
+
+// The watchdog must trip at exactly the same cycle whether the livelocked
+// window was ticked through or sailed across: the clock bounds its spans by
+// tripAt, the cycle a per-1024-cycle check would trip on. The pinned cycles are
+// what the run loop produced when it still emulated those checks span by span.
+func TestSkipWatchdogEquivalence(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		src  func() cpu.Source
+		want NoProgressError
+	}{
+		{"stuck", func() cpu.Source { return stuckSource{} },
+			NoProgressError{Cycle: 20_480, Window: 20_000, Committed: 0}},
+		{"stalls-after-5000", func() cpu.Source { return &stallingSource{left: 5000} },
+			NoProgressError{Cycle: 21_504, Window: 20_000, Committed: 5000}},
+	} {
+		for _, disable := range []bool{false, true} {
+			cfg := fastCfg(tc.name)
+			cfg.Sources = []cpu.Source{tc.src()}
+			cfg.MaxCycles = 50_000_000
+			cfg.WatchdogCycles = 20_000
+			cfg.DisableClockSkip = disable
+			_, err := Run(cfg)
+			var npe *NoProgressError
+			if !errors.As(err, &npe) {
+				t.Fatalf("%s: livelocked run returned %v, want *NoProgressError", tc.name, err)
+			}
+			if *npe != tc.want {
+				t.Fatalf("%s (ticked %v): watchdog = %+v, want %+v", tc.name, disable, *npe, tc.want)
+			}
+		}
 	}
 }
 

@@ -19,13 +19,14 @@ import (
 
 const (
 	ckptMagic   = "SMTC"
-	ckptVersion = 4          // 4: a cache level lists its valid lines behind a bitmap, two words each (3 wrote all of them, five fields each)
+	ckptVersion = 5          // 5: the watchdog's two progress registers left the header — the boundary is a committing cycle, so they are derived (4 wrote them)
 	sectionSim  = 0x434F5245 // "CORE"
 )
 
-// errPaused is RunContext's internal signal that the run stopped at the armed
-// warmup boundary instead of finishing.
-var errPaused = errors.New("core: paused at warmup boundary")
+// ErrWarmupBudget is WarmupCheckpoint's error for a configuration whose cycle
+// budget ends before every thread has warmed up: there is no boundary to
+// capture. A plain run of it reports the cold-window, timed-out Result.
+var ErrWarmupBudget = errors.New("core: cycle budget ends inside warmup")
 
 // Checkpoint is a machine frozen at its warmup boundary.
 type Checkpoint struct {
@@ -70,16 +71,21 @@ func WarmupCheckpoint(ctx context.Context, cfg Config) (*Checkpoint, error) {
 	if err != nil {
 		return nil, err
 	}
-	s.ckpt.armed = true
-	_, err = s.RunContext(ctx)
-	switch {
-	case errors.Is(err, errPaused):
-		return &Checkpoint{Prefix: cfg.WarmupFingerprint(), Now: s.ckpt.at, Data: s.ckpt.data}, nil
-	case err != nil:
+	k := s.newClock()
+	if err := k.until(ctx, s.cpu.AllWarmed); err != nil {
 		return nil, err
-	default:
-		return nil, fmt.Errorf("core: run finished without reaching the warmup boundary")
 	}
+	if !s.cpu.AllWarmed() {
+		return nil, ErrWarmupBudget
+	}
+	// The machine is frozen after the boundary cycle's events and Tick and
+	// before the warmup transition, which the restored run performs.
+	s.at = k.now
+	data, err := s.encode()
+	if err != nil {
+		return nil, err
+	}
+	return &Checkpoint{Prefix: cfg.WarmupFingerprint(), Now: s.at, Data: data}, nil
 }
 
 // NewCheckpointedSimulator builds the machine described by cfg and restores
@@ -133,21 +139,19 @@ func (s *Simulator) decode(data []byte) error {
 }
 
 // walk is the checkpoint format: the run-loop registers that survive the
-// pause (cycle position, watchdog progress state, skip accounting), then the
-// full machine. Component order follows reference direction, so that loading
-// always finds a reference's target already back: the CPU first (its fill
-// carriers resolve from pools alone), then the cache levels top-down (a
-// level's MSHR waiters point at the level above), then the memory backend,
-// the controller (queued entries reference backend requests), the event queue
-// (references everything), and the workload generators.
+// pause (the boundary cycle and the skip accounting), then the full machine.
+// Component order follows reference direction, so that loading always finds a
+// reference's target already back: the CPU first (its fill carriers resolve
+// from pools alone), then the cache levels top-down (a level's MSHR waiters
+// point at the level above), then the memory backend, the controller (queued
+// entries reference backend requests), the event queue (references
+// everything), and the workload generators.
 func (s *Simulator) walk(c *snap.Codec) error {
 	c.Marker(sectionSim)
 	want := s.cfg.WarmupFingerprint()
 	prefix := want
 	c.String(&prefix)
-	c.U64(&s.ckpt.at)
-	c.U64(&s.ckpt.lastCommitted)
-	c.U64(&s.ckpt.lastProgress)
+	c.U64(&s.at)
 	c.U64(&s.skip.Skipped)
 	c.U64(&s.skip.Segments)
 	c.U64(&s.skip.Longest)
@@ -155,8 +159,8 @@ func (s *Simulator) walk(c *snap.Codec) error {
 	case c.Err() != nil:
 	case prefix != want:
 		c.Fail(fmt.Errorf("%w: checkpoint prefix %q does not match configuration %q", snap.ErrCorrupt, prefix, want))
-	case s.ckpt.at == 0 || s.ckpt.at > s.cfg.maxCycles():
-		c.Fail(fmt.Errorf("%w: checkpoint cycle %d outside the run's budget", snap.ErrCorrupt, s.ckpt.at))
+	case s.at == 0 || s.at > s.cfg.maxCycles():
+		c.Fail(fmt.Errorf("%w: checkpoint cycle %d outside the run's budget", snap.ErrCorrupt, s.at))
 	}
 	if err := c.Err(); err != nil {
 		return err // before a frame for another machine is walked into this one

@@ -589,7 +589,7 @@ func (c *CPU) Tick(now uint64) {
 // Acted reports whether the last Tick made real progress (fetched,
 // dispatched, issued, committed, or drained anything). It is a performance
 // hint for the run loop — a working machine is rarely about to go quiet, so
-// the loop can defer the full NextWorkAt probe until a Tick comes back idle.
+// the loop can defer the ProbeQuiet pass until a Tick comes back idle.
 // Correctness never depends on it: a false negative merely delays a skip
 // window by a cycle, and skipping less is always exact.
 func (c *CPU) Acted() bool { return c.acted }

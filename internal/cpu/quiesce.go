@@ -8,42 +8,30 @@ import (
 )
 
 // This file is the CPU half of the two-speed simulation clock (DESIGN §11).
-// NextWorkAt answers "when could Tick next do anything", and AdvanceQuiet
-// replays the fixed per-cycle bookkeeping for the cycles the run loop then
-// skips. Everything here is read-only except AdvanceQuiet: the skipped
-// cycles' Ticks never run, so probing for quiescence must not perturb state
-// those Ticks would have seen.
+// ProbeQuiet answers "when could Tick next do anything, and what would the
+// idle Ticks before then do", and ApplyQuiet replays that fixed per-cycle
+// bookkeeping for the cycles the clock then skips. Everything here is
+// read-only except ApplyQuiet and TakeWake: the skipped cycles' Ticks never
+// run, so probing for quiescence must not perturb state those Ticks would have
+// seen.
 
-// NextWorkAt reports the earliest cycle after now at which Tick could do
-// anything beyond its fixed per-cycle bookkeeping (cycle/rr counters and
-// gated-dispatch accounting — see AdvanceQuiet). It returns now+1 when the
-// core may make progress on the very next cycle, ^uint64(0) when only a
-// memory-side completion event can unblock it, and otherwise the earliest
-// of the core's own time triggers: a fetch penalty expiring, a frontend
-// head reaching dispatch, a finite execution completing, a dependence
-// becoming ready, or a fetch gate flipping — on, which changes the
-// gated-dispatch accounting, or off, which lets dispatch proceed.
+// ProbeQuiet is the quiescence probe. quiet is false when Tick could do real
+// work at now+1 — no window opens, and next and fx are meaningless. Otherwise
+// next is the earliest cycle after now at which Tick could do anything beyond
+// its fixed per-cycle bookkeeping (cycle/rr counters, parked-retry and
+// gated-dispatch accounting — see ApplyQuiet): ^uint64(0) when only a
+// memory-side completion event can unblock the core, else the earliest of the
+// core's own time triggers — a fetch penalty expiring, a frontend head
+// reaching dispatch, a finite execution completing, a dependence becoming
+// ready, or a fetch gate flipping (on, which changes the gated-dispatch
+// accounting, or off, which lets dispatch proceed). fx is that bookkeeping,
+// computed in the same pass over the ready set and the per-thread gates.
 //
-// The contract is exact, not heuristic: for every cycle m in
-// (now, NextWorkAt(now)), Tick(m) would change nothing but that fixed
-// bookkeeping, so the run loop may replace those Ticks with AdvanceQuiet
-// and stay byte-identical to a cycle-by-cycle run.
-func (c *CPU) NextWorkAt(now uint64) uint64 {
-	next, _, quiet := c.ProbeQuiet(now)
-	if !quiet {
-		return now + 1
-	}
-	return next
-}
-
-// ProbeQuiet is the fused quiescence probe: one pass over the machine
-// computes both NextWorkAt's bound and QuietFx's replay terms, sharing the
-// scans (the ready set, the per-thread gate evaluation) that calling the two
-// separately would repeat. quiet is false
-// when Tick could do real work at now+1 — the window never opens, and next
-// and fx are meaningless. The run loop's deep-skip path calls this at every
-// span open and re-open, so the shared pass is directly on the skip-mode
-// critical path.
+// The contract is exact, not heuristic: for every cycle m in (now, next),
+// Tick(m) would change nothing but the bookkeeping in fx, so the clock may
+// replace those Ticks with ApplyQuiet and stay byte-identical to a
+// cycle-by-cycle run. It is called at every round of a span, so the shared
+// pass is directly on the skip-mode critical path.
 func (c *CPU) ProbeQuiet(now uint64) (next uint64, fx QuietFx, quiet bool) {
 	if c.psHead < len(c.pendingStores) {
 		if !c.l1d.WouldBlock(c.pendingStores[c.psHead].addr) {
@@ -148,10 +136,10 @@ func (c *CPU) ProbeQuiet(now uint64) (next uint64, fx QuietFx, quiet bool) {
 }
 
 // QuietFx is the fixed per-cycle effect of a quiet Tick, captured by
-// QuietFx() at the start of a skip window while the machine state is exactly
+// ProbeQuiet at the start of a skip window while the machine state is exactly
 // what every skipped Tick would have seen, and replayed k times by
 // ApplyQuiet. Splitting capture from application matters for the deep-skip
-// path: the run loop fires memory-internal events inside the window, and the
+// path: the clock fires memory-internal events inside the window, and the
 // event that finally ends it (a fill landing in an L1) mutates the very
 // state — dependence readiness, L1D occupancy — these terms are derived
 // from, so they must be read before any in-window event runs.
@@ -163,15 +151,6 @@ type QuietFx struct {
 	// gated flags the threads (bit i = thread i) whose dispatch would sit
 	// gated every skipped cycle. New caps the machine at 64 contexts.
 	gated uint64
-}
-
-// QuietFx evaluates the per-cycle replay terms at cycle now, the last landed
-// cycle before a skip window. Read-only. Callers that also need NextWorkAt's
-// bound should call ProbeQuiet once instead; this wrapper exists for the
-// fused AdvanceQuiet path and for tests.
-func (c *CPU) QuietFx(now uint64) QuietFx {
-	_, fx, _ := c.ProbeQuiet(now)
-	return fx
 }
 
 // ApplyQuiet replays fx for k skipped cycles: the cycle counter and the
@@ -195,17 +174,6 @@ func (c *CPU) ApplyQuiet(fx QuietFx, k uint64) {
 			t.gated += k
 		}
 	}
-}
-
-// AdvanceQuiet applies the aggregate effect of Ticking every cycle in
-// (now, to], which the caller has established (via NextWorkAt) to be quiet.
-// It is QuietFx + ApplyQuiet fused, for callers that fire no events inside
-// the window.
-func (c *CPU) AdvanceQuiet(now, to uint64) {
-	if to <= now {
-		return
-	}
-	c.ApplyQuiet(c.QuietFx(now), to-now)
 }
 
 // TakeWake reports whether any event since the last call delivered

@@ -14,8 +14,8 @@ func obsFingerprint(c *CPU) string { return c.Fingerprint() }
 
 // newQuiesceRig is newRig with the Table-1-sized L1D and a long fixed
 // memory latency: the shared rig's 4 KB / 8-MSHR L1D saturates under a real
-// workload and keeps pendingStores non-empty, which (correctly) pins
-// NextWorkAt at now+1 and would make these tests vacuous.
+// workload and keeps pendingStores non-empty, which (correctly) keeps
+// ProbeQuiet from ever reporting quiet and would make these tests vacuous.
 func newQuiesceRig(t *testing.T, cfg Config, srcs ...Source) *rig {
 	t.Helper()
 	r := &rig{t: t}
@@ -49,9 +49,9 @@ func realGen(t *testing.T, app string, id int) Source {
 	return g
 }
 
-// NextWorkAt's contract, checked against the real Tick as the oracle: any
-// cycle it declares quiet (no CPU trigger before it, no event due) must leave
-// the entire observable fingerprint untouched when actually ticked.
+// ProbeQuiet's bound, checked against the real Tick as the oracle: any cycle
+// it declares quiet (no CPU trigger before it, no event due) must leave the
+// entire observable fingerprint untouched when actually ticked.
 func TestNextWorkAtPredictsQuietCycles(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Policy = DWarn
@@ -67,7 +67,8 @@ func TestNextWorkAtPredictsQuietCycles(t *testing.T) {
 				now, before, after)
 		}
 		qa, qok := r.q.NextAt()
-		predictedQuiet = r.cpu.NextWorkAt(now) > now+1 && (!qok || qa > now+1)
+		next, _, cpuQuiet := r.cpu.ProbeQuiet(now)
+		predictedQuiet = cpuQuiet && next > now+1 && (!qok || qa > now+1)
 		if predictedQuiet {
 			quiet++
 			before = after
@@ -78,9 +79,9 @@ func TestNextWorkAtPredictsQuietCycles(t *testing.T) {
 	}
 }
 
-// runSkipping drives a rig the way core.Run's two-speed clock does — full
-// Tick at landed cycles, NextWorkAt/AdvanceQuiet across quiet windows — and
-// returns how many cycles it skipped.
+// runSkipping drives a rig with the CPU half of the two-speed clock — full
+// Tick at landed cycles, ProbeQuiet/ApplyQuiet across windows no event falls
+// in — and returns how many cycles it skipped.
 func runSkipping(r *rig, cycles uint64) uint64 {
 	var skipped uint64
 	for now := uint64(1); now <= cycles; now++ {
@@ -89,7 +90,10 @@ func runSkipping(r *rig, cycles uint64) uint64 {
 		if qok && qa <= now+1 {
 			continue
 		}
-		target := r.cpu.NextWorkAt(now)
+		target, fx, quiet := r.cpu.ProbeQuiet(now)
+		if !quiet {
+			continue
+		}
 		if qok && qa < target {
 			target = qa
 		}
@@ -100,14 +104,14 @@ func runSkipping(r *rig, cycles uint64) uint64 {
 			continue
 		}
 		skipped += target - 1 - now
-		r.cpu.AdvanceQuiet(now, target-1)
+		r.cpu.ApplyQuiet(fx, target-1-now)
 		now = target - 1
 	}
 	return skipped
 }
 
 // fullState is the complete end-of-run comparison for the lockstep test —
-// unlike obsFingerprint it also includes the bookkeeping AdvanceQuiet
+// unlike obsFingerprint it also includes the bookkeeping ApplyQuiet
 // replays, which must come out identical too.
 type fullState struct {
 	Fingerprint          string
@@ -131,7 +135,7 @@ func captureState(c *CPU) fullState {
 // Lockstep equivalence at the CPU layer: an identically-seeded machine run
 // cycle-by-cycle and one run through the two-speed protocol must end in the
 // same state — including the round-robin rotations and the per-thread
-// gated-dispatch counts that AdvanceQuiet reconstructs — under every fetch
+// gated-dispatch counts that ApplyQuiet reconstructs — under every fetch
 // policy's gating rule.
 func TestAdvanceQuietMatchesTicks(t *testing.T) {
 	const cycles = 80_000

@@ -706,15 +706,6 @@ func (c *Controller) ProbeQuiet(now uint64) (next uint64, quiet bool) {
 	return next, quiet
 }
 
-// ApplyQuiet settles the controller's span-aggregated accounting at a
-// landing cycle: the time-weighted concurrency histograms advance from the
-// last state change through now in one step. The split is exact — the
-// outstanding-request picture is constant between state changes, so charging
-// (lastChange, now] now and (now, nextChange] later lands every cycle in the
-// same histogram bucket a cycle-by-cycle run would — which is what lets the
-// deep-skip path jump the clock without the histograms lagging behind it.
-func (c *Controller) ApplyQuiet(now uint64) { c.snapshot(now) }
-
 // PlannedFailAt reports the configured hard channel-failure cycle while it
 // is still pending (ok is false with no plan or once it fired). The run
 // loop's failover watch must land on exactly this cycle, so it caps any skip
@@ -1026,7 +1017,13 @@ func (c *Controller) threadKey(e *entry) int {
 	return c.outstanding[t]
 }
 
-// FinishStats closes the concurrency accounting interval at end of run.
+// FinishStats closes the concurrency accounting interval at now: the
+// time-weighted histograms advance from the last state change in one step.
+// The outstanding-request picture is constant between state changes, so
+// charging (lastChange, now] here and (now, nextChange] later puts every cycle
+// in the bucket a cycle-by-cycle run would. The run loop settles at the two
+// cycles a Result reads the histograms as of: the warmup transition and the
+// close-out.
 func (c *Controller) FinishStats(now uint64) { c.snapshot(now) }
 
 // RowBufferStats sums row-buffer outcomes over all channels.

@@ -248,24 +248,13 @@ func (ob *Observer) NextBoundary() uint64 {
 	return 0
 }
 
-// OnCycleSkip replays the per-cycle observer bookkeeping for the skipped
-// cycles (from, to] in aggregate; fired is the queue's cumulative event
-// count as of cycle from, necessarily unchanged through to (the span drain
-// surfaces every event cycle separately, through OnEventCycle or by
-// landing). No-op when to <= from. Registry sampling needs no replay —
-// NextBoundary keeps sample cycles landed.
-func (ob *Observer) OnCycleSkip(from, to, fired uint64) {
-	if ob.Prof != nil {
-		ob.Prof.skip(from, to, fired)
-	}
-}
-
-// OnEventCycle observes an event cycle a deep-skip span sailed through: the
-// cycle's events fired at their exact cycle, but the run loop never landed,
-// so the jump-aware skip replay stands in for the landed path's per-cycle
-// profiling. Only loop profiling is replayed here — registry sampling is
-// bounded by NextBoundary (sample cycles always land), and progress
-// reporting is documented to fire at landed cycles only.
+// OnEventCycle observes an event cycle a quiet span sailed through: the
+// cycle's events fired at their exact cycle, but the clock never landed, so
+// this stands in for the landed path's per-cycle profiling (the event-free
+// cycles between observed ones the profiler accounts itself). Only loop
+// profiling sees it — registry sampling is bounded by NextBoundary (sample
+// cycles always land), and progress reporting is documented to fire at landed
+// cycles only.
 func (ob *Observer) OnEventCycle(at, fired uint64) {
 	if ob.Prof != nil {
 		ob.Prof.cycle(at, fired)

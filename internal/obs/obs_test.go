@@ -280,3 +280,44 @@ func TestLoopProfStandalone(t *testing.T) {
 		t.Fatalf("Summary = %q", s)
 	}
 }
+
+// The two-speed clock shows the profiler only the cycles it lands on or fires
+// events in. A profiler fed that gapped sequence must equal one fed every
+// cycle: the gaps, and the tail a run's last span leaves, are event-free
+// cycles the profiler charges itself.
+func TestLoopProfChargesItsOwnGaps(t *testing.T) {
+	const end = 3 * megacycle / 2
+	fired := func(now uint64) uint64 { // events on every 7th cycle, a burst on every 1000th
+		switch {
+		case now%1000 == 0:
+			return 40
+		case now%7 == 0:
+			return now % 3
+		}
+		return 0
+	}
+	every, gapped := NewLoopProf(nil), NewLoopProf(nil)
+	var total uint64
+	for now := uint64(1); now <= end-500; now++ {
+		n := fired(now)
+		total += n
+		every.cycle(now, total)
+		if n > 0 || now%1013 == 0 { // an event cycle, or a landing on an idle one
+			gapped.cycle(now, total)
+		}
+	}
+	for now := uint64(end - 499); now <= end; now++ { // the event-free tail
+		every.cycle(now, total)
+	}
+	every.finish(end)
+	gapped.finish(end)
+	if every.Cycles() != end || gapped.Cycles() != end {
+		t.Fatalf("Cycles = %d every cycle, %d gapped, want %d", every.Cycles(), gapped.Cycles(), end)
+	}
+	if a, b := every.Hist.String(), gapped.Hist.String(); a != b {
+		t.Fatalf("histograms differ:\nevery cycle: %s\ngapped:      %s", a, b)
+	}
+	if a, b := len(every.MegacycleWall()), len(gapped.MegacycleWall()); a != 1 || b != 1 {
+		t.Fatalf("megacycle marks: %d every cycle, %d gapped, want 1 each", a, b)
+	}
+}

@@ -41,32 +41,23 @@ func NewLoopProf(reg *Registry) *LoopProf {
 	return p
 }
 
-// cycle records one simulated cycle; fired is the queue's cumulative count.
+// cycle records simulated cycle now; fired is the queue's cumulative count.
+// The two-speed clock shows the profiler only the cycles it lands on or fires
+// events in, so the cycles since the last one seen were event-free and idle
+// charges each a zero. (The profiler counts from cycle 0, so cycles is also
+// the last cycle seen.)
 func (p *LoopProf) cycle(now, fired uint64) {
-	p.cycles++
+	p.idle(now - 1)
+	p.cycles = now
 	p.Hist.Observe(fired - p.lastFired)
 	p.lastFired = fired
-	if now >= p.nextMega {
-		p.megaWall = append(p.megaWall, time.Since(p.megaStart))
-		p.megaStart = time.Now()
-		p.nextMega += megacycle
-	}
 }
 
-// skip replays cycle for every skipped cycle in (from, to] at once: the first
-// cycle consumes any outstanding fired delta (always zero in practice — the
-// clock never skips across a pending event), the rest observe zero, and the
-// megacycle wall clock catches up one entry per crossed mark, exactly as the
-// per-cycle path would have appended them.
-func (p *LoopProf) skip(from, to, fired uint64) {
-	if to <= from {
-		return
-	}
-	k := to - from
-	p.cycles += k
-	p.Hist.Observe(fired - p.lastFired)
-	p.Hist.ObserveN(0, k-1)
-	p.lastFired = fired
+// idle charges the event-free cycles after the last one seen, through to. The
+// megacycle wall clock gains one entry per mark it finds crossed.
+func (p *LoopProf) idle(to uint64) {
+	p.Hist.ObserveN(0, to-p.cycles)
+	p.cycles = to
 	for p.nextMega <= to {
 		p.megaWall = append(p.megaWall, time.Since(p.megaStart))
 		p.megaStart = time.Now()
@@ -74,8 +65,10 @@ func (p *LoopProf) skip(from, to, fired uint64) {
 	}
 }
 
+// finish closes the profile at the run's final cycle: a run that ends by
+// sailing out of its budget leaves an event-free tail to charge.
 func (p *LoopProf) finish(now uint64) {
-	_ = now
+	p.idle(now)
 	p.total = time.Since(p.start)
 }
 

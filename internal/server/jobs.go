@@ -249,30 +249,21 @@ func (s *Server) awaitFlight(fl *flight) {
 	}
 }
 
-// finishJob moves one job to its terminal state (unless cancellation beat
-// us), wakes its subscribers, frees its slot, closes its span tree, and
-// records the phase-partitioned latency metrics. resolved is the instant the
-// flight resolved — the run→respond phase boundary shared by every rider.
+// finishJob moves one job to its terminal state: it frees its slot, closes its
+// span tree, journals and counts the outcome, records the phase-partitioned
+// latency metrics, and only then publishes the state and wakes the
+// subscribers — so a client that has seen the job finish finds it in every
+// counter and histogram /v1/stats reports. awaitFlight detached j before
+// calling, and cancelJob leaves a detached job alone, so this is j's one
+// terminal transition. resolved is the instant the flight resolved — the
+// run→respond phase boundary shared by every rider.
 func (s *Server) finishJob(j *job, res result, err error, resolved time.Time) {
 	respond := j.span.Child("respond")
-	j.mu.Lock()
-	transitioned := false
-	if !j.state.Terminal() {
-		transitioned = true
-		if err != nil {
-			j.state = StateFailed
-			j.errMsg = err.Error()
-		} else {
-			j.state = StateDone
-			j.result = res.val
-			j.skip = res.skip
-		}
-		for _, ch := range j.subs {
-			close(ch)
-		}
-		j.subs = nil
+	state, errMsg := StateDone, ""
+	if err != nil {
+		state, errMsg = StateFailed, err.Error()
 	}
-	state, errMsg := j.state, j.errMsg
+	j.mu.Lock()
 	tAdmitted, tRunStart := j.tAdmitted, j.tRunStart
 	j.mu.Unlock()
 
@@ -282,59 +273,65 @@ func (s *Server) finishJob(j *job, res result, err error, resolved time.Time) {
 	j.span.End()
 	done := time.Now()
 	dur := done.Sub(j.created)
-	if transitioned {
-		s.journalAppend(store.Record{Type: store.RecResolved, Job: j.id, Kind: j.kind, FP: j.fp, State: string(state), Error: errMsg})
-		if state == StateFailed {
-			s.count(s.mFailed)
-			s.log.Warn("job failed", "job", j.id, "flight", j.flightID, "dur", dur.Truncate(time.Millisecond), "err", err)
-		} else {
-			s.count(s.mCompleted)
-			s.log.Info("job done", "job", j.id, "flight", j.flightID, "dur", dur.Truncate(time.Millisecond))
-			// The four phases partition [created, done] exactly:
-			// admission ends at tAdmitted, queue at tRunStart, run at
-			// resolved, respond at done.
-			s.observeServed(dur, tAdmitted.Sub(j.created), tRunStart.Sub(tAdmitted), resolved.Sub(tRunStart), done.Sub(resolved))
-		}
-	}
-}
-
-// cancelJob detaches j from its flight and moves it to cancelled, unless it
-// is already terminal. Leaving the flight gives up j's Join; the memo cancels
-// the computation when the last rider has left, and never before.
-func (s *Server) cancelJob(j *job) {
-	// Detach first so a concurrent completion cannot finish a cancelled job.
-	s.mu.Lock()
-	fl := j.flight
-	lastRider := false
-	if fl != nil {
-		j.flight = nil
-		for i, jj := range fl.jobs {
-			if jj == j {
-				fl.jobs = append(fl.jobs[:i], fl.jobs[i+1:]...)
-				break
-			}
-		}
-		lastRider = len(fl.jobs) == 0
-	}
-	s.mu.Unlock()
-	if fl != nil {
-		fl.memo.Leave()
+	s.journalAppend(store.Record{Type: store.RecResolved, Job: j.id, Kind: j.kind, FP: j.fp, State: string(state), Error: errMsg})
+	if state == StateFailed {
+		s.count(s.mFailed)
+		s.log.Warn("job failed", "job", j.id, "flight", j.flightID, "dur", dur.Truncate(time.Millisecond), "err", err)
+	} else {
+		s.count(s.mCompleted)
+		s.log.Info("job done", "job", j.id, "flight", j.flightID, "dur", dur.Truncate(time.Millisecond))
+		// The four phases partition [created, done] exactly:
+		// admission ends at tAdmitted, queue at tRunStart, run at
+		// resolved, respond at done.
+		s.observeServed(dur, tAdmitted.Sub(j.created), tRunStart.Sub(tAdmitted), resolved.Sub(tRunStart), done.Sub(resolved))
 	}
 
 	j.mu.Lock()
-	already := j.state.Terminal()
-	if !already {
-		j.state = StateCancelled
-		for _, ch := range j.subs {
-			close(ch)
-		}
-		j.subs = nil
+	j.state, j.errMsg = state, errMsg
+	if err == nil {
+		j.result = res.val
+		j.skip = res.skip
 	}
-	dur := time.Since(j.created)
+	for _, ch := range j.subs {
+		close(ch)
+	}
+	j.subs = nil
 	j.mu.Unlock()
-	if already {
+}
+
+// cancelJob detaches j from its flight and moves it to cancelled. A job with
+// no flight is terminal already, or its flight has resolved and awaitFlight is
+// finishing it: either way there is nothing left to cancel. Leaving the flight
+// gives up j's Join; the memo cancels the computation when the last rider has
+// left, and never before.
+func (s *Server) cancelJob(j *job) {
+	// Whoever detaches the job under s.mu owns its terminal transition, so a
+	// concurrent completion cannot finish a cancelled job, nor the reverse.
+	s.mu.Lock()
+	fl := j.flight
+	if fl == nil {
+		s.mu.Unlock()
 		return
 	}
+	j.flight = nil
+	for i, jj := range fl.jobs {
+		if jj == j {
+			fl.jobs = append(fl.jobs[:i], fl.jobs[i+1:]...)
+			break
+		}
+	}
+	lastRider := len(fl.jobs) == 0
+	s.mu.Unlock()
+	fl.memo.Leave()
+
+	j.mu.Lock()
+	j.state = StateCancelled
+	for _, ch := range j.subs {
+		close(ch)
+	}
+	j.subs = nil
+	dur := time.Since(j.created)
+	j.mu.Unlock()
 	s.releaseSlot(j)
 	s.count(s.mCancelled)
 	s.journalAppend(store.Record{Type: store.RecCancelled, Job: j.id, Kind: j.kind, FP: j.fp})
@@ -351,8 +348,11 @@ func (s *Server) cancelJob(j *job) {
 // accounting uses. Returns the run span for the compute fn to hand to the
 // simulator.
 func (s *Server) markRunning(fl *flight) *obs.Span {
-	now := time.Now()
 	s.mu.Lock()
+	// Read the clock under s.mu: every rider's tAdmitted was stamped under it,
+	// so the run-start instant cannot precede one (a worker can pick the
+	// flight up before the submission that started it has attached).
+	now := time.Now()
 	fl.started = true
 	if fl.span == nil {
 		fl.span = fl.rootSpan.Child("run", obs.A("flight", fl.id))
