@@ -133,9 +133,7 @@ func BenchmarkParallelFigures(b *testing.B) {
 				o := benchOpts()
 				o.Warmup, o.Target = 10_000, 10_000
 				o.Jobs = jobs
-				if _, err := figures.Fig6(o); err != nil {
-					b.Fatal(err)
-				}
+				runFig6(b, o)
 			}
 		})
 	}
@@ -145,15 +143,24 @@ func BenchmarkParallelFigures(b *testing.B) {
 // counts plus the alone-IPC baselines) at the benchmark sizes, optionally
 // through a warmup-checkpoint cache. The Baselines map is fresh per call so
 // the pair below isolates warmup memoization from baseline-IPC memoization.
-func benchFig6Checkpointed(b *testing.B, ckpts *checkpoint.Cache) []figures.Fig6Row {
+func benchFig6Checkpointed(b *testing.B, ckpts *checkpoint.Cache) figures.Grid {
 	b.Helper()
-	o := figures.Options{Warmup: 60_000, Target: 40_000, Seed: 42,
-		Jobs: runtime.GOMAXPROCS(0), Baselines: map[string]float64{}, Checkpoints: ckpts}
-	rows, err := figures.Fig6(o)
+	return runFig6(b, figures.Options{Warmup: 60_000, Target: 40_000, Seed: 42,
+		Jobs: runtime.GOMAXPROCS(0), Baselines: map[string]float64{}, Checkpoints: ckpts})
+}
+
+// runFig6 regenerates Figure 6 from the catalog.
+func runFig6(b *testing.B, o figures.Options) figures.Grid {
+	b.Helper()
+	fig, err := figures.ByName("6")
 	if err != nil {
 		b.Fatal(err)
 	}
-	return rows
+	g, err := fig.Run(o)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return g
 }
 
 // BenchmarkParallelFiguresUncheckpointed is the cold baseline for the

@@ -6,8 +6,12 @@
 //	experiments -fig 10                  # one figure
 //	experiments -fig 2 -target 200000    # longer measurement window
 //	experiments -fig all -jobs 1         # sequential (same output, slower)
+//	experiments -fig 6,10 -format csv    # a comma-separated subset, as CSV
 //
-// Valid -fig values: table2, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, all.
+// Valid -fig values are the names in figures.Catalog — `experiments -h`
+// prints them — plus "all". Exit status 2 means the invocation is wrong (a bad
+// flag value, a figure name the catalog lacks; nothing is simulated and
+// nothing is written to stdout), 1 that a simulation or a write failed.
 package main
 
 import (
@@ -32,7 +36,7 @@ import (
 
 func main() {
 	var (
-		fig     = flag.String("fig", "all", "figure to regenerate (table2, 1..10, all)")
+		fig     = flag.String("fig", "all", "comma-separated figures to regenerate: "+strings.Join(figNames(), ", ")+", or all")
 		format  = flag.String("format", "text", "output format: text, csv, md")
 		warmup  = flag.Uint64("warmup", 100_000, "per-thread warmup instructions")
 		target  = flag.Uint64("target", 100_000, "per-thread measured instructions")
@@ -54,24 +58,34 @@ func main() {
 	flag.Parse()
 
 	if flag.NArg() > 0 {
-		fmt.Fprintf(os.Stderr, "experiments: unexpected argument %q (all options are flags)\n", flag.Arg(0))
-		flag.Usage()
-		os.Exit(2)
+		usageErr(fmt.Sprintf("unexpected argument %q (all options are flags)", flag.Arg(0)))
 	}
 	if *metricsOut != "" && *metricsInt == 0 {
-		fmt.Fprintln(os.Stderr, "experiments: -metrics-interval must be at least 1 cycle")
-		flag.Usage()
-		os.Exit(2)
+		usageErr("-metrics-interval must be at least 1 cycle")
 	}
 	if *jobs < 1 {
-		fmt.Fprintln(os.Stderr, "experiments: -jobs must be at least 1")
-		flag.Usage()
-		os.Exit(2)
+		usageErr("-jobs must be at least 1")
 	}
 	if *target == 0 {
-		fmt.Fprintln(os.Stderr, "experiments: -target must be at least 1 instruction")
-		flag.Usage()
-		os.Exit(2)
+		usageErr("-target must be at least 1 instruction")
+	}
+	render, err := report.ParseFormat(*format)
+	if err != nil {
+		usageErr(err.Error())
+	}
+	plan, err := faults.Parse(*faultSpec)
+	if err != nil {
+		usageErr(err.Error())
+	}
+	// Every name is checked before anything runs, so a typo in a sweep script
+	// is a red exit and an empty file, not a silently shorter one.
+	want := map[string]bool{}
+	for _, name := range strings.Split(*fig, ",") {
+		name = strings.TrimSpace(name)
+		if _, err := figures.ByName(name); err != nil && name != "all" {
+			usageErr(err.Error() + `, or "all"`)
+		}
+		want[name] = true
 	}
 
 	if *cpuprofile != "" {
@@ -102,13 +116,6 @@ func main() {
 		}
 	}()
 
-	f, err := report.ParseFormat(*format)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "experiments:", err)
-		os.Exit(1)
-	}
-	figures.Render = f
-
 	opts := figures.Options{Warmup: *warmup, Target: *target, Seed: *seed,
 		Jobs: *jobs, Baselines: map[string]float64{}}
 	if *verbose {
@@ -134,11 +141,6 @@ func main() {
 		fmt.Fprintf(os.Stderr, "checkpoints: hits=%d misses=%d forks=%d bypassed=%d evictions=%d entries=%d\n",
 			s.Hits, s.Misses, s.Forks, s.Bypassed, s.Evictions, s.Entries)
 	}()
-	plan, err := faults.Parse(*faultSpec)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "experiments:", err)
-		os.Exit(1)
-	}
 	observe := observeConfigurer(*traceDir, *metricsOut, *metricsInt)
 	if plan != nil || observe != nil {
 		opts.Configure = func(cfg *core.Config) {
@@ -149,111 +151,40 @@ func main() {
 		}
 	}
 
-	want := map[string]bool{}
-	for _, f := range strings.Split(*fig, ",") {
-		want[strings.TrimSpace(f)] = true
-	}
-	all := want["all"]
-	run := func(name string, f func() error) {
-		if !all && !want[name] {
-			return
+	for _, f := range figures.Catalog() {
+		if !want["all"] && !want[f.Name] {
+			continue
 		}
 		start := time.Now()
-		if err := f(); err != nil {
-			fmt.Fprintf(os.Stderr, "experiments: %s: %v\n", name, err)
+		g, err := f.Run(opts)
+		if err == nil {
+			err = g.Table().Render(os.Stdout, render)
+		}
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "experiments: %s: %v\n", f.Name, err)
 			os.Exit(1)
 		}
 		// Wall-clock timing is diagnostic and varies with -jobs; keep it on
 		// stderr so stdout stays byte-identical at any job count.
-		fmt.Fprintf(os.Stderr, "  [%s in %s]\n\n", name, time.Since(start).Truncate(time.Millisecond))
+		fmt.Fprintf(os.Stderr, "  [%s in %s]\n\n", f.Name, time.Since(start).Truncate(time.Millisecond))
 	}
+}
 
-	run("table2", func() error { figures.PrintTable2(os.Stdout); return nil })
-	run("1", func() error {
-		rows, err := figures.Fig1(opts)
-		if err != nil {
-			return err
-		}
-		figures.PrintFig1(os.Stdout, rows)
-		return nil
-	})
-	run("2", func() error {
-		cells, err := figures.Fig2(opts)
-		if err != nil {
-			return err
-		}
-		figures.PrintFig2(os.Stdout, cells)
-		return nil
-	})
-	run("3", func() error {
-		rows, err := figures.Fig3(opts)
-		if err != nil {
-			return err
-		}
-		figures.PrintFig3(os.Stdout, rows)
-		return nil
-	})
-	var conc []figures.ConcurrencyRow
-	run("4", func() error {
-		var err error
-		conc, err = figures.Fig4and5(opts)
-		if err != nil {
-			return err
-		}
-		figures.PrintFig4(os.Stdout, conc)
-		return nil
-	})
-	run("5", func() error {
-		if conc == nil {
-			var err error
-			conc, err = figures.Fig4and5(opts)
-			if err != nil {
-				return err
-			}
-		}
-		figures.PrintFig5(os.Stdout, conc)
-		return nil
-	})
-	run("6", func() error {
-		rows, err := figures.Fig6(opts)
-		if err != nil {
-			return err
-		}
-		figures.PrintFig6(os.Stdout, rows)
-		return nil
-	})
-	run("7", func() error {
-		rows, err := figures.Fig7(opts)
-		if err != nil {
-			return err
-		}
-		figures.PrintFig7(os.Stdout, rows)
-		return nil
-	})
-	run("8", func() error {
-		rows, err := figures.Fig8(opts)
-		if err != nil {
-			return err
-		}
-		figures.PrintMapping(os.Stdout, "Figure 8: row-buffer miss rates, 2-channel DDR", rows)
-		return nil
-	})
-	run("9", func() error {
-		rows, err := figures.Fig9(opts)
-		if err != nil {
-			return err
-		}
-		figures.PrintMapping(os.Stdout, "Figure 9: row-buffer miss rates, 2-channel Direct Rambus", rows)
-		return nil
-	})
-	run("10", func() error {
-		cells, err := figures.Fig10(opts)
-		if err != nil {
-			return err
-		}
-		figures.PrintFig10(os.Stdout, cells)
-		return nil
-	})
+// figNames lists the catalog's names for the usage text.
+func figNames() []string {
+	var names []string
+	for _, f := range figures.Catalog() {
+		names = append(names, f.Name)
+	}
+	return names
+}
+
+// usageErr reports a wrong invocation: the message and the usage on stderr,
+// exit status 2, nothing on stdout.
+func usageErr(msg string) {
+	fmt.Fprintln(os.Stderr, "experiments:", msg)
+	flag.Usage()
+	os.Exit(2)
 }
 
 // observeConfigurer builds the Options.Configure hook that attaches a fresh

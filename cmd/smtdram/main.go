@@ -9,6 +9,10 @@
 //	smtdram -apps swim -dram rdram -scheme page -pagemode close
 //	smtdram -mix 4-MEM -breakdown      # + per-app CPI attribution, parallel
 //	smtdram -dump-config
+//
+// Exit status 2 means the invocation is wrong — an unknown flag, name or
+// fault clause, a machine that fails validation; nothing was simulated — and
+// 1 that the simulation or writing its output failed.
 package main
 
 import (
@@ -20,16 +24,13 @@ import (
 	"runtime/pprof"
 	"strings"
 
-	"smtdram/internal/addrmap"
 	"smtdram/internal/core"
 	"smtdram/internal/cpu"
-	"smtdram/internal/dram"
-	"smtdram/internal/faults"
 	"smtdram/internal/memctrl"
 	"smtdram/internal/obs"
 	"smtdram/internal/runner"
+	"smtdram/internal/server"
 	"smtdram/internal/stats"
-	"smtdram/internal/workload"
 )
 
 func main() {
@@ -41,8 +42,8 @@ func main() {
 		dramKind = flag.String("dram", "ddr", "DRAM technology: ddr or rdram")
 		scheme   = flag.String("scheme", "xor", "address mapping: page or xor")
 		pagemode = flag.String("pagemode", "open", "page mode: open or close")
-		policy   = flag.String("policy", "hit-first", "scheduling: fcfs, hit-first, age-based, request-based, rob-based, iq-based")
-		fetch    = flag.String("fetch", "dwarn", "fetch policy: rr, icount, fetch-stall, dg, dwarn")
+		policy   = flag.String("policy", "hit-first", "scheduling: "+memctrl.PolicyNames())
+		fetch    = flag.String("fetch", "dwarn", "fetch policy: "+cpu.FetchPolicyNames())
 		warmup   = flag.Uint64("warmup", 100_000, "per-thread warmup instructions")
 		target   = flag.Uint64("target", 200_000, "per-thread measured instructions")
 		seed     = flag.Int64("seed", 42, "workload seed")
@@ -91,51 +92,18 @@ func main() {
 		defer pprof.StopCPUProfile()
 	}
 
-	names := strings.Split(*apps, ",")
-	if *mix != "" {
-		m, err := workload.MixByName(*mix)
-		fatalIf(err)
-		names = m.Apps
-	}
-	cfg := core.DefaultConfig(names...)
-	cfg.WarmupInstr, cfg.TargetInstr, cfg.Seed = *warmup, *target, *seed
-	cfg.Mem.PhysChannels = *channels
-	cfg.Mem.Gang = *gang
-
-	// A malformed -faults spec is a usage error (exit 2), like any other bad
-	// flag value — not a simulation failure.
-	plan, err := faults.Parse(*faultSpec)
+	// The flags fill the same request the daemon accepts, and its resolver is
+	// the only place names become a core.Config. Whatever it rejects — an
+	// unknown name, a malformed -faults spec, a machine that fails validation
+	// (say a fault plan naming a channel the machine lacks) — came from the
+	// command line, so it is a usage error, caught before any simulation work.
+	cfg, err := server.SimRequest{
+		Mix: *mix, Apps: strings.Split(*apps, ","),
+		Channels: *channels, Gang: *gang, DRAM: *dramKind, Scheme: *scheme, PageMode: *pagemode,
+		Policy: *policy, Fetch: *fetch,
+		Warmup: warmup, Target: target, Seed: seed, Faults: *faultSpec,
+	}.Config()
 	if err != nil {
-		usageErr(err.Error())
-	}
-	cfg.Faults = plan
-	cfg.Mem.Kind, err = core.ParseDRAMKind(*dramKind)
-	fatalIf(err)
-	cfg.Mem.Policy, err = memctrl.ParsePolicy(*policy)
-	fatalIf(err)
-	cfg.CPU.Policy, err = cpu.ParseFetchPolicy(*fetch)
-	fatalIf(err)
-	switch strings.ToLower(*scheme) {
-	case "page":
-		cfg.Mem.Scheme = addrmap.Page
-	case "xor":
-		cfg.Mem.Scheme = addrmap.XOR
-	default:
-		fatalIf(fmt.Errorf("unknown mapping scheme %q", *scheme))
-	}
-	switch strings.ToLower(*pagemode) {
-	case "open":
-		cfg.Mem.PageMode = dram.OpenPage
-	case "close":
-		cfg.Mem.PageMode = dram.ClosePage
-	default:
-		fatalIf(fmt.Errorf("unknown page mode %q", *pagemode))
-	}
-
-	// Every field of cfg came from the command line, so a config that fails
-	// validation (e.g. a fault plan naming a channel the machine lacks) is a
-	// usage error too — caught here, before any simulation work starts.
-	if err := cfg.Validate(); err != nil {
 		usageErr(err.Error())
 	}
 
@@ -144,7 +112,7 @@ func main() {
 		MetricsInterval: *metricsInt,
 		Trace:           *traceOut != "",
 		Profile:         *profile,
-		Label:           strings.Join(names, "+"),
+		Label:           strings.Join(cfg.Apps, "+"),
 	})
 	if observer != nil {
 		cfg.Observe = func() *obs.Observer { return observer }
@@ -168,8 +136,8 @@ func main() {
 	})
 	var bdJobs [][4]*runner.Future[float64]
 	if *brkdown {
-		bdJobs = make([][4]*runner.Future[float64], len(names))
-		for i, app := range names {
+		bdJobs = make([][4]*runner.Future[float64], len(cfg.Apps))
+		for i, app := range cfg.Apps {
 			for k, c := range core.CPIBreakdownConfigs(cfg, app) {
 				c.Observe = nil // the observer belongs to the main run only
 				bdJobs[i][k] = runner.SubmitNamed(pool, c.Fingerprint(), func() (float64, error) {
@@ -197,7 +165,7 @@ func main() {
 	if *brkdown {
 		fmt.Printf("CPI attribution (four-run method, each app alone on this machine):\n")
 		fmt.Printf("%-3s %-9s %10s %10s %10s %10s %10s\n", "t", "app", "CPIproc", "CPIL2", "CPIL3", "CPImem", "total")
-		for i, app := range names {
+		for i, app := range cfg.Apps {
 			var cpi [4]float64
 			for k := range bdJobs[i] {
 				cpi[k], err = bdJobs[i][k].Wait()

@@ -45,6 +45,28 @@ func TestBadFaultSpecExitsTwo(t *testing.T) {
 		}
 	}
 
+	// Every other name the flags carry goes through the same resolver and
+	// gets the same answer: an unresolvable one is a usage error, not a
+	// failed simulation.
+	for _, args := range [][]string{
+		{"-policy", "bogus"},
+		{"-dram", "bogus"},
+		{"-fetch", "bogus"},
+		{"-scheme", "bogus"},
+		{"-pagemode", "bogus"},
+		{"-mix", "bogus"},
+		{"-apps", "nosuchapp"},
+	} {
+		out, err := exec.Command(bin, append(args, "-target", "1000")...).CombinedOutput()
+		var xe *exec.ExitError
+		if !errors.As(err, &xe) || xe.ExitCode() != 2 {
+			t.Errorf("%v: err = %v, want exit 2 (output: %s)", args, err, out)
+		}
+		if !strings.Contains(string(out), "bogus") && !strings.Contains(string(out), "nosuchapp") {
+			t.Errorf("%v: stderr %q does not name the bad value", args, out)
+		}
+	}
+
 	// An out-of-range channel is caught by Validate behind the same exit-2
 	// path: the spec parses, but cannot run on the machine the flags shape.
 	out, err := exec.Command(bin, "-faults", "channel-fail:ch=9,at=100", "-channels", "4", "-target", "1000").CombinedOutput()

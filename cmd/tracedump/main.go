@@ -28,10 +28,9 @@ import (
 
 	"smtdram/internal/analysis"
 	"smtdram/internal/core"
-	"smtdram/internal/faults"
 	"smtdram/internal/memctrl"
 	"smtdram/internal/obs"
-	"smtdram/internal/workload"
+	"smtdram/internal/server"
 )
 
 func main() {
@@ -55,32 +54,22 @@ func main() {
 	)
 	flag.Parse()
 	if flag.NArg() > 0 {
-		fmt.Fprintf(os.Stderr, "tracedump: unexpected argument %q (all options are flags)\n", flag.Arg(0))
-		flag.Usage()
-		os.Exit(2)
+		usageErr("unexpected argument %q (all options are flags)", flag.Arg(0))
 	}
 
-	names := strings.Split(*apps, ",")
-	if *mix != "" {
-		m, err := workload.MixByName(*mix)
-		fatalIf(err)
-		names = m.Apps
+	// The same resolver as cmd/smtdram and the daemon; a request it rejects
+	// is a usage error.
+	cfg, err := server.SimRequest{Mix: *mix, Apps: strings.Split(*apps, ","), Policy: *policy,
+		Warmup: warmup, Target: target, Seed: seed, Faults: *faultSp}.Config()
+	if err != nil {
+		usageErr("%v", err)
 	}
-	cfg := core.DefaultConfig(names...)
-	cfg.WarmupInstr, cfg.TargetInstr, cfg.Seed = *warmup, *target, *seed
-	var err error
-	cfg.Mem.Policy, err = memctrl.ParsePolicy(*policy)
-	fatalIf(err)
-	cfg.Faults, err = faults.Parse(*faultSp)
-	fatalIf(err)
 
 	if *lifecycle {
 		switch strings.ToLower(*format) {
 		case "pretty", "jsonl", "chrome":
 		default:
-			fmt.Fprintf(os.Stderr, "tracedump: unknown lifecycle format %q (want pretty, jsonl, or chrome)\n", *format)
-			flag.Usage()
-			os.Exit(2)
+			usageErr("unknown lifecycle format %q (want pretty, jsonl, or chrome)", *format)
 		}
 		f := obs.Filter{From: *from, To: *to}
 		f.Thread = parseIntFilter("thread", *thread)
@@ -188,11 +177,16 @@ func parseIntFilter(name, s string) *int {
 	}
 	v, err := strconv.Atoi(s)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "tracedump: -%s: %q is not an integer\n", name, s)
-		flag.Usage()
-		os.Exit(2)
+		usageErr("-%s: %q is not an integer", name, s)
 	}
 	return &v
+}
+
+// usageErr reports a wrong invocation (exit 2); fatalIf a failed run (exit 1).
+func usageErr(format string, args ...any) {
+	fmt.Fprintf(os.Stderr, "tracedump: "+format+"\n", args...)
+	flag.Usage()
+	os.Exit(2)
 }
 
 func fatalIf(err error) {

@@ -6,7 +6,10 @@
 // into one wider logical channel.
 package addrmap
 
-import "fmt"
+import (
+	"fmt"
+	"strings"
+)
 
 // Scheme selects how physical addresses are permuted onto DRAM banks.
 type Scheme int
@@ -29,6 +32,16 @@ func (s Scheme) String() string {
 	default:
 		return fmt.Sprintf("Scheme(%d)", int(s))
 	}
+}
+
+// ParseScheme converts a name as String prints it, in any letter case.
+func ParseScheme(s string) (Scheme, error) {
+	for _, v := range []Scheme{Page, XOR} {
+		if strings.EqualFold(s, v.String()) {
+			return v, nil
+		}
+	}
+	return 0, fmt.Errorf("addrmap: unknown mapping scheme %q (want page or xor)", s)
 }
 
 // Geometry describes the *logical* organization of the DRAM system after

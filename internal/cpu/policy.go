@@ -56,7 +56,17 @@ func ParseFetchPolicy(s string) (FetchPolicy, error) {
 			return p, nil
 		}
 	}
-	return 0, fmt.Errorf("cpu: unknown fetch policy %q (want rr, icount, fetch-stall, dg, dwarn, coop)", s)
+	return 0, fmt.Errorf("cpu: unknown fetch policy %q (want one of %s)", s, FetchPolicyNames())
+}
+
+// FetchPolicyNames lists the names ParseFetchPolicy accepts, for error and
+// usage text.
+func FetchPolicyNames() string {
+	var names []string
+	for p := RoundRobin; p <= Coop; p++ {
+		names = append(names, p.String())
+	}
+	return strings.Join(names, ", ")
 }
 
 // FetchPolicies lists the policies in the paper's presentation order

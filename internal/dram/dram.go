@@ -8,7 +8,10 @@
 // 2 bytes wide at 800 MT/s.
 package dram
 
-import "fmt"
+import (
+	"fmt"
+	"strings"
+)
 
 // PageMode selects what happens to the row buffer after a column access.
 type PageMode int
@@ -27,6 +30,16 @@ func (m PageMode) String() string {
 		return "open"
 	}
 	return "close"
+}
+
+// ParsePageMode converts a name as String prints it, in any letter case.
+func ParsePageMode(s string) (PageMode, error) {
+	for _, v := range []PageMode{OpenPage, ClosePage} {
+		if strings.EqualFold(s, v.String()) {
+			return v, nil
+		}
+	}
+	return 0, fmt.Errorf("dram: unknown page mode %q (want open or close)", s)
 }
 
 // Params is a DRAM timing parameter set, in CPU cycles.

@@ -1,8 +1,11 @@
 // Package figures regenerates every table and figure from the paper's
-// evaluation (Section 5). Each FigN function runs the simulations behind the
-// corresponding figure and returns the series; Print helpers render the same
-// rows the paper reports. cmd/experiments and the root benchmark harness are
-// thin wrappers around this package.
+// evaluation (Section 5). A figure is data: Catalog lists them in the paper's
+// order, each a name and a Run that returns a Grid — a title, named columns
+// and labelled rows of numbers — which Grid.Table hands to package report.
+// Behind Run every figure is one sweep shape: Table 2 mixes × one axis of
+// machine variants, submitted up front and waited for in submission order.
+// cmd/experiments, the serving daemon and the root benchmark harness are thin
+// wrappers around this package.
 package figures
 
 import (
@@ -10,6 +13,8 @@ import (
 	"fmt"
 	"io"
 	"sort"
+	"strconv"
+	"strings"
 	"sync"
 
 	"smtdram/internal/addrmap"
@@ -23,10 +28,6 @@ import (
 	"smtdram/internal/workload"
 )
 
-// Render is the output format used by the Print helpers (text by default;
-// cmd/experiments sets it from -format).
-var Render = report.Text
-
 // Options controls the experiment runs.
 type Options struct {
 	// Warmup and Target are per-thread instruction counts (defaults 100k).
@@ -38,18 +39,18 @@ type Options struct {
 	// Figure output is byte-identical for every value: runs are collected in
 	// submission order and each simulation is a pure function of its Config.
 	Jobs int
-	// Out receives progress and tables; nil discards. With Jobs > 1 the
-	// progress lines still appear in deterministic (submission) order.
+	// Out receives one progress line per finished row; nil discards. With
+	// Jobs > 1 the lines still appear in deterministic (submission) order.
 	Out io.Writer
 	// Baselines caches single-thread IPCs across figures. Keyed by a
 	// config-derived string; safe to share within a process (the figures
 	// guard it internally when Jobs > 1).
 	Baselines map[string]float64
-	// Configure, when non-nil, is applied to every machine configuration the
-	// figures build (including weighted-speedup baseline runs) before it
-	// runs. cmd/experiments uses it to attach the observability layer.
-	// Configure itself is only invoked on the calling goroutine, but any
-	// hooks it installs on the Config (e.g. Observe) fire on worker
+	// Configure, when non-nil, is applied to every base machine the figures
+	// build (including weighted-speedup baseline runs), before the figure's
+	// variant edits it. cmd/experiments uses it to attach the observability
+	// layer. Configure itself is only invoked on the calling goroutine, but
+	// any hooks it installs on the Config (e.g. Observe) fire on worker
 	// goroutines when Jobs > 1 and must be safe for concurrent use.
 	Configure func(*core.Config)
 	// Checkpoints, when non-nil, memoizes warmup across runs: every
@@ -102,13 +103,127 @@ func (o Options) baseConfig(apps ...string) core.Config {
 	return cfg
 }
 
-// figRun is the orchestration context for one figure: the worker pool that
+// ---------------------------------------------------------------- catalog
+
+// Figure is one entry of the catalog.
+type Figure struct {
+	// Name is what -fig and POST /v1/figures call it: "table2", "1" … "10".
+	Name string
+	// Run regenerates the figure on the paper's rows.
+	Run func(Options) (Grid, error)
+}
+
+// entry is a figure with its rows still a parameter: Catalog binds the
+// paper's, the tests drive the same sweep on one or two mixes.
+type entry struct {
+	name  string
+	mixes []workload.Mix
+	run   func(Options, []workload.Mix) (Grid, error)
+}
+
+func entries() []entry {
+	all, mem := workload.Mixes(), memMixes()
+	var apps []workload.Mix // Figure 1's rows: every application alone
+	for _, app := range workload.Names() {
+		apps = append(apps, workload.Mix{Name: app, Apps: []string{app}})
+	}
+	return []entry{
+		{"table2", all, table2},
+		{"1", apps, fig1},
+		{"2", all, fig2},
+		{"3", all, fig3},
+		{"4", all, fig4},
+		{"5", all, fig5},
+		{"6", all, fig6},
+		{"7", mem, fig7},
+		{"8", mem, fig8},
+		{"9", mem, fig9},
+		{"10", mem, fig10},
+	}
+}
+
+// Catalog lists every table and figure this package regenerates, in the
+// paper's order. It is the only list of them: front ends iterate it.
+func Catalog() []Figure {
+	var out []Figure
+	for _, e := range entries() {
+		out = append(out, Figure{e.name, func(o Options) (Grid, error) { return e.run(o, e.mixes) }})
+	}
+	return out
+}
+
+// ByName looks a figure up; the error for an unknown name lists the valid ones.
+func ByName(name string) (Figure, error) {
+	var names []string
+	for _, f := range Catalog() {
+		if f.Name == name {
+			return f, nil
+		}
+		names = append(names, f.Name)
+	}
+	return Figure{}, fmt.Errorf("figures: unknown figure %q (want one of %s)", name, strings.Join(names, ", "))
+}
+
+// Grid is a figure's result, the one shape all of them share.
+type Grid struct {
+	Title string
+	// Columns[0] heads the row labels; the rest name each row's Values.
+	Columns []string
+	// TextHeader, when set, makes Table print each row as its label and its
+	// Text under this header instead of one column per value: Table 2's
+	// application lists, and Figure 5, whose rows are as wide as their mix
+	// has threads.
+	TextHeader string
+	Rows       []Row
+}
+
+// Row is one labelled row of a Grid.
+type Row struct {
+	Label  string
+	Values []float64
+	Text   string
+}
+
+// At returns the value in the row labelled row under the column named col.
+func (g Grid) At(row, col string) (float64, bool) {
+	for _, r := range g.Rows {
+		if r.Label != row {
+			continue
+		}
+		for i, c := range g.Columns[1:] {
+			if c == col && i < len(r.Values) {
+				return r.Values[i], true
+			}
+		}
+	}
+	return 0, false
+}
+
+// Table lays the grid out for rendering.
+func (g Grid) Table() *report.Table {
+	if g.TextHeader != "" {
+		t := report.New(g.Title, g.Columns[0], g.TextHeader)
+		for _, r := range g.Rows {
+			t.AddRow(r.Label, r.Text)
+		}
+		return t
+	}
+	t := report.New(g.Title, g.Columns...)
+	for _, r := range g.Rows {
+		cells := []interface{}{r.Label}
+		for _, v := range r.Values {
+			cells = append(cells, v)
+		}
+		t.AddRow(cells...)
+	}
+	return t
+}
+
+// ---------------------------------------------------------------- the sweep
+
+// figRun is the orchestration context for one sweep: the worker pool that
 // fans independent simulations out, and the single-flight memo that backs the
-// alone-IPC baseline cache. Every figure submits all of its runs up front and
-// then Waits for them in submission order, so the assembled rows (and the
-// progress lines) are byte-identical to a sequential sweep no matter how the
-// workers interleave. Jobs <= 1 degenerates to lazy inline execution, which
-// reproduces the pre-pool compute/print interleaving exactly.
+// alone-IPC baseline cache. Jobs <= 1 degenerates to lazy inline execution.
 type figRun struct {
 	o    Options
 	pool *runner.Pool
@@ -140,15 +255,6 @@ func (o Options) newRun() *figRun {
 	return r
 }
 
-// submitRun schedules one simulation on the pool under the run's context.
-// Runs route through the options' checkpoint cache (a nil cache runs plainly;
-// either way the result bytes are identical).
-func (r *figRun) submitRun(cfg core.Config) *runner.Future[core.Result] {
-	return runner.SubmitNamedCtx(r.pool, r.o.Ctx, cfg.Fingerprint(), func(ctx context.Context) (core.Result, error) {
-		return r.o.Checkpoints.Run(ctx, cfg)
-	})
-}
-
 // baseline returns a wait function for app's single-thread IPC on the paper's
 // *reference* machine (the default 2-channel DDR configuration). The memo's
 // one tier is Options.Baselines, so values persist across the figures of one
@@ -171,391 +277,272 @@ func (r *figRun) baseline(app string) func() (float64, error) {
 	return func() (float64, error) { return f.Wait(r.o.Ctx) }
 }
 
-// wsJob is one in-flight weighted-speedup computation: the mix run plus the
-// baseline futures for its applications.
-type wsJob struct {
+// simJob is one in-flight point of a sweep: the run plus, when its weighted
+// speedup is wanted, the baseline futures for its applications.
+type simJob struct {
 	run   *runner.Future[core.Result]
 	alone []func() (float64, error)
 }
 
-// submitWS schedules cfg and its baselines on the pool. Neither the run nor
-// the baselines Wait on each other inside pool jobs — all Waits happen in
-// wsJob.Wait on the submitting goroutine, per the runner deadlock rule.
-func (r *figRun) submitWS(cfg core.Config) wsJob {
-	j := wsJob{
-		run: r.submitRun(cfg),
-	}
-	for _, app := range cfg.Apps {
-		j.alone = append(j.alone, r.baseline(app))
+// cell is a finished point: the run's result and, for a weighted sweep, its
+// weighted speedup (0 otherwise).
+type cell struct {
+	res core.Result
+	ws  float64
+}
+
+// submit schedules cfg — through the options' checkpoint cache; a nil cache
+// runs plainly and the result bytes are identical either way — and, for a
+// weighted sweep, its baselines. Neither the run nor the baselines Wait on
+// each other inside pool jobs: all Waits happen in simJob.Wait on the
+// submitting goroutine, per the runner deadlock rule.
+func (r *figRun) submit(cfg core.Config, weighted bool) simJob {
+	j := simJob{run: runner.SubmitNamedCtx(r.pool, r.o.Ctx, cfg.Fingerprint(), func(ctx context.Context) (core.Result, error) {
+		return r.o.Checkpoints.Run(ctx, cfg)
+	})}
+	if weighted {
+		for _, app := range cfg.Apps {
+			j.alone = append(j.alone, r.baseline(app))
+		}
 	}
 	return j
 }
 
-// Wait assembles the weighted speedup against single-thread baselines
-// measured on the reference machine. Fixing the denominator is what makes
-// weighted speedups comparable across machine configurations — with
-// per-config baselines, a memory-system improvement would inflate the
-// denominator too and cancel itself out of every figure.
-func (j wsJob) Wait() (float64, core.Result, error) {
+// Wait collects the run and assembles its weighted speedup against
+// single-thread baselines measured on the reference machine. Fixing the
+// denominator is what makes weighted speedups comparable across machine
+// configurations — with per-config baselines, a memory-system improvement
+// would inflate the denominator too and cancel itself out of every figure.
+func (j simJob) Wait() (cell, error) {
 	res, err := j.run.Wait()
-	if err != nil {
-		return 0, core.Result{}, err
+	if err != nil || j.alone == nil {
+		return cell{res: res}, err
 	}
 	alone := make([]float64, len(j.alone))
 	for i, f := range j.alone {
-		v, err := f()
-		if err != nil {
-			return 0, core.Result{}, err
+		if alone[i], err = f(); err != nil {
+			return cell{}, err
 		}
-		alone[i] = v
 	}
 	ws, err := stats.WeightedSpeedup(res.IPC, alone)
-	return ws, res, err
+	return cell{res, ws}, err
 }
 
-// weightedSpeedup is the single-run form of submitWS/Wait, kept for callers
-// (and tests) that need one weighted speedup outside a figure sweep.
-func (o Options) weightedSpeedup(cfg core.Config) (float64, core.Result, error) {
-	return o.withDefaults().newRun().submitWS(cfg).Wait()
+// variant is one point on a figure's axis: its column label and the edit
+// that turns the base machine (after Options.Configure) into that point.
+type variant struct {
+	label string
+	apply func(*core.Config)
 }
 
-// ---------------------------------------------------------------- Table 2
-
-// PrintTable2 renders the workload-mix catalog.
-func PrintTable2(w io.Writer) {
-	t := report.New("Table 2: workload mixes", "mix", "applications")
-	for _, m := range workload.Mixes() {
-		t.AddRow(m.Name, fmt.Sprintf("%v", m.Apps))
-	}
-	_ = t.Render(w, Render)
-}
-
-// ---------------------------------------------------------------- Figure 1
-
-// Fig1Row is one application's CPI breakdown.
-type Fig1Row struct {
-	App string
-	stats.Breakdown
-}
-
-// Fig1 reproduces the CPI breakdown of all 26 SPEC2000 applications on the
-// 2-channel DDR system, via the paper's four-run attribution. All 4×26 runs
-// are independent and fan out on the pool together.
-func Fig1(o Options) ([]Fig1Row, error) {
+// sweep is the one submit/wait loop behind every figure. It submits every
+// (mix, variant) simulation up front and then waits for them in submission
+// order, handing each mix's finished cells to row as soon as they are all
+// in — so the assembled rows (and the progress lines) are byte-identical to
+// a sequential sweep no matter how the workers interleave.
+func sweep(o Options, fig string, mixes []workload.Mix, variants []variant, weighted bool, row func(workload.Mix, []cell)) error {
 	o = o.withDefaults()
 	r := o.newRun()
-	apps := workload.Names()
-	jobs := make([][4]*runner.Future[float64], len(apps))
-	for i, app := range apps {
-		for k, cfg := range core.CPIBreakdownConfigs(o.baseConfig(app), app) {
-			jobs[i][k] = runner.SubmitNamedCtx(r.pool, o.Ctx, cfg.Fingerprint(), func(ctx context.Context) (float64, error) {
-				res, err := o.Checkpoints.Run(ctx, cfg)
-				if err != nil {
-					return 0, err
-				}
-				return 1 / res.IPC[0], nil
-			})
-		}
-	}
-	var rows []Fig1Row
-	for i, app := range apps {
-		var cpi [4]float64
-		for k, f := range jobs[i] {
-			v, err := f.Wait()
-			if err != nil {
-				return nil, fmt.Errorf("fig1 %s: %w", app, err)
-			}
-			cpi[k] = v
-		}
-		b := stats.NewBreakdown(cpi[0], cpi[1], cpi[2], cpi[3])
-		rows = append(rows, Fig1Row{App: app, Breakdown: b})
-		fmt.Fprintf(o.Out, "  fig1 %-9s done\n", app)
-	}
-	sort.Slice(rows, func(i, j int) bool { return rows[i].Mem < rows[j].Mem })
-	return rows, nil
-}
-
-// PrintFig1 renders the breakdown sorted by CPImem, as in the paper.
-func PrintFig1(w io.Writer, rows []Fig1Row) {
-	t := report.New("Figure 1: CPI breakdown (sorted by CPImem)",
-		"app", "CPIproc", "CPIL2", "CPIL3", "CPImem", "total")
-	for _, r := range rows {
-		t.AddRow(r.App, r.Proc, r.L2, r.L3, r.Mem, r.Total())
-	}
-	_ = t.Render(w, Render)
-}
-
-// ---------------------------------------------------------------- Figure 2
-
-// Fig2Cell is one (mix, fetch policy) weighted speedup.
-type Fig2Cell struct {
-	Mix    string
-	Policy cpu.FetchPolicy
-	WS     float64
-}
-
-// Fig2 compares the four fetch policies on every Table 2 mix.
-func Fig2(o Options) ([]Fig2Cell, error) {
-	o = o.withDefaults()
-	r := o.newRun()
-	type job struct {
-		mix string
-		pol cpu.FetchPolicy
-		ws  wsJob
-	}
-	var jobs []job
-	for _, m := range workload.Mixes() {
-		for _, pol := range cpu.FetchPolicies() {
+	var jobs []simJob
+	for _, m := range mixes {
+		for _, v := range variants {
 			cfg := o.baseConfig(m.Apps...)
-			cfg.CPU.Policy = pol
-			jobs = append(jobs, job{m.Name, pol, r.submitWS(cfg)})
+			v.apply(&cfg)
+			jobs = append(jobs, r.submit(cfg, weighted))
 		}
 	}
-	var out []Fig2Cell
-	for _, j := range jobs {
-		ws, _, err := j.ws.Wait()
-		if err != nil {
-			return nil, fmt.Errorf("fig2 %s/%v: %w", j.mix, j.pol, err)
+	for i, m := range mixes {
+		cells := make([]cell, len(variants))
+		for k, v := range variants {
+			var err error
+			if cells[k], err = jobs[i*len(variants)+k].Wait(); err != nil {
+				return fmt.Errorf("fig%s %s/%s: %w", fig, m.Name, v.label, err)
+			}
 		}
-		out = append(out, Fig2Cell{Mix: j.mix, Policy: j.pol, WS: ws})
-		fmt.Fprintf(o.Out, "  fig2 %-6s %-12v WS=%.3f\n", j.mix, j.pol, ws)
+		row(m, cells)
 	}
-	return out, nil
+	return nil
 }
 
-// PrintFig2 renders the policy comparison.
-func PrintFig2(w io.Writer, cells []Fig2Cell) {
-	cols := []string{"mix"}
+// grid runs a sweep into a Grid: one row per mix, its values computed by val
+// from that mix's cells, and one progress line as each row completes. A nil
+// columns is the common layout, "mix" and then one column per variant.
+func grid(o Options, fig, title string, columns []string, mixes []workload.Mix, variants []variant, weighted bool,
+	val func(workload.Mix, []cell) []float64) (Grid, error) {
+	o = o.withDefaults()
+	if columns == nil {
+		columns = []string{"mix"}
+		for _, v := range variants {
+			columns = append(columns, v.label)
+		}
+	}
+	g := Grid{Title: title, Columns: columns}
+	err := sweep(o, fig, mixes, variants, weighted, func(m workload.Mix, cells []cell) {
+		r := Row{Label: m.Name, Values: val(m, cells)}
+		g.Rows = append(g.Rows, r)
+		fmt.Fprintf(o.Out, "  fig%s %-8s%s\n", fig, r.Label, join(r.Values))
+	})
+	if err != nil {
+		return Grid{}, err
+	}
+	return g, nil
+}
+
+// join formats a row's values the way report prints a float.
+func join(vals []float64) string {
+	var b strings.Builder
+	for _, v := range vals {
+		fmt.Fprintf(&b, " %.3f", v)
+	}
+	return b.String()
+}
+
+// The value functions of a grid with one column per variant.
+
+func perCell(cells []cell, f func(cell) float64) []float64 {
+	out := make([]float64, len(cells))
+	for i, c := range cells {
+		out[i] = f(c)
+	}
+	return out
+}
+
+func speedup(_ workload.Mix, cells []cell) []float64 {
+	return perCell(cells, func(c cell) float64 { return c.ws })
+}
+
+// normalized is each weighted speedup over the first variant's.
+func normalized(_ workload.Mix, cells []cell) []float64 {
+	return perCell(cells, func(c cell) float64 { return c.ws / cells[0].ws })
+}
+
+func rowMiss(_ workload.Mix, cells []cell) []float64 {
+	return perCell(cells, func(c cell) float64 { return c.res.RowBufferMissRate })
+}
+
+// ---------------------------------------------------------------- the figures
+
+func table2(_ Options, mixes []workload.Mix) (Grid, error) {
+	g := Grid{Title: "Table 2: workload mixes", Columns: []string{"mix"}, TextHeader: "applications"}
+	for _, m := range mixes {
+		g.Rows = append(g.Rows, Row{Label: m.Name, Text: fmt.Sprintf("%v", m.Apps)})
+	}
+	return g, nil
+}
+
+// fig1 reproduces the CPI breakdown of all 26 SPEC2000 applications on the
+// 2-channel DDR system, via the paper's four-run attribution (each
+// application a one-thread "mix", the four perfect-cache machines the axis),
+// sorted by CPImem as in the paper.
+func fig1(o Options, apps []workload.Mix) (Grid, error) {
+	var runs []variant
+	for k, label := range []string{"realistic", "perfect-L3", "perfect-L2", "perfect-L1"} {
+		runs = append(runs, variant{label, func(c *core.Config) { *c = core.CPIBreakdownConfigs(*c, c.Apps[0])[k] }})
+	}
+	g, err := grid(o, "1", "Figure 1: CPI breakdown (sorted by CPImem)",
+		[]string{"app", "CPIproc", "CPIL2", "CPIL3", "CPImem", "total"}, apps, runs, false,
+		func(_ workload.Mix, cells []cell) []float64 {
+			cpi := perCell(cells, func(c cell) float64 { return 1 / c.res.IPC[0] })
+			b := stats.NewBreakdown(cpi[0], cpi[1], cpi[2], cpi[3])
+			return []float64{b.Proc, b.L2, b.L3, b.Mem, b.Total()}
+		})
+	sort.Slice(g.Rows, func(i, j int) bool { return g.Rows[i].Values[3] < g.Rows[j].Values[3] })
+	return g, err
+}
+
+func fetch(p cpu.FetchPolicy) variant {
+	return variant{p.String(), func(c *core.Config) { c.CPU.Policy = p }}
+}
+
+// fig2 compares the four fetch policies.
+func fig2(o Options, mixes []workload.Mix) (Grid, error) {
+	var pols []variant
 	for _, p := range cpu.FetchPolicies() {
-		cols = append(cols, p.String())
+		pols = append(pols, fetch(p))
 	}
-	t := report.New("Figure 2: weighted speedup of fetch policies (2-channel DDR)", cols...)
-	byMix := map[string]map[cpu.FetchPolicy]float64{}
-	var order []string
-	for _, c := range cells {
-		if byMix[c.Mix] == nil {
-			byMix[c.Mix] = map[cpu.FetchPolicy]float64{}
-			order = append(order, c.Mix)
-		}
-		byMix[c.Mix][c.Policy] = c.WS
-	}
-	for _, mix := range order {
-		row := []interface{}{mix}
-		for _, p := range cpu.FetchPolicies() {
-			row = append(row, byMix[mix][p])
-		}
-		t.AddRow(row...)
-	}
-	_ = t.Render(w, Render)
+	return grid(o, "2", "Figure 2: weighted speedup of fetch policies (2-channel DDR)", nil, mixes, pols, true, speedup)
 }
 
-// ---------------------------------------------------------------- Figure 3
-
-// Fig3Row is one mix's performance relative to the infinite-L3 reference.
-type Fig3Row struct {
-	Mix string
-	// RelICOUNT and RelDWarn are the fraction of the infinite-L3 system's
-	// weighted speedup retained with the realistic 2-channel DRAM.
-	RelICOUNT, RelDWarn float64
+// fig3 measures the performance lost to main memory accesses under ICOUNT
+// and DWarn: the percentage retained of a system with an infinitely large L3.
+// The product is 100 * (ws/ref) in that order; the other rounds differently.
+func fig3(o Options, mixes []workload.Mix) (Grid, error) {
+	ref := variant{"infinite-L3", func(c *core.Config) { c.CPU.Policy, c.PerfectL3 = cpu.ICOUNT, true }}
+	return grid(o, "3", "Figure 3: performance retained vs infinite L3 (ICOUNT reference)",
+		[]string{"mix", "ICOUNT%", "DWarn%"}, mixes, []variant{ref, fetch(cpu.ICOUNT), fetch(cpu.DWarn)}, true,
+		func(_ workload.Mix, cells []cell) []float64 {
+			return []float64{100 * (cells[1].ws / cells[0].ws), 100 * (cells[2].ws / cells[0].ws)}
+		})
 }
 
-// Fig3 measures the performance loss due to main memory accesses under
-// ICOUNT and DWarn, against a system with an infinitely large L3.
-func Fig3(o Options) ([]Fig3Row, error) {
-	o = o.withDefaults()
-	r := o.newRun()
-	pols := []cpu.FetchPolicy{cpu.ICOUNT, cpu.DWarn}
-	type job struct {
-		mix      string
-		ref      wsJob
-		policies [2]wsJob
-	}
-	var jobs []job
-	for _, m := range workload.Mixes() {
-		ref := o.baseConfig(m.Apps...)
-		ref.CPU.Policy = cpu.ICOUNT
-		ref.PerfectL3 = true
-		j := job{mix: m.Name, ref: r.submitWS(ref)}
-		for i, pol := range pols {
-			cfg := o.baseConfig(m.Apps...)
-			cfg.CPU.Policy = pol
-			j.policies[i] = r.submitWS(cfg)
+// baseMachine is the axis of a figure that measures the default machine only.
+func baseMachine() []variant { return []variant{{"base", func(*core.Config) {}}} }
+
+// fig4 is the outstanding-request distribution while the DRAM is busy, in
+// the paper's buckets: 1, 2-4, 5-8, 9-16, >16 (fractions of busy time).
+func fig4(o Options, mixes []workload.Mix) (Grid, error) {
+	edges := []int{1, 4, 8, 16}
+	buckets := func(hist []uint64) (labels []string, fracs []float64) {
+		for _, b := range stats.Bucketize(hist, edges) {
+			labels, fracs = append(labels, b.Label), append(fracs, b.Frac)
 		}
-		jobs = append(jobs, j)
+		return labels, fracs
 	}
-	var out []Fig3Row
-	for _, j := range jobs {
-		refWS, _, err := j.ref.Wait()
-		if err != nil {
-			return nil, fmt.Errorf("fig3 %s ref: %w", j.mix, err)
+	labels, _ := buckets(nil)
+	return grid(o, "4", "Figure 4: outstanding requests while DRAM busy (fraction of busy time)",
+		append([]string{"mix"}, labels...), mixes, baseMachine(), false,
+		func(_ workload.Mix, cells []cell) []float64 {
+			_, fracs := buckets(cells[0].res.OutstandingHist)
+			return fracs
+		})
+}
+
+// fig5 is the number of threads generating concurrent requests: value k of a
+// row is the fraction of ≥2-outstanding time during which exactly k threads
+// had requests pending, k = 1 … the mix's thread count.
+func fig5(o Options, mixes []workload.Mix) (Grid, error) {
+	cols := []string{"mix"} // then "1" … "n", n the widest mix's thread count
+	for _, m := range mixes {
+		for k := len(cols); k <= m.Threads(); k++ {
+			cols = append(cols, strconv.Itoa(k))
 		}
-		row := Fig3Row{Mix: j.mix}
-		for i, pol := range pols {
-			ws, _, err := j.policies[i].Wait()
-			if err != nil {
-				return nil, fmt.Errorf("fig3 %s/%v: %w", j.mix, pol, err)
+	}
+	g, err := grid(o, "5", "Figure 5: #threads generating concurrent requests (fraction of ≥2-outstanding time)",
+		cols, mixes, baseMachine(), false,
+		func(m workload.Mix, cells []cell) []float64 {
+			hist := cells[0].res.ThreadSpreadHist
+			var total uint64
+			for _, v := range hist {
+				total += v
 			}
-			if pol == cpu.ICOUNT {
-				row.RelICOUNT = ws / refWS
-			} else {
-				row.RelDWarn = ws / refWS
+			spread := make([]float64, m.Threads())
+			for k := range spread {
+				if total > 0 {
+					spread[k] = float64(hist[k+1]) / float64(total)
+				}
 			}
-		}
-		out = append(out, row)
-		fmt.Fprintf(o.Out, "  fig3 %-6s icount=%.1f%% dwarn=%.1f%%\n",
-			j.mix, 100*row.RelICOUNT, 100*row.RelDWarn)
+			return spread
+		})
+	g.TextHeader = "by #threads (k=1..n)"
+	for i, r := range g.Rows {
+		g.Rows[i].Text = join(r.Values)
 	}
-	return out, nil
+	return g, err
 }
 
-// PrintFig3 renders the relative-performance table.
-func PrintFig3(w io.Writer, rows []Fig3Row) {
-	t := report.New("Figure 3: performance retained vs infinite L3 (ICOUNT reference)",
-		"mix", "ICOUNT%", "DWarn%")
-	for _, r := range rows {
-		t.AddRow(r.Mix, 100*r.RelICOUNT, 100*r.RelDWarn)
+// channels is Figure 6's axis: 2, 4 and 8 independent channels.
+func channels() []variant {
+	var chans []variant
+	for _, ch := range []int{2, 4, 8} {
+		chans = append(chans, variant{fmt.Sprintf("%dch", ch), func(c *core.Config) { c.Mem.PhysChannels = ch }})
 	}
-	_ = t.Render(w, Render)
+	return chans
 }
 
-// ---------------------------------------------------------------- Figures 4 & 5
-
-// ConcurrencyRow holds one mix's concurrency distributions.
-type ConcurrencyRow struct {
-	Mix string
-	// Outstanding buckets: 1, 2-4, 5-8, 9-16, >16 (fractions of busy time).
-	Outstanding []stats.Bucket
-	// ThreadSpread[k] is the fraction of ≥2-outstanding time during which
-	// exactly k+1 threads had requests pending.
-	ThreadSpread []float64
+func fig6(o Options, mixes []workload.Mix) (Grid, error) {
+	return grid(o, "6", "Figure 6: weighted speedup vs channel count (normalized to 2 channels)",
+		nil, mixes, channels(), true, normalized)
 }
-
-// Fig4and5 measures the outstanding-request distribution (Figure 4) and the
-// number of threads generating concurrent requests (Figure 5).
-func Fig4and5(o Options) ([]ConcurrencyRow, error) {
-	o = o.withDefaults()
-	r := o.newRun()
-	mixes := workload.Mixes()
-	futs := make([]*runner.Future[core.Result], len(mixes))
-	for i, m := range mixes {
-		cfg := o.baseConfig(m.Apps...)
-		futs[i] = r.submitRun(cfg)
-	}
-	var out []ConcurrencyRow
-	for i, m := range mixes {
-		res, err := futs[i].Wait()
-		if err != nil {
-			return nil, fmt.Errorf("fig4/5 %s: %w", m.Name, err)
-		}
-		row := ConcurrencyRow{
-			Mix:         m.Name,
-			Outstanding: stats.Bucketize(res.OutstandingHist, []int{1, 4, 8, 16}),
-		}
-		var total uint64
-		for _, v := range res.ThreadSpreadHist {
-			total += v
-		}
-		for k := 1; k <= m.Threads(); k++ {
-			var f float64
-			if total > 0 {
-				f = float64(res.ThreadSpreadHist[k]) / float64(total)
-			}
-			row.ThreadSpread = append(row.ThreadSpread, f)
-		}
-		out = append(out, row)
-		fmt.Fprintf(o.Out, "  fig4/5 %-6s done\n", m.Name)
-	}
-	return out, nil
-}
-
-// PrintFig4 renders the outstanding-request distribution.
-func PrintFig4(w io.Writer, rows []ConcurrencyRow) {
-	if len(rows) == 0 {
-		return
-	}
-	cols := []string{"mix"}
-	for _, b := range rows[0].Outstanding {
-		cols = append(cols, b.Label)
-	}
-	t := report.New("Figure 4: outstanding requests while DRAM busy (fraction of busy time)", cols...)
-	for _, r := range rows {
-		row := []interface{}{r.Mix}
-		for _, b := range r.Outstanding {
-			row = append(row, b.Frac)
-		}
-		t.AddRow(row...)
-	}
-	_ = t.Render(w, Render)
-}
-
-// PrintFig5 renders the thread-spread distribution.
-func PrintFig5(w io.Writer, rows []ConcurrencyRow) {
-	t := report.New("Figure 5: #threads generating concurrent requests (fraction of ≥2-outstanding time)",
-		"mix", "by #threads (k=1..n)")
-	for _, r := range rows {
-		var cells string
-		for _, f := range r.ThreadSpread {
-			cells += fmt.Sprintf(" %.3f", f)
-		}
-		t.AddRow(r.Mix, cells)
-	}
-	_ = t.Render(w, Render)
-}
-
-// ---------------------------------------------------------------- Figure 6
-
-// Fig6Row is one mix's weighted speedup versus channel count, normalized to
-// the 2-channel system.
-type Fig6Row struct {
-	Mix  string
-	Norm map[int]float64 // channels → WS / WS(2ch)
-}
-
-// Fig6 sweeps 2/4/8 independent channels.
-func Fig6(o Options) ([]Fig6Row, error) {
-	o = o.withDefaults()
-	r := o.newRun()
-	channels := []int{2, 4, 8}
-	mixes := workload.Mixes()
-	jobs := make([][3]wsJob, len(mixes))
-	for i, m := range mixes {
-		for k, ch := range channels {
-			cfg := o.baseConfig(m.Apps...)
-			cfg.Mem.PhysChannels = ch
-			jobs[i][k] = r.submitWS(cfg)
-		}
-	}
-	var out []Fig6Row
-	for i, m := range mixes {
-		row := Fig6Row{Mix: m.Name, Norm: map[int]float64{}}
-		var base float64
-		for k, ch := range channels {
-			ws, _, err := jobs[i][k].Wait()
-			if err != nil {
-				return nil, fmt.Errorf("fig6 %s/%dch: %w", m.Name, ch, err)
-			}
-			if ch == 2 {
-				base = ws
-			}
-			row.Norm[ch] = ws / base
-		}
-		out = append(out, row)
-		fmt.Fprintf(o.Out, "  fig6 %-6s 4ch=%.3f 8ch=%.3f\n", m.Name, row.Norm[4], row.Norm[8])
-	}
-	return out, nil
-}
-
-// PrintFig6 renders the channel sweep.
-func PrintFig6(w io.Writer, rows []Fig6Row) {
-	t := report.New("Figure 6: weighted speedup vs channel count (normalized to 2 channels)",
-		"mix", "2ch", "4ch", "8ch")
-	for _, r := range rows {
-		t.AddRow(r.Mix, r.Norm[2], r.Norm[4], r.Norm[8])
-	}
-	_ = t.Render(w, Render)
-}
-
-// ---------------------------------------------------------------- Figure 7
 
 // GangOrg names a physical-channel/gang organization, e.g. 8C-4G.
 type GangOrg struct{ Phys, Gang int }
@@ -567,16 +554,9 @@ func Fig7Orgs() []GangOrg {
 	return []GangOrg{{2, 1}, {2, 2}, {4, 1}, {4, 2}, {4, 4}, {8, 1}, {8, 2}, {8, 4}}
 }
 
-// Fig7Row is one mix's weighted speedups across channel organizations,
-// normalized to 2C-1G.
-type Fig7Row struct {
-	Mix  string
-	Norm map[GangOrg]float64
-}
-
-// fig7Mixes: ILP workloads are insensitive (Figure 6), so the paper omits
-// them here.
-func fig7Mixes() []workload.Mix {
+// memMixes are the MEM and MIX workloads: ILP mixes are insensitive to the
+// memory system (Figure 6), so the paper omits them from Figures 7–10.
+func memMixes() []workload.Mix {
 	var out []workload.Mix
 	for _, m := range workload.Mixes() {
 		if m.Name[2:] != "ILP" {
@@ -586,119 +566,47 @@ func fig7Mixes() []workload.Mix {
 	return out
 }
 
-// Fig7 compares clustering physical channels into logical ones.
-func Fig7(o Options) ([]Fig7Row, error) {
-	o = o.withDefaults()
-	r := o.newRun()
-	orgs := Fig7Orgs()
-	mixes := fig7Mixes()
-	jobs := make([][]wsJob, len(mixes))
-	for i, m := range mixes {
-		for _, org := range orgs {
-			cfg := o.baseConfig(m.Apps...)
-			cfg.Mem.PhysChannels = org.Phys
-			cfg.Mem.Gang = org.Gang
-			jobs[i] = append(jobs[i], r.submitWS(cfg))
-		}
-	}
-	var out []Fig7Row
-	for i, m := range mixes {
-		row := Fig7Row{Mix: m.Name, Norm: map[GangOrg]float64{}}
-		var base float64
-		for k, org := range orgs {
-			ws, _, err := jobs[i][k].Wait()
-			if err != nil {
-				return nil, fmt.Errorf("fig7 %s/%v: %w", m.Name, org, err)
-			}
-			if org == (GangOrg{2, 1}) {
-				base = ws
-			}
-			row.Norm[org] = ws / base
-		}
-		out = append(out, row)
-		fmt.Fprintf(o.Out, "  fig7 %-6s done\n", m.Name)
-	}
-	return out, nil
-}
-
-// PrintFig7 renders the ganging comparison.
-func PrintFig7(w io.Writer, rows []Fig7Row) {
-	cols := []string{"mix"}
+// fig7 compares clustering physical channels into logical ones.
+func fig7(o Options, mixes []workload.Mix) (Grid, error) {
+	var orgs []variant
 	for _, org := range Fig7Orgs() {
-		cols = append(cols, org.String())
+		orgs = append(orgs, variant{org.String(), func(c *core.Config) { c.Mem.PhysChannels, c.Mem.Gang = org.Phys, org.Gang }})
 	}
-	t := report.New("Figure 7: channel organizations (normalized to 2C-1G)", cols...)
-	for _, r := range rows {
-		row := []interface{}{r.Mix}
-		for _, org := range Fig7Orgs() {
-			row = append(row, r.Norm[org])
-		}
-		t.AddRow(row...)
-	}
-	_ = t.Render(w, Render)
+	return grid(o, "7", "Figure 7: channel organizations (normalized to 2C-1G)", nil, mixes, orgs, true, normalized)
 }
 
-// ---------------------------------------------------------------- Figures 8 & 9
-
-// MappingRow is one mix's row-buffer miss rates under the two mapping
-// schemes.
-type MappingRow struct {
-	Mix      string
-	PageMiss float64
-	XORMiss  float64
+// mapping is Figures 8 and 9: row-buffer miss rates under page and XOR
+// mapping on the given DRAM kind.
+func mapping(o Options, fig, title string, kind core.DRAMKind, mixes []workload.Mix) (Grid, error) {
+	var schemes []variant
+	for _, s := range []addrmap.Scheme{addrmap.Page, addrmap.XOR} {
+		schemes = append(schemes, variant{s.String(), func(c *core.Config) { c.Mem.Kind, c.Mem.Scheme = kind, s }})
+	}
+	return grid(o, fig, title, nil, mixes, schemes, false, rowMiss)
 }
 
-// figMapping runs the page-vs-XOR comparison on the given DRAM kind.
-func figMapping(o Options, kind core.DRAMKind) ([]MappingRow, error) {
-	o = o.withDefaults()
-	r := o.newRun()
-	schemes := []addrmap.Scheme{addrmap.Page, addrmap.XOR}
-	mixes := fig7Mixes() // MEM and MIX mixes, like the paper
-	jobs := make([][2]*runner.Future[core.Result], len(mixes))
-	for i, m := range mixes {
-		for k, scheme := range schemes {
-			cfg := o.baseConfig(m.Apps...)
-			cfg.Mem.Kind = kind
-			cfg.Mem.Scheme = scheme
-			jobs[i][k] = r.submitRun(cfg)
-		}
-	}
-	var out []MappingRow
-	for i, m := range mixes {
-		row := MappingRow{Mix: m.Name}
-		for k, scheme := range schemes {
-			res, err := jobs[i][k].Wait()
-			if err != nil {
-				return nil, fmt.Errorf("fig8/9 %s/%v/%v: %w", m.Name, kind, scheme, err)
-			}
-			if scheme == addrmap.Page {
-				row.PageMiss = res.RowBufferMissRate
-			} else {
-				row.XORMiss = res.RowBufferMissRate
-			}
-		}
-		out = append(out, row)
-		fmt.Fprintf(o.Out, "  fig8/9 %-6s %v page=%.3f xor=%.3f\n", m.Name, kind, row.PageMiss, row.XORMiss)
-	}
-	return out, nil
+func fig8(o Options, mixes []workload.Mix) (Grid, error) {
+	return mapping(o, "8", "Figure 8: row-buffer miss rates, 2-channel DDR", core.DDR, mixes)
 }
 
-// Fig8 compares mapping schemes on the 2-channel DDR SDRAM system.
-func Fig8(o Options) ([]MappingRow, error) { return figMapping(o, core.DDR) }
-
-// Fig9 compares mapping schemes on the 2-channel Direct Rambus system.
-func Fig9(o Options) ([]MappingRow, error) { return figMapping(o, core.RDRAM) }
-
-// PrintMapping renders a Figure 8/9 table.
-func PrintMapping(w io.Writer, title string, rows []MappingRow) {
-	t := report.New(title, "mix", "page", "xor")
-	for _, r := range rows {
-		t.AddRow(r.Mix, r.PageMiss, r.XORMiss)
-	}
-	_ = t.Render(w, Render)
+func fig9(o Options, mixes []workload.Mix) (Grid, error) {
+	return mapping(o, "9", "Figure 9: row-buffer miss rates, 2-channel Direct Rambus", core.RDRAM, mixes)
 }
 
-// ---------------------------------------------------------------- Figure 10
+// schedulers is Figure 10's axis: the six access-scheduling policies, FCFS
+// first.
+func schedulers() []variant {
+	var pols []variant
+	for _, p := range memctrl.Policies() {
+		pols = append(pols, variant{p.String(), func(c *core.Config) { c.Mem.Policy = p }})
+	}
+	return pols
+}
+
+func fig10(o Options, mixes []workload.Mix) (Grid, error) {
+	return grid(o, "10", "Figure 10: access scheduling policies (weighted speedup, ×FCFS)",
+		nil, mixes, schedulers(), true, normalized)
+}
 
 // Fig10Cell is one (mix, scheduling policy) weighted speedup, normalized to
 // FCFS.
@@ -709,68 +617,27 @@ type Fig10Cell struct {
 	Norm   float64
 }
 
-// Fig10 compares the six access-scheduling policies.
+// Fig10 is Figure 10's sweep as typed cells with the raw weighted speedups
+// kept, for harnesses (cmd/bench) that compare whole sweeps.
 func Fig10(o Options) ([]Fig10Cell, error) {
-	o = o.withDefaults()
-	r := o.newRun()
-	pols := memctrl.Policies()
-	mixes := fig7Mixes()
-	jobs := make([][]wsJob, len(mixes))
-	for i, m := range mixes {
-		for _, pol := range pols {
-			cfg := o.baseConfig(m.Apps...)
-			cfg.Mem.Policy = pol
-			jobs[i] = append(jobs[i], r.submitWS(cfg))
-		}
-	}
 	var out []Fig10Cell
-	for i, m := range mixes {
-		var base float64
-		for k, pol := range pols {
-			ws, _, err := jobs[i][k].Wait()
-			if err != nil {
-				return nil, fmt.Errorf("fig10 %s/%v: %w", m.Name, pol, err)
-			}
-			if pol == memctrl.FCFS {
-				base = ws
-			}
-			out = append(out, Fig10Cell{Mix: m.Name, Policy: pol, WS: ws, Norm: ws / base})
-			fmt.Fprintf(o.Out, "  fig10 %-6s %-14v WS=%.3f (%.3f× FCFS)\n", m.Name, pol, ws, ws/base)
+	pols := memctrl.Policies()
+	err := sweep(o, "10", memMixes(), schedulers(), true, func(m workload.Mix, cells []cell) {
+		for k, c := range cells {
+			out = append(out, Fig10Cell{Mix: m.Name, Policy: pols[k], WS: c.ws, Norm: c.ws / cells[0].ws})
 		}
+	})
+	if err != nil {
+		return nil, err
 	}
 	return out, nil
 }
 
-// PrintFig10 renders the scheduling comparison.
-func PrintFig10(w io.Writer, cells []Fig10Cell) {
-	cols := []string{"mix"}
-	for _, p := range memctrl.Policies() {
-		cols = append(cols, p.String())
-	}
-	t := report.New("Figure 10: access scheduling policies (weighted speedup, ×FCFS)", cols...)
-	byMix := map[string]map[memctrl.Policy]float64{}
-	var order []string
-	for _, c := range cells {
-		if byMix[c.Mix] == nil {
-			byMix[c.Mix] = map[memctrl.Policy]float64{}
-			order = append(order, c.Mix)
-		}
-		byMix[c.Mix][c.Policy] = c.Norm
-	}
-	for _, mix := range order {
-		row := []interface{}{mix}
-		for _, p := range memctrl.Policies() {
-			row = append(row, byMix[mix][p])
-		}
-		t.AddRow(row...)
-	}
-	_ = t.Render(w, Render)
-}
-
-// WS exposes the options' cached weighted-speedup computation for external
-// harnesses (the root benchmark suite).
+// WS computes one weighted speedup outside a figure sweep, through the
+// options' baseline cache, for external harnesses (the root benchmark suite).
 func WS(o Options, cfg core.Config) (float64, core.Result, error) {
 	o = o.withDefaults()
 	cfg.WarmupInstr, cfg.TargetInstr, cfg.Seed = o.Warmup, o.Target, o.Seed
-	return o.weightedSpeedup(cfg)
+	c, err := o.newRun().submit(cfg, true).Wait()
+	return c.ws, c.res, err
 }

@@ -1,13 +1,11 @@
 package figures
 
 import (
-	"context"
 	"reflect"
 	"runtime"
 	"testing"
 
 	"smtdram/internal/checkpoint"
-	"smtdram/internal/core"
 	"smtdram/internal/workload"
 )
 
@@ -16,14 +14,18 @@ import (
 // changes wall-clock time and nothing else. This is the figure-level face of
 // core's checkpoint equivalence suite.
 func TestFig6RowsIdenticalWithCheckpoints(t *testing.T) {
-	mk := func(ckpts *checkpoint.Cache) []Fig6Row {
+	fig6, err := ByName("6")
+	if err != nil {
+		t.Fatal(err)
+	}
+	mk := func(ckpts *checkpoint.Cache) Grid {
 		o := Options{Warmup: 10_000, Target: 10_000, Seed: 42,
 			Jobs: runtime.GOMAXPROCS(0), Checkpoints: ckpts}
-		rows, err := Fig6(o)
+		g, err := fig6.Run(o)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return rows
+		return g
 	}
 	plain := mk(nil)
 	ckpts := checkpoint.New()
@@ -41,39 +43,43 @@ func TestFig6RowsIdenticalWithCheckpoints(t *testing.T) {
 }
 
 // TestFig6SweepSimcyclesPerPoint pins the tentpole invariant at sweep-point
-// granularity: across the standard Figure 6 grid (every mix × every channel
-// count), a run forked from a warmup checkpoint reports exactly the simulated
-// cycle count of an uninterrupted run, point by point. The summed total is
-// logged for the CI checkpoint-smoke gate, which pins it the way bench-smoke
-// pins 225974/968233.
+// granularity: across the standard Figure 6 grid (every mix × the figure's
+// own channel axis), a run forked from a warmup checkpoint reports exactly
+// the simulated cycle count of an uninterrupted run, point by point. The
+// summed total is logged for the CI checkpoint-smoke gate, which pins it the
+// way bench-smoke pins 225974/968233.
 func TestFig6SweepSimcyclesPerPoint(t *testing.T) {
-	ctx := context.Background()
+	o := Options{Warmup: 10_000, Target: 10_000, Seed: 42}
+	mixes, axis := workload.Mixes(), channels()
+	cycles := func(ckpts *checkpoint.Cache) (out []uint64) {
+		o := o
+		o.Checkpoints = ckpts
+		err := sweep(o, "6", mixes, axis, false, func(_ workload.Mix, cells []cell) {
+			for _, c := range cells {
+				out = append(out, c.res.Cycles)
+			}
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return out
+	}
 	ckpts := checkpoint.New()
-	channels := []int{2, 4, 8}
+	cold, warm := cycles(nil), cycles(ckpts)
+
 	prefixes := map[string]bool{}
 	var points int
 	var total uint64
-	for _, m := range workload.Mixes() {
-		for _, ch := range channels {
-			cfg := core.DefaultConfig(m.Apps...)
-			cfg.WarmupInstr, cfg.TargetInstr, cfg.Seed = 10_000, 10_000, 42
-			cfg.Mem.PhysChannels = ch
+	for _, m := range mixes {
+		for _, v := range axis {
+			cfg := o.baseConfig(m.Apps...)
+			v.apply(&cfg)
 			prefixes[cfg.WarmupFingerprint()] = true
-
-			cold, err := core.Run(cfg)
-			if err != nil {
-				t.Fatalf("%s/%dch cold: %v", m.Name, ch, err)
+			if cold[points] != warm[points] {
+				t.Fatalf("%s/%s: simcycles diverged: cold=%d warm=%d", m.Name, v.label, cold[points], warm[points])
 			}
-			warm, err := ckpts.Run(ctx, cfg)
-			if err != nil {
-				t.Fatalf("%s/%dch warm: %v", m.Name, ch, err)
-			}
-			if cold.Cycles != warm.Cycles {
-				t.Fatalf("%s/%dch: simcycles diverged: cold=%d warm=%d",
-					m.Name, ch, cold.Cycles, warm.Cycles)
-			}
+			total += cold[points]
 			points++
-			total += cold.Cycles
 		}
 	}
 	st := ckpts.Snapshot()

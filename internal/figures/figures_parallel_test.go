@@ -3,35 +3,32 @@ package figures
 import (
 	"bytes"
 	"testing"
+
+	"smtdram/internal/report"
 )
 
-// renderSweep runs a representative slice of the figure sweeps (weighted
-// speedups with shared baselines, raw-result runs, and the four-run CPI
-// attribution) at the given job count, returning the rendered tables and the
-// verbose progress stream separately.
+// renderSweep runs a representative slice of the catalog (the four-run CPI
+// attribution, weighted speedups with shared baselines, and raw-result runs)
+// at the given job count, returning the rendered tables and the verbose
+// progress stream separately.
 func renderSweep(t *testing.T, jobs int) (tables, progress string) {
 	t.Helper()
 	var tbl, prog bytes.Buffer
 	o := Options{Warmup: 1_000, Target: 1_000, Seed: 42, Jobs: jobs,
 		Out: &prog, Baselines: map[string]float64{}}
-
-	rows1, err := Fig1(o)
-	if err != nil {
-		t.Fatal(err)
+	for _, name := range []string{"1", "2", "8"} {
+		fig, err := ByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		g, err := fig.Run(o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := g.Table().Render(&tbl, report.Text); err != nil {
+			t.Fatal(err)
+		}
 	}
-	PrintFig1(&tbl, rows1)
-
-	cells, err := Fig2(o)
-	if err != nil {
-		t.Fatal(err)
-	}
-	PrintFig2(&tbl, cells)
-
-	rows8, err := Fig8(o)
-	if err != nil {
-		t.Fatal(err)
-	}
-	PrintMapping(&tbl, "Figure 8: row-buffer miss rates, 2-channel DDR", rows8)
 	return tbl.String(), prog.String()
 }
 
@@ -45,8 +42,8 @@ func TestJobsOutputByteIdentical(t *testing.T) {
 		t.Fatalf("-jobs 8 tables differ from -jobs 1:\n--- jobs=1 ---\n%s\n--- jobs=8 ---\n%s",
 			seqTables, parTables)
 	}
-	if parProgress != seqProgress {
-		t.Fatalf("-jobs 8 progress differs from -jobs 1:\n--- jobs=1 ---\n%s\n--- jobs=8 ---\n%s",
+	if parProgress != seqProgress || seqProgress == "" {
+		t.Fatalf("-jobs 8 progress differs from -jobs 1 (or is empty):\n--- jobs=1 ---\n%s\n--- jobs=8 ---\n%s",
 			seqProgress, parProgress)
 	}
 }
@@ -57,19 +54,23 @@ func TestJobsOutputByteIdentical(t *testing.T) {
 func TestParallelFiguresRace(t *testing.T) {
 	o := Options{Warmup: 1_000, Target: 1_000, Seed: 42, Jobs: 4,
 		Baselines: map[string]float64{}}
-	rows, err := Fig6(o)
+	fig6, err := ByName("6")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rows) != 9 {
-		t.Fatalf("got %d rows, want 9 mixes", len(rows))
+	g, err := fig6.Run(o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(g.Rows) != 9 {
+		t.Fatalf("got %d rows, want 9 mixes", len(g.Rows))
 	}
 	filled := len(o.Baselines)
 	if filled == 0 {
 		t.Fatal("parallel sweep left the baseline cache empty")
 	}
 	// A second sweep over the same mixes must reuse every cached baseline.
-	if _, err := Fig6(o); err != nil {
+	if _, err := fig6.Run(o); err != nil {
 		t.Fatal(err)
 	}
 	if len(o.Baselines) != filled {

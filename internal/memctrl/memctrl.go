@@ -70,7 +70,16 @@ func ParsePolicy(s string) (Policy, error) {
 			return p, nil
 		}
 	}
-	return 0, fmt.Errorf("memctrl: unknown policy %q (want one of fcfs, hit-first, age-based, request-based, rob-based, iq-based, criticality-based)", s)
+	return 0, fmt.Errorf("memctrl: unknown policy %q (want one of %s)", s, PolicyNames())
+}
+
+// PolicyNames lists the names ParsePolicy accepts, for error and usage text.
+func PolicyNames() string {
+	var names []string
+	for _, p := range AllPolicies() {
+		names = append(names, p.String())
+	}
+	return strings.Join(names, ", ")
 }
 
 // Policies lists the paper's Figure 10 policies in presentation order.
@@ -842,9 +851,12 @@ func (c *Controller) getEntry() *entry {
 	return &entry{ctrl: c}
 }
 
+// releaseEntry returns a completed entry to the pool. The retry budget is
+// the request's, not the slot's, so it is cleared with the request.
 func (c *Controller) releaseEntry(e *entry) {
 	e.req = nil
 	e.cc = nil
+	e.attempt, e.backoff = 0, false
 	c.freeEntries = append(c.freeEntries, e)
 }
 

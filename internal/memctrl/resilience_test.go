@@ -1,6 +1,7 @@
 package memctrl
 
 import (
+	"fmt"
 	"testing"
 
 	"smtdram/internal/addrmap"
@@ -255,6 +256,53 @@ func TestRetryMilestonesInTrace(t *testing.T) {
 	if faultsSeen != 4 || retries != 3 || gaveUp != 1 || dones != 1 {
 		t.Fatalf("milestones: %d faults, %d retries, %d give-ups, %d dones; want 4/3/1/1",
 			faultsSeen, retries, gaveUp, dones)
+	}
+}
+
+// TestRetryBudgetIsPerRequest: entries are recycled through the free list, and
+// the retry budget must not ride along with the slot. In a traced drop-plan
+// run where every request reuses the one entry its predecessors used, each
+// request's retry milestones count up from "attempt 1", and a "gave up"
+// follows exactly MaxRetries attempts of that same request.
+func TestRetryBudgetIsPerRequest(t *testing.T) {
+	var q event.Queue
+	ob := obs.New(obs.Options{Trace: true})
+	c := newFaultyCtl(t, &q, geo1ch(), &faults.Plan{DropRate: 0.6, Seed: 3}, ob)
+	const n = 200
+	for i := 0; i < n; i++ {
+		at := uint64(i) << 12 // long after the previous request's last retry
+		q.RunUntil(at)
+		if !c.Enqueue(at, &mem.Request{ID: uint64(i + 1), Addr: uint64(i) * 64, Kind: mem.Read, Thread: 0}) {
+			t.Fatal("Enqueue rejected")
+		}
+	}
+	q.RunUntil(n << 12)
+	if len(c.freeEntries) != 1 {
+		t.Fatalf("%d pooled entries; the test wants every request on one recycled slot", len(c.freeEntries))
+	}
+	attempts := map[uint64]int{}
+	var gaveUp int
+	for _, e := range ob.Trace.Events() {
+		if e.Kind != obs.KRetry {
+			continue
+		}
+		if e.Outcome == "gave up" {
+			gaveUp++
+			if attempts[e.ReqID] != c.cfg.MaxRetries {
+				t.Fatalf("req %d gave up after %d retries of its own, want %d", e.ReqID, attempts[e.ReqID], c.cfg.MaxRetries)
+			}
+			continue
+		}
+		attempts[e.ReqID]++
+		if want := fmt.Sprintf("attempt %d", attempts[e.ReqID]); e.Outcome != want {
+			t.Fatalf("req %d: retry milestone %q, want %q", e.ReqID, e.Outcome, want)
+		}
+	}
+	if len(attempts) < 50 || gaveUp == 0 {
+		t.Fatalf("only %d requests retried and %d gave up; the plan is too mild to test anything", len(attempts), gaveUp)
+	}
+	if c.Stats.RetryGiveUps != uint64(gaveUp) {
+		t.Fatalf("Stats.RetryGiveUps = %d, trace shows %d", c.Stats.RetryGiveUps, gaveUp)
 	}
 }
 

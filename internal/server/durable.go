@@ -276,7 +276,7 @@ func (s *Server) reenqueueRecovered(id string, f *foldedJob) *job {
 		var req FigRequest
 		err := json.Unmarshal(f.req, &req)
 		if err == nil {
-			err = (FigRequest{Fig: req.Fig}).validate()
+			err = req.validate()
 		}
 		if err != nil {
 			return s.rehydrateTerminal(id, f.kind, f.fp, StateFailed, "recovery: "+err.Error(), result{})

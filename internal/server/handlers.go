@@ -59,7 +59,7 @@ func (s *Server) handleFigures(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	// Validate the figure name up front so a typo is a 400, not a failed job.
-	if err := (FigRequest{Fig: req.Fig}).validate(); err != nil {
+	if err := req.validate(); err != nil {
 		writeErr(w, http.StatusBadRequest, err.Error())
 		return
 	}

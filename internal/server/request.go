@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"io"
-	"strings"
 
 	"smtdram/internal/addrmap"
 	"smtdram/internal/checkpoint"
@@ -14,13 +13,16 @@ import (
 	"smtdram/internal/faults"
 	"smtdram/internal/figures"
 	"smtdram/internal/memctrl"
+	"smtdram/internal/report"
 	"smtdram/internal/workload"
 )
 
-// SimRequest is the wire form of one simulation submission: the same knobs
-// cmd/smtdram exposes as flags, with the same defaults, so a request that
-// mirrors a CLI invocation builds the identical core.Config — the root of the
-// byte-identical guarantee. Zero values mean "default", matching the CLI.
+// SimRequest is one simulation described by names — the wire form of a
+// submission, and the struct cmd/smtdram and cmd/tracedump fill from their
+// flags. Config is the only function that turns those names into a
+// core.Config, so a request that mirrors a CLI invocation builds the
+// identical machine: the root of the byte-identical guarantee. Zero values
+// mean core.DefaultConfig's.
 type SimRequest struct {
 	// Mix names a Table 2 mix (overrides Apps), Apps lists one application
 	// per hardware thread.
@@ -40,7 +42,7 @@ type SimRequest struct {
 	// Fetch is the SMT fetch policy (default "dwarn").
 	Fetch string `json:"fetch,omitempty"`
 	// Warmup and Target are per-thread instruction counts (defaults 100 000
-	// and 200 000, the CLI's). Pointers so an explicit 0 warmup survives.
+	// and 200 000). Pointers so an explicit 0 warmup survives.
 	Warmup *uint64 `json:"warmup,omitempty"`
 	Target *uint64 `json:"target,omitempty"`
 	// Seed drives the workload generators (default 42).
@@ -56,7 +58,22 @@ type SimRequest struct {
 	Trace bool `json:"trace,omitempty"`
 }
 
-// Config materializes the request into a validated core.Config.
+// named resolves one optional enum name into dst; the empty name keeps the
+// default already there.
+func named[T any](dst *T, name string, parse func(string) (T, error)) error {
+	if name == "" {
+		return nil
+	}
+	v, err := parse(name)
+	if err == nil {
+		*dst = v
+	}
+	return err
+}
+
+// Config materializes the request into a validated core.Config. Every error
+// it returns means the request is wrong — a usage error on a command line, a
+// 400 over HTTP — never that a simulation failed.
 func (r SimRequest) Config() (core.Config, error) {
 	names := r.Apps
 	if r.Mix != "" {
@@ -91,38 +108,18 @@ func (r SimRequest) Config() (core.Config, error) {
 	if r.Gang != 0 {
 		cfg.Mem.Gang = r.Gang
 	}
+	for _, err := range []error{
+		named(&cfg.Mem.Kind, r.DRAM, core.ParseDRAMKind),
+		named(&cfg.Mem.Scheme, r.Scheme, addrmap.ParseScheme),
+		named(&cfg.Mem.PageMode, r.PageMode, dram.ParsePageMode),
+		named(&cfg.Mem.Policy, r.Policy, memctrl.ParsePolicy),
+		named(&cfg.CPU.Policy, r.Fetch, cpu.ParseFetchPolicy),
+	} {
+		if err != nil {
+			return core.Config{}, err
+		}
+	}
 	var err error
-	if r.DRAM != "" {
-		if cfg.Mem.Kind, err = core.ParseDRAMKind(r.DRAM); err != nil {
-			return core.Config{}, err
-		}
-	}
-	if r.Policy != "" {
-		if cfg.Mem.Policy, err = memctrl.ParsePolicy(r.Policy); err != nil {
-			return core.Config{}, err
-		}
-	}
-	if r.Fetch != "" {
-		if cfg.CPU.Policy, err = cpu.ParseFetchPolicy(r.Fetch); err != nil {
-			return core.Config{}, err
-		}
-	}
-	switch strings.ToLower(r.Scheme) {
-	case "", "xor":
-		cfg.Mem.Scheme = addrmap.XOR
-	case "page":
-		cfg.Mem.Scheme = addrmap.Page
-	default:
-		return core.Config{}, fmt.Errorf("server: unknown mapping scheme %q (want page or xor)", r.Scheme)
-	}
-	switch strings.ToLower(r.PageMode) {
-	case "", "open":
-		cfg.Mem.PageMode = dram.OpenPage
-	case "close":
-		cfg.Mem.PageMode = dram.ClosePage
-	default:
-		return core.Config{}, fmt.Errorf("server: unknown page mode %q (want open or close)", r.PageMode)
-	}
 	if cfg.Faults, err = faults.Parse(r.Faults); err != nil {
 		return core.Config{}, err
 	}
@@ -158,7 +155,7 @@ func (r SimRequest) ShardKey() (string, error) {
 
 // FigRequest submits one figure sweep from the paper's evaluation.
 type FigRequest struct {
-	// Fig selects the sweep: "table2" or "1".."10".
+	// Fig selects the sweep by its figures.Catalog name.
 	Fig string `json:"fig"`
 	// Warmup, Target, Seed mirror figures.Options (0 = that package's
 	// defaults: 100k/100k/42).
@@ -176,19 +173,16 @@ func (r FigRequest) key() string {
 
 // ShardKey is the figure sweep's cache/routing key (see SimRequest.ShardKey).
 func (r FigRequest) ShardKey() (string, error) {
-	if err := (FigRequest{Fig: r.Fig}).validate(); err != nil {
+	if err := r.validate(); err != nil {
 		return "", err
 	}
 	return "fig|" + r.key(), nil
 }
 
-// validate rejects unknown figure names without running anything.
+// validate rejects a figure name the catalog lacks without running anything.
 func (r FigRequest) validate() error {
-	switch r.Fig {
-	case "table2", "1", "2", "3", "4", "5", "6", "7", "8", "9", "10":
-		return nil
-	}
-	return fmt.Errorf("server: unknown figure %q (want table2 or 1..10)", r.Fig)
+	_, err := figures.ByName(r.Fig)
+	return err
 }
 
 // run executes the figure sweep with the given internal parallelism, writing
@@ -197,71 +191,13 @@ func (r FigRequest) validate() error {
 // daemon's warmup-checkpoint cache (nil runs every point cold); output is
 // byte-identical either way.
 func (r FigRequest) run(ctx context.Context, jobs int, w io.Writer, ckpts *checkpoint.Cache) error {
-	o := figures.Options{Warmup: r.Warmup, Target: r.Target, Seed: r.Seed, Jobs: jobs, Ctx: ctx, Checkpoints: ckpts}
-	switch r.Fig {
-	case "table2":
-		figures.PrintTable2(w)
-		return nil
-	case "1":
-		rows, err := figures.Fig1(o)
-		if err != nil {
-			return err
-		}
-		figures.PrintFig1(w, rows)
-	case "2":
-		cells, err := figures.Fig2(o)
-		if err != nil {
-			return err
-		}
-		figures.PrintFig2(w, cells)
-	case "3":
-		rows, err := figures.Fig3(o)
-		if err != nil {
-			return err
-		}
-		figures.PrintFig3(w, rows)
-	case "4", "5":
-		rows, err := figures.Fig4and5(o)
-		if err != nil {
-			return err
-		}
-		if r.Fig == "4" {
-			figures.PrintFig4(w, rows)
-		} else {
-			figures.PrintFig5(w, rows)
-		}
-	case "6":
-		rows, err := figures.Fig6(o)
-		if err != nil {
-			return err
-		}
-		figures.PrintFig6(w, rows)
-	case "7":
-		rows, err := figures.Fig7(o)
-		if err != nil {
-			return err
-		}
-		figures.PrintFig7(w, rows)
-	case "8":
-		rows, err := figures.Fig8(o)
-		if err != nil {
-			return err
-		}
-		figures.PrintMapping(w, "Figure 8: row-buffer miss rates, 2-channel DDR", rows)
-	case "9":
-		rows, err := figures.Fig9(o)
-		if err != nil {
-			return err
-		}
-		figures.PrintMapping(w, "Figure 9: row-buffer miss rates, 2-channel Direct Rambus", rows)
-	case "10":
-		cells, err := figures.Fig10(o)
-		if err != nil {
-			return err
-		}
-		figures.PrintFig10(w, cells)
-	default:
-		return fmt.Errorf("server: unknown figure %q (want table2 or 1..10)", r.Fig)
+	fig, err := figures.ByName(r.Fig)
+	if err != nil {
+		return err
 	}
-	return nil
+	g, err := fig.Run(figures.Options{Warmup: r.Warmup, Target: r.Target, Seed: r.Seed, Jobs: jobs, Ctx: ctx, Checkpoints: ckpts})
+	if err != nil {
+		return err
+	}
+	return g.Table().Render(w, report.Text)
 }
