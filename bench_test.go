@@ -81,7 +81,7 @@ func benchMEMMixCfg() core.Config {
 
 func benchMEMMix(b *testing.B, disableSkip, observed bool) {
 	b.ReportAllocs()
-	var cycles, skipped, wall uint64
+	var cycles, skipped, windows, wall uint64
 	for i := 0; i < b.N; i++ {
 		cfg := benchMEMMixCfg()
 		cfg.DisableClockSkip = disableSkip
@@ -102,9 +102,12 @@ func benchMEMMix(b *testing.B, disableSkip, observed bool) {
 		}
 		cycles += res.Cycles
 		skipped += s.SkipStats().Skipped
+		windows += s.SkipStats().Segments
 		wall += s.SkipStats().Wall
 	}
 	b.ReportMetric(float64(cycles)/float64(b.N), "simcycles/run")
+	b.ReportMetric(float64(skipped)/float64(b.N), "skipped/run")
+	b.ReportMetric(float64(windows)/float64(b.N), "windows/run")
 	b.ReportMetric(float64(skipped)/float64(wall), "skiprate")
 }
 
@@ -113,12 +116,53 @@ func benchMEMMix(b *testing.B, disableSkip, observed bool) {
 // the serving daemon's progress observer. simcycles/run must be identical
 // across all three (the skip is byte-equivalent by construction), the
 // Observed skiprate must match the bare one (observers ride the deep path,
-// they don't disable it). The CI bench-smoke step pins 968233 simcycles/run on
-// all three and a 0.83 skiprate floor on the two skipping variants; wall-clock
+// they don't disable it). TestPinnedCounts pins all of that; wall-clock
 // numbers live in the cmd/bench ledger (mem8, core.noskip_ratio).
 func BenchmarkRunMEMMix(b *testing.B)         { benchMEMMix(b, false, false) }
 func BenchmarkRunMEMMixNoSkip(b *testing.B)   { benchMEMMix(b, true, false) }
 func BenchmarkRunMEMMixObserved(b *testing.B) { benchMEMMix(b, false, true) }
+
+// TestPinnedCounts runs the hot-path benchmarks above and gates what is
+// deterministic in them. The simulation is, so simcycles/run is exact: 225974
+// on the Table 2 machine, 968233 on the MEM mix at either clock speed and with
+// an observer attached. So is when spans open: the skipped-cycle and window
+// counts are exact too (0.8356 of the run, warmup included), equal with and
+// without the observer — a move means a ProbeQuiet bound changed, e.g. gate
+// reporting a flip that cannot change its verdict ends spans early at
+// unchanged Results.
+// B/op is deterministic to within a few percent, so it carries ceilings
+// (1.8 and 2.1 MB measured, most of it 1.2 MB of 16-byte cache lines; 23.4 and
+// 69.5 before the replay and in-flight-load deques stopped re-slicing their
+// capacity away, which is the regression the ceilings exist to catch).
+func TestPinnedCounts(t *testing.T) {
+	const memMixSkipped, memMixWindows = 2322582, 45835
+	for _, tc := range []struct {
+		name                     string
+		bench                    func(*testing.B)
+		cycles, skipped, windows float64
+		maxBytes                 int64
+	}{
+		{"Table2Machine", BenchmarkTable2Machine, 225974, 0, 0, 4_000_000},
+		{"RunMEMMix", BenchmarkRunMEMMix, 968233, memMixSkipped, memMixWindows, 6_000_000},
+		{"RunMEMMixNoSkip", BenchmarkRunMEMMixNoSkip, 968233, 0, 0, 6_000_000},
+		{"RunMEMMixObserved", BenchmarkRunMEMMixObserved, 968233, memMixSkipped, memMixWindows, 6_000_000},
+	} {
+		r := testing.Benchmark(tc.bench)
+		if r.N == 0 {
+			t.Fatalf("%s: the benchmark failed", tc.name)
+		}
+		for unit, want := range map[string]float64{
+			"simcycles/run": tc.cycles, "skipped/run": tc.skipped, "windows/run": tc.windows,
+		} {
+			if got := r.Extra[unit]; got != want {
+				t.Errorf("%s: %v %s, pinned %v", tc.name, got, unit, want)
+			}
+		}
+		if got := r.AllocedBytesPerOp(); got > tc.maxBytes {
+			t.Errorf("%s: %d B/op, ceiling %d", tc.name, got, tc.maxBytes)
+		}
+	}
+}
 
 // BenchmarkParallelFigures measures the parallel experiment scheduler on a
 // figure-sized sweep (Figure 6: 9 mixes × 3 channel counts plus the shared

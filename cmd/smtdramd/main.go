@@ -54,7 +54,6 @@ func main() {
 
 		dataDir  = flag.String("data-dir", "", "directory for the content-addressed result store and write-ahead job journal (empty: memory-only)")
 		fsyncStr = flag.String("fsync", "off", `journal/store fsync policy: "off" (survives kill -9) or "always" (also survives OS crash)`)
-		memOnly  = flag.Bool("mem-only", false, "ignore -data-dir and serve memory-only (results and jobs die with the process)")
 		ckptDir  = flag.String("checkpoint-dir", "", "persist warmup checkpoints under this directory so figure sweeps fork warm re-runs across restarts (empty: in-memory memoization only)")
 
 		nodeID      = flag.String("node-id", "", "this daemon's fleet node id (no '-'; job ids become j-<node>-<n> and metrics gain node_id/role labels)")
@@ -110,10 +109,6 @@ func main() {
 	if len(peers) > 0 && *nodeID == "" {
 		fmt.Fprintln(os.Stderr, "smtdramd: -peers requires -node-id")
 		os.Exit(2)
-	}
-	if *memOnly {
-		*dataDir = ""
-		*ckptDir = ""
 	}
 
 	// Structured logging: every lifecycle line carries job/flight correlation

@@ -64,7 +64,6 @@ func (p *pooledReq) SnapRef() snap.Ref {
 	ref := snap.Ref{Kind: snap.KMemBackendReq, Args: []uint64{
 		p.req.ID, p.req.Addr, uint64(p.req.Kind), snap.Zig(int64(p.req.Thread)),
 		snap.BoolArg(p.req.Critical), p.req.Arrive,
-		snap.Zig(int64(p.req.State.Outstanding)),
 		snap.Zig(int64(p.req.State.ROBOccupancy)),
 		snap.Zig(int64(p.req.State.IQOccupancy)),
 	}}

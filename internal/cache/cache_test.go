@@ -387,7 +387,7 @@ func TestMemBackendTranslation(t *testing.T) {
 	var q event.Queue
 	ctrl := &fakeCtrl{}
 	b := NewMemBackend(&q, ctrl)
-	meta := Meta{Thread: 3, Critical: true, State: mem.ThreadState{Outstanding: 2, ROBOccupancy: 100, IQOccupancy: 9}}
+	meta := Meta{Thread: 3, Critical: true, State: mem.ThreadState{ROBOccupancy: 100, IQOccupancy: 9}}
 	var at uint64
 	if !b.ReadLine(5, 0xABC0, meta, event.FillFunc(func(a uint64) { at = a })) {
 		t.Fatal("ReadLine rejected")

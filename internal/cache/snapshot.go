@@ -31,7 +31,6 @@ func (l *Level) SetSnapID(id uint8) { l.snapID = id }
 func SnapMeta(c *snap.Codec, m *Meta) {
 	c.Int(&m.Thread)
 	c.Bool(&m.Critical)
-	c.Int(&m.State.Outstanding)
 	c.Int(&m.State.ROBOccupancy)
 	c.Int(&m.State.IQOccupancy)
 }
@@ -41,23 +40,21 @@ func SnapMeta(c *snap.Codec, m *Meta) {
 func metaArgs(m Meta) []uint64 {
 	return []uint64{
 		snap.Zig(int64(m.Thread)), snap.BoolArg(m.Critical),
-		snap.Zig(int64(m.State.Outstanding)),
 		snap.Zig(int64(m.State.ROBOccupancy)),
 		snap.Zig(int64(m.State.IQOccupancy)),
 	}
 }
 
 func metaFromArgs(a []uint64) (Meta, error) {
-	if len(a) != 5 {
-		return Meta{}, fmt.Errorf("%w: meta needs 5 args, got %d", snap.ErrCorrupt, len(a))
+	if len(a) != 4 {
+		return Meta{}, fmt.Errorf("%w: meta needs 4 args, got %d", snap.ErrCorrupt, len(a))
 	}
 	return Meta{
 		Thread:   int(snap.Unzig(a[0])),
 		Critical: a[1] != 0,
 		State: mem.ThreadState{
-			Outstanding:  int(snap.Unzig(a[2])),
-			ROBOccupancy: int(snap.Unzig(a[3])),
-			IQOccupancy:  int(snap.Unzig(a[4])),
+			ROBOccupancy: int(snap.Unzig(a[2])),
+			IQOccupancy:  int(snap.Unzig(a[3])),
 		},
 	}, nil
 }
@@ -225,8 +222,8 @@ func (b *MemBackend) ResolveRef(ref *snap.Ref, resolve event.Resolver) (any, err
 	case snap.KMemBackend:
 		return b, nil
 	case snap.KMemBackendReq:
-		if len(ref.Args) != 9 {
-			return nil, fmt.Errorf("%w: request ref needs 9 args", snap.ErrCorrupt)
+		if len(ref.Args) != 8 {
+			return nil, fmt.Errorf("%w: request ref needs 8 args", snap.ErrCorrupt)
 		}
 		id := ref.Args[0]
 		if b.restoreReqs == nil {
@@ -243,9 +240,8 @@ func (b *MemBackend) ResolveRef(ref *snap.Ref, resolve event.Resolver) (any, err
 		p.req.Critical = ref.Args[4] != 0
 		p.req.Arrive = ref.Args[5]
 		p.req.State = mem.ThreadState{
-			Outstanding:  int(snap.Unzig(ref.Args[6])),
-			ROBOccupancy: int(snap.Unzig(ref.Args[7])),
-			IQOccupancy:  int(snap.Unzig(ref.Args[8])),
+			ROBOccupancy: int(snap.Unzig(ref.Args[6])),
+			IQOccupancy:  int(snap.Unzig(ref.Args[7])),
 		}
 		p.done = nil
 		if ref.Inner != nil {

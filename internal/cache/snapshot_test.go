@@ -57,7 +57,6 @@ var snapshotFieldClass = map[string]string{
 	"Meta.Critical": "serialized",
 	"Meta.State":    "serialized",
 
-	"ThreadState.Outstanding":  "serialized",
 	"ThreadState.ROBOccupancy": "serialized",
 	"ThreadState.IQOccupancy":  "serialized",
 

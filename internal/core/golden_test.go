@@ -36,8 +36,8 @@ func goldenFrames() []struct {
 		size   int
 		sha256 string
 	}{
-		{"2-thread-ddr-hit-first", two, 271151, 105767, "24a125be3ba7dceab695b0a2df5476266ff19ba6c44ba18a13bbe7ee0ed25cb2"},
-		{"8-thread-rdram-request-based", eight, 1318305, 328955, "fd499174c6f6e11d2a1b3a98ff4f266610a680c4b10d74b4c32b350832af9f99"},
+		{"2-thread-ddr-hit-first", two, 271151, 105752, "b8e646342afc155910a247e54f8761986d7e28d5a43f7bb86b0ec999b469ce46"},
+		{"8-thread-rdram-request-based", eight, 1318305, 328912, "32313246696afdb4e696f2b1f7d6f0a425993a06bf8e565bccacda58e8bf1702"},
 	}
 }
 

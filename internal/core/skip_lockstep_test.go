@@ -46,8 +46,9 @@ type lockstepCase struct {
 // drain, where a deadline the controller probe failed to report would surface
 // as a divergence at its exact cycle. The channel-fail variant asserts the
 // planned failure's cycle lands and the failover report equals a ticked run's.
-// The restored variant starts the clock from a warmup checkpoint. Every
-// variant must skip, so none can pass by ticking.
+// The restored variant starts the clock from a warmup checkpoint, and the
+// icount variant puts ICOUNT's fixed gate under the oracle (the others run
+// DWarn and Fetch-Stall). Every variant must skip, so none can pass by ticking.
 func TestSkipLockstepDeep(t *testing.T) {
 	base := func() Config {
 		cfg := fastCfg("mcf", "ammp", "swim", "lucas")
@@ -93,9 +94,17 @@ func TestSkipLockstepDeep(t *testing.T) {
 		cfg.WarmupInstr = 2_000 // the boundary falls around cycle 55k, early in the lockstep window
 		return cfg
 	}
+	icount8 := func() Config {
+		// Table 2's 8-MEM under ICOUNT: the one gate whose limit never moves,
+		// on the mix where it binds every thread.
+		cfg := fastCfg("mcf", "ammp", "swim", "lucas", "equake", "applu", "vpr", "facerec")
+		cfg.CPU.Policy = cpu.ICOUNT
+		return cfg
+	}
 	for _, tc := range []lockstepCase{
 		{name: "default-mix", cfg: base},
 		{name: "serialized-fetchstall", cfg: serialized},
+		{name: "icount-8-mem", cfg: icount8},
 		{name: "seeded-faults", cfg: faulty},
 		{name: "observed-default-mix", cfg: base, observe: &obs.Options{Profile: true}},
 		{name: "sampled-default-mix", cfg: base, observe: &obs.Options{Metrics: true, MetricsInterval: 500}},

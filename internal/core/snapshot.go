@@ -19,7 +19,7 @@ import (
 
 const (
 	ckptMagic   = "SMTC"
-	ckptVersion = 5          // 5: the watchdog's two progress registers left the header — the boundary is a committing cycle, so they are derived (4 wrote them)
+	ckptVersion = 6          // 6: requests stopped carrying ThreadState.Outstanding, and the in-flight-load list is trimmed every Tick under every fetch policy (5 wrote the count and the untrimmed list)
 	sectionSim  = 0x434F5245 // "CORE"
 )
 

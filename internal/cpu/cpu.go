@@ -215,33 +215,38 @@ func (t *thread) producer(u *uop, k int) *uop {
 	return t.slot(dep)
 }
 
-// outstanding is the in-flight load list's depth (matured entries included
-// until oldestLoadAge pops them).
+// outstanding is the in-flight load list's depth: the loads still in flight
+// plus any that matured since the last Tick trimmed the list.
 func (t *thread) outstanding() int { return len(t.inFlight) - t.ifHead }
 
-// hasL1DMiss reports whether the thread is experiencing a data-cache miss:
-// its oldest in-flight load has been outstanding longer than an L1 hit.
-func (t *thread) hasL1DMiss(now uint64, cfg Config) bool {
-	return t.oldestLoadAge(now) > cfg.L1DLatency+2
+// live reports whether in-flight-list entry u is still a load in flight at
+// now: not done, not matured, and not a slot since recycled by a non-load.
+func (u *uop) live(now uint64) bool {
+	return u.state != stDone && !(u.state == stIssued && u.doneAt <= now) && u.in.Kind == workload.Load
 }
 
-// hasL2Miss reports whether the oldest in-flight load has been outstanding
-// longer than an L2 hit would take.
-func (t *thread) hasL2Miss(now uint64, cfg Config) bool {
-	return t.oldestLoadAge(now) > cfg.L1DLatency+cfg.L2Latency+4
-}
-
-func (t *thread) oldestLoadAge(now uint64) uint64 {
-	for t.ifHead < len(t.inFlight) {
-		u := t.inFlight[t.ifHead]
-		if u.state == stDone || (u.state == stIssued && u.doneAt <= now) || u.in.Kind != workload.Load {
-			t.ifHead++
-			continue
+// oldestLive returns the oldest load still in flight at now, or nil. It is
+// read-only: ProbeQuiet asks it about cycles whose Ticks may never run.
+func (t *thread) oldestLive(now uint64) *uop {
+	for _, u := range t.inFlight[t.ifHead:] {
+		if u.live(now) {
+			return u
 		}
-		return now - u.issuedAt
 	}
-	t.inFlight, t.ifHead = t.inFlight[:0], 0
-	return 0
+	return nil
+}
+
+// popMatured trims the in-flight list's matured prefix. Tick calls it for
+// every thread under every policy, and only Tick does: the list is in the
+// checkpoint frame, so its depth after a landed cycle must not depend on what
+// was asked of it, or on how many Ticks the clock skipped on the way there.
+func (t *thread) popMatured(now uint64) {
+	for t.ifHead < len(t.inFlight) && !t.inFlight[t.ifHead].live(now) {
+		t.ifHead++
+	}
+	if t.ifHead == len(t.inFlight) {
+		t.inFlight, t.ifHead = t.inFlight[:0], 0
+	}
 }
 
 // next peeks the next instruction to fetch without consuming it. The peeked
@@ -579,6 +584,9 @@ func (c *CPU) AllFinished() bool {
 func (c *CPU) Tick(now uint64) {
 	c.Cycles++
 	c.acted = false
+	for _, t := range c.threads {
+		t.popMatured(now)
+	}
 	c.commit(now)
 	c.issue(now)
 	c.dispatch(now)
@@ -600,7 +608,6 @@ func (c *CPU) meta(t *thread, critical bool) cache.Meta {
 		Thread:   t.id,
 		Critical: critical,
 		State: mem.ThreadState{
-			Outstanding:  t.outstanding(),
 			ROBOccupancy: t.robCount(),
 			IQOccupancy:  t.iqInt,
 		},
@@ -670,16 +677,16 @@ func (c *CPU) dispatch(now uint64) {
 		if k++; k == n {
 			k = 0
 		}
-		// The gate's miss half walks the in-flight loads, and nothing in this
-		// loop can change its answer: evaluate it once, when the thread first
-		// reaches the gate, and compare occupancies per instruction.
+		// The gate walks the in-flight loads, and nothing in this loop can
+		// change its answer: evaluate it once, when the thread first reaches
+		// the gate, and compare occupancies per instruction.
 		limit := -1
 		for budget > 0 {
 			if t.feLen() == 0 || t.frontend[t.feHead].readyAt > now {
 				break
 			}
 			if limit < 0 {
-				limit = c.gateLimit(now, t)
+				limit, _ = c.gate(now, t)
 			}
 			if t.iqInt+t.iqFP >= limit {
 				t.gated++
@@ -695,43 +702,74 @@ func (c *CPU) dispatch(now uint64) {
 	c.rrDispatch++
 }
 
-// gateLimit applies the fetch policies' resource feedback at the dispatch
-// stage: when the shared issue queues are under pressure, a thread the
-// policy considers stalled may not grow its share past an allowance. It
-// returns the issue-queue occupancy at which t's dispatch is gated this
-// cycle (math.MaxInt: not at all).
+// gate applies the fetch policies' resource feedback at the dispatch stage:
+// when the shared issue queues are under pressure, a thread the policy
+// considers stalled may not grow its share past an allowance. limit is the
+// issue-queue occupancy at which t's dispatch is gated at cycle now
+// (math.MaxInt: not at all). flipAt is the first cycle after now at which the
+// verdict "occupancy >= limit" can change by time alone, 0 when it cannot. It
+// is read-only: dispatch asks it for this Tick, ProbeQuiet for Ticks that may
+// never run.
 //
-// Under the miss-aware policies (FetchStall, DG, DWarn) the allowance is
-// MissIQAllowance for threads experiencing a miss. Under ICOUNT the
-// allowance is the equal share of the queues — ICOUNT's priority function
-// drives every thread's in-flight count toward the mean, which caps a
-// stalled thread's occupancy near the equal-share point but no lower; this
-// is exactly why ICOUNT survives at 2–4 threads but clogs on 8-thread MEM
-// mixes in the paper, where even equal shares saturate the queues.
-func (c *CPU) gateLimit(now uint64, t *thread) int {
+// Under the miss-aware policies (FetchStall, DG, DWarn, Coop) the allowance is
+// missAllowance for threads experiencing a miss. An open gate closes as the
+// oldest in-flight load ages past missAge; a closed one opens when the load
+// holding it matures. That is normally a fill event's doing (it sets doneAt to
+// the current cycle), but the deep-skip path probes at the cycle before an
+// in-span fill's, where the load carries doneAt == now+1 and still looks live:
+// the maturity bound lands the clock on the cycle whose Tick first sees the
+// gate open. Either flip is reported only while the thread's occupancy is at
+// or past the allowance — a limit that moves without moving the verdict is not
+// a flip, and reporting it would end quiet spans early.
+//
+// Under ICOUNT the allowance is the equal share of the queues — ICOUNT's
+// priority function drives every thread's in-flight count toward the mean, at
+// an equilibrium set by the front-end depth and independent of thread count:
+// roughly a quarter of the queue capacity here. With few threads that leaves
+// slack; with eight the equal shares sum to well past capacity and ICOUNT
+// clogs on MEM mixes, exactly as in the paper.
+func (c *CPU) gate(now uint64, t *thread) (limit int, flipAt uint64) {
 	n := len(c.threads)
 	if n == 1 {
-		return math.MaxInt
+		return math.MaxInt, 0
 	}
 	total := c.cfg.IntIQ + c.cfg.FPIQ
-	missing := false
-	switch c.cfg.Policy {
-	case FetchStall:
-		missing = t.hasL2Miss(now, c.cfg)
-	case DG, DWarn, Coop:
-		missing = t.hasL1DMiss(now, c.cfg)
-	case ICOUNT, RoundRobin:
-		// ICOUNT's fetch feedback equalizes per-thread in-flight counts at
-		// an equilibrium set by the front-end depth, independent of thread
-		// count: roughly a quarter of the queue capacity here. With few
-		// threads that leaves slack; with eight threads the equal shares sum
-		// to well past capacity — ICOUNT clogs, exactly as in the paper.
-		return total / 4
+	if c.cfg.Policy == ICOUNT || c.cfg.Policy == RoundRobin {
+		return total / 4, 0
 	}
-	if missing {
-		return c.missAllowance(total, n)
+	u := t.oldestLive(now)
+	if u == nil {
+		return math.MaxInt, 0
 	}
-	return math.MaxInt
+	allowance := c.missAllowance(total, n)
+	binding := t.iqInt+t.iqFP >= allowance
+	if now-u.issuedAt <= c.missAge() {
+		if binding {
+			flipAt = u.issuedAt + c.missAge() + 1
+		}
+		return math.MaxInt, flipAt
+	}
+	if binding && u.doneAt != pendingDone {
+		flipAt = u.doneAt
+	}
+	return allowance, flipAt
+}
+
+// missAge is how long a thread's oldest in-flight load must have been
+// outstanding before the fetch policy counts the thread as experiencing a
+// miss: longer than an L2 hit takes under FetchStall, longer than an L1 hit
+// under the data-cache-miss policies.
+func (c *CPU) missAge() uint64 {
+	if c.cfg.Policy == FetchStall {
+		return c.cfg.L1DLatency + c.cfg.L2Latency + 4
+	}
+	return c.cfg.L1DLatency + 2
+}
+
+// missing reports whether t is experiencing a miss at now, by missAge.
+func (c *CPU) missing(now uint64, t *thread) bool {
+	u := t.oldestLive(now)
+	return u != nil && now-u.issuedAt > c.missAge()
 }
 
 // missAllowance is the issue-queue share a stalled thread may keep under the
@@ -747,31 +785,32 @@ func (c *CPU) missAllowance(total, threads int) int {
 	return share
 }
 
+// canDispatchHead is dispatch's admission test: whether the ROB, the issue
+// queue and (for a memory operation) the load or store queue each have room
+// for t's oldest frontend instruction.
+func (c *CPU) canDispatchHead(t *thread) bool {
+	if t.robCount() >= c.cfg.ROBPerThread {
+		return false
+	}
+	switch t.frontend[t.feHead].in.Kind {
+	case workload.FPOp:
+		return c.fpIQUsed < c.cfg.FPIQ
+	case workload.Load:
+		return c.intIQUsed < c.cfg.IntIQ && c.lqUsed < c.cfg.LQ
+	case workload.Store:
+		return c.intIQUsed < c.cfg.IntIQ && c.sqUsed < c.cfg.SQ
+	}
+	return c.intIQUsed < c.cfg.IntIQ
+}
+
 // dispatchOne moves t's oldest frontend instruction into the ROB and issue
 // queue; it returns false when a resource (ROB, IQ, LSQ) is exhausted.
 func (c *CPU) dispatchOne(t *thread) bool {
-	if t.robCount() >= c.cfg.ROBPerThread {
+	if !c.canDispatchHead(t) {
 		return false
 	}
 	in := t.frontend[t.feHead].in
 	fp := in.Kind == workload.FPOp
-	if fp {
-		if c.fpIQUsed >= c.cfg.FPIQ {
-			return false
-		}
-	} else if c.intIQUsed >= c.cfg.IntIQ {
-		return false
-	}
-	switch in.Kind {
-	case workload.Load:
-		if c.lqUsed >= c.cfg.LQ {
-			return false
-		}
-	case workload.Store:
-		if c.sqUsed >= c.cfg.SQ {
-			return false
-		}
-	}
 
 	seq := t.nextSeq
 	t.nextSeq++

@@ -1,6 +1,8 @@
 package cpu
 
 import (
+	"fmt"
+	"slices"
 	"testing"
 
 	"smtdram/internal/workload"
@@ -12,7 +14,8 @@ import (
 // dispatchGated is the gate's verdict as dispatch reaches it: the thread's
 // issue-queue occupancy against this cycle's limit.
 func (c *CPU) dispatchGated(now uint64, t *thread) bool {
-	return t.iqInt+t.iqFP >= c.gateLimit(now, t)
+	limit, _ := c.gate(now, t)
+	return t.iqInt+t.iqFP >= limit
 }
 
 // missThread fakes a thread that is experiencing a long data-cache miss and
@@ -177,5 +180,111 @@ func TestCoopWithoutPressureFallsBackToDWarn(t *testing.T) {
 	order := r.cpu.fetchOrder(100)
 	if len(order) != 2 || order[0].id != 1 {
 		t.Fatalf("order = %v, want DWarn-like grouping", ids(order))
+	}
+}
+
+// gate's flipAt is what lets ProbeQuiet stand one verdict in for a whole quiet
+// span, so it is held to its contract by brute force, with gate itself on the
+// frozen state as the oracle (a retuned threshold cannot desynchronise the
+// two): the verdict occupancy >= limit holds on every cycle before flipAt —
+// on every later cycle when flipAt is 0 — and with a single in-flight load it
+// changes exactly at flipAt, unless that load matures before it can age into a
+// miss (the bound is then early, which is always exact).
+func TestGateFlipBoundsTheVerdict(t *testing.T) {
+	const now = 1000
+	for _, p := range []FetchPolicy{RoundRobin, ICOUNT, FetchStall, DG, DWarn, Coop} {
+		for _, n := range []int{1, 2, 8} {
+			cfg := DefaultConfig()
+			cfg.Policy = p
+			srcs := make([]Source, n)
+			for i := range srcs {
+				srcs[i] = nops()
+			}
+			c := newRig(t, cfg, srcs...).cpu
+			th := c.threads[0]
+			total := cfg.IntIQ + cfg.FPIQ
+			horizon := c.missAge() + 8
+			verdict := func(at uint64) bool {
+				limit, _ := c.gate(at, th)
+				return th.iqInt+th.iqFP >= limit
+			}
+			var occs []int
+			for _, edge := range []int{c.missAllowance(total, n), total / 4} {
+				occs = append(occs, edge-1, edge, edge+1)
+			}
+			for _, occ := range occs {
+				for age := c.missAge() - 2; age <= c.missAge()+2; age++ {
+					for _, doneAt := range []uint64{pendingDone, now + 1, now + 3} {
+						for second := 0; second <= 2; second++ { // none, as old as the first, younger
+							th.iqInt = occ
+							th.rob[0] = uop{in: workload.Instr{Kind: workload.Load}, state: stIssued, issuedAt: now - age, doneAt: doneAt}
+							th.rob[1] = uop{in: workload.Instr{Kind: workload.Load}, state: stIssued, issuedAt: now - age + 2*uint64(second-1), doneAt: pendingDone}
+							th.inFlight, th.ifHead = []*uop{&th.rob[0], &th.rob[1]}[:min(second+1, 2)], 0
+							state := fmt.Sprintf("%v, %d threads, occupancy %d, age %d, doneAt now%+d, %d loads",
+								p, n, occ, age, int64(doneAt-now), len(th.inFlight)) // pendingDone prints as now-1001
+
+							limit, flipAt := c.gate(now, th)
+							v0 := occ >= limit
+							if flipAt != 0 && flipAt <= now {
+								t.Fatalf("%s: flipAt %d is not after now", state, flipAt)
+							}
+							holdsUntil := uint64(now) + horizon
+							if flipAt != 0 {
+								holdsUntil = flipAt - 1
+							}
+							for m := uint64(now + 1); m <= holdsUntil; m++ {
+								if verdict(m) != v0 {
+									t.Fatalf("%s: verdict %v flips at now+%d, flipAt = %d", state, v0, m-now, flipAt)
+								}
+							}
+							if flipAt == 0 || len(th.inFlight) > 1 {
+								continue
+							}
+							if maturesFirst := !v0 && doneAt <= flipAt; verdict(flipAt) == v0 && !maturesFirst {
+								t.Fatalf("%s: verdict still %v at flipAt = now+%d", state, v0, flipAt-now)
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// canDispatchHead is dispatchOne's admission test and ProbeQuiet's: for every
+// instruction kind against every exhausted resource it holds exactly when
+// dispatchOne then moves the frontend head, and only the resources the kind
+// needs can refuse it.
+func TestCanDispatchHeadMatchesDispatchOne(t *testing.T) {
+	cfg := DefaultConfig()
+	exhaust := map[string]func(c *CPU, th *thread){
+		"none":  func(*CPU, *thread) {},
+		"ROB":   func(_ *CPU, th *thread) { th.nextSeq = th.headSeq + uint64(cfg.ROBPerThread) },
+		"IntIQ": func(c *CPU, _ *thread) { c.intIQUsed = cfg.IntIQ },
+		"FPIQ":  func(c *CPU, _ *thread) { c.fpIQUsed = cfg.FPIQ },
+		"LQ":    func(c *CPU, _ *thread) { c.lqUsed = cfg.LQ },
+		"SQ":    func(c *CPU, _ *thread) { c.sqUsed = cfg.SQ },
+	}
+	needs := map[workload.Kind][]string{
+		workload.IntOp:  {"ROB", "IntIQ"},
+		workload.FPOp:   {"ROB", "FPIQ"},
+		workload.Load:   {"ROB", "IntIQ", "LQ"},
+		workload.Store:  {"ROB", "IntIQ", "SQ"},
+		workload.Branch: {"ROB", "IntIQ"},
+	}
+	for kind, needed := range needs {
+		for res, apply := range exhaust {
+			c := newRig(t, cfg, nops()).cpu
+			th := c.threads[0]
+			th.frontend = append(th.frontend, feEntry{in: workload.Instr{Kind: kind, Lat: 1}})
+			apply(c, th)
+			can := c.canDispatchHead(th)
+			if want := !slices.Contains(needed, res); can != want {
+				t.Errorf("%v with %s exhausted: canDispatchHead = %v, want %v", kind, res, can, want)
+			}
+			if moved := c.dispatchOne(th) && th.feLen() == 0; moved != can {
+				t.Errorf("%v with %s exhausted: canDispatchHead = %v but dispatchOne moved the head: %v", kind, res, can, moved)
+			}
+		}
 	}
 }

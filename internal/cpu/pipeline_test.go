@@ -170,3 +170,22 @@ func TestEightThreadsShareFairly(t *testing.T) {
 		t.Fatalf("unfair sharing: min %d, max %d", lo, hi)
 	}
 }
+
+// The in-flight-load list is trimmed by Tick, not by whichever policy happens
+// to ask about misses: under every fetch policy it holds only loads that still
+// hold a load-queue entry, however long the run.
+func TestInFlightListStaysWithinLQ(t *testing.T) {
+	for _, p := range []FetchPolicy{RoundRobin, ICOUNT, FetchStall, DG, DWarn, Coop} {
+		cfg := DefaultConfig()
+		cfg.Policy = p
+		r := newQuiesceRig(t, cfg, realGen(t, "mcf", 0), realGen(t, "art", 1))
+		for now := uint64(1); now <= 6_000; now++ {
+			r.step(now)
+			for _, th := range r.cpu.threads {
+				if got := th.outstanding(); got > cfg.LQ {
+					t.Fatalf("%v, cycle %d: thread %d lists %d loads in flight, LQ holds %d", p, now, th.id, got, cfg.LQ)
+				}
+			}
+		}
+	}
+}

@@ -75,16 +75,21 @@ func FetchPolicies() []FetchPolicy {
 	return []FetchPolicy{ICOUNT, FetchStall, DG, DWarn}
 }
 
+// canFetch reports whether t may fetch at cycle now: past its mispredict
+// penalty, not waiting on an I-cache fill, and with frontend room.
+func (c *CPU) canFetch(now uint64, t *thread) bool {
+	return t.fetchBlockedUntil <= now && !t.imissPending && t.feLen() < c.cfg.FrontendCap
+}
+
 // fetchOrder ranks the candidate threads for this cycle's fetch slots,
 // best-first. It never returns ineligible (blocked) threads; under policies
 // that exclude miss-bound threads it may return fewer threads than exist.
 func (c *CPU) fetchOrder(now uint64) []*thread {
 	cands := c.scratchThreads[:0]
 	for _, t := range c.threads {
-		if t.fetchBlockedUntil > now || t.imissPending || t.feLen() >= c.cfg.FrontendCap {
-			continue
+		if c.canFetch(now, t) {
+			cands = append(cands, t)
 		}
-		cands = append(cands, t)
 	}
 	if len(cands) == 0 {
 		return cands
@@ -95,28 +100,19 @@ func (c *CPU) fetchOrder(now uint64) []*thread {
 		c.rrFetch++
 	case ICOUNT:
 		sortByICount(cands)
-	case FetchStall:
-		// Drop threads with outstanding L2 misses, unless that would drop
-		// everyone; then keep the ICOUNT-best thread.
+	case FetchStall, DG:
+		// Drop threads experiencing a miss (an L2 miss under FetchStall, a
+		// data-cache miss under DG; see missAge). FetchStall keeps the
+		// ICOUNT-best thread when that would drop everyone.
 		kept := cands[:0]
 		for _, t := range cands {
-			if !t.hasL2Miss(now, c.cfg) {
+			if !c.missing(now, t) {
 				kept = append(kept, t)
 			}
 		}
-		if len(kept) == 0 {
+		if len(kept) == 0 && c.cfg.Policy == FetchStall {
 			sortByICount(cands)
-			kept = cands[:1]
-		} else {
-			sortByICount(kept)
-		}
-		return kept
-	case DG:
-		kept := cands[:0]
-		for _, t := range cands {
-			if !t.hasL1DMiss(now, c.cfg) {
-				kept = append(kept, t)
-			}
+			return cands[:1]
 		}
 		sortByICount(kept)
 		return kept
@@ -124,28 +120,23 @@ func (c *CPU) fetchOrder(now uint64) []*thread {
 		// Two groups: no outstanding data-cache miss first; ICOUNT within.
 		// Coop additionally orders the miss group by live DRAM pressure.
 		sortByICount(cands)
-		ordered := c.scratchOrder[:0]
+		clean, miss := cands[:0], c.scratchOrder[:0]
 		for _, t := range cands {
-			if !t.hasL1DMiss(now, c.cfg) {
-				ordered = append(ordered, t)
-			}
-		}
-		missStart := len(ordered)
-		for _, t := range cands {
-			if t.hasL1DMiss(now, c.cfg) {
-				ordered = append(ordered, t)
+			if c.missing(now, t) {
+				miss = append(miss, t)
+			} else {
+				clean = append(clean, t)
 			}
 		}
 		if c.cfg.Policy == Coop && c.memPressure != nil {
-			miss := ordered[missStart:]
 			for i := 1; i < len(miss); i++ {
 				for j := i; j > 0 && c.memPressure(miss[j].id) < c.memPressure(miss[j-1].id); j-- {
 					miss[j], miss[j-1] = miss[j-1], miss[j]
 				}
 			}
 		}
-		copy(cands, ordered)
-		c.scratchOrder = ordered
+		cands = append(clean, miss...)
+		c.scratchOrder = miss
 	}
 	return cands
 }

@@ -47,12 +47,11 @@ func (c *CPU) ProbeQuiet(now uint64) (next uint64, fx QuietFx, quiet bool) {
 	for i, t := range c.threads {
 		// Fetch: an eligible thread probes the I-cache (or consumes its
 		// generator) next cycle; a penalty-blocked one wakes when it ends.
-		if t.fetchBlockedUntil > now {
-			if t.fetchBlockedUntil < next {
-				next = t.fetchBlockedUntil
-			}
-		} else if !t.imissPending && t.feLen() < c.cfg.FrontendCap {
+		if c.canFetch(now, t) {
 			return 0, fx, false
+		}
+		if t.fetchBlockedUntil > now && t.fetchBlockedUntil < next {
+			next = t.fetchBlockedUntil
 		}
 		// Commit: a done (or matured) head retires next cycle; a head with
 		// a finite completion time retires after it. A head whose doneAt is
@@ -77,33 +76,25 @@ func (c *CPU) ProbeQuiet(now uint64) (next uint64, fx QuietFx, quiet bool) {
 		}
 		// Dispatch: a ready frontend head either dispatches (work), sits
 		// gated (pure bookkeeping), or waits on resources freed only by
-		// landed work. An ungated thread can still flip its gate on as its
-		// oldest load ages past the policy's miss threshold — the flip
-		// changes the bookkeeping, so it bounds the skip. A thread that
-		// reaches the gate check every skipped cycle contributes its
-		// gated-dispatch accounting to the replay terms; the gate's value is
-		// constant across the window (every flip trigger bounds the skip),
-		// so evaluating at now+1 stands in for every skipped cycle.
+		// landed work. The gate's verdict can still flip by time alone — on,
+		// which starts the gated-dispatch accounting, or off, which lets
+		// dispatch proceed — and every flip bounds the skip, so the verdict at
+		// now stands for every skipped cycle: a thread gated now accrues its
+		// gated-dispatch stat in each of them.
 		if t.feLen() > 0 {
 			if ra := t.frontend[t.feHead].readyAt; ra > now {
 				if ra < next {
 					next = ra
 				}
 			} else {
-				if gated, flip := c.gateInfo(now, t); !gated {
-					if c.couldDispatchHead(t) {
-						return 0, fx, false
-					}
-					if flip > now && flip < next {
-						next = flip
-					}
-				} else if flip > now && flip < next {
-					next = flip // the gate may open when its oldest load matures
+				limit, flipAt := c.gate(now, t)
+				if t.iqInt+t.iqFP >= limit {
+					fx.gated |= 1 << uint(i)
+				} else if c.canDispatchHead(t) {
+					return 0, fx, false
 				}
-				if len(c.threads) > 1 { // gateLimit never gates a lone thread
-					if gated, _ := c.gateInfo(now+1, t); gated {
-						fx.gated |= 1 << uint(i)
-					}
+				if flipAt != 0 && flipAt < next {
+					next = flipAt
 				}
 			}
 		}
@@ -185,105 +176,6 @@ func (c *CPU) TakeWake() bool {
 	w := c.wake
 	c.wake = false
 	return w
-}
-
-// gateInfo is the read-only twin of dispatch's gate (gateLimit against the
-// thread's issue-queue occupancy). It reports whether the thread's
-// dispatch is gated at cycle now and the first cycle the gate's
-// value could flip purely by time passing (0 when it cannot): an off gate
-// turns on as the oldest in-flight load ages past the policy's miss
-// threshold; an on gate turns off when the load holding it open matures.
-// The latter is normally event-driven (a fill lands and sets doneAt to the
-// current cycle), but the deep-skip path probes at the cycle *before* an
-// in-span fill fires, where that load carries doneAt == now+1 and still
-// looks live — the maturity bound is what makes the probe land on the cycle
-// whose Tick first sees the gate open.
-func (c *CPU) gateInfo(now uint64, t *thread) (gated bool, flipAt uint64) {
-	n := len(c.threads)
-	if n == 1 {
-		return false, 0
-	}
-	total := c.cfg.IntIQ + c.cfg.FPIQ
-	switch c.cfg.Policy {
-	case FetchStall:
-		if t.iqInt+t.iqFP < c.missAllowance(total, n) {
-			return false, 0
-		}
-		issuedAt, doneAt, live := t.oldestLivePeek(now)
-		if !live {
-			return false, 0
-		}
-		if now-issuedAt > c.cfg.L1DLatency+c.cfg.L2Latency+4 {
-			if doneAt > now && doneAt != pendingDone {
-				return true, doneAt
-			}
-			return true, 0
-		}
-		return false, issuedAt + c.cfg.L1DLatency + c.cfg.L2Latency + 5
-	case DG, DWarn, Coop:
-		if t.iqInt+t.iqFP < c.missAllowance(total, n) {
-			return false, 0
-		}
-		issuedAt, doneAt, live := t.oldestLivePeek(now)
-		if !live {
-			return false, 0
-		}
-		if now-issuedAt > c.cfg.L1DLatency+2 {
-			if doneAt > now && doneAt != pendingDone {
-				return true, doneAt
-			}
-			return true, 0
-		}
-		return false, issuedAt + c.cfg.L1DLatency + 3
-	case ICOUNT, RoundRobin:
-		return t.iqInt+t.iqFP >= total/4, 0
-	default:
-		return false, 0
-	}
-}
-
-// oldestLivePeek finds the same oldest live in-flight load oldestLoadAge
-// would report, without popping matured entries — maturity only moves at
-// landed cycles, so the lazily-popped prefix is identical in skipped and
-// unskipped runs whenever the next Tick actually observes it. It also
-// reports that load's completion cycle (pendingDone while truly in flight;
-// one cycle ahead of now right after an in-span fill), which bounds when an
-// on gate can open.
-func (t *thread) oldestLivePeek(now uint64) (issuedAt, doneAt uint64, live bool) {
-	for _, u := range t.inFlight[t.ifHead:] {
-		if u.state == stDone || (u.state == stIssued && u.doneAt <= now) || u.in.Kind != workload.Load {
-			continue
-		}
-		return u.issuedAt, u.doneAt, true
-	}
-	return 0, 0, false
-}
-
-// couldDispatchHead mirrors dispatchOne's resource checks without moving
-// the instruction: true means the next Tick would dispatch it.
-func (c *CPU) couldDispatchHead(t *thread) bool {
-	if t.robCount() >= c.cfg.ROBPerThread {
-		return false
-	}
-	in := &t.frontend[t.feHead].in
-	if in.Kind == workload.FPOp {
-		if c.fpIQUsed >= c.cfg.FPIQ {
-			return false
-		}
-	} else if c.intIQUsed >= c.cfg.IntIQ {
-		return false
-	}
-	switch in.Kind {
-	case workload.Load:
-		if c.lqUsed >= c.cfg.LQ {
-			return false
-		}
-	case workload.Store:
-		if c.sqUsed >= c.cfg.SQ {
-			return false
-		}
-	}
-	return true
 }
 
 // Fingerprint summarizes every piece of architecturally observable CPU state

@@ -41,9 +41,6 @@ const InvalidThread = -1
 // controller's view may be slightly stale; the schemes are heuristic and
 // tolerate that, so a snapshot at miss time is exactly what is modeled.
 type ThreadState struct {
-	// Outstanding is the number of main-memory requests the thread had
-	// pending when this request was generated (including this one).
-	Outstanding int
 	// ROBOccupancy is the number of reorder-buffer entries the thread held.
 	ROBOccupancy int
 	// IQOccupancy is the number of integer issue-queue entries the thread

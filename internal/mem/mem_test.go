@@ -21,7 +21,7 @@ func TestIsRead(t *testing.T) {
 
 func TestThreadStateZeroValue(t *testing.T) {
 	var r Request
-	if r.State.Outstanding != 0 || r.State.ROBOccupancy != 0 || r.State.IQOccupancy != 0 {
+	if r.State.ROBOccupancy != 0 || r.State.IQOccupancy != 0 {
 		t.Fatal("zero request must carry zero thread state")
 	}
 }
