@@ -7,6 +7,7 @@ package cache
 import (
 	"fmt"
 	"math/bits"
+	"slices"
 	"strings"
 
 	"smtdram/internal/event"
@@ -139,7 +140,9 @@ func (m *mshr) OnFill(now uint64) {
 		flags = lineDirty
 	}
 	l.install(now, m.addr, flags)
-	delete(l.mshrs, m.addr)
+	i, last := slices.Index(l.mshrs, m), len(l.mshrs)-1
+	l.mshrs[i], l.mshrs[last] = l.mshrs[last], nil
+	l.mshrs = l.mshrs[:last]
 	if l.MissEnd != nil {
 		l.MissEnd(m.meta)
 	}
@@ -151,7 +154,7 @@ func (m *mshr) OnFill(now uint64) {
 }
 
 // SnapRef implements event.RefMaker: a live MSHR is named by its level and
-// line address (the level's mshrs map resolves it at restore).
+// line address (the level's MSHR file resolves it at restore).
 func (m *mshr) SnapRef() snap.Ref {
 	return snap.Ref{Kind: snap.KCacheMSHR, Args: []uint64{uint64(m.l.snapID), m.addr}}
 }
@@ -187,8 +190,10 @@ type Level struct {
 	// set count is not a power of two and index must divide.
 	lineShift uint
 	setShift  int
-	mshrs     map[uint64]*mshr
-	tick      uint64 // LRU clock
+	// mshrs is the MSHR file: at most cfg.MSHRs live misses in no order, one
+	// per line address, found by scanning (Table 1 has 16 of them).
+	mshrs []*mshr
+	tick  uint64 // LRU clock
 
 	// snapID names this level in snapshot references (see SetSnapID).
 	snapID uint8
@@ -252,7 +257,7 @@ func New(q *event.Queue, cfg Config, lower Backend) (*Level, error) {
 	}
 	l := &Level{
 		cfg: cfg, q: q, lower: lower,
-		mshrs:     make(map[uint64]*mshr),
+		mshrs:     make([]*mshr, 0, cfg.MSHRs),
 		pfPending: make(map[uint64]struct{}),
 	}
 	l.wbretry = wbRetry{l: l}
@@ -277,6 +282,16 @@ func (l *Level) Config() Config { return l.cfg }
 
 // OutstandingMisses reports live MSHR occupancy.
 func (l *Level) OutstandingMisses() int { return len(l.mshrs) }
+
+// mshrFor returns the live miss on line la, or nil.
+func (l *Level) mshrFor(la uint64) *mshr {
+	for _, m := range l.mshrs {
+		if m.addr == la {
+			return m
+		}
+	}
+	return nil
+}
 
 func (l *Level) lineAddr(addr uint64) uint64 { return addr &^ uint64(l.cfg.LineBytes-1) }
 
@@ -362,9 +377,9 @@ func (l *Level) WriteLine(now uint64, addr uint64, meta Meta) bool {
 		ln.w |= lineDirty
 		return true
 	}
-	if _, pending := l.mshrs[la]; pending {
+	if m := l.mshrFor(la); m != nil {
 		// A fill for this line is in flight; mark it to land dirty.
-		l.mshrs[la].dirty = true
+		m.dirty = true
 		return true
 	}
 	l.install(now, la, lineDirty)
@@ -387,7 +402,7 @@ func (l *Level) WouldBlock(addr uint64) bool {
 	if l.lookup(la) != nil {
 		return false
 	}
-	if _, ok := l.mshrs[la]; ok {
+	if l.mshrFor(la) != nil {
 		return false
 	}
 	return len(l.mshrs) >= l.cfg.MSHRs
@@ -414,7 +429,7 @@ func (l *Level) Store(now uint64, addr uint64, meta Meta) bool {
 // miss allocates or merges an MSHR for la. done may be nil (writes).
 func (l *Level) miss(now uint64, la uint64, meta Meta, done event.Filler, dirty bool) bool {
 	l.Stats.Misses++
-	if m, ok := l.mshrs[la]; ok {
+	if m := l.mshrFor(la); m != nil {
 		l.Stats.Merged++
 		if done != nil {
 			m.waiters = append(m.waiters, done)
@@ -433,7 +448,7 @@ func (l *Level) miss(now uint64, la uint64, meta Meta, done event.Filler, dirty 
 	if done != nil {
 		m.waiters = append(m.waiters, done)
 	}
-	l.mshrs[la] = m
+	l.mshrs = append(l.mshrs, m)
 	if l.MissBegin != nil {
 		l.MissBegin(meta)
 	}

@@ -35,7 +35,7 @@ func (l *Level) maybePrefetch(now uint64, la uint64, meta Meta) {
 		l.Prefetch.Dropped++
 		return
 	}
-	if _, pending := l.mshrs[next]; pending {
+	if l.mshrFor(next) != nil {
 		l.Prefetch.Dropped++
 		return
 	}
@@ -92,7 +92,7 @@ func (p *pfFill) OnFill(fillAt uint64) {
 	// A demand miss may have allocated its own MSHR for this line while the
 	// prefetch was in flight; in that case the demand fill will install it,
 	// and installing here too would double-count.
-	if _, demand := l.mshrs[la]; demand {
+	if l.mshrFor(la) != nil {
 		l.Prefetch.Late++
 		return
 	}

@@ -7,6 +7,7 @@ package cache
 // resolved back to live objects by the core resolver when loading.
 
 import (
+	"cmp"
 	"fmt"
 	"math/bits"
 	"slices"
@@ -59,9 +60,9 @@ func metaFromArgs(a []uint64) (Meta, error) {
 	}, nil
 }
 
-// sortedKeys lists m's keys in ascending order: maps are walked sorted, so
+// sortedKeys lists m's keys in ascending order: a set is walked sorted, so
 // saving the same state twice yields the same bytes.
-func sortedKeys[V any](m map[uint64]V) []uint64 {
+func sortedKeys(m map[uint64]struct{}) []uint64 {
 	keys := make([]uint64, 0, len(m))
 	for k := range m {
 		keys = append(keys, k)
@@ -141,28 +142,38 @@ func (l *Level) Snap(c *snap.Codec, resolve event.Resolver) error {
 		}
 	}
 
-	addrs := sortedKeys(l.mshrs)
+	// The MSHR file by ascending line address, so that saving the same state
+	// twice yields the same bytes. Loading recreates each entry from the pool
+	// before its waiters are read: the references to it — a lower level's
+	// waiter, an event — resolve through the file.
+	ms := l.mshrs
 	if c.Loading() {
-		for a, m := range l.mshrs {
+		for _, m := range ms {
 			l.releaseMSHR(m)
-			delete(l.mshrs, a)
 		}
+	} else {
+		ms = slices.Clone(ms)
+		slices.SortFunc(ms, func(a, b *mshr) int { return cmp.Compare(a.addr, b.addr) })
 	}
-	snap.Slice(c, &addrs, func(a *uint64) {
-		c.U64(a)
-		m := l.mshrs[*a]
+	var prev *mshr
+	snap.Slice(c, &ms, func(mp **mshr) {
 		if c.Loading() {
-			// Recreated from the pool and entered in the map, where the
-			// references to it — a lower level's waiter, an event — resolve.
-			m = l.getMSHR()
-			m.addr = *a
-			l.mshrs[*a] = m
+			*mp = l.getMSHR()
 		}
+		m := *mp
+		c.U64(&m.addr)
+		if prev != nil && m.addr <= prev.addr {
+			c.Fail(fmt.Errorf("%w: %s lists mshr %#x after %#x", snap.ErrCorrupt, l.cfg.Name, m.addr, prev.addr))
+		}
+		prev = m
 		c.Bool(&m.dirty)
 		c.Bool(&m.issued)
 		SnapMeta(c, &m.meta)
 		snap.Slice(c, &m.waiters, func(f *event.Filler) { event.Link(c, f, event.RoleFiller, resolve) })
 	})
+	if c.Loading() {
+		l.mshrs = ms
+	}
 	return c.Err()
 }
 
@@ -173,8 +184,8 @@ func (l *Level) ResolveRef(ref *snap.Ref) (any, error) {
 		if len(ref.Args) != 2 {
 			return nil, fmt.Errorf("%w: mshr ref needs 2 args", snap.ErrCorrupt)
 		}
-		m, ok := l.mshrs[ref.Args[1]]
-		if !ok {
+		m := l.mshrFor(ref.Args[1])
+		if m == nil {
 			return nil, fmt.Errorf("%w: no mshr for line %#x in %s", snap.ErrCorrupt, ref.Args[1], l.cfg.Name)
 		}
 		return m, nil

@@ -1,10 +1,15 @@
 package cache
 
 import (
+	"bytes"
+	"encoding/binary"
+	"errors"
 	"reflect"
 	"testing"
 
+	"smtdram/internal/event"
 	"smtdram/internal/mem"
+	"smtdram/internal/snap"
 )
 
 // Every field of the hierarchy's state structs is one of:
@@ -108,6 +113,58 @@ func TestSnapshotFieldCoverage(t *testing.T) {
 	for name := range snapshotFieldClass {
 		if !seen[name] {
 			t.Errorf("%s is classified but no longer exists", name)
+		}
+	}
+}
+
+// The MSHR file holds one miss a line, and a frame lists it by ascending line
+// address. A frame that names a line twice is corrupt: restored as written it
+// would leave two fills racing for one line (as a map it silently kept the
+// second entry and dropped the first one's waiters).
+func TestMSHRSectionRejectsRepeatedLine(t *testing.T) {
+	cfg := Config{Name: "L", SizeBytes: 12 * 64, Assoc: 3, LineBytes: 64, Latency: 1, MSHRs: 4}
+	var q event.Queue
+	l, err := New(&q, cfg, NewFixedLatency(&q, 10))
+	if err != nil {
+		t.Fatal(err)
+	}
+	const first, second = 0x1000, 0x2000 // two-byte varints both
+	l.Store(0, second, Meta{})
+	l.Store(0, first, Meta{})
+	if l.OutstandingMisses() != 2 {
+		t.Fatalf("%d misses in flight, want 2", l.OutstandingMisses())
+	}
+	frame := levelFrame(t, l)
+	payload := frame[5 : len(frame)-4]
+	// reseal frames the payload again with the last occurrence of one varint
+	// replaced by another of the same length.
+	reseal := func(old, new uint64) []byte {
+		o, n := binary.AppendUvarint(nil, old), binary.AppendUvarint(nil, new)
+		at := bytes.LastIndex(payload, o)
+		if at < 0 || len(o) != len(n) {
+			t.Fatalf("line address %#x is not in the section as a %d-byte varint", old, len(n))
+		}
+		w := &snap.Writer{}
+		for i, b := range payload {
+			if i >= at && i < at+len(n) {
+				b = n[i-at]
+			}
+			w.U8(b)
+		}
+		return w.Frame("LVLT", 1)
+	}
+	if err := loadLevel(l, reseal(second, second)); err != nil {
+		t.Fatalf("the section as saved: %v", err)
+	}
+	if l.mshrFor(first) == nil || l.mshrFor(second) == nil || !l.mshrFor(second).dirty {
+		t.Fatal("the two saved misses did not come back")
+	}
+	for name, f := range map[string][]byte{
+		"one line twice":        reseal(second, first),
+		"descending line order": reseal(second, first-64),
+	} {
+		if err := loadLevel(l, f); !errors.Is(err, snap.ErrCorrupt) {
+			t.Errorf("%s: got %v, want %v", name, err, snap.ErrCorrupt)
 		}
 	}
 }

@@ -302,11 +302,11 @@ func TestRingWrapAround(t *testing.T) {
 	var got []uint64
 	now := uint64(0)
 	for lap := 0; lap < 5; lap++ {
-		for _, off := range []uint64{1, 500, 1023} {
+		for _, off := range []uint64{1, ringWindow / 2, ringWindow - 1} {
 			at := now + off
 			q.Schedule(at, func(at uint64) { got = append(got, at) })
 		}
-		now += 1023
+		now += ringWindow - 1
 		q.RunUntil(now)
 	}
 	if len(got) != 15 {
@@ -357,5 +357,116 @@ func TestResetDoesNotAllocate(t *testing.T) {
 	})
 	if avg != 0 {
 		t.Fatalf("Reset+Schedule+RunUntil allocates %v/op, want 0", avg)
+	}
+}
+
+// refQueue is what the tiered queue must be indistinguishable from: one list
+// of pending events, the next to fire being the one with the least (cycle,
+// registration number).
+type refQueue struct {
+	items []item
+	seq   uint64
+}
+
+func (r *refQueue) Schedule(at uint64, fn Func) {
+	r.items = append(r.items, item{at: at, seq: r.seq, fn: fn})
+	r.seq++
+}
+
+func (r *refQueue) RunUntil(now uint64) {
+	for {
+		min := -1
+		for i, it := range r.items {
+			if it.at <= now && (min < 0 || it.at < r.items[min].at || it.at == r.items[min].at && it.seq < r.items[min].seq) {
+				min = i
+			}
+		}
+		if min < 0 {
+			return
+		}
+		it := r.items[min]
+		r.items = append(r.items[:min], r.items[min+1:]...)
+		it.fn(it.at)
+	}
+}
+
+// The same seeded schedule — events that schedule events: next cycle, same
+// cycle, the past, a few cycles either side of the ring window's far edge,
+// several windows out — through the queue at the package's ringWindow and
+// through refQueue, the clock advanced in steps from one cycle to three
+// windows. Every event must fire in the same order at the same cycle, so a
+// change of ringWindow is checked here rather than argued.
+func TestFiringOrderIsOneStableHeap(t *testing.T) {
+	type fired struct{ id, at uint64 }
+	mix := func(x uint64) uint64 { // splitmix64: the schedule is a function of the seed and the event's number
+		x += 0x9E3779B97F4A7C15
+		x = (x ^ x>>30) * 0xBF58476D1CE4E5B9
+		x = (x ^ x>>27) * 0x94D049BB133111EB
+		return x ^ x>>31
+	}
+	drive := func(seed uint64, schedule func(uint64, Func), runUntil func(uint64)) []fired {
+		var log []fired
+		next := uint64(0)
+		var spawn func(now uint64)
+		spawn = func(now uint64) {
+			if next >= 4000 {
+				return
+			}
+			id := next
+			next++
+			h := mix(seed<<32 | id)
+			at := now
+			switch h % 8 {
+			case 0, 1, 2:
+				at += 1 + h>>8%40
+			case 3: // same cycle
+			case 4:
+				at -= min(now, h>>8%20)
+			case 5:
+				at += ringWindow - 2 + h>>8%5
+			case 6:
+				at += h >> 8 % (4 * ringWindow)
+			case 7:
+				at += ringWindow/2 + h>>8%ringWindow
+			}
+			schedule(at, func(at uint64) {
+				log = append(log, fired{id, at})
+				for n := h >> 40 % 3; n > 0; n-- {
+					spawn(at)
+				}
+			})
+		}
+		for now, step := uint64(0), 0; step < 400; step++ {
+			for n := mix(seed+uint64(step)) % 4; n > 0; n-- {
+				spawn(now)
+			}
+			now += []uint64{1, 7, ringWindow / 2, ringWindow, 3 * ringWindow}[mix(seed^uint64(step))%5]
+			runUntil(now)
+		}
+		runUntil(1 << 40)
+		return log
+	}
+	for seed := uint64(1); seed <= 10; seed++ {
+		var q Queue
+		var ref refQueue
+		quiet := false
+		got := drive(seed, q.Schedule, func(now uint64) {
+			if quiet = !quiet; quiet { // every other step through the span drain
+				q.DrainQuiet(now+1, func(uint64) bool { return false })
+			}
+			q.RunUntil(now)
+		})
+		want := drive(seed, ref.Schedule, ref.RunUntil)
+		if len(got) < 2000 || q.Len() != 0 {
+			t.Fatalf("seed %d: fired %d events with %d left pending; the schedule is too thin to prove anything", seed, len(got), q.Len())
+		}
+		for i := range want {
+			if i >= len(got) || got[i] != want[i] {
+				t.Fatalf("seed %d: firing %d differs: got %v, one stable heap gives %+v", seed, i, got[max(0, i-2):min(len(got), i+3)], want[max(0, i-2):i+1])
+			}
+		}
+		if len(got) != len(want) {
+			t.Fatalf("seed %d: fired %d events, the reference %d", seed, len(got), len(want))
+		}
 	}
 }

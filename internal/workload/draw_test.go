@@ -1,17 +1,22 @@
 package workload
 
 import (
+	"crypto/sha256"
 	"encoding/binary"
+	"fmt"
+	"hash"
 	"hash/fnv"
 	"math"
 	"math/rand"
+	"os"
+	"path/filepath"
+	"strings"
 	"testing"
 )
 
-// streamHash folds the first n instructions of a generator into one FNV-1a
-// sum over a fixed field encoding.
-func streamHash(g *Gen, n int) uint64 {
-	h := fnv.New64a()
+// hashStream feeds the next n instructions of a generator to h in a fixed
+// field encoding.
+func hashStream(h hash.Hash, g *Gen, n int) {
 	var b [43]byte
 	for i := 0; i < n; i++ {
 		in := g.Next()
@@ -30,7 +35,55 @@ func streamHash(g *Gen, n int) uint64 {
 		}
 		h.Write(b[:])
 	}
+}
+
+// streamHash folds the first n instructions of a generator into one FNV-1a
+// sum.
+func streamHash(g *Gen, n int) uint64 {
+	h := fnv.New64a()
+	hashStream(h, g, n)
 	return h.Sum64()
+}
+
+// streamDigest is what testdata/stream.sha256 holds: for every catalog
+// application x thread {0, 7} x seed {1, 42}, the SHA-256 of the first 200 000
+// instructions and the number of source words drawn to make them. -short
+// keeps one thread and seed per application.
+func streamDigest(t testing.TB) string {
+	var out strings.Builder
+	for _, app := range Names() {
+		for _, thread := range []int{0, 7} {
+			for _, seed := range []int64{1, 42} {
+				if testing.Short() && (thread != 7 || seed != 42) {
+					continue
+				}
+				g := mustGen(t, app, thread, seed)
+				h := sha256.New()
+				hashStream(h, g, 200_000)
+				fmt.Fprintf(&out, "%x  %s/t%d/s%d draws=%d\n", h.Sum(nil), app, thread, seed, g.src.draws())
+			}
+		}
+	}
+	return out.String()
+}
+
+// The file was written by the binary of the commit before the generator's
+// decisions became integer comparisons (CHANGES.md, PR 22, says how): one
+// moved draw anywhere in twenty million instructions is a red line here.
+func TestStreamDigest(t *testing.T) {
+	want, err := os.ReadFile(filepath.Join("testdata", "stream.sha256"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := streamDigest(t)
+	if !testing.Short() && got != string(want) {
+		t.Error("the digest differs from the pinned file as a whole")
+	}
+	for _, line := range strings.SplitAfter(got, "\n") {
+		if !strings.Contains(string(want), line) {
+			t.Errorf("not in the pinned file: %s", line)
+		}
+	}
 }
 
 // countedRand is the reference: math/rand over its own seeded source, with
@@ -50,7 +103,18 @@ func mirror(seed int64) (*source, *rand.Rand, *countedRand) {
 	return own, rand.New(ref), ref
 }
 
-// The generator's own float64 must be rand.Rand.Float64 value for value and
+// float64 is rand.Rand's Float64, Go 1's definition line for line. The
+// generators stopped calling it when their decisions became integer
+// comparisons; it stays as the reference those are tested against.
+func (s *source) float64() float64 {
+	for {
+		if f := float64(s.int63()) / (1 << 63); f != 1 {
+			return f
+		}
+	}
+}
+
+// The reference float64 must be rand.Rand.Float64 value for value and
 // draw for draw: every Result in the repository hangs off this stream.
 func TestFloat64MirrorsRandFloat64(t *testing.T) {
 	own, ref, cnt := mirror(11)

@@ -70,7 +70,9 @@ func TestRestoreContinuesStreamWithoutReplay(t *testing.T) {
 			t.Fatalf("%d draws deep: restore computed %d blocks, want 0", minDraws, fresh.src.refills)
 		}
 		// Beyond that one counter the two are the same generator, field for
-		// field: what TestSnapshotFieldCoverage calls serialized really is.
+		// field: what TestSnapshotFieldCoverage calls serialized really is,
+		// and the wiring — the thresholds among it — came through the loading
+		// walk's scratch copy.
 		fresh.src.refills = orig.src.refills
 		if !reflect.DeepEqual(fresh, orig) {
 			t.Fatalf("%d draws deep: restored generator differs from the original\ngot:  %+v\nwant: %+v", minDraws, fresh, orig)
@@ -158,6 +160,7 @@ func TestFailedRestoreLeavesGeneratorUnchanged(t *testing.T) {
 // classified — and, if it is state, carried in snapshot.go.
 var snapshotFieldClass = map[string]string{
 	"Gen.app":       "wiring", // NewGen's arguments: the restore target is built from the same ones
+	"Gen.th":        "wiring", // derived from app
 	"Gen.base":      "wiring",
 	"Gen.skew":      "wiring",
 	"Gen.src":       "serialized", // field by field below

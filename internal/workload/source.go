@@ -71,17 +71,68 @@ func (s *source) uint64() uint64 {
 
 func (s *source) int63() int64 { return int64(s.uint64() & (1<<63 - 1)) }
 
-// float64, int63n and intn are rand.Rand's Float64, Int63n and Intn, Go 1's
-// definitions line for line (rejection loops included), so they consume the
-// same draws and return the same values. n must be positive.
+// Every decision the generators take is rand.Float64() < p for a constant p of
+// the application, and the conversion from draw to float is monotone, so each
+// one is an integer comparison of the raw 63-bit draw against a threshold
+// found once. one is thresh(1): the draws from there up convert to exactly
+// 1.0, which rand.Float64 throws away and redraws.
+const one = 1<<63 - 1<<9
 
-func (s *source) float64() float64 {
+// thresh returns the smallest x in [0, one] with float64(x)/(1<<63) >= p, so
+// that rand.Float64() < p is draw63() < thresh(p), draw for draw: 0, never,
+// for p <= 0 and one, always, for p >= 1. p must be a number — every
+// comparison with NaN is false, which here would also land on always — and
+// App.Validate admits nothing else.
+func thresh(p float64) uint64 {
+	lo, hi := uint64(0), uint64(one)
+	for lo < hi {
+		if mid := lo + (hi-lo)/2; float64(int64(mid))/(1<<63) >= p {
+			hi = mid
+		} else {
+			lo = mid + 1
+		}
+	}
+	return lo
+}
+
+// draw63 is the next draw rand.Float64 would have kept. (Masking here rather
+// than through int63 keeps below within the inliner's budget.)
+func (s *source) draw63() uint64 {
 	for {
-		if f := float64(s.int63()) / (1 << 63); f != 1 {
-			return f
+		if x := s.uint64() & (1<<63 - 1); x < one {
+			return x
 		}
 	}
 }
+
+// below is rand.Float64() < p for t = thresh(p).
+func (s *source) below(t uint64) bool { return s.draw63() < t }
+
+// runBelow is n := 0; for below(t) && n < max { n++ } in one scan over the
+// register: it counts the draws below t, stops counting at max, and consumes
+// the draw that ended the run — the first not below t, or the one that found
+// max reached — like the loop does.
+func (s *source) runBelow(t uint64, max int) int {
+	n := 0
+	for {
+		if s.pos == srcLen {
+			s.refill()
+		}
+		for i, w := range s.buf[s.pos:] {
+			if x := w & (1<<63 - 1); x < t && n < max {
+				n++
+			} else if x < one { // not a redraw: t <= one, so this draw ends the run
+				s.pos += i + 1
+				return n
+			}
+		}
+		s.pos = srcLen
+	}
+}
+
+// int63n and intn are rand.Rand's Int63n and Intn, Go 1's definitions line for
+// line (rejection loops included), so they consume the same draws and return
+// the same values. n must be positive.
 
 func (s *source) int63n(n int64) int64 {
 	if n&(n-1) == 0 {

@@ -14,7 +14,10 @@
 // ammp). See DESIGN.md §2 for the substitution rationale.
 package workload
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
 // Kind is an instruction class.
 type Kind uint8
@@ -157,14 +160,35 @@ type App struct {
 	JumpFrac float64
 }
 
-// Validate sanity-checks fractions and sizes.
+// Validate sanity-checks fractions and sizes. The range checks are written so
+// that NaN fails them (every comparison with NaN is false): NewGen turns these
+// numbers into integer thresholds, and thresh has no answer for one.
 func (a App) Validate() error {
-	sum := a.LoadFrac + a.StoreFrac + a.BranchFrac
-	if sum <= 0 || sum >= 1 {
+	for _, f := range []struct {
+		name string
+		v    float64
+	}{
+		{"LoadFrac", a.LoadFrac}, {"StoreFrac", a.StoreFrac}, {"BranchFrac", a.BranchFrac},
+		{"FPFrac", a.FPFrac}, {"MispredictRate", a.MispredictRate}, {"TakenRate", a.TakenRate},
+		{"IndepFrac", a.IndepFrac}, {"Dep2Frac", a.Dep2Frac}, {"LongLatFrac", a.LongLatFrac},
+		{"HotFrac", a.HotFrac}, {"StreamFrac", a.StreamFrac}, {"ChaseFrac", a.ChaseFrac},
+		{"JumpFrac", a.JumpFrac},
+	} {
+		if !(f.v >= 0 && f.v <= 1) {
+			return fmt.Errorf("workload %s: %s = %v, want [0,1]", a.Name, f.name, f.v)
+		}
+	}
+	if sum := a.LoadFrac + a.StoreFrac + a.BranchFrac; !(sum > 0 && sum < 1) {
 		return fmt.Errorf("workload %s: load+store+branch = %v, want (0,1)", a.Name, sum)
 	}
-	if a.HotFrac+a.StreamFrac > 1 {
+	if !(a.HotFrac+a.StreamFrac <= 1) {
 		return fmt.Errorf("workload %s: hot+stream fractions exceed 1", a.Name)
+	}
+	if !(a.MeanDep >= 1 && a.MeanDep <= math.MaxFloat64) {
+		return fmt.Errorf("workload %s: MeanDep = %v, want finite and >= 1", a.Name, a.MeanDep)
+	}
+	if math.IsNaN(a.BurstDuty) {
+		return fmt.Errorf("workload %s: BurstDuty is NaN", a.Name)
 	}
 	if a.HotBytes <= 0 || a.CodeBytes <= 0 {
 		return fmt.Errorf("workload %s: non-positive pool size", a.Name)
@@ -192,9 +216,68 @@ const threadAddrBits = 40
 // size, so consecutive threads land on well-separated sets at every level.
 const threadSkew = 64 * 22651
 
+// thresholds are an application's probabilities as thresh makes them: every
+// random decision of its generator is one raw draw compared against one of
+// these. They are derived from App alone, by the float expressions the
+// decisions were first written in.
+type thresholds struct {
+	load, store, branch uint64 // cumulative instruction-mix boundaries
+	mispredict, taken   uint64
+	fp, longLat         uint64
+	indep, dep2, dep    uint64 // dep: another step of the producer distance
+	chase, jump         uint64
+
+	// The pool draw: below hot or from stream up is the hot pool, between
+	// them a stream, and from the cold boundary up — checked first — the cold
+	// region. A bursty application's cold boundary is coldBurst inside a miss
+	// phase and one (never) outside; the phase ends and starts with
+	// probability burstEnd and burstStart a reference.
+	hot, stream, cold    uint64
+	bursty               bool
+	coldBurst            uint64
+	burstEnd, burstStart uint64
+}
+
+func newThresholds(a *App) thresholds {
+	cold := 1 - a.HotFrac - a.StreamFrac
+	th := thresholds{
+		load:       thresh(a.LoadFrac),
+		store:      thresh(a.LoadFrac + a.StoreFrac),
+		branch:     thresh(a.LoadFrac + a.StoreFrac + a.BranchFrac),
+		mispredict: thresh(a.MispredictRate),
+		taken:      thresh(a.TakenRate),
+		fp:         thresh(a.FPFrac),
+		longLat:    thresh(a.LongLatFrac),
+		indep:      thresh(a.IndepFrac),
+		dep2:       thresh(a.Dep2Frac),
+		dep:        thresh(1 - 1/a.MeanDep),
+		chase:      thresh(a.ChaseFrac),
+		jump:       thresh(a.JumpFrac),
+		hot:        thresh(a.HotFrac),
+		stream:     thresh(a.HotFrac + a.StreamFrac),
+		cold:       thresh(1 - cold),
+	}
+	if duty := a.BurstDuty; duty > 0 && duty < 1 && cold > 0 {
+		blen := float64(a.BurstLen)
+		if blen <= 0 {
+			blen = 300
+		}
+		eff := cold / duty
+		if max := 1 - a.StreamFrac; eff > max {
+			eff = max
+		}
+		th.bursty = true
+		th.coldBurst = thresh(1 - eff)
+		th.burstEnd = thresh(1 / blen)
+		th.burstStart = thresh(duty / ((1 - duty) * blen))
+	}
+	return th
+}
+
 // Gen produces the dynamic instruction stream of one thread running app.
 type Gen struct {
 	app  App
+	th   thresholds
 	src  source
 	base uint64
 	skew uint64
@@ -213,6 +296,7 @@ func NewGen(app App, threadID int, seed int64) (*Gen, error) {
 	}
 	g := &Gen{
 		app:       app,
+		th:        newThresholds(&app),
 		base:      uint64(threadID) << threadAddrBits,
 		skew:      uint64(threadID) * threadSkew,
 		streamPos: make([]int64, max(app.Streams, 1)),
@@ -247,34 +331,34 @@ func (g *Gen) codeBase() uint64 { return g.base + codeOff + g.skew }
 // Next produces the next dynamic instruction.
 func (g *Gen) Next() Instr {
 	g.count++
-	a := &g.app
+	th := &g.th
 	in := Instr{PC: g.pc, Lat: 1}
 	g.pc += 4
 
-	r := g.src.float64()
+	r := g.src.draw63()
 	switch {
-	case r < a.LoadFrac:
+	case r < th.load:
 		in.Kind = Load
 		in.Addr = g.dataAddr(&in)
-	case r < a.LoadFrac+a.StoreFrac:
+	case r < th.store:
 		in.Kind = Store
 		in.Addr = g.dataAddr(nil)
-	case r < a.LoadFrac+a.StoreFrac+a.BranchFrac:
+	case r < th.branch:
 		in.Kind = Branch
-		in.Mispredict = g.src.float64() < a.MispredictRate
-		if g.src.float64() < a.TakenRate {
+		in.Mispredict = g.src.below(th.mispredict)
+		if g.src.below(th.taken) {
 			in.Taken = true
 			g.branchTarget()
 		}
 	default:
-		if g.src.float64() < a.FPFrac {
+		if g.src.below(th.fp) {
 			in.Kind = FPOp
 			in.Lat = 4
 		} else {
 			in.Kind = IntOp
 			in.Lat = 1
 		}
-		if g.src.float64() < a.LongLatFrac {
+		if g.src.below(th.longLat) {
 			in.Lat = 7
 		}
 	}
@@ -282,10 +366,10 @@ func (g *Gen) Next() Instr {
 	switch {
 	case in.Dep1 < 0:
 		in.Dep1 = 0 // forced independent
-	case in.Dep1 == 0 && g.src.float64() >= a.IndepFrac:
+	case in.Dep1 == 0 && !g.src.below(th.indep):
 		in.Dep1 = g.depDist()
 	}
-	if in.Dep1 != 0 && g.src.float64() < a.Dep2Frac {
+	if in.Dep1 != 0 && g.src.below(th.dep2) {
 		in.Dep2 = g.depDist()
 	}
 	if g.sinceCold >= 0 {
@@ -294,59 +378,41 @@ func (g *Gen) Next() Instr {
 	return in
 }
 
-// depDist samples a geometric-ish producer distance with mean MeanDep.
-func (g *Gen) depDist() int16 {
-	d := int16(1)
-	p := 1 - 1/g.app.MeanDep
-	for g.src.float64() < p && d < 64 {
-		d++
-	}
-	return d
-}
+// depDist samples a geometric-ish producer distance with mean MeanDep: one
+// more than the run of draws below 1-1/MeanDep, capped at 64.
+func (g *Gen) depDist() int16 { return 1 + int16(g.src.runBelow(g.th.dep, 63)) }
 
 // burstStep advances the two-state miss-phase modulator and returns the
-// effective cold-reference fraction for this reference.
-func (g *Gen) burstStep() float64 {
-	a := &g.app
-	cold := 1 - a.HotFrac - a.StreamFrac
-	duty := a.BurstDuty
-	if duty <= 0 || duty >= 1 || cold <= 0 {
-		return cold
-	}
-	blen := float64(a.BurstLen)
-	if blen <= 0 {
-		blen = 300
+// pool draw's cold boundary for this reference.
+func (g *Gen) burstStep() uint64 {
+	th := &g.th
+	if !th.bursty {
+		return th.cold
 	}
 	if g.inBurst {
-		if g.src.float64() < 1/blen {
+		if g.src.below(th.burstEnd) {
 			g.inBurst = false
 		}
-	} else {
-		if g.src.float64() < duty/((1-duty)*blen) {
-			g.inBurst = true
-		}
+	} else if g.src.below(th.burstStart) {
+		g.inBurst = true
 	}
 	if !g.inBurst {
-		return 0
+		return one // no cold references between bursts
 	}
-	eff := cold / duty
-	if max := 1 - a.StreamFrac; eff > max {
-		eff = max
-	}
-	return eff
+	return th.coldBurst
 }
 
 // dataAddr picks the data pool and produces an address. For cold loads it
 // may also wire a pointer-chase dependence into in.
 func (g *Gen) dataAddr(in *Instr) uint64 {
-	a := &g.app
+	a, th := &g.app, &g.th
 	cold := g.burstStep()
-	r := g.src.float64()
+	r := g.src.draw63()
 	switch {
-	case r >= 1-cold:
+	case r >= cold:
 		if in != nil {
 			if a.ChaseFrac > 0 && g.sinceCold >= 0 &&
-				g.sinceCold < 64 && g.src.float64() < a.ChaseFrac {
+				g.sinceCold < 64 && g.src.below(th.chase) {
 				in.Dep1 = int16(g.sinceCold) // < 64
 			} else {
 				// Non-chased cold loads are independent gathers: their
@@ -358,7 +424,7 @@ func (g *Gen) dataAddr(in *Instr) uint64 {
 			g.sinceCold = 0
 		}
 		return g.base + coldOff + g.skew + uint64(g.src.int63n(a.ColdBytes))&^7
-	case r < a.HotFrac || r >= a.HotFrac+a.StreamFrac:
+	case r < th.hot || r >= th.stream:
 		return g.base + hotOff + g.skew + uint64(g.src.int63n(a.HotBytes))&^7
 	default:
 		s := g.src.intn(a.Streams)
@@ -374,7 +440,7 @@ func (g *Gen) dataAddr(in *Instr) uint64 {
 func (g *Gen) branchTarget() {
 	a := &g.app
 	cb := g.codeBase()
-	if g.src.float64() < a.JumpFrac {
+	if g.src.below(g.th.jump) {
 		g.pc = cb + uint64(g.src.int63n(a.CodeBytes))&^3
 		return
 	}

@@ -2,6 +2,7 @@ package workload
 
 import (
 	"math"
+	"reflect"
 	"testing"
 	"testing/quick"
 	"unsafe"
@@ -252,6 +253,42 @@ func TestValidateCatchesBadModels(t *testing.T) {
 	}
 	if _, err := NewGen(bad, 0, 1); err == nil {
 		t.Fatal("NewGen accepted an invalid model")
+	}
+}
+
+// Every comparison with NaN is false, so a range check written as "reject if
+// out of range" lets NaN through. No float field of App may be NaN, the
+// probabilities stay in [0,1], and MeanDep is finite and at least 1.
+func TestValidateRejectsNonNumbers(t *testing.T) {
+	good, _ := ByName("mcf")
+	set := func(field string, v float64) App {
+		a := good
+		reflect.ValueOf(&a).Elem().FieldByName(field).SetFloat(v)
+		return a
+	}
+	typ := reflect.TypeOf(good)
+	for i := 0; i < typ.NumField(); i++ {
+		if f := typ.Field(i); f.Type.Kind() == reflect.Float64 {
+			if set(f.Name, math.NaN()).Validate() == nil {
+				t.Errorf("Validate accepted %s = NaN", f.Name)
+			}
+		}
+	}
+	for _, field := range []string{"LoadFrac", "StoreFrac", "BranchFrac", "FPFrac", "MispredictRate", "TakenRate",
+		"IndepFrac", "Dep2Frac", "LongLatFrac", "HotFrac", "StreamFrac", "ChaseFrac", "JumpFrac"} {
+		for _, v := range []float64{-0.01, 1.01, math.Inf(1), math.Inf(-1)} {
+			if set(field, v).Validate() == nil {
+				t.Errorf("Validate accepted %s = %v", field, v)
+			}
+		}
+	}
+	for _, v := range []float64{0, 0.99, -3, math.Inf(1)} {
+		if set("MeanDep", v).Validate() == nil {
+			t.Errorf("Validate accepted MeanDep = %v", v)
+		}
+	}
+	if err := set("MeanDep", 1).Validate(); err != nil {
+		t.Errorf("MeanDep = 1: %v", err)
 	}
 }
 
