@@ -13,10 +13,10 @@ type clock struct {
 	// has ticked it, every per-cycle duty up to it is settled.
 	now uint64
 
-	limit     uint64 // the cycle budget: nothing lands past it
-	wd        uint64 // the watchdog's no-commit window
-	skipping  bool   // false ticks every cycle (Config.DisableClockSkip)
-	watchFail bool   // the plan fails a channel: a landing must see it happen
+	limit    uint64 // the cycle budget: nothing lands past it
+	wd       uint64 // the watchdog's no-commit window
+	skipping bool   // false ticks every cycle (Config.DisableClockSkip)
+	failAt   uint64 // the cycle the plan fails a channel, which must land; 0 if it fails none
 
 	// committed and lastCommitAt track the last landed cycle an instruction
 	// committed on, which is all the watchdog needs (see tripAt).
@@ -31,10 +31,10 @@ func (s *Simulator) newClock() *clock {
 	if wd == 0 {
 		wd = 500_000
 	}
+	_, failAt := s.ctrl.Injector().ChannelFailAt()
 	return &clock{
 		s: s, now: s.at, limit: s.cfg.maxCycles(), wd: wd,
-		skipping:  !s.cfg.DisableClockSkip,
-		watchFail: s.cfg.Faults != nil && s.cfg.Faults.ChannelFail != nil,
+		skipping: !s.cfg.DisableClockSkip, failAt: failAt,
 		committed: s.cpu.TotalCommitted, lastCommitAt: s.at,
 	}
 }
@@ -57,11 +57,9 @@ func (k *clock) until(ctx context.Context, done func() bool) error {
 				return &NoProgressError{Cycle: k.now, Window: k.wd, Committed: s.cpu.TotalCommitted}
 			}
 		}
-		if k.watchFail && s.fsn == nil {
-			if _, at := s.ctrl.Failover(); at > 0 {
-				s.fsn = &failSnap{atCycle: k.now, committed: s.cpu.TotalCommitted,
-					reads: s.ctrl.Stats.Reads, latSum: s.ctrl.Stats.ReadLatencySum}
-			}
+		if k.now == k.failAt {
+			s.fsn = &failSnap{atCycle: k.now, committed: s.cpu.TotalCommitted,
+				reads: s.ctrl.Stats.Reads, latSum: s.ctrl.Stats.ReadLatencySum}
 		}
 	}
 	return nil
@@ -120,15 +118,13 @@ func (k *clock) sail() {
 			break
 		}
 		if next == ^uint64(0) {
-			// Only a memory-side event can unblock the CPU. The controller's
-			// mirror probe guarantees a non-quiet controller has its next
-			// interaction covered by a pending event, so an empty queue facing
-			// a non-quiet controller is a lost wakeup — a bug, but one that
-			// must deadlock identically at both speeds, so tick into it.
-			if _, pending := s.q.NextAt(); !pending {
-				if _, mquiet := s.ctrl.ProbeQuiet(from); !mquiet {
-					break
-				}
+			// Only a memory-side event can unblock the CPU. Every request
+			// outstanding at the controller has its next step scheduled, so an
+			// empty queue facing a busy controller is a lost wakeup — a bug,
+			// but one that must deadlock identically at both speeds, so tick
+			// into it.
+			if _, pending := s.q.NextAt(); !pending && s.ctrl.Busy() {
+				break
 			}
 		}
 		land := k.mustLand(next)
@@ -185,10 +181,8 @@ func (k *clock) mustLand(target uint64) uint64 {
 			target = min(target, b)
 		}
 	}
-	if k.watchFail && s.fsn == nil {
-		if fa, pending := s.ctrl.PlannedFailAt(); pending { // failover: until polls for it on landings
-			target = min(target, fa)
-		}
+	if k.failAt > k.now { // failover: until freezes the report's counters on that cycle
+		target = min(target, k.failAt)
 	}
 	return target
 }

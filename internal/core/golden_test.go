@@ -36,8 +36,8 @@ func goldenFrames() []struct {
 		size   int
 		sha256 string
 	}{
-		{"2-thread-ddr-hit-first", two, 271151, 105752, "b8e646342afc155910a247e54f8761986d7e28d5a43f7bb86b0ec999b469ce46"},
-		{"8-thread-rdram-request-based", eight, 1318305, 328912, "32313246696afdb4e696f2b1f7d6f0a425993a06bf8e565bccacda58e8bf1702"},
+		{"2-thread-ddr-hit-first", two, 271151, 105735, "e6840a7377eddde485492644ba73992cf7bf3179d9f7e53c7c6586709d322ab2"},
+		{"8-thread-rdram-request-based", eight, 1318305, 328870, "572dd8b5b8cbe16ba0048287e9e5eed8f6a53b743ccb2430793126bf62533db3"},
 	}
 }
 

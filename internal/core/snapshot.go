@@ -19,7 +19,7 @@ import (
 
 const (
 	ckptMagic   = "SMTC"
-	ckptVersion = 6          // 6: requests stopped carrying ThreadState.Outstanding, and the in-flight-load list is trimmed every Tick under every fetch policy (5 wrote the count and the untrimmed list)
+	ckptVersion = 7          // 7: the frame stopped carrying the controller's copies of its own event times and the fault-only state no snapshotting machine has (entry attempt/backoff, the resilience counters, the failover ref kind)
 	sectionSim  = 0x434F5245 // "CORE"
 )
 
@@ -209,7 +209,7 @@ func (s *Simulator) resolveRef(ref *snap.Ref, role uint8) (any, error) {
 		return levels[id].ResolveRef(ref)
 	case snap.KMemBackend, snap.KMemBackendReq:
 		return s.mb.ResolveRef(ref, s.resolveRef)
-	case snap.KMemEntry, snap.KMemRetry, snap.KMemFailover:
+	case snap.KMemEntry, snap.KMemRetry:
 		return s.ctrl.ResolveRef(ref, s.resolveRef)
 	default:
 		return nil, fmt.Errorf("%w: unknown ref kind %d", snap.ErrCorrupt, ref.Kind)

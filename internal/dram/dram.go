@@ -335,32 +335,6 @@ func (c *Channel) AccessFull(now uint64, chip, b int, row uint64, isRead bool) A
 	return d
 }
 
-// NextEdgeAt returns the channel's earliest future timing edge after now —
-// the first cycle a bank finishes its precharge/activate/refresh occupancy,
-// the data bus frees, or the next all-bank refresh falls due — or ^uint64(0)
-// when every timestamp is already in the past. The memory controller's
-// quiescence probe folds this into its next-interaction bound: the device
-// state machines are timestamp-lazy (nothing in them advances per cycle), so
-// the edges are exactly the cycles at which a scheduling decision over this
-// channel could change. Read-only; in particular it does not settle pending
-// refreshes, because eager settlement would change the stale-timestamp view
-// the scheduler's bank-ready gating deliberately operates on.
-func (c *Channel) NextEdgeAt(now uint64) uint64 {
-	next := ^uint64(0)
-	if c.busFreeAt > now {
-		next = c.busFreeAt
-	}
-	for i := range c.banks {
-		if r := c.banks[i].readyAt; r > now && r < next {
-			next = r
-		}
-	}
-	if c.p.RefreshInterval > 0 && c.nextRefreshAt > now && c.nextRefreshAt < next {
-		next = c.nextRefreshAt
-	}
-	return next
-}
-
 // RowBufferMissRate returns the fraction of accesses that were not row
 // buffer hits (closed-bank accesses count as misses, as in the paper).
 func (c *Channel) RowBufferMissRate() float64 {

@@ -11,8 +11,7 @@ import (
 //	wiring     — configuration the restore target was built with.
 //
 // A new field fails this test until it is listed, which is the moment to
-// decide which it is and, if it is state, to add it to the walk (and to
-// NextEdgeAt, if the controller's quiet probe must see it).
+// decide which it is and, if it is state, to add it to the walk.
 var snapshotFieldClass = map[string]string{
 	"Channel.p":             "wiring",
 	"Channel.banks":         "serialized",

@@ -233,13 +233,11 @@ func (e *entry) OnEvent(at uint64) {
 	c := e.ctrl
 	if e.backoff {
 		e.backoff = false
-		c.backoffUntil = dropTime(c.backoffUntil, at)
 		c.requeue(at, e)
 		return
 	}
 	cc := e.cc
 	cc.inFlight--
-	cc.doneTimes = dropTime(cc.doneTimes, at)
 	if c.inj != nil && e.req.IsRead() && c.absorbFault(at, e) {
 		// The read came back damaged or lost; the entry is parked for a
 		// backoff retry and must not complete. The freed in-flight slot
@@ -273,25 +271,6 @@ type channelCtl struct {
 	retryArmed bool
 	failed     bool       // hard channel failure: never dispatches again
 	retry      retryEvent // pre-bound bank-ready wake-up (one per channel)
-
-	// doneTimes are the completion cycles of the in-flight requests and
-	// retryWakeAt the armed bank-ready retry cycle (0 when none): the
-	// channel's contribution to ProbeQuiet's next-interaction bound,
-	// maintained alongside the events that realize them.
-	doneTimes   []uint64
-	retryWakeAt uint64
-}
-
-// dropTime removes one occurrence of v from s (order-insensitively; the
-// probe only ever takes the minimum).
-func dropTime(s []uint64, v uint64) []uint64 {
-	for i, x := range s {
-		if x == v {
-			s[i] = s[len(s)-1]
-			return s[:len(s)-1]
-		}
-	}
-	return s
 }
 
 // retryEvent is the bank-ready wake-up armed by armRetry. One lives in each
@@ -303,7 +282,6 @@ type retryEvent struct {
 
 func (r *retryEvent) OnEvent(at uint64) {
 	r.cc.retryArmed = false
-	r.cc.retryWakeAt = 0
 	r.c.dispatch(at, r.cc)
 }
 
@@ -381,11 +359,6 @@ type Controller struct {
 
 	// freeEntries recycles queue entries (and their completion events).
 	freeEntries []*entry
-
-	// backoffUntil are the expiry cycles of entries parked on retry-backoff
-	// timers, tracked for ProbeQuiet's bound (fault runs only; stays empty
-	// otherwise).
-	backoffUntil []uint64
 
 	// live per-thread pending demand-request counts (the request-based
 	// scheme's input; the controller knows these precisely).
@@ -552,9 +525,7 @@ func (c *Controller) absorbFault(at uint64, e *entry) bool {
 		shift = 6
 	}
 	e.backoff = true
-	expiry := at + (c.cfg.RetryBackoff << shift)
-	c.backoffUntil = append(c.backoffUntil, expiry)
-	c.q.ScheduleHandler(expiry, e)
+	c.q.ScheduleHandler(at+(c.cfg.RetryBackoff<<shift), e)
 	if c.lc != nil {
 		ev := lcEvent(obs.KRetry, at, at, e.req, e.loc)
 		ev.Outcome = fmt.Sprintf("attempt %d", e.attempt)
@@ -658,74 +629,14 @@ func (c *Controller) Outstanding(thread int) int {
 // channel; tests use it to observe backpressure.
 func (c *Controller) QueueLen(channel int) int { return len(c.channels[channel].queue) }
 
-// ProbeQuiet is the memory side of the two-speed clock's fused probe
-// (DESIGN §11), the mirror of cpu.ProbeQuiet: one pass over the channels
-// reports whether the controller is quiescent — no request queued or in
-// flight on any channel and no outstanding demand request parked elsewhere
-// (on a retry-backoff timer, say) — and the earliest future cycle at which it
-// will interact with the rest of the machine: the next in-flight completion's
-// last data beat, the next armed bank-ready retry, the next fault-retry
-// backoff expiry, the next device timing edge of a busy channel (bank
-// tRCD/tRP maturities, bus-slot release), and the planned hard-failover cycle
-// if it has not fired.
-//
-// The bound is sound, not tight: the controller changes state only from
-// event callbacks, and every deadline above has its event already scheduled
-// when the state it tracks exists, so next never exceeds the controller's
-// earliest pending event. Equivalently: whenever quiet is false, next is
-// finite — a quiescent CPU facing a non-quiet controller always has a
-// wake-up pending, which is the invariant the run loop's lost-wakeup guard
-// leans on (and the lockstep suite asserts). Queue-arrival edges need no
-// term: arrivals originate from the cache hierarchy's events, which the
-// span drain fires at their exact cycles.
-//
-// Read-only: probing never perturbs state the skipped cycles would observe.
-func (c *Controller) ProbeQuiet(now uint64) (next uint64, quiet bool) {
-	next = ^uint64(0)
-	quiet = c.totalOut == 0
-	for _, cc := range c.channels {
-		if cc.inFlight != 0 {
-			quiet = false
-			for _, d := range cc.doneTimes {
-				if d > now && d < next {
-					next = d
-				}
-			}
-		}
-		if len(cc.queue) != 0 {
-			quiet = false
-			if cc.retryWakeAt > now && cc.retryWakeAt < next {
-				next = cc.retryWakeAt
-			}
-			if e := cc.dev.NextEdgeAt(now); e < next {
-				next = e
-			}
-		}
-	}
-	for _, d := range c.backoffUntil {
-		if d > now && d < next {
-			next = d
-		}
-	}
-	if c.failoverAt == 0 {
-		if _, at := c.inj.ChannelFailAt(); at > now && at < next {
-			next = at
-		}
-	}
-	return next, quiet
-}
-
-// PlannedFailAt reports the configured hard channel-failure cycle while it
-// is still pending (ok is false with no plan or once it fired). The run
-// loop's failover watch must land on exactly this cycle, so it caps any skip
-// span crossing it.
-func (c *Controller) PlannedFailAt() (at uint64, ok bool) {
-	if c.failoverAt != 0 {
-		return 0, false
-	}
-	_, at = c.inj.ChannelFailAt()
-	return at, at > 0
-}
+// Busy reports whether any request is outstanding: queued, in flight, or
+// parked on a retry-backoff timer (totalOut counts a request from Enqueue to
+// its completion). The controller changes state only from event callbacks, and
+// every outstanding request has its next step already scheduled — its
+// completion, its backoff expiry, or for a queued one the bank-ready retry or
+// the completion that frees a slot of its channel's window — so a busy
+// controller facing an empty event queue is a lost wakeup (DESIGN §11).
+func (c *Controller) Busy() bool { return c.totalOut != 0 }
 
 // Enqueue accepts a request. It returns false when the target channel's
 // queue is full; the caller (an L3 MSHR) must retry.
@@ -836,7 +747,6 @@ func (c *Controller) dispatch(now uint64, cc *channelCtl) {
 			c.emitServicePhases(now, req, loc, d, cc.dev.Params())
 		}
 		e.cc = cc
-		cc.doneTimes = append(cc.doneTimes, done)
 		c.q.ScheduleHandler(done, e)
 	}
 }
@@ -901,7 +811,6 @@ func (c *Controller) armRetry(now uint64, cc *channelCtl) {
 		wake = now + 1
 	}
 	cc.retryArmed = true
-	cc.retryWakeAt = wake
 	c.q.ScheduleHandler(wake, &cc.retry)
 }
 

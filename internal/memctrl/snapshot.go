@@ -6,7 +6,8 @@ package memctrl
 // dispatched entries sit in the event queue as their own completion handlers
 // and round-trip as KMemEntry references. Fault-injection runs arm events
 // (backoff retries, channel failover) whose mid-flight state the codec does
-// not model, so controllers with an injector attached refuse to snapshot.
+// not model, so controllers with an injector attached refuse to snapshot, and
+// the frame has no name or slot for anything only they can hold.
 
 import (
 	"fmt"
@@ -23,7 +24,6 @@ const sectionCtrl = 0x4D435452 // "MCTR"
 func (e *entry) SnapRef() snap.Ref {
 	ref := snap.Ref{Kind: snap.KMemEntry, Args: []uint64{
 		uint64(e.loc.Channel), e.seq, uint64(e.queuedBehind),
-		uint64(e.attempt), snap.BoolArg(e.backoff),
 	}}
 	inner := e.req.SnapRef()
 	ref.Inner = &inner
@@ -39,11 +39,6 @@ func (r *retryEvent) SnapRef() snap.Ref {
 		}
 	}
 	return snap.Ref{Kind: snap.KMemRetry, Args: []uint64{ch}}
-}
-
-// SnapRef implements event.RefMaker for the planned channel-death event.
-func (f *failoverEvent) SnapRef() snap.Ref {
-	return snap.Ref{Kind: snap.KMemFailover}
 }
 
 // Snap walks the controller's mutable state: scheduling sequence, concurrency
@@ -73,9 +68,6 @@ func (c *Controller) Snap(s *snap.Codec, resolve event.Resolver) error {
 	s.U64s(c.Stats.ThreadReadLatencySum[:])
 	s.U64s(c.Stats.OutstandingHist[:])
 	s.U64s(c.Stats.ThreadSpreadHist[:])
-	s.U64(&c.Stats.Retries)
-	s.U64(&c.Stats.RetryGiveUps)
-	s.U64(&c.Stats.FailedOver)
 
 	s.Fixed(len(c.channels), "channels")
 	for _, cc := range c.channels {
@@ -84,8 +76,6 @@ func (c *Controller) Snap(s *snap.Codec, resolve event.Resolver) error {
 		}
 		s.Int(&cc.inFlight)
 		s.Bool(&cc.retryArmed)
-		s.U64(&cc.retryWakeAt)
-		snap.Slice(s, &cc.doneTimes, s.U64)
 		snap.Slice(s, &cc.queue, func(p **entry) {
 			if s.Loading() {
 				*p = c.getEntry()
@@ -104,16 +94,12 @@ func (c *Controller) Snap(s *snap.Codec, resolve event.Resolver) error {
 
 // ResolveRef maps controller-kind references back to live objects: dispatched
 // entries are rebuilt from the pool with their request resolved through
-// resolve; bank-ready retries and the failover event resolve to the pre-bound
-// per-channel/per-controller instances.
+// resolve; bank-ready retries resolve to the pre-bound per-channel instances.
 func (c *Controller) ResolveRef(ref *snap.Ref, resolve event.Resolver) (any, error) {
 	switch ref.Kind {
 	case snap.KMemEntry:
-		if len(ref.Args) != 5 {
-			return nil, fmt.Errorf("%w: entry ref needs 5 args, got %d", snap.ErrCorrupt, len(ref.Args))
-		}
-		if ref.Args[4] != 0 {
-			return nil, fmt.Errorf("%w: entry parked in retry backoff", snap.ErrUnsupported)
+		if len(ref.Args) != 3 {
+			return nil, fmt.Errorf("%w: entry ref needs 3 args, got %d", snap.ErrCorrupt, len(ref.Args))
 		}
 		ch := ref.Args[0]
 		if ch >= uint64(len(c.channels)) {
@@ -129,7 +115,6 @@ func (c *Controller) ResolveRef(ref *snap.Ref, resolve event.Resolver) (any, err
 			return nil, fmt.Errorf("%w: entry ref channel %d, mapper says %d", snap.ErrCorrupt, ch, e.loc.Channel)
 		}
 		e.seq, e.queuedBehind = ref.Args[1], int(ref.Args[2])
-		e.attempt = uint8(ref.Args[3])
 		e.cc = c.channels[ch]
 		return e, nil
 	case snap.KMemRetry:
@@ -137,8 +122,6 @@ func (c *Controller) ResolveRef(ref *snap.Ref, resolve event.Resolver) (any, err
 			return nil, fmt.Errorf("%w: retry ref channel out of range", snap.ErrCorrupt)
 		}
 		return &c.channels[ref.Args[0]].retry, nil
-	case snap.KMemFailover:
-		return &c.failover, nil
 	default:
 		return nil, fmt.Errorf("%w: ref kind %d is not a memctrl kind", snap.ErrCorrupt, ref.Kind)
 	}

@@ -1,8 +1,13 @@
 package memctrl
 
 import (
+	"errors"
 	"reflect"
 	"testing"
+
+	"smtdram/internal/event"
+	"smtdram/internal/mem"
+	"smtdram/internal/snap"
 )
 
 // Every field of the controller's state structs is one of:
@@ -16,34 +21,30 @@ import (
 //	             controller with one attached refuses to snapshot.
 //
 // A new field fails this test until it is listed, which is the moment to
-// decide which it is and, if it is state, to add it to the walk (and to
-// ProbeQuiet, if the two-speed clock must see it).
+// decide which it is and, if it is state, to add it to the walk.
 var snapshotFieldClass = map[string]string{
-	"Controller.cfg":          "wiring",
-	"Controller.q":            "wiring",
-	"Controller.channels":     "wiring", // the slice; each channel's state is listed below
-	"Controller.seq":          "serialized",
-	"Controller.mapper":       "fault-only", // cfg.Mapper until a failover swaps it
-	"Controller.inj":          "wiring",
-	"Controller.failover":     "wiring",
-	"Controller.failoverAt":   "fault-only",
-	"Controller.lc":           "wiring",
-	"Controller.freeEntries":  "wiring",
-	"Controller.backoffUntil": "fault-only",
-	"Controller.outstanding":  "serialized",
-	"Controller.threadsBusy":  "serialized",
-	"Controller.totalOut":     "serialized",
-	"Controller.lastChange":   "serialized",
-	"Controller.Stats":        "serialized",
+	"Controller.cfg":         "wiring",
+	"Controller.q":           "wiring",
+	"Controller.channels":    "wiring", // the slice; each channel's state is listed below
+	"Controller.seq":         "serialized",
+	"Controller.mapper":      "fault-only", // cfg.Mapper until a failover swaps it
+	"Controller.inj":         "wiring",
+	"Controller.failover":    "wiring",
+	"Controller.failoverAt":  "fault-only",
+	"Controller.lc":          "wiring",
+	"Controller.freeEntries": "wiring",
+	"Controller.outstanding": "serialized",
+	"Controller.threadsBusy": "serialized",
+	"Controller.totalOut":    "serialized",
+	"Controller.lastChange":  "serialized",
+	"Controller.Stats":       "serialized",
 
-	"channelCtl.dev":         "serialized", // dram.Channel's own walk
-	"channelCtl.queue":       "serialized",
-	"channelCtl.inFlight":    "serialized",
-	"channelCtl.retryArmed":  "serialized",
-	"channelCtl.failed":      "fault-only",
-	"channelCtl.retry":       "wiring",
-	"channelCtl.doneTimes":   "serialized",
-	"channelCtl.retryWakeAt": "serialized",
+	"channelCtl.dev":        "serialized", // dram.Channel's own walk
+	"channelCtl.queue":      "serialized",
+	"channelCtl.inFlight":   "serialized",
+	"channelCtl.retryArmed": "serialized",
+	"channelCtl.failed":     "fault-only",
+	"channelCtl.retry":      "wiring",
 
 	"entry.req":          "serialized", // as its request's reference
 	"entry.loc":          "derived",    // re-decoded from the request's address through the mapper
@@ -62,9 +63,9 @@ var snapshotFieldClass = map[string]string{
 	"Stats.ThreadReadLatencySum": "serialized",
 	"Stats.OutstandingHist":      "serialized",
 	"Stats.ThreadSpreadHist":     "serialized",
-	"Stats.Retries":              "serialized",
-	"Stats.RetryGiveUps":         "serialized",
-	"Stats.FailedOver":           "serialized",
+	"Stats.Retries":              "fault-only",
+	"Stats.RetryGiveUps":         "fault-only",
+	"Stats.FailedOver":           "fault-only",
 }
 
 func TestSnapshotFieldCoverage(t *testing.T) {
@@ -87,6 +88,29 @@ func TestSnapshotFieldCoverage(t *testing.T) {
 	for name := range snapshotFieldClass {
 		if !seen[name] {
 			t.Errorf("%s is classified but no longer exists", name)
+		}
+	}
+}
+
+// The frame has no name or slot for state only a fault run can hold — a
+// machine with an injector refuses to snapshot — so a sealed frame that claims
+// some is corrupt, not restorable: kind 12 was the planned-failover handler
+// (it resolved to an event bound to no controller, which panicked on firing),
+// and a five-arg entry carried a retry attempt and a backoff flag.
+func TestResolveRefRejectsFaultOnlyShapes(t *testing.T) {
+	var q event.Queue
+	c := newCtl(t, &q, FCFS, 1)
+	req := snap.Ref{Kind: snap.KMemBackendReq}
+	resolve := func(*snap.Ref, uint8) (any, error) { return &mem.Request{}, nil }
+	if _, err := c.ResolveRef(&snap.Ref{Kind: snap.KMemEntry, Args: []uint64{0, 1, 0}, Inner: &req}, resolve); err != nil {
+		t.Fatalf("three-arg entry: %v", err)
+	}
+	for name, ref := range map[string]*snap.Ref{
+		"retired failover kind": {Kind: 12},
+		"five-arg entry":        {Kind: snap.KMemEntry, Args: []uint64{0, 1, 0, 0, 0}, Inner: &req},
+	} {
+		if obj, err := c.ResolveRef(ref, resolve); !errors.Is(err, snap.ErrCorrupt) {
+			t.Errorf("%s: ResolveRef = (%T, %v), want an error wrapping snap.ErrCorrupt", name, obj, err)
 		}
 	}
 }

@@ -342,16 +342,14 @@ const (
 	// KMemBackend is the memory backend's pending-retry drain handler.
 	KMemBackend
 	// KMemBackendReq is a pooled memory request: args id, addr, kind,
-	// zig(thread), critical, arrive, then the 3-word thread state; Inner is
+	// zig(thread), critical, arrive, then the 2-word thread state; Inner is
 	// the completion fill.
 	KMemBackendReq
-	// KMemEntry is a controller queue entry: args channel, seq, queuedBehind,
-	// attempt, backoff; Inner is the KMemBackendReq it carries.
+	// KMemEntry is a controller queue entry: args channel, seq, queuedBehind;
+	// Inner is the KMemBackendReq it carries.
 	KMemEntry
 	// KMemRetry is a channel's retry-wake handler: args channel.
 	KMemRetry
-	// KMemFailover is the controller's planned-failover handler.
-	KMemFailover
 )
 
 // Zig maps a signed int into the uint64 Ref-arg space.
