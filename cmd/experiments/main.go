@@ -27,7 +27,6 @@ import (
 
 	"smtdram/internal/checkpoint"
 	"smtdram/internal/core"
-	"smtdram/internal/faults"
 	"smtdram/internal/figures"
 	"smtdram/internal/obs"
 	"smtdram/internal/report"
@@ -43,8 +42,6 @@ func main() {
 		seed    = flag.Int64("seed", 42, "workload seed")
 		jobs    = flag.Int("jobs", runtime.GOMAXPROCS(0), "max concurrent simulations (1 = sequential; output is identical for any value)")
 		verbose = flag.Bool("v", false, "print per-run progress")
-
-		faultSpec = flag.String("faults", "", "inject faults into every simulation (same spec as smtdram -faults); figure output then reflects the degraded machine")
 
 		checkpointDir = flag.String("checkpoint-dir", "", "persist warmup checkpoints under this directory and fork warm re-runs from them (figure output stays byte-identical)")
 
@@ -70,10 +67,6 @@ func main() {
 		usageErr("-target must be at least 1 instruction")
 	}
 	render, err := report.ParseFormat(*format)
-	if err != nil {
-		usageErr(err.Error())
-	}
-	plan, err := faults.Parse(*faultSpec)
 	if err != nil {
 		usageErr(err.Error())
 	}
@@ -141,15 +134,7 @@ func main() {
 		fmt.Fprintf(os.Stderr, "checkpoints: hits=%d misses=%d forks=%d bypassed=%d evictions=%d entries=%d\n",
 			s.Hits, s.Misses, s.Forks, s.Bypassed, s.Evictions, s.Entries)
 	}()
-	observe := observeConfigurer(*traceDir, *metricsOut, *metricsInt)
-	if plan != nil || observe != nil {
-		opts.Configure = func(cfg *core.Config) {
-			cfg.Faults = plan
-			if observe != nil {
-				observe(cfg)
-			}
-		}
-	}
+	opts.Configure = observeConfigurer(*traceDir, *metricsOut, *metricsInt)
 
 	for _, f := range figures.Catalog() {
 		if !want["all"] && !want[f.Name] {

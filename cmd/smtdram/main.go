@@ -52,7 +52,7 @@ func main() {
 		jsonOut  = flag.Bool("json", false, "print the result as JSON instead of the text report (byte-identical to the daemon's /result payload)")
 		dump     = flag.Bool("dump-config", false, "print the Table 1 configuration and exit")
 
-		faultSpec = flag.String("faults", "", "fault-injection plan, e.g. 'bitflip:rate=1e-6,seed=7;channel-fail:ch=1,at=2000000;drop:rate=1e-7' (clauses: bitflip, drop, stuckrow, channel-fail, seed)")
+		faultSpec = flag.String("faults", "", "fault-injection plan, e.g. 'drop:rate=1e-3,seed=7;channel-fail:ch=1,at=2000000' (clauses: drop, channel-fail, seed)")
 
 		traceOut   = flag.String("trace", "", "write a request-lifecycle trace to this file (.jsonl = JSON lines, anything else = Chrome trace_event JSON for Perfetto)")
 		metricsOut = flag.String("metrics", "", "write cycle-sampled metrics and final counters to this file (JSON lines)")
@@ -265,10 +265,7 @@ func report(cfg core.Config, res core.Result, st obs.SkipStats) {
 	fmt.Printf("row buffer: %.1f%% miss (%d hits, %d closed, %d conflicts)\n",
 		100*res.RowBufferMissRate, res.RowHits, res.RowClosed, res.RowConflicts)
 	if f := res.Faults; f != nil {
-		fmt.Printf("faults: %d injected (%d bit flips, %d multi-bit, %d drops)\n",
-			f.Injected, f.BitFlips, f.MultiBit, f.Drops)
-		fmt.Printf("ecc: %d detected, %d corrected, %d uncorrected; retries: %d (%d gave up)\n",
-			f.Detected, f.Corrected, f.Uncorrected, f.Retries, f.RetryGiveUps)
+		fmt.Printf("faults: %d drops, %d retried, %d gave up\n", f.Drops, f.Retries, f.RetryGiveUps)
 		if rep := res.Failover; rep != nil {
 			fmt.Printf("failover: channel %d failed at cycle %d, %d queued requests migrated\n",
 				rep.FailedChannel, rep.AtCycle, f.FailedOver)

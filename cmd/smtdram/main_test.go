@@ -26,10 +26,14 @@ func buildCLI(t *testing.T) string {
 func TestBadFaultSpecExitsTwo(t *testing.T) {
 	bin := buildCLI(t)
 	for _, spec := range []string{
-		"frobnicate:rate=1",          // unknown clause
-		"bitflip:rate=abc",           // malformed number
-		"bitflip:rate=1e-6,rate=0.5", // duplicate key
-		"channel-fail:ch=0",          // missing at=
+		"frobnicate:rate=1",                  // unknown clause
+		"bitflip:rate=1e-6",                  // removed clause: unknown
+		"stuckrow:ch=0,chip=0,bank=1,row=42", // removed clause: unknown
+		"drop:rate=abc",                      // malformed number
+		"drop:rate=1e-6,rate=0.5",            // duplicate key
+		"drop:rate=0.1;drop:rate=0.2",        // repeated clause
+		"drop:rate=NaN",                      // parses, fails validation
+		"channel-fail:ch=0",                  // missing at=
 	} {
 		out, err := exec.Command(bin, "-faults", spec, "-target", "1000").CombinedOutput()
 		var xe *exec.ExitError

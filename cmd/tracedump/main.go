@@ -42,7 +42,7 @@ func main() {
 		target  = flag.Uint64("n", 100_000, "per-thread measured instructions")
 		seed    = flag.Int64("seed", 42, "workload seed")
 		summary = flag.Bool("summary", false, "print an aggregate analysis instead of the CSV")
-		faultSp = flag.String("faults", "", "fault-injection plan (same spec as smtdram -faults); fault/retry/failover milestones then appear in the lifecycle trace")
+		faultSp = flag.String("faults", "", "fault-injection plan (same spec as smtdram -faults); retry/failover milestones then appear in the lifecycle trace")
 
 		lifecycle = flag.Bool("lifecycle", false, "record the request-lifecycle trace instead of the CSV")
 		format    = flag.String("format", "pretty", "lifecycle output: pretty, jsonl, or chrome")

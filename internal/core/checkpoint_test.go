@@ -210,7 +210,7 @@ func TestCheckpointUnsupported(t *testing.T) {
 	}{
 		{"no-warmup", func(c *Config) { c.WarmupInstr = 0 }},
 		{"fault-plan", func(c *Config) {
-			c.Faults = &faults.Plan{BitFlipRate: 5e-2, Seed: 11}
+			c.Faults = &faults.Plan{DropRate: 5e-3, Seed: 11}
 		}},
 		{"observer", func(c *Config) {
 			c.Observe = func() *obs.Observer { return obs.New(obs.Options{Profile: true}) }

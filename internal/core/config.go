@@ -158,9 +158,9 @@ type Config struct {
 	MaxCycles uint64
 
 	// Faults, when non-nil and non-empty, attaches the fault-injection
-	// subsystem (see internal/faults): seeded transient bit flips, stuck
-	// rows, request drops, and a hard channel failure at a given cycle. Nil
-	// keeps the memory path byte-identical to a fault-free build.
+	// subsystem (see internal/faults): seeded read drops retried with
+	// backoff, and a hard channel failure at a given cycle. Nil keeps the
+	// memory path byte-identical to a fault-free build.
 	Faults *faults.Plan
 	// WatchdogCycles is the no-progress bound: if no instruction commits for
 	// this many cycles the run aborts with a *NoProgressError instead of

@@ -36,8 +36,8 @@ func goldenFrames() []struct {
 		size   int
 		sha256 string
 	}{
-		{"2-thread-ddr-hit-first", two, 271151, 105735, "e6840a7377eddde485492644ba73992cf7bf3179d9f7e53c7c6586709d322ab2"},
-		{"8-thread-rdram-request-based", eight, 1318305, 328870, "572dd8b5b8cbe16ba0048287e9e5eed8f6a53b743ccb2430793126bf62533db3"},
+		{"2-thread-ddr-hit-first", two, 271151, 105729, "3229d0a9801e2265535e885e4ba955d8013a88f3062d67f74a2b1ea1764877ce"},
+		{"8-thread-rdram-request-based", eight, 1318305, 328864, "7b5180571f0de56ea5dd04b52e8b1d1a7a0207aa68193b595301f691da029e72"},
 	}
 }
 

@@ -28,14 +28,14 @@ func TestValidateRejectsBadFaultPlan(t *testing.T) {
 	if _, err := NewSimulator(cfg); err == nil {
 		t.Fatal("NewSimulator accepted a channel-fail clause outside the geometry")
 	}
-	cfg = faultyCfg(&faults.Plan{BitFlipRate: 1.5}, "mcf")
+	cfg = faultyCfg(&faults.Plan{DropRate: 1.5}, "mcf")
 	if err := cfg.Validate(); err == nil {
-		t.Fatal("Validate accepted a bit-flip rate above 1")
+		t.Fatal("Validate accepted a drop rate above 1")
 	}
 }
 
 func TestSeededFaultPlanDeterminism(t *testing.T) {
-	plan := &faults.Plan{BitFlipRate: 1e-2, DropRate: 1e-3, Seed: 7}
+	plan := &faults.Plan{DropRate: 1e-3, Seed: 7}
 	run := func() Result {
 		res, err := Run(faultyCfg(plan, "mcf", "art"))
 		if err != nil {
@@ -47,13 +47,13 @@ func TestSeededFaultPlanDeterminism(t *testing.T) {
 	if !reflect.DeepEqual(a, b) {
 		t.Fatalf("two runs of the same seeded fault plan diverged:\n%+v\n%+v", a, b)
 	}
-	if a.Faults == nil || a.Faults.Injected == 0 {
+	if a.Faults == nil || a.Faults.Drops == 0 {
 		t.Fatalf("fault plan injected nothing: %+v", a.Faults)
 	}
 }
 
 func TestFaultAccountingExact(t *testing.T) {
-	plan := &faults.Plan{BitFlipRate: 5e-2, DropRate: 5e-3, Seed: 11}
+	plan := &faults.Plan{DropRate: 5e-3, Seed: 11}
 	res, err := Run(faultyCfg(plan, "mcf"))
 	if err != nil {
 		t.Fatal(err)
@@ -62,15 +62,9 @@ func TestFaultAccountingExact(t *testing.T) {
 	if f == nil {
 		t.Fatal("no fault report on a faulty run")
 	}
-	if f.Injected != f.Corrected+f.Uncorrected+f.Drops {
-		t.Fatalf("accounting: injected %d != corrected %d + uncorrected %d + dropped %d",
-			f.Injected, f.Corrected, f.Uncorrected, f.Drops)
-	}
-	if f.BitFlips == 0 || f.BitFlips != f.Corrected {
-		t.Fatalf("every single-bit flip must be corrected: %+v", f)
-	}
-	if f.Detected != f.Corrected+f.Uncorrected {
-		t.Fatalf("ECC detected %d != corrected %d + uncorrected %d", f.Detected, f.Corrected, f.Uncorrected)
+	// Every drop is either retried or given up on, exactly once.
+	if f.Drops == 0 || f.Drops != f.Retries+f.RetryGiveUps {
+		t.Fatalf("accounting: %d drops != %d retried + %d gave up", f.Drops, f.Retries, f.RetryGiveUps)
 	}
 	if res.Failover != nil {
 		t.Fatal("failover report without a channel-fail clause")
@@ -149,9 +143,9 @@ func TestWarmupTimeoutColdWindow(t *testing.T) {
 }
 
 func TestConfigFingerprint(t *testing.T) {
-	cfg := faultyCfg(&faults.Plan{BitFlipRate: 1e-6, Seed: 9}, "mcf", "art")
+	cfg := faultyCfg(&faults.Plan{DropRate: 1e-6, Seed: 9}, "mcf", "art")
 	fp := cfg.Fingerprint()
-	for _, want := range []string{"mcf+art", "seed=42", "fetch=", "bitflip"} {
+	for _, want := range []string{"mcf+art", "seed=42", "fetch=", "faults=drop:rate=1e-06;seed:v=9"} {
 		if !strings.Contains(fp, want) {
 			t.Fatalf("fingerprint %q missing %q", fp, want)
 		}

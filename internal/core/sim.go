@@ -65,12 +65,10 @@ type Result struct {
 }
 
 // FaultReport is the end-of-run fault accounting. The contract is exact:
-// Injected == Corrected + Uncorrected + Drops.
+// Drops == Retries + RetryGiveUps.
 type FaultReport struct {
-	// Injected faults by class (what the injector did).
-	Injected, BitFlips, MultiBit, Drops uint64
-	// SEC-DED decoder verdicts (what the ECC saw).
-	Detected, Corrected, Uncorrected uint64
+	// Drops is the number of reads the injector dropped.
+	Drops uint64
 	// Controller response: backoff re-queues, reads delivered after
 	// exhausting retries, and requests migrated off a failed channel.
 	Retries, RetryGiveUps, FailedOver uint64
@@ -484,11 +482,8 @@ func (s *Simulator) collect(now uint64, sn snapshot) (Result, error) {
 	}
 
 	if inj := s.ctrl.Injector(); inj != nil {
-		ecc := s.ctrl.ECCStats()
 		r.Faults = &FaultReport{
-			Injected: inj.Stats.Total(), BitFlips: inj.Stats.BitFlips,
-			MultiBit: inj.Stats.MultiBit, Drops: inj.Stats.Drops,
-			Detected: ecc.Detected, Corrected: ecc.Corrected, Uncorrected: ecc.Uncorrected,
+			Drops:   inj.Drops,
 			Retries: st.Retries, RetryGiveUps: st.RetryGiveUps, FailedOver: st.FailedOver,
 		}
 		if ch, at := s.ctrl.Failover(); at > 0 && s.fsn != nil {

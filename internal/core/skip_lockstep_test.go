@@ -42,9 +42,9 @@ type lockstepCase struct {
 // loop profile — fed only landed and sailed-through event cycles — equals the
 // twin's per-cycle one. The sampled variant asserts every registry sample
 // cycle lands and the metrics export equals the twin's. The seeded-fault
-// variant routes retry backoff timers and ECC scrubbing through the span
-// drain, where a deadline the controller probe failed to report would surface
-// as a divergence at its exact cycle. The channel-fail variant asserts the
+// variant routes drop-retry backoff timers through the span drain, where a
+// deadline missing from the event queue would surface as a divergence at its
+// exact cycle. The channel-fail variant asserts the
 // planned failure's cycle lands and the failover report equals a ticked run's.
 // The restored variant starts the clock from a warmup checkpoint, and the
 // icount variant puts ICOUNT's fixed gate under the oracle (the others run
@@ -75,10 +75,11 @@ func TestSkipLockstepDeep(t *testing.T) {
 		return cfg
 	}
 	faulty := func() Config {
-		// Seeded bit-flip and drop faults arm retry backoff timers whose
-		// expiries are in-span events; the controller probe must report them
-		// (and the ECC scrub latency bumps) or the twin acts mid-span.
-		cfg := faultyCfg(&faults.Plan{BitFlipRate: 5e-2, DropRate: 5e-3, Seed: 11},
+		// Seeded drops arm retry backoff timers whose expiries are in-span
+		// events; the event queue must carry them or the twin acts mid-span.
+		// The channel failure re-homes the retries still waiting out theirs.
+		cfg := faultyCfg(&faults.Plan{DropRate: 5e-3, Seed: 11,
+			ChannelFail: &faults.ChannelFail{Channel: 1, At: 40_000}},
 			"mcf", "art", "swim", "lucas")
 		cfg.WarmupInstr = 60_000
 		cfg.TargetInstr = 40_000

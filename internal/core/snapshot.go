@@ -19,7 +19,7 @@ import (
 
 const (
 	ckptMagic   = "SMTC"
-	ckptVersion = 7          // 7: the frame stopped carrying the controller's copies of its own event times and the fault-only state no snapshotting machine has (entry attempt/backoff, the resilience counters, the failover ref kind)
+	ckptVersion = 8          // 8: the DRAM section lost the ECC decoder's three counters (always zero: fault runs never snapshot)
 	sectionSim  = 0x434F5245 // "CORE"
 )
 

@@ -161,11 +161,6 @@ type Channel struct {
 	lastWasWrite  bool
 	nextRefreshAt uint64
 
-	// ECC is the channel's SEC-DED decoder (see ecc.go). It only counts
-	// when the fault injector feeds it errors; fault-free runs never touch
-	// it.
-	ECC ECC
-
 	// Stats counts accesses by outcome.
 	Stats struct {
 		Hits        uint64

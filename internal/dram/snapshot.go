@@ -3,7 +3,7 @@ package dram
 // The DRAM device models' snapshot walk (DESIGN §15). A Channel is pure
 // timestamp state — no events, no pointers — so the walk is a flat field
 // list: bank row/ready state, bus state, the refresh clock, and the outcome
-// counters (including the ECC decoder's).
+// counters.
 
 import "smtdram/internal/snap"
 
@@ -22,9 +22,6 @@ func (c *Channel) Snap(s *snap.Codec) error {
 	s.U64(&c.busFreeAt)
 	s.Bool(&c.lastWasWrite)
 	s.U64(&c.nextRefreshAt)
-	s.U64(&c.ECC.Stats.Detected)
-	s.U64(&c.ECC.Stats.Corrected)
-	s.U64(&c.ECC.Stats.Uncorrected)
 	s.U64(&c.Stats.Hits)
 	s.U64(&c.Stats.Closed)
 	s.U64(&c.Stats.Conflicts)

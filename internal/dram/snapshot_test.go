@@ -19,17 +19,10 @@ var snapshotFieldClass = map[string]string{
 	"Channel.busFreeAt":     "serialized",
 	"Channel.lastWasWrite":  "serialized",
 	"Channel.nextRefreshAt": "serialized",
-	"Channel.ECC":           "serialized",
 	"Channel.Stats":         "serialized",
 
 	"bank.openRow": "serialized",
 	"bank.readyAt": "serialized",
-
-	"ECC.Stats": "serialized",
-
-	"ECCStats.Detected":    "serialized",
-	"ECCStats.Corrected":   "serialized",
-	"ECCStats.Uncorrected": "serialized",
 
 	"Channel.Stats.Hits":        "serialized",
 	"Channel.Stats.Closed":      "serialized",
@@ -44,7 +37,7 @@ var snapshotFieldClass = map[string]string{
 func TestSnapshotFieldCoverage(t *testing.T) {
 	seen := map[string]bool{}
 	for prefix, v := range map[string]any{
-		"Channel": Channel{}, "bank": bank{}, "ECC": ECC{}, "ECCStats": ECCStats{}, "Channel.Stats": Channel{}.Stats,
+		"Channel": Channel{}, "bank": bank{}, "Channel.Stats": Channel{}.Stats,
 	} {
 		typ := reflect.TypeOf(v)
 		for i := 0; i < typ.NumField(); i++ {

@@ -1,41 +1,29 @@
 // Package faults is the deterministic fault-injection subsystem: a Plan
-// (parsed from the -faults CLI spec) describes which DRAM-system faults a run
-// should experience, and an Injector executes the plan with a seeded
+// (parsed from the -faults CLI spec) describes which memory-system faults a
+// run should experience, and an Injector executes the plan with a seeded
 // generator so that two runs of the same spec are byte-identical.
 //
-// Four fault classes are modeled, matching where real memory systems degrade:
+// Two fault classes are modeled — the two that move simulated time:
 //
-//   - bitflip: transient single-bit flips on DRAM reads (cosmic-ray upsets),
-//     correctable by SEC-DED ECC;
-//   - stuckrow: a hard stuck-at fault pinned to one DRAM row — every read of
-//     it returns a multi-bit error, which SEC-DED detects but cannot correct;
-//   - drop: requests lost inside the controller (timeout/CRC-fail on the
-//     link), recovered by bounded retry with exponential backoff;
+//   - drop: a read's data is lost inside the controller (timeout/CRC-fail on
+//     the link), recovered by bounded retry with exponential backoff;
 //   - channel-fail: a whole channel dies at a given cycle; traffic fails
 //     over to the surviving channels via the degraded address remap.
 //
 // The spec grammar is semicolon-separated clauses of comma-separated k=v
-// pairs, e.g.:
+// pairs, each clause at most once, e.g.:
 //
-//	bitflip:rate=1e-6,seed=7;channel-fail:ch=1,at=2000000;drop:rate=1e-7
-//	stuckrow:ch=0,chip=0,bank=1,row=42;bitflip:rate=1e-5
+//	drop:rate=1e-3,seed=7;channel-fail:ch=1,at=2000000
 //
-// The package is a leaf below dram/memctrl/core: it imports nothing from the
+// The package is a leaf below memctrl/core: it imports nothing from the
 // simulator, so every layer can consume a Plan or an Injector.
 package faults
 
 import (
 	"fmt"
-	"sort"
 	"strconv"
 	"strings"
 )
-
-// StuckRow pins a permanent multi-bit fault to one DRAM row.
-type StuckRow struct {
-	Channel, Chip, Bank int
-	Row                 uint64
-}
 
 // ChannelFail kills a whole logical channel at a given cycle.
 type ChannelFail struct {
@@ -49,24 +37,18 @@ type ChannelFail struct {
 // nothing; a nil *Plan disables the subsystem entirely (and is what every
 // fault-free run carries, so the hot path pays only nil checks).
 type Plan struct {
-	// BitFlipRate is the per-read probability of a transient single-bit
-	// flip (ECC-correctable).
-	BitFlipRate float64
 	// DropRate is the per-read probability that the request's data is lost
 	// in the controller and must be retried.
 	DropRate float64
 	// Seed drives the injector's generator (default 1).
 	Seed uint64
-	// Stuck lists permanently faulty rows (reads are ECC-uncorrectable).
-	Stuck []StuckRow
 	// ChannelFail, when non-nil, is the hard channel failure.
 	ChannelFail *ChannelFail
 }
 
 // Empty reports whether the plan injects nothing.
 func (p *Plan) Empty() bool {
-	return p == nil || (p.BitFlipRate == 0 && p.DropRate == 0 &&
-		len(p.Stuck) == 0 && p.ChannelFail == nil)
+	return p == nil || (p.DropRate == 0 && p.ChannelFail == nil)
 }
 
 // Validate checks the plan against the machine it will run on. channels is
@@ -75,22 +57,8 @@ func (p *Plan) Validate(channels int) error {
 	if p == nil {
 		return nil
 	}
-	if p.BitFlipRate < 0 || p.BitFlipRate > 1 {
-		return fmt.Errorf("faults: bitflip rate %g outside [0,1]", p.BitFlipRate)
-	}
-	if p.DropRate < 0 || p.DropRate > 1 {
+	if !(p.DropRate >= 0 && p.DropRate <= 1) { // also rejects NaN
 		return fmt.Errorf("faults: drop rate %g outside [0,1]", p.DropRate)
-	}
-	if p.BitFlipRate+p.DropRate > 1 {
-		return fmt.Errorf("faults: bitflip rate %g + drop rate %g exceeds 1", p.BitFlipRate, p.DropRate)
-	}
-	for _, s := range p.Stuck {
-		if s.Channel < 0 || s.Channel >= channels {
-			return fmt.Errorf("faults: stuck row channel %d out of range (%d channels)", s.Channel, channels)
-		}
-		if s.Chip < 0 || s.Bank < 0 {
-			return fmt.Errorf("faults: negative stuck row location %+v", s)
-		}
 	}
 	if f := p.ChannelFail; f != nil {
 		if f.Channel < 0 || f.Channel >= channels {
@@ -113,28 +81,8 @@ func (p *Plan) String() string {
 		return ""
 	}
 	var parts []string
-	if p.BitFlipRate > 0 {
-		parts = append(parts, fmt.Sprintf("bitflip:rate=%g", p.BitFlipRate))
-	}
 	if p.DropRate > 0 {
 		parts = append(parts, fmt.Sprintf("drop:rate=%g", p.DropRate))
-	}
-	stuck := append([]StuckRow(nil), p.Stuck...)
-	sort.Slice(stuck, func(i, j int) bool {
-		a, b := stuck[i], stuck[j]
-		if a.Channel != b.Channel {
-			return a.Channel < b.Channel
-		}
-		if a.Chip != b.Chip {
-			return a.Chip < b.Chip
-		}
-		if a.Bank != b.Bank {
-			return a.Bank < b.Bank
-		}
-		return a.Row < b.Row
-	})
-	for _, s := range stuck {
-		parts = append(parts, fmt.Sprintf("stuckrow:ch=%d,chip=%d,bank=%d,row=%d", s.Channel, s.Chip, s.Bank, s.Row))
 	}
 	if f := p.ChannelFail; f != nil {
 		parts = append(parts, fmt.Sprintf("channel-fail:ch=%d,at=%d", f.Channel, f.At))
@@ -153,6 +101,7 @@ func Parse(spec string) (*Plan, error) {
 		return nil, nil
 	}
 	p := &Plan{Seed: 1}
+	seen := map[string]bool{}
 	for _, clause := range strings.Split(spec, ";") {
 		clause = strings.TrimSpace(clause)
 		if clause == "" {
@@ -160,18 +109,17 @@ func Parse(spec string) (*Plan, error) {
 		}
 		kind, rest, _ := strings.Cut(clause, ":")
 		kind = strings.ToLower(strings.TrimSpace(kind))
+		// A repeated clause would silently overwrite the first one's values,
+		// the same editing mistake parseKV rejects for a repeated key.
+		if seen[kind] {
+			return nil, fmt.Errorf("faults: more than one %s clause", kind)
+		}
+		seen[kind] = true
 		kv, err := parseKV(kind, rest)
 		if err != nil {
 			return nil, err
 		}
 		switch kind {
-		case "bitflip":
-			if p.BitFlipRate, err = kv.rate("rate"); err != nil {
-				return nil, err
-			}
-			if err := kv.seed(p); err != nil {
-				return nil, err
-			}
 		case "drop":
 			if p.DropRate, err = kv.rate("rate"); err != nil {
 				return nil, err
@@ -179,23 +127,7 @@ func Parse(spec string) (*Plan, error) {
 			if err := kv.seed(p); err != nil {
 				return nil, err
 			}
-		case "stuckrow":
-			var s StuckRow
-			if s.Channel, err = kv.num("ch"); err != nil {
-				return nil, err
-			}
-			s.Chip, _ = kv.numDefault("chip", 0)
-			s.Bank, _ = kv.numDefault("bank", 0)
-			row, err := kv.u64("row")
-			if err != nil {
-				return nil, err
-			}
-			s.Row = row
-			p.Stuck = append(p.Stuck, s)
 		case "channel-fail":
-			if p.ChannelFail != nil {
-				return nil, fmt.Errorf("faults: more than one channel-fail clause")
-			}
 			var f ChannelFail
 			if f.Channel, err = kv.num("ch"); err != nil {
 				return nil, err
@@ -217,7 +149,7 @@ func Parse(spec string) (*Plan, error) {
 				delete(kv.m, "v")
 			}
 		default:
-			return nil, fmt.Errorf("faults: unknown clause %q (want bitflip, drop, stuckrow, channel-fail, or seed)", kind)
+			return nil, fmt.Errorf("faults: unknown clause %q (want drop, channel-fail, or seed)", kind)
 		}
 		if err := kv.leftover(); err != nil {
 			return nil, err
@@ -284,13 +216,6 @@ func (kv *kvSet) num(key string) (int, error) {
 	return n, nil
 }
 
-func (kv *kvSet) numDefault(key string, def int) (int, error) {
-	if _, ok := kv.m[key]; !ok {
-		return def, nil
-	}
-	return kv.num(key)
-}
-
 func (kv *kvSet) u64(key string) (uint64, error) {
 	v, ok := kv.m[key]
 	if !ok {
@@ -304,7 +229,8 @@ func (kv *kvSet) u64(key string) (uint64, error) {
 	return n, nil
 }
 
-// seed consumes an optional seed= key (allowed in any clause; last one wins).
+// seed consumes an optional seed= key (allowed in the drop and seed clauses;
+// last one wins).
 func (kv *kvSet) seed(p *Plan) error {
 	v, ok := kv.m["seed"]
 	if !ok {

@@ -1,6 +1,11 @@
 package faults
 
 import (
+	"errors"
+	"math"
+	"os"
+	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
 )
@@ -19,30 +24,27 @@ func TestParseEmptySpecIsNilPlan(t *testing.T) {
 }
 
 func TestParseFullSpec(t *testing.T) {
-	p, err := Parse("bitflip:rate=1e-6,seed=7;channel-fail:ch=1,at=2000000;drop:rate=1e-7;stuckrow:ch=0,bank=1,row=42")
+	p, err := Parse("drop:rate=1e-7,seed=7;channel-fail:ch=1,at=2000000")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p.BitFlipRate != 1e-6 || p.DropRate != 1e-7 || p.Seed != 7 {
-		t.Fatalf("rates/seed = %g/%g/%d", p.BitFlipRate, p.DropRate, p.Seed)
+	if p.DropRate != 1e-7 || p.Seed != 7 {
+		t.Fatalf("rate/seed = %g/%d", p.DropRate, p.Seed)
 	}
 	if p.ChannelFail == nil || p.ChannelFail.Channel != 1 || p.ChannelFail.At != 2000000 {
 		t.Fatalf("channel-fail = %+v", p.ChannelFail)
-	}
-	want := StuckRow{Channel: 0, Chip: 0, Bank: 1, Row: 42}
-	if len(p.Stuck) != 1 || p.Stuck[0] != want {
-		t.Fatalf("stuck = %+v", p.Stuck)
 	}
 }
 
 func TestParseErrors(t *testing.T) {
 	for _, spec := range []string{
-		"frobnicate:rate=1",     // unknown clause
-		"bitflip:rate=abc",      // bad float
-		"bitflip:rate=1,oops=2", // unknown key
-		"bitflip:rate",          // not key=value
-		"channel-fail:ch=0",     // missing at=
-		"stuckrow:row=1",        // missing ch=
+		"frobnicate:rate=1",                  // unknown clause
+		"bitflip:rate=1e-6",                  // a removed clause is an unknown one
+		"stuckrow:ch=0,chip=0,bank=1,row=42", // likewise
+		"drop:rate=abc",                      // bad float
+		"drop:rate=1,oops=2",                 // unknown key
+		"drop:rate",                          // not key=value
+		"channel-fail:ch=0",                  // missing at=
 		"channel-fail:ch=0,at=1;channel-fail:ch=1,at=2", // duplicate
 	} {
 		if _, err := Parse(spec); err == nil {
@@ -51,8 +53,32 @@ func TestParseErrors(t *testing.T) {
 	}
 }
 
+// TestSpecHolesRejected: a NaN rate fails every range comparison, and a
+// repeated drop clause overwrote the first one's rate; both used to reach a
+// simulation — the NaN one as a plan that drops nothing yet reports faults.
+func TestSpecHolesRejected(t *testing.T) {
+	for _, spec := range []string{
+		"drop:rate=NaN",
+		"drop:rate=nan,seed=3",
+		"drop:rate=0.1;drop:rate=0.2",
+		"drop:rate=0.1;channel-fail:ch=1,at=5;drop:rate=0.1",
+		"seed:v=3;seed:v=4",
+	} {
+		p, err := Parse(spec)
+		if err == nil {
+			err = p.Validate(2)
+		}
+		if err == nil {
+			t.Errorf("%q parsed and validated as %+v, want an error", spec, p)
+		}
+	}
+	if err := (&Plan{DropRate: math.NaN()}).Validate(2); err == nil {
+		t.Error("Validate accepted a NaN drop rate")
+	}
+}
+
 func TestStringRoundTrips(t *testing.T) {
-	p, err := Parse("drop:rate=0.25;bitflip:rate=0.5,seed=9;stuckrow:ch=1,row=3;channel-fail:ch=0,at=500")
+	p, err := Parse("drop:rate=0.25,seed=9;channel-fail:ch=0,at=500")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,17 +89,14 @@ func TestStringRoundTrips(t *testing.T) {
 	if p2.String() != p.String() {
 		t.Fatalf("round trip changed the plan: %q -> %q", p.String(), p2.String())
 	}
-	if p2.Seed != 9 || p2.BitFlipRate != 0.5 || p2.DropRate != 0.25 || p2.ChannelFail == nil {
+	if p2.Seed != 9 || p2.DropRate != 0.25 || p2.ChannelFail == nil {
 		t.Fatalf("round trip lost fields: %+v", p2)
 	}
 }
 
 func TestValidate(t *testing.T) {
-	if err := (&Plan{BitFlipRate: 2}).Validate(2); err == nil {
+	if err := (&Plan{DropRate: 2}).Validate(2); err == nil {
 		t.Error("rate > 1 accepted")
-	}
-	if err := (&Plan{BitFlipRate: 0.6, DropRate: 0.6}).Validate(2); err == nil {
-		t.Error("rates summing past 1 accepted")
 	}
 	if err := (&Plan{ChannelFail: &ChannelFail{Channel: 2, At: 5}}).Validate(2); err == nil {
 		t.Error("out-of-range failing channel accepted")
@@ -81,76 +104,57 @@ func TestValidate(t *testing.T) {
 	if err := (&Plan{ChannelFail: &ChannelFail{Channel: 0, At: 5}}).Validate(1); err == nil {
 		t.Error("channel-fail with no survivor accepted")
 	}
-	if err := (&Plan{Stuck: []StuckRow{{Channel: 5}}}).Validate(2); err == nil {
-		t.Error("out-of-range stuck channel accepted")
-	}
-	ok := &Plan{BitFlipRate: 1e-6, DropRate: 1e-7, Seed: 3,
-		Stuck:       []StuckRow{{Channel: 1, Bank: 2, Row: 7}},
-		ChannelFail: &ChannelFail{Channel: 1, At: 100}}
+	ok := &Plan{DropRate: 1e-7, Seed: 3, ChannelFail: &ChannelFail{Channel: 1, At: 100}}
 	if err := ok.Validate(2); err != nil {
 		t.Errorf("valid plan rejected: %v", err)
 	}
 }
 
 func TestInjectorDeterminism(t *testing.T) {
-	plan := &Plan{BitFlipRate: 0.3, DropRate: 0.1, Seed: 42}
+	plan := &Plan{DropRate: 0.1, Seed: 42}
 	a, b := NewInjector(plan), NewInjector(plan)
 	for i := 0; i < 10_000; i++ {
-		fa := a.OnRead(0, 0, i%4, uint64(i))
-		fb := b.OnRead(0, 0, i%4, uint64(i))
-		if fa != fb {
-			t.Fatalf("read %d: %v vs %v with identical seeds", i, fa, fb)
+		if da, db := a.Drop(), b.Drop(); da != db {
+			t.Fatalf("read %d: %v vs %v with identical seeds", i, da, db)
 		}
 	}
-	if a.Stats != b.Stats {
-		t.Fatalf("stats diverged: %+v vs %+v", a.Stats, b.Stats)
-	}
-	if a.Stats.Total() != a.Stats.BitFlips+a.Stats.MultiBit+a.Stats.Drops {
-		t.Fatal("Total does not sum the classes")
+	if a.Drops != b.Drops || a.Drops == 0 {
+		t.Fatalf("drops = %d vs %d", a.Drops, b.Drops)
 	}
 }
 
 func TestInjectorRates(t *testing.T) {
-	in := NewInjector(&Plan{BitFlipRate: 0.5, DropRate: 0.25, Seed: 1})
+	in := NewInjector(&Plan{DropRate: 0.25, Seed: 1})
 	const n = 100_000
+	var dropped uint64
 	for i := 0; i < n; i++ {
-		in.OnRead(0, 0, 0, uint64(i))
+		if in.Drop() {
+			dropped++
+		}
 	}
-	flip := float64(in.Stats.BitFlips) / n
-	drop := float64(in.Stats.Drops) / n
-	if flip < 0.48 || flip > 0.52 {
-		t.Errorf("bit-flip rate %.3f far from 0.5", flip)
+	if dropped != in.Drops {
+		t.Fatalf("Drop returned true %d times, Drops counts %d", dropped, in.Drops)
 	}
-	if drop < 0.23 || drop > 0.27 {
+	if drop := float64(in.Drops) / n; drop < 0.23 || drop > 0.27 {
 		t.Errorf("drop rate %.3f far from 0.25", drop)
-	}
-}
-
-func TestStuckRowAlwaysFaults(t *testing.T) {
-	in := NewInjector(&Plan{Stuck: []StuckRow{{Channel: 1, Chip: 0, Bank: 2, Row: 9}}})
-	for i := 0; i < 100; i++ {
-		if f := in.OnRead(1, 0, 2, 9); f != FaultMultiBit {
-			t.Fatalf("stuck row read %d: %v", i, f)
-		}
-		if f := in.OnRead(1, 0, 2, 10); f != FaultNone {
-			t.Fatalf("healthy row read %d: %v", i, f)
-		}
-	}
-	if in.Stats.MultiBit != 100 {
-		t.Fatalf("MultiBit = %d, want 100", in.Stats.MultiBit)
 	}
 }
 
 func TestNilInjectorIsInert(t *testing.T) {
 	var in *Injector
-	if f := in.OnRead(0, 0, 0, 0); f != FaultNone {
-		t.Fatalf("nil injector injected %v", f)
+	if in.Drop() {
+		t.Fatal("nil injector dropped a read")
 	}
 	if ch, at := in.ChannelFailAt(); ch != -1 || at != 0 {
 		t.Fatalf("nil injector reports failover (%d, %d)", ch, at)
 	}
 	if in.Plan() != nil {
 		t.Fatal("nil injector has a plan")
+	}
+	// A channel-fail-only plan builds an injector that never draws.
+	cf := NewInjector(&Plan{ChannelFail: &ChannelFail{Channel: 1, At: 9}})
+	if cf.Drop() || cf.rng != 1 {
+		t.Fatalf("a plan without a drop rate drew: rng %d", cf.rng)
 	}
 }
 
@@ -164,10 +168,10 @@ func TestChannelFailAt(t *testing.T) {
 
 func TestSeedChangesStream(t *testing.T) {
 	mk := func(seed uint64) string {
-		in := NewInjector(&Plan{BitFlipRate: 0.5, Seed: seed})
+		in := NewInjector(&Plan{DropRate: 0.5, Seed: seed})
 		var sb strings.Builder
 		for i := 0; i < 64; i++ {
-			if in.OnRead(0, 0, 0, uint64(i)) == FaultSingleBit {
+			if in.Drop() {
 				sb.WriteByte('1')
 			} else {
 				sb.WriteByte('0')
@@ -186,9 +190,9 @@ func TestSeedChangesStream(t *testing.T) {
 func TestParseEdgeCases(t *testing.T) {
 	// Whitespace, empty clauses, and mixed case are tolerated.
 	for _, spec := range []string{
-		";;bitflip:rate=1e-6;;",
-		"  BitFlip : rate=1e-6  ",
-		"bitflip:rate=1e-6;\n drop:rate=1e-7",
+		";;drop:rate=1e-6;;",
+		"  Drop : rate=1e-6  ",
+		"drop:rate=1e-6;\n channel-fail:ch=1,at=5",
 	} {
 		if _, err := Parse(spec); err != nil {
 			t.Errorf("Parse(%q): %v, want success", spec, err)
@@ -198,16 +202,19 @@ func TestParseEdgeCases(t *testing.T) {
 	for _, tc := range []struct {
 		spec, wantSub string
 	}{
-		{"bitflip:rate=1e-6,rate=1e-3", "duplicate key"},
-		{"stuckrow:ch=0,CH=1,row=1", "duplicate key"},
-		{"bitflip:=1e-6", "empty key"},
+		{"drop:rate=1e-6,rate=1e-3", "duplicate key"},
+		{"channel-fail:ch=0,CH=1,at=1", "duplicate key"},
+		{"drop:=1e-6", "empty key"},
 		{"drop:rate=", "invalid syntax"},
 		{"drop:rate=1e", "invalid syntax"},
-		{"stuckrow:ch=0,row=-1", "invalid syntax"}, // row is unsigned
-		{"stuckrow:ch=0,row=99999999999999999999", "value out of range"},
+		{"channel-fail:ch=0,at=-1", "invalid syntax"}, // at is unsigned
+		{"channel-fail:ch=0,at=99999999999999999999", "value out of range"},
 		{"channel-fail:ch=zero,at=1", "invalid syntax"},
 		{"seed:v=-3", "invalid syntax"},
-		{"bitflip:rate=1e-6,seed=1.5", "invalid syntax"},
+		{"drop:rate=1e-6,seed=1.5", "invalid syntax"},
+		{"drop:rate=0.1;drop:rate=0.2", "more than one drop clause"},
+		{"bitflip:rate=1e-6", "unknown clause"},
+		{"stuckrow:ch=0,row=3", "unknown clause"},
 	} {
 		_, err := Parse(tc.spec)
 		if err == nil {
@@ -221,24 +228,51 @@ func TestParseEdgeCases(t *testing.T) {
 }
 
 // TestValidateRanges pins the range checks the CLI relies on for exit-2 flag
-// validation: channels and rows beyond the machine shape must be rejected.
+// validation: channels beyond the machine shape and rates outside [0,1] must
+// be rejected.
 func TestValidateRanges(t *testing.T) {
-	if err := (&Plan{Stuck: []StuckRow{{Channel: -1}}}).Validate(4); err == nil {
-		t.Error("negative stuck channel accepted")
-	}
-	if err := (&Plan{Stuck: []StuckRow{{Channel: 0, Chip: -2}}}).Validate(4); err == nil {
-		t.Error("negative chip accepted")
-	}
 	if err := (&Plan{ChannelFail: &ChannelFail{Channel: -1, At: 5}}).Validate(4); err == nil {
 		t.Error("negative failing channel accepted")
 	}
 	if err := (&Plan{ChannelFail: &ChannelFail{Channel: 1, At: 0}}).Validate(4); err == nil {
 		t.Error("channel-fail at cycle 0 accepted")
 	}
-	if err := (&Plan{BitFlipRate: -0.1}).Validate(4); err == nil {
-		t.Error("negative bitflip rate accepted")
+	if err := (&Plan{DropRate: -0.1}).Validate(4); err == nil {
+		t.Error("negative drop rate accepted")
 	}
 	if err := (&Plan{DropRate: 1.1}).Validate(4); err == nil {
 		t.Error("drop rate above 1 accepted")
+	}
+	if err := (&Plan{DropRate: math.Inf(1)}).Validate(4); err == nil {
+		t.Error("infinite drop rate accepted")
+	}
+}
+
+// TestDocsQuoteValidSpecs: every -faults '…' spec the docs and CI quote
+// parses and validates on the default two-channel machine, so a clause the
+// grammar drops cannot survive in a copy-paste example.
+func TestDocsQuoteValidSpecs(t *testing.T) {
+	quoted := regexp.MustCompile(`-faults\s+'([^']*)'`)
+	for _, doc := range []string{"README.md", "EXPERIMENTS.md", ".claude/skills/verify/SKILL.md", ".github/workflows/ci.yml"} {
+		b, err := os.ReadFile(filepath.Join("..", "..", doc))
+		if err != nil {
+			t.Fatal(err)
+		}
+		specs := quoted.FindAllStringSubmatch(string(b), -1)
+		if len(specs) == 0 {
+			t.Errorf("%s quotes no -faults spec; the check would pass vacuously", doc)
+		}
+		for _, m := range specs {
+			p, err := Parse(m[1])
+			if err == nil {
+				err = p.Validate(2)
+			}
+			if err == nil && p.Empty() {
+				err = errors.New("the plan injects nothing")
+			}
+			if err != nil {
+				t.Errorf("%s quotes -faults '%s': %v", doc, m[1], err)
+			}
+		}
 	}
 }

@@ -1,67 +1,16 @@
 package faults
 
-import "fmt"
-
-// Fault classifies what (if anything) the injector did to one DRAM read.
-type Fault int
-
-const (
-	// FaultNone: the read completed clean.
-	FaultNone Fault = iota
-	// FaultSingleBit: a transient single-bit flip — SEC-DED corrects it.
-	FaultSingleBit
-	// FaultMultiBit: a multi-bit (stuck-at) error — SEC-DED detects it but
-	// cannot correct; the controller must retry or give up.
-	FaultMultiBit
-	// FaultDrop: the request's data was lost in the controller; the
-	// controller must retry.
-	FaultDrop
-)
-
-func (f Fault) String() string {
-	switch f {
-	case FaultNone:
-		return "none"
-	case FaultSingleBit:
-		return "single-bit"
-	case FaultMultiBit:
-		return "multi-bit"
-	case FaultDrop:
-		return "drop"
-	default:
-		return fmt.Sprintf("Fault(%d)", int(f))
-	}
-}
-
-// Stats counts what the injector actually injected. The accounting contract
-// is exact: every injected fault receives one disposition downstream
-// (corrected, uncorrected, or dropped-retried), so
-//
-//	BitFlips + MultiBit + Drops == corrected + uncorrected + dropped.
-type Stats struct {
-	// BitFlips is the number of transient single-bit flips injected.
-	BitFlips uint64
-	// MultiBit is the number of reads that hit a stuck row.
-	MultiBit uint64
-	// Drops is the number of requests whose data was discarded.
-	Drops uint64
-}
-
-// Total is the number of fault events injected.
-func (s Stats) Total() uint64 { return s.BitFlips + s.MultiBit + s.Drops }
-
 // Injector executes a Plan. It is built once per simulation and consumed
 // single-threaded (the simulator's event loop), drawing exactly one random
-// per read so the fault stream is a pure function of (plan, read order) —
-// which is itself deterministic — and therefore identical across runs and
-// at any -jobs value.
+// per read when the plan drops, so the drop stream is a pure function of
+// (plan, read order) — which is itself deterministic — and therefore identical
+// across runs and at any -jobs value.
 type Injector struct {
-	plan  *Plan
-	rng   uint64
-	stuck map[StuckRow]struct{}
+	plan *Plan
+	rng  uint64
 
-	// Stats counts injected faults by class.
-	Stats Stats
+	// Drops counts the reads Drop condemned.
+	Drops uint64
 }
 
 // NewInjector builds an injector for the plan; a nil or empty plan returns
@@ -74,14 +23,7 @@ func NewInjector(p *Plan) *Injector {
 	if seed == 0 {
 		seed = 1
 	}
-	in := &Injector{plan: p, rng: seed}
-	if len(p.Stuck) > 0 {
-		in.stuck = make(map[StuckRow]struct{}, len(p.Stuck))
-		for _, s := range p.Stuck {
-			in.stuck[s] = struct{}{}
-		}
-	}
-	return in
+	return &Injector{plan: p, rng: seed}
 }
 
 // Plan returns the injector's plan (nil for a nil injector).
@@ -111,36 +53,16 @@ func (in *Injector) next() uint64 {
 	return z ^ (z >> 31)
 }
 
-// nextFloat returns a uniform draw in [0, 1).
-func (in *Injector) nextFloat() float64 {
-	return float64(in.next()>>11) / (1 << 53)
-}
-
-// OnRead decides the fate of one DRAM read of (channel, chip, bank, row).
-// Stuck rows always fault; otherwise one uniform draw selects drop, bit
-// flip, or a clean read. Nil-safe.
-func (in *Injector) OnRead(channel, chip, bank int, row uint64) Fault {
-	if in == nil {
-		return FaultNone
+// Drop decides whether one completed DRAM read is lost: one uniform draw in
+// [0, 1) against the plan's drop rate. Nil-safe; a plan without a drop rate
+// draws nothing.
+func (in *Injector) Drop() bool {
+	if in == nil || in.plan.DropRate == 0 {
+		return false
 	}
-	if in.stuck != nil {
-		if _, ok := in.stuck[StuckRow{Channel: channel, Chip: chip, Bank: bank, Row: row}]; ok {
-			in.Stats.MultiBit++
-			return FaultMultiBit
-		}
+	if float64(in.next()>>11)/(1<<53) >= in.plan.DropRate {
+		return false
 	}
-	if in.plan.DropRate == 0 && in.plan.BitFlipRate == 0 {
-		return FaultNone
-	}
-	p := in.nextFloat()
-	switch {
-	case p < in.plan.DropRate:
-		in.Stats.Drops++
-		return FaultDrop
-	case p < in.plan.DropRate+in.plan.BitFlipRate:
-		in.Stats.BitFlips++
-		return FaultSingleBit
-	default:
-		return FaultNone
-	}
+	in.Drops++
+	return true
 }

@@ -3,8 +3,6 @@ package fleet_test
 import (
 	"bytes"
 	"context"
-	"crypto/sha256"
-	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"log/slog"
@@ -270,13 +268,12 @@ func TestFleetPeerCorruptQuarantinedAndRecomputed(t *testing.T) {
 	want := directBytes(t, req)
 	_, _ = submitAndWait(t, client.New(f.Workers[0].URL), req)
 
-	// Flip one payload byte in w1's on-disk entry.
-	key, err := req.ShardKey()
-	if err != nil {
-		t.Fatal(err)
+	// Flip one payload byte in w1's on-disk entry, the only one it holds.
+	entries, err := filepath.Glob(filepath.Join(w1dir, "*.res"))
+	if err != nil || len(entries) != 1 {
+		t.Fatalf("w1 holds store entries %v (err %v), want exactly one", entries, err)
 	}
-	sum := sha256.Sum256([]byte(key))
-	path := filepath.Join(w1dir, hex.EncodeToString(sum[:])+".res")
+	path := entries[0]
 	b, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatalf("reading w1's store entry: %v", err)

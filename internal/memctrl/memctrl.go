@@ -127,18 +127,19 @@ type Config struct {
 	// Threads is the number of hardware threads (for per-thread stats).
 	Threads int
 	// Injector, when non-nil, is the fault-injection subsystem: reads may
-	// come back with ECC errors or be dropped, and a channel may hard-fail
+	// be dropped and retried with backoff, and a channel may hard-fail
 	// mid-run. Nil (every fault-free run) costs one pointer check per read.
 	Injector *faults.Injector
-	// MaxRetries bounds how many times a dropped or ECC-uncorrectable read
-	// is re-queued before the controller gives up and surfaces the loss
-	// (default 3).
-	MaxRetries int
-	// RetryBackoff is the base delay in cycles before the first retry;
-	// attempt n waits RetryBackoff << (n-1), capped at six doublings
-	// (default 16).
-	RetryBackoff uint64
 }
+
+const (
+	// maxRetries bounds how many times a dropped read is re-queued before
+	// the controller gives up and delivers it with the loss counted.
+	maxRetries = 3
+	// retryBackoff is the delay in cycles before the first retry; attempt n
+	// waits retryBackoff << (n-1).
+	retryBackoff = 16
+)
 
 func (c Config) withDefaults() Config {
 	if c.QueueDepth == 0 {
@@ -153,18 +154,12 @@ func (c Config) withDefaults() Config {
 	if c.Threads == 0 {
 		c.Threads = 1
 	}
-	if c.MaxRetries == 0 {
-		c.MaxRetries = 3
-	}
-	if c.RetryBackoff == 0 {
-		c.RetryBackoff = 16
-	}
 	return c
 }
 
 // Validate rejects incoherent controller configurations: a broken mapper
 // (zero channels, non-power-of-two interleave units, failover target out of
-// range), negative queue/window/retry bounds, or a fault plan that does not
+// range), negative queue/window bounds, or a fault plan that does not
 // fit the geometry. core calls this during machine assembly; New also calls
 // it, so hand-built controllers get the same checks.
 func (c Config) Validate() error {
@@ -177,9 +172,6 @@ func (c Config) Validate() error {
 	}
 	if c.Threads < 0 {
 		return fmt.Errorf("memctrl: negative thread count %d", c.Threads)
-	}
-	if c.MaxRetries < 0 {
-		return fmt.Errorf("memctrl: negative retry bound %d", c.MaxRetries)
 	}
 	if err := c.Injector.Plan().Validate(c.Mapper.Geo.Channels); err != nil {
 		return err
@@ -217,7 +209,7 @@ type entry struct {
 	loc          addrmap.Loc
 	seq          uint64
 	queuedBehind int
-	attempt      uint8 // fault retries consumed so far
+	attempt      uint8 // drop retries consumed so far
 	backoff      bool  // entry is waiting out a retry backoff delay
 
 	ctrl *Controller
@@ -238,10 +230,10 @@ func (e *entry) OnEvent(at uint64) {
 	}
 	cc := e.cc
 	cc.inFlight--
-	if c.inj != nil && e.req.IsRead() && c.absorbFault(at, e) {
-		// The read came back damaged or lost; the entry is parked for a
-		// backoff retry and must not complete. The freed in-flight slot
-		// can serve someone else meanwhile.
+	if c.inj != nil && e.req.IsRead() && c.retryDropped(at, e) {
+		// The read was lost; the entry is parked for a backoff retry and
+		// must not complete. The freed in-flight slot can serve someone
+		// else meanwhile.
 		c.dispatch(at, cc)
 		return
 	}
@@ -311,10 +303,10 @@ type Stats struct {
 
 	// Resilience counters (all zero on fault-free runs).
 	//
-	// Retries is the number of backoff re-queues of dropped or
-	// ECC-uncorrectable reads; RetryGiveUps counts reads delivered with the
-	// loss surfaced after exhausting MaxRetries; FailedOver counts queued
-	// requests migrated off a hard-failed channel.
+	// Retries is the number of backoff re-queues of dropped reads;
+	// RetryGiveUps counts reads delivered with the loss surfaced after
+	// exhausting maxRetries, so every drop is exactly one of the two;
+	// FailedOver counts queued requests migrated off a hard-failed channel.
 	Retries      uint64
 	RetryGiveUps uint64
 	FailedOver   uint64
@@ -465,51 +457,15 @@ func (c *Controller) Failover() (channel int, at uint64) {
 // can assemble end-of-run fault reports.
 func (c *Controller) Injector() *faults.Injector { return c.inj }
 
-// ECCStats sums the SEC-DED decoder counters over all channels.
-func (c *Controller) ECCStats() dram.ECCStats {
-	var s dram.ECCStats
-	for _, cc := range c.channels {
-		s.Detected += cc.dev.ECC.Stats.Detected
-		s.Corrected += cc.dev.ECC.Stats.Corrected
-		s.Uncorrected += cc.dev.ECC.Stats.Uncorrected
-	}
-	return s
-}
-
-// absorbFault runs the fault injector and the ECC decoder over one completed
-// read. It returns true when the read must be retried — the entry has been
-// parked on a backoff timer and must not complete. Corrected errors and
-// exhausted retries return false: the read completes (the latter with the
-// loss counted in RetryGiveUps and the ECC/drop counters).
-func (c *Controller) absorbFault(at uint64, e *entry) bool {
-	f := c.inj.OnRead(e.loc.Channel, e.loc.Chip, e.loc.Bank, e.loc.Row)
-	if f == faults.FaultNone {
+// retryDropped asks the injector whether one completed read was lost. It
+// returns true when the read will be retried — the entry has been parked on a
+// backoff timer and must not complete. A drop past the retry budget returns
+// false: the read completes, the loss counted in RetryGiveUps.
+func (c *Controller) retryDropped(at uint64, e *entry) bool {
+	if !c.inj.Drop() {
 		return false
 	}
-	dev := c.channels[e.loc.Channel].dev
-	var outcome string
-	retryable := false
-	switch f {
-	case faults.FaultSingleBit:
-		dev.ECC.Scrub(dram.ErrSingleBit)
-		outcome = "corrected"
-	case faults.FaultMultiBit:
-		dev.ECC.Scrub(dram.ErrMultiBit)
-		outcome = "uncorrected"
-		retryable = true
-	case faults.FaultDrop:
-		outcome = "dropped"
-		retryable = true
-	}
-	if c.lc != nil {
-		ev := lcEvent(obs.KFault, at, at, e.req, e.loc)
-		ev.Outcome = outcome
-		c.lc.Emit(ev)
-	}
-	if !retryable {
-		return false
-	}
-	if int(e.attempt) >= c.cfg.MaxRetries {
+	if e.attempt >= maxRetries {
 		c.Stats.RetryGiveUps++
 		if c.lc != nil {
 			ev := lcEvent(obs.KRetry, at, at, e.req, e.loc)
@@ -520,12 +476,8 @@ func (c *Controller) absorbFault(at uint64, e *entry) bool {
 	}
 	e.attempt++
 	c.Stats.Retries++
-	shift := uint(e.attempt - 1)
-	if shift > 6 {
-		shift = 6
-	}
 	e.backoff = true
-	c.q.ScheduleHandler(at+(c.cfg.RetryBackoff<<shift), e)
+	c.q.ScheduleHandler(at+retryBackoff<<(e.attempt-1), e)
 	if c.lc != nil {
 		ev := lcEvent(obs.KRetry, at, at, e.req, e.loc)
 		ev.Outcome = fmt.Sprintf("attempt %d", e.attempt)
@@ -584,13 +536,7 @@ func (c *Controller) registerMetrics(reg *obs.Registry) {
 	// Fault/resilience metrics exist only when an injector is attached, so
 	// fault-free runs' metrics output is byte-identical to pre-fault builds.
 	if c.inj != nil {
-		reg.Gauge("faults.injected", func(uint64) float64 { return float64(c.inj.Stats.Total()) })
-		reg.Gauge("faults.bitflips", func(uint64) float64 { return float64(c.inj.Stats.BitFlips) })
-		reg.Gauge("faults.multibit", func(uint64) float64 { return float64(c.inj.Stats.MultiBit) })
-		reg.Gauge("faults.drops", func(uint64) float64 { return float64(c.inj.Stats.Drops) })
-		reg.Gauge("ecc.detected", func(uint64) float64 { return float64(c.ECCStats().Detected) })
-		reg.Gauge("ecc.corrected", func(uint64) float64 { return float64(c.ECCStats().Corrected) })
-		reg.Gauge("ecc.uncorrected", func(uint64) float64 { return float64(c.ECCStats().Uncorrected) })
+		reg.Gauge("faults.drops", func(uint64) float64 { return float64(c.inj.Drops) })
 		reg.Gauge("memctrl.retries", func(uint64) float64 { return float64(c.Stats.Retries) })
 		reg.Gauge("memctrl.retry_giveups", func(uint64) float64 { return float64(c.Stats.RetryGiveUps) })
 		reg.Gauge("memctrl.failed_over", func(uint64) float64 { return float64(c.Stats.FailedOver) })

@@ -46,11 +46,6 @@ func TestConfigValidate(t *testing.T) {
 		t.Error("negative queue depth accepted")
 	}
 	bad = base
-	bad.MaxRetries = -1
-	if err := bad.withDefaults().Validate(); err == nil {
-		t.Error("negative retry bound accepted")
-	}
-	bad = base
 	bad.Threads = -1
 	if err := bad.withDefaults().Validate(); err == nil {
 		t.Error("negative thread count accepted")
@@ -75,33 +70,6 @@ func TestConfigValidate(t *testing.T) {
 	}
 }
 
-func TestCorrectedBitFlipsDoNotRetry(t *testing.T) {
-	var q event.Queue
-	c := newFaultyCtl(t, &q, geo1ch(), &faults.Plan{BitFlipRate: 1, Seed: 3}, nil)
-	var done int
-	for i := 0; i < 8; i++ {
-		r := &mem.Request{ID: uint64(i + 1), Addr: addrFor(i%4, i/4), Kind: mem.Read, Thread: 0,
-			OnComplete: func(uint64) { done++ }}
-		if !c.Enqueue(0, r) {
-			t.Fatal("Enqueue rejected")
-		}
-	}
-	q.RunUntil(1 << 20)
-	if done != 8 {
-		t.Fatalf("%d of 8 reads completed", done)
-	}
-	ecc := c.ECCStats()
-	if ecc.Corrected != 8 || ecc.Uncorrected != 0 {
-		t.Fatalf("ECC = %+v, want 8 corrected", ecc)
-	}
-	if c.Stats.Retries != 0 || c.Stats.RetryGiveUps != 0 {
-		t.Fatalf("corrected errors triggered retries: %+v", c.Stats)
-	}
-	if inj := c.inj.Stats; inj.BitFlips != 8 || inj.Total() != 8 {
-		t.Fatalf("injector stats = %+v", inj)
-	}
-}
-
 func TestDroppedReadRetriesThenGivesUp(t *testing.T) {
 	var q event.Queue
 	c := newFaultyCtl(t, &q, geo1ch(), &faults.Plan{DropRate: 1, Seed: 3}, nil)
@@ -115,14 +83,14 @@ func TestDroppedReadRetriesThenGivesUp(t *testing.T) {
 	if doneAt == 0 {
 		t.Fatal("read never completed: give-up path must still deliver")
 	}
-	// Every service attempt is dropped: MaxRetries (3) retries, then give up
+	// Every service attempt is dropped: maxRetries (3) retries, then give up
 	// on the 4th attempt. A clean read completes at 120 (closed-bank), so
 	// the retried one must land far later.
 	if c.Stats.Retries != 3 || c.Stats.RetryGiveUps != 1 {
 		t.Fatalf("Retries=%d GiveUps=%d, want 3 and 1", c.Stats.Retries, c.Stats.RetryGiveUps)
 	}
-	if c.inj.Stats.Drops != 4 {
-		t.Fatalf("injected drops = %d, want 4 (one per service attempt)", c.inj.Stats.Drops)
+	if c.inj.Drops != 4 {
+		t.Fatalf("injected drops = %d, want 4 (one per service attempt)", c.inj.Drops)
 	}
 	if doneAt <= 120 {
 		t.Fatalf("retried read completed at %d, no later than a clean read", doneAt)
@@ -130,38 +98,6 @@ func TestDroppedReadRetriesThenGivesUp(t *testing.T) {
 	// The retry delay is exponential: 16, 32, 64 on top of three re-services.
 	if c.Stats.ReadLatencySum != doneAt {
 		t.Fatalf("latency accounts %d, want full arrival→delivery %d", c.Stats.ReadLatencySum, doneAt)
-	}
-}
-
-func TestStuckRowIsUncorrectableAndAccountingSums(t *testing.T) {
-	var q event.Queue
-	plan := &faults.Plan{Stuck: []faults.StuckRow{{Channel: 0, Chip: 0, Bank: 1, Row: 2}}}
-	c := newFaultyCtl(t, &q, geo1ch(), plan, nil)
-	var done int
-	for i, addr := range []uint64{addrFor(1, 2), addrFor(2, 2), addrFor(1, 3)} {
-		r := &mem.Request{ID: uint64(i + 1), Addr: addr, Kind: mem.Read, Thread: 0,
-			OnComplete: func(uint64) { done++ }}
-		if !c.Enqueue(0, r) {
-			t.Fatal("Enqueue rejected")
-		}
-	}
-	q.RunUntil(1 << 20)
-	if done != 3 {
-		t.Fatalf("%d of 3 reads completed", done)
-	}
-	ecc := c.ECCStats()
-	// The stuck-row read faults on every attempt: 1 + MaxRetries decodes.
-	if ecc.Uncorrected != 4 || ecc.Corrected != 0 {
-		t.Fatalf("ECC = %+v, want 4 uncorrected", ecc)
-	}
-	if c.Stats.Retries != 3 || c.Stats.RetryGiveUps != 1 {
-		t.Fatalf("Retries=%d GiveUps=%d", c.Stats.Retries, c.Stats.RetryGiveUps)
-	}
-	// Exact accounting: injected == corrected + uncorrected + dropped.
-	inj := c.inj.Stats
-	if inj.Total() != ecc.Corrected+ecc.Uncorrected+inj.Drops {
-		t.Fatalf("accounting: injected %d != corrected %d + uncorrected %d + dropped %d",
-			inj.Total(), ecc.Corrected, ecc.Uncorrected, inj.Drops)
 	}
 }
 
@@ -235,14 +171,9 @@ func TestRetryMilestonesInTrace(t *testing.T) {
 	r := &mem.Request{ID: 1, Addr: 0, Kind: mem.Read, Thread: 0}
 	c.Enqueue(0, r)
 	q.RunUntil(1 << 20)
-	var faultsSeen, retries, gaveUp, dones int
+	var retries, gaveUp, dones int
 	for _, e := range ob.Trace.Events() {
 		switch e.Kind {
-		case obs.KFault:
-			faultsSeen++
-			if e.Outcome != "dropped" {
-				t.Fatalf("fault outcome %q, want dropped", e.Outcome)
-			}
 		case obs.KRetry:
 			if e.Outcome == "gave up" {
 				gaveUp++
@@ -253,9 +184,10 @@ func TestRetryMilestonesInTrace(t *testing.T) {
 			dones++
 		}
 	}
-	if faultsSeen != 4 || retries != 3 || gaveUp != 1 || dones != 1 {
-		t.Fatalf("milestones: %d faults, %d retries, %d give-ups, %d dones; want 4/3/1/1",
-			faultsSeen, retries, gaveUp, dones)
+	// A drop is recorded once, by its retry milestone.
+	if retries != 3 || gaveUp != 1 || dones != 1 || c.inj.Drops != uint64(retries+gaveUp) {
+		t.Fatalf("milestones: %d retries, %d give-ups, %d dones for %d drops; want 3/1/1 for 4",
+			retries, gaveUp, dones, c.inj.Drops)
 	}
 }
 
@@ -263,7 +195,7 @@ func TestRetryMilestonesInTrace(t *testing.T) {
 // the retry budget must not ride along with the slot. In a traced drop-plan
 // run where every request reuses the one entry its predecessors used, each
 // request's retry milestones count up from "attempt 1", and a "gave up"
-// follows exactly MaxRetries attempts of that same request.
+// follows exactly maxRetries attempts of that same request.
 func TestRetryBudgetIsPerRequest(t *testing.T) {
 	var q event.Queue
 	ob := obs.New(obs.Options{Trace: true})
@@ -288,8 +220,8 @@ func TestRetryBudgetIsPerRequest(t *testing.T) {
 		}
 		if e.Outcome == "gave up" {
 			gaveUp++
-			if attempts[e.ReqID] != c.cfg.MaxRetries {
-				t.Fatalf("req %d gave up after %d retries of its own, want %d", e.ReqID, attempts[e.ReqID], c.cfg.MaxRetries)
+			if attempts[e.ReqID] != maxRetries {
+				t.Fatalf("req %d gave up after %d retries of its own, want %d", e.ReqID, attempts[e.ReqID], maxRetries)
 			}
 			continue
 		}

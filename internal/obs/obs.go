@@ -41,13 +41,9 @@ const (
 	// (instant). Emitted by Tracer.Finish so every traced request reaches a
 	// terminal state.
 	KCancel
-	// KFault: the fault injector hit this request's service — Outcome
-	// carries the ECC/drop disposition ("corrected", "uncorrected",
-	// "dropped") (instant).
-	KFault
-	// KRetry: the controller re-queued the request after a fault; Outcome
-	// carries the attempt number, or "gave up" when retries were exhausted
-	// (instant).
+	// KRetry: the fault injector dropped the request's data; Outcome
+	// carries the retry's attempt number, or "gave up" when retries were
+	// exhausted and the read is delivered with the loss counted (instant).
 	KRetry
 	// KFailover: the request was migrated off a hard-failed channel; the
 	// Channel field is the new home and Outcome names the failed channel
@@ -66,7 +62,6 @@ var kindNames = [...]string{
 	KData:      "data",
 	KDone:      "done",
 	KCancel:    "cancel",
-	KFault:     "fault",
 	KRetry:     "retry",
 	KFailover:  "failover",
 }

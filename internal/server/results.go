@@ -74,10 +74,15 @@ func (s *Server) localDepth() int {
 	return 0
 }
 
+// resultFormat prefixes every store key: bump it when Result bytes move under
+// unchanged fingerprints, so a data directory an earlier build wrote recomputes
+// (format 1 had no prefix; 2 reduced FaultReport to drops, retries, failover).
+const resultFormat = "r2|"
+
 // storeGet reads the disk tier. A corrupt entry has already been quarantined
 // by the store; it reports as such and the result is recomputed.
 func (s *Server) storeGet(_ context.Context, fp string) (result, error) {
-	payload, meta, err := s.store.Get(fp)
+	payload, meta, err := s.store.Get(resultFormat + fp)
 	switch {
 	case err == nil:
 		return resultOf(payload, meta), nil
@@ -92,7 +97,7 @@ func (s *Server) storeGet(_ context.Context, fp string) (result, error) {
 // the store to memory-only mode: serving continues from memory and
 // recomputation, and /readyz turns unready.
 func (s *Server) storePut(fp string, r result) {
-	if err := s.store.Put(fp, r.val, r.meta()); err != nil {
+	if err := s.store.Put(resultFormat+fp, r.val, r.meta()); err != nil {
 		s.count(s.mStoreWriteErrors)
 		if !errors.Is(err, store.ErrDegraded) {
 			s.log.Warn("store write failed; degrading to memory-only result serving",

@@ -119,7 +119,7 @@ func TestPeerAskPromotesStoreHit(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := result{val: []byte(`{"v":1}`), skip: &SkipInfo{Skipped: 8, Wall: 10, Rate: 0.8}}
-	if err := st.Put("fp-owned", want.val, want.meta()); err != nil {
+	if err := st.Put(resultFormat+"fp-owned", want.val, want.meta()); err != nil {
 		t.Fatal(err)
 	}
 	peers := &countingPeers{}
@@ -143,6 +143,36 @@ func TestPeerAskPromotesStoreHit(t *testing.T) {
 	}
 	if n := peers.fetches.Load(); n != 0 {
 		t.Fatalf("a peer's ask was forwarded to %d peers", n)
+	}
+}
+
+// TestStoreKeyCarriesResultFormat: an entry an earlier result format wrote
+// under an unchanged fingerprint is recomputed, not served, and the fresh
+// bytes land under the current format's key.
+func TestStoreKeyCarriesResultFormat(t *testing.T) {
+	dir := t.TempDir()
+	st, err := store.Open(dir, store.FsyncOff)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Put("fp-old", []byte(`{"old":1}`), nil); err != nil { // format 1: the bare fingerprint
+		t.Fatal(err)
+	}
+	s := New(Config{Workers: 1, DataDir: dir})
+	defer s.Close()
+	var runs int
+	r, err := s.results.Do(context.Background(), s.pool, "fp-old", func(context.Context) (result, error) {
+		runs++
+		return result{val: []byte(`{"new":1}`)}, nil
+	})
+	if err != nil || runs != 1 || string(r.val) != `{"new":1}` {
+		t.Fatalf("got %q after %d runs (err %v); want the recomputed bytes from one run", r.val, runs, err)
+	}
+	if disk := s.storeTier.Stats(); disk.Hits != 0 || disk.Misses != 1 {
+		t.Fatalf("disk tier = %+v, want the old entry read as a miss", disk)
+	}
+	if payload, _, err := st.Get(resultFormat + "fp-old"); err != nil || string(payload) != `{"new":1}` {
+		t.Fatalf("current-format entry = %q, %v; want the recomputed bytes", payload, err)
 	}
 }
 

@@ -310,6 +310,8 @@ func TestBadRequests(t *testing.T) {
 	checkCode(err, http.StatusBadRequest, "unknown app")
 	_, err = c.SubmitSim(ctx, server.SimRequest{Apps: []string{"mcf"}, DRAM: "sdram"})
 	checkCode(err, http.StatusBadRequest, "unknown dram kind")
+	_, err = c.SubmitSim(ctx, server.SimRequest{Apps: []string{"mcf"}, Faults: "bitflip:rate=1e-6"})
+	checkCode(err, http.StatusBadRequest, "removed fault clause")
 	_, err = c.SubmitFigure(ctx, server.FigRequest{Fig: "11"})
 	checkCode(err, http.StatusBadRequest, "unknown figure")
 	_, err = c.Job(ctx, "j-999999")

@@ -195,18 +195,15 @@ type (
 func NewObserver(o ObsOptions) *Observer { return obs.New(o) }
 
 // Fault injection and resilience (see DESIGN.md §10): attach a FaultPlan via
-// Config.Faults to inject seeded transient bit flips, stuck rows, request
-// drops, and a hard mid-run channel failure; Result.Faults and
-// Result.Failover report what happened and what it cost.
+// Config.Faults to inject seeded read drops (retried with backoff) and a hard
+// mid-run channel failure; Result.Faults and Result.Failover report what
+// happened and what it cost.
 type (
 	// FaultPlan describes what to inject; nil injects nothing.
 	FaultPlan = faults.Plan
-	// StuckRow pins a (channel, chip, bank, row) to permanent multi-bit
-	// corruption.
-	StuckRow = faults.StuckRow
 	// ChannelFail hard-fails one channel at a planned cycle.
 	ChannelFail = faults.ChannelFail
-	// FaultReport is the end-of-run fault/ECC/retry accounting.
+	// FaultReport is the end-of-run drop/retry/failover accounting.
 	FaultReport = core.FaultReport
 	// FailoverReport measures IPC and latency around a channel failure.
 	FailoverReport = core.FailoverReport
@@ -215,6 +212,6 @@ type (
 )
 
 // ParseFaultPlan parses a fault spec like
-// "bitflip:rate=1e-6,seed=7;channel-fail:ch=1,at=2000000;drop:rate=1e-7"
-// (the smtdram -faults syntax). An empty spec returns (nil, nil).
+// "drop:rate=1e-3,seed=7;channel-fail:ch=1,at=2000000" (the smtdram -faults
+// syntax). An empty spec returns (nil, nil).
 func ParseFaultPlan(spec string) (*FaultPlan, error) { return faults.Parse(spec) }
