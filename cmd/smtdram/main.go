@@ -30,7 +30,6 @@ import (
 	"smtdram/internal/obs"
 	"smtdram/internal/runner"
 	"smtdram/internal/server"
-	"smtdram/internal/stats"
 )
 
 func main() {
@@ -171,7 +170,7 @@ func main() {
 				cpi[k], err = bdJobs[i][k].Wait()
 				fatalIf(err)
 			}
-			b := stats.NewBreakdown(cpi[0], cpi[1], cpi[2], cpi[3])
+			b := core.NewBreakdown(cpi[0], cpi[1], cpi[2], cpi[3])
 			fmt.Printf("%-3d %-9s %10.3f %10.3f %10.3f %10.3f %10.3f\n",
 				i, app, b.Proc, b.L2, b.L3, b.Mem, b.Total())
 		}
@@ -279,7 +278,7 @@ func report(cfg core.Config, res core.Result, st obs.SkipStats) {
 			c.Name, c.Accesses, c.Misses, 100*c.MissRate, c.Writebacks)
 	}
 	fmt.Printf("outstanding while busy:")
-	for _, b := range stats.Bucketize(res.OutstandingHist, []int{1, 4, 8, 16}) {
+	for _, b := range core.Bucketize(res.OutstandingHist, []int{1, 4, 8, 16}) {
 		fmt.Printf("  %s: %.1f%%", b.Label, 100*b.Frac)
 	}
 	fmt.Println()

@@ -18,7 +18,7 @@
 // A Cache is safe for concurrent use and nil-safe: a nil *Cache runs every
 // configuration plainly, so callers thread an optional cache without
 // branching. Configurations that cannot checkpoint (no warmup phase, fault
-// plans, observers, trace sinks — see core.CheckpointSupported — or a cycle
+// plans, external sources, observers — see core.CheckpointSupported — or a cycle
 // budget that ends inside warmup) bypass the cache and are counted as such.
 package checkpoint
 

@@ -215,9 +215,6 @@ func TestCheckpointUnsupported(t *testing.T) {
 		{"observer", func(c *Config) {
 			c.Observe = func() *obs.Observer { return obs.New(obs.Options{Profile: true}) }
 		}},
-		{"trace-sink", func(c *Config) {
-			c.Mem.Trace = func(memctrl.TraceEvent) {}
-		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			cfg := fastCfg("mcf")

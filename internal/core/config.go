@@ -75,8 +75,6 @@ type MemConfig struct {
 	// TurnaroundNS is the bus direction-switch penalty in nanoseconds
 	// (0 = ideal bus, the paper's assumption).
 	TurnaroundNS int
-	// Trace, when non-nil, receives one event per serviced DRAM request.
-	Trace func(memctrl.TraceEvent)
 }
 
 // LogicalChannels returns the post-ganging channel count.

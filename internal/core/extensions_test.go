@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"smtdram/internal/memctrl"
+	"smtdram/internal/obs"
 )
 
 // End-to-end coverage for the beyond-the-paper extensions: refresh, bus
@@ -74,34 +75,59 @@ func TestCriticalityPolicyEndToEnd(t *testing.T) {
 	}
 }
 
+// Over the request-lifecycle trace: instants are stamped with the cycle that
+// emitted them, so they appear in nondecreasing order; each request is issued
+// no earlier than it was enqueued and completes strictly after its issue; and
+// every event lies inside the machine's geometry.
 func TestTraceEventsConsistent(t *testing.T) {
-	var events []memctrl.TraceEvent
+	ob := obs.New(obs.Options{Trace: true})
 	cfg := fastCfg("mcf", "ammp")
-	cfg.Mem.Trace = func(e memctrl.TraceEvent) { events = append(events, e) }
+	cfg.Observe = func() *obs.Observer { return ob }
 	res, err := Run(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if uint64(len(events)) < res.MemReads {
-		t.Fatalf("traced %d events but measured %d reads", len(events), res.MemReads)
-	}
 	geo, _ := cfg.Mem.Geometry()
-	var reads uint64
-	for _, e := range events {
-		if e.Done <= e.Issue || e.Issue < e.Arrive {
-			t.Fatalf("event time travel: %+v", e)
+	enqueued, issued := map[uint64]uint64{}, map[uint64]uint64{}
+	var now, issues, reads uint64
+	for _, e := range ob.Trace.Events() {
+		if e.End < e.At {
+			t.Fatalf("event ends before it starts: %+v", e)
+		}
+		if e.End == e.At {
+			if e.At < now {
+				t.Fatalf("instant at %d emitted after cycle %d: %+v", e.At, now, e)
+			}
+			now = e.At
 		}
 		if e.Channel < 0 || e.Channel >= geo.Channels ||
 			e.Bank < 0 || e.Bank >= geo.BanksPerChip ||
 			e.Chip < 0 || e.Chip >= geo.ChipsPerChannel {
 			t.Fatalf("event location out of range: %+v", e)
 		}
-		if e.Read {
-			reads++
-			if e.Thread < 0 || e.Thread > 1 {
-				t.Fatalf("read from thread %d", e.Thread)
+		switch e.Kind {
+		case obs.KEnqueue:
+			enqueued[e.ReqID] = e.At
+		case obs.KIssue:
+			if at, ok := enqueued[e.ReqID]; !ok || e.At < at {
+				t.Fatalf("issued before enqueue: %+v", e)
+			}
+			issued[e.ReqID] = e.At
+			issues++
+			if e.Read {
+				reads++
+				if e.Thread < 0 || e.Thread > 1 {
+					t.Fatalf("read from thread %d", e.Thread)
+				}
+			}
+		case obs.KDone:
+			if at, ok := issued[e.ReqID]; !ok || e.At <= at {
+				t.Fatalf("done without a prior issue: %+v", e)
 			}
 		}
+	}
+	if issues < res.MemReads {
+		t.Fatalf("traced %d dispatches but measured %d reads", issues, res.MemReads)
 	}
 	if reads == 0 {
 		t.Fatal("no read events traced")

@@ -5,8 +5,7 @@ import (
 	"math"
 	"testing"
 
-	"smtdram/internal/analysis"
-	"smtdram/internal/memctrl"
+	"smtdram/internal/dram"
 	"smtdram/internal/obs"
 )
 
@@ -104,35 +103,43 @@ func TestTraceDeterminism(t *testing.T) {
 	}
 }
 
-// The registry's aggregates must agree with the independent numbers computed
-// by the result collection and the offline analysis package.
+// The registry's aggregates must agree with the result collection and with
+// an independent recount from the request-lifecycle trace: every dispatch is
+// one KIssue carrying its row-buffer outcome, and every accepted read one
+// KEnqueue.
 func TestMetricsMatchAnalysis(t *testing.T) {
-	var coll analysis.Collector
-	traced := 0
-	ob, res := runObserved(t, obs.Options{Metrics: true, MetricsInterval: 1}, func(cfg *Config) {
+	ob, res := runObserved(t, obs.Options{Metrics: true, MetricsInterval: 1, Trace: true}, func(cfg *Config) {
 		cfg.WarmupInstr = 0 // measure from cycle 0 so cumulative counters align
-		cfg.Mem.Trace = func(e memctrl.TraceEvent) {
-			traced++
-			coll.Add(e)
-		}
 	})
-	if traced == 0 {
+	var issued, hits, reads uint64
+	for _, e := range ob.Trace.Events() {
+		switch {
+		case e.Kind == obs.KIssue:
+			issued++
+			if e.Outcome == dram.Hit.String() {
+				hits++
+			}
+		case e.Kind == obs.KEnqueue && e.Read:
+			reads++
+		}
+	}
+	if issued == 0 {
 		t.Fatal("no DRAM traffic")
 	}
-	sum, err := coll.Summarize()
-	if err != nil {
-		t.Fatal(err)
+	traceHitRate := float64(hits) / float64(issued)
+	if reads != res.MemReads {
+		t.Fatalf("trace enqueued %d reads, result %d", reads, res.MemReads)
+	}
+	if math.Abs(traceHitRate-(1-res.RowBufferMissRate)) > 1e-9 {
+		t.Fatalf("trace row hit rate %.6f != result %.6f", traceHitRate, 1-res.RowBufferMissRate)
 	}
 
 	hitRate, ok := ob.Reg.Value("memctrl.row_hit_rate", ob.FinalCycle)
 	if !ok {
 		t.Fatal("memctrl.row_hit_rate not registered")
 	}
-	if math.Abs(hitRate-sum.RowHitRate) > 1e-9 {
-		t.Fatalf("registry row hit rate %.6f != analysis %.6f", hitRate, sum.RowHitRate)
-	}
-	if math.Abs(hitRate-(1-res.RowBufferMissRate)) > 1e-9 {
-		t.Fatalf("registry row hit rate %.6f != result %.6f", hitRate, 1-res.RowBufferMissRate)
+	if math.Abs(hitRate-traceHitRate) > 1e-9 {
+		t.Fatalf("registry row hit rate %.6f != trace %.6f", hitRate, traceHitRate)
 	}
 
 	if v, ok := ob.Reg.Value("memctrl.reads", ob.FinalCycle); !ok || uint64(v) != res.MemReads {

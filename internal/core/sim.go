@@ -12,7 +12,6 @@ import (
 	"smtdram/internal/faults"
 	"smtdram/internal/memctrl"
 	"smtdram/internal/obs"
-	"smtdram/internal/stats"
 	"smtdram/internal/workload"
 )
 
@@ -192,7 +191,6 @@ func NewSimulator(cfg Config) (*Simulator, error) {
 		QueueDepth:       cfg.Mem.QueueDepth,
 		MaxInFlight:      cfg.Mem.MaxInFlight,
 		ThreadAwareFirst: cfg.Mem.ThreadAwareFirst,
-		Trace:            cfg.Mem.Trace,
 		Obs:              s.obs,
 		Threads:          len(cfg.Apps),
 		Injector:         faults.NewInjector(cfg.Faults),
@@ -539,8 +537,10 @@ func RunAloneContext(ctx context.Context, cfg Config, app string) (float64, erro
 }
 
 // WeightedSpeedup runs cfg's mix and divides by single-thread baselines on
-// the identical machine, caching baselines in baselineCache (keyed by app
-// name) when non-nil so figure sweeps don't rerun them.
+// the identical machine, caching baselines in baselineCache when non-nil so
+// figure sweeps don't rerun them. A baseline is keyed by the Fingerprint of
+// the one-thread configuration that measured it, so one cache may serve
+// several machines, seeds and lengths.
 func WeightedSpeedup(cfg Config, baselineCache map[string]float64) (float64, Result, error) {
 	res, err := Run(cfg)
 	if err != nil {
@@ -548,22 +548,23 @@ func WeightedSpeedup(cfg Config, baselineCache map[string]float64) (float64, Res
 	}
 	alone := make([]float64, len(cfg.Apps))
 	for i, app := range cfg.Apps {
-		if baselineCache != nil {
-			if v, ok := baselineCache[app]; ok {
-				alone[i] = v
-				continue
-			}
+		one := cfg
+		one.Apps = []string{app}
+		key := one.Fingerprint()
+		if v, ok := baselineCache[key]; ok {
+			alone[i] = v
+			continue
 		}
 		v, err := RunAlone(cfg, app)
 		if err != nil {
 			return 0, Result{}, err
 		}
 		if baselineCache != nil {
-			baselineCache[app] = v
+			baselineCache[key] = v
 		}
 		alone[i] = v
 	}
-	ws, err := stats.WeightedSpeedup(res.IPC, alone)
+	ws, err := SpeedupSum(res.IPC, alone)
 	if err != nil {
 		return 0, Result{}, err
 	}
@@ -574,7 +575,7 @@ func WeightedSpeedup(cfg Config, baselineCache map[string]float64) (float64, Res
 // paper's CPI attribution for a single application (Section 4.2), in
 // attribution order: realistic, perfect L3, perfect L2, perfect L1. The four
 // runs are independent, so callers may execute them concurrently and feed the
-// CPIs to stats.NewBreakdown in the same order.
+// CPIs to NewBreakdown in the same order.
 func CPIBreakdownConfigs(cfg Config, app string) [4]Config {
 	cfg.Apps = []string{app}
 	cfgs := [4]Config{cfg, cfg, cfg, cfg}
@@ -585,14 +586,14 @@ func CPIBreakdownConfigs(cfg Config, app string) [4]Config {
 }
 
 // CPIBreakdown runs the four-configuration attribution sequentially.
-func CPIBreakdown(cfg Config, app string) (stats.Breakdown, error) {
+func CPIBreakdown(cfg Config, app string) (Breakdown, error) {
 	var cpi [4]float64
 	for i, c := range CPIBreakdownConfigs(cfg, app) {
 		res, err := Run(c)
 		if err != nil {
-			return stats.Breakdown{}, err
+			return Breakdown{}, err
 		}
 		cpi[i] = 1 / res.IPC[0]
 	}
-	return stats.NewBreakdown(cpi[0], cpi[1], cpi[2], cpi[3]), nil
+	return NewBreakdown(cpi[0], cpi[1], cpi[2], cpi[3]), nil
 }

@@ -247,6 +247,34 @@ func TestWeightedSpeedupAndCache(t *testing.T) {
 	}
 }
 
+// A baseline cache shared across machines and lengths must only ever hand a
+// run the baselines of its own machine: each call answers as an uncached one.
+func TestWeightedSpeedupCacheKeyedByMachine(t *testing.T) {
+	short := fastCfg("gzip", "bzip2")
+	short.TargetInstr = 20_000
+	long := short
+	long.TargetInstr = 40_000
+	wide := short
+	wide.Mem.PhysChannels = 4
+	cache := map[string]float64{}
+	for _, cfg := range []Config{short, long, wide} {
+		cached, _, err := WeightedSpeedup(cfg, cache)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fresh, _, err := WeightedSpeedup(cfg, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if cached != fresh {
+			t.Fatalf("%s: shared-cache WS %v, uncached %v", cfg.Fingerprint(), cached, fresh)
+		}
+	}
+	if len(cache) != 6 {
+		t.Fatalf("baseline cache holds %d entries, want 6", len(cache))
+	}
+}
+
 func TestMoreChannelsHelpMEM(t *testing.T) {
 	cfg2 := fastCfg("mcf", "ammp", "swim", "lucas")
 	res2, err := Run(cfg2)

@@ -42,7 +42,7 @@ type Checkpoint struct {
 
 // CheckpointSupported reports whether cfg can participate in warmup
 // checkpointing. Unsupported configurations (no warmup phase, fault plans,
-// external instruction sources, attached observers or trace sinks) return a
+// external instruction sources, attached observers) return a
 // snap.ErrUnsupported-wrapped explanation; callers fall back to a plain run.
 func CheckpointSupported(cfg Config) error {
 	switch {
@@ -54,8 +54,6 @@ func CheckpointSupported(cfg Config) error {
 		return fmt.Errorf("%w: externally supplied instruction sources", snap.ErrUnsupported)
 	case cfg.Observe != nil:
 		return fmt.Errorf("%w: observer state is not serializable", snap.ErrUnsupported)
-	case cfg.Mem.Trace != nil:
-		return fmt.Errorf("%w: a DRAM trace sink would miss warmup events", snap.ErrUnsupported)
 	}
 	return nil
 }

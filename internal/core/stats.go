@@ -1,22 +1,22 @@
-// Package stats holds the measurement helpers the paper's evaluation uses:
-// weighted speedup for SMT workloads, the CPI-breakdown arithmetic of
-// Section 4.2, and histogram bucketing for the concurrency distributions of
-// Figures 4 and 5.
-package stats
+package core
 
 import "fmt"
 
-// WeightedSpeedup is the SMT metric of Tullsen & Brown used throughout the
-// paper: the sum over threads of IPC running together divided by IPC running
-// alone on the same machine.
-func WeightedSpeedup(together, alone []float64) (float64, error) {
+// The measurement arithmetic of the paper's evaluation, over what a Result
+// carries: weighted speedup for SMT workloads, the CPI breakdown of Section
+// 4.2, and the histogram bucketing of Figures 4 and 5.
+
+// SpeedupSum is the SMT metric of Tullsen & Brown used throughout the paper:
+// the sum over threads of IPC running together divided by IPC running alone
+// on the same machine.
+func SpeedupSum(together, alone []float64) (float64, error) {
 	if len(together) != len(alone) {
-		return 0, fmt.Errorf("stats: %d together IPCs vs %d alone IPCs", len(together), len(alone))
+		return 0, fmt.Errorf("core: %d together IPCs vs %d alone IPCs", len(together), len(alone))
 	}
 	var ws float64
 	for i := range together {
 		if alone[i] <= 0 {
-			return 0, fmt.Errorf("stats: thread %d has non-positive alone IPC %v", i, alone[i])
+			return 0, fmt.Errorf("core: thread %d has non-positive alone IPC %v", i, alone[i])
 		}
 		ws += together[i] / alone[i]
 	}
@@ -101,34 +101,4 @@ func Bucketize(hist []uint64, edges []int) []Bucket {
 	}
 	out = append(out, Bucket{Label: fmt.Sprintf(">%d", lo-1), Frac: frac(sumRange(lo, len(hist)-1))})
 	return out
-}
-
-// TailFrac returns the fraction of histogram mass at or above k
-// (conditioned on index ≥ 1), e.g. "probability more than eight requests
-// are presented" with k=9.
-func TailFrac(hist []uint64, k int) float64 {
-	var total, tail uint64
-	for i := 1; i < len(hist); i++ {
-		total += hist[i]
-		if i >= k {
-			tail += hist[i]
-		}
-	}
-	if total == 0 {
-		return 0
-	}
-	return float64(tail) / float64(total)
-}
-
-// Mean returns the weighted mean index of the histogram (index ≥ 1).
-func Mean(hist []uint64) float64 {
-	var total, sum uint64
-	for i := 1; i < len(hist); i++ {
-		total += hist[i]
-		sum += uint64(i) * hist[i]
-	}
-	if total == 0 {
-		return 0
-	}
-	return float64(sum) / float64(total)
 }

@@ -1,4 +1,4 @@
-package stats
+package core
 
 import (
 	"math"
@@ -8,18 +8,18 @@ import (
 
 func almost(a, b float64) bool { return math.Abs(a-b) < 1e-12 }
 
-func TestWeightedSpeedup(t *testing.T) {
-	ws, err := WeightedSpeedup([]float64{1, 2}, []float64{2, 2})
+func TestSpeedupSum(t *testing.T) {
+	ws, err := SpeedupSum([]float64{1, 2}, []float64{2, 2})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !almost(ws, 1.5) {
 		t.Fatalf("WS = %v, want 1.5", ws)
 	}
-	if _, err := WeightedSpeedup([]float64{1}, []float64{1, 2}); err == nil {
+	if _, err := SpeedupSum([]float64{1}, []float64{1, 2}); err == nil {
 		t.Fatal("length mismatch accepted")
 	}
-	if _, err := WeightedSpeedup([]float64{1}, []float64{0}); err == nil {
+	if _, err := SpeedupSum([]float64{1}, []float64{0}); err == nil {
 		t.Fatal("zero alone-IPC accepted")
 	}
 }
@@ -37,7 +37,7 @@ func TestPropertyWSIdentity(t *testing.T) {
 		if len(ipcs) == 0 {
 			return true
 		}
-		ws, err := WeightedSpeedup(ipcs, ipcs)
+		ws, err := SpeedupSum(ipcs, ipcs)
 		return err == nil && math.Abs(ws-float64(len(ipcs))) < 1e-9
 	}
 	if err := quick.Check(f, nil); err != nil {
@@ -120,29 +120,5 @@ func TestPropertyBucketsPartition(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestTailFrac(t *testing.T) {
-	hist := make([]uint64, 20)
-	hist[2] = 30
-	hist[10] = 70
-	if got := TailFrac(hist, 9); !almost(got, 0.7) {
-		t.Fatalf("TailFrac = %v, want 0.7", got)
-	}
-	if got := TailFrac(make([]uint64, 5), 2); got != 0 {
-		t.Fatalf("TailFrac of empty = %v", got)
-	}
-}
-
-func TestMean(t *testing.T) {
-	hist := make([]uint64, 10)
-	hist[2] = 1
-	hist[4] = 1
-	if got := Mean(hist); !almost(got, 3) {
-		t.Fatalf("Mean = %v, want 3", got)
-	}
-	if got := Mean(make([]uint64, 4)); got != 0 {
-		t.Fatalf("Mean of empty = %v", got)
 	}
 }

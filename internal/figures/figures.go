@@ -24,7 +24,6 @@ import (
 	"smtdram/internal/memctrl"
 	"smtdram/internal/report"
 	"smtdram/internal/runner"
-	"smtdram/internal/stats"
 	"smtdram/internal/workload"
 )
 
@@ -324,7 +323,7 @@ func (j simJob) Wait() (cell, error) {
 			return cell{}, err
 		}
 	}
-	ws, err := stats.WeightedSpeedup(res.IPC, alone)
+	ws, err := core.SpeedupSum(res.IPC, alone)
 	return cell{res, ws}, err
 }
 
@@ -443,7 +442,7 @@ func fig1(o Options, apps []workload.Mix) (Grid, error) {
 		[]string{"app", "CPIproc", "CPIL2", "CPIL3", "CPImem", "total"}, apps, runs, false,
 		func(_ workload.Mix, cells []cell) []float64 {
 			cpi := perCell(cells, func(c cell) float64 { return 1 / c.res.IPC[0] })
-			b := stats.NewBreakdown(cpi[0], cpi[1], cpi[2], cpi[3])
+			b := core.NewBreakdown(cpi[0], cpi[1], cpi[2], cpi[3])
 			return []float64{b.Proc, b.L2, b.L3, b.Mem, b.Total()}
 		})
 	sort.Slice(g.Rows, func(i, j int) bool { return g.Rows[i].Values[3] < g.Rows[j].Values[3] })
@@ -483,7 +482,7 @@ func baseMachine() []variant { return []variant{{"base", func(*core.Config) {}}}
 func fig4(o Options, mixes []workload.Mix) (Grid, error) {
 	edges := []int{1, 4, 8, 16}
 	buckets := func(hist []uint64) (labels []string, fracs []float64) {
-		for _, b := range stats.Bucketize(hist, edges) {
+		for _, b := range core.Bucketize(hist, edges) {
 			labels, fracs = append(labels, b.Label), append(fracs, b.Frac)
 		}
 		return labels, fracs

@@ -45,9 +45,8 @@ func TestFig6RowsIdenticalWithCheckpoints(t *testing.T) {
 // TestFig6SweepSimcyclesPerPoint pins the tentpole invariant at sweep-point
 // granularity: across the standard Figure 6 grid (every mix × the figure's
 // own channel axis), a run forked from a warmup checkpoint reports exactly
-// the simulated cycle count of an uninterrupted run, point by point. The
-// summed total is logged for the CI checkpoint-smoke gate, which pins it the
-// way bench-smoke pins 225974/968233.
+// the simulated cycle count of an uninterrupted run, point by point, and the
+// summed total is pinned.
 func TestFig6SweepSimcyclesPerPoint(t *testing.T) {
 	o := Options{Warmup: 10_000, Target: 10_000, Seed: 42}
 	mixes, axis := workload.Mixes(), channels()
@@ -86,5 +85,7 @@ func TestFig6SweepSimcyclesPerPoint(t *testing.T) {
 	if st.Misses != uint64(len(prefixes)) || st.Forks != uint64(points) {
 		t.Fatalf("cache counters = %+v, want %d misses and %d forks", st, len(prefixes), points)
 	}
-	t.Logf("fig6 sweep: %d points, total simcycles = %d", points, total)
+	if points != 27 || total != 2076104 {
+		t.Fatalf("fig6 sweep: %d points, total simcycles = %d; want 27 and 2076104", points, total)
+	}
 }

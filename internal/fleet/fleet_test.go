@@ -10,12 +10,14 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"smtdram/internal/core"
 	"smtdram/internal/fleet"
+	"smtdram/internal/obs"
 	"smtdram/internal/server"
 	"smtdram/internal/server/client"
 	"smtdram/internal/store"
@@ -483,6 +485,42 @@ func TestNodeOfJobID(t *testing.T) {
 	for id, want := range cases {
 		if got := fleet.NodeOfJobID(id); got != want {
 			t.Errorf("NodeOfJobID(%q) = %q, want %q", id, got, want)
+		}
+	}
+}
+
+// TestMetricsExpositionLabeled runs the strict exposition parser over a fleet
+// worker's and the coordinator's /metrics after real traffic. Both render
+// every sample with node_id/role labels (histogram buckets merge them with
+// le), a form a standalone daemon's unlabeled exposition never exercises.
+func TestMetricsExpositionLabeled(t *testing.T) {
+	f := startFleet(t, fleet.LocalConfig{
+		Nodes:  []fleet.LocalNode{{ID: "w1"}},
+		Worker: server.Config{Logger: testLogger(t)},
+	})
+	submitAndWait(t, client.New(f.CoordURL), smallSim(1))
+	for _, tc := range []struct{ url, labels string }{
+		{f.Workers[0].URL, `node_id="w1",role="worker"`},
+		{f.CoordURL, `node_id="coordinator",role="coordinator"`},
+	} {
+		resp, err := http.Get(tc.url + "/metrics")
+		if err != nil {
+			t.Fatal(err)
+		}
+		fams, err := obs.ParsePrometheus(resp.Body)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatalf("%s/metrics violates the format: %v", tc.url, err)
+		}
+		if len(fams) == 0 {
+			t.Fatalf("%s/metrics has no families", tc.url)
+		}
+		for _, fam := range fams {
+			for key := range fam.Samples {
+				if !strings.Contains(key, "{"+tc.labels) {
+					t.Fatalf("%s/metrics: sample %q lacks labels %s", tc.url, key, tc.labels)
+				}
+			}
 		}
 	}
 }

@@ -116,8 +116,9 @@ type Config struct {
 	// important than the latency of an individual access"); the ablation
 	// benchmark exists to check that claim.
 	ThreadAwareFirst bool
-	// Trace, when non-nil, receives one event per serviced DRAM request —
-	// the raw material for offline scheduling analysis (cmd/tracedump).
+	// Trace, when non-nil, receives one event per serviced DRAM request.
+	// Only drivers that assemble a controller by hand set it (cmd/bench
+	// records a stream to replay); a run shows its requests through Obs.
 	Trace func(TraceEvent)
 	// Obs, when non-nil, attaches the observability layer: the controller
 	// emits request-lifecycle events into Obs.Trace and registers its

@@ -124,29 +124,6 @@ func TestTracerFinishCancelsOpenRequests(t *testing.T) {
 	}
 }
 
-func TestFilter(t *testing.T) {
-	th0, ch1 := 0, 1
-	events := []Event{
-		{Kind: KEnqueue, At: 10, End: 10, ReqID: 1, Thread: 0, Channel: 0},
-		{Kind: KEnqueue, At: 20, End: 20, ReqID: 2, Thread: 1, Channel: 1},
-		{Kind: KData, At: 30, End: 40, ReqID: 1, Thread: 0, Channel: 0},
-	}
-	if got := FilterEvents(events, Filter{Thread: &th0}); len(got) != 2 {
-		t.Fatalf("thread filter kept %d, want 2", len(got))
-	}
-	if got := FilterEvents(events, Filter{Channel: &ch1}); len(got) != 1 || got[0].ReqID != 2 {
-		t.Fatalf("channel filter = %+v", got)
-	}
-	// Range [35, 100]: the spanning KData event overlaps, the instants do not.
-	if got := FilterEvents(events, Filter{From: 35, To: 100}); len(got) != 1 || got[0].Kind != KData {
-		t.Fatalf("range filter = %+v", got)
-	}
-	// To == 0 means unbounded.
-	if got := FilterEvents(events, Filter{From: 15}); len(got) != 2 {
-		t.Fatalf("open range kept %d, want 2", len(got))
-	}
-}
-
 func TestGroupByRequest(t *testing.T) {
 	events := []Event{
 		{Kind: KEnqueue, ReqID: 5},

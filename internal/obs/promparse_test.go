@@ -48,7 +48,7 @@ func TestParsePrometheusValid(t *testing.T) {
 }
 
 // TestParsePrometheusViolations: each class of format breakage is rejected
-// with an error mentioning the offense — the teeth behind CI's promlint.
+// with an error mentioning the offense.
 func TestParsePrometheusViolations(t *testing.T) {
 	cases := []struct {
 		name, input, wantErr string

@@ -199,46 +199,6 @@ func reqCat(read bool) string {
 	return "write"
 }
 
-// Filter selects a subset of a trace. Nil pointer fields match anything.
-type Filter struct {
-	// Thread, Channel, Bank restrict by location (writebacks are thread -1).
-	Thread, Channel, Bank *int
-	// From/To bound the cycle range: an event is kept when it overlaps
-	// [From, To]. To == 0 means unbounded.
-	From, To uint64
-}
-
-// Match reports whether e passes the filter.
-func (f Filter) Match(e Event) bool {
-	if f.Thread != nil && e.Thread != *f.Thread {
-		return false
-	}
-	if f.Channel != nil && e.Channel != *f.Channel {
-		return false
-	}
-	if f.Bank != nil && e.Bank != *f.Bank {
-		return false
-	}
-	if e.End < f.From {
-		return false
-	}
-	if f.To != 0 && e.At > f.To {
-		return false
-	}
-	return true
-}
-
-// FilterEvents returns the events matching f, preserving order.
-func FilterEvents(events []Event, f Filter) []Event {
-	out := make([]Event, 0, len(events))
-	for _, e := range events {
-		if f.Match(e) {
-			out = append(out, e)
-		}
-	}
-	return out
-}
-
 // GroupByRequest splits a trace into per-request event groups, ordered by
 // each request's first appearance.
 func GroupByRequest(events []Event) [][]Event {

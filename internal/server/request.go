@@ -18,11 +18,10 @@ import (
 )
 
 // SimRequest is one simulation described by names — the wire form of a
-// submission, and the struct cmd/smtdram and cmd/tracedump fill from their
-// flags. Config is the only function that turns those names into a
-// core.Config, so a request that mirrors a CLI invocation builds the
-// identical machine: the root of the byte-identical guarantee. Zero values
-// mean core.DefaultConfig's.
+// submission, and the struct cmd/smtdram fills from its flags. Config is the
+// only function that turns those names into a core.Config, so a request that
+// mirrors a CLI invocation builds the identical machine: the root of the
+// byte-identical guarantee. Zero values mean core.DefaultConfig's.
 type SimRequest struct {
 	// Mix names a Table 2 mix (overrides Apps), Apps lists one application
 	// per hardware thread.

@@ -288,8 +288,7 @@ func TestStatsPhasePartition(t *testing.T) {
 }
 
 // TestMetricsExpositionStrictlyValid runs the strict Prometheus parser over
-// the live daemon's full /metrics output after real traffic — the in-process
-// version of CI's promlint gate.
+// the live daemon's full /metrics output after real traffic.
 func TestMetricsExpositionStrictlyValid(t *testing.T) {
 	_, c := newTestDaemon(t, server.Config{})
 	ctx := context.Background()

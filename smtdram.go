@@ -35,7 +35,6 @@ import (
 	"smtdram/internal/faults"
 	"smtdram/internal/memctrl"
 	"smtdram/internal/obs"
-	"smtdram/internal/stats"
 	"smtdram/internal/workload"
 )
 
@@ -56,7 +55,7 @@ type (
 	// DRAMKind selects DDR SDRAM or Direct Rambus.
 	DRAMKind = core.DRAMKind
 	// Breakdown is a CPI attribution across the memory hierarchy.
-	Breakdown = stats.Breakdown
+	Breakdown = core.Breakdown
 	// Mix is a Table 2 workload.
 	Mix = workload.Mix
 	// App is a synthetic SPEC CPU2000 application model.
@@ -123,8 +122,8 @@ func Run(cfg Config) (Result, error) { return core.Run(cfg) }
 func RunAlone(cfg Config, app string) (float64, error) { return core.RunAlone(cfg, app) }
 
 // WeightedSpeedup runs cfg's mix and divides per-thread IPCs by single-thread
-// baselines on the identical machine. baselineCache (keyed by app name) may
-// be nil.
+// baselines on the identical machine. baselineCache (keyed by the one-thread
+// configuration's Fingerprint) may be nil.
 func WeightedSpeedup(cfg Config, baselineCache map[string]float64) (float64, Result, error) {
 	return core.WeightedSpeedup(cfg, baselineCache)
 }
@@ -150,9 +149,6 @@ func MixByName(name string) (Mix, error) { return workload.MixByName(name) }
 // Source produces a thread's dynamic instruction stream. The synthetic
 // application models implement it; so does Replay, for recorded traces.
 type Source = cpu.Source
-
-// TraceEvent describes one serviced DRAM request (see Config.Mem.Trace).
-type TraceEvent = memctrl.TraceEvent
 
 // Replay replays a recorded instruction trace as a Source.
 type Replay = workload.Replay
@@ -181,8 +177,6 @@ type (
 	LifecycleTracer = obs.Tracer
 	// LifecycleEvent is one structured request-lifecycle record.
 	LifecycleEvent = obs.Event
-	// LifecycleFilter selects a subset of a lifecycle trace.
-	LifecycleFilter = obs.Filter
 )
 
 // NewObserver builds an Observer, or nil when every subsystem is off. Typical
