@@ -92,12 +92,11 @@ func (c Config) Validate() error {
 	return nil
 }
 
-// line is one way of one set, 16 bytes: w is tag<<flagBits under the three
-// flags (zero: an empty way), used the LRU stamp.
-type line struct {
-	w    uint64
-	used uint64
-}
+// line is one way of one set, one word: tag<<flagBits under the three flags
+// (zero: an empty way). A set keeps its ways most recently used first, and
+// nothing invalidates a line, so empty ways trail the valid ones and the LRU
+// victim is always the last way.
+type line struct{ w uint64 }
 
 const (
 	lineValid      uint64 = 1 << iota
@@ -182,7 +181,7 @@ type Level struct {
 	q     *event.Queue
 	lower Backend
 	// lines is every way of every set in one slab; set si is
-	// lines[si*assoc:][:assoc].
+	// lines[si*assoc:][:assoc], most recently used first.
 	lines []line
 	assoc uint64
 	nsets uint64
@@ -193,7 +192,6 @@ type Level struct {
 	// mshrs is the MSHR file: at most cfg.MSHRs live misses in no order, one
 	// per line address, found by scanning (Table 1 has 16 of them).
 	mshrs []*mshr
-	tick  uint64 // LRU clock
 
 	// snapID names this level in snapshot references (see SetSnapID).
 	snapID uint8
@@ -312,16 +310,30 @@ func (l *Level) victimAddr(set, tag uint64) uint64 { return (tag*l.nsets + set) 
 // set returns the ways of set si.
 func (l *Level) set(si uint64) []line { return l.lines[si*l.assoc:][:l.assoc] }
 
-// lookup returns the way holding addr, or nil.
-func (l *Level) lookup(la uint64) *line {
+// lookup returns la's set and the index of the way holding la, or -1. It
+// leaves the recency order as it is.
+func (l *Level) lookup(la uint64) ([]line, int) {
 	si, tag := l.index(la)
 	set, want := l.set(si), tag<<flagBits|lineValid
 	for i := range set {
 		if set[i].w&^(lineDirty|linePrefetched) == want {
-			return &set[i]
+			return set, i
 		}
 	}
-	return nil
+	return set, -1
+}
+
+// touch is a demand hit's lookup: it moves the way holding la to the front of
+// its set and returns it there, or returns nil.
+func (l *Level) touch(la uint64) *line {
+	set, i := l.lookup(la)
+	if i < 0 {
+		return nil
+	}
+	hit := set[i]
+	copy(set[1:i+1], set[:i])
+	set[0] = hit
+	return &set[0]
 }
 
 // ReadLine implements Backend.
@@ -332,9 +344,7 @@ func (l *Level) ReadLine(now uint64, addr uint64, meta Meta, done event.Filler) 
 		l.complete(now+l.cfg.Latency, done)
 		return true
 	}
-	if ln := l.lookup(la); ln != nil {
-		l.tick++
-		ln.used = l.tick
+	if ln := l.touch(la); ln != nil {
 		l.notePrefetchHit(now, la, ln, meta)
 		l.complete(now+l.cfg.Latency, done)
 		return true
@@ -352,9 +362,7 @@ func (l *Level) Probe(now uint64, addr uint64, meta Meta, fill event.Filler) (hi
 	if l.cfg.Perfect {
 		return true, true
 	}
-	if ln := l.lookup(la); ln != nil {
-		l.tick++
-		ln.used = l.tick
+	if ln := l.touch(la); ln != nil {
 		l.notePrefetchHit(now, la, ln, meta)
 		return true, true
 	}
@@ -371,9 +379,7 @@ func (l *Level) WriteLine(now uint64, addr uint64, meta Meta) bool {
 	if l.cfg.Perfect {
 		return true
 	}
-	if ln := l.lookup(la); ln != nil {
-		l.tick++
-		ln.used = l.tick
+	if ln := l.touch(la); ln != nil {
 		ln.w |= lineDirty
 		return true
 	}
@@ -399,7 +405,7 @@ func (l *Level) WouldBlock(addr uint64) bool {
 		return false
 	}
 	la := l.lineAddr(addr)
-	if l.lookup(la) != nil {
+	if _, i := l.lookup(la); i >= 0 {
 		return false
 	}
 	if l.mshrFor(la) != nil {
@@ -417,9 +423,7 @@ func (l *Level) Store(now uint64, addr uint64, meta Meta) bool {
 	if l.cfg.Perfect {
 		return true
 	}
-	if ln := l.lookup(la); ln != nil {
-		l.tick++
-		ln.used = l.tick
+	if ln := l.touch(la); ln != nil {
 		ln.w |= lineDirty
 		return true
 	}
@@ -480,27 +484,17 @@ func (l *Level) releaseMSHR(m *mshr) {
 // lower level refused. A handful of cycles: short against DRAM latencies.
 const retryGap = 8
 
-// install places la in its set with flags (lineDirty, linePrefetched or
-// neither) set, evicting the LRU way; dirty victims are written back down.
+// install places la at the front of its set with flags (lineDirty,
+// linePrefetched or neither) set, evicting the last way, which is empty or
+// the LRU line; a dirty victim is written back down.
 func (l *Level) install(now uint64, la uint64, flags uint64) {
 	si, tag := l.index(la)
 	set := l.set(si)
-	victim := 0
-	for i := range set {
-		if set[i].w&lineValid == 0 {
-			victim = i
-			break
-		}
-		if set[i].used < set[victim].used {
-			victim = i
-		}
+	if v := set[len(set)-1].w; v&(lineValid|lineDirty) == lineValid|lineDirty {
+		l.writeback(now, l.victimAddr(si, v>>flagBits))
 	}
-	v := &set[victim]
-	if v.w&(lineValid|lineDirty) == lineValid|lineDirty {
-		l.writeback(now, l.victimAddr(si, v.w>>flagBits))
-	}
-	l.tick++
-	*v = line{w: tag<<flagBits | lineValid | flags, used: l.tick}
+	copy(set[1:], set)
+	set[0] = line{w: tag<<flagBits | lineValid | flags}
 	if l.Wake != nil {
 		l.Wake()
 	}
@@ -568,5 +562,6 @@ func (l *Level) Contains(addr uint64) bool {
 	if l.cfg.Perfect {
 		return true
 	}
-	return l.lookup(l.lineAddr(addr)) != nil
+	_, i := l.lookup(l.lineAddr(addr))
+	return i >= 0
 }

@@ -13,9 +13,10 @@ import (
 	"smtdram/internal/snap"
 )
 
-// The packed line layout (one slab a level, tag and flags in one word) against
-// a model that has neither: a map from set index to that set's resident lines
-// in recency order, indexed by plain division.
+// The packed line layout (one slab a level, tag and flags in one word, each
+// set's ways most recently used first) against a model that has none of it: a
+// map from set index to that set's resident lines in recency order, least
+// recently used first, indexed by plain division.
 
 type refLine struct {
 	la                uint64
@@ -125,18 +126,21 @@ func (w *logLower) WriteLine(_ uint64, addr uint64, _ Meta) bool {
 }
 
 // sameResidents checks that the level holds exactly the model's lines, with
-// the model's flags.
+// the model's flags, each set in the model's recency order.
 func sameResidents(t *testing.T, l *Level, m *refModel, op int) {
 	t.Helper()
 	want := 0
 	for _, s := range m.sets {
 		want += len(s)
-		for _, r := range s {
-			ln := l.lookup(r.la)
-			if ln == nil {
+		for j, r := range s {
+			set, i := l.lookup(r.la)
+			if i < 0 {
 				t.Fatalf("op %d: line %#x is in the model but not the level", op, r.la)
 			}
-			if dirty, pf := ln.w&lineDirty != 0, ln.w&linePrefetched != 0; dirty != r.dirty || pf != r.prefetched {
+			if i != len(s)-1-j {
+				t.Fatalf("op %d: line %#x is way %d of its set, the model has it %d from the front", op, r.la, i, len(s)-1-j)
+			}
+			if dirty, pf := set[i].w&lineDirty != 0, set[i].w&linePrefetched != 0; dirty != r.dirty || pf != r.prefetched {
 				t.Fatalf("op %d: line %#x is dirty=%v prefetched=%v, model says %v/%v", op, r.la, dirty, pf, r.dirty, r.prefetched)
 			}
 		}
@@ -322,15 +326,17 @@ func TestRestoreIntoUsedLevel(t *testing.T) {
 		if again := levelFrame(t, l); !bytes.Equal(again, frame) {
 			t.Fatalf("%s: re-saved frame differs (%d vs %d bytes)", name, len(again), len(frame))
 		}
-		if !reflect.DeepEqual(l.lines, src.lines) || l.tick != src.tick || l.Stats != src.Stats || l.Prefetch != src.Prefetch {
+		if !reflect.DeepEqual(l.lines, src.lines) || l.Stats != src.Stats || l.Prefetch != src.Prefetch {
 			t.Fatalf("%s: restored level differs from the one saved", name)
 		}
 	}
 }
 
 // The line section's own defences (the sticky reader has the rest): a bitmap
-// bit past the slab, a listed line that is not valid, and a bitmap that lists
-// more lines than the payload holds.
+// bit past the slab, a listed line that is not valid, a bitmap that lists more
+// lines than the payload holds, and a set the hit and install paths could not
+// have left: a valid way behind an empty one (the victim is the last way, so
+// the frame would change which line is evicted), or one tag in two ways.
 func TestLineSectionRejects(t *testing.T) {
 	cfg := Config{Name: "L", SizeBytes: 12 * 64, Assoc: 3, LineBytes: 64, Latency: 1, MSHRs: 1}
 	var q event.Queue
@@ -360,20 +366,23 @@ func TestLineSectionRejects(t *testing.T) {
 	line := func(tag uint64) uint64 { return tag<<flagBits | lineValid }
 	const noMSHRs = 0
 
-	if err := loadLevel(empty, craft(1<<3|1<<11, line(7), 1, line(9)|lineDirty, 2, noMSHRs)); err != nil {
-		t.Fatalf("a well-formed two-line section: %v", err)
+	// Slots 3 and 4 are ways 0 and 1 of set 1, slot 9 way 0 of set 3.
+	if err := loadLevel(empty, craft(1<<3|1<<4|1<<9, line(7), line(8), line(9)|lineDirty, noMSHRs)); err != nil {
+		t.Fatalf("a well-formed three-line section: %v", err)
 	}
-	if !empty.Contains(empty.victimAddr(1, 7)) || !empty.Contains(empty.victimAddr(3, 9)) {
-		t.Fatal("the two listed lines did not land in slots 3 and 11")
+	if s1, s3 := empty.set(1), empty.set(3); s1[0].w != line(7) || s1[1].w != line(8) || s1[2].w != 0 || s3[0].w != line(9)|lineDirty {
+		t.Fatal("the three listed lines did not land in slots 3, 4 and 9")
 	}
 	for _, tc := range []struct {
 		name  string
 		frame []byte
 		want  error
 	}{
-		{"bit past the slab", craft(1<<12, line(7), 1, noMSHRs), snap.ErrCorrupt},
-		{"listed line lacks the valid flag", craft(1<<3, 7<<flagBits|lineDirty, 1, noMSHRs), snap.ErrCorrupt},
-		{"two lines listed, one present", craft(1<<3|1<<5, line(7), 1), snap.ErrTruncated},
+		{"bit past the slab", craft(1<<12, line(7), noMSHRs), snap.ErrCorrupt},
+		{"listed line lacks the valid flag", craft(1<<3, 7<<flagBits|lineDirty, noMSHRs), snap.ErrCorrupt},
+		{"two lines listed, one present", craft(1<<3|1<<4, line(7)), snap.ErrTruncated},
+		{"a valid way behind an empty one", craft(1<<4, line(7), noMSHRs), snap.ErrCorrupt},
+		{"one tag in two ways of a set", craft(1<<3|1<<4, line(7), line(7)|lineDirty, noMSHRs), snap.ErrCorrupt},
 	} {
 		if err := loadLevel(empty, tc.frame); !errors.Is(err, tc.want) {
 			t.Errorf("%s: got %v, want %v", tc.name, err, tc.want)

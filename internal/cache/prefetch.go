@@ -31,7 +31,7 @@ func (l *Level) maybePrefetch(now uint64, la uint64, meta Meta) {
 		return
 	}
 	next := la + uint64(l.cfg.LineBytes)
-	if l.lookup(next) != nil {
+	if _, i := l.lookup(next); i >= 0 {
 		l.Prefetch.Dropped++
 		return
 	}
@@ -96,7 +96,7 @@ func (p *pfFill) OnFill(fillAt uint64) {
 		l.Prefetch.Late++
 		return
 	}
-	if l.lookup(la) == nil {
+	if _, i := l.lookup(la); i < 0 {
 		l.install(fillAt, la, linePrefetched) // clean, and tagged until a demand access hits it
 	}
 }

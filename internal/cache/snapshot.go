@@ -1,8 +1,8 @@
 package cache
 
 // The cache hierarchy's snapshot walks (DESIGN §15): each Level walks its
-// valid lines, LRU clock, MSHR file (including waiter references), writeback
-// buffer, and prefetch state; the MemBackend walks its retry buffer and
+// valid lines in recency order, MSHR file (including waiter references),
+// writeback buffer, and prefetch state; the MemBackend walks its retry buffer and
 // request-ID counter. References to pending completions are typed snap.Refs,
 // resolved back to live objects by the core resolver when loading.
 
@@ -83,7 +83,6 @@ func (l *Level) Snap(c *snap.Codec, resolve event.Resolver) error {
 	if c.U8(&id); id != l.snapID {
 		c.Fail(fmt.Errorf("%w: level snapshot for id %d, restoring into %d", snap.ErrCorrupt, id, l.snapID))
 	}
-	c.U64(&l.tick)
 	c.U64(&l.Stats.Accesses)
 	c.U64(&l.Stats.Misses)
 	c.U64(&l.Stats.Merged)
@@ -114,9 +113,10 @@ func (l *Level) Snap(c *snap.Codec, resolve event.Resolver) error {
 		c.Fail(fmt.Errorf("%w: snapshot perfect=%v, level perfect=%v", snap.ErrCorrupt, perfect, l.cfg.Perfect))
 	}
 	// The lines (a perfect level has none): a bitmap of the valid slab slots,
-	// its length fixed by the geometry, then each valid line's two words in
-	// slot order. An empty way costs its bit, so a frame and a restore are
-	// sized by the lines the warmup touched, not by the capacity.
+	// its length fixed by the geometry, then each valid line's word in slot
+	// (so recency) order. An empty way costs its bit, so a frame and a restore
+	// are sized by the lines the warmup touched. A load keeps what install
+	// keeps: a set's valid ways first (its last way is the victim), no tag twice.
 	valid := make([]uint64, (len(l.lines)+63)/64)
 	if c.Loading() {
 		clear(l.lines)
@@ -135,9 +135,14 @@ func (l *Level) Snap(c *snap.Codec, resolve event.Resolver) error {
 			}
 			ln := &l.lines[i]
 			c.U64(&ln.w)
-			c.U64(&ln.used)
-			if ln.w&lineValid == 0 {
+			ahead := l.lines[i-i%int(l.assoc) : i] // the ways before it in its set
+			switch {
+			case ln.w&lineValid == 0:
 				c.Fail(fmt.Errorf("%w: %s line %d is listed but not valid (%#x)", snap.ErrCorrupt, l.cfg.Name, i, ln.w))
+			case slices.ContainsFunc(ahead, func(o line) bool { return o.w == 0 }):
+				c.Fail(fmt.Errorf("%w: %s line %d follows an empty way of its set", snap.ErrCorrupt, l.cfg.Name, i))
+			case slices.ContainsFunc(ahead, func(o line) bool { return o.w>>flagBits == ln.w>>flagBits }):
+				c.Fail(fmt.Errorf("%w: %s line %d repeats a tag of its set (%#x)", snap.ErrCorrupt, l.cfg.Name, i, ln.w))
 			}
 		}
 	}

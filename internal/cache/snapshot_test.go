@@ -26,13 +26,12 @@ var snapshotFieldClass = map[string]string{
 	"Level.cfg":        "wiring",
 	"Level.q":          "wiring",
 	"Level.lower":      "wiring",
-	"Level.lines":      "serialized", // the valid ones; an empty way is its zero bit in the bitmap
+	"Level.lines":      "serialized", // the valid ones, in slot (so recency) order; an empty way is its zero bit in the bitmap
 	"Level.assoc":      "wiring",
 	"Level.nsets":      "wiring",
 	"Level.lineShift":  "wiring",
 	"Level.setShift":   "wiring",
 	"Level.mshrs":      "serialized",
-	"Level.tick":       "serialized",
 	"Level.snapID":     "wiring", // written, but as a guard: loading compares it and never assigns it
 	"Level.pendingWB":  "serialized",
 	"Level.wbretry":    "wiring",
@@ -52,8 +51,7 @@ var snapshotFieldClass = map[string]string{
 	"mshr.l":       "wiring",
 	"mshr.meta":    "serialized",
 
-	"line.w":    "serialized",
-	"line.used": "serialized",
+	"line.w": "serialized",
 
 	"wbEntry.addr": "serialized",
 	"wbEntry.meta": "serialized",

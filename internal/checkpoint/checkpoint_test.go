@@ -224,19 +224,20 @@ func TestCorruptStoreEntryRecomputes(t *testing.T) {
 	}
 	// The frame as another codec version would have stamped it: the version
 	// byte (after the 4-byte magic) changed, checksum re-sealed so only the
-	// version check can object. Versions 2 to 4 are pinned by number: 2
-	// carried each generator's RNG as a draw count where this build expects
+	// version check can object. Versions 2 to 4 and 8 are pinned by number:
+	// 2 carried each generator's RNG as a draw count where this build expects
 	// the register, 3 every cache line as five fields where this build expects
 	// a bitmap and the valid ones, 4 two watchdog registers ahead of the skip
-	// counters, so a reader that let any through would mis-restore rather
-	// than fail.
+	// counters, 8 each level's LRU clock and every valid line as a tag word
+	// and a stamp where this build expects the tag word alone, so a reader
+	// that let any through would mis-restore rather than fail.
 	stamp := func(version byte) []byte {
 		f := append([]byte(nil), chk.Data...)
 		f[4] = version
 		return seal(f)
 	}
-	older, v2, v3, v4 := stamp(chk.Data[4]-1), stamp(2), stamp(3), stamp(4)
-	for name, frame := range map[string][]byte{"previous-version": older, "version-2": v2, "version-3": v3, "version-4": v4} {
+	older, v2, v3, v4, v8 := stamp(chk.Data[4]-1), stamp(2), stamp(3), stamp(4), stamp(8)
+	for name, frame := range map[string][]byte{"previous-version": older, "version-2": v2, "version-3": v3, "version-4": v4, "version-8": v8} {
 		if _, err := core.NewCheckpointedSimulator(cfg, &core.Checkpoint{Prefix: chk.Prefix, Now: chk.Now, Data: frame}); !errors.Is(err, snap.ErrVersion) {
 			t.Fatalf("%s frame: got %v, want snap.ErrVersion", name, err)
 		}
@@ -250,6 +251,7 @@ func TestCorruptStoreEntryRecomputes(t *testing.T) {
 		"version 2":        v2,
 		"version 3":        v3,
 		"version 4":        v4,
+		"version 8":        v8,
 		"oversized count":  oversizedCount(t, chk.Data),
 	} {
 		t.Run(name, func(t *testing.T) {

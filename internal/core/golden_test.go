@@ -36,8 +36,8 @@ func goldenFrames() []struct {
 		size   int
 		sha256 string
 	}{
-		{"2-thread-ddr-hit-first", two, 271151, 105729, "3229d0a9801e2265535e885e4ba955d8013a88f3062d67f74a2b1ea1764877ce"},
-		{"8-thread-rdram-request-based", eight, 1318305, 328864, "7b5180571f0de56ea5dd04b52e8b1d1a7a0207aa68193b595301f691da029e72"},
+		{"2-thread-ddr-hit-first", two, 271151, 81138, "e70c09644b7562e3b8fc7dd9212d64a8d11c44a3bbb4614f09c861b55d1e3bca"},
+		{"8-thread-rdram-request-based", eight, 1318305, 249259, "614dffed42f24cef64708ccf1e2f91142b568170464914da45fea04472678b94"},
 	}
 }
 

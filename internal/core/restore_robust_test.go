@@ -151,25 +151,55 @@ func robustFrames(t testing.TB) (cfgs []Config, frames [][]byte) {
 	return cfgs, frames
 }
 
-// levelSections returns the payload offset of each cache level's section: its
-// marker, some twenty bytes of registers and counts, then the line bitmap
-// (128 bytes for an L1, 8 KB for the L3) and the valid lines it lists.
-func levelSections(t testing.TB, payload []byte) []int {
+// levelSection is where a cache level's section starts in a payload — its
+// marker, then some twenty bytes of counters, buffers and prefetch state —
+// and where its line bitmap's first word is (the bitmap is 128 bytes for an
+// L1, 8 KB for the L3; the valid lines it lists follow it).
+type levelSection struct{ at, bitmap int }
+
+// levelSections finds the four levels' sections and reads each head the way
+// cache.Level.Snap walks it, up to the bitmap.
+func levelSections(t testing.TB, payload []byte) []levelSection {
 	t.Helper()
-	marker := binary.AppendUvarint(nil, 0x4C56454C) // cache's level marker
-	var at []int
-	for off := 0; ; {
-		i := bytes.Index(payload[off:], marker)
+	const marker = 0x4C56454C // cache's level marker
+	var secs []levelSection
+	for off := 0; len(secs) < 4; {
+		i := bytes.Index(payload[off:], binary.AppendUvarint(nil, marker))
 		if i < 0 {
-			break
+			t.Fatalf("found %d cache level sections in the frame, want the hierarchy's 4", len(secs))
 		}
-		at = append(at, off+i)
-		off += i + len(marker)
+		at := off + i
+		head, w := payload[at:min(len(payload), at+1024)], &snap.Writer{}
+		for _, b := range head {
+			w.U8(b)
+		}
+		r, err := snap.NewReader(w.Frame("LVLH", 1), "LVLH", 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r.Expect(marker)
+		r.U8()                   // the level's id
+		for i := 0; i < 9; i++ { // the demand and prefetch counters
+			r.U64()
+		}
+		for n := r.U64(); n > 0 && r.Err() == nil; n-- { // writeback buffer: address + cache.Meta
+			r.U64()
+			r.I64()
+			r.Bool()
+			r.I64()
+			r.I64()
+		}
+		r.U64()                                          // prefetches in flight
+		for n := r.U64(); n > 0 && r.Err() == nil; n-- { // their line addresses
+			r.U64()
+		}
+		if perfect, n := r.Bool(), r.U64(); perfect || n == 0 || n%8 != 0 || r.Err() != nil { // then the bitmap's words
+			t.Fatalf("the cache level section at %d does not read as a level's head up to its bitmap (%v): update this reader", at, r.Err())
+		}
+		secs = append(secs, levelSection{at, at + len(head) - r.Remaining()})
+		off = at + 1
 	}
-	if len(at) < 4 {
-		t.Fatalf("found %d cache level sections in the frame, want the hierarchy's 4", len(at))
-	}
-	return at
+	return secs
 }
 
 // TestRestoreNeverPanics patches one payload byte of a valid two-thread and a
@@ -177,8 +207,8 @@ func levelSections(t testing.TB, payload []byte) []int {
 // frame is mostly valid cache lines, where a wrong byte is just another tag,
 // so most patches are aimed where the structure is: the CPU section at the
 // head; MSHRs, controller queues, the event queue and the generators at the
-// tail; and the first 160 bytes of a cache level's section, which are its
-// counts and the head of its line bitmap — one flipped bit there lists a line
+// tail; and a cache level's section up to the 128th byte of its line bitmap
+// (all of an L1's) — one flipped bit in the bitmap lists a line
 // the frame does not hold, or hides one it does, and every later field is read
 // from the wrong place. Half the patches keep the byte's varint continuation
 // bit: the rest of the frame then still decodes field for field, and it is the
@@ -203,7 +233,8 @@ func TestRestoreNeverPanics(t *testing.T) {
 			case 2, 3:
 				off = len(payload) - 1 - rng.Intn(len(payload)/10)
 			case 4, 5:
-				off = levels[rng.Intn(len(levels))] + rng.Intn(160)
+				s := levels[rng.Intn(len(levels))]
+				off = s.at + rng.Intn(s.bitmap-s.at+128)
 			}
 			val := byte(rng.Intn(256))
 			if rng.Intn(2) == 0 {
@@ -227,7 +258,7 @@ func FuzzCheckpointRestore(f *testing.F) {
 	// a byte of the L2's deleted.
 	for i, frame := range frames {
 		at := levelSections(f, frame[frameHead:len(frame)-frameTail])
-		l1i, l2, l3 := at[0]+60, at[2]+60, at[3]+60
+		l1i, l2, l3 := at[0].bitmap+32, at[2].bitmap+32, at[3].bitmap+32
 		f.Add(i == 1, slices.Concat(edit(0, l1i, 0xff), edit(0, l1i+1, 0xff), edit(1, l3, 0x01), edit(2, l2, 0)))
 	}
 	f.Fuzz(func(t *testing.T, eight bool, edits []byte) {

@@ -19,7 +19,7 @@ import (
 
 const (
 	ckptMagic   = "SMTC"
-	ckptVersion = 8          // 8: the DRAM section lost the ECC decoder's three counters (always zero: fault runs never snapshot)
+	ckptVersion = 9          // 9: a cache level lists one word a valid line, its sets in recency order, and no LRU clock
 	sectionSim  = 0x434F5245 // "CORE"
 )
 
