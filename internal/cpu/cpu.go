@@ -153,15 +153,15 @@ type thread struct {
 	// replay, frontend and inFlight are head-indexed deques: live entries are
 	// buf[head:], a pop advances the head, and pushes compact in place —
 	// re-slicing from the front would give the buffer's capacity away and
-	// make every refill reallocate.
-	replay []workload.Instr
-	rpHead int
-	// replayScratch is the spare buffer resolveBranch builds the next replay
-	// list into; it swaps with replay so squashes stop allocating once the
-	// two buffers have grown.
-	replayScratch []workload.Instr
-	frontend      []feEntry
-	feHead        int
+	// make every refill reallocate. frontend and replay are allocated once:
+	// the frontend with the thread, at twice the FrontendCap entries it holds
+	// (at exactly FrontendCap a full frontend would compact on every push; a
+	// restore refills it in place), replay on the first squash, at its bound
+	// ROBPerThread + FrontendCap + 1 (resolveBranch says why).
+	replay   []workload.Instr
+	rpHead   int
+	frontend []feEntry
+	feHead   int
 	// rob is a power-of-two ring indexed by seq&robMask; occupancy is still
 	// bounded by Config.ROBPerThread.
 	rob       []uop
@@ -482,6 +482,7 @@ func New(q *event.Queue, cfg Config, gens []Source, l1i, l1d *cache.Level) (*CPU
 			id:       i,
 			gen:      g,
 			rob:      make([]uop, robLen),
+			frontend: make([]feEntry, 0, 2*cfg.FrontendCap),
 			robMask:  uint64(robLen - 1),
 			curILine: ^uint64(0),
 		}
@@ -1021,14 +1022,42 @@ func (c *CPU) resolveBranch(now uint64, t *thread, seq, epoch uint64) {
 	}
 	t.squashes++
 
-	// Collect the squashed suffix (ROB entries younger than the branch,
-	// then the frontend, then the peeked instruction) for replay, ahead of
-	// anything already queued for replay. The list is built in the thread's
-	// spare buffer, which then swaps with the old replay slice.
-	replay := t.replayScratch[:0]
-	for s := seq + 1; s < t.nextSeq; s++ {
-		replay = append(replay, t.slot(s).in)
+	// Queue the squashed suffix (ROB entries younger than the branch, then
+	// the frontend, then the peeked instruction) for replay, ahead of what is
+	// already queued: the queued remainder moves up in place and the suffix
+	// is written in front of it. An instruction leaves the replay queue only
+	// to be peeked, and the generator is asked only once the queue is empty,
+	// so the ROB, the frontend, the peeked instruction and the queue together
+	// never hold more than a full ROB, a full frontend and one peeked
+	// instruction: the buffer's size. (A restored queue is as long as its
+	// frame says, which nothing bounds, hence the max.)
+	n := int(t.nextSeq-seq-1) + t.feLen()
+	if t.hasPeeked {
+		n++
 	}
+	queued := t.replay[t.rpHead:]
+	replay := t.replay[:0]
+	if size := max(c.cfg.ROBPerThread+c.cfg.FrontendCap+1, n+len(queued)); cap(replay) < size {
+		replay = make([]workload.Instr, 0, size)
+	}
+	replay = replay[:n+len(queued)]
+	copy(replay[n:], queued)
+	i := 0
+	for s := seq + 1; s < t.nextSeq; s++ {
+		replay[i] = t.slot(s).in
+		i++
+	}
+	for _, fe := range t.frontend[t.feHead:] {
+		replay[i] = fe.in
+		i++
+	}
+	if t.hasPeeked {
+		replay[i] = t.peeked
+		t.hasPeeked = false
+	}
+	t.replay, t.rpHead = replay, 0
+	t.frontend, t.feHead = t.frontend[:0], 0
+
 	// Release youngest-first, so each parked uop's nodes sit at the head of
 	// the lists they are unlinked from. Replayed instructions re-enter the
 	// same seq and slot, so no link or ready-set entry may outlive the squash.
@@ -1055,18 +1084,6 @@ func (c *CPU) resolveBranch(now uint64, t *thread, seq, epoch uint64) {
 		}
 		c.ready = keep
 	}
-	for _, fe := range t.frontend[t.feHead:] {
-		replay = append(replay, fe.in)
-	}
-	if t.hasPeeked {
-		replay = append(replay, t.peeked)
-		t.hasPeeked = false
-	}
-	replay = append(replay, t.replay[t.rpHead:]...)
-	t.replayScratch = t.replay[:0]
-	t.replay, t.rpHead = replay, 0
-	t.frontend = t.frontend[:0]
-	t.feHead = 0
 	t.nextSeq = seq + 1
 	t.epoch++
 	t.imissPending = false

@@ -84,15 +84,37 @@ func (r *rig) run(cycles uint64) {
 }
 
 // step lands cycle c — its events, then its Tick — with the wakeup
-// structures' invariants checked after each half and the Tick's issue
-// decisions checked against the full-queue oracle (wakeup_test.go).
+// structures' invariants and the buffer bound checked after each half and the
+// Tick's issue decisions checked against the full-queue oracle
+// (wakeup_test.go).
 func (r *rig) step(c uint64) {
 	r.q.RunUntil(c)
 	checkWakeup(r.t, r.cpu, c)
+	checkBuffers(r.t, r.cpu, c)
 	o := beginOracle(r.cpu, r.l1d)
 	r.cpu.Tick(c)
 	o.verify(r.t, c)
 	checkWakeup(r.t, r.cpu, c)
+	checkBuffers(r.t, r.cpu, c)
+}
+
+// checkBuffers holds resolveBranch's bound: a thread's ROB, frontend, peeked
+// instruction and replay queue together never hold more than ROBPerThread +
+// FrontendCap + 1 instructions, so neither the replay buffer nor the
+// frontend ever outgrows the size it is first allocated at.
+func checkBuffers(tb testing.TB, c *CPU, now uint64) {
+	tb.Helper()
+	bound := c.cfg.ROBPerThread + c.cfg.FrontendCap + 1
+	for _, t := range c.threads {
+		held := t.robCount() + t.feLen() + len(t.replay) - t.rpHead
+		if t.hasPeeked {
+			held++
+		}
+		if held > bound || cap(t.replay) > bound || cap(t.frontend) != 2*c.cfg.FrontendCap {
+			tb.Fatalf("cycle %d: t%d holds %d instructions (bound %d), replay buffer %d, frontend buffer %d (FrontendCap %d)",
+				now, t.id, held, bound, cap(t.replay), cap(t.frontend), c.cfg.FrontendCap)
+		}
+	}
 }
 
 func TestValidateConfig(t *testing.T) {

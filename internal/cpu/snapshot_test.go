@@ -40,7 +40,6 @@ var snapshotFieldClass = map[string]string{
 	"thread.hasPeeked":         "serialized",
 	"thread.replay":            "serialized",
 	"thread.rpHead":            "serialized",
-	"thread.replayScratch":     "wiring",
 	"thread.frontend":          "serialized",
 	"thread.feHead":            "serialized",
 	"thread.rob":               "serialized",

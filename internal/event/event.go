@@ -38,6 +38,8 @@ type FillFunc func(now uint64)
 // OnFill implements Filler.
 func (f FillFunc) OnFill(now uint64) { f(now) }
 
+// item is one pending event. place copies it into a node field by field, so a
+// new field must be added there too.
 type item struct {
 	at  uint64
 	seq uint64 // tie-breaker: FIFO among equal cycles
@@ -46,35 +48,44 @@ type item struct {
 	f   Filler
 }
 
+// node is one ring event in the queue's node pool. next is the index+1 of the
+// following node of its bucket, or of the free list; 0 ends either list.
+type node struct {
+	it   item
+	next int32
+}
+
 const (
 	// ringWindow is the span of cycles the bucket ring covers, starting at
 	// the drain cursor. Must be a power of two. It is sized to the horizon the
 	// model schedules over, measured as the share of pushes that miss the ring
 	// and take the far heap: at 256, 0 of 1.27 M on 8-ILP, 0 of 0.54 M on 8-MEM
-	// and 1.6% on 8-MEM over close-page RDRAM; at 128, 2-5% on all three; at
-	// 1024 the ring was 250 KB a machine. Firing order is the same at any
-	// window (TestFiringOrderIsOneStableHeap): the window only decides which
-	// tier pays.
+	// and 1.6% on 8-MEM over close-page RDRAM; at 128, 2-5% on all three. A
+	// cycle of window costs 8 bytes (its bucket's head and tail); the events
+	// themselves live in the pool. Firing order is the same at any window
+	// (TestFiringOrderIsOneStableHeap): the window only decides which tier
+	// pays.
 	ringWindow = 256
 	ringMask   = ringWindow - 1
 	occWords   = ringWindow / 64
-	// bucketCap is the per-bucket capacity carved from the shared backing
-	// array on first use; buckets that burst past it grow individually and
-	// keep their larger capacity.
-	bucketCap = 4
 )
 
 // Queue is a deterministic discrete-event queue. The zero value is ready to
 // use. Queue is not safe for concurrent use; the simulator is single-threaded
 // by design (one simulated machine = one goroutine).
 type Queue struct {
-	// ring holds events for cycles in [base, base+ringWindow), one FIFO
-	// bucket per cycle, indexed by cycle & ringMask. occ is its occupancy
-	// bitmap (one bit per bucket) for fast next-nonempty scans.
-	ring  [ringWindow][]item
-	occ   [occWords]uint64
-	ringN int
-	base  uint64 // lowest cycle not yet fully drained
+	// The ring holds events for cycles in [base, base+ringWindow), one FIFO
+	// bucket per cycle, indexed by cycle & ringMask: a list threaded through
+	// node from head to tail (node index+1, 0 when the bucket is empty). Freed
+	// nodes go on the free list, so the pool grows only to the most ring
+	// events ever pending at once. occ is the ring's occupancy bitmap (one bit
+	// per bucket) for fast next-nonempty scans.
+	head, tail [ringWindow]int32
+	node       []node
+	free       int32
+	occ        [occWords]uint64
+	ringN      int
+	base       uint64 // lowest cycle not yet fully drained
 
 	// far is a (at, seq) min-heap holding everything the ring cannot:
 	// events beyond the window and events scheduled in the past.
@@ -137,33 +148,41 @@ func (q *Queue) push(it item) {
 	}
 	it.seq = q.seq
 	q.seq++
-	if it.at >= q.base && it.at < q.base+ringWindow {
-		s := int(it.at & ringMask)
-		if q.ring[s] == nil {
-			q.initRing()
-		}
-		q.ring[s] = append(q.ring[s], it)
-		q.occ[s>>6] |= 1 << uint(s&63)
-		q.ringN++
-	} else {
-		q.far = append(q.far, it)
-		q.up(len(q.far) - 1)
-	}
+	q.place(it)
 	if n := q.ringN + len(q.far); n > q.maxLen {
 		q.maxLen = n
 	}
 }
 
-// initRing carves every bucket's initial capacity out of one shared backing
-// array, so warming the ring costs a single allocation instead of one per
-// bucket.
-func (q *Queue) initRing() {
-	backing := make([]item, ringWindow*bucketCap)
-	for i := range q.ring {
-		if q.ring[i] == nil {
-			q.ring[i] = backing[i*bucketCap : i*bucketCap : (i+1)*bucketCap]
-		}
+// place inserts an item that already has its seq: at the tail of its cycle's
+// bucket when the cycle is in the ring's window, into the far heap otherwise.
+func (q *Queue) place(it item) {
+	if it.at < q.base || it.at >= q.base+ringWindow {
+		q.far = append(q.far, it)
+		q.up(len(q.far) - 1)
+		return
 	}
+	n := q.free
+	if n != 0 {
+		q.free = q.node[n-1].next
+	} else {
+		q.node = append(q.node, node{})
+		n = int32(len(q.node))
+	}
+	// Field by field: a node{it: it} literal is assembled on the stack and
+	// copied in wider words than it was written in, which stalls the loads
+	// (this function then cost twice what it does).
+	nd := &q.node[n-1]
+	nd.it.at, nd.it.seq, nd.it.fn, nd.it.h, nd.it.f, nd.next = it.at, it.seq, it.fn, it.h, it.f, 0
+	s := int(it.at & ringMask)
+	if t := q.tail[s]; t != 0 {
+		q.node[t-1].next = n
+	} else {
+		q.head[s] = n
+		q.occ[s>>6] |= 1 << uint(s&63)
+	}
+	q.tail[s] = n
+	q.ringN++
 }
 
 // ringNextAt returns the earliest cycle with a pending ring event.
@@ -290,23 +309,27 @@ func (q *Queue) DrainQuiet(bound uint64, stop func(at uint64) bool) (at uint64, 
 // preserved. Callbacks may append to either tier mid-drain.
 func (q *Queue) drainCycle(c uint64) {
 	s := int(c & ringMask)
-	bi := 0
 	for {
-		hasB := bi < len(q.ring[s])
+		h := q.head[s]
 		hasF := len(q.far) > 0 && q.far[0].at <= c
 		var it item
 		switch {
-		case hasF && (!hasB || q.far[0].at < c || q.far[0].seq < q.ring[s][bi].seq):
+		case hasF && (h == 0 || q.far[0].at < c || q.far[0].seq < q.node[h-1].it.seq):
 			// A past-scheduled event (at < c) always precedes the rest of
 			// this cycle; an at == c far entry interleaves by seq.
 			it = q.popFar()
-		case hasB:
-			it = q.ring[s][bi]
-			q.ring[s][bi] = item{}
-			bi++
+		case h != 0:
+			// Copy the item out before the node goes back to the pool: the
+			// callback may schedule into it.
+			n := &q.node[h-1]
+			it = n.it
+			if q.head[s] = n.next; n.next == 0 {
+				q.tail[s] = 0
+			}
+			*n = node{next: q.free}
+			q.free = h
 			q.ringN--
 		default:
-			q.ring[s] = q.ring[s][:0]
 			q.occ[s>>6] &^= 1 << uint(s&63)
 			return
 		}
@@ -333,18 +356,11 @@ func (q *Queue) fire(it item) {
 // queue to its initial state while retaining the grown internal storage, so
 // a queue reused across runs schedules without reallocating.
 func (q *Queue) Reset() {
-	for s := range q.ring {
-		b := q.ring[s]
-		for i := range b {
-			b[i] = item{}
-		}
-		if b != nil {
-			q.ring[s] = b[:0]
-		}
-	}
-	for i := range q.far {
-		q.far[i] = item{}
-	}
+	clear(q.node)
+	q.node = q.node[:0]
+	q.free = 0
+	q.head, q.tail = [ringWindow]int32{}, [ringWindow]int32{}
+	clear(q.far)
 	q.far = q.far[:0]
 	q.occ = [occWords]uint64{}
 	q.ringN = 0

@@ -390,83 +390,129 @@ func (r *refQueue) RunUntil(now uint64) {
 	}
 }
 
-// The same seeded schedule — events that schedule events: next cycle, same
+// mix is splitmix64: a seeded schedule is a function of the seed and the
+// event's number.
+func mix(x uint64) uint64 {
+	x += 0x9E3779B97F4A7C15
+	x = (x ^ x>>30) * 0xBF58476D1CE4E5B9
+	x = (x ^ x>>27) * 0x94D049BB133111EB
+	return x ^ x>>31
+}
+
+type fired struct{ id, at uint64 }
+
+// drive runs seed's schedule — events that schedule events: next cycle, same
 // cycle, the past, a few cycles either side of the ring window's far edge,
-// several windows out — through the queue at the package's ringWindow and
-// through refQueue, the clock advanced in steps from one cycle to three
-// windows. Every event must fire in the same order at the same cycle, so a
-// change of ringWindow is checked here rather than argued.
-func TestFiringOrderIsOneStableHeap(t *testing.T) {
-	type fired struct{ id, at uint64 }
-	mix := func(x uint64) uint64 { // splitmix64: the schedule is a function of the seed and the event's number
-		x += 0x9E3779B97F4A7C15
-		x = (x ^ x>>30) * 0xBF58476D1CE4E5B9
-		x = (x ^ x>>27) * 0x94D049BB133111EB
-		return x ^ x>>31
-	}
-	drive := func(seed uint64, schedule func(uint64, Func), runUntil func(uint64)) []fired {
-		var log []fired
-		next := uint64(0)
-		var spawn func(now uint64)
-		spawn = func(now uint64) {
-			if next >= 4000 {
-				return
-			}
-			id := next
-			next++
-			h := mix(seed<<32 | id)
-			at := now
-			switch h % 8 {
-			case 0, 1, 2:
-				at += 1 + h>>8%40
-			case 3: // same cycle
-			case 4:
-				at -= min(now, h>>8%20)
-			case 5:
-				at += ringWindow - 2 + h>>8%5
-			case 6:
-				at += h >> 8 % (4 * ringWindow)
-			case 7:
-				at += ringWindow/2 + h>>8%ringWindow
-			}
-			schedule(at, func(at uint64) {
-				log = append(log, fired{id, at})
-				for n := h >> 40 % 3; n > 0; n-- {
-					spawn(at)
-				}
-			})
+// several windows out — the clock advanced in steps from one cycle to three
+// windows, and logs every firing.
+func drive(seed uint64, schedule func(uint64, Func), runUntil func(uint64)) []fired {
+	var log []fired
+	next := uint64(0)
+	var spawn func(now uint64)
+	spawn = func(now uint64) {
+		if next >= 4000 {
+			return
 		}
-		for now, step := uint64(0), 0; step < 400; step++ {
-			for n := mix(seed+uint64(step)) % 4; n > 0; n-- {
-				spawn(now)
-			}
-			now += []uint64{1, 7, ringWindow / 2, ringWindow, 3 * ringWindow}[mix(seed^uint64(step))%5]
-			runUntil(now)
+		id := next
+		next++
+		h := mix(seed<<32 | id)
+		at := now
+		switch h % 8 {
+		case 0, 1, 2:
+			at += 1 + h>>8%40
+		case 3: // same cycle
+		case 4:
+			at -= min(now, h>>8%20)
+		case 5:
+			at += ringWindow - 2 + h>>8%5
+		case 6:
+			at += h >> 8 % (4 * ringWindow)
+		case 7:
+			at += ringWindow/2 + h>>8%ringWindow
 		}
-		runUntil(1 << 40)
-		return log
-	}
-	for seed := uint64(1); seed <= 10; seed++ {
-		var q Queue
-		var ref refQueue
-		quiet := false
-		got := drive(seed, q.Schedule, func(now uint64) {
-			if quiet = !quiet; quiet { // every other step through the span drain
-				q.DrainQuiet(now+1, func(uint64) bool { return false })
+		schedule(at, func(at uint64) {
+			log = append(log, fired{id, at})
+			for n := h >> 40 % 3; n > 0; n-- {
+				spawn(at)
 			}
-			q.RunUntil(now)
 		})
-		want := drive(seed, ref.Schedule, ref.RunUntil)
-		if len(got) < 2000 || q.Len() != 0 {
-			t.Fatalf("seed %d: fired %d events with %d left pending; the schedule is too thin to prove anything", seed, len(got), q.Len())
+	}
+	for now, step := uint64(0), 0; step < 400; step++ {
+		for n := mix(seed+uint64(step)) % 4; n > 0; n-- {
+			spawn(now)
 		}
-		for i := range want {
-			if i >= len(got) || got[i] != want[i] {
-				t.Fatalf("seed %d: firing %d differs: got %v, one stable heap gives %+v", seed, i, got[max(0, i-2):min(len(got), i+3)], want[max(0, i-2):i+1])
-			}
+		now += []uint64{1, 7, ringWindow / 2, ringWindow, 3 * ringWindow}[mix(seed^uint64(step))%5]
+		runUntil(now)
+	}
+	runUntil(1 << 40)
+	return log
+}
+
+// checkFiringOrder drives seed's schedule through the queue at the package's
+// ringWindow and through refQueue: every event must fire in the same order at
+// the same cycle. It returns how many fired.
+func checkFiringOrder(t *testing.T, seed uint64) int {
+	var q Queue
+	var ref refQueue
+	quiet := false
+	got := drive(seed, q.Schedule, func(now uint64) {
+		if quiet = !quiet; quiet { // every other step through the span drain
+			q.DrainQuiet(now+1, func(uint64) bool { return false })
 		}
-		if len(got) != len(want) {
-			t.Fatalf("seed %d: fired %d events, the reference %d", seed, len(got), len(want))
+		q.RunUntil(now)
+	})
+	want := drive(seed, ref.Schedule, ref.RunUntil)
+	for i := range want {
+		if i >= len(got) || got[i] != want[i] {
+			t.Fatalf("seed %d: firing %d differs: got %v, one stable heap gives %+v", seed, i, got[max(0, i-2):min(len(got), i+3)], want[max(0, i-2):i+1])
 		}
+	}
+	if len(got) != len(want) || q.Len() != 0 {
+		t.Fatalf("seed %d: fired %d events with %d left pending, the reference %d", seed, len(got), q.Len(), len(want))
+	}
+	if len(q.node) > q.MaxLen() {
+		t.Fatalf("seed %d: node pool of %d for at most %d pending events", seed, len(q.node), q.MaxLen())
+	}
+	return len(got)
+}
+
+// A change of ringWindow, or of how a bucket is kept, is checked here rather
+// than argued.
+func TestFiringOrderIsOneStableHeap(t *testing.T) {
+	for seed := uint64(1); seed <= 10; seed++ {
+		if n := checkFiringOrder(t, seed); n < 2000 {
+			t.Fatalf("seed %d: fired %d events; the schedule is too thin to prove anything", seed, n)
+		}
+	}
+}
+
+func FuzzFiringOrder(f *testing.F) {
+	for seed := uint64(1); seed <= 10; seed++ {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, seed uint64) { checkFiringOrder(t, seed) })
+}
+
+// The pool grows only when every node is in use, so it never holds more nodes
+// than events were ever pending: bursts of up to 16 events a cycle over a long
+// run, across the ring and the far heap, leave it at the high-water mark. A
+// bucket that kept its own storage grew to its own burst, whatever the
+// others held.
+func TestNodePoolBoundedByMaxLen(t *testing.T) {
+	var q Queue
+	nop := func(uint64) {}
+	for now := uint64(0); now < 200_000; now++ {
+		h := mix(now)
+		for n := h % 17 * (h >> 8 % 2); n > 0; n-- { // a burst every other cycle or so
+			g := mix(h + n)
+			q.Schedule(now+g%(ringWindow+ringWindow/4), nop)
+		}
+		q.RunUntil(now)
+		if len(q.node) > q.MaxLen() {
+			t.Fatalf("cycle %d: node pool of %d for at most %d pending events", now, len(q.node), q.MaxLen())
+		}
+	}
+	if q.MaxLen() < 500 {
+		t.Fatalf("high-water mark %d: the bursts are too thin to prove anything", q.MaxLen())
 	}
 }

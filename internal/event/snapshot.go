@@ -140,8 +140,10 @@ func (q *Queue) Snap(c *snap.Codec, resolve Resolver) error {
 // pending lists every pending event in global (cycle, seq) order.
 func (q *Queue) pending() []item {
 	items := make([]item, 0, q.Len())
-	for s := range q.ring {
-		items = append(items, q.ring[s]...)
+	for s := range q.head {
+		for n := q.head[s]; n != 0; n = q.node[n-1].next {
+			items = append(items, q.node[n-1].it)
+		}
 	}
 	items = append(items, q.far...)
 	sort.Slice(items, func(i, j int) bool {
@@ -151,20 +153,4 @@ func (q *Queue) pending() []item {
 		return items[i].seq < items[j].seq
 	})
 	return items
-}
-
-// place inserts a restored item with its original seq.
-func (q *Queue) place(it item) {
-	if it.at >= q.base && it.at < q.base+ringWindow {
-		s := int(it.at & ringMask)
-		if q.ring[s] == nil {
-			q.initRing()
-		}
-		q.ring[s] = append(q.ring[s], it)
-		q.occ[s>>6] |= 1 << uint(s&63)
-		q.ringN++
-	} else {
-		q.far = append(q.far, it)
-		q.up(len(q.far) - 1)
-	}
 }

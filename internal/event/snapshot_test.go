@@ -13,14 +13,18 @@ import (
 //	serialized   — walked by Snap (snapshot.go), so it is in the format: the
 //	               two tiers as one (cycle, seq)-ordered list of pending events;
 //	derived      — rebuilt by loading from serialized state (place re-creates
-//	               the ring's occupancy as it re-inserts the events);
+//	               the ring's buckets, node pool and occupancy as it
+//	               re-inserts the events);
 //	closure-only — non-nil only in an event scheduled as a raw closure, which a
 //	               queue holding one refuses to snapshot (ErrUnsupported).
 //
 // A new field fails this test until it is listed, which is the moment to
 // decide which it is and to teach snapshot.go about it.
 var snapshotFieldClass = map[string]string{
-	"Queue.ring":    "serialized",
+	"Queue.head":    "derived",
+	"Queue.tail":    "derived",
+	"Queue.node":    "derived",
+	"Queue.free":    "derived",
 	"Queue.occ":     "derived",
 	"Queue.ringN":   "derived",
 	"Queue.base":    "serialized",
@@ -36,11 +40,14 @@ var snapshotFieldClass = map[string]string{
 	"item.fn":  "closure-only",
 	"item.h":   "serialized", // as the role byte and the object's reference
 	"item.f":   "serialized",
+
+	"node.it":   "serialized", // as the item it holds
+	"node.next": "derived",
 }
 
 func TestSnapshotFieldCoverage(t *testing.T) {
 	seen := map[string]bool{}
-	for _, typ := range []reflect.Type{reflect.TypeOf(Queue{}), reflect.TypeOf(item{})} {
+	for _, typ := range []reflect.Type{reflect.TypeOf(Queue{}), reflect.TypeOf(item{}), reflect.TypeOf(node{})} {
 		for i := 0; i < typ.NumField(); i++ {
 			name := typ.Name() + "." + typ.Field(i).Name
 			seen[name] = true

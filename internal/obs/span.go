@@ -93,8 +93,8 @@ type Spanner struct {
 }
 
 // NewSpanner builds a Spanner retaining up to capacity spans (<=0 selects
-// 8192). When full, the oldest *ended* spans are dropped first; open spans
-// are never dropped.
+// 8192). Past capacity, the oldest *ended* spans are dropped, down to three
+// quarters of it; open spans are never dropped.
 func NewSpanner(capacity int) *Spanner {
 	if capacity <= 0 {
 		capacity = 8192
@@ -151,20 +151,28 @@ func (s *Span) Child(name string, attrs ...Attr) *Span {
 	return c
 }
 
-// add appends under the lock, evicting the oldest ended spans beyond cap.
+// add appends under the lock. Past cap it drops the oldest ended spans, down
+// to three quarters of cap, in one order-keeping pass; while there are ended
+// spans to drop, that is one pass per cap/4 spans added, so eviction is
+// amortized O(1) a span. Open spans stay even when that leaves the buffer
+// over cap: losing a live span would be worse.
 func (sp *Spanner) add(s *Span) {
 	sp.spans = append(sp.spans, s)
 	if len(sp.spans) <= sp.cap {
 		return
 	}
-	for i, old := range sp.spans {
-		if !old.end.IsZero() {
-			sp.spans = append(sp.spans[:i], sp.spans[i+1:]...)
+	excess := len(sp.spans) - sp.cap*3/4
+	kept := sp.spans[:0]
+	for _, old := range sp.spans {
+		if excess > 0 && !old.end.IsZero() {
+			excess--
 			sp.dropped++
-			return
+			continue
 		}
+		kept = append(kept, old)
 	}
-	// Everything is open (pathological); retain rather than lose live spans.
+	clear(sp.spans[len(kept):])
+	sp.spans = kept
 }
 
 // SetAttr sets (or replaces) an attribute on the span.

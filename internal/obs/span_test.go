@@ -51,8 +51,9 @@ func TestSpanNestingAndAttrs(t *testing.T) {
 	}
 }
 
-// TestSpannerRetention: beyond capacity the oldest *ended* spans are evicted
-// and counted, while open spans survive arbitrary pressure.
+// TestSpannerRetention: past capacity the oldest *ended* spans are evicted,
+// down to three quarters of it, and counted; open spans survive arbitrary
+// pressure, and what is retained stays in start order.
 func TestSpannerRetention(t *testing.T) {
 	sp := NewSpanner(4)
 	open := sp.Start("stays-open")
@@ -60,24 +61,45 @@ func TestSpannerRetention(t *testing.T) {
 		s := sp.Start("churn")
 		s.End()
 	}
-	if got := sp.Len(); got != 4 {
-		t.Fatalf("Len = %d, want capacity 4", got)
+	// The fifth span overflows: the two oldest ended churn spans go, leaving
+	// three. Every second span after that does the same: 8 dropped of 11.
+	if got := sp.Len(); got != 3 {
+		t.Fatalf("Len = %d, want 3", got)
 	}
-	if got := sp.Dropped(); got != 7 {
-		// 11 started, 4 retained -> 7 dropped, all of them ended churn spans.
-		t.Fatalf("Dropped = %d, want 7", got)
+	if got := sp.Dropped(); got != 8 {
+		t.Fatalf("Dropped = %d, want 8", got)
 	}
-	found := false
-	for _, r := range sp.Snapshot() {
-		if r.ID == open.ID() {
-			found = true
-			if !r.Open() {
-				t.Fatalf("open span was ended by retention")
-			}
+	recs := sp.Snapshot()
+	if recs[0].ID != open.ID() || !recs[0].Open() {
+		t.Fatalf("retention evicted or ended the open span: first record %+v", recs[0])
+	}
+	for i := 1; i < len(recs); i++ {
+		if recs[i].ID <= recs[i-1].ID {
+			t.Fatalf("snapshot out of start order: %d after %d", recs[i].ID, recs[i-1].ID)
 		}
 	}
-	if !found {
-		t.Fatalf("retention evicted an open span")
+
+	// Nothing ended, nothing to drop: the buffer holds every open span.
+	sp = NewSpanner(4)
+	for i := 0; i < 6; i++ {
+		sp.Start("open")
+	}
+	if sp.Len() != 6 || sp.Dropped() != 0 {
+		t.Fatalf("all open: Len = %d, Dropped = %d; want 6, 0", sp.Len(), sp.Dropped())
+	}
+}
+
+// BenchmarkSpannerFull is the daemon's steady state: a buffer at capacity,
+// every new span evicting.
+func BenchmarkSpannerFull(b *testing.B) {
+	sp := NewSpanner(0)
+	for i := 0; i < 8192; i++ {
+		sp.Start("fill").End()
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		sp.Start("job").End()
 	}
 }
 

@@ -5,15 +5,16 @@ package workload
 // stream; what math/rand does not offer is its state. So the generator owns
 // the generator: math/rand's source is an additive lagged-Fibonacci register,
 // x[n] = x[n-607] + x[n-273] over 64-bit words, which means its last 607
-// outputs are its whole state. source reads the first 607 outputs from
-// rand.NewSource(seed) and computes every later one itself, a block of 607 at
-// a time — value for value and draw for draw what math/rand would have
-// returned, with the state in plain sight for the snapshot walk and no
-// interface call per draw.
+// outputs are its whole state. source reads the first 607 outputs of
+// math/rand's source seeded with seed and computes every later one itself, a
+// block of 607 at a time — value for value and draw for draw what math/rand
+// would have returned, with the state in plain sight for the snapshot walk
+// and no interface call per draw.
 
 import (
 	"fmt"
 	"math/rand"
+	"sync"
 
 	"smtdram/internal/snap"
 )
@@ -33,11 +34,18 @@ type source struct {
 	refills uint64
 }
 
+// seeders recycles the math/rand sources seed reads its first block from:
+// Seed reinitialises a source completely, so a recycled one yields exactly
+// the stream a fresh one would.
+var seeders = sync.Pool{New: func() any { return rand.NewSource(0) }}
+
 func (s *source) seed(seed int64) {
-	r := rand.NewSource(seed).(rand.Source64)
+	r := seeders.Get().(rand.Source64)
+	r.Seed(seed)
 	for i := range s.buf {
 		s.buf[i] = r.Uint64()
 	}
+	seeders.Put(r)
 	s.pos, s.base = 0, 0
 }
 
