@@ -5,6 +5,7 @@
 package cache
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math/bits"
 	"slices"
@@ -81,27 +82,20 @@ func (c Config) Validate() error {
 	if lines%c.Assoc != 0 || lines/c.Assoc == 0 {
 		return fmt.Errorf("cache %s: %d lines not divisible into %d-way sets", c.Name, lines, c.Assoc)
 	}
-	if c.LineBytes*(lines/c.Assoc) < 1<<flagBits {
-		// A tag is an address less log2(LineBytes × sets) bits, and shares its
-		// word with the line's flags.
-		return fmt.Errorf("cache %s: %d-byte lines in %d sets leave tags wider than %d bits", c.Name, c.LineBytes, lines/c.Assoc, 64-flagBits)
-	}
 	if c.MSHRs <= 0 {
 		return fmt.Errorf("cache %s: need at least one MSHR", c.Name)
 	}
 	return nil
 }
 
-// line is one way of one set, one word: tag<<flagBits under the three flags
-// (zero: an empty way). A set keeps its ways most recently used first, and
-// nothing invalidates a line, so empty ways trail the valid ones and the LRU
-// victim is always the last way.
-type line struct{ w uint64 }
-
+// A line is one way of one set, one word: tag<<flagBits under the three flags
+// (zero: an empty way), stored in the level's word width. A set keeps its ways
+// most recently used first, and nothing invalidates a line, so empty ways
+// trail the valid ones and the LRU victim is always the last way.
 const (
-	lineValid      uint64 = 1 << iota
-	lineDirty             // written since the fill
-	linePrefetched        // installed by a prefetch, not yet demanded
+	lineValid      = 1 << iota
+	lineDirty      // written since the fill
+	linePrefetched // installed by a prefetch, not yet demanded
 	flagBits       = iota
 )
 
@@ -180,9 +174,13 @@ type Level struct {
 	cfg   Config
 	q     *event.Queue
 	lower Backend
-	// lines is every way of every set in one slab; set si is
-	// lines[si*assoc:][:assoc], most recently used first.
-	lines []line
+	// lines is every way of every set in one slab of wb-byte words, slot
+	// si*assoc+w holding way w of set si, most recently used first, with 7
+	// bytes of slack behind the last word so that any word is one 8-byte load.
+	// wmask keeps a load's low wb bytes.
+	lines []byte
+	wb    uint64
+	wmask uint64
 	assoc uint64
 	nsets uint64
 	// lineShift is log2(LineBytes); setShift is log2(nsets), or -1 when the
@@ -267,7 +265,11 @@ func New(q *event.Queue, cfg Config, lower Backend) (*Level, error) {
 			l.setShift = bits.TrailingZeros64(l.nsets)
 		}
 		l.assoc = uint64(cfg.Assoc)
-		l.lines = make([]line, l.nsets*l.assoc)
+		// A tag is an address less its line offset and set index bits.
+		tagBits := max(0, mem.AddrBits-int(l.lineShift)-(bits.Len64(l.nsets)-1))
+		l.wb = uint64(tagBits+flagBits+7) / 8
+		l.wmask = 1<<(8*l.wb) - 1
+		l.lines = make([]byte, l.nsets*l.assoc*l.wb+7)
 	}
 	return l, nil
 }
@@ -291,7 +293,10 @@ func (l *Level) mshrFor(la uint64) *mshr {
 	return nil
 }
 
-func (l *Level) lineAddr(addr uint64) uint64 { return addr &^ uint64(l.cfg.LineBytes-1) }
+// lineAddr drops addr's line offset and every bit above the address space.
+func (l *Level) lineAddr(addr uint64) uint64 {
+	return addr & (1<<mem.AddrBits - 1) &^ uint64(l.cfg.LineBytes-1)
+}
 
 // index splits a line address into its set index and tag: shift and mask
 // when the set count is a power of two, divide otherwise. It is the one
@@ -307,33 +312,45 @@ func (l *Level) index(la uint64) (set, tag uint64) {
 // victimAddr rebuilds the line address of the way holding tag in set.
 func (l *Level) victimAddr(set, tag uint64) uint64 { return (tag*l.nsets + set) << l.lineShift }
 
-// set returns the ways of set si.
-func (l *Level) set(si uint64) []line { return l.lines[si*l.assoc:][:l.assoc] }
+// word returns the line in slab slot i.
+func (l *Level) word(i uint64) uint64 { return binary.LittleEndian.Uint64(l.lines[i*l.wb:]) & l.wmask }
 
-// lookup returns la's set and the index of the way holding la, or -1. It
+// flags returns slot i's first byte, which holds the word's low bits: all
+// three flags.
+func (l *Level) flags(i uint64) *byte { return &l.lines[i*l.wb] }
+
+// setWord stores w in slot i and leaves the bytes behind it as they are.
+func (l *Level) setWord(i, w uint64) {
+	p := l.lines[i*l.wb:]
+	binary.LittleEndian.PutUint64(p, binary.LittleEndian.Uint64(p)&^l.wmask|w)
+}
+
+// lookup returns the first slot of la's set and the way holding la, or -1. It
 // leaves the recency order as it is.
-func (l *Level) lookup(la uint64) ([]line, int) {
+func (l *Level) lookup(la uint64) (set uint64, way int) {
 	si, tag := l.index(la)
-	set, want := l.set(si), tag<<flagBits|lineValid
-	for i := range set {
-		if set[i].w&^(lineDirty|linePrefetched) == want {
-			return set, i
+	set = si * l.assoc
+	want, mask := tag<<flagBits|lineValid, l.wmask&^(lineDirty|linePrefetched)
+	ways, wb := l.lines[set*l.wb:], l.wb
+	for i := range l.assoc {
+		if binary.LittleEndian.Uint64(ways[i*wb:])&mask == want {
+			return set, int(i)
 		}
 	}
 	return set, -1
 }
 
 // touch is a demand hit's lookup: it moves the way holding la to the front of
-// its set and returns it there, or returns nil.
-func (l *Level) touch(la uint64) *line {
+// its set and returns that slot, or reports a miss.
+func (l *Level) touch(la uint64) (slot uint64, hit bool) {
 	set, i := l.lookup(la)
-	if i < 0 {
-		return nil
+	if i <= 0 {
+		return set, i == 0 // way 0 is the front already
 	}
-	hit := set[i]
-	copy(set[1:i+1], set[:i])
-	set[0] = hit
-	return &set[0]
+	w, at := l.word(set+uint64(i)), set*l.wb
+	copy(l.lines[at+l.wb:at+uint64(i+1)*l.wb], l.lines[at:at+uint64(i)*l.wb])
+	l.setWord(set, w)
+	return set, true
 }
 
 // ReadLine implements Backend.
@@ -344,8 +361,8 @@ func (l *Level) ReadLine(now uint64, addr uint64, meta Meta, done event.Filler) 
 		l.complete(now+l.cfg.Latency, done)
 		return true
 	}
-	if ln := l.touch(la); ln != nil {
-		l.notePrefetchHit(now, la, ln, meta)
+	if s, ok := l.touch(la); ok {
+		l.notePrefetchHit(now, la, s, meta)
 		l.complete(now+l.cfg.Latency, done)
 		return true
 	}
@@ -362,8 +379,8 @@ func (l *Level) Probe(now uint64, addr uint64, meta Meta, fill event.Filler) (hi
 	if l.cfg.Perfect {
 		return true, true
 	}
-	if ln := l.touch(la); ln != nil {
-		l.notePrefetchHit(now, la, ln, meta)
+	if s, ok := l.touch(la); ok {
+		l.notePrefetchHit(now, la, s, meta)
 		return true, true
 	}
 	return false, l.miss(now, la, meta, fill, false)
@@ -379,8 +396,8 @@ func (l *Level) WriteLine(now uint64, addr uint64, meta Meta) bool {
 	if l.cfg.Perfect {
 		return true
 	}
-	if ln := l.touch(la); ln != nil {
-		ln.w |= lineDirty
+	if s, ok := l.touch(la); ok {
+		*l.flags(s) |= lineDirty
 		return true
 	}
 	if m := l.mshrFor(la); m != nil {
@@ -423,8 +440,8 @@ func (l *Level) Store(now uint64, addr uint64, meta Meta) bool {
 	if l.cfg.Perfect {
 		return true
 	}
-	if ln := l.touch(la); ln != nil {
-		ln.w |= lineDirty
+	if s, ok := l.touch(la); ok {
+		*l.flags(s) |= lineDirty
 		return true
 	}
 	return l.miss(now, la, meta, nil, true)
@@ -489,12 +506,13 @@ const retryGap = 8
 // the LRU line; a dirty victim is written back down.
 func (l *Level) install(now uint64, la uint64, flags uint64) {
 	si, tag := l.index(la)
-	set := l.set(si)
-	if v := set[len(set)-1].w; v&(lineValid|lineDirty) == lineValid|lineDirty {
+	set := si * l.assoc
+	if v := l.word(set + l.assoc - 1); v&(lineValid|lineDirty) == lineValid|lineDirty {
 		l.writeback(now, l.victimAddr(si, v>>flagBits))
 	}
-	copy(set[1:], set)
-	set[0] = line{w: tag<<flagBits | lineValid | flags}
+	at := set * l.wb
+	copy(l.lines[at+l.wb:at+l.assoc*l.wb], l.lines[at:])
+	l.setWord(set, tag<<flagBits|lineValid|flags)
 	if l.Wake != nil {
 		l.Wake()
 	}

@@ -34,16 +34,26 @@ func TestValidate(t *testing.T) {
 		{"no mshrs", Config{SizeBytes: 1024, Assoc: 2, LineBytes: 64, MSHRs: 0}, false},
 		{"line size not a power of two", Config{SizeBytes: 960, Assoc: 2, LineBytes: 48, MSHRs: 1}, false},
 		{"set count not a power of two", Config{SizeBytes: 96 << 10, Assoc: 2, LineBytes: 64, MSHRs: 1}, true},
-		// A tag shares its word with three flag bits, so the set index and
-		// line offset must take at least three bits off the address.
-		{"62-bit tags: two sets of 2-byte lines", Config{SizeBytes: 8, Assoc: 2, LineBytes: 2, MSHRs: 1}, false},
-		{"64-bit tags: one set of 1-byte lines", Config{SizeBytes: 4, Assoc: 4, LineBytes: 1, MSHRs: 1}, false},
-		{"61-bit tags: one set of 8-byte lines", Config{SizeBytes: 32, Assoc: 4, LineBytes: 8, MSHRs: 1}, true},
-		{"61-bit tags: eight sets of 1-byte lines", Config{SizeBytes: 8, Assoc: 1, LineBytes: 1, MSHRs: 1}, true},
+		{"one set of 1-byte lines", Config{SizeBytes: 4, Assoc: 4, LineBytes: 1, MSHRs: 1}, true},
 	}
 	for _, c := range cases {
 		if err := c.cfg.Validate(); (err == nil) != c.ok {
 			t.Errorf("%s: Validate = %v, want ok=%v", c.name, err, c.ok)
+		}
+	}
+	// A word holds a tag, the address less its line offset and set index,
+	// under three flag bits: 48-6-9+3 and 48-6-12+3 bits fit five bytes for
+	// Table 1's 512-set L1s and 4,096-set L2, 48-6-14+3 four for its L3.
+	for _, c := range []struct {
+		cfg Config
+		wb  uint64
+	}{
+		{Config{Name: "L1", SizeBytes: 64 << 10, Assoc: 2, LineBytes: 64, MSHRs: 16}, 5},
+		{Config{Name: "L2", SizeBytes: 512 << 10, Assoc: 2, LineBytes: 64, MSHRs: 16}, 5},
+		{Config{Name: "L3", SizeBytes: 4 << 20, Assoc: 4, LineBytes: 64, MSHRs: 16}, 4},
+	} {
+		if l, err := New(&event.Queue{}, c.cfg, nil); err != nil || l.wb != c.wb {
+			t.Errorf("Table 1 %s: %d-byte words (%v), want %d", c.cfg.Name, l.wb, err, c.wb)
 		}
 	}
 }

@@ -30,7 +30,7 @@ func (l *Level) maybePrefetch(now uint64, la uint64, meta Meta) {
 	if !l.cfg.PrefetchNextLine || l.cfg.Perfect {
 		return
 	}
-	next := la + uint64(l.cfg.LineBytes)
+	next := l.lineAddr(la + uint64(l.cfg.LineBytes)) // the top line's next is line 0
 	if _, i := l.lookup(next); i >= 0 {
 		l.Prefetch.Dropped++
 		return
@@ -116,9 +116,9 @@ func (l *Level) issuePrefetch(at uint64, la uint64, meta Meta) {
 // hit paths) and, tagged-prefetch style, keeps the stream running by
 // prefetching the following line — otherwise a sequential walk would only
 // ever cover alternate lines.
-func (l *Level) notePrefetchHit(now uint64, la uint64, ln *line, meta Meta) {
-	if ln.w&linePrefetched != 0 {
-		ln.w &^= linePrefetched
+func (l *Level) notePrefetchHit(now uint64, la uint64, slot uint64, meta Meta) {
+	if f := l.flags(slot); *f&linePrefetched != 0 {
+		*f &^= linePrefetched
 		l.Prefetch.Useful++
 		l.maybePrefetch(now, la, meta)
 	}

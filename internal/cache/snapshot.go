@@ -104,6 +104,9 @@ func (l *Level) Snap(c *snap.Codec, resolve event.Resolver) error {
 	if c.Loading() {
 		clear(l.pfPending)
 		for _, la := range pf {
+			if la != l.lineAddr(la) {
+				c.Fail(fmt.Errorf("%w: %s prefetch of %#x is not a line address", snap.ErrCorrupt, l.cfg.Name, la))
+			}
 			l.pfPending[la] = struct{}{}
 		}
 	}
@@ -116,39 +119,52 @@ func (l *Level) Snap(c *snap.Codec, resolve event.Resolver) error {
 	// its length fixed by the geometry, then each valid line's word in slot
 	// (so recency) order. An empty way costs its bit, so a frame and a restore
 	// are sized by the lines the warmup touched. A load keeps what install
-	// keeps: a set's valid ways first (its last way is the victim), no tag twice.
-	valid := make([]uint64, (len(l.lines)+63)/64)
+	// keeps: a set's valid ways first (its last way is the victim), no tag
+	// twice, and no word wider than the level stores.
+	slots := l.nsets * l.assoc
+	valid := make([]uint64, (slots+63)/64)
 	if c.Loading() {
 		clear(l.lines)
 	} else {
-		for i := range l.lines {
-			valid[i/64] |= (l.lines[i].w & lineValid) << (i % 64)
+		for i := range slots {
+			valid[i/64] |= uint64(*l.flags(i)&lineValid) << (i % 64)
 		}
 	}
 	c.Words(valid)
 	for wi, word := range valid {
 		for ; word != 0 && c.Err() == nil; word &= word - 1 {
-			i := wi*64 + bits.TrailingZeros64(word)
-			if i >= len(l.lines) {
-				c.Fail(fmt.Errorf("%w: %s line bitmap marks slot %d of %d", snap.ErrCorrupt, l.cfg.Name, i, len(l.lines)))
+			i := uint64(wi*64 + bits.TrailingZeros64(word))
+			if i >= slots {
+				c.Fail(fmt.Errorf("%w: %s line bitmap marks slot %d of %d", snap.ErrCorrupt, l.cfg.Name, i, slots))
 				break
 			}
-			ln := &l.lines[i]
-			c.U64(&ln.w)
-			ahead := l.lines[i-i%int(l.assoc) : i] // the ways before it in its set
+			w := l.word(i)
+			c.U64(&w)
+			var emptyAhead, tagAhead bool // among the ways before it in its set
+			for j := i - i%l.assoc; j < i; j++ {
+				o := l.word(j)
+				emptyAhead = emptyAhead || o == 0
+				tagAhead = tagAhead || o>>flagBits == w>>flagBits
+			}
 			switch {
-			case ln.w&lineValid == 0:
-				c.Fail(fmt.Errorf("%w: %s line %d is listed but not valid (%#x)", snap.ErrCorrupt, l.cfg.Name, i, ln.w))
-			case slices.ContainsFunc(ahead, func(o line) bool { return o.w == 0 }):
+			case w&lineValid == 0:
+				c.Fail(fmt.Errorf("%w: %s line %d is listed but not valid (%#x)", snap.ErrCorrupt, l.cfg.Name, i, w))
+			case w&^l.wmask != 0:
+				c.Fail(fmt.Errorf("%w: %s line %d is wider than its %d-byte word (%#x)", snap.ErrCorrupt, l.cfg.Name, i, l.wb, w))
+			case emptyAhead:
 				c.Fail(fmt.Errorf("%w: %s line %d follows an empty way of its set", snap.ErrCorrupt, l.cfg.Name, i))
-			case slices.ContainsFunc(ahead, func(o line) bool { return o.w>>flagBits == ln.w>>flagBits }):
-				c.Fail(fmt.Errorf("%w: %s line %d repeats a tag of its set (%#x)", snap.ErrCorrupt, l.cfg.Name, i, ln.w))
+			case tagAhead:
+				c.Fail(fmt.Errorf("%w: %s line %d repeats a tag of its set (%#x)", snap.ErrCorrupt, l.cfg.Name, i, w))
+			default:
+				l.setWord(i, w)
 			}
 		}
 	}
 
 	// The MSHR file by ascending line address, so that saving the same state
-	// twice yields the same bytes. Loading recreates each entry from the pool
+	// twice yields the same bytes. A miss's address, like a prefetch's, must be
+	// a line address: a bit past the address space would put its fill's tag
+	// into the next way's bytes. Loading recreates each entry from the pool
 	// before its waiters are read: the references to it — a lower level's
 	// waiter, an event — resolve through the file.
 	ms := l.mshrs
@@ -169,6 +185,8 @@ func (l *Level) Snap(c *snap.Codec, resolve event.Resolver) error {
 		c.U64(&m.addr)
 		if prev != nil && m.addr <= prev.addr {
 			c.Fail(fmt.Errorf("%w: %s lists mshr %#x after %#x", snap.ErrCorrupt, l.cfg.Name, m.addr, prev.addr))
+		} else if m.addr != l.lineAddr(m.addr) {
+			c.Fail(fmt.Errorf("%w: %s mshr %#x is not a line address", snap.ErrCorrupt, l.cfg.Name, m.addr))
 		}
 		prev = m
 		c.Bool(&m.dirty)
@@ -184,6 +202,9 @@ func (l *Level) Snap(c *snap.Codec, resolve event.Resolver) error {
 
 // ResolveRef maps a cache-kind reference back to this level's live object.
 func (l *Level) ResolveRef(ref *snap.Ref) (any, error) {
+	if k := ref.Kind; (k == snap.KCachePfIssue || k == snap.KCachePfFill) && len(ref.Args) > 1 && ref.Args[1] != l.lineAddr(ref.Args[1]) {
+		return nil, fmt.Errorf("%w: %s prefetch of %#x is not a line address", snap.ErrCorrupt, l.cfg.Name, ref.Args[1])
+	}
 	switch ref.Kind {
 	case snap.KCacheMSHR:
 		if len(ref.Args) != 2 {
@@ -197,8 +218,8 @@ func (l *Level) ResolveRef(ref *snap.Ref) (any, error) {
 	case snap.KCacheWBRetry:
 		return &l.wbretry, nil
 	case snap.KCachePfIssue:
-		if len(ref.Args) != 7 {
-			return nil, fmt.Errorf("%w: prefetch-issue ref needs 7 args", snap.ErrCorrupt)
+		if len(ref.Args) != 6 {
+			return nil, fmt.Errorf("%w: prefetch-issue ref needs 6 args", snap.ErrCorrupt)
 		}
 		m, err := metaFromArgs(ref.Args[2:])
 		if err != nil {

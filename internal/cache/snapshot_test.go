@@ -27,6 +27,8 @@ var snapshotFieldClass = map[string]string{
 	"Level.q":          "wiring",
 	"Level.lower":      "wiring",
 	"Level.lines":      "serialized", // the valid ones, in slot (so recency) order; an empty way is its zero bit in the bitmap
+	"Level.wb":         "wiring",
+	"Level.wmask":      "wiring",
 	"Level.assoc":      "wiring",
 	"Level.nsets":      "wiring",
 	"Level.lineShift":  "wiring",
@@ -50,8 +52,6 @@ var snapshotFieldClass = map[string]string{
 	"mshr.issued":  "serialized",
 	"mshr.l":       "wiring",
 	"mshr.meta":    "serialized",
-
-	"line.w": "serialized",
 
 	"wbEntry.addr": "serialized",
 	"wbEntry.meta": "serialized",
@@ -92,7 +92,7 @@ var snapshotFieldClass = map[string]string{
 func TestSnapshotFieldCoverage(t *testing.T) {
 	seen := map[string]bool{}
 	for _, typ := range []reflect.Type{
-		reflect.TypeOf(Level{}), reflect.TypeOf(mshr{}), reflect.TypeOf(line{}), reflect.TypeOf(wbEntry{}),
+		reflect.TypeOf(Level{}), reflect.TypeOf(mshr{}), reflect.TypeOf(wbEntry{}),
 		reflect.TypeOf(Meta{}), reflect.TypeOf(mem.ThreadState{}), reflect.TypeOf(Stats{}), reflect.TypeOf(prefetchStats{}),
 		reflect.TypeOf(MemBackend{}), reflect.TypeOf(pooledReq{}),
 	} {

@@ -24,10 +24,11 @@ func mixCfg(t testing.TB, mix string, warmup uint64) Config {
 }
 
 // TestMachineFootprint: the eight-thread Table 1 machine is 75,776 cache
-// lines of 8 bytes (0.61 MB) plus the core, the controller and the generators,
-// 0.97 MB in all, 40 KB of it the frontend buffers, which the core allocates
-// with its threads (before that the run grew them, and each generator seeded
-// from a math/rand source of its own, 43 KB); 1.58 MB with a 16-byte line
+// lines (0.31 MB: 5-byte words in the L1s and L2, 4-byte words in the L3)
+// plus the core, the controller and the generators, 0.70 MB in all, 40 KB of
+// it the frontend buffers, which the core allocates with its threads (before
+// that the run grew them, and each generator seeded from a math/rand source
+// of its own, 43 KB); 0.97 MB with 8-byte lines, 1.58 MB with a 16-byte line
 // that carried an LRU stamp, and 2.7 MB with 24-byte lines behind per-set
 // slice headers.
 func TestMachineFootprint(t *testing.T) {
@@ -40,7 +41,7 @@ func TestMachineFootprint(t *testing.T) {
 		t.Fatal(err)
 	}
 	runtime.KeepAlive(s)
-	const ceiling = 1_020_000
+	const ceiling = 770_000
 	got := after.TotalAlloc - before.TotalAlloc
 	t.Logf("NewSimulator allocated %d bytes", got)
 	if got > ceiling {

@@ -32,6 +32,12 @@ func (k Kind) String() string {
 	}
 }
 
+// AddrBits is the width of the simulated physical address space. The caches
+// drop every address bit above it, so a request below the L1s names a line
+// under 1<<AddrBits; sixty-four threads of 2^40 bytes each fit with room to
+// spare.
+const AddrBits = 48
+
 // InvalidThread marks requests, such as writebacks, that are not attributed
 // to any hardware thread for scheduling purposes.
 const InvalidThread = -1

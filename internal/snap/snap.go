@@ -335,7 +335,7 @@ const (
 	// KCacheWBRetry is a level's writeback drain handler: args levelID.
 	KCacheWBRetry
 	// KCachePfIssue is a scheduled prefetch issue: args levelID, line
-	// address, then the 5-word request meta.
+	// address, then the 4-word request meta.
 	KCachePfIssue
 	// KCachePfFill is a prefetch fill continuation: args levelID, line addr.
 	KCachePfFill

@@ -26,6 +26,8 @@ import (
 	"fmt"
 	"io"
 	"math"
+
+	"smtdram/internal/mem"
 )
 
 // traceMagic identifies the trace format ("SMTDRAM1").
@@ -123,8 +125,7 @@ func Record(app App, threadID int, seed int64, n uint64, w io.Writer) error {
 
 // Replay is a cpu.Source that replays a recorded trace. When the trace is
 // exhausted it loops back to the first instruction (threads must be able to
-// run past their target to preserve contention), re-basing PCs so fetch
-// stays sequential.
+// run past their target to preserve contention), with the PCs as recorded.
 type Replay struct {
 	ins  []Instr
 	next int
@@ -133,7 +134,8 @@ type Replay struct {
 // ErrBadTrace reports a malformed or truncated trace stream.
 var ErrBadTrace = errors.New("workload: malformed trace")
 
-// NewReplay decodes an entire trace into memory.
+// NewReplay decodes an entire trace into memory. A PC or data address must lie
+// below 1<<mem.AddrBits, the end of the simulated address space.
 func NewReplay(r io.Reader) (*Replay, error) {
 	br := bufio.NewReader(r)
 	var magic [8]byte
@@ -180,6 +182,9 @@ func NewReplay(r io.Reader) (*Replay, error) {
 			return nil, fmt.Errorf("%w: record %d: lat %d / deps %d, %d do not fit an Instr", ErrBadTrace, len(rep.ins), lat, dep1, dep2)
 		}
 		pc = uint64(int64(pc) + pcDelta)
+		if pc >= 1<<mem.AddrBits {
+			return nil, fmt.Errorf("%w: record %d: PC %#x is past the %d-bit address space", ErrBadTrace, len(rep.ins), pc, mem.AddrBits)
+		}
 		in := Instr{
 			Kind:       Kind(kind),
 			Mispredict: flags&1 != 0,
@@ -193,6 +198,9 @@ func NewReplay(r io.Reader) (*Replay, error) {
 			addr, err := binary.ReadUvarint(br)
 			if err != nil {
 				return nil, fmt.Errorf("%w: %v", ErrBadTrace, err)
+			}
+			if addr >= 1<<mem.AddrBits {
+				return nil, fmt.Errorf("%w: record %d: address %#x is past the %d-bit address space", ErrBadTrace, len(rep.ins), addr, mem.AddrBits)
 			}
 			in.Addr = addr
 		}

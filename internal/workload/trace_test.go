@@ -7,6 +7,8 @@ import (
 	"math"
 	"testing"
 	"testing/quick"
+
+	"smtdram/internal/mem"
 )
 
 func TestTraceRoundTrip(t *testing.T) {
@@ -112,6 +114,40 @@ func TestReplayRejectsFieldsThatDoNotFit(t *testing.T) {
 	}
 }
 
+// The address space ends at 1<<mem.AddrBits: a PC or data address at its
+// last doubleword replays, one at its end is a malformed trace.
+func TestReplayRejectsAddressesPastAddrBits(t *testing.T) {
+	const end = uint64(1) << mem.AddrBits
+	for _, tc := range []struct {
+		name string
+		in   Instr
+		ok   bool
+	}{
+		{"PC below the end", Instr{Kind: IntOp, Lat: 1, PC: end - 8}, true},
+		{"PC at the end", Instr{Kind: IntOp, Lat: 1, PC: end}, false},
+		{"address below the end", Instr{Kind: Load, Lat: 1, PC: 4, Addr: end - 8}, true},
+		{"address at the end", Instr{Kind: Store, Lat: 1, PC: 4, Addr: end}, false},
+	} {
+		var buf bytes.Buffer
+		tw, err := NewTraceWriter(&buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := tw.Write(tc.in); err != nil || tw.Flush() != nil {
+			t.Fatal("write failed")
+		}
+		rep, err := NewReplay(&buf)
+		switch {
+		case tc.ok && err != nil:
+			t.Errorf("%s: %v", tc.name, err)
+		case tc.ok && rep.Next() != tc.in:
+			t.Errorf("%s: the record did not come back", tc.name)
+		case !tc.ok && !errors.Is(err, ErrBadTrace):
+			t.Errorf("%s: error = %v, want ErrBadTrace", tc.name, err)
+		}
+	}
+}
+
 func TestTraceWriterCount(t *testing.T) {
 	var buf bytes.Buffer
 	tw, err := NewTraceWriter(&buf)
@@ -141,7 +177,7 @@ func TestPropertyTraceEncoding(t *testing.T) {
 			PC:         uint64(pc),
 		}
 		if in.Kind == Load || in.Kind == Store {
-			in.Addr = addr
+			in.Addr = addr % (1 << mem.AddrBits)
 		}
 		var buf bytes.Buffer
 		tw, err := NewTraceWriter(&buf)

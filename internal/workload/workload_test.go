@@ -6,6 +6,8 @@ import (
 	"testing"
 	"testing/quick"
 	"unsafe"
+
+	"smtdram/internal/mem"
 )
 
 func TestCatalogComplete(t *testing.T) {
@@ -111,6 +113,34 @@ func TestDifferentThreadsDisjointAddressSpaces(t *testing.T) {
 		}
 		if x.PC>>threadAddrBits != 0 || y.PC>>threadAddrBits != 1 {
 			t.Fatal("PCs escaped thread spaces")
+		}
+	}
+}
+
+// Every application's regions fit its thread's 2^40-byte slot even at thread
+// 63, the last of the CPU's 64 contexts, so no generated PC or address reaches
+// 1<<mem.AddrBits, where the caches would wrap it onto another thread's.
+func TestRegionsStayInsideAddrBits(t *testing.T) {
+	const thread = 63
+	for _, n := range Names() {
+		a, _ := ByName(n)
+		g, err := NewGen(a, thread, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		slot := g.base + 1<<threadAddrBits
+		for _, r := range []struct {
+			name        string
+			start, size uint64
+		}{
+			{"code", g.codeBase(), uint64(a.CodeBytes)},
+			{"hot", g.base + hotOff + g.skew, uint64(a.HotBytes)},
+			{"stream", g.base + streamOff + g.skew, uint64(a.StreamBytes)},
+			{"cold", g.base + coldOff + g.skew, uint64(a.ColdBytes)},
+		} {
+			if end := r.start + r.size; end > slot || end > 1<<mem.AddrBits {
+				t.Errorf("%s at thread %d: the %s region ends at %#x, past its slot (%#x) or the address space", n, thread, r.name, end, slot)
+			}
 		}
 	}
 }
