@@ -56,7 +56,7 @@ func main() {
 		fsyncStr = flag.String("fsync", "off", `journal/store fsync policy: "off" (survives kill -9) or "always" (also survives OS crash)`)
 		ckptDir  = flag.String("checkpoint-dir", "", "persist warmup checkpoints under this directory so figure sweeps fork warm re-runs across restarts (empty: in-memory memoization only)")
 
-		nodeID      = flag.String("node-id", "", "this daemon's fleet node id (no '-'; job ids become j-<node>-<n> and metrics gain node_id/role labels)")
+		nodeID      = flag.String("node-id", "", "this daemon's fleet node id ([A-Za-z0-9_]+; job ids become j-<node>-<n> and metrics gain node_id/role labels)")
 		peersStr    = flag.String("peers", "", "comma-separated fleet peers as name=url for cache peering (requires -node-id)")
 		peerTimeout = flag.Duration("peer-timeout", 2*time.Second, "per-fetch timeout when consulting fleet peers for a cached entry")
 		tenantRate  = flag.Float64("tenant-rate", 0, "per-tenant admission tokens per second (0 disables tenant quotas)")
@@ -97,9 +97,11 @@ func main() {
 		}
 		simWorkers = n
 	}
-	if strings.Contains(*nodeID, "-") {
-		fmt.Fprintf(os.Stderr, "smtdramd: -node-id %q must not contain '-' (it delimits job ids)\n", *nodeID)
-		os.Exit(2)
+	if *nodeID != "" {
+		if err := server.ValidNodeID(*nodeID); err != nil {
+			fmt.Fprintln(os.Stderr, "smtdramd: -node-id:", err)
+			os.Exit(2)
+		}
 	}
 	peers, err := parsePeers(*peersStr)
 	if err != nil {
@@ -236,8 +238,8 @@ func parsePeers(s string) (map[string]string, error) {
 		if !ok || id == "" || u == "" {
 			return nil, fmt.Errorf("bad -peers element %q (want name=url)", p)
 		}
-		if strings.Contains(id, "-") {
-			return nil, fmt.Errorf("peer id %q must not contain '-'", id)
+		if err := server.ValidNodeID(id); err != nil {
+			return nil, fmt.Errorf("-peers: %w", err)
 		}
 		peers[id] = u
 	}

@@ -527,7 +527,7 @@ func (c *Coordinator) Handler() http.Handler {
 		labels := []obs.Label{{Key: "node_id", Val: c.cfg.NodeID}, {Key: "role", Val: "coordinator"}}
 		c.metricsMu.Lock()
 		defer c.metricsMu.Unlock()
-		_ = c.reg.WritePrometheusLabeled(w, "smtdram", uint64(time.Since(c.startedAt)/time.Second), labels)
+		_ = c.reg.WritePrometheus(w, "smtdram", uint64(time.Since(c.startedAt)/time.Second), labels)
 	})
 	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "application/json")

@@ -10,6 +10,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -492,7 +493,8 @@ func TestNodeOfJobID(t *testing.T) {
 // TestMetricsExpositionLabeled runs the strict exposition parser over a fleet
 // worker's and the coordinator's /metrics after real traffic. Both render
 // every sample with node_id/role labels (histogram buckets merge them with
-// le), a form a standalone daemon's unlabeled exposition never exercises.
+// le), a form a standalone daemon's unlabeled exposition never exercises. The
+// coordinator's family set is exactly coordinatorFamilies.
 func TestMetricsExpositionLabeled(t *testing.T) {
 	f := startFleet(t, fleet.LocalConfig{
 		Nodes:  []fleet.LocalNode{{ID: "w1"}},
@@ -515,6 +517,15 @@ func TestMetricsExpositionLabeled(t *testing.T) {
 		if len(fams) == 0 {
 			t.Fatalf("%s/metrics has no families", tc.url)
 		}
+		if tc.url == f.CoordURL {
+			got := map[string]string{}
+			for name, fam := range fams {
+				got[name] = fam.Type
+			}
+			if !reflect.DeepEqual(got, coordinatorFamilies) {
+				t.Errorf("coordinator families = %v, want %v", got, coordinatorFamilies)
+			}
+		}
 		for _, fam := range fams {
 			for key := range fam.Samples {
 				if !strings.Contains(key, "{"+tc.labels) {
@@ -523,4 +534,18 @@ func TestMetricsExpositionLabeled(t *testing.T) {
 			}
 		}
 	}
+}
+
+// coordinatorFamilies is the coordinator's whole /metrics family set by type.
+// A series joins it on purpose, when something reads it.
+var coordinatorFamilies = map[string]string{
+	"smtdram_fleet_forwards_total":       "counter",
+	"smtdram_fleet_forward_errors_total": "counter",
+	"smtdram_fleet_no_owner_total":       "counter",
+	"smtdram_fleet_quota_rejected_total": "counter",
+	"smtdram_fleet_ejections_total":      "counter",
+	"smtdram_fleet_readmissions_total":   "counter",
+	"smtdram_fleet_workers":              "gauge",
+	"smtdram_fleet_workers_ready":        "gauge",
+	"smtdram_uptime_seconds":             "gauge",
 }

@@ -207,7 +207,7 @@ func New(o Options) *Observer {
 		ob.Trace = NewTracer()
 	}
 	if o.Profile {
-		ob.Prof = NewLoopProf(ob.Reg)
+		ob.Prof = newLoopProf(ob.Reg)
 	}
 	return ob
 }

@@ -49,8 +49,8 @@ func TestNewObserverAllOff(t *testing.T) {
 	if ob == nil || ob.Reg == nil || ob.Trace != nil || ob.Prof != nil {
 		t.Fatalf("New(Metrics) = %+v", ob)
 	}
-	if ob.Reg.Interval() != 1000 {
-		t.Fatalf("default interval = %d, want 1000", ob.Reg.Interval())
+	if ob.Reg.interval != 1000 {
+		t.Fatalf("default interval = %d, want 1000", ob.Reg.interval)
 	}
 }
 
@@ -90,14 +90,13 @@ func TestRegistrySampling(t *testing.T) {
 }
 
 func TestHistogramBuckets(t *testing.T) {
-	h := NewHistogram("h", []uint64{1, 4})
+	h := newHistogram("h", []uint64{1, 4})
 	for _, v := range []uint64{0, 1, 2, 4, 5, 100} {
 		h.Observe(v)
 	}
-	_, counts := h.Buckets()
 	// ≤1: {0,1}; ≤4: {2,4}; overflow: {5,100}
-	if counts[0] != 2 || counts[1] != 2 || counts[2] != 2 {
-		t.Fatalf("counts = %v", counts)
+	if c := h.counts; c[0] != 2 || c[1] != 2 || c[2] != 2 {
+		t.Fatalf("counts = %v", c)
 	}
 	if h.Count() != 6 || h.Max() != 100 {
 		t.Fatalf("count %d max %d", h.Count(), h.Max())
@@ -240,7 +239,7 @@ func TestRegistryWriteJSONL(t *testing.T) {
 }
 
 func TestLoopProfStandalone(t *testing.T) {
-	p := NewLoopProf(nil)
+	p := newLoopProf(nil)
 	fired := uint64(0)
 	for now := uint64(1); now <= 100; now++ {
 		fired += now % 3 // 0,1,2 events per cycle
@@ -273,7 +272,7 @@ func TestLoopProfChargesItsOwnGaps(t *testing.T) {
 		}
 		return 0
 	}
-	every, gapped := NewLoopProf(nil), NewLoopProf(nil)
+	every, gapped := newLoopProf(nil), newLoopProf(nil)
 	var total uint64
 	for now := uint64(1); now <= end-500; now++ {
 		n := fired(now)
@@ -294,7 +293,7 @@ func TestLoopProfChargesItsOwnGaps(t *testing.T) {
 	if a, b := every.Hist.String(), gapped.Hist.String(); a != b {
 		t.Fatalf("histograms differ:\nevery cycle: %s\ngapped:      %s", a, b)
 	}
-	if a, b := len(every.MegacycleWall()), len(gapped.MegacycleWall()); a != 1 || b != 1 {
+	if a, b := len(every.megaWall), len(gapped.megaWall); a != 1 || b != 1 {
 		t.Fatalf("megacycle marks: %d every cycle, %d gapped, want 1 each", a, b)
 	}
 }

@@ -28,15 +28,15 @@ type LoopProf struct {
 	total     time.Duration
 }
 
-// NewLoopProf builds a profiler; reg may be nil (standalone histogram).
-func NewLoopProf(reg *Registry) *LoopProf {
+// newLoopProf builds a profiler; reg may be nil (standalone histogram).
+func newLoopProf(reg *Registry) *LoopProf {
 	bounds := []uint64{0, 1, 2, 4, 8, 16, 32}
 	p := &LoopProf{nextMega: megacycle, start: time.Now()}
 	p.megaStart = p.start
 	if reg != nil {
 		p.Hist = reg.Histogram("event.events_per_cycle", bounds)
 	} else {
-		p.Hist = NewHistogram("event.events_per_cycle", bounds)
+		p.Hist = newHistogram("event.events_per_cycle", bounds)
 	}
 	return p
 }
@@ -74,12 +74,6 @@ func (p *LoopProf) finish(now uint64) {
 
 // Cycles returns the number of simulated cycles observed.
 func (p *LoopProf) Cycles() uint64 { return p.cycles }
-
-// Wall returns total wall time (valid after Finish).
-func (p *LoopProf) Wall() time.Duration { return p.total }
-
-// MegacycleWall returns wall time per completed simulated megacycle.
-func (p *LoopProf) MegacycleWall() []time.Duration { return p.megaWall }
 
 // Summary renders a human-readable profile report.
 func (p *LoopProf) Summary() string {

@@ -12,8 +12,8 @@ func TestPromName(t *testing.T) {
 		"weird name/π":        "weird_name__",
 		"9lives":              "_9lives",
 	} {
-		if got := PromName(in); got != want {
-			t.Errorf("PromName(%q) = %q, want %q", in, got, want)
+		if got := promName(in); got != want {
+			t.Errorf("promName(%q) = %q, want %q", in, got, want)
 		}
 	}
 }
@@ -28,7 +28,7 @@ func TestWritePrometheus(t *testing.T) {
 	h.Observe(5000)
 
 	var b strings.Builder
-	if err := r.WritePrometheus(&b, "smtdram", 10); err != nil {
+	if err := r.WritePrometheus(&b, "smtdram", 10, nil); err != nil {
 		t.Fatal(err)
 	}
 	out := b.String()
@@ -49,7 +49,7 @@ func TestWritePrometheus(t *testing.T) {
 	}
 	// A nil registry renders nothing and does not crash.
 	var nilReg *Registry
-	if err := nilReg.WritePrometheus(&b, "x", 0); err != nil {
+	if err := nilReg.WritePrometheus(&b, "x", 0, nil); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -20,7 +20,7 @@ import (
 
 // PromFamily is one parsed metric family.
 type PromFamily struct {
-	// Name is the family name ("smtdram_job_latency_served_ms").
+	// Name is the family name ("smtdram_job_latency_served_us").
 	Name string
 	// Type is "counter", "gauge", or "histogram".
 	Type string
@@ -127,12 +127,6 @@ func ParsePrometheus(r io.Reader) (map[string]*PromFamily, error) {
 		}
 	}
 	return families, nil
-}
-
-// ValidateExposition parses and validates, returning the family count.
-func ValidateExposition(r io.Reader) (int, error) {
-	fams, err := ParsePrometheus(r)
-	return len(fams), err
 }
 
 // check enforces per-family invariants.

@@ -10,12 +10,12 @@ const validExposition = `# HELP smtdram_jobs_accepted_total Jobs admitted.
 smtdram_jobs_accepted_total 42
 # TYPE smtdram_queue_depth gauge
 smtdram_queue_depth 3
-# TYPE smtdram_job_latency_served_ms histogram
-smtdram_job_latency_served_ms_bucket{le="10"} 1
-smtdram_job_latency_served_ms_bucket{le="100"} 4
-smtdram_job_latency_served_ms_bucket{le="+Inf"} 5
-smtdram_job_latency_served_ms_sum 321
-smtdram_job_latency_served_ms_count 5
+# TYPE smtdram_job_latency_served_us histogram
+smtdram_job_latency_served_us_bucket{le="10"} 1
+smtdram_job_latency_served_us_bucket{le="100"} 4
+smtdram_job_latency_served_us_bucket{le="+Inf"} 5
+smtdram_job_latency_served_us_sum 321
+smtdram_job_latency_served_us_count 5
 `
 
 // TestParsePrometheusValid accepts a well-formed exposition and returns its
@@ -32,7 +32,7 @@ func TestParsePrometheusValid(t *testing.T) {
 	if c == nil || c.Type != "counter" || c.Samples["smtdram_jobs_accepted_total"] != 42 {
 		t.Fatalf("counter family = %+v", c)
 	}
-	h := fams["smtdram_job_latency_served_ms"]
+	h := fams["smtdram_job_latency_served_us"]
 	if h == nil || h.Type != "histogram" {
 		t.Fatalf("histogram family = %+v", h)
 	}
@@ -41,9 +41,6 @@ func TestParsePrometheusValid(t *testing.T) {
 	}
 	if h.Sum != 321 || h.Count != 5 {
 		t.Fatalf("sum/count = %g/%g", h.Sum, h.Count)
-	}
-	if n, err := ValidateExposition(strings.NewReader(validExposition)); err != nil || n != 3 {
-		t.Fatalf("ValidateExposition = %d, %v", n, err)
 	}
 }
 

@@ -60,9 +60,9 @@ type Histogram struct {
 	max    uint64
 }
 
-// NewHistogram builds a standalone histogram (used when no registry exists).
+// newHistogram builds a standalone histogram (used when no registry exists).
 // bounds must be ascending.
-func NewHistogram(name string, bounds []uint64) *Histogram {
+func newHistogram(name string, bounds []uint64) *Histogram {
 	return &Histogram{name: name, bounds: bounds, counts: make([]uint64, len(bounds)+1)}
 }
 
@@ -173,15 +173,6 @@ func (h *Histogram) Quantile(q float64) float64 {
 	return float64(h.max)
 }
 
-// Buckets returns the (bounds, counts) pair; counts has one extra overflow
-// slot.
-func (h *Histogram) Buckets() ([]uint64, []uint64) {
-	if h == nil {
-		return nil, nil
-	}
-	return h.bounds, h.counts
-}
-
 // String renders "≤b:n" pairs for humans.
 func (h *Histogram) String() string {
 	if h == nil || h.n == 0 {
@@ -237,14 +228,6 @@ func NewRegistry(interval uint64) *Registry {
 		interval = 1000
 	}
 	return &Registry{interval: interval, byName: map[string]*gauge{}}
-}
-
-// Interval returns the sampling period in cycles.
-func (r *Registry) Interval() uint64 {
-	if r == nil {
-		return 0
-	}
-	return r.interval
 }
 
 // Gauge registers a read-on-demand metric reported only in the final
@@ -305,7 +288,7 @@ func (r *Registry) Histogram(name string, bounds []uint64) *Histogram {
 			return h
 		}
 	}
-	h := NewHistogram(name, bounds)
+	h := newHistogram(name, bounds)
 	r.hists = append(r.hists, h)
 	return h
 }

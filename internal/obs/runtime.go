@@ -11,7 +11,6 @@ import (
 type RuntimeVitals struct {
 	Goroutines   int
 	HeapAlloc    uint64
-	HeapSys      uint64
 	GCPauseTotal time.Duration
 	GCCycles     uint32
 	SchedP50     float64 // scheduler latency, seconds
@@ -51,7 +50,6 @@ func (rs *runtimeSampler) vitals() RuntimeVitals {
 		rs.cur = RuntimeVitals{
 			Goroutines:   runtime.NumGoroutine(),
 			HeapAlloc:    mem.HeapAlloc,
-			HeapSys:      mem.HeapSys,
 			GCPauseTotal: time.Duration(mem.PauseTotalNs),
 			GCCycles:     mem.NumGC,
 			SchedP50:     schedLatencyQuantile(rs.samples[0], 0.50),
@@ -114,9 +112,6 @@ func RegisterRuntimeMetrics(reg *Registry) func() RuntimeVitals {
 		})
 		reg.Gauge("go.heap_alloc_bytes", func(uint64) float64 {
 			return float64(rs.vitals().HeapAlloc)
-		})
-		reg.Gauge("go.heap_sys_bytes", func(uint64) float64 {
-			return float64(rs.vitals().HeapSys)
 		})
 		reg.Gauge("go.gc_pause_total_seconds", func(uint64) float64 {
 			return rs.vitals().GCPauseTotal.Seconds()

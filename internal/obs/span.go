@@ -204,14 +204,6 @@ func (s *Span) End() {
 	}
 }
 
-// ID returns the span's id (0 for nil).
-func (s *Span) ID() SpanID {
-	if s == nil {
-		return 0
-	}
-	return s.id
-}
-
 // Len reports how many spans the buffer currently retains.
 func (sp *Spanner) Len() int {
 	if sp == nil {
@@ -253,40 +245,6 @@ func FilterSpans(spans []SpanRecord, pred func(SpanRecord) bool) []SpanRecord {
 		}
 	}
 	return out
-}
-
-// spanJSON is the JSONL wire form of a SpanRecord.
-type spanJSON struct {
-	ID     SpanID `json:"id"`
-	Parent SpanID `json:"parent,omitempty"`
-	Name   string `json:"name"`
-	// StartUs/EndUs are microseconds since the export's base time.
-	StartUs int64  `json:"start_us"`
-	EndUs   int64  `json:"end_us,omitempty"`
-	Open    bool   `json:"open,omitempty"`
-	Attrs   []Attr `json:"attrs,omitempty"`
-}
-
-// WriteSpanJSONL exports spans as JSON lines with timestamps in microseconds
-// since base.
-func WriteSpanJSONL(w io.Writer, spans []SpanRecord, base time.Time) error {
-	enc := json.NewEncoder(w)
-	for _, s := range spans {
-		js := spanJSON{
-			ID: s.ID, Parent: s.Parent, Name: s.Name,
-			StartUs: s.Start.Sub(base).Microseconds(),
-			Attrs:   s.Attrs,
-		}
-		if s.Open() {
-			js.Open = true
-		} else {
-			js.EndUs = s.End.Sub(base).Microseconds()
-		}
-		if err := enc.Encode(js); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // wallPid is the Chrome-export process id hosting every wall-clock span

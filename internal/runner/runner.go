@@ -49,10 +49,6 @@ func New(jobs int) *Pool {
 	return p
 }
 
-// Sequential is the inline-execution pool; each job runs on the submitting
-// goroutine when its future is first Waited.
-func Sequential() *Pool { return New(1) }
-
 // NewPooled builds a pool that always runs submissions on worker goroutines,
 // even at jobs == 1. The serving daemon needs this form: its futures are
 // awaited from per-flight goroutines, so lazy inline execution — which
@@ -102,9 +98,9 @@ func (f *Future[T]) Wait() (T, error) {
 	return f.val, f.err
 }
 
-// Resolved builds an already-completed future carrying v. The baseline memo
+// resolved builds an already-completed future carrying v. The baseline memo
 // uses it to hand out cached values through the same Wait interface.
-func Resolved[T any](v T, err error) *Future[T] {
+func resolved[T any](v T, err error) *Future[T] {
 	return &Future[T]{val: v, err: err}
 }
 
@@ -158,11 +154,6 @@ func Submit[T any](p *Pool, fn func() (T, error)) *Future[T] {
 // config's fingerprint so a panic names the exact run that died.
 func SubmitNamed[T any](p *Pool, name string, fn func() (T, error)) *Future[T] {
 	return SubmitNamedCtx(p, context.Background(), name, func(context.Context) (T, error) { return fn() })
-}
-
-// SubmitCtx is SubmitNamedCtx without a job label.
-func SubmitCtx[T any](p *Pool, ctx context.Context, fn func(context.Context) (T, error)) *Future[T] {
-	return SubmitNamedCtx(p, ctx, "", fn)
 }
 
 // SubmitNamedCtx schedules fn with a cancellation context. A job whose ctx is
@@ -482,7 +473,7 @@ func (m *Memo[K, V]) Join(parent context.Context, p *Pool, key K, fn func(contex
 		if e.elem != nil {
 			m.lru.MoveToFront(e.elem)
 			m.stats.Hits++
-			return &Flight[V]{fut: Resolved(e.val, nil)}, Hit
+			return &Flight[V]{fut: resolved(e.val, nil)}, Hit
 		}
 		e.flight.waiters++
 		m.stats.Joins++
@@ -512,7 +503,7 @@ func (m *Memo[K, V]) Join(parent context.Context, p *Pool, key K, fn func(contex
 		}
 	}
 	m.insertLocked(e)
-	f.fut = SubmitCtx(p, ctx, func(ctx context.Context) (v V, err error) {
+	f.fut = SubmitNamedCtx(p, ctx, "", func(ctx context.Context) (v V, err error) {
 		defer func() {
 			r := recover()
 			m.mu.Lock()

@@ -12,9 +12,9 @@ import (
 )
 
 func TestSequentialRunsLazilyAtWait(t *testing.T) {
-	p := Sequential()
+	p := New(1)
 	if p.Jobs() != 1 {
-		t.Fatalf("Sequential pool has %d jobs", p.Jobs())
+		t.Fatalf("1-job pool has %d jobs", p.Jobs())
 	}
 	runs := 0
 	f := Submit(p, func() (int, error) { runs++; return 7, nil })
@@ -137,9 +137,9 @@ func TestMemoSingleFlight(t *testing.T) {
 }
 
 func TestResolved(t *testing.T) {
-	f := Resolved(3.5, nil)
+	f := resolved(3.5, nil)
 	if v, err := f.Wait(); v != 3.5 || err != nil {
-		t.Fatalf("Resolved Wait = %v, %v", v, err)
+		t.Fatalf("resolved Wait = %v, %v", v, err)
 	}
 }
 
@@ -171,7 +171,7 @@ func TestPanickingJobFailsOnlyItsFuture(t *testing.T) {
 }
 
 func TestPanicRecoveryOnLazyPool(t *testing.T) {
-	p := Sequential()
+	p := New(1)
 	f := Submit(p, func() (int, error) { panic(42) })
 	_, err := f.Wait()
 	var pe *PanicError
@@ -197,7 +197,7 @@ func TestSubmitCtxCancelledWhileQueuedNeverRuns(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	var ran atomic.Bool
-	queued := SubmitCtx(p, ctx, func(context.Context) (int, error) {
+	queued := SubmitNamedCtx(p, ctx, "", func(context.Context) (int, error) {
 		ran.Store(true)
 		return 1, nil
 	})
@@ -216,7 +216,7 @@ func TestSubmitCtxCancelledWhileQueuedNeverRuns(t *testing.T) {
 }
 
 func TestSubmitCtxCancelledOnLazyPool(t *testing.T) {
-	p := Sequential()
+	p := New(1)
 	ctx, cancel := context.WithCancel(context.Background())
 	var ran bool
 	f := SubmitNamedCtx(p, ctx, "lazy", func(context.Context) (int, error) { ran = true; return 1, nil })
@@ -233,7 +233,7 @@ func TestSubmitCtxPassesContextThrough(t *testing.T) {
 	p := New(2)
 	type key struct{}
 	ctx := context.WithValue(context.Background(), key{}, "here")
-	f := SubmitCtx(p, ctx, func(ctx context.Context) (string, error) {
+	f := SubmitNamedCtx(p, ctx, "", func(ctx context.Context) (string, error) {
 		v, _ := ctx.Value(key{}).(string)
 		return v, nil
 	})
@@ -377,10 +377,10 @@ func TestInstrumentObservesSlotWait(t *testing.T) {
 	}
 }
 
-// TestInstrumentNeverFiresOnLazyPools: a 1-job Sequential pool runs inline at
+// TestInstrumentNeverFiresOnLazyPools: a 1-job pool runs inline at
 // Wait and has no queue, so the hook must stay silent.
 func TestInstrumentNeverFiresOnLazyPools(t *testing.T) {
-	p := Sequential()
+	p := New(1)
 	fired := atomic.Int32{}
 	p.Instrument(func(string, time.Duration) { fired.Add(1) })
 	f := Submit(p, func() (int, error) { return 3, nil })

@@ -1,6 +1,7 @@
 // Package client is the Go client for the smtdramd daemon (internal/server):
-// typed submission, polling, cancellation, SSE progress consumption, and a
-// load generator the benchmark suite uses to measure the serving path.
+// typed submission, polling, cancellation and SSE progress consumption. Each
+// call is one HTTP attempt. The tests and cmd/bench's serving workload drive
+// the daemon through it.
 package client
 
 import (
@@ -24,9 +25,6 @@ type Client struct {
 	BaseURL string
 	// HTTP is the transport (http.DefaultClient when nil).
 	HTTP *http.Client
-	// Retry, when set, retries transient failures (502/503/504, transport
-	// errors) with jittered exponential backoff. See RetryPolicy.
-	Retry *RetryPolicy
 }
 
 // New builds a client for baseURL.
@@ -72,12 +70,6 @@ func errorBody(body []byte) string {
 }
 
 func (c *Client) do(ctx context.Context, method, path string, in, out any) error {
-	return c.doRetry(ctx, func(ctx context.Context) error {
-		return c.doOnce(ctx, method, path, in, out)
-	})
-}
-
-func (c *Client) doOnce(ctx context.Context, method, path string, in, out any) error {
 	var body io.Reader
 	if in != nil {
 		b, err := json.Marshal(in)
@@ -279,32 +271,4 @@ func (c *Client) Events(ctx context.Context, id string, fn func(Event) error) er
 		return err
 	}
 	return io.ErrUnexpectedEOF // stream ended without a terminal event
-}
-
-// MetricValue scrapes /metrics and returns the value of one metric by its
-// exposition name (e.g. "smtdram_jobs_cached_total").
-func (c *Client) MetricValue(ctx context.Context, name string) (float64, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.BaseURL+"/metrics", nil)
-	if err != nil {
-		return 0, err
-	}
-	resp, err := c.http().Do(req)
-	if err != nil {
-		return 0, err
-	}
-	defer resp.Body.Close()
-	raw, err := io.ReadAll(io.LimitReader(resp.Body, 16<<20))
-	if err != nil {
-		return 0, err
-	}
-	if resp.StatusCode != http.StatusOK {
-		return 0, &APIError{Code: resp.StatusCode, Msg: errorBody(raw)}
-	}
-	for _, line := range strings.Split(string(raw), "\n") {
-		fields := strings.Fields(line)
-		if len(fields) == 2 && fields[0] == name {
-			return strconv.ParseFloat(fields[1], 64)
-		}
-	}
-	return 0, fmt.Errorf("client: metric %q not found", name)
 }

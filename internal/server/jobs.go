@@ -123,6 +123,22 @@ func (s *Server) newJobLocked(kind, fp string) *job {
 	return s.registerJobLocked(id, kind, fp)
 }
 
+// ValidNodeID checks that id can name a fleet node: one or more of
+// [A-Za-z0-9_]. A node's job ids read "j-<node>-<n>" and are routed as one
+// URL path segment, so '-' (the delimiter), '/' and anything a URL escapes
+// would mint ids that no lookup reaches.
+func ValidNodeID(id string) error {
+	if id == "" {
+		return fmt.Errorf("node id is empty")
+	}
+	for _, r := range id {
+		if !(r >= 'a' && r <= 'z' || r >= 'A' && r <= 'Z' || r >= '0' && r <= '9' || r == '_') {
+			return fmt.Errorf("node id %q: %q is not one of [A-Za-z0-9_]", id, r)
+		}
+	}
+	return nil
+}
+
 // registerJobLocked registers a job under an explicit id — fresh ids from
 // newJobLocked, or original ids preserved across a crash by journal
 // recovery. The caller holds s.mu.

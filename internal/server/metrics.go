@@ -24,7 +24,6 @@ type metrics struct {
 	mFailed    *obs.Counter
 	mCancelled *obs.Counter
 	mSimsRun   *obs.Counter
-	mFigsRun   *obs.Counter
 	// Two-speed-clock aggregates across completed simulation runs: how many
 	// runs reported skip statistics, and the summed skipped/wall cycles
 	// (their ratio is the fleet-wide skip rate served by /v1/stats).
@@ -43,10 +42,8 @@ type metrics struct {
 	// End-to-end latency splits by how the job was answered: served (a real
 	// run, or joining one) vs cache (answered from the memo). Folding both
 	// into one histogram would poison the percentiles — cache hits are ~0 ms.
-	latServed *obs.Histogram // ms
-	latCache  *obs.Histogram // ms
-	// µs-resolution series feed /v1/stats' percentiles: the served
-	// end-to-end plus its exact phase partition, and the pool's slot wait.
+	// These µs series feed /v1/stats' percentiles: the served end-to-end plus
+	// its exact phase partition, and the pool's slot wait.
 	latServedUs *obs.Histogram
 	latCacheUs  *obs.Histogram
 	phAdmitUs   *obs.Histogram
@@ -59,7 +56,6 @@ type metrics struct {
 // registerMetrics builds the registry. Registration order is the /metrics
 // exposition order.
 func (s *Server) registerMetrics() {
-	msBounds := []uint64{1, 5, 10, 25, 50, 100, 250, 500, 1000, 2500, 5000, 10000, 30000}
 	usBounds := []uint64{
 		50, 100, 250, 500,
 		1_000, 2_500, 5_000, 10_000, 25_000, 50_000, 100_000, 250_000, 500_000,
@@ -74,9 +70,6 @@ func (s *Server) registerMetrics() {
 	s.mFailed = s.reg.Counter("jobs_failed_total")
 	s.mCancelled = s.reg.Counter("jobs_cancelled_total")
 	s.mSimsRun = s.reg.Counter("sims_run_total")
-	s.mFigsRun = s.reg.Counter("figures_run_total")
-	s.latServed = s.reg.Histogram("job_latency_served_ms", msBounds)
-	s.latCache = s.reg.Histogram("job_latency_cache_ms", msBounds)
 	s.latServedUs = s.reg.Histogram("job_latency_served_us", usBounds)
 	s.latCacheUs = s.reg.Histogram("job_latency_cache_us", usBounds)
 	s.phAdmitUs = s.reg.Histogram("phase_admission_us", usBounds)
@@ -153,7 +146,6 @@ func usOf(d time.Duration) uint64 {
 // observeCacheHit records a cache-answered submission's end-to-end latency.
 func (s *Server) observeCacheHit(d time.Duration) {
 	s.metricsMu.Lock()
-	s.latCache.Observe(uint64(d.Milliseconds()))
 	s.latCacheUs.Observe(usOf(d))
 	s.metricsMu.Unlock()
 }
@@ -162,7 +154,6 @@ func (s *Server) observeCacheHit(d time.Duration) {
 // phase partition (admission + queue + run + respond == e2e).
 func (s *Server) observeServed(e2e, admit, queue, run, respond time.Duration) {
 	s.metricsMu.Lock()
-	s.latServed.Observe(uint64(e2e.Milliseconds()))
 	s.latServedUs.Observe(usOf(e2e))
 	s.phAdmitUs.Observe(usOf(admit))
 	s.phQueueUs.Observe(usOf(queue))

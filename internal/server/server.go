@@ -95,7 +95,7 @@ type Config struct {
 	// NodeID names this daemon in a fleet (DESIGN §16). When set, job ids
 	// become "j-<node>-<n>" so a coordinator can route job lookups
 	// statelessly, and /metrics and /v1/stats carry node_id/role labels.
-	// Must not contain '-'; empty means a standalone daemon.
+	// Must pass ValidNodeID; empty means a standalone daemon.
 	NodeID string
 	// PeerFetch, when non-nil, adds the peering tier behind the result memo:
 	// on a local store miss the daemon asks fleet peers for the entry before
@@ -530,7 +530,6 @@ func (s *Server) figFlightFn(fl *flight, req FigRequest) func(context.Context) (
 		s.markRunning(fl)
 		s.busy.Add(1)
 		defer s.busy.Add(-1)
-		s.count(s.mFigsRun)
 		var buf bytes.Buffer
 		if err := req.run(ctx, s.pool.Jobs(), &buf, s.checkpoints); err != nil {
 			return nil, err

@@ -15,6 +15,7 @@ import (
 	"time"
 
 	"smtdram/internal/core"
+	"smtdram/internal/obs"
 	"smtdram/internal/server"
 	"smtdram/internal/server/client"
 )
@@ -28,6 +29,22 @@ func newTestDaemon(t *testing.T, cfg server.Config) (*server.Server, *client.Cli
 		srv.Close()
 	})
 	return srv, client.New(ts.URL)
+}
+
+// scrapeMetrics reads the daemon's /metrics through the strict exposition
+// parser.
+func scrapeMetrics(t *testing.T, c *client.Client) map[string]*obs.PromFamily {
+	t.Helper()
+	resp, err := http.Get(c.BaseURL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	fams, err := obs.ParsePrometheus(resp.Body)
+	if err != nil {
+		t.Fatalf("daemon exposition violates the format: %v", err)
+	}
+	return fams
 }
 
 // testLogWriter routes the daemon's slog output into the test log.
@@ -135,11 +152,11 @@ func TestCacheHitSecondSubmission(t *testing.T) {
 	if !bytes.Equal(st2.Result, first) {
 		t.Fatalf("cached result differs from the original")
 	}
-	if v, err := c.MetricValue(ctx, "smtdram_jobs_cached_total"); err != nil || v != 1 {
-		t.Fatalf("jobs_cached_total = %v (%v), want 1", v, err)
-	}
-	if v, err := c.MetricValue(ctx, "smtdram_sims_run_total"); err != nil || v != 1 {
-		t.Fatalf("sims_run_total = %v (%v), want exactly 1 simulation", v, err)
+	fams := scrapeMetrics(t, c)
+	for _, name := range []string{"smtdram_jobs_cached_total", "smtdram_sims_run_total"} {
+		if f := fams[name]; f == nil || f.Samples[name] != 1 {
+			t.Fatalf("%s = %+v, want 1 (exactly one simulation)", name, f)
+		}
 	}
 }
 
@@ -484,5 +501,28 @@ func TestTenantAdmissionOnWorker(t *testing.T) {
 	}
 	if stats.Jobs.QuotaRejected != 2 || stats.Jobs.Rejected != 2 {
 		t.Fatalf("quota_rejected=%d rejected=%d, want 2/2", stats.Jobs.QuotaRejected, stats.Jobs.Rejected)
+	}
+}
+
+// TestValidNodeID: a node id is one or more of [A-Za-z0-9_], so every job id
+// it mints ("j-<node>-<n>") routes as one path segment.
+func TestValidNodeID(t *testing.T) {
+	for id, ok := range map[string]bool{
+		"w1":       true,
+		"W_2":      true,
+		"node_007": true,
+		"_":        true,
+		"":         false,
+		"a-b":      false,
+		"a/b":      false,
+		"a b":      false,
+		"a.b":      false,
+		"a?b":      false,
+		"a%2Fb":    false,
+		"wé":       false,
+	} {
+		if err := server.ValidNodeID(id); (err == nil) != ok {
+			t.Errorf("ValidNodeID(%q) = %v, want ok=%v", id, err, ok)
+		}
 	}
 }

@@ -12,7 +12,6 @@ import (
 	"time"
 
 	"smtdram/internal/core"
-	"smtdram/internal/obs"
 	"smtdram/internal/server"
 )
 
@@ -288,7 +287,8 @@ func TestStatsPhasePartition(t *testing.T) {
 }
 
 // TestMetricsExpositionStrictlyValid runs the strict Prometheus parser over
-// the live daemon's full /metrics output after real traffic.
+// the live daemon's full /metrics output after real traffic, and holds the
+// family set to exactly daemonFamilies.
 func TestMetricsExpositionStrictlyValid(t *testing.T) {
 	_, c := newTestDaemon(t, server.Config{})
 	ctx := context.Background()
@@ -304,20 +304,55 @@ func TestMetricsExpositionStrictlyValid(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	resp, err := http.Get(c.BaseURL + "/metrics")
-	if err != nil {
-		t.Fatal(err)
+	got := map[string]string{}
+	for name, f := range scrapeMetrics(t, c) {
+		got[name] = f.Type
 	}
-	defer resp.Body.Close()
-	n, err := obs.ValidateExposition(resp.Body)
-	if err != nil {
-		t.Fatalf("daemon exposition violates the format: %v", err)
+	want := map[string]string{}
+	for typ, names := range daemonFamilies {
+		for _, n := range names {
+			want["smtdram_"+n] = typ
+		}
 	}
-	// The registry carries at minimum the job counters, latency histograms,
-	// phase histograms, and Go runtime gauges.
-	if n < 15 {
-		t.Fatalf("exposition has only %d families, expected the full registry", n)
+	for name, typ := range want {
+		if got[name] != typ {
+			t.Errorf("family %s: type %q, want %q", name, got[name], typ)
+		}
 	}
+	for name, typ := range got {
+		if _, ok := want[name]; !ok {
+			t.Errorf("unlisted family %s (%s): add it to daemonFamilies if it has a reader", name, typ)
+		}
+	}
+}
+
+// daemonFamilies is the standalone daemon's whole /metrics family set by
+// type, without the "smtdram_" namespace. A series joins it on purpose, when
+// something reads it: the dashboard, a recipe, CI or cmd/bench.
+var daemonFamilies = map[string][]string{
+	"gauge": {
+		"queue_depth", "queue_capacity", "workers", "workers_busy", "uptime_seconds",
+		"trace_spans_dropped", "cache_entries",
+		"go_goroutines", "go_heap_alloc_bytes", "go_gc_pause_total_seconds", "go_gc_cycles_total",
+		"go_sched_latency_p50_seconds", "go_sched_latency_p99_seconds",
+		"checkpoint_entries", "store_entries", "store_degraded", "recovery_outstanding",
+	},
+	"counter": {
+		"jobs_accepted_total", "jobs_rejected_total", "jobs_deduped_total", "jobs_cached_total",
+		"jobs_completed_total", "jobs_failed_total", "jobs_cancelled_total", "sims_run_total",
+		"cache_hits_total", "cache_misses_total",
+		"sim_skip_reports_total", "sim_cycles_skipped_total", "sim_cycles_wall_total",
+		"store_hits_total", "store_misses_total", "store_corrupt_total", "store_write_errors_total",
+		"journal_records_total", "journal_errors_total",
+		"peer_hits_total", "peer_misses_total", "peer_corrupt_total", "peer_served_total",
+		"peer_serve_misses_total", "jobs_quota_rejected_total",
+		"checkpoint_hits_total", "checkpoint_misses_total", "checkpoint_forks_total",
+		"checkpoint_bypassed_total", "checkpoint_evictions_total",
+	},
+	"histogram": {
+		"job_latency_served_us", "job_latency_cache_us",
+		"phase_admission_us", "phase_queue_us", "phase_run_us", "phase_respond_us", "pool_wait_us",
+	},
 }
 
 // TestDebugDashServes: the dashboard page is self-contained HTML wired to the

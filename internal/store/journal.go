@@ -68,7 +68,6 @@ type Journal struct {
 
 	mu       sync.Mutex
 	f        *os.File
-	appended atomic.Uint64
 	degraded atomic.Bool
 }
 
@@ -177,12 +176,8 @@ func (j *Journal) Append(r Record) error {
 			return fmt.Errorf("store: journal: %w", err)
 		}
 	}
-	j.appended.Add(1)
 	return nil
 }
-
-// Appended returns how many records this process has written.
-func (j *Journal) Appended() uint64 { return j.appended.Load() }
 
 // Degraded reports whether an append error has disabled the journal.
 func (j *Journal) Degraded() bool { return j.degraded.Load() }
