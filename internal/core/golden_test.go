@@ -36,8 +36,8 @@ func goldenFrames() []struct {
 		size   int
 		sha256 string
 	}{
-		{"2-thread-ddr-hit-first", two, 271151, 81138, "e70c09644b7562e3b8fc7dd9212d64a8d11c44a3bbb4614f09c861b55d1e3bca"},
-		{"8-thread-rdram-request-based", eight, 1318305, 249259, "614dffed42f24cef64708ccf1e2f91142b568170464914da45fea04472678b94"},
+		{"2-thread-ddr-hit-first", two, 271151, 80995, "a4e9153d095e37fc6a9504fadef3620ca345161719a4fd2de13a8ada1db56b55"},
+		{"8-thread-rdram-request-based", eight, 1318305, 249307, "2b21adccefd6972c950e37fa6bbc15939fce18a116d3890eb52c4de60fb0fad0"},
 	}
 }
 

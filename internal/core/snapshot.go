@@ -19,7 +19,7 @@ import (
 
 const (
 	ckptMagic   = "SMTC"
-	ckptVersion = 9          // 9: a cache level lists one word a valid line, its sets in recency order, and no LRU clock
+	ckptVersion = 10         // 10: a thread frame is its stream cursors and the live parts of the pending and frontend rings
 	sectionSim  = 0x434F5245 // "CORE"
 )
 

@@ -138,42 +138,50 @@ type uop struct {
 	next    [2]link // this uop's node in dep1's / dep2's producer list
 }
 
-type feEntry struct {
-	in      workload.Instr
-	readyAt uint64 // cycle the instruction reaches dispatch
-}
-
 // thread is the per-hardware-thread state.
+//
+// Its instruction stream is one seq-indexed store. Seq s is always the s-th
+// instruction of the thread's program — a squash refetches the correct-path
+// suffix — so cursors into the stream are all the pipeline front needs:
+//
+//	[headSeq, nextSeq)   the live ROB
+//	[nextSeq, fetchSeq)  the frontend; seq s reaches dispatch at feReady[s&feMask]
+//	[fetchSeq, genSeq)   generated, awaiting (re)fetch: a squashed suffix, or
+//	                     the instruction an I-miss stalled
+//
+// An instruction below dispatched, the first seq never dispatched, is read
+// from its ROB slot (a squash poisons a slot's epoch but keeps its in, and
+// re-dispatching writes the same instruction back); one at or above it from
+// the pending ring. A squash moves nextSeq and fetchSeq back and copies
+// nothing, and fetch asks the generator only once it reaches genSeq.
+// checkCursors states the invariants that keep every read in its ring.
 type thread struct {
 	id  int
 	gen Source
 
-	peeked    workload.Instr // valid only while hasPeeked
-	hasPeeked bool
-	// replay, frontend and inFlight are head-indexed deques: live entries are
-	// buf[head:], a pop advances the head, and pushes compact in place —
-	// re-slicing from the front would give the buffer's capacity away and
-	// make every refill reallocate. frontend and replay are allocated once:
-	// the frontend with the thread, at twice the FrontendCap entries it holds
-	// (at exactly FrontendCap a full frontend would compact on every push; a
-	// restore refills it in place), replay on the first squash, at its bound
-	// ROBPerThread + FrontendCap + 1 (resolveBranch says why).
-	replay   []workload.Instr
-	rpHead   int
-	frontend []feEntry
-	feHead   int
 	// rob is a power-of-two ring indexed by seq&robMask; occupancy is still
 	// bounded by Config.ROBPerThread.
-	rob       []uop
-	robMask   uint64
-	headSeq   uint64
-	nextSeq   uint64
+	rob        []uop
+	robMask    uint64
+	headSeq    uint64
+	nextSeq    uint64
+	fetchSeq   uint64
+	dispatched uint64
+	genSeq     uint64
+	pending    []workload.Instr // ring by seq&feMask: [dispatched, genSeq)
+	feReady    []uint64         // ring by seq&feMask: [nextSeq, fetchSeq)
+	feMask     uint64
+
 	epoch     uint64
 	iqInt     int
 	iqFP      int
 	lq, sq    int // this thread's LQ/SQ occupancy
 	committed uint64
 
+	// inFlight is a head-indexed deque: live entries are inFlight[ifHead:], a
+	// pop advances the head, and pushes compact in place — re-slicing from
+	// the front would give the buffer's capacity away and make every refill
+	// reallocate.
 	inFlight []*uop // loads in flight, issue order (for miss classification)
 	ifHead   int
 
@@ -196,6 +204,28 @@ type thread struct {
 }
 
 func (t *thread) robCount() int { return int(t.nextSeq - t.headSeq) }
+
+// checkCursors reports the first of the stream invariants t breaks, against
+// cfg. They hold after every cycle, and each keeps a read in its ring: the
+// frontend fits feReady; the instructions generated but never dispatched fit
+// pending (fetch generates only while the frontend has room, and a squash
+// moves neither genSeq nor dispatched); and a ROB slot replayed from is never
+// a live uop's slot.
+func (t *thread) checkCursors(cfg Config) error {
+	switch {
+	case t.headSeq > t.nextSeq || t.nextSeq > t.fetchSeq || t.fetchSeq > t.genSeq:
+		return fmt.Errorf("stream order: headSeq %d, nextSeq %d, fetchSeq %d, genSeq %d", t.headSeq, t.nextSeq, t.fetchSeq, t.genSeq)
+	case t.nextSeq > t.dispatched || t.dispatched > t.genSeq:
+		return fmt.Errorf("dispatch order: nextSeq %d, dispatched %d, genSeq %d", t.nextSeq, t.dispatched, t.genSeq)
+	case t.genSeq-t.dispatched > uint64(cfg.FrontendCap):
+		return fmt.Errorf("pending ring: %d generated past dispatched, FrontendCap %d", t.genSeq-t.dispatched, cfg.FrontendCap)
+	case t.fetchSeq-t.nextSeq > uint64(cfg.FrontendCap):
+		return fmt.Errorf("frontend ring: %d fetched past nextSeq, FrontendCap %d", t.fetchSeq-t.nextSeq, cfg.FrontendCap)
+	case t.dispatched-t.headSeq > uint64(cfg.ROBPerThread):
+		return fmt.Errorf("ROB ring: %d dispatched past headSeq, ROBPerThread %d", t.dispatched-t.headSeq, cfg.ROBPerThread)
+	}
+	return nil
+}
 
 func (t *thread) slot(seq uint64) *uop { return &t.rob[seq&t.robMask] }
 
@@ -249,31 +279,17 @@ func (t *thread) popMatured(now uint64) {
 	}
 }
 
-// next peeks the next instruction to fetch without consuming it. The peeked
-// instruction lives in the thread struct by value, so peeking never escapes
-// to the heap.
-func (t *thread) next() *workload.Instr {
-	if !t.hasPeeked {
-		if t.rpHead < len(t.replay) {
-			t.peeked = t.replay[t.rpHead]
-			if t.rpHead++; t.rpHead == len(t.replay) {
-				t.replay, t.rpHead = t.replay[:0], 0
-			}
-		} else {
-			t.peeked = t.gen.Next()
-		}
-		t.hasPeeked = true
+// instr returns the instruction with sequence number seq, which must lie in
+// [headSeq, genSeq).
+func (t *thread) instr(seq uint64) *workload.Instr {
+	if seq < t.dispatched {
+		return &t.slot(seq).in
 	}
-	return &t.peeked
+	return &t.pending[seq&t.feMask]
 }
 
-func (t *thread) consume() workload.Instr {
-	t.hasPeeked = false
-	return t.peeked
-}
-
-// feLen is the live frontend-buffer depth.
-func (t *thread) feLen() int { return len(t.frontend) - t.feHead }
+// feLen is the live frontend depth.
+func (t *thread) feLen() int { return int(t.fetchSeq - t.nextSeq) }
 
 // pushDeque appends v to the head-indexed deque buf[head:], reclaiming
 // popped-off head space rather than growing the buffer.
@@ -476,14 +492,17 @@ func New(q *event.Queue, cfg Config, gens []Source, l1i, l1d *cache.Level) (*CPU
 		cfg: cfg, q: q, l1i: l1i, l1d: l1d,
 		scratchThreads: make([]*thread, 0, len(gens)),
 	}
-	robLen := 1 << bits.Len(uint(cfg.ROBPerThread-1))
+	robLen := ring(cfg.ROBPerThread)
+	feSlots := ring(cfg.FrontendCap)
 	for i, g := range gens {
 		t := &thread{
 			id:       i,
 			gen:      g,
 			rob:      make([]uop, robLen),
-			frontend: make([]feEntry, 0, 2*cfg.FrontendCap),
 			robMask:  uint64(robLen - 1),
+			pending:  make([]workload.Instr, feSlots),
+			feReady:  make([]uint64, feSlots),
+			feMask:   uint64(feSlots - 1),
 			curILine: ^uint64(0),
 		}
 		c.threads = append(c.threads, t)
@@ -495,6 +514,9 @@ func New(q *event.Queue, cfg Config, gens []Source, l1i, l1d *cache.Level) (*CPU
 	l1d.Wake = poke
 	return c, nil
 }
+
+// ring is the smallest power of two holding n entries.
+func ring(n int) int { return 1 << bits.Len(uint(n-1)) }
 
 // Threads returns the hardware thread count.
 func (c *CPU) Threads() int { return len(c.threads) }
@@ -636,7 +658,12 @@ func (c *CPU) fetch(now uint64) {
 // budget.
 func (c *CPU) fetchThread(now uint64, t *thread, budget int) int {
 	for budget > 0 && t.feLen() < c.cfg.FrontendCap {
-		in := t.next()
+		seq := t.fetchSeq
+		if seq == t.genSeq {
+			t.pending[seq&t.feMask] = t.gen.Next()
+			t.genSeq++
+		}
+		in := t.instr(seq)
 		line := in.PC &^ 63
 		if line != t.curILine {
 			f := c.getIFill()
@@ -653,15 +680,15 @@ func (c *CPU) fetchThread(now uint64, t *thread, budget int) int {
 					t.imisses++
 					c.acted = true
 				}
-				return budget // stalls this thread; instruction stays peeked
+				return budget // stalls this thread; the instruction waits at fetchSeq
 			}
 			t.curILine = line
 		}
-		inst := t.consume()
-		t.frontend, t.feHead = pushDeque(t.frontend, t.feHead, feEntry{in: inst, readyAt: now + c.cfg.FrontendDelay})
+		t.feReady[seq&t.feMask] = now + c.cfg.FrontendDelay
+		t.fetchSeq++
 		budget--
 		c.acted = true
-		if inst.Kind == workload.Branch && inst.Taken {
+		if in.Kind == workload.Branch && in.Taken {
 			break // a taken branch ends the fetch block
 		}
 	}
@@ -683,7 +710,7 @@ func (c *CPU) dispatch(now uint64) {
 		// the gate, and compare occupancies per instruction.
 		limit := -1
 		for budget > 0 {
-			if t.feLen() == 0 || t.frontend[t.feHead].readyAt > now {
+			if t.feLen() == 0 || t.feReady[t.nextSeq&t.feMask] > now {
 				break
 			}
 			if limit < 0 {
@@ -793,7 +820,7 @@ func (c *CPU) canDispatchHead(t *thread) bool {
 	if t.robCount() >= c.cfg.ROBPerThread {
 		return false
 	}
-	switch t.frontend[t.feHead].in.Kind {
+	switch t.instr(t.nextSeq).Kind {
 	case workload.FPOp:
 		return c.fpIQUsed < c.cfg.FPIQ
 	case workload.Load:
@@ -810,11 +837,11 @@ func (c *CPU) dispatchOne(t *thread) bool {
 	if !c.canDispatchHead(t) {
 		return false
 	}
-	in := t.frontend[t.feHead].in
-	fp := in.Kind == workload.FPOp
-
 	seq := t.nextSeq
+	in := *t.instr(seq)
+	fp := in.Kind == workload.FPOp
 	t.nextSeq++
+	t.dispatched = max(t.dispatched, t.nextSeq)
 	u := t.slot(seq)
 	*u = uop{in: in, seq: seq, epoch: t.epoch, tid: int32(t.id), state: stWaiting, doneAt: pendingDone,
 		dep1: depSeq(seq, in.Dep1), dep2: depSeq(seq, in.Dep2)}
@@ -834,11 +861,6 @@ func (c *CPU) dispatchOne(t *thread) bool {
 	case workload.Store:
 		c.sqUsed++
 		t.sq++
-	}
-	t.feHead++
-	if t.feHead == len(t.frontend) {
-		t.frontend = t.frontend[:0]
-		t.feHead = 0
 	}
 	return true
 }
@@ -1013,8 +1035,8 @@ func (c *CPU) issueLoad(now uint64, t *thread, u *uop) bool {
 // ---------------------------------------------------------------- branches
 
 // resolveBranch fires when a mispredicted branch finishes executing: all
-// younger instructions of the thread are squashed and queued for replay, and
-// fetch stalls for the mispredict penalty.
+// younger instructions of the thread are squashed, fetch restarts at the
+// first of them, and it stalls for the mispredict penalty.
 func (c *CPU) resolveBranch(now uint64, t *thread, seq, epoch uint64) {
 	u := t.slot(seq)
 	if u.seq != seq || u.epoch != epoch {
@@ -1022,45 +1044,10 @@ func (c *CPU) resolveBranch(now uint64, t *thread, seq, epoch uint64) {
 	}
 	t.squashes++
 
-	// Queue the squashed suffix (ROB entries younger than the branch, then
-	// the frontend, then the peeked instruction) for replay, ahead of what is
-	// already queued: the queued remainder moves up in place and the suffix
-	// is written in front of it. An instruction leaves the replay queue only
-	// to be peeked, and the generator is asked only once the queue is empty,
-	// so the ROB, the frontend, the peeked instruction and the queue together
-	// never hold more than a full ROB, a full frontend and one peeked
-	// instruction: the buffer's size. (A restored queue is as long as its
-	// frame says, which nothing bounds, hence the max.)
-	n := int(t.nextSeq-seq-1) + t.feLen()
-	if t.hasPeeked {
-		n++
-	}
-	queued := t.replay[t.rpHead:]
-	replay := t.replay[:0]
-	if size := max(c.cfg.ROBPerThread+c.cfg.FrontendCap+1, n+len(queued)); cap(replay) < size {
-		replay = make([]workload.Instr, 0, size)
-	}
-	replay = replay[:n+len(queued)]
-	copy(replay[n:], queued)
-	i := 0
-	for s := seq + 1; s < t.nextSeq; s++ {
-		replay[i] = t.slot(s).in
-		i++
-	}
-	for _, fe := range t.frontend[t.feHead:] {
-		replay[i] = fe.in
-		i++
-	}
-	if t.hasPeeked {
-		replay[i] = t.peeked
-		t.hasPeeked = false
-	}
-	t.replay, t.rpHead = replay, 0
-	t.frontend, t.feHead = t.frontend[:0], 0
-
 	// Release youngest-first, so each parked uop's nodes sit at the head of
 	// the lists they are unlinked from. Replayed instructions re-enter the
-	// same seq and slot, so no link or ready-set entry may outlive the squash.
+	// same seq and slot, so no link or ready-set entry may outlive the squash;
+	// each slot keeps its in, which is what the refetch reads.
 	wasReady := false
 	for s := t.nextSeq; s > seq+1; {
 		s--
@@ -1084,7 +1071,7 @@ func (c *CPU) resolveBranch(now uint64, t *thread, seq, epoch uint64) {
 		}
 		c.ready = keep
 	}
-	t.nextSeq = seq + 1
+	t.nextSeq, t.fetchSeq = seq+1, seq+1
 	t.epoch++
 	t.imissPending = false
 	t.curILine = ^uint64(0)

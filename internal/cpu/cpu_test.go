@@ -84,37 +84,42 @@ func (r *rig) run(cycles uint64) {
 }
 
 // step lands cycle c — its events, then its Tick — with the wakeup
-// structures' invariants and the buffer bound checked after each half and the
-// Tick's issue decisions checked against the full-queue oracle
+// structures' and the stream cursors' invariants checked after each half and
+// the Tick's issue decisions checked against the full-queue oracle
 // (wakeup_test.go).
 func (r *rig) step(c uint64) {
 	r.q.RunUntil(c)
 	checkWakeup(r.t, r.cpu, c)
-	checkBuffers(r.t, r.cpu, c)
+	checkStreams(r.t, r.cpu, c)
 	o := beginOracle(r.cpu, r.l1d)
 	r.cpu.Tick(c)
 	o.verify(r.t, c)
 	checkWakeup(r.t, r.cpu, c)
-	checkBuffers(r.t, r.cpu, c)
+	checkStreams(r.t, r.cpu, c)
 }
 
-// checkBuffers holds resolveBranch's bound: a thread's ROB, frontend, peeked
-// instruction and replay queue together never hold more than ROBPerThread +
-// FrontendCap + 1 instructions, so neither the replay buffer nor the
-// frontend ever outgrows the size it is first allocated at.
-func checkBuffers(tb testing.TB, c *CPU, now uint64) {
+// checkStreams holds every thread to checkCursors' invariants, and its rings
+// to the sizes New gave them.
+func checkStreams(tb testing.TB, c *CPU, now uint64) {
 	tb.Helper()
-	bound := c.cfg.ROBPerThread + c.cfg.FrontendCap + 1
 	for _, t := range c.threads {
-		held := t.robCount() + t.feLen() + len(t.replay) - t.rpHead
-		if t.hasPeeked {
-			held++
+		if err := t.checkCursors(c.cfg); err != nil {
+			tb.Fatalf("cycle %d: t%d: %v", now, t.id, err)
 		}
-		if held > bound || cap(t.replay) > bound || cap(t.frontend) != 2*c.cfg.FrontendCap {
-			tb.Fatalf("cycle %d: t%d holds %d instructions (bound %d), replay buffer %d, frontend buffer %d (FrontendCap %d)",
-				now, t.id, held, bound, cap(t.replay), cap(t.frontend), c.cfg.FrontendCap)
+		if n := len(t.pending); n != len(t.feReady) || n < c.cfg.FrontendCap || n != int(t.feMask)+1 {
+			tb.Fatalf("cycle %d: t%d: rings of %d and %d entries, mask %#x, FrontendCap %d",
+				now, t.id, n, len(t.feReady), t.feMask, c.cfg.FrontendCap)
 		}
 	}
+}
+
+// pushFrontend places in at the tail of t's frontend, ready to dispatch at
+// readyAt, as fetch would after generating it.
+func pushFrontend(t *thread, in workload.Instr, readyAt uint64) {
+	t.pending[t.genSeq&t.feMask] = in
+	t.genSeq++
+	t.feReady[t.fetchSeq&t.feMask] = readyAt
+	t.fetchSeq++
 }
 
 func TestValidateConfig(t *testing.T) {
@@ -233,6 +238,54 @@ func TestMispredictSquashReplaysCorrectly(t *testing.T) {
 	}
 }
 
+// A squash copies nothing: the refetched suffix is read back from the ROB
+// slots and the pending ring it already sits in. Held against an independent
+// generator on every cycle of a mispredict-heavy run: every instruction the
+// thread holds, dispatched or not, is the one its program has at that seq.
+func TestStreamHoldsTheProgramAtEverySeq(t *testing.T) {
+	const seed = 5
+	apps := []string{"vpr", "gzip"}
+	var srcs []Source
+	streams := make([][]workload.Instr, len(apps))
+	refs := make([]*workload.Gen, len(apps))
+	for i, name := range apps {
+		app, err := workload.ByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		app.MispredictRate = 0.5
+		g, err := workload.NewGen(app, i, seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if refs[i], err = workload.NewGen(app, i, seed); err != nil {
+			t.Fatal(err)
+		}
+		srcs = append(srcs, g)
+	}
+	r := newQuiesceRig(t, DefaultConfig(), srcs...)
+	for c := uint64(1); c <= 20_000; c++ {
+		r.step(c)
+		for i, th := range r.cpu.threads {
+			for len(streams[i]) < int(th.genSeq) {
+				streams[i] = append(streams[i], refs[i].Next())
+			}
+			for s := th.headSeq; s < th.genSeq; s++ {
+				if in := th.instr(s); *in != streams[i][s] {
+					t.Fatalf("cycle %d: t%d seq %d (head %d, next %d, fetch %d, dispatched %d, gen %d) holds %+v, program has %+v",
+						c, i, s, th.headSeq, th.nextSeq, th.fetchSeq, th.dispatched, th.genSeq, *in, streams[i][s])
+				}
+			}
+		}
+	}
+	for i, th := range r.cpu.threads {
+		t.Logf("t%d: %d squashes, %d committed", i, th.squashes, th.committed)
+		if th.squashes < 200 || th.committed < 2_000 {
+			t.Fatalf("t%d: %d squashes, %d committed: not a mispredict-heavy run", i, th.squashes, th.committed)
+		}
+	}
+}
+
 func TestMispredictsReduceIPC(t *testing.T) {
 	mk := func(mispredict bool) float64 {
 		var ins []workload.Instr
@@ -284,7 +337,7 @@ func TestICOUNTPrefersLeastLoadedThread(t *testing.T) {
 	// Pre-load thread 0's frontend so ICOUNT must prefer thread 1.
 	t0 := r.cpu.threads[0]
 	for i := 0; i < 20; i++ {
-		t0.frontend = append(t0.frontend, feEntry{readyAt: 1 << 30})
+		pushFrontend(t0, workload.Instr{}, 1<<30)
 	}
 	order := r.cpu.fetchOrder(0)
 	if len(order) != 2 || order[0].id != 1 {

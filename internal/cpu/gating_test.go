@@ -258,8 +258,11 @@ func TestGateFlipBoundsTheVerdict(t *testing.T) {
 func TestCanDispatchHeadMatchesDispatchOne(t *testing.T) {
 	cfg := DefaultConfig()
 	exhaust := map[string]func(c *CPU, th *thread){
-		"none":  func(*CPU, *thread) {},
-		"ROB":   func(_ *CPU, th *thread) { th.nextSeq = th.headSeq + uint64(cfg.ROBPerThread) },
+		"none": func(*CPU, *thread) {},
+		"ROB": func(_ *CPU, th *thread) {
+			full := th.headSeq + uint64(cfg.ROBPerThread)
+			th.nextSeq, th.fetchSeq, th.dispatched, th.genSeq = full, full, full, full
+		},
 		"IntIQ": func(c *CPU, _ *thread) { c.intIQUsed = cfg.IntIQ },
 		"FPIQ":  func(c *CPU, _ *thread) { c.fpIQUsed = cfg.FPIQ },
 		"LQ":    func(c *CPU, _ *thread) { c.lqUsed = cfg.LQ },
@@ -276,8 +279,8 @@ func TestCanDispatchHeadMatchesDispatchOne(t *testing.T) {
 		for res, apply := range exhaust {
 			c := newRig(t, cfg, nops()).cpu
 			th := c.threads[0]
-			th.frontend = append(th.frontend, feEntry{in: workload.Instr{Kind: kind, Lat: 1}})
 			apply(c, th)
+			pushFrontend(th, workload.Instr{Kind: kind, Lat: 1}, 0)
 			can := c.canDispatchHead(th)
 			if want := !slices.Contains(needed, res); can != want {
 				t.Errorf("%v with %s exhausted: canDispatchHead = %v, want %v", kind, res, can, want)

@@ -82,7 +82,7 @@ func (c *CPU) ProbeQuiet(now uint64) (next uint64, fx QuietFx, quiet bool) {
 		// now stands for every skipped cycle: a thread gated now accrues its
 		// gated-dispatch stat in each of them.
 		if t.feLen() > 0 {
-			if ra := t.frontend[t.feHead].readyAt; ra > now {
+			if ra := t.feReady[t.nextSeq&t.feMask]; ra > now {
 				if ra < next {
 					next = ra
 				}
@@ -192,9 +192,9 @@ func (c *CPU) Fingerprint() string {
 		c.TotalCommitted, c.rrFetch, c.intIQUsed, c.fpIQUsed, c.lqUsed, c.sqUsed,
 		len(c.pendingStores)-c.psHead)
 	for _, t := range c.threads {
-		fmt.Fprintf(&b, " [t%d c=%d fe=%d rob=%d head=%d next=%d ep=%d iq=%d/%d lsq=%d/%d"+
+		fmt.Fprintf(&b, " [t%d c=%d fe=%d gen=%d rob=%d head=%d next=%d ep=%d iq=%d/%d lsq=%d/%d"+
 			" fbu=%d imiss=%v iline=%d sq=%d ld=%d st=%d im=%d warm=%d fin=%d]",
-			t.id, t.committed, t.feLen(), t.robCount(), t.headSeq, t.nextSeq, t.epoch,
+			t.id, t.committed, t.feLen(), t.genSeq, t.robCount(), t.headSeq, t.nextSeq, t.epoch,
 			t.iqInt, t.iqFP, t.lq, t.sq, t.fetchBlockedUntil, t.imissPending, t.curILine,
 			t.squashes, t.loads, t.stores, t.imisses, t.warmedAt, t.finishedAt)
 	}

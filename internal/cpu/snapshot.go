@@ -2,11 +2,12 @@ package cpu
 
 // The SMT core's snapshot walk (DESIGN §15). Architectural state is in the
 // format verbatim: per-thread ROB arrays (whole arrays, not just live entries
-// — stale slots participate in slot-recycling checks), the live part of the
-// frontend, replay and in-flight-load deques, and every counter the run loop
-// or stats collection reads. Configuration and wiring (caches, event queue,
-// warmup targets) are not — a restore targets a CPU assembled from an
-// identical Config.
+// — stale slots participate in slot-recycling checks and hold the squashed
+// instructions a refetch reads), the stream cursors with the live parts of
+// the pending and frontend rings, the in-flight-load deque, and every counter
+// the run loop or stats collection reads. Configuration and wiring (caches,
+// event queue, warmup targets) are not — a restore targets a CPU assembled
+// from an identical Config.
 //
 // The wakeup state (DESIGN §11) is derived, not serialized. The format
 // carries only the issue queue's order — every live waiting uop as a
@@ -129,15 +130,6 @@ func (c *CPU) Snap(s *snap.Codec) error {
 
 	s.Fixed(len(c.threads), "threads")
 	for _, t := range c.threads {
-		s.Bool(&t.hasPeeked)
-		if t.hasPeeked {
-			snapInstr(s, &t.peeked)
-		}
-		snapDeque(s, &t.replay, &t.rpHead, func(in *workload.Instr) { snapInstr(s, in) })
-		snapDeque(s, &t.frontend, &t.feHead, func(e *feEntry) {
-			snapInstr(s, &e.in)
-			s.U64(&e.readyAt)
-		})
 		s.Fixed(len(t.rob), "ROB slots")
 		for i := range t.rob {
 			u := &t.rob[i]
@@ -155,6 +147,22 @@ func (c *CPU) Snap(s *snap.Codec) error {
 		}
 		s.U64(&t.headSeq)
 		s.U64(&t.nextSeq)
+		s.U64(&t.fetchSeq)
+		s.U64(&t.dispatched)
+		s.U64(&t.genSeq)
+		if s.Loading() && s.Err() == nil {
+			if err := t.checkCursors(c.cfg); err != nil {
+				s.Fail(fmt.Errorf("%w: thread %d: %v", snap.ErrCorrupt, t.id, err))
+			}
+		}
+		if s.Err() == nil { // a failed load's cursors bound nothing
+			for seq := t.dispatched; seq < t.genSeq; seq++ {
+				snapInstr(s, &t.pending[seq&t.feMask])
+			}
+			for seq := t.nextSeq; seq < t.fetchSeq; seq++ {
+				s.U64(&t.feReady[seq&t.feMask])
+			}
+		}
 		s.U64(&t.epoch)
 		s.Int(&t.iqInt)
 		s.Int(&t.iqFP)

@@ -1,15 +1,19 @@
 package cpu
 
 import (
+	"errors"
 	"reflect"
+	"strings"
 	"testing"
+
+	"smtdram/internal/snap"
 )
 
 // Every field of the core's three state structs is one of:
 //
 //	serialized — walked by Snap, so written when saving and assigned when
 //	             loading (a deque is walked head-normalized: buffer and head
-//	             index together);
+//	             index together; a ring over the seqs its cursors bound);
 //	derived    — rebuilt by a loading Snap from serialized state (snapshot.go's
 //	             file comment says how and why that is exact);
 //	wiring     — configuration, links to other components, and scratch
@@ -36,16 +40,16 @@ var snapshotFieldClass = map[string]string{
 
 	"thread.id":                "wiring",
 	"thread.gen":               "wiring", // the caller restores instruction sources
-	"thread.peeked":            "serialized",
-	"thread.hasPeeked":         "serialized",
-	"thread.replay":            "serialized",
-	"thread.rpHead":            "serialized",
-	"thread.frontend":          "serialized",
-	"thread.feHead":            "serialized",
 	"thread.rob":               "serialized",
 	"thread.robMask":           "wiring",
 	"thread.headSeq":           "serialized",
 	"thread.nextSeq":           "serialized",
+	"thread.fetchSeq":          "serialized",
+	"thread.dispatched":        "serialized",
+	"thread.genSeq":            "serialized",
+	"thread.pending":           "serialized", // [dispatched, genSeq) only
+	"thread.feReady":           "serialized", // [nextSeq, fetchSeq) only
+	"thread.feMask":            "wiring",
 	"thread.epoch":             "serialized",
 	"thread.iqInt":             "serialized",
 	"thread.iqFP":              "serialized",
@@ -113,6 +117,55 @@ func TestSnapshotFieldCoverage(t *testing.T) {
 	for name := range snapshotFieldClass {
 		if !seen[name] {
 			t.Errorf("%s is classified but no longer exists", name)
+		}
+	}
+}
+
+// A frame whose cursors break one of checkCursors' invariants would index a
+// ring outside what it holds, so loading rejects it. Each case breaks exactly
+// one invariant of a running machine's thread before saving.
+func TestRestoreRejectsBrokenCursors(t *testing.T) {
+	cfg := DefaultConfig()
+	mk := func() *rig { return newQuiesceRig(t, cfg, realGen(t, "mcf", 0), realGen(t, "gzip", 1)) }
+	for _, tc := range []struct {
+		broken string
+		mutate func(th *thread)
+	}{
+		{"", func(*thread) {}},
+		{"stream order", func(th *thread) { th.fetchSeq = th.genSeq + 1 }},
+		{"dispatch order", func(th *thread) { th.dispatched = th.nextSeq - 1 }},
+		{"pending ring", func(th *thread) { th.genSeq = th.dispatched + uint64(cfg.FrontendCap) + 1 }},
+		{"frontend ring", func(th *thread) {
+			over := th.nextSeq + uint64(cfg.FrontendCap) + 1
+			th.fetchSeq, th.dispatched, th.genSeq = over, over, over
+		}},
+		{"ROB ring", func(th *thread) {
+			over := th.headSeq + uint64(cfg.ROBPerThread) + 1
+			th.nextSeq, th.fetchSeq, th.dispatched, th.genSeq = over, over, over, over
+		}},
+	} {
+		live := mk()
+		live.run(3_000)
+		th := live.cpu.threads[1]
+		if th.nextSeq == th.headSeq {
+			t.Fatal("thread 1's ROB is empty: no cursor to break")
+		}
+		tc.mutate(th)
+		var w snap.Writer
+		if err := live.cpu.Snap(snap.Saving(&w)); err != nil {
+			t.Fatal(err)
+		}
+		rd, err := snap.NewReader(w.Frame("TEST", 1), "TEST", 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		err = mk().cpu.Snap(snap.Loading(rd))
+		switch {
+		case tc.broken == "" && err != nil:
+			t.Fatalf("intact frame rejected: %v", err)
+		case tc.broken == "":
+		case !errors.Is(err, snap.ErrCorrupt) || !strings.Contains(err.Error(), tc.broken):
+			t.Errorf("frame breaking the %q invariant: restore error %v", tc.broken, err)
 		}
 	}
 }

@@ -335,8 +335,8 @@ func (s *loop) Next() workload.Instr {
 }
 
 // A squash-heavy stream must run allocation-free once its buffers have
-// grown: the replay and in-flight-load deques reuse their capacity instead
-// of re-slicing it away from the front.
+// grown: a squash copies nothing, and the in-flight-load deque reuses its
+// capacity instead of re-slicing it away from the front.
 func TestSquashHeavyStreamDoesNotAllocate(t *testing.T) {
 	// One L1-resident load in six instructions keeps any cycle's events under
 	// the event ring's initial bucket capacity, so nothing but the core's own
