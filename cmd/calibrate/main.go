@@ -9,6 +9,10 @@
 //	calibrate                 # all 26 applications
 //	calibrate mcf swim gzip   # a subset
 //	calibrate -format csv     # machine-readable
+//
+// Exit status 2 means the invocation is wrong (a bad flag value or an
+// application name the models lack; nothing is simulated and nothing is
+// written to stdout), 1 that a simulation or a write failed.
 package main
 
 import (
@@ -18,70 +22,52 @@ import (
 	"sort"
 
 	"smtdram/internal/core"
-	"smtdram/internal/report"
+	"smtdram/internal/figures"
 	"smtdram/internal/workload"
 )
 
 func main() {
+	format := figures.Format("text")
+	flag.Var(&format, "format", "output `format`: text, csv, md")
 	var (
-		format = flag.String("format", "text", "output format: text, csv, md")
 		warmup = flag.Uint64("warmup", 100_000, "per-thread warmup instructions")
 		target = flag.Uint64("target", 150_000, "per-thread measured instructions")
 		seed   = flag.Int64("seed", 42, "workload seed")
 	)
 	flag.Parse()
 
-	f, err := report.ParseFormat(*format)
-	if err != nil {
-		fatal(err)
+	names := flag.Args()
+	if len(names) == 0 {
+		names = workload.Names()
 	}
-	apps := flag.Args()
-	if len(apps) == 0 {
-		apps = workload.Names()
-	}
-
-	type row struct {
-		name    string
-		class   string
-		cpi     float64
-		mem     float64
-		rowMiss float64
-		l1d     float64
-		l2      float64
-		ipc     float64
-	}
-	var rows []row
-	for _, name := range apps {
+	// Every name is resolved before anything runs.
+	apps := make([]workload.App, len(names))
+	for i, name := range names {
 		app, err := workload.ByName(name)
 		if err != nil {
-			fatal(err)
+			fmt.Fprintln(os.Stderr, "calibrate:", err)
+			flag.Usage()
+			os.Exit(2)
 		}
+		apps[i] = app
+	}
+
+	g := figures.Grid{Title: "Application characterization (reference machine, sorted by DRAM intensity)",
+		Columns: []string{"app", "IPC", "CPI", "memReads/100", "rowMiss", "L1D miss", "L2 miss"}}
+	for i, name := range names {
 		cfg := core.DefaultConfig(name)
 		cfg.WarmupInstr, cfg.TargetInstr, cfg.Seed = *warmup, *target, *seed
 		res, err := core.Run(cfg)
 		if err != nil {
 			fatal(fmt.Errorf("%s: %w", name, err))
 		}
-		rows = append(rows, row{
-			name:    name,
-			class:   app.Class.String(),
-			cpi:     1 / res.IPC[0],
-			ipc:     res.IPC[0],
-			mem:     res.MemReadsPer100Inst,
-			rowMiss: res.RowBufferMissRate,
-			l1d:     res.Caches[1].MissRate,
-			l2:      res.Caches[2].MissRate,
-		})
+		g.Rows = append(g.Rows, figures.Row{Label: fmt.Sprintf("%s (%s)", name, apps[i].Class),
+			Values: []float64{res.IPC[0], 1 / res.IPC[0], res.MemReadsPer100Inst, res.RowBufferMissRate,
+				res.Caches[1].MissRate, res.Caches[2].MissRate}})
 		fmt.Fprintf(os.Stderr, "  %s done\n", name)
 	}
-	sort.Slice(rows, func(i, j int) bool { return rows[i].mem < rows[j].mem })
-
-	t := report.New("Application characterization (reference machine, sorted by DRAM intensity)",
-		"app", "class", "IPC", "CPI", "memReads/100", "rowMiss", "L1D miss", "L2 miss")
-	for _, r := range rows {
-		t.AddRow(r.name, r.class, r.ipc, r.cpi, r.mem, r.rowMiss, r.l1d, r.l2)
-	}
-	if err := t.Render(os.Stdout, f); err != nil {
+	sort.Slice(g.Rows, func(i, j int) bool { return g.Rows[i].Values[2] < g.Rows[j].Values[2] })
+	if err := g.Render(os.Stdout, format); err != nil {
 		fatal(err)
 	}
 }

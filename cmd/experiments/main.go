@@ -10,8 +10,9 @@
 //
 // Valid -fig values are the names in figures.Catalog — `experiments -h`
 // prints them — plus "all". Exit status 2 means the invocation is wrong (a bad
-// flag value, a figure name the catalog lacks; nothing is simulated and
-// nothing is written to stdout), 1 that a simulation or a write failed.
+// flag value, a zero -warmup, -target or -seed, a figure name the catalog
+// lacks; nothing is simulated and nothing is written to stdout), 1 that a
+// simulation or a write failed.
 package main
 
 import (
@@ -29,18 +30,18 @@ import (
 	"smtdram/internal/core"
 	"smtdram/internal/figures"
 	"smtdram/internal/obs"
-	"smtdram/internal/report"
 	"smtdram/internal/store"
 )
 
 func main() {
+	opts := figures.Options{Format: "text", Baselines: map[string]float64{}}
+	flag.Var(&opts.Format, "format", "output `format`: text, csv, md")
+	flag.Uint64Var(&opts.Warmup, "warmup", 100_000, "per-thread warmup instructions")
+	flag.Uint64Var(&opts.Target, "target", 100_000, "per-thread measured instructions")
+	flag.Int64Var(&opts.Seed, "seed", 42, "workload seed")
+	flag.IntVar(&opts.Jobs, "jobs", runtime.GOMAXPROCS(0), "max concurrent simulations (1 = sequential; output is identical for any value)")
 	var (
 		fig     = flag.String("fig", "all", "comma-separated figures to regenerate: "+strings.Join(figNames(), ", ")+", or all")
-		format  = flag.String("format", "text", "output format: text, csv, md")
-		warmup  = flag.Uint64("warmup", 100_000, "per-thread warmup instructions")
-		target  = flag.Uint64("target", 100_000, "per-thread measured instructions")
-		seed    = flag.Int64("seed", 42, "workload seed")
-		jobs    = flag.Int("jobs", runtime.GOMAXPROCS(0), "max concurrent simulations (1 = sequential; output is identical for any value)")
 		verbose = flag.Bool("v", false, "print per-run progress")
 
 		checkpointDir = flag.String("checkpoint-dir", "", "persist warmup checkpoints under this directory and fork warm re-runs from them (figure output stays byte-identical)")
@@ -60,15 +61,19 @@ func main() {
 	if *metricsOut != "" && *metricsInt == 0 {
 		usageErr("-metrics-interval must be at least 1 cycle")
 	}
-	if *jobs < 1 {
+	if opts.Jobs < 1 {
 		usageErr("-jobs must be at least 1")
 	}
-	if *target == 0 {
+	// The figures read a zero count or seed as "use the default", so a 0
+	// here would silently run something other than what was asked for.
+	if opts.Warmup == 0 {
+		usageErr("-warmup must be at least 1 instruction")
+	}
+	if opts.Target == 0 {
 		usageErr("-target must be at least 1 instruction")
 	}
-	render, err := report.ParseFormat(*format)
-	if err != nil {
-		usageErr(err.Error())
+	if opts.Seed == 0 {
+		usageErr("-seed must be nonzero")
 	}
 	// Every name is checked before anything runs, so a typo in a sweep script
 	// is a red exit and an empty file, not a silently shorter one.
@@ -109,8 +114,6 @@ func main() {
 		}
 	}()
 
-	opts := figures.Options{Warmup: *warmup, Target: *target, Seed: *seed,
-		Jobs: *jobs, Baselines: map[string]float64{}}
 	if *verbose {
 		opts.Out = os.Stderr
 	}
@@ -141,11 +144,7 @@ func main() {
 			continue
 		}
 		start := time.Now()
-		g, err := f.Run(opts)
-		if err == nil {
-			err = g.Table().Render(os.Stdout, render)
-		}
-		if err != nil {
+		if err := f.Write(opts, os.Stdout); err != nil {
 			fmt.Fprintf(os.Stderr, "experiments: %s: %v\n", f.Name, err)
 			os.Exit(1)
 		}

@@ -38,7 +38,8 @@ func run(t *testing.T, bin string, args ...string) (stdout, stderr string, code 
 }
 
 // TestBadInvocationExitsTwo: a name the catalog lacks — alone or anywhere in
-// the comma list — or an unknown format is a usage error: exit 2, nothing
+// the comma list — an unknown format, or a zero warmup or seed (which the
+// figures would read as their defaults) is a usage error: exit 2, nothing
 // simulated, nothing on stdout, the valid names on stderr. A sweep script
 // with a typo must not get an empty (or silently shorter) file and a green
 // exit.
@@ -48,6 +49,8 @@ func TestBadInvocationExitsTwo(t *testing.T) {
 		{"-fig", "11"},
 		{"-fig", "6,bogus"},
 		{"-format", "bogus", "-fig", "table2"},
+		{"-warmup", "0", "-fig", "table2"},
+		{"-seed", "0", "-fig", "table2"},
 	} {
 		stdout, stderr, code := run(t, bin, args...)
 		if code != 2 || stdout != "" {

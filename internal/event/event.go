@@ -10,13 +10,10 @@ package event
 
 import "math/bits"
 
-// Func is a callback fired when the simulation clock reaches its cycle.
-type Func func(now uint64)
-
-// Handler is the allocation-free alternative to Func: components that fire
-// the same kind of event over and over implement Handler on a long-lived
-// (or pooled) struct and pass it to ScheduleHandler, instead of allocating
-// a fresh closure per Schedule call on the simulation hot path.
+// Handler is an event: components that fire the same kind of event over and
+// over implement it on a long-lived (or pooled) struct and pass it to
+// ScheduleHandler, so scheduling allocates nothing and the snapshot codec can
+// name every pending event.
 type Handler interface {
 	OnEvent(now uint64)
 }
@@ -43,7 +40,6 @@ func (f FillFunc) OnFill(now uint64) { f(now) }
 type item struct {
 	at  uint64
 	seq uint64 // tie-breaker: FIFO among equal cycles
-	fn  Func
 	h   Handler
 	f   Filler
 }
@@ -107,7 +103,7 @@ func (q *Queue) Len() int { return q.ringN + len(q.far) }
 // Fired reports the cumulative number of events executed.
 func (q *Queue) Fired() uint64 { return q.fired }
 
-// PastSchedules reports how often Schedule was called with a cycle earlier
+// PastSchedules reports how often an event was scheduled with a cycle earlier
 // than one the queue had already fired an event at — the documented
 // schedule-in-the-past hazard. Such events still fire (late), but a nonzero
 // count means some component's timing arithmetic went backwards.
@@ -116,32 +112,24 @@ func (q *Queue) PastSchedules() uint64 { return q.past }
 // MaxLen reports the high-water pending-event count.
 func (q *Queue) MaxLen() int { return q.maxLen }
 
-// Schedule registers fn to run at cycle at. Scheduling in the past is the
-// caller's bug; the event still fires, at whatever "now" the queue has
-// advanced to, preserving run-to-completion semantics. Occurrences are
-// counted (see PastSchedules).
-func (q *Queue) Schedule(at uint64, fn Func) {
-	q.push(item{at: at, fn: fn})
-}
-
-// ScheduleHandler registers h to run at cycle at. It shares the clock, the
-// FIFO tie-break sequence, and the hazard accounting with Schedule — an event
-// scheduled through either entry point fires in exactly the same order — but
-// takes an interface value instead of a closure, so callers can reuse one
-// handler object across millions of events without allocating.
+// ScheduleHandler registers h's OnEvent to run at cycle at. Scheduling in the
+// past is the caller's bug; the event still fires, at whatever "now" the
+// queue has advanced to, preserving run-to-completion semantics. Occurrences
+// are counted (see PastSchedules).
 func (q *Queue) ScheduleHandler(at uint64, h Handler) {
 	q.push(item{at: at, h: h})
 }
 
-// ScheduleFiller registers f's OnFill to run at cycle at. Identical ordering
-// and hazard semantics to Schedule/ScheduleHandler; the separate entry point
-// exists so pending completions are typed objects the snapshot codec can
-// name.
+// ScheduleFiller registers f's OnFill to run at cycle at. It shares the clock,
+// the FIFO tie-break sequence and the hazard accounting with ScheduleHandler,
+// so events scheduled through either fire in one order; the separate entry
+// point exists so pending completions are typed objects the snapshot codec
+// can name.
 func (q *Queue) ScheduleFiller(at uint64, f Filler) {
 	q.push(item{at: at, f: f})
 }
 
-// push is the single insertion path behind Schedule and ScheduleHandler.
+// push is the single insertion path behind ScheduleHandler and ScheduleFiller.
 func (q *Queue) push(it item) {
 	if it.at < q.firedAt {
 		q.past++
@@ -173,7 +161,7 @@ func (q *Queue) place(it item) {
 	// copied in wider words than it was written in, which stalls the loads
 	// (this function then cost twice what it does).
 	nd := &q.node[n-1]
-	nd.it.at, nd.it.seq, nd.it.fn, nd.it.h, nd.it.f, nd.next = it.at, it.seq, it.fn, it.h, it.f, 0
+	nd.it.at, nd.it.seq, nd.it.h, nd.it.f, nd.next = it.at, it.seq, it.h, it.f, 0
 	s := int(it.at & ringMask)
 	if t := q.tail[s]; t != 0 {
 		q.node[t-1].next = n
@@ -342,13 +330,10 @@ func (q *Queue) fire(it item) {
 	if it.at > q.firedAt {
 		q.firedAt = it.at
 	}
-	switch {
-	case it.h != nil:
+	if it.h != nil {
 		it.h.OnEvent(it.at)
-	case it.f != nil:
+	} else {
 		it.f.OnFill(it.at)
-	default:
-		it.fn(it.at)
 	}
 }
 

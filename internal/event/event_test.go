@@ -1,11 +1,17 @@
 package event
 
 import (
+	"fmt"
 	"math/rand"
 	"sort"
 	"testing"
 	"testing/quick"
 )
+
+// fnEvent adapts a function to Handler, so a test's event can be a closure.
+type fnEvent func(now uint64)
+
+func (f fnEvent) OnEvent(now uint64) { f(now) }
 
 func TestEmptyQueue(t *testing.T) {
 	var q Queue
@@ -23,7 +29,7 @@ func TestFiresInCycleOrder(t *testing.T) {
 	var got []uint64
 	for _, at := range []uint64{5, 1, 9, 3, 7} {
 		at := at
-		q.Schedule(at, func(now uint64) { got = append(got, now) })
+		q.ScheduleHandler(at, fnEvent(func(now uint64) { got = append(got, now) }))
 	}
 	q.RunUntil(10)
 	want := []uint64{1, 3, 5, 7, 9}
@@ -42,7 +48,7 @@ func TestFIFOWithinSameCycle(t *testing.T) {
 	var got []int
 	for i := 0; i < 10; i++ {
 		i := i
-		q.Schedule(42, func(uint64) { got = append(got, i) })
+		q.ScheduleHandler(42, fnEvent(func(uint64) { got = append(got, i) }))
 	}
 	q.RunUntil(42)
 	for i, v := range got {
@@ -57,7 +63,7 @@ func TestRunUntilBoundary(t *testing.T) {
 	fired := map[uint64]bool{}
 	for _, at := range []uint64{10, 11, 12} {
 		at := at
-		q.Schedule(at, func(uint64) { fired[at] = true })
+		q.ScheduleHandler(at, fnEvent(func(uint64) { fired[at] = true }))
 	}
 	q.RunUntil(11)
 	if !fired[10] || !fired[11] {
@@ -74,10 +80,10 @@ func TestRunUntilBoundary(t *testing.T) {
 func TestCallbackSchedulesWithinWindow(t *testing.T) {
 	var q Queue
 	var got []uint64
-	q.Schedule(1, func(now uint64) {
+	q.ScheduleHandler(1, fnEvent(func(now uint64) {
 		got = append(got, now)
-		q.Schedule(2, func(now uint64) { got = append(got, now) })
-	})
+		q.ScheduleHandler(2, fnEvent(func(now uint64) { got = append(got, now) }))
+	}))
 	q.RunUntil(5)
 	if len(got) != 2 || got[0] != 1 || got[1] != 2 {
 		t.Fatalf("chained events fired %v, want [1 2]", got)
@@ -86,8 +92,8 @@ func TestCallbackSchedulesWithinWindow(t *testing.T) {
 
 func TestNextAt(t *testing.T) {
 	var q Queue
-	q.Schedule(7, func(uint64) {})
-	q.Schedule(3, func(uint64) {})
+	q.ScheduleHandler(7, fnEvent(func(uint64) {}))
+	q.ScheduleHandler(3, fnEvent(func(uint64) {}))
 	at, ok := q.NextAt()
 	if !ok || at != 3 {
 		t.Fatalf("NextAt = %d,%v, want 3,true", at, ok)
@@ -97,7 +103,7 @@ func TestNextAt(t *testing.T) {
 func TestFiredAndMaxLen(t *testing.T) {
 	var q Queue
 	for i := uint64(1); i <= 5; i++ {
-		q.Schedule(i, func(uint64) {})
+		q.ScheduleHandler(i, fnEvent(func(uint64) {}))
 	}
 	if q.MaxLen() != 5 {
 		t.Fatalf("MaxLen = %d, want 5", q.MaxLen())
@@ -119,13 +125,13 @@ func TestFiredAndMaxLen(t *testing.T) {
 // documented hazard; it must be counted, and the event must still fire.
 func TestPastScheduleCounted(t *testing.T) {
 	var q Queue
-	q.Schedule(10, func(uint64) {})
+	q.ScheduleHandler(10, fnEvent(func(uint64) {}))
 	q.RunUntil(10)
 	if q.PastSchedules() != 0 {
 		t.Fatalf("PastSchedules = %d before any past schedule", q.PastSchedules())
 	}
 	fired := false
-	q.Schedule(5, func(now uint64) { fired = true })
+	q.ScheduleHandler(5, fnEvent(func(now uint64) { fired = true }))
 	if q.PastSchedules() != 1 {
 		t.Fatalf("PastSchedules = %d, want 1", q.PastSchedules())
 	}
@@ -134,7 +140,7 @@ func TestPastScheduleCounted(t *testing.T) {
 		t.Fatal("past-scheduled event must still fire")
 	}
 	// Scheduling at exactly the highest fired cycle is not "in the past".
-	q.Schedule(10, func(uint64) {})
+	q.ScheduleHandler(10, fnEvent(func(uint64) {}))
 	if q.PastSchedules() != 1 {
 		t.Fatalf("PastSchedules = %d after same-cycle schedule, want 1", q.PastSchedules())
 	}
@@ -147,7 +153,7 @@ func TestPropertyOrdering(t *testing.T) {
 		var q Queue
 		var got []uint64
 		for _, at := range times {
-			q.Schedule(uint64(at), func(now uint64) { got = append(got, now) })
+			q.ScheduleHandler(uint64(at), fnEvent(func(now uint64) { got = append(got, now) }))
 		}
 		q.RunUntil(1 << 17)
 		if len(got) != len(times) {
@@ -179,7 +185,7 @@ func BenchmarkScheduleRun(b *testing.B) {
 	nop := func(uint64) {}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		q.Schedule(uint64(rng.Intn(1000)), nop)
+		q.ScheduleHandler(uint64(rng.Intn(1000)), fnEvent(nop))
 		if q.Len() > 1024 {
 			q.RunUntil(1 << 30)
 		}
@@ -194,32 +200,28 @@ type recordingHandler struct {
 
 func (h *recordingHandler) OnEvent(now uint64) { h.fired = append(h.fired, now) }
 
-// TestScheduleHandlerInterleavesWithSchedule checks that handler events and
-// closure events share one FIFO sequence: same-cycle events fire in
-// registration order regardless of which entry point registered them.
+// TestScheduleHandlerInterleavesWithSchedule checks that Handler and Filler
+// events share one FIFO sequence: same-cycle events fire in registration
+// order regardless of which entry point registered them.
 func TestScheduleHandlerInterleavesWithSchedule(t *testing.T) {
 	var q Queue
 	var got []string
-	h := &recordingHandler{}
-	q.Schedule(5, func(uint64) { got = append(got, "fn1") })
-	q.ScheduleHandler(5, h)
-	q.Schedule(5, func(uint64) { got = append(got, "fn2") })
+	q.ScheduleHandler(5, fnEvent(func(uint64) { got = append(got, "event1") }))
+	q.ScheduleFiller(5, FillFunc(func(uint64) { got = append(got, "fill1") }))
+	q.ScheduleHandler(5, fnEvent(func(uint64) { got = append(got, "event2") }))
+	q.ScheduleFiller(5, FillFunc(func(uint64) { got = append(got, "fill2") }))
 	q.RunUntil(5)
-	if len(h.fired) != 1 || h.fired[0] != 5 {
-		t.Fatalf("handler fired = %v, want [5]", h.fired)
+	if want := []string{"event1", "fill1", "event2", "fill2"}; fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("fired %v, want %v", got, want)
 	}
-	if len(got) != 2 || got[0] != "fn1" || got[1] != "fn2" {
-		t.Fatalf("closures fired = %v, want [fn1 fn2]", got)
-	}
-	if q.Fired() != 3 {
-		t.Fatalf("Fired = %d, want 3", q.Fired())
+	if q.Fired() != 4 {
+		t.Fatalf("Fired = %d, want 4", q.Fired())
 	}
 }
 
 // TestScheduleHandlerDoesNotAllocate is the hot-path contract: once the heap
 // has grown, scheduling and firing a reusable handler costs zero allocations
-// per event. (Closure-based Schedule cannot make this guarantee — that is
-// why ScheduleHandler exists.)
+// per event.
 func TestScheduleHandlerDoesNotAllocate(t *testing.T) {
 	var q Queue
 	h := &recordingHandler{fired: make([]uint64, 0, 1024)}
@@ -243,10 +245,10 @@ func TestFarFutureOrdering(t *testing.T) {
 	var q Queue
 	var got []uint64
 	rec := func(now uint64) { got = append(got, now) }
-	q.Schedule(5000, rec) // far tier
-	q.Schedule(3, rec)    // ring tier
-	q.Schedule(70000, rec)
-	q.Schedule(900, rec)
+	q.ScheduleHandler(5000, fnEvent(rec)) // far tier
+	q.ScheduleHandler(3, fnEvent(rec))    // ring tier
+	q.ScheduleHandler(70000, fnEvent(rec))
+	q.ScheduleHandler(900, fnEvent(rec))
 	q.RunUntil(100000)
 	want := []uint64{3, 900, 5000, 70000}
 	if len(got) != len(want) {
@@ -265,10 +267,10 @@ func TestFarFutureOrdering(t *testing.T) {
 func TestSameCycleAcrossTiers(t *testing.T) {
 	var q Queue
 	var got []int
-	c := uint64(2000)                                    // outside the zero-based ring window at first
-	q.Schedule(c, func(uint64) { got = append(got, 1) }) // far tier
-	q.RunUntil(1500)                                     // advance the window over c
-	q.Schedule(c, func(uint64) { got = append(got, 2) }) // ring tier
+	c := uint64(2000)                                                    // outside the zero-based ring window at first
+	q.ScheduleHandler(c, fnEvent(func(uint64) { got = append(got, 1) })) // far tier
+	q.RunUntil(1500)                                                     // advance the window over c
+	q.ScheduleHandler(c, fnEvent(func(uint64) { got = append(got, 2) })) // ring tier
 	q.RunUntil(c)
 	if len(got) != 2 || got[0] != 1 || got[1] != 2 {
 		t.Fatalf("cross-tier same-cycle order = %v, want [1 2]", got)
@@ -281,11 +283,11 @@ func TestSameCycleAcrossTiers(t *testing.T) {
 func TestPastScheduleInterleavesFirst(t *testing.T) {
 	var q Queue
 	var got []string
-	q.Schedule(10, func(uint64) {
+	q.ScheduleHandler(10, fnEvent(func(uint64) {
 		got = append(got, "a")
-		q.Schedule(2, func(uint64) { got = append(got, "late") }) // in the past
-	})
-	q.Schedule(10, func(uint64) { got = append(got, "b") })
+		q.ScheduleHandler(2, fnEvent(func(uint64) { got = append(got, "late") })) // in the past
+	}))
+	q.ScheduleHandler(10, fnEvent(func(uint64) { got = append(got, "b") }))
 	q.RunUntil(10)
 	if len(got) != 3 || got[0] != "a" || got[1] != "late" || got[2] != "b" {
 		t.Fatalf("fired %v, want [a late b]", got)
@@ -304,7 +306,7 @@ func TestRingWrapAround(t *testing.T) {
 	for lap := 0; lap < 5; lap++ {
 		for _, off := range []uint64{1, ringWindow / 2, ringWindow - 1} {
 			at := now + off
-			q.Schedule(at, func(at uint64) { got = append(got, at) })
+			q.ScheduleHandler(at, fnEvent(func(at uint64) { got = append(got, at) }))
 		}
 		now += ringWindow - 1
 		q.RunUntil(now)
@@ -322,10 +324,10 @@ func TestRingWrapAround(t *testing.T) {
 // TestReset returns a used queue to its initial state but keeps it usable.
 func TestReset(t *testing.T) {
 	var q Queue
-	q.Schedule(5, func(uint64) {})
-	q.Schedule(9000, func(uint64) {}) // one event in each tier
+	q.ScheduleHandler(5, fnEvent(func(uint64) {}))
+	q.ScheduleHandler(9000, fnEvent(func(uint64) {})) // one event in each tier
 	q.RunUntil(5)
-	q.Schedule(2, func(uint64) {}) // a past-schedule hazard
+	q.ScheduleHandler(2, fnEvent(func(uint64) {})) // a past-schedule hazard
 	q.Reset()
 	if q.Len() != 0 || q.Fired() != 0 || q.PastSchedules() != 0 || q.MaxLen() != 0 {
 		t.Fatalf("Reset left state: len=%d fired=%d past=%d maxLen=%d",
@@ -335,7 +337,7 @@ func TestReset(t *testing.T) {
 		t.Fatal("NextAt reported an event after Reset")
 	}
 	fired := false
-	q.Schedule(1, func(uint64) { fired = true })
+	q.ScheduleHandler(1, fnEvent(func(uint64) { fired = true }))
 	q.RunUntil(1)
 	if !fired || q.Fired() != 1 {
 		t.Fatal("queue unusable after Reset")
@@ -356,7 +358,7 @@ func TestResetDoesNotAllocate(t *testing.T) {
 		q.RunUntil(3)
 	})
 	if avg != 0 {
-		t.Fatalf("Reset+Schedule+RunUntil allocates %v/op, want 0", avg)
+		t.Fatalf("Reset+ScheduleHandler+RunUntil allocates %v/op, want 0", avg)
 	}
 }
 
@@ -368,8 +370,8 @@ type refQueue struct {
 	seq   uint64
 }
 
-func (r *refQueue) Schedule(at uint64, fn Func) {
-	r.items = append(r.items, item{at: at, seq: r.seq, fn: fn})
+func (r *refQueue) Schedule(at uint64, h Handler) {
+	r.items = append(r.items, item{at: at, seq: r.seq, h: h})
 	r.seq++
 }
 
@@ -386,7 +388,7 @@ func (r *refQueue) RunUntil(now uint64) {
 		}
 		it := r.items[min]
 		r.items = append(r.items[:min], r.items[min+1:]...)
-		it.fn(it.at)
+		it.h.OnEvent(it.at)
 	}
 }
 
@@ -405,7 +407,7 @@ type fired struct{ id, at uint64 }
 // cycle, the past, a few cycles either side of the ring window's far edge,
 // several windows out — the clock advanced in steps from one cycle to three
 // windows, and logs every firing.
-func drive(seed uint64, schedule func(uint64, Func), runUntil func(uint64)) []fired {
+func drive(seed uint64, schedule func(uint64, Handler), runUntil func(uint64)) []fired {
 	var log []fired
 	next := uint64(0)
 	var spawn func(now uint64)
@@ -430,12 +432,12 @@ func drive(seed uint64, schedule func(uint64, Func), runUntil func(uint64)) []fi
 		case 7:
 			at += ringWindow/2 + h>>8%ringWindow
 		}
-		schedule(at, func(at uint64) {
+		schedule(at, fnEvent(func(at uint64) {
 			log = append(log, fired{id, at})
 			for n := h >> 40 % 3; n > 0; n-- {
 				spawn(at)
 			}
-		})
+		}))
 	}
 	for now, step := uint64(0), 0; step < 400; step++ {
 		for n := mix(seed+uint64(step)) % 4; n > 0; n-- {
@@ -455,7 +457,7 @@ func checkFiringOrder(t *testing.T, seed uint64) int {
 	var q Queue
 	var ref refQueue
 	quiet := false
-	got := drive(seed, q.Schedule, func(now uint64) {
+	got := drive(seed, q.ScheduleHandler, func(now uint64) {
 		if quiet = !quiet; quiet { // every other step through the span drain
 			q.DrainQuiet(now+1, func(uint64) bool { return false })
 		}
@@ -505,7 +507,7 @@ func TestNodePoolBoundedByMaxLen(t *testing.T) {
 		h := mix(now)
 		for n := h % 17 * (h >> 8 % 2); n > 0; n-- { // a burst every other cycle or so
 			g := mix(h + n)
-			q.Schedule(now+g%(ringWindow+ringWindow/4), nop)
+			q.ScheduleHandler(now+g%(ringWindow+ringWindow/4), fnEvent(nop))
 		}
 		q.RunUntil(now)
 		if len(q.node) > q.MaxLen() {

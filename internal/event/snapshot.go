@@ -90,10 +90,9 @@ const sectionQueue = 0x51455645 // "EVEQ"
 // object's reference — in global (cycle, seq) order. Loading resolves each
 // reference through resolve (a Handler for RoleHandler items, a Filler for
 // RoleFiller ones) and re-places the events verbatim, so the next drain fires
-// in precisely the order the saved queue would have. Events scheduled as raw
-// closures (Schedule) have no name to save and fail with ErrUnsupported; all
-// production scheduling goes through Handler/Filler objects implementing
-// RefMaker.
+// in precisely the order the saved queue would have. An object without a
+// SnapRef (a test's function adapter) has no name to save and fails with
+// ErrUnsupported; every production Handler and Filler implements RefMaker.
 func (q *Queue) Snap(c *snap.Codec, resolve Resolver) error {
 	var items []item
 	if c.Loading() {
@@ -114,8 +113,6 @@ func (q *Queue) Snap(c *snap.Codec, resolve Resolver) error {
 		role := RoleHandler
 		if it.f != nil {
 			role = RoleFiller
-		} else if it.h == nil && !c.Loading() {
-			c.Fail(fmt.Errorf("%w: raw closure event at cycle %d", snap.ErrUnsupported, it.at))
 		}
 		c.U8(&role)
 		switch role {

@@ -14,9 +14,7 @@ import (
 //	               two tiers as one (cycle, seq)-ordered list of pending events;
 //	derived      — rebuilt by loading from serialized state (place re-creates
 //	               the ring's buckets, node pool and occupancy as it
-//	               re-inserts the events);
-//	closure-only — non-nil only in an event scheduled as a raw closure, which a
-//	               queue holding one refuses to snapshot (ErrUnsupported).
+//	               re-inserts the events).
 //
 // A new field fails this test until it is listed, which is the moment to
 // decide which it is and to teach snapshot.go about it.
@@ -37,7 +35,6 @@ var snapshotFieldClass = map[string]string{
 
 	"item.at":  "serialized",
 	"item.seq": "serialized",
-	"item.fn":  "closure-only",
 	"item.h":   "serialized", // as the role byte and the object's reference
 	"item.f":   "serialized",
 
@@ -52,9 +49,9 @@ func TestSnapshotFieldCoverage(t *testing.T) {
 			name := typ.Name() + "." + typ.Field(i).Name
 			seen[name] = true
 			switch snapshotFieldClass[name] {
-			case "serialized", "derived", "closure-only":
+			case "serialized", "derived":
 			case "":
-				t.Errorf("%s is not classified: list it as serialized, derived or closure-only, and cover it in snapshot.go", name)
+				t.Errorf("%s is not classified: list it as serialized or derived, and cover it in snapshot.go", name)
 			default:
 				t.Errorf("%s has unknown class %q", name, snapshotFieldClass[name])
 			}
@@ -79,8 +76,8 @@ func (n *named) OnFill(uint64)     { *n.fired = append(*n.fired, 1000+n.id) }
 func (n *named) SnapRef() snap.Ref { return snap.Ref{Kind: snap.KMemRetry, Args: []uint64{n.id}} }
 
 // A saved queue restores to the same counters and the same firing order —
-// ring, far heap and a schedule-in-the-past alike — and a queue holding a raw
-// closure, which has no name to save, says so.
+// ring, far heap and a schedule-in-the-past alike — and a queue holding an
+// event with no SnapRef, which has no name to save, says so.
 func TestQueueSnapRoundTrip(t *testing.T) {
 	var liveFired, restoredFired []uint64
 	var live, restored Queue
@@ -127,8 +124,8 @@ func TestQueueSnapRoundTrip(t *testing.T) {
 		t.Fatalf("restored queue fired %v, live %v", restoredFired, liveFired)
 	}
 
-	live.Schedule(300000, func(uint64) {})
+	live.ScheduleHandler(300000, fnEvent(func(uint64) {}))
 	if err := live.Snap(snap.Saving(&snap.Writer{}), nil); !errors.Is(err, snap.ErrUnsupported) {
-		t.Fatalf("queue holding a raw closure: Snap returned %v, want snap.ErrUnsupported", err)
+		t.Fatalf("queue holding an unnamed handler: Snap returned %v, want snap.ErrUnsupported", err)
 	}
 }

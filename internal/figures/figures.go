@@ -1,7 +1,7 @@
 // Package figures regenerates every table and figure from the paper's
 // evaluation (Section 5). A figure is data: Catalog lists them in the paper's
 // order, each a name and a Run that returns a Grid — a title, named columns
-// and labelled rows of numbers — which Grid.Table hands to package report.
+// and labelled rows of numbers — that renders itself as text, CSV or Markdown.
 // Behind Run every figure is one sweep shape: Table 2 mixes × one axis of
 // machine variants, submitted up front and waited for in submission order.
 // cmd/experiments, the serving daemon and the root benchmark harness are thin
@@ -10,8 +10,10 @@ package figures
 
 import (
 	"context"
+	"encoding/csv"
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -22,7 +24,6 @@ import (
 	"smtdram/internal/core"
 	"smtdram/internal/cpu"
 	"smtdram/internal/memctrl"
-	"smtdram/internal/report"
 	"smtdram/internal/runner"
 	"smtdram/internal/workload"
 )
@@ -66,6 +67,8 @@ type Options struct {
 	// The serving daemon threads its per-job context through here; nil means
 	// run to completion.
 	Ctx context.Context
+	// Format is what Figure.Write renders the grid in; the zero value is text.
+	Format Format
 }
 
 func (o Options) withDefaults() Options {
@@ -110,6 +113,15 @@ type Figure struct {
 	Name string
 	// Run regenerates the figure on the paper's rows.
 	Run func(Options) (Grid, error)
+}
+
+// Write runs the figure and renders its grid to w in o.Format.
+func (f Figure) Write(o Options, w io.Writer) error {
+	g, err := f.Run(o)
+	if err != nil {
+		return err
+	}
+	return g.Render(w, o.Format)
 }
 
 // entry is a figure with its rows still a parameter: Catalog binds the
@@ -168,7 +180,7 @@ type Grid struct {
 	Title string
 	// Columns[0] heads the row labels; the rest name each row's Values.
 	Columns []string
-	// TextHeader, when set, makes Table print each row as its label and its
+	// TextHeader, when set, makes Render print each row as its label and its
 	// Text under this header instead of one column per value: Table 2's
 	// application lists, and Figure 5, whose rows are as wide as their mix
 	// has threads.
@@ -198,24 +210,89 @@ func (g Grid) At(row, col string) (float64, bool) {
 	return 0, false
 }
 
-// Table lays the grid out for rendering.
-func (g Grid) Table() *report.Table {
+// Format names an output format: "text" (the zero value too), "csv" or "md".
+// It is a flag.Value, so a front end binds it as its -format flag.
+type Format string
+
+// String implements flag.Value.
+func (f Format) String() string { return string(f) }
+
+// Set accepts text/txt, csv and md/markdown in any letter case.
+func (f *Format) Set(s string) error {
+	switch strings.ToLower(s) {
+	case "text", "txt":
+		*f = "text"
+	case "csv":
+		*f = "csv"
+	case "md", "markdown":
+		*f = "md"
+	default:
+		return fmt.Errorf("unknown format %q (want text, csv, md)", s)
+	}
+	return nil
+}
+
+// Render writes the grid in f: an aligned text table under its title, CSV
+// (RFC 4180, no title) or a GitHub-flavored Markdown table under a "###"
+// title. A row is its label and then each value at %.3f, or its label and
+// its Text under a TextHeader; a row whose values do not fill the columns is
+// an error.
+func (g Grid) Render(w io.Writer, f Format) error {
+	head := g.Columns
 	if g.TextHeader != "" {
-		t := report.New(g.Title, g.Columns[0], g.TextHeader)
-		for _, r := range g.Rows {
-			t.AddRow(r.Label, r.Text)
-		}
-		return t
+		head = []string{g.Columns[0], g.TextHeader}
 	}
-	t := report.New(g.Title, g.Columns...)
-	for _, r := range g.Rows {
-		cells := []interface{}{r.Label}
-		for _, v := range r.Values {
-			cells = append(cells, v)
+	rows := [][]string{head}
+	for i, r := range g.Rows {
+		row := []string{r.Label, r.Text}
+		if g.TextHeader == "" {
+			row = row[:1]
+			for _, v := range r.Values {
+				row = append(row, num(v))
+			}
 		}
-		t.AddRow(cells...)
+		if len(row) != len(head) {
+			return fmt.Errorf("figures: %q row %d has %d cells, want %d", g.Title, i, len(row), len(head))
+		}
+		rows = append(rows, row)
 	}
-	return t
+	var b strings.Builder
+	switch f {
+	case "csv":
+		if err := csv.NewWriter(&b).WriteAll(rows); err != nil {
+			return err
+		}
+	case "md":
+		if g.Title != "" {
+			fmt.Fprintf(&b, "### %s\n\n", g.Title)
+		}
+		sep := make([]string, len(head))
+		for i := range sep {
+			sep[i] = "---"
+		}
+		for _, r := range slices.Insert(rows, 1, sep) {
+			fmt.Fprintf(&b, "| %s |\n", strings.Join(r, " | "))
+		}
+	default:
+		if g.Title != "" {
+			b.WriteString(g.Title + "\n")
+		}
+		width := make([]int, len(head))
+		for _, r := range rows {
+			for i, c := range r {
+				width[i] = max(width[i], len(c))
+			}
+		}
+		for _, r := range rows {
+			b.WriteString(" ")
+			for i, c := range r {
+				fmt.Fprintf(&b, " %-*s", width[i], c)
+			}
+			b.WriteString("\n")
+		}
+	}
+	_, err := io.WriteString(w, b.String())
+	return err
 }
 
 // ---------------------------------------------------------------- the sweep
@@ -387,11 +464,14 @@ func grid(o Options, fig, title string, columns []string, mixes []workload.Mix, 
 	return g, nil
 }
 
-// join formats a row's values the way report prints a float.
+// num formats a value the way every table cell and progress line prints it.
+func num(v float64) string { return fmt.Sprintf("%.3f", v) }
+
+// join lays a row's values out for a progress line or a Text cell.
 func join(vals []float64) string {
 	var b strings.Builder
 	for _, v := range vals {
-		fmt.Fprintf(&b, " %.3f", v)
+		b.WriteString(" " + num(v))
 	}
 	return b.String()
 }

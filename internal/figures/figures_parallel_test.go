@@ -3,8 +3,6 @@ package figures
 import (
 	"bytes"
 	"testing"
-
-	"smtdram/internal/report"
 )
 
 // renderSweep runs a representative slice of the catalog (the four-run CPI
@@ -21,11 +19,7 @@ func renderSweep(t *testing.T, jobs int) (tables, progress string) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		g, err := fig.Run(o)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := g.Table().Render(&tbl, report.Text); err != nil {
+		if err := fig.Write(o, &tbl); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -11,7 +11,6 @@ import (
 
 	"smtdram/internal/checkpoint"
 	"smtdram/internal/core"
-	"smtdram/internal/report"
 	"smtdram/internal/workload"
 )
 
@@ -120,22 +119,82 @@ func golden(t *testing.T, name, file string) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, ext := range []string{"text", "csv", "md"} {
-		format, err := report.ParseFormat(ext)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want, err := os.ReadFile(filepath.Join("testdata", file+"."+ext))
+	for _, ext := range []Format{"text", "csv", "md"} {
+		want, err := os.ReadFile(filepath.Join("testdata", file+"."+string(ext)))
 		if err != nil {
 			t.Fatal(err)
 		}
 		var got bytes.Buffer
-		if err := g.Table().Render(&got, format); err != nil {
+		if err := g.Render(&got, ext); err != nil {
 			t.Fatal(err)
 		}
 		if got.String() != string(want) {
 			t.Errorf("figure %s as %s:\n%s\nwant:\n%s", name, ext, got.String(), want)
 		}
+	}
+}
+
+// TestRender holds what the goldens do not reach: a label CSV must quote, a
+// ragged row in every format, Format's flag aliases, and the zero Format.
+func TestRender(t *testing.T) {
+	ragged := Grid{Columns: []string{"a", "b"}, Rows: []Row{{Label: "only-one"}}}
+	for _, tc := range []struct {
+		name string
+		run  func() error
+	}{
+		{"csv quotes a label", func() error {
+			g := Grid{Columns: []string{"a", "b"}, Rows: []Row{{Label: `comma,and"quote`, Values: []float64{1.25}}}}
+			var b bytes.Buffer
+			if err := g.Render(&b, "csv"); err != nil {
+				return err
+			}
+			if want := "a,b\n\"comma,and\"\"quote\",1.250\n"; b.String() != want {
+				return fmt.Errorf("got %q, want %q", b.String(), want)
+			}
+			return nil
+		}},
+		{"ragged row rejected", func() error {
+			for _, f := range []Format{"text", "csv", "md"} {
+				var b bytes.Buffer
+				if err := ragged.Render(&b, f); err == nil || b.Len() != 0 {
+					return fmt.Errorf("%s: accepted a ragged row (err %v, %d bytes written)", f, err, b.Len())
+				}
+			}
+			return nil
+		}},
+		{"Set takes aliases in any case", func() error {
+			for in, want := range map[string]Format{"text": "text", "TXT": "text", "csv": "csv", "Csv": "csv", "md": "md", "MarkDown": "md"} {
+				var f Format
+				if err := f.Set(in); err != nil || f != want {
+					return fmt.Errorf("Set(%q) = %q, %v; want %q", in, f, err, want)
+				}
+			}
+			var f Format
+			if err := f.Set("yaml"); err == nil {
+				return fmt.Errorf("Set accepted yaml as %q", f)
+			}
+			return nil
+		}},
+		{"zero Format is text", func() error {
+			g := Grid{Title: "T", Columns: []string{"mix", "v"}, Rows: []Row{{Label: "2-MEM", Values: []float64{0.5}}}}
+			var zero, text bytes.Buffer
+			if err := g.Render(&zero, ""); err != nil {
+				return err
+			}
+			if err := g.Render(&text, "text"); err != nil {
+				return err
+			}
+			if want := "T\n  mix   v    \n  2-MEM 0.500\n"; zero.String() != want || text.String() != want {
+				return fmt.Errorf("zero %q, text %q; want %q", zero.String(), text.String(), want)
+			}
+			return nil
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			if err := tc.run(); err != nil {
+				t.Error(err)
+			}
+		})
 	}
 }
 

@@ -13,7 +13,6 @@ import (
 	"smtdram/internal/faults"
 	"smtdram/internal/figures"
 	"smtdram/internal/memctrl"
-	"smtdram/internal/report"
 	"smtdram/internal/workload"
 )
 
@@ -194,9 +193,5 @@ func (r FigRequest) run(ctx context.Context, jobs int, w io.Writer, ckpts *check
 	if err != nil {
 		return err
 	}
-	g, err := fig.Run(figures.Options{Warmup: r.Warmup, Target: r.Target, Seed: r.Seed, Jobs: jobs, Ctx: ctx, Checkpoints: ckpts})
-	if err != nil {
-		return err
-	}
-	return g.Table().Render(w, report.Text)
+	return fig.Write(figures.Options{Warmup: r.Warmup, Target: r.Target, Seed: r.Seed, Jobs: jobs, Ctx: ctx, Checkpoints: ckpts}, w)
 }
