@@ -218,10 +218,20 @@ func DefaultConfig(apps ...string) Config {
 	}
 }
 
-// Validate rejects incoherent configurations.
+// maxPhysChannels bounds the memory system Validate accepts: eight times the
+// paper's largest, and far below a count whose channels would not fit in
+// memory.
+const maxPhysChannels = 64
+
+// Validate rejects incoherent configurations: anything it accepts builds a
+// machine that runs to a Result or a *NoProgressError, unless its context is
+// cancelled first.
 func (c Config) Validate() error {
 	if len(c.Apps) == 0 {
 		return fmt.Errorf("core: no applications configured")
+	}
+	if len(c.Apps) > cpu.MaxThreads {
+		return fmt.Errorf("core: %d threads (at most %d)", len(c.Apps), cpu.MaxThreads)
 	}
 	if c.TargetInstr == 0 {
 		return fmt.Errorf("core: zero instruction target")
@@ -232,8 +242,14 @@ func (c Config) Validate() error {
 	if err := c.CPU.Validate(); err != nil {
 		return err
 	}
+	if c.Mem.PhysChannels > maxPhysChannels {
+		return fmt.Errorf("core: %d physical channels (at most %d)", c.Mem.PhysChannels, maxPhysChannels)
+	}
 	geo, err := c.Mem.Geometry()
 	if err != nil {
+		return err
+	}
+	if err := geo.Validate(); err != nil {
 		return err
 	}
 	if _, err := c.Mem.Params(); err != nil {

@@ -30,6 +30,10 @@ func TestValidate(t *testing.T) {
 		{"bad cpu", func(c *Config) { c.CPU.IntIQ = 0 }},
 		{"bad gang", func(c *Config) { c.Mem.Gang = 3 }},
 		{"rdram ganged", func(c *Config) { c.Mem.Kind = RDRAM; c.Mem.Gang = 2 }},
+		{"65 threads", func(c *Config) { c.Apps = make([]string, 65) }},
+		{"3 channels", func(c *Config) { c.Mem.PhysChannels = 3 }},
+		{"12 channels ganged to 6", func(c *Config) { c.Mem.PhysChannels, c.Mem.Gang = 12, 2 }},
+		{"2^40 channels", func(c *Config) { c.Mem.PhysChannels = 1 << 40 }},
 	}
 	for _, c := range cases {
 		cfg := DefaultConfig("mcf")

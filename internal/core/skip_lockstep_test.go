@@ -279,10 +279,7 @@ func lockstepDeep(t *testing.T, tc lockstepCase) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := s.collect(k.now, snapshot{caches: make([]cache.Stats, 4), committed: make([]uint64, len(scfg.Apps))})
-		if err != nil {
-			t.Fatal(err)
-		}
+		got := s.collect(k.now, snapshot{caches: make([]cache.Stats, 4), committed: make([]uint64, len(scfg.Apps))})
 		if want.Failover == nil || !reflect.DeepEqual(got.Failover, want.Failover) {
 			t.Fatalf("failover reports diverge:\nskip: %+v\ntick: %+v", got.Failover, want.Failover)
 		}

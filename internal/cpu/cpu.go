@@ -474,6 +474,11 @@ type Source interface {
 	Next() workload.Instr
 }
 
+// MaxThreads bounds the hardware contexts: QuietFx tracks gated dispatch in a
+// 64-bit mask. Table 1's SMT contexts number at most 8, so the bound costs
+// nothing real.
+const MaxThreads = 64
+
 // New assembles a CPU over the given per-thread instruction sources and L1
 // caches.
 func New(q *event.Queue, cfg Config, gens []Source, l1i, l1d *cache.Level) (*CPU, error) {
@@ -483,10 +488,8 @@ func New(q *event.Queue, cfg Config, gens []Source, l1i, l1d *cache.Level) (*CPU
 	if len(gens) == 0 {
 		return nil, fmt.Errorf("cpu: no threads")
 	}
-	if len(gens) > 64 {
-		// QuietFx tracks gated dispatch in a 64-bit mask; Table 1's SMT
-		// contexts number at most 8, so the bound costs nothing real.
-		return nil, fmt.Errorf("cpu: %d threads exceeds the 64-context limit", len(gens))
+	if len(gens) > MaxThreads {
+		return nil, fmt.Errorf("cpu: %d threads exceeds the %d-context limit", len(gens), MaxThreads)
 	}
 	c := &CPU{
 		cfg: cfg, q: q, l1i: l1i, l1d: l1d,

@@ -1,6 +1,7 @@
 package fleet
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -179,6 +180,7 @@ func (c *Coordinator) proxyFor(m *member) *httputil.ReverseProxy {
 			pr.Out.Host = target.Host
 		},
 		FlushInterval: -1,
+		BufferPool:    proxyBufs,
 		ErrorHandler: func(w http.ResponseWriter, r *http.Request, err error) {
 			c.count(c.mErrors)
 			c.mu.Lock()
@@ -194,6 +196,31 @@ func (c *Coordinator) proxyFor(m *member) *httputil.ReverseProxy {
 }
 
 func (c *Coordinator) count(m *obs.Counter) { m.Inc() }
+
+// proxyBufSize is the size of the buffer ReverseProxy copies a response
+// through — the size it allocates for itself when it has no pool.
+const proxyBufSize = 32 << 10
+
+// proxyBufs is the one copy-buffer pool every member's proxy shares, so a
+// forwarded response reuses a buffer instead of allocating 32 KB.
+var proxyBufs = &bufferPool{}
+
+// bufferPool implements httputil.BufferPool over a sync.Pool of fixed-size
+// arrays; pooling array pointers keeps Put itself allocation-free.
+type bufferPool struct{ pool sync.Pool }
+
+func (p *bufferPool) Get() []byte {
+	if b, ok := p.pool.Get().(*[proxyBufSize]byte); ok {
+		return b[:]
+	}
+	return make([]byte, proxyBufSize)
+}
+
+func (p *bufferPool) Put(b []byte) {
+	if len(b) == proxyBufSize {
+		p.pool.Put((*[proxyBufSize]byte)(b))
+	}
+}
 
 // ------------------------------------------------------------- membership
 
@@ -350,12 +377,10 @@ func (c *Coordinator) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 
-	body, err := io.ReadAll(io.LimitReader(r.Body, 1<<20))
-	if err != nil {
-		writeJSONErr(w, http.StatusBadRequest, "reading request body: "+err.Error())
-		return
-	}
-	key, err := shardKeyFor(r.URL.Path, body)
+	// Decode through a tee, so the worker receives the very bytes judged here.
+	var body bytes.Buffer
+	r.Body = io.NopCloser(io.TeeReader(r.Body, &body))
+	key, err := shardKeyFor(w, r)
 	if err != nil {
 		writeJSONErr(w, http.StatusBadRequest, err.Error())
 		return
@@ -368,30 +393,30 @@ func (c *Coordinator) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	c.count(c.mForwards)
-	r.Body = io.NopCloser(strings.NewReader(string(body)))
-	r.ContentLength = int64(len(body))
+	r.Body = io.NopCloser(bytes.NewReader(body.Bytes()))
+	r.ContentLength = int64(body.Len())
 	m.proxy.ServeHTTP(w, r)
 }
 
-// shardKeyFor computes the routing key for a submission body — the exact
-// string the worker will cache, dedup, and journal it under, via the same
-// exported ShardKey the handlers use.
-func shardKeyFor(path string, body []byte) (string, error) {
+// shardKeyFor decodes a submission body with the worker's own decoder and
+// computes its routing key — the exact string the worker will cache, dedup,
+// and journal it under, via the same exported ShardKey the handlers use.
+func shardKeyFor(w http.ResponseWriter, r *http.Request) (string, error) {
 	switch {
-	case strings.HasSuffix(path, "/v1/sim"):
+	case strings.HasSuffix(r.URL.Path, "/v1/sim"):
 		var req server.SimRequest
-		if err := json.Unmarshal(body, &req); err != nil {
-			return "", fmt.Errorf("bad request body: %v", err)
+		if err := server.DecodeBody(w, r, &req); err != nil {
+			return "", err
 		}
 		return req.ShardKey()
-	case strings.HasSuffix(path, "/v1/figures"):
+	case strings.HasSuffix(r.URL.Path, "/v1/figures"):
 		var req server.FigRequest
-		if err := json.Unmarshal(body, &req); err != nil {
-			return "", fmt.Errorf("bad request body: %v", err)
+		if err := server.DecodeBody(w, r, &req); err != nil {
+			return "", err
 		}
 		return req.ShardKey()
 	}
-	return "", fmt.Errorf("unroutable path %q", path)
+	return "", fmt.Errorf("unroutable path %q", r.URL.Path)
 }
 
 // handleJob routes any /v1/jobs/{id}... request by the node embedded in the

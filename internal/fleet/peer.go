@@ -19,6 +19,10 @@ import (
 // outputs a few hundred KB at most).
 const maxPeerEntryBytes = 64 << 20
 
+// maxPeerErrorBytes bounds how much of a non-200 answer is read (and
+// discarded) to return its connection to the pool.
+const maxPeerErrorBytes = 4 << 10
+
 // PeerClient implements server.PeerFetcher over HTTP: on a local miss it
 // walks the ring's owner list for the key — excluding itself — and asks each
 // candidate's /v1/peer/result for the entry, verifying the store framing's
@@ -103,10 +107,13 @@ func (p *PeerClient) fetchFrom(ctx context.Context, base, key string) (payload, 
 		return nil, nil, err
 	}
 	defer resp.Body.Close()
-	if resp.StatusCode == http.StatusNotFound {
-		return nil, nil, server.ErrPeerMiss
-	}
 	if resp.StatusCode != http.StatusOK {
+		// Drain the short error body so the transport keeps the connection:
+		// a body closed unread costs a fresh dial on every miss.
+		_, _ = io.CopyN(io.Discard, resp.Body, maxPeerErrorBytes)
+		if resp.StatusCode == http.StatusNotFound {
+			return nil, nil, server.ErrPeerMiss
+		}
 		return nil, nil, fmt.Errorf("peer returned %d", resp.StatusCode)
 	}
 	b, err := io.ReadAll(io.LimitReader(resp.Body, maxPeerEntryBytes))

@@ -248,7 +248,7 @@ func (c *Client) Events(ctx context.Context, id string, fn func(Event) error) er
 		return &APIError{Code: resp.StatusCode, Msg: errorBody(raw)}
 	}
 	sc := bufio.NewScanner(resp.Body)
-	sc.Buffer(make([]byte, 0, 64<<10), 16<<20)
+	sc.Buffer(nil, 16<<20) // starts at bufio's 4 KB, grows to a long line
 	var ev Event
 	for sc.Scan() {
 		line := sc.Text()

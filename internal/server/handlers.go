@@ -3,7 +3,9 @@ package server
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"time"
 
@@ -26,11 +28,28 @@ func writeErr(w http.ResponseWriter, code int, msg string) {
 	}{Error: msg})
 }
 
-func decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
+// DecodeBody reads a submission body into v: at most 1 MiB, no field v
+// lacks, and exactly one JSON value. The daemon's handlers and the fleet
+// coordinator both judge a body by it, so a body is accepted or refused
+// alike at either front door.
+func DecodeBody(w http.ResponseWriter, r *http.Request, v any) error {
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
 	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
-		writeErr(w, http.StatusBadRequest, fmt.Sprintf("bad request body: %v", err))
+	err := dec.Decode(v)
+	if err == nil {
+		if _, err = dec.Token(); err == io.EOF {
+			return nil
+		}
+		if err == nil {
+			err = errors.New("more than one JSON value")
+		}
+	}
+	return fmt.Errorf("bad request body: %v", err)
+}
+
+func decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
+	if err := DecodeBody(w, r, v); err != nil {
+		writeErr(w, http.StatusBadRequest, err.Error())
 		return false
 	}
 	return true
