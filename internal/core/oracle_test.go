@@ -40,6 +40,35 @@ const (
 	rowRefresh    = "no bank command inside the bank's refresh window"
 )
 
+// The advisory rows: parameters the model does not have and Table 1 does not
+// give. The oracle counts how often the model is faster than they allow and
+// fails on none of them.
+const (
+	rowTRAS = "act→pre ≥ tRAS"
+	rowTWR  = "write→pre ≥ tWR"
+)
+
+// datasheet holds a part's timings that Table 1 leaves out, in ns; 0 where the
+// part has no such parameter.
+type datasheet struct{ tRAS, tWR, tRRD, tFAW float64 }
+
+var (
+	// DDR-400: Micron 512Mb DDR SDRAM data sheet (MT46V64M8), -5B speed grade.
+	ddr400 = datasheet{
+		tRAS: 40, // ACTIVE to PRECHARGE, minimum
+		tWR:  15, // write recovery: end of write data to PRECHARGE
+		tRRD: 10, // ACTIVE bank a to ACTIVE bank b
+		tFAW: 0,  // none: DDR SDRAM has no four-activate window (DDR2 added it)
+	}
+	// PC800: Rambus Direct RDRAM 128/144-Mbit data sheet, tCYCLE 2.5 ns.
+	pc800 = datasheet{
+		tRAS: 50, // tRAS, ACT to PRER minimum: 20 tCYCLE
+		tWR:  0,  // none: a write retires from the device's write buffer, and the sheet states no write-to-precharge bound
+		tRRD: 20, // tRR, ACT to ACT on different banks: 8 tCYCLE
+		tFAW: 0,  // none: Direct RDRAM has no four-activate window
+	}
+)
+
 // oracleTable is the command constraint table of one memory configuration,
 // in CPU cycles, shaped like a controller's timing.{channel,bank} tables.
 type oracleTable struct {
@@ -51,6 +80,7 @@ type oracleTable struct {
 	bank struct {
 		preToAct, actToCAS, casToData uint64 // tRP, tRCD, CL
 		casToCAS, readToPre           uint64
+		actToPre, writeToPre          uint64 // tRAS, tWR: advisory, 0 where the part has none
 	}
 	closePage bool
 }
@@ -59,17 +89,20 @@ type oracleTable struct {
 // precharge times; DDR channels 16 bytes wide at 200 MHz double data rate
 // (0.4 transfers/ns), ganged channels proportionally wider; Direct Rambus 2
 // bytes wide at 800 MT/s. Refresh, which Table 1 does not model, is DDR's
-// 7.8 µs tREFI and 70 ns tRFC.
+// 7.8 µs tREFI and 70 ns tRFC. tRAS and tWR come from the part's data sheet.
 func tableFor(m MemConfig) oracleTable {
 	cycles := func(ns float64) uint64 { return uint64(ns*3 + 0.5) }
 	var t oracleTable
 	t.bank.preToAct, t.bank.actToCAS, t.bank.casToData = cycles(15), cycles(15), cycles(15)
+	ds := ddr400
 	switch m.Kind {
 	case DDR:
 		t.channel.burst = cycles(64 / (16 * float64(m.Gang) * 0.4))
 	case RDRAM:
 		t.channel.burst = cycles(64 / (2 * 0.8))
+		ds = pc800
 	}
+	t.bank.actToPre, t.bank.writeToPre = cycles(ds.tRAS), cycles(ds.tWR)
 	t.bank.casToCAS, t.bank.readToPre = t.channel.burst, t.channel.burst
 	t.channel.turnaround = cycles(float64(m.TurnaroundNS))
 	if m.Refresh {
@@ -102,6 +135,9 @@ type oracleBank struct {
 	openRow   int64   // -1: precharged
 	last      *access // the bank's previous access, nil before its first
 	refreshed uint64  // end of the bank's last refresh window
+	// The open row's activate and the end of its last write's data (0: none
+	// since the activate): the advisory rows' starting points.
+	actAt, writeEnd uint64
 }
 
 type oracleChannel struct {
@@ -112,18 +148,40 @@ type oracleChannel struct {
 }
 
 // oracle replays a run's accesses against a table. checked counts each row's
-// checks and violations its failures, with the first example of each.
+// checks and violations its failures, with the first example of each; faster
+// counts the advisory rows' precharges that came sooner than they allow.
 type oracle struct {
 	tab        oracleTable
 	channels   map[int]*oracleChannel
 	checked    map[string]int
 	violations map[string]int
 	example    map[string]string
+	faster     map[string]int
 }
 
 func newOracle(tab oracleTable) *oracle {
 	return &oracle{tab: tab, channels: map[int]*oracleChannel{},
-		checked: map[string]int{}, violations: map[string]int{}, example: map[string]string{}}
+		checked: map[string]int{}, violations: map[string]int{}, example: map[string]string{}, faster: map[string]int{}}
+}
+
+// advise records one evaluation of advisory row.
+func (o *oracle) advise(row string, ok bool) {
+	o.checked[row]++
+	if !ok {
+		o.faster[row]++
+	}
+}
+
+// closedAt checks the advisory rows for a precharge of bank b at pre: no
+// sooner than tRAS after the activate that opened its row, nor than tWR
+// after the end of the last write to that row.
+func (o *oracle) closedAt(b *oracleBank, pre uint64) {
+	if t := o.tab.bank.actToPre; t > 0 {
+		o.advise(rowTRAS, pre >= b.actAt+t)
+	}
+	if t := o.tab.bank.writeToPre; t > 0 && b.writeEnd > 0 {
+		o.advise(rowTWR, pre >= b.writeEnd+t)
+	}
 }
 
 // check records one evaluation of row.
@@ -245,6 +303,16 @@ func (o *oracle) access(a *access) {
 	}
 	ch.lastData, ch.lastRead = a.data, e.Read
 
+	// The advisory rows, at each precharge the trace shows: a conflict's.
+	// Close page's auto-precharge is not in the trace, but it ended tRP
+	// before this access's activate, which bounds when it began.
+	switch {
+	case a.pre != nil:
+		o.closedAt(b, a.pre.At)
+	case tab.closePage && b.last != nil && a.act != nil:
+		o.closedAt(b, a.act.At-tab.bank.preToAct)
+	}
+
 	// The bank, against its previous access and its refreshes.
 	if p := b.last; p != nil {
 		o.check(rowCASToCAS, a.cas.At >= p.cas.At+tab.bank.casToCAS, a, "CAS %d, the bank's previous CAS %d", a.cas.At, p.cas.At)
@@ -261,6 +329,12 @@ func (o *oracle) access(a *access) {
 		o.check(rowRefresh, a.first() >= b.refreshed, a, "first command %d, the bank's refresh ends %d", a.first(), b.refreshed)
 	}
 	b.last = a
+	if a.act != nil {
+		b.actAt, b.writeEnd = a.act.At, 0
+	}
+	if !e.Read {
+		b.writeEnd = a.data.End
+	}
 	if b.openRow = int64(e.Row); tab.closePage {
 		b.openRow = -1
 	}
@@ -348,12 +422,13 @@ func runOracle(t *testing.T, c oracleConfig) *oracle {
 func TestDRAMCommandOracle(t *testing.T) {
 	configs := oracleConfigs(*oracleFull)
 	checked := make([]map[string]int, len(configs))
+	faster := make([]map[string]int, len(configs))
 	t.Run("matrix", func(t *testing.T) {
 		for i, c := range configs {
 			t.Run(c.String(), func(t *testing.T) {
 				t.Parallel()
 				o := runOracle(t, c)
-				checked[i] = o.checked
+				checked[i], faster[i] = o.checked, o.faster
 				var rows []string
 				for row := range o.violations {
 					rows = append(rows, row)
@@ -365,10 +440,13 @@ func TestDRAMCommandOracle(t *testing.T) {
 			})
 		}
 	})
-	total := map[string]int{}
-	for _, m := range checked {
+	total, fast := map[string]int{}, map[string]int{}
+	for i, m := range checked {
 		for row, n := range m {
 			total[row] += n
+		}
+		for row, n := range faster[i] {
+			fast[row] += n
 		}
 	}
 	var idle []string
@@ -382,4 +460,10 @@ func TestDRAMCommandOracle(t *testing.T) {
 		t.Errorf("rows never exercised over %d configs: %s", len(configs), strings.Join(idle, "; "))
 	}
 	t.Logf("%d configs, checks per row: %v", len(configs), total)
+	for _, row := range []string{rowTRAS, rowTWR} {
+		t.Logf("advisory %s: the model is faster in %d of %d precharges (%.1f%%)",
+			row, fast[row], total[row], 100*float64(fast[row])/float64(max(total[row], 1)))
+	}
+	t.Logf("stated, not counted (DDR-400/PC800, 0: the part has none): tRRD %g/%g ns, tFAW %g/%g ns",
+		ddr400.tRRD, pc800.tRRD, ddr400.tFAW, pc800.tFAW)
 }

@@ -28,6 +28,7 @@ func TestValidate(t *testing.T) {
 		{"no apps", func(c *Config) { c.Apps = nil }},
 		{"zero target", func(c *Config) { c.TargetInstr = 0 }},
 		{"bad cpu", func(c *Config) { c.CPU.IntIQ = 0 }},
+		{"issue queue past a uint16 index", func(c *Config) { c.CPU.IntIQ, c.CPU.FPIQ = 1<<16-32, 32 }},
 		{"bad gang", func(c *Config) { c.Mem.Gang = 3 }},
 		{"rdram ganged", func(c *Config) { c.Mem.Kind = RDRAM; c.Mem.Gang = 2 }},
 		{"65 threads", func(c *Config) { c.Apps = make([]string, 65) }},

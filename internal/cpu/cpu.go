@@ -93,6 +93,10 @@ func (c Config) Validate() error {
 			return fmt.Errorf("cpu: non-positive config field in %+v", c)
 		}
 	}
+	if c.IntIQ > math.MaxUint16 || c.FPIQ > math.MaxUint16-c.IntIQ {
+		// A uop names its entry as 1 + a uint16 index.
+		return fmt.Errorf("cpu: %d+%d issue-queue entries exceed the %d a uop can name", c.IntIQ, c.FPIQ, math.MaxUint16)
+	}
 	return nil
 }
 
@@ -108,34 +112,40 @@ const pendingDone = ^uint64(0)
 const poisoned = ^uint64(0) // epoch of a squashed uop: stale callbacks miss it
 
 // link names one consumer-list node: 0 ends a list, otherwise it is
-// 1 + (the consumer's ROB slot<<1 | which of its two deps the node serves).
+// 1 + (the consumer's issue-queue entry<<1 | which of its two deps the node
+// serves).
 type link uint32
 
-// uop is one in-flight instruction.
+// uop is one in-flight instruction: one ROB slot. What only a waiting uop
+// needs lives in its issue-queue entry, so a slot stays small.
 type uop struct {
 	in       workload.Instr // retained for replay after squash
 	seq      uint64
 	epoch    uint64
-	tid      int32 // owning hardware thread
-	state    uint8
-	unknown  uint8  // producers whose completion time is not yet known (wakeup state, below)
 	doneAt   uint64 // pendingDone until the completion time is known: while waiting, or a load in flight
 	issuedAt uint64
+	cons     link   // head of this uop's consumer list (DESIGN §11)
+	iq       uint16 // 1 + its issue-queue entry while waiting, 0 otherwise
+	tid      uint8  // owning hardware thread
+	state    uint8
+}
 
-	dep1, dep2 uint64 // absolute producer sequence numbers (noDep = none)
-
-	// Wakeup state (DESIGN §11). A waiting uop is linked into the consumer
-	// list of each distinct in-ROB producer whose doneAt is still pendingDone,
-	// and unknown counts those links. When a producer's completion time
-	// becomes known (an ALU issue, a load fill) it walks its list, folds its
-	// doneAt into each consumer's readyAt, and a consumer whose count reaches
-	// zero enters the CPU's ready set — so issue never looks at a uop that
-	// cannot issue. Lists are pushed newest-first: a squash, which unlinks
-	// youngest-first, always finds the node to drop at its producer's head.
-	readyAt uint64  // max doneAt over the producers known so far
-	stamp   uint64  // global dispatch order: the ready set's sort key
-	cons    link    // head of this uop's consumer list
-	next    [2]link // this uop's node in dep1's / dep2's producer list
+// iqEntry is one issue-queue entry: a waiting uop's wakeup state (DESIGN
+// §11). A waiting uop is linked into the consumer list of each distinct
+// in-ROB producer whose doneAt is still pendingDone, and unknown counts those
+// links. When a producer's completion time becomes known (an ALU issue, a
+// load fill) it walks its list, folds its doneAt into each consumer's
+// readyAt, and a consumer whose count reaches zero enters the CPU's ready set
+// — so issue never looks at a uop that cannot issue. Lists are pushed
+// newest-first: a squash, which unlinks youngest-first, always finds the node
+// to drop at its producer's head.
+type iqEntry struct {
+	u       *uop
+	dep     [2]uint64 // absolute producer sequence numbers (noDep = none)
+	readyAt uint64    // max doneAt over the producers known so far
+	stamp   uint64    // global dispatch order: the ready set's sort key
+	next    [2]link   // this entry's node in dep[0]'s / dep[1]'s producer list
+	unknown uint8     // producers whose completion time is not yet known
 }
 
 // thread is the per-hardware-thread state.
@@ -229,17 +239,12 @@ func (t *thread) checkCursors(cfg Config) error {
 
 func (t *thread) slot(seq uint64) *uop { return &t.rob[seq&t.robMask] }
 
-// producer returns the in-ROB uop that u's k-th dep names, or nil when there
-// is none to wait for: no dep, a committed one, or dep2 repeating dep1 (one
-// producer is linked and counted once).
-func (t *thread) producer(u *uop, k int) *uop {
-	dep := u.dep1
-	if k == 1 {
-		if dep = u.dep2; dep == u.dep1 {
-			return nil
-		}
-	}
-	if dep == noDep || dep < t.headSeq {
+// producer returns the in-ROB uop that e's k-th dep names, or nil when there
+// is none to wait for: no dep, a committed one, or dep[1] repeating dep[0]
+// (one producer is linked and counted once).
+func (t *thread) producer(e *iqEntry, k int) *uop {
+	dep := e.dep[k]
+	if dep == noDep || dep < t.headSeq || (k == 1 && dep == e.dep[0]) {
 		return nil
 	}
 	return t.slot(dep)
@@ -325,7 +330,7 @@ func (f *loadFill) OnFill(at uint64) {
 	v := t.slot(seq)
 	if v.seq == seq && v.epoch == epoch && v.state == stIssued {
 		v.doneAt = at
-		c.wakeConsumers(t, v)
+		c.wakeConsumers(v)
 	}
 }
 
@@ -418,11 +423,14 @@ type CPU struct {
 	threads  []*thread
 	l1i, l1d *cache.Level
 
-	// ready is the ready set: the waiting uops whose producers all have a
-	// known completion time (uop.unknown == 0), in dispatch order. It is the
-	// only part of the issue queue issue() and ProbeQuiet look at; the rest
-	// are parked on their producers' consumer lists.
-	ready     []*uop
+	// iq is the issue queue: IntIQ+FPIQ entries, the unused ones on the
+	// LIFO free list iqFree. ready is the ready set: the entries whose
+	// producers all have a known completion time (unknown == 0), in dispatch
+	// order. It is the only part of the issue queue issue() and ProbeQuiet
+	// look at; the rest are parked on their producers' consumer lists.
+	iq        []iqEntry
+	iqFree    []uint16
+	ready     []uint16
 	nextStamp uint64 // dispatch stamp of the next uop to enter the issue queue
 
 	rrFetch    int
@@ -491,10 +499,15 @@ func New(q *event.Queue, cfg Config, gens []Source, l1i, l1d *cache.Level) (*CPU
 	if len(gens) > MaxThreads {
 		return nil, fmt.Errorf("cpu: %d threads exceeds the %d-context limit", len(gens), MaxThreads)
 	}
+	iqLen := cfg.IntIQ + cfg.FPIQ
 	c := &CPU{
 		cfg: cfg, q: q, l1i: l1i, l1d: l1d,
+		iq:             make([]iqEntry, iqLen),
+		iqFree:         make([]uint16, 0, iqLen),
+		ready:          make([]uint16, 0, iqLen),
 		scratchThreads: make([]*thread, 0, len(gens)),
 	}
+	c.resetIQ()
 	robLen := ring(cfg.ROBPerThread)
 	feSlots := ring(cfg.FrontendCap)
 	for i, g := range gens {
@@ -846,8 +859,7 @@ func (c *CPU) dispatchOne(t *thread) bool {
 	t.nextSeq++
 	t.dispatched = max(t.dispatched, t.nextSeq)
 	u := t.slot(seq)
-	*u = uop{in: in, seq: seq, epoch: t.epoch, tid: int32(t.id), state: stWaiting, doneAt: pendingDone,
-		dep1: depSeq(seq, in.Dep1), dep2: depSeq(seq, in.Dep2)}
+	*u = uop{in: in, seq: seq, epoch: t.epoch, tid: uint8(t.id), state: stWaiting, doneAt: pendingDone}
 	c.enqueue(t, u)
 
 	if fp {
@@ -877,62 +889,88 @@ func depSeq(seq uint64, dist int16) uint64 {
 
 // ---------------------------------------------------------------- issue
 
-// enqueue enters a waiting uop into the issue queue: it takes the next
-// dispatch stamp, parks on each distinct producer whose completion time is
-// still unknown, and joins the ready set at once when there is none. Restore
-// rebuilds the wakeup state through the same path.
+// resetIQ empties the issue queue: every entry on the free list, lowest
+// index on top, and nothing ready.
+func (c *CPU) resetIQ() {
+	c.ready, c.iqFree, c.nextStamp = c.ready[:0], c.iqFree[:0], 0
+	for i := len(c.iq); i > 0; {
+		i--
+		c.iqFree = append(c.iqFree, uint16(i))
+	}
+}
+
+// enqueue enters a waiting uop into the issue queue: it takes a free entry
+// and the next dispatch stamp, computes the producer seqs, parks on each
+// distinct producer whose completion time is still unknown, and joins the
+// ready set at once when there is none. Restore rebuilds the wakeup state
+// through the same path.
 func (c *CPU) enqueue(t *thread, u *uop) {
-	u.stamp = c.nextStamp
+	n := len(c.iqFree) - 1
+	idx := c.iqFree[n]
+	c.iqFree = c.iqFree[:n]
+	u.iq = idx + 1
+	e := &c.iq[idx]
+	e.u = u
+	e.dep = [2]uint64{depSeq(u.seq, u.in.Dep1), depSeq(u.seq, u.in.Dep2)}
+	e.readyAt, e.stamp = 0, c.nextStamp
+	e.next, e.unknown = [2]link{}, 0
 	c.nextStamp++
-	self := link(u.seq&t.robMask)<<1 + 1
-	for k := range u.next {
-		p := t.producer(u, k)
+	self := link(idx)<<1 + 1
+	for k := range e.next {
+		p := t.producer(e, k)
 		if p == nil {
 			continue
 		}
 		if p.doneAt != pendingDone {
-			if p.doneAt > u.readyAt {
-				u.readyAt = p.doneAt
+			if p.doneAt > e.readyAt {
+				e.readyAt = p.doneAt
 			}
 			continue
 		}
-		u.next[k] = p.cons
+		e.next[k] = p.cons
 		p.cons = self + link(k)
-		u.unknown++
+		e.unknown++
 	}
-	if u.unknown == 0 {
-		c.ready = append(c.ready, u) // the newest stamp sorts last
+	if e.unknown == 0 {
+		c.ready = append(c.ready, idx) // the newest stamp sorts last
 	}
 }
 
+// dequeue returns u's issue-queue entry to the free list.
+func (c *CPU) dequeue(u *uop) {
+	c.iqFree = append(c.iqFree, u.iq-1)
+	u.iq = 0
+}
+
 // wakeConsumers publishes producer p's now-known completion time to the
-// uops parked on it. A consumer whose last unknown producer this was enters
-// the ready set at its dispatch-order position. When p is issuing, issue()
-// is mid-walk with its cursor on p: the consumer is younger than p and than
-// everything at or before the cursor, so it lands ahead of the cursor and
-// the same walk reaches it — which is how a zero-latency producer's consumer
-// issues in the same cycle.
-func (c *CPU) wakeConsumers(t *thread, p *uop) {
+// entries parked on it. A consumer whose last unknown producer this was
+// enters the ready set at its dispatch-order position. When p is issuing,
+// issue() is mid-walk with its cursor on p: the consumer is younger than p
+// and than everything at or before the cursor, so it lands ahead of the
+// cursor and the same walk reaches it — which is how a zero-latency
+// producer's consumer issues in the same cycle.
+func (c *CPU) wakeConsumers(p *uop) {
 	for l := p.cons; l != 0; {
-		v := &t.rob[(l-1)>>1]
-		l = v.next[(l-1)&1]
-		if p.doneAt > v.readyAt {
-			v.readyAt = p.doneAt
+		idx := uint16((l - 1) >> 1)
+		e := &c.iq[idx]
+		l = e.next[(l-1)&1]
+		if p.doneAt > e.readyAt {
+			e.readyAt = p.doneAt
 		}
-		if v.unknown--; v.unknown > 0 {
+		if e.unknown--; e.unknown > 0 {
 			continue
 		}
 		lo, hi := 0, len(c.ready)
 		for lo < hi {
-			if mid := int(uint(lo+hi) >> 1); c.ready[mid].stamp < v.stamp {
+			if mid := int(uint(lo+hi) >> 1); c.iq[c.ready[mid]].stamp < e.stamp {
 				lo = mid + 1
 			} else {
 				hi = mid
 			}
 		}
-		c.ready = append(c.ready, nil)
+		c.ready = append(c.ready, 0)
 		copy(c.ready[lo+1:], c.ready[lo:])
-		c.ready[lo] = v
+		c.ready[lo] = idx
 	}
 	p.cons = 0
 }
@@ -952,16 +990,18 @@ func (c *CPU) issue(now uint64) {
 	// entries, which leaves the slice sorted for a mid-walk wakeConsumers.
 	w := 0
 	for i := 0; i < len(c.ready); i++ {
-		u := c.ready[i]
+		idx := c.ready[i]
 		if intLeft == 0 && fpLeft == 0 {
 			w += copy(c.ready[w:], c.ready[i:]) // both widths spent: nothing else can issue
 			break
 		}
-		c.ready[w] = u
+		c.ready[w] = idx
 		w++ // kept, unless it issues below
-		if u.readyAt > now {
+		e := &c.iq[idx]
+		if e.readyAt > now {
 			continue
 		}
+		u := e.u
 		fp := u.in.Kind == workload.FPOp
 		width, unit := &intLeft, &aluInt
 		switch long := u.in.Lat >= 7; {
@@ -984,8 +1024,9 @@ func (c *CPU) issue(now uint64) {
 			}
 		} else {
 			c.issueALU(now, t, u)
-			c.wakeConsumers(t, u)
+			c.wakeConsumers(u)
 		}
+		c.dequeue(u)
 		*width--
 		*unit--
 		w-- // issued: leave the issue queue
@@ -1055,21 +1096,22 @@ func (c *CPU) resolveBranch(now uint64, t *thread, seq, epoch uint64) {
 	for s := t.nextSeq; s > seq+1; {
 		s--
 		v := t.slot(s)
-		if v.state == stWaiting {
-			if v.unknown > 0 {
-				t.unpark(v)
+		if v.iq != 0 {
+			if e := &c.iq[v.iq-1]; e.unknown > 0 {
+				t.unpark(e)
 			} else {
 				wasReady = true
 			}
+			c.dequeue(v)
 		}
 		c.releaseSquashed(t, v)
 		v.epoch = poisoned // stale callbacks miss
 	}
 	if wasReady {
 		keep := c.ready[:0]
-		for _, v := range c.ready {
-			if v.epoch != poisoned {
-				keep = append(keep, v)
+		for _, idx := range c.ready {
+			if c.iq[idx].u.epoch != poisoned {
+				keep = append(keep, idx)
 			}
 		}
 		c.ready = keep
@@ -1091,12 +1133,13 @@ func (c *CPU) resolveBranch(now uint64, t *thread, seq, epoch uint64) {
 	t.inFlight, t.ifHead = kept, 0
 }
 
-// unpark removes squashed waiting uop v from the consumer lists it is parked
-// on: those of its distinct producers whose completion is still unknown.
-func (t *thread) unpark(v *uop) {
-	for k := range v.next {
-		if p := t.producer(v, k); p != nil && p.doneAt == pendingDone {
-			p.cons = v.next[k] // v's node is the list head: everything younger is already gone
+// unpark removes a squashed uop's entry e from the consumer lists it is
+// parked on: those of its distinct producers whose completion is still
+// unknown.
+func (t *thread) unpark(e *iqEntry) {
+	for k := range e.next {
+		if p := t.producer(e, k); p != nil && p.doneAt == pendingDone {
+			p.cons = e.next[k] // e's node is the list head: everything younger is already gone
 		}
 	}
 }

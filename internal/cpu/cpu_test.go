@@ -2,6 +2,7 @@ package cpu
 
 import (
 	"testing"
+	"unsafe"
 
 	"smtdram/internal/cache"
 	"smtdram/internal/event"
@@ -131,11 +132,32 @@ func TestValidateConfig(t *testing.T) {
 	if bad.Validate() == nil {
 		t.Fatal("Validate accepted zero issue queue")
 	}
+	widest := DefaultConfig()
+	widest.IntIQ, widest.FPIQ = 1<<16-33, 32 // every entry index fits a uop's uint16 field
+	if err := widest.Validate(); err != nil {
+		t.Fatalf("Validate refused a %d-entry issue queue: %v", widest.IntIQ+widest.FPIQ, err)
+	}
+	widest.IntIQ++
+	if widest.Validate() == nil {
+		t.Fatalf("Validate accepted a %d-entry issue queue, past what a uop can name", widest.IntIQ+widest.FPIQ)
+	}
 	if _, err := New(&event.Queue{}, bad, []Source{nops()}, nil, nil); err == nil {
 		t.Fatal("New accepted invalid config")
 	}
 	if _, err := New(&event.Queue{}, DefaultConfig(), nil, nil, nil); err == nil {
 		t.Fatal("New accepted zero threads")
+	}
+}
+
+// A ROB slot holds what every in-flight uop needs; what only a waiting one
+// needs lives in the issue-queue table, IntIQ+FPIQ entries beside the ROBs'
+// thousands of slots.
+func TestSlotSizes(t *testing.T) {
+	if got := unsafe.Sizeof(uop{}); got != 72 {
+		t.Errorf("uop is %d bytes, want 72", got)
+	}
+	if got := unsafe.Sizeof(iqEntry{}); got != 56 {
+		t.Errorf("iqEntry is %d bytes, want 56", got)
 	}
 }
 

@@ -105,14 +105,15 @@ func (c *CPU) ProbeQuiet(now uint64) (next uint64, fx QuietFx, quiet bool) {
 	// one observable effect per cycle (an MSHRFull count) is replayed by
 	// ApplyQuiet. A later ready time bounds the skip. Uops outside the set
 	// wait on a producer only landed work (an issue, a fill) can complete.
-	for _, u := range c.ready {
-		if u.readyAt > now {
-			if u.readyAt < next {
-				next = u.readyAt
+	for _, idx := range c.ready {
+		e := &c.iq[idx]
+		if e.readyAt > now {
+			if e.readyAt < next {
+				next = e.readyAt
 			}
 			continue
 		}
-		if u.in.Kind == workload.Load && c.l1d.WouldBlock(u.in.Addr) {
+		if u := e.u; u.in.Kind == workload.Load && c.l1d.WouldBlock(u.in.Addr) {
 			// MSHR-parked: constant retry, replayed in aggregate. issue()
 			// always reaches issueLoad for these: Validate guarantees
 			// non-empty functional-unit pools, and the failed attempt leaves

@@ -9,18 +9,24 @@ package cpu
 // event queue, warmup targets) are not — a restore targets a CPU assembled
 // from an identical Config.
 //
-// The wakeup state (DESIGN §11) is derived, not serialized. The format
+// The issue-queue table (DESIGN §11) is derived, not serialized. The format
 // carries only the issue queue's order — every live waiting uop as a
 // (thread, slot) pair in dispatch order — and loading re-enters them through
-// enqueue, which rebuilds dispatch stamps, unknown-producer counts, consumer
-// lists and the ready set. The rebuild is exact where it matters: a consumer
-// is linked to a producer exactly when that producer's completion time is
-// unknown now, live and restored alike, and pushing in dispatch order
-// reproduces each list's order. A rebuilt readyAt can be lower than the live
-// one only where a producer has since committed — then both are <= now, and
-// every use of readyAt compares it against a cycle >= now.
-// TestSnapshotFieldCoverage lists which field of uop, thread and CPU falls
-// in which class.
+// enqueue, which rebuilds entries, producer seqs, dispatch stamps,
+// unknown-producer counts, consumer lists and the ready set. The rebuild is
+// exact where it matters: a consumer is linked to a producer exactly when
+// that producer's completion time is unknown now, live and restored alike,
+// and pushing in dispatch order reproduces each list's order. Entry indices
+// may differ, and nothing observes them. A rebuilt readyAt can be lower than
+// the live one only where a producer has since committed — then both are
+// <= now, and every use of readyAt compares it against a cycle >= now.
+//
+// Each ROB slot's frame record still carries the two producer seqs the slot
+// held when the uop lived in it: depSeq of its seq and deps for a slot that
+// has been dispatched into (index below dispatched), 0 for one never used.
+// Saving computes them and loading discards them.
+// TestSnapshotFieldCoverage lists which field of uop, iqEntry, thread and
+// CPU falls in which class.
 
 import (
 	"fmt"
@@ -83,12 +89,12 @@ func (c *CPU) issueQueue() []*uop {
 	iq := make([]*uop, 0, c.intIQUsed+c.fpIQUsed)
 	for _, t := range c.threads {
 		for s := t.headSeq; s < t.nextSeq; s++ {
-			if u := t.slot(s); u.state == stWaiting {
+			if u := t.slot(s); u.iq != 0 {
 				iq = append(iq, u)
 			}
 		}
 	}
-	sort.Slice(iq, func(i, j int) bool { return iq[i].stamp < iq[j].stamp })
+	sort.Slice(iq, func(i, j int) bool { return c.iq[iq[i].iq-1].stamp < c.iq[iq[j].iq-1].stamp })
 	return iq
 }
 
@@ -134,7 +140,7 @@ func (c *CPU) Snap(s *snap.Codec) error {
 		for i := range t.rob {
 			u := &t.rob[i]
 			if s.Loading() {
-				*u = uop{tid: int32(t.id)} // derived fields restart from zero
+				*u = uop{tid: uint8(t.id)} // derived fields restart from zero
 			}
 			snapInstr(s, &u.in)
 			s.U64(&u.seq)
@@ -142,8 +148,12 @@ func (c *CPU) Snap(s *snap.Codec) error {
 			s.U8(&u.state)
 			s.U64(&u.doneAt)
 			s.U64(&u.issuedAt)
-			s.U64(&u.dep1)
-			s.U64(&u.dep2)
+			var dep [2]uint64
+			if uint64(i) < t.dispatched {
+				dep = [2]uint64{depSeq(u.seq, u.in.Dep1), depSeq(u.seq, u.in.Dep2)}
+			}
+			s.U64(&dep[0])
+			s.U64(&dep[1])
 		}
 		s.U64(&t.headSeq)
 		s.U64(&t.nextSeq)
@@ -184,20 +194,48 @@ func (c *CPU) Snap(s *snap.Codec) error {
 
 	if s.Loading() && s.Err() == nil {
 		// Rebuild the wakeup state: re-enter the issue queue in dispatch
-		// order. Only the order of stamps matters, so they restart — at 1,
-		// which leaves 0 (what the ROB walk left) to mark a slot not yet
-		// re-entered.
-		c.ready, c.nextStamp = c.ready[:0], 1
+		// order. Only the order of stamps matters, so they restart. The
+		// occupancy counts must fit the table and match the listed entries,
+		// or a later dispatch would find no free entry.
+		if c.intIQUsed > c.cfg.IntIQ || c.fpIQUsed > c.cfg.FPIQ {
+			return fmt.Errorf("%w: issue queue holds %d int and %d FP entries, capacity %d and %d",
+				snap.ErrCorrupt, c.intIQUsed, c.fpIQUsed, c.cfg.IntIQ, c.cfg.FPIQ)
+		}
+		c.resetIQ()
+		fp := 0
 		for _, w := range iq {
 			if w.tid >= uint64(len(c.threads)) || w.slot >= uint64(len(c.threads[w.tid].rob)) {
 				return fmt.Errorf("%w: waiting entry (%d, %d) out of range", snap.ErrCorrupt, w.tid, w.slot)
 			}
 			t := c.threads[w.tid]
 			u := &t.rob[w.slot]
-			if u.state != stWaiting || u.seq < t.headSeq || u.seq >= t.nextSeq || u.stamp != 0 {
+			if u.state != stWaiting || u.seq < t.headSeq || u.seq >= t.nextSeq || u.iq != 0 {
 				return fmt.Errorf("%w: waiting entry (%d, %d) is not a live waiting uop", snap.ErrCorrupt, w.tid, w.slot)
 			}
+			if len(c.iqFree) == 0 {
+				return fmt.Errorf("%w: more than %d waiting entries", snap.ErrCorrupt, len(c.iq))
+			}
+			if u.in.Kind == workload.FPOp {
+				fp++
+			}
 			c.enqueue(t, u)
+		}
+		if fp != c.fpIQUsed || len(iq)-fp != c.intIQUsed {
+			return fmt.Errorf("%w: %d int and %d FP waiting entries listed, occupancy %d and %d",
+				snap.ErrCorrupt, len(iq)-fp, fp, c.intIQUsed, c.fpIQUsed)
+		}
+		// Every live waiting uop must hold an entry: a squash returns one's
+		// occupancy, and an unlisted one would hand back an entry it never took.
+		waiting := 0
+		for _, t := range c.threads {
+			for s := t.headSeq; s < t.nextSeq; s++ {
+				if t.slot(s).state == stWaiting {
+					waiting++
+				}
+			}
+		}
+		if waiting != len(iq) {
+			return fmt.Errorf("%w: %d live waiting uops, %d listed in the issue queue", snap.ErrCorrupt, waiting, len(iq))
 		}
 	}
 	return s.Err()

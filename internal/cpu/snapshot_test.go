@@ -9,7 +9,7 @@ import (
 	"smtdram/internal/snap"
 )
 
-// Every field of the core's three state structs is one of:
+// Every field of the core's four state structs is one of:
 //
 //	serialized — walked by Snap, so written when saving and assigned when
 //	             loading (a deque is walked head-normalized: buffer and head
@@ -26,17 +26,20 @@ var snapshotFieldClass = map[string]string{
 	"uop.in":       "serialized",
 	"uop.seq":      "serialized",
 	"uop.epoch":    "serialized",
-	"uop.tid":      "derived", // the index of the thread whose ROB is being read
-	"uop.state":    "serialized",
-	"uop.unknown":  "derived",
 	"uop.doneAt":   "serialized",
 	"uop.issuedAt": "serialized",
-	"uop.dep1":     "serialized",
-	"uop.dep2":     "serialized",
-	"uop.readyAt":  "derived",
-	"uop.stamp":    "derived", // only the order survives, as the issue-queue section's order
 	"uop.cons":     "derived",
-	"uop.next":     "derived",
+	"uop.iq":       "derived",
+	"uop.tid":      "derived", // the index of the thread whose ROB is being read
+	"uop.state":    "serialized",
+
+	// The issue-queue table is rebuilt whole from the issue queue's order.
+	"iqEntry.u":       "derived",
+	"iqEntry.dep":     "derived", // the frame's per-slot dep seqs are computed on save, discarded on load
+	"iqEntry.readyAt": "derived",
+	"iqEntry.stamp":   "derived", // only the order survives, as the issue-queue section's order
+	"iqEntry.next":    "derived",
+	"iqEntry.unknown": "derived",
 
 	"thread.id":                "wiring",
 	"thread.gen":               "wiring", // the caller restores instruction sources
@@ -74,6 +77,8 @@ var snapshotFieldClass = map[string]string{
 	"CPU.threads":        "wiring", // the slice; each thread's state is listed above
 	"CPU.l1i":            "wiring",
 	"CPU.l1d":            "wiring",
+	"CPU.iq":             "derived",
+	"CPU.iqFree":         "derived",
 	"CPU.ready":          "derived",
 	"CPU.nextStamp":      "derived",
 	"CPU.rrFetch":        "serialized",
@@ -101,7 +106,7 @@ var snapshotFieldClass = map[string]string{
 
 func TestSnapshotFieldCoverage(t *testing.T) {
 	seen := map[string]bool{}
-	for _, typ := range []reflect.Type{reflect.TypeOf(uop{}), reflect.TypeOf(thread{}), reflect.TypeOf(CPU{})} {
+	for _, typ := range []reflect.Type{reflect.TypeOf(uop{}), reflect.TypeOf(iqEntry{}), reflect.TypeOf(thread{}), reflect.TypeOf(CPU{})} {
 		for i := 0; i < typ.NumField(); i++ {
 			name := typ.Name() + "." + typ.Field(i).Name
 			seen[name] = true
@@ -151,21 +156,69 @@ func TestRestoreRejectsBrokenCursors(t *testing.T) {
 			t.Fatal("thread 1's ROB is empty: no cursor to break")
 		}
 		tc.mutate(th)
-		var w snap.Writer
-		if err := live.cpu.Snap(snap.Saving(&w)); err != nil {
-			t.Fatal(err)
-		}
-		rd, err := snap.NewReader(w.Frame("TEST", 1), "TEST", 1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		err = mk().cpu.Snap(snap.Loading(rd))
+		err := reload(t, live.cpu, mk().cpu)
 		switch {
 		case tc.broken == "" && err != nil:
 			t.Fatalf("intact frame rejected: %v", err)
 		case tc.broken == "":
 		case !errors.Is(err, snap.ErrCorrupt) || !strings.Contains(err.Error(), tc.broken):
 			t.Errorf("frame breaking the %q invariant: restore error %v", tc.broken, err)
+		}
+	}
+}
+
+// reload saves from's core and loads the frame into to, returning the load's
+// error.
+func reload(t *testing.T, from, to *CPU) error {
+	t.Helper()
+	var w snap.Writer
+	if err := from.Snap(snap.Saving(&w)); err != nil {
+		t.Fatal(err)
+	}
+	rd, err := snap.NewReader(w.Frame("TEST", 1), "TEST", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return to.Snap(snap.Loading(rd))
+}
+
+// A frame whose issue-queue section disagrees with the ROBs and occupancy
+// counts beside it could later ask the table for an entry it does not have,
+// so loading rejects it. Each case breaks one agreement of a running machine.
+func TestRestoreRejectsBrokenIssueQueue(t *testing.T) {
+	cfg := DefaultConfig()
+	mk := func() *rig { return newQuiesceRig(t, cfg, realGen(t, "mcf", 0), realGen(t, "gzip", 1)) }
+	for _, tc := range []struct {
+		broken string
+		mutate func(c *CPU) bool // false: the machine has nothing to break
+	}{
+		{"", func(*CPU) bool { return true }},
+		{"capacity", func(c *CPU) bool { c.intIQUsed = cfg.IntIQ + 1; return true }},
+		{"occupancy", func(c *CPU) bool { c.intIQUsed--; return c.intIQUsed >= 0 }},
+		{"listed in the issue queue", func(c *CPU) bool {
+			for _, th := range c.threads {
+				for s := th.headSeq; s < th.nextSeq; s++ {
+					if u := th.slot(s); u.state != stWaiting {
+						u.state = stWaiting // waiting, but holding no entry
+						return true
+					}
+				}
+			}
+			return false
+		}},
+	} {
+		live := mk()
+		live.run(3_000)
+		if !tc.mutate(live.cpu) {
+			t.Fatalf("%q: nothing to break at cycle 3000", tc.broken)
+		}
+		err := reload(t, live.cpu, mk().cpu)
+		switch {
+		case tc.broken == "" && err != nil:
+			t.Fatalf("intact frame rejected: %v", err)
+		case tc.broken == "":
+		case !errors.Is(err, snap.ErrCorrupt) || !strings.Contains(err.Error(), tc.broken):
+			t.Errorf("frame breaking the issue queue's %q: restore error %v", tc.broken, err)
 		}
 	}
 }

@@ -2,6 +2,7 @@ package cpu
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 
 	"smtdram/internal/cache"
@@ -14,25 +15,28 @@ import (
 // every rig-driven test in this package (rig.step), plus scripted cases that
 // steer the structures into their corners.
 
-// pendingProducers counts u's distinct in-ROB producers whose completion
-// time is unknown.
-func pendingProducers(t *thread, u *uop) int {
+// pendingProducers counts entry e's distinct in-ROB producers whose
+// completion time is unknown.
+func pendingProducers(t *thread, e *iqEntry) int {
 	n := 0
-	for k, dep := range [2]uint64{u.dep1, u.dep2} {
-		if dep != noDep && dep >= t.headSeq && !(k == 1 && dep == u.dep1) && t.slot(dep).doneAt == pendingDone {
+	for k, dep := range e.dep {
+		if dep != noDep && dep >= t.headSeq && !(k == 1 && dep == e.dep[0]) && t.slot(dep).doneAt == pendingDone {
 			n++
 		}
 	}
 	return n
 }
 
-// checkWakeup asserts the wakeup structures' invariants:
+// checkWakeup asserts the issue-queue table's invariants:
+//   - the free list and the live waiting uops' entries partition the table,
+//     each entry names its uop back, and its producer seqs are the ones its
+//     uop's seq and deps give;
 //   - only a producer whose completion time is unknown has a consumer list;
-//     the list is newest-first and each node is a live waiting uop naming
-//     that producer through the dep the node serves;
-//   - a live waiting uop's unknown count is the number of its distinct
-//     in-ROB producers with unknown completion, and it is reachable from
-//     exactly that many list heads;
+//     the list is newest-first and each node is a live waiting uop's entry
+//     naming that producer through the dep the node serves;
+//   - an entry's unknown count is the number of its distinct in-ROB
+//     producers with unknown completion, and it is reachable from exactly
+//     that many list heads;
 //   - it is in the ready set iff that count is zero, and the ready set holds
 //     nothing else and is strictly age-ordered.
 func checkWakeup(tb testing.TB, c *CPU, now uint64) {
@@ -41,72 +45,104 @@ func checkWakeup(tb testing.TB, c *CPU, now uint64) {
 		tb.Helper()
 		tb.Fatalf("cycle %d: wakeup invariant: %s", now, fmt.Sprintf(format, args...))
 	}
-	robLen := len(c.threads[0].rob)
-	inReady := make([]bool, len(c.threads)*robLen) // by thread, ROB slot
-	reachedAll := make([]uint8, len(c.threads)*robLen)
-	for i, u := range c.ready {
-		if i > 0 && c.ready[i-1].stamp >= u.stamp {
-			fail("ready set out of age order at %d: stamps %d, %d", i, c.ready[i-1].stamp, u.stamp)
+	free := make([]bool, len(c.iq))
+	holder := make([]*uop, len(c.iq)) // by entry: the waiting uop holding it
+	for _, idx := range c.iqFree {
+		if int(idx) >= len(c.iq) || free[idx] {
+			fail("free list holds entry %d twice or out of range", idx)
+		}
+		free[idx] = true
+	}
+	inReady := make([]bool, len(c.iq))
+	reached := make([]uint8, len(c.iq)) // by entry: list heads it is reachable from
+	for i, idx := range c.ready {
+		e := &c.iq[idx]
+		if i > 0 && c.iq[c.ready[i-1]].stamp >= e.stamp {
+			fail("ready set out of age order at %d: stamps %d, %d", i, c.iq[c.ready[i-1]].stamp, e.stamp)
+		}
+		u := e.u
+		if u == nil {
+			fail("ready set holds never-used entry %d", idx)
 		}
 		t := c.threads[u.tid]
-		if u.epoch == poisoned || u.state != stWaiting || u.seq < t.headSeq || u.seq >= t.nextSeq || t.slot(u.seq) != u {
-			fail("ready set holds a dead uop: t%d seq %d state %d epoch %#x", u.tid, u.seq, u.state, u.epoch)
+		if u.epoch == poisoned || u.state != stWaiting || u.seq < t.headSeq || u.seq >= t.nextSeq || t.slot(u.seq) != u || u.iq != idx+1 {
+			fail("ready set holds a dead entry %d: t%d seq %d state %d epoch %#x iq %d", idx, u.tid, u.seq, u.state, u.epoch, u.iq)
 		}
-		inReady[int(u.tid)*robLen+int(u.seq&t.robMask)] = true
+		inReady[idx] = true
 	}
 	for _, t := range c.threads {
 		var lastStamp uint64
-		reached := reachedAll[t.id*robLen:][:robLen] // by consumer slot: list heads it is reachable from
 		for s := t.headSeq; s < t.nextSeq; s++ {
 			u := t.slot(s)
-			if u.seq != s || u.epoch == poisoned {
-				fail("t%d seq %d: live ROB range holds seq %d epoch %#x", t.id, s, u.seq, u.epoch)
+			if u.seq != s || u.epoch == poisoned || int(u.tid) != t.id {
+				fail("t%d seq %d: live ROB range holds t%d seq %d epoch %#x", t.id, s, u.tid, u.seq, u.epoch)
 			}
 			pending := u.doneAt == pendingDone
 			inFlightLoad := u.state == stIssued && u.in.Kind == workload.Load
 			if (u.state == stWaiting && !pending) || (pending && u.state != stWaiting && !inFlightLoad) {
 				fail("t%d seq %d: state %d with doneAt %#x", t.id, s, u.state, u.doneAt)
 			}
+			if (u.state == stWaiting) != (u.iq != 0) {
+				fail("t%d seq %d: state %d holds entry %d", t.id, s, u.state, int(u.iq)-1)
+			}
+			if u.iq != 0 {
+				idx := u.iq - 1
+				if int(idx) >= len(c.iq) || free[idx] || holder[idx] != nil {
+					fail("t%d seq %d: entry %d out of range, free, or already held", t.id, s, idx)
+				}
+				holder[idx] = u
+				e := &c.iq[idx]
+				if e.u != u || e.dep != [2]uint64{depSeq(s, u.in.Dep1), depSeq(s, u.in.Dep2)} {
+					fail("t%d seq %d: entry %d names %p with deps %v", t.id, s, idx, e.u, e.dep)
+				}
+				if e.stamp < lastStamp {
+					fail("t%d seq %d: dispatch stamps not monotonic within the thread", t.id, s)
+				}
+				lastStamp = e.stamp
+			}
 			if !pending && u.cons != 0 {
 				fail("t%d seq %d: completion known at %d but consumers still parked", t.id, s, u.doneAt)
 			}
 			prev := ^uint64(0)
 			for l := u.cons; l != 0; {
-				v, k := &t.rob[(l-1)>>1], (l-1)&1
-				if v.seq <= s || v.seq >= t.nextSeq || v.epoch == poisoned || v.state != stWaiting {
-					fail("t%d seq %d: list holds dead or squashed seq %d (state %d, epoch %#x)", t.id, s, v.seq, v.state, v.epoch)
+				idx, k := uint16((l-1)>>1), (l-1)&1
+				if int(idx) >= len(c.iq) {
+					fail("t%d seq %d: list link names entry %d of %d", t.id, s, idx, len(c.iq))
 				}
-				if [2]uint64{v.dep1, v.dep2}[k] != s || (k == 1 && v.dep1 == v.dep2) {
+				e := &c.iq[idx]
+				v := e.u
+				if v == nil || v.iq != idx+1 || int(v.tid) != t.id || v.seq <= s || v.seq >= t.nextSeq || v.epoch == poisoned || v.state != stWaiting {
+					fail("t%d seq %d: list holds a dead, squashed or freed entry %d", t.id, s, idx)
+				}
+				if e.dep[k] != s || (k == 1 && e.dep[0] == e.dep[1]) {
 					fail("t%d seq %d: list node (seq %d, dep %d) does not name this producer", t.id, s, v.seq, k)
 				}
 				if v.seq >= prev {
 					fail("t%d seq %d: list not newest-first: seq %d after %d", t.id, s, v.seq, prev)
 				}
 				prev = v.seq
-				reached[v.seq&t.robMask]++
-				l = v.next[k]
+				reached[idx]++
+				l = e.next[k]
 			}
 		}
-		for s := t.headSeq; s < t.nextSeq; s++ {
-			u := t.slot(s)
-			ready := inReady[t.id*robLen+int(s&t.robMask)]
-			if u.state != stWaiting {
-				if u.unknown != 0 || ready {
-					fail("t%d seq %d: issued uop still counted (unknown %d, ready %v)", t.id, s, u.unknown, ready)
-				}
-				continue
+	}
+	for idx, u := range holder {
+		if free[idx] {
+			if inReady[idx] || reached[idx] != 0 {
+				fail("free entry %d is in the ready set or on a list", idx)
 			}
-			if u.stamp < lastStamp {
-				fail("t%d seq %d: dispatch stamps not monotonic within the thread", t.id, s)
-			}
-			lastStamp = u.stamp
-			want := pendingProducers(t, u)
-			if int(u.unknown) != want || int(reached[s&t.robMask]) != want {
-				fail("t%d seq %d: unknown = %d, on %d lists, want %d", t.id, s, u.unknown, reached[s&t.robMask], want)
-			}
-			if ready != (want == 0) {
-				fail("t%d seq %d: in ready set = %v with %d unknown producers", t.id, s, ready, want)
-			}
+			continue
+		}
+		if u == nil {
+			fail("entry %d is neither free nor held by a waiting uop", idx)
+		}
+		e := &c.iq[idx]
+		want := pendingProducers(c.threads[u.tid], e)
+		if int(e.unknown) != want || int(reached[idx]) != want {
+			fail("t%d seq %d: unknown = %d, on %d lists, want %d", u.tid, u.seq, e.unknown, reached[idx], want)
+		}
+		if inReady[idx] != (want == 0) {
+			fail("t%d seq %d: in ready set = %v with %d unknown producers", u.tid, u.seq, inReady[idx], want)
 		}
 	}
 }
@@ -131,7 +167,8 @@ func beginOracle(c *CPU, l1d *cache.Level) issueOracle {
 	return issueOracle{c: c, l1d: l1d, iq: c.issueQueue(), mshrFull: l1d.Stats.MSHRFull}
 }
 
-func oracleReady(t *thread, dep, now uint64) bool {
+func oracleReady(t *thread, dist int16, seq, now uint64) bool {
+	dep := depSeq(seq, dist)
 	if dep == noDep || dep < t.headSeq {
 		return true
 	}
@@ -159,7 +196,7 @@ func (o issueOracle) verify(tb testing.TB, now uint64) {
 			if fp {
 				width = &fpLeft
 			}
-			if oracleReady(t, u.dep1, now) && oracleReady(t, u.dep2, now) && *width > 0 && left[class] > 0 {
+			if oracleReady(t, u.in.Dep1, u.seq, now) && oracleReady(t, u.in.Dep2, u.seq, now) && *width > 0 && left[class] > 0 {
 				want = true
 				if u.in.Kind == workload.Load && !issued {
 					want = false // attempted, rejected by the MSHR file
@@ -210,15 +247,18 @@ func missLoad(i int) workload.Instr {
 }
 
 // parkedOn lists the seqs on producer seq's consumer list, head first.
-func parkedOn(t *thread, seq uint64) []uint64 {
+func parkedOn(c *CPU, t *thread, seq uint64) []uint64 {
 	var out []uint64
 	for l := t.slot(seq).cons; l != 0; {
-		v := &t.rob[(l-1)>>1]
-		out = append(out, v.seq)
-		l = v.next[(l-1)&1]
+		e := &c.iq[(l-1)>>1]
+		out = append(out, e.u.seq)
+		l = e.next[(l-1)&1]
 	}
 	return out
 }
+
+// entryOf returns waiting uop u's issue-queue entry.
+func entryOf(c *CPU, u *uop) *iqEntry { return &c.iq[u.iq-1] }
 
 // Two mispredicted branches squash the same consumers twice while the load
 // they wait on is still in flight. Each replay re-enters the same seqs and
@@ -238,10 +278,10 @@ func TestSquashedConsumersReparkOnInFlightLoad(t *testing.T) {
 	for c := uint64(1); c <= 120; c++ {
 		r.step(c)
 		if th.nextSeq >= 6 && th.slot(0).doneAt == pendingDone {
-			if got := parkedOn(th, 0); fmt.Sprint(got) != "[5 4 2]" {
+			if got := parkedOn(r.cpu, th, 0); fmt.Sprint(got) != "[5 4 2]" {
 				t.Fatalf("cycle %d, %d squashes: load's consumer list = %v, want [5 4 2]", c, th.squashes, got)
 			}
-			if got := parkedOn(th, 4); fmt.Sprint(got) != "[5]" {
+			if got := parkedOn(r.cpu, th, 4); fmt.Sprint(got) != "[5]" {
 				t.Fatalf("cycle %d: seq 4's consumer list = %v, want [5]", c, got)
 			}
 			sawParked[th.squashes] = true
@@ -256,7 +296,7 @@ func TestSquashedConsumersReparkOnInFlightLoad(t *testing.T) {
 	}
 }
 
-// dep1 == dep2 names one producer: one link, one count, one wakeup.
+// Equal deps name one producer: one link, one count, one wakeup.
 func TestSameProducerTwice(t *testing.T) {
 	src := &raw{ins: []workload.Instr{
 		missLoad(0),
@@ -265,8 +305,8 @@ func TestSameProducerTwice(t *testing.T) {
 	r := newRig(t, DefaultConfig(), src)
 	th := r.cpu.threads[0]
 	r.run(30)
-	if u := th.slot(1); u.state != stWaiting || u.unknown != 1 || fmt.Sprint(parkedOn(th, 0)) != "[1]" {
-		t.Fatalf("consumer state %d unknown %d, load's list %v; want waiting, 1, [1]", u.state, u.unknown, parkedOn(th, 0))
+	if u := th.slot(1); u.state != stWaiting || entryOf(r.cpu, u).unknown != 1 || fmt.Sprint(parkedOn(r.cpu, th, 0)) != "[1]" {
+		t.Fatalf("consumer state %d, load's list %v; want waiting with 1 unknown, [1]", u.state, parkedOn(r.cpu, th, 0))
 	}
 	r.run(400)
 	if th.committed < 2 {
@@ -309,8 +349,8 @@ func TestFillWakesConsumerAheadOfYoungerReadyEntries(t *testing.T) {
 	th := r.cpu.threads[0]
 	for c := uint64(1); c <= 60; c++ {
 		r.q.RunUntil(c)
-		if u := th.slot(1); th.nextSeq > 1 && u.seq == 1 && u.state == stWaiting && u.unknown == 0 {
-			if len(r.cpu.ready) < 2 || r.cpu.ready[0] != u {
+		if u := th.slot(1); th.nextSeq > 1 && u.seq == 1 && u.state == stWaiting && entryOf(r.cpu, u).unknown == 0 {
+			if len(r.cpu.ready) < 2 || r.cpu.ready[0] != u.iq-1 {
 				t.Fatalf("cycle %d: woken consumer not at the head of a %d-entry ready set", c, len(r.cpu.ready))
 			}
 			return
@@ -373,9 +413,10 @@ func TestSquashHeavyStreamDoesNotAllocate(t *testing.T) {
 	}
 }
 
-// Loading rebuilds the wakeup structures from the issue queue's order alone.
+// Loading rebuilds the issue-queue table from the issue queue's order alone.
 // The rebuild must reproduce the live machine's counts, lists and ready set
-// exactly; ready times may differ only where both are already in the past.
+// exactly; entry indices may differ, and ready times only where both are
+// already in the past.
 func TestRestoreRebuildsWakeupState(t *testing.T) {
 	mk := func() *rig {
 		return newQuiesceRig(t, DefaultConfig(), realGen(t, "mcf", 0), realGen(t, "art", 1), realGen(t, "gzip", 2))
@@ -398,44 +439,179 @@ func TestRestoreRebuildsWakeupState(t *testing.T) {
 			t.Fatal(err)
 		}
 		checkWakeup(t, fresh.cpu, stop)
-		key := func(u *uop) [2]uint64 { return [2]uint64{uint64(u.tid), u.seq} }
-		if len(fresh.cpu.ready) != len(live.cpu.ready) {
-			t.Fatalf("cycle %d: ready set has %d entries restored, %d live", stop, len(fresh.cpu.ready), len(live.cpu.ready))
+		if d := compareWakeup(live.cpu, fresh.cpu, stop); d != "" {
+			t.Fatalf("cycle %d: %s", stop, d)
 		}
-		for i, u := range live.cpu.ready {
-			if key(fresh.cpu.ready[i]) != key(u) {
-				t.Fatalf("cycle %d: ready[%d] = %v restored, %v live", stop, i, key(fresh.cpu.ready[i]), key(u))
-			}
-		}
-		waiting := 0
-		for i, lt := range live.cpu.threads {
-			ft := fresh.cpu.threads[i]
-			for s := lt.headSeq; s < lt.nextSeq; s++ {
-				lu, fu := lt.slot(s), ft.slot(s)
-				// Whole-uop equality, so a field the walk forgets shows up here.
-				// Stamps carry only an order (the ready set's, compared above).
-				l, f := *lu, *fu
-				l.stamp, f.stamp = 0, 0
-				if l.readyAt <= stop && f.readyAt <= stop {
-					l.readyAt, f.readyAt = 0, 0 // both in the past: no comparison can tell them apart
-				}
-				for k, dep := range [2]uint64{lu.dep1, lu.dep2} {
-					parked := lu.state == stWaiting && dep != noDep && dep >= lt.headSeq &&
-						!(k == 1 && dep == lu.dep1) && lt.slot(dep).doneAt == pendingDone
-					if !parked {
-						l.next[k], f.next[k] = 0, 0 // a node off every list keeps its last link
-					}
-				}
-				if l != f {
-					t.Fatalf("cycle %d: t%d seq %d restored as\n%+v\nlive\n%+v", stop, i, s, f, l)
-				}
-				if lu.state == stWaiting {
-					waiting++
-				}
-			}
-		}
-		if waiting == 0 {
+		if len(live.cpu.iqFree) == len(live.cpu.iq) {
 			t.Fatalf("cycle %d: empty issue queue, nothing compared", stop)
 		}
 	}
+}
+
+// compareWakeup reports the first difference between two machines' ROBs and
+// issue-queue tables at now, or "": every ROB field but the entry index,
+// the ready set by the uops it names, every consumer list by the seqs it
+// reaches, and each waiting uop's entry but its index, stamp and links.
+// Ready times are compared only where one lies ahead of now: in the past no
+// comparison can tell them apart.
+func compareWakeup(a, b *CPU, now uint64) string {
+	key := func(c *CPU, idx uint16) [2]uint64 { u := c.iq[idx].u; return [2]uint64{uint64(u.tid), u.seq} }
+	if len(a.ready) != len(b.ready) {
+		return fmt.Sprintf("ready set has %d entries against %d", len(a.ready), len(b.ready))
+	}
+	for i := range a.ready {
+		if ka, kb := key(a, a.ready[i]), key(b, b.ready[i]); ka != kb {
+			return fmt.Sprintf("ready[%d] names %v against %v", i, ka, kb)
+		}
+	}
+	for i, ta := range a.threads {
+		tb := b.threads[i]
+		for s := ta.headSeq; s < ta.nextSeq; s++ {
+			ua, ub := *ta.slot(s), *tb.slot(s)
+			if la, lb := parkedOn(a, ta, s), parkedOn(b, tb, s); !slices.Equal(la, lb) {
+				return fmt.Sprintf("t%d seq %d: consumer list %v against %v", i, s, la, lb)
+			}
+			var ea, eb iqEntry
+			if (ua.iq != 0) != (ub.iq != 0) {
+				return fmt.Sprintf("t%d seq %d: issue-queue entry %d against %d", i, s, ua.iq, ub.iq)
+			}
+			if ua.iq != 0 {
+				ea, eb = a.iq[ua.iq-1], b.iq[ub.iq-1]
+				ea.u, eb.u = nil, nil
+				ea.stamp, eb.stamp = 0, 0
+				ea.next, eb.next = [2]link{}, [2]link{}
+				if ea.readyAt <= now && eb.readyAt <= now {
+					ea.readyAt, eb.readyAt = 0, 0
+				}
+			}
+			// Whole-struct equality, so a field the walk forgets shows up here.
+			ua.iq, ub.iq = 0, 0
+			ua.cons, ub.cons = 0, 0
+			if ua != ub || ea != eb {
+				return fmt.Sprintf("t%d seq %d is\n%+v %+v\nagainst\n%+v %+v", i, s, ua, ea, ub, eb)
+			}
+		}
+	}
+	return ""
+}
+
+// fuzzStreams turns fuzz bytes into two threads' looped streams, four bytes
+// an instruction, alternating threads: the kind and branch flags, a latency
+// of 0–8, two deps of 0–8 (equal ones included), and a memory address from a
+// 32-line pool over 8 L1D sets, so hits, misses, evictions and a full MSHR
+// file all occur. A thread the bytes give nothing runs independent ops.
+func fuzzStreams(data []byte) [2][]workload.Instr {
+	nop := workload.Instr{Kind: workload.IntOp, Lat: 1}
+	out := [2][]workload.Instr{{nop}, {nop}}
+	if len(data) >= 8 {
+		out = [2][]workload.Instr{}
+	}
+	for i := 0; i+4 <= len(data); i += 4 {
+		b := data[i : i+4]
+		line := uint64(b[3] % 32)
+		in := workload.Instr{
+			Kind: workload.Kind(b[0] % 5),
+			Lat:  uint32(b[1] % 9),
+			Dep1: int16(b[2] % 9),
+			Dep2: int16(b[2] / 9 % 9),
+			Addr: 0x10000 + line%8*64 + line/8*4096,
+		}
+		if in.Kind == workload.Branch {
+			in.Mispredict, in.Taken = b[0]&0x10 != 0, b[0]&0x20 != 0
+		}
+		out[i/4%2] = append(out[i/4%2], in)
+	}
+	return out
+}
+
+// walk saves or loads everything a rig's run depends on but its sources: the
+// core, both L1s and the event queue, in the order core.Simulator's walk
+// uses. The L1D must carry snap ID 1.
+func (r *rig) walk(c *snap.Codec) error {
+	resolve := func(ref *snap.Ref, role uint8) (any, error) {
+		switch ref.Kind {
+		case snap.KCPULoadFill, snap.KCPUIFill, snap.KCPUBranch:
+			return r.cpu.ResolveRef(ref, role)
+		case snap.KCacheMSHR, snap.KCacheWBRetry:
+			if len(ref.Args) > 0 && ref.Args[0] == 1 {
+				return r.l1d.ResolveRef(ref)
+			}
+			return r.l1i.ResolveRef(ref)
+		}
+		return nil, fmt.Errorf("%w: ref kind %d", snap.ErrCorrupt, ref.Kind)
+	}
+	if err := r.cpu.Snap(c); err != nil {
+		return err
+	}
+	for _, l := range []*cache.Level{r.l1i, r.l1d} {
+		if err := l.Snap(c, resolve); err != nil {
+			return err
+		}
+	}
+	return r.q.Snap(c, resolve)
+}
+
+// FuzzWakeup drives two fuzz-scripted threads through the issue queue with the
+// table's invariants and the full-queue issue oracle checked on every cycle
+// (rig.step). At a drawn cycle it saves the rig and restores it into a fresh
+// one, then steps both in lockstep: the restored table must behave as the
+// live one, cycle for cycle.
+func FuzzWakeup(f *testing.F) {
+	seed := uint32(1)
+	for n := 0; n < 4; n++ {
+		data := make([]byte, 128)
+		for i := range data {
+			seed = seed*1664525 + 1013904223
+			data[i] = byte(seed >> 24)
+		}
+		f.Add(data, uint16(40+70*n))
+	}
+	// Two loads to one set, consumers naming one producer twice, and a
+	// mispredicted branch, restored at cycle 5.
+	f.Add([]byte{2, 1, 0, 0, 2, 1, 0, 8, 0, 1, 10, 0, 0, 1, 10, 0, 0x13, 1, 1, 0, 0, 1, 0, 0}, uint16(5))
+	const cycles = 300
+	f.Fuzz(func(t *testing.T, data []byte, at uint16) {
+		streams := fuzzStreams(data)
+		mk := func(pos [2]int) *rig {
+			r := newRigLat(t, DefaultConfig(), 30, &loop{ins: streams[0], i: pos[0]}, &loop{ins: streams[1], i: pos[1]})
+			r.l1d.SetSnapID(1)
+			return r
+		}
+		live := mk([2]int{})
+		saveAt := 1 + uint64(at)%(cycles-1)
+		for c := uint64(1); c <= saveAt; c++ {
+			live.step(c)
+		}
+		var w snap.Writer
+		if err := live.walk(snap.Saving(&w)); err != nil {
+			t.Fatal(err)
+		}
+		rd, err := snap.NewReader(w.Frame("TEST", 1), "TEST", 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var pos [2]int
+		for i, th := range live.cpu.threads {
+			pos[i] = th.gen.(*loop).i
+		}
+		fresh := mk(pos)
+		if err := fresh.walk(snap.Loading(rd)); err != nil {
+			t.Fatalf("restoring the cycle-%d frame: %v", saveAt, err)
+		}
+		for c := saveAt; c <= cycles; c++ {
+			if c > saveAt {
+				live.step(c)
+				fresh.step(c)
+			}
+			if l, r := live.cpu.Fingerprint(), fresh.cpu.Fingerprint(); l != r {
+				t.Fatalf("cycle %d (restored at %d): live\n%s\nrestored\n%s", c, saveAt, l, r)
+			}
+			if d := compareWakeup(live.cpu, fresh.cpu, c); d != "" {
+				t.Fatalf("cycle %d (restored at %d): %s", c, saveAt, d)
+			}
+			if live.l1d.Stats != fresh.l1d.Stats {
+				t.Fatalf("cycle %d (restored at %d): L1D stats %+v live, %+v restored", c, saveAt, live.l1d.Stats, fresh.l1d.Stats)
+			}
+		}
+	})
 }

@@ -440,3 +440,87 @@ func TestFailedFlightNotCached(t *testing.T) {
 		t.Fatalf("computation ran %d times, want 2 (failure not memoised)", runs.Load())
 	}
 }
+
+// jobTable lists the retained job ids in eviction order, and fails unless
+// that order and the job table hold the same ids.
+func jobTable(t *testing.T, s *Server) []string {
+	t.Helper()
+	order := s.jobOrder[s.jobHead:]
+	if len(order) != len(s.jobs) {
+		t.Fatalf("order holds %d ids, table %d jobs", len(order), len(s.jobs))
+	}
+	for _, id := range order {
+		if s.jobs[id] == nil {
+			t.Fatalf("order holds %q, which the table does not", id)
+		}
+	}
+	return order
+}
+
+// The job table keeps MaxTrackedJobs: each registration past the cap forgets
+// the oldest finished job, a job still live at the head of the order
+// survives every eviction in its place, and the order's head compacts
+// instead of growing. With nothing finished, the table runs hot.
+func TestJobTableEvictsOldestTerminal(t *testing.T) {
+	s := New(Config{MaxTrackedJobs: 4})
+	defer s.Close()
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	done := func(j *job) { j.state = StateDone }
+	s.registerJobLocked("live", "sim", "fp")
+	for _, id := range []string{"a", "b", "c"} {
+		done(s.registerJobLocked(id, "sim", "fp"))
+	}
+	done(s.registerJobLocked("d", "sim", "fp"))
+	if got := fmt.Sprint(jobTable(t, s)); got != "[live b c d]" {
+		t.Fatalf("after one eviction the table is %s, want [live b c d]", got)
+	}
+	for i := 0; i < 100; i++ {
+		done(s.registerJobLocked(fmt.Sprintf("n%d", i), "sim", "fp"))
+		order := jobTable(t, s)
+		if len(order) != 4 || order[0] != "live" || order[3] != fmt.Sprintf("n%d", i) {
+			t.Fatalf("after n%d the table is %v, want live first, n%d last, 4 jobs", i, order, i)
+		}
+		if len(s.jobOrder) > 2*4+1 {
+			t.Fatalf("after n%d the order slice is %d long: the head never compacts", i, len(s.jobOrder))
+		}
+	}
+	done(s.jobs["live"])
+	s.registerJobLocked("x", "sim", "fp")
+	if got := fmt.Sprint(jobTable(t, s)); got != "[n97 n98 n99 x]" {
+		t.Fatalf("once finished, the oldest job goes: table %s, want [n97 n98 n99 x]", got)
+	}
+	s.registerJobLocked("y", "sim", "fp") // x and y live: n97 goes
+	s.registerJobLocked("z", "sim", "fp")
+	s.registerJobLocked("w", "sim", "fp")
+	s.registerJobLocked("v", "sim", "fp") // only live jobs left to evict
+	if got := fmt.Sprint(jobTable(t, s)); got != "[x y z w v]" {
+		t.Fatalf("with every job live the table is %s, want [x y z w v]", got)
+	}
+}
+
+// BenchmarkRegisterJobAtCap is one registration into a full job table with a
+// live job at its head: what every submission past MaxTrackedJobs pays under
+// s.mu.
+func BenchmarkRegisterJobAtCap(b *testing.B) {
+	s := New(Config{})
+	defer s.Close()
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.registerJobLocked("live", "sim", "fp")
+	for i := 1; i < s.cfg.MaxTrackedJobs; i++ {
+		s.registerJobLocked(fmt.Sprintf("old-%d", i), "sim", "fp").state = StateDone
+	}
+	ids := make([]string, b.N)
+	for i := range ids {
+		ids[i] = fmt.Sprintf("new-%d", i)
+	}
+	b.ResetTimer()
+	for _, id := range ids {
+		s.registerJobLocked(id, "sim", "fp").state = StateDone
+	}
+	b.StopTimer()
+	if len(s.jobs) != s.cfg.MaxTrackedJobs || s.jobs["live"] == nil {
+		b.Fatalf("table holds %d jobs (live kept: %v), want %d", len(s.jobs), s.jobs["live"] != nil, s.cfg.MaxTrackedJobs)
+	}
+}

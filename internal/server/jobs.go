@@ -152,31 +152,47 @@ func (s *Server) registerJobLocked(id, kind, fp string) *job {
 	}
 	s.jobs[j.id] = j
 	s.jobOrder = append(s.jobOrder, j.id)
-	// Bounded retention: forget the oldest *finished* jobs beyond the cap.
+	// Bounded retention: forget the oldest *finished* jobs beyond the cap. If
+	// everything is live, let the table run hot rather than drop state.
 	for len(s.jobs) > s.cfg.MaxTrackedJobs {
-		evicted := false
-		for i, id := range s.jobOrder {
-			old := s.jobs[id]
-			if old == nil {
-				s.jobOrder = append(s.jobOrder[:i], s.jobOrder[i+1:]...)
-				evicted = true
-				break
-			}
-			old.mu.Lock()
-			terminal := old.state.Terminal()
-			old.mu.Unlock()
-			if terminal {
-				delete(s.jobs, id)
-				s.jobOrder = append(s.jobOrder[:i], s.jobOrder[i+1:]...)
-				evicted = true
-				break
-			}
-		}
-		if !evicted {
-			break // everything is live; let the table run hot rather than drop state
+		if !s.evictOldestLocked() {
+			break
 		}
 	}
 	return j
+}
+
+// evictOldestLocked forgets the oldest job in jobOrder[jobHead:] that is
+// finished or no longer in the table, and reports whether there was one. The
+// live jobs ahead of it shift one place back, keeping their order; each holds
+// an admission slot, so they number at most QueueDepth, and nothing behind
+// the evicted id is copied. The order compacts once its head passes half of
+// it, which keeps a registration at the cap O(1) amortized. The caller holds
+// s.mu.
+func (s *Server) evictOldestLocked() bool {
+	order := s.jobOrder
+	for i := s.jobHead; i < len(order); i++ {
+		id := order[i]
+		if old := s.jobs[id]; old != nil {
+			old.mu.Lock()
+			terminal := old.state.Terminal()
+			old.mu.Unlock()
+			if !terminal {
+				continue
+			}
+			delete(s.jobs, id)
+		}
+		copy(order[s.jobHead+1:i+1], order[s.jobHead:i])
+		order[s.jobHead] = ""
+		s.jobHead++
+		if s.jobHead > len(order)/2 {
+			n := copy(order, order[s.jobHead:])
+			clear(order[n:])
+			s.jobOrder, s.jobHead = order[:n], 0
+		}
+		return true
+	}
+	return false
 }
 
 // joinFlightLocked takes one Join on fp's computation in the result memo,

@@ -216,7 +216,8 @@ type Server struct {
 
 	mu        sync.Mutex
 	jobs      map[string]*job
-	jobOrder  []string // insertion order, for bounded retention
+	jobOrder  []string // insertion order from jobHead on, for bounded retention
+	jobHead   int
 	startedAt time.Time
 
 	// checkpoints memoizes warmup prefixes for the figure-sweep path
