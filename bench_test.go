@@ -252,10 +252,10 @@ func BenchmarkParallelFiguresCheckpointed(b *testing.B) {
 	}
 }
 
-// BenchmarkObsDisabled is the nil-sink baseline for BenchmarkObsEnabled:
+// BenchmarkObsDisabled is the no-tracer baseline for BenchmarkObsEnabled:
 // identical machine and mix, observability left nil. The pair measures the
 // one-pointer-check cost of the disabled instrumentation against
-// BenchmarkTable2Machine's historical numbers, and the enabled overhead
+// BenchmarkTable2Machine's historical numbers, and the tracer's overhead
 // against this baseline.
 func BenchmarkObsDisabled(b *testing.B) {
 	b.ReportAllocs()
@@ -266,14 +266,13 @@ func BenchmarkObsDisabled(b *testing.B) {
 	}
 }
 
-// BenchmarkObsEnabled runs the same machine with the full observability stack
-// (lifecycle trace, per-1000-cycle metrics sampling, loop profiling) attached.
+// BenchmarkObsEnabled runs the same machine with a lifecycle tracer attached.
 func BenchmarkObsEnabled(b *testing.B) {
 	b.ReportAllocs()
 	var events int
 	for i := 0; i < b.N; i++ {
 		cfg := benchCfg("mcf", "ammp")
-		ob := NewObserver(ObsOptions{Trace: true, Metrics: true, Profile: true})
+		ob := &Observer{Trace: NewTracer()}
 		cfg.Observe = func() *Observer { return ob }
 		if _, err := core.Run(cfg); err != nil {
 			b.Fatal(err)

@@ -22,7 +22,6 @@ import (
 	"runtime"
 	"runtime/pprof"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -46,9 +45,7 @@ func main() {
 
 		checkpointDir = flag.String("checkpoint-dir", "", "persist warmup checkpoints under this directory and fork warm re-runs from them (figure output stays byte-identical)")
 
-		traceDir   = flag.String("trace", "", "write one Chrome trace_event JSON per simulation run into this directory")
-		metricsOut = flag.String("metrics", "", "append every run's metrics to this file (JSON lines, runs separated by meta records)")
-		metricsInt = flag.Uint64("metrics-interval", 1000, "metrics sampling period in cycles")
+		traceDir = flag.String("trace", "", "write one Chrome trace_event JSON per simulation run into this directory")
 
 		cpuprofile = flag.String("cpuprofile", "", "write a pprof CPU profile covering all runs to this file")
 		memprofile = flag.String("memprofile", "", "write a pprof heap profile to this file at exit")
@@ -57,9 +54,6 @@ func main() {
 
 	if flag.NArg() > 0 {
 		usageErr(fmt.Sprintf("unexpected argument %q (all options are flags)", flag.Arg(0)))
-	}
-	if *metricsOut != "" && *metricsInt == 0 {
-		usageErr("-metrics-interval must be at least 1 cycle")
 	}
 	if opts.Jobs < 1 {
 		usageErr("-jobs must be at least 1")
@@ -137,7 +131,7 @@ func main() {
 		fmt.Fprintf(os.Stderr, "checkpoints: hits=%d misses=%d forks=%d bypassed=%d evictions=%d entries=%d\n",
 			s.Hits, s.Misses, s.Forks, s.Bypassed, s.Evictions, s.Entries)
 	}()
-	opts.Configure = observeConfigurer(*traceDir, *metricsOut, *metricsInt)
+	opts.Configure = traceConfigurer(*traceDir)
 
 	for _, f := range figures.Catalog() {
 		if !want["all"] && !want[f.Name] {
@@ -171,74 +165,39 @@ func usageErr(msg string) {
 	os.Exit(2)
 }
 
-// observeConfigurer builds the Options.Configure hook that attaches a fresh
-// observer to every simulation a figure runs, flushing per-run output as each
-// run finishes: one Chrome trace file per run under traceDir, and all runs'
-// metrics appended to metricsPath (each run introduced by its meta record).
-// Returns nil when neither output is requested.
+// traceConfigurer builds the Options.Configure hook that attaches a fresh
+// tracer to every simulation a figure runs and writes each run's Chrome trace
+// into traceDir as the run finishes. Returns nil when no directory is given.
 //
 // With -jobs > 1 the Observe/OnFinish hooks fire on worker goroutines, so the
-// run counter is atomic and the shared metrics file is written under a mutex
-// (each run's records stay contiguous; run numbering follows start order,
-// which is only deterministic at -jobs 1).
-func observeConfigurer(traceDir, metricsPath string, interval uint64) func(*core.Config) {
-	if traceDir == "" && metricsPath == "" {
+// run counter is atomic; run numbering follows start order, which is only
+// deterministic at -jobs 1.
+func traceConfigurer(traceDir string) func(*core.Config) {
+	if traceDir == "" {
 		return nil
 	}
-	if traceDir != "" {
-		if err := os.MkdirAll(traceDir, 0o755); err != nil {
-			fmt.Fprintln(os.Stderr, "experiments:", err)
-			os.Exit(1)
-		}
-	}
-	var metricsMu sync.Mutex
-	var metricsFile *os.File
-	if metricsPath != "" {
-		f, err := os.Create(metricsPath)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "experiments:", err)
-			os.Exit(1)
-		}
-		metricsFile = f
+	if err := os.MkdirAll(traceDir, 0o755); err != nil {
+		fmt.Fprintln(os.Stderr, "experiments:", err)
+		os.Exit(1)
 	}
 	var runN atomic.Int64
 	return func(cfg *core.Config) {
 		apps := strings.Join(cfg.Apps, "+")
 		cfg.Observe = func() *obs.Observer {
 			label := fmt.Sprintf("run%04d-%s", runN.Add(1), apps)
-			ob := obs.New(obs.Options{
-				Metrics:         metricsFile != nil,
-				MetricsInterval: interval,
-				Trace:           traceDir != "",
-				Label:           label,
-			})
-			if ob == nil {
-				return nil
-			}
-			ob.OnFinish = func(ob *obs.Observer) {
-				if ob.Trace != nil {
-					path := traceDir + string(os.PathSeparator) + label + ".json"
-					f, err := os.Create(path)
-					if err == nil {
-						err = ob.Trace.WriteChrome(f)
-						if cerr := f.Close(); err == nil {
-							err = cerr
-						}
-					}
-					if err != nil {
-						fmt.Fprintln(os.Stderr, "experiments: trace:", err)
+			return &obs.Observer{Trace: obs.NewTracer(), OnFinish: func(ob *obs.Observer) {
+				path := traceDir + string(os.PathSeparator) + label + ".json"
+				f, err := os.Create(path)
+				if err == nil {
+					err = ob.Trace.WriteChrome(f)
+					if cerr := f.Close(); err == nil {
+						err = cerr
 					}
 				}
-				if ob.Reg != nil && metricsFile != nil {
-					metricsMu.Lock()
-					err := ob.Reg.WriteJSONL(metricsFile, ob.Label, ob.FinalCycle)
-					metricsMu.Unlock()
-					if err != nil {
-						fmt.Fprintln(os.Stderr, "experiments: metrics:", err)
-					}
+				if err != nil {
+					fmt.Fprintln(os.Stderr, "experiments: trace:", err)
 				}
-			}
-			return ob
+			}}
 		}
 	}
 }

@@ -2,7 +2,10 @@ package main_test
 
 import (
 	"bytes"
+	"encoding/json"
 	"errors"
+	"fmt"
+	"os"
 	"os/exec"
 	"path/filepath"
 	"strings"
@@ -38,8 +41,8 @@ func run(t *testing.T, bin string, args ...string) (stdout, stderr string, code 
 }
 
 // TestBadInvocationExitsTwo: a name the catalog lacks — alone or anywhere in
-// the comma list — an unknown format, or a zero warmup or seed (which the
-// figures would read as their defaults) is a usage error: exit 2, nothing
+// the comma list — an unknown format or flag, or a zero warmup or seed (which
+// the figures would read as their defaults) is a usage error: exit 2, nothing
 // simulated, nothing on stdout, the valid names on stderr. A sweep script
 // with a typo must not get an empty (or silently shorter) file and a green
 // exit.
@@ -51,6 +54,7 @@ func TestBadInvocationExitsTwo(t *testing.T) {
 		{"-format", "bogus", "-fig", "table2"},
 		{"-warmup", "0", "-fig", "table2"},
 		{"-seed", "0", "-fig", "table2"},
+		{"-metrics", "x", "-fig", "table2"},
 	} {
 		stdout, stderr, code := run(t, bin, args...)
 		if code != 2 || stdout != "" {
@@ -70,6 +74,42 @@ func TestTable2(t *testing.T) {
 	for _, mix := range []string{"2-ILP", "2-MIX", "2-MEM", "4-ILP", "4-MIX", "4-MEM", "8-ILP", "8-MIX", "8-MEM"} {
 		if !strings.Contains(stdout, mix) {
 			t.Errorf("table 2 output missing %s:\n%s", mix, stdout)
+		}
+	}
+}
+
+// TestTraceDir: -trace writes one Chrome trace per simulation into the
+// directory. A traced run bypasses the checkpoint cache, so the stderr
+// summary's bypassed count is the number of runs.
+func TestTraceDir(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "traces")
+	_, stderr, code := run(t, buildCLI(t), "-fig", "6", "-warmup", "1000", "-target", "1000", "-jobs", "2", "-trace", dir)
+	if code != 0 {
+		t.Fatalf("exit %d\nstderr: %s", code, stderr)
+	}
+	var runs int
+	if i := strings.Index(stderr, "bypassed="); i < 0 {
+		t.Fatalf("no checkpoint summary on stderr:\n%s", stderr)
+	} else if _, err := fmt.Sscanf(stderr[i:], "bypassed=%d", &runs); err != nil || runs == 0 {
+		t.Fatalf("bypassed count: %d, %v\nstderr: %s", runs, err, stderr)
+	}
+	files, err := filepath.Glob(filepath.Join(dir, "run*.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(files) != runs {
+		t.Fatalf("%d trace files for %d runs", len(files), runs)
+	}
+	for _, f := range files {
+		b, err := os.ReadFile(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var chrome struct {
+			TraceEvents []json.RawMessage `json:"traceEvents"`
+		}
+		if err := json.Unmarshal(b, &chrome); err != nil || chrome.TraceEvents == nil {
+			t.Errorf("%s: not a Chrome trace (%v)", filepath.Base(f), err)
 		}
 	}
 }

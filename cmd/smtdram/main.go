@@ -53,10 +53,7 @@ func main() {
 
 		faultSpec = flag.String("faults", "", "fault-injection plan, e.g. 'drop:rate=1e-3,seed=7;channel-fail:ch=1,at=2000000' (clauses: drop, channel-fail, seed)")
 
-		traceOut   = flag.String("trace", "", "write a request-lifecycle trace to this file (.jsonl = JSON lines, anything else = Chrome trace_event JSON for Perfetto)")
-		metricsOut = flag.String("metrics", "", "write cycle-sampled metrics and final counters to this file (JSON lines)")
-		metricsInt = flag.Uint64("metrics-interval", 1000, "metrics sampling period in cycles")
-		profile    = flag.Bool("profile", false, "print event-loop profiling (events/cycle, wall time per simulated megacycle) to stderr")
+		traceOut = flag.String("trace", "", "write a request-lifecycle trace to this file (.jsonl = JSON lines, anything else = Chrome trace_event JSON for Perfetto)")
 
 		cpuprofile = flag.String("cpuprofile", "", "write a pprof CPU profile to this file")
 		memprofile = flag.String("memprofile", "", "write a pprof heap profile to this file at exit")
@@ -65,9 +62,6 @@ func main() {
 
 	if flag.NArg() > 0 {
 		usageErr(fmt.Sprintf("unexpected argument %q (all options are flags)", flag.Arg(0)))
-	}
-	if *metricsOut != "" && *metricsInt == 0 {
-		usageErr("-metrics-interval must be at least 1 cycle")
 	}
 	if *jobs < 1 {
 		usageErr("-jobs must be at least 1")
@@ -106,15 +100,11 @@ func main() {
 		usageErr(err.Error())
 	}
 
-	observer := obs.New(obs.Options{
-		Metrics:         *metricsOut != "",
-		MetricsInterval: *metricsInt,
-		Trace:           *traceOut != "",
-		Profile:         *profile,
-		Label:           strings.Join(cfg.Apps, "+"),
-	})
-	if observer != nil {
-		cfg.Observe = func() *obs.Observer { return observer }
+	var tracer *obs.Tracer
+	if *traceOut != "" {
+		tracer = obs.NewTracer()
+		ob := &obs.Observer{Trace: tracer}
+		cfg.Observe = func() *obs.Observer { return ob }
 	}
 
 	// The main run and the optional breakdown runs are independent, so they
@@ -175,7 +165,10 @@ func main() {
 				i, app, b.Proc, b.L2, b.L3, b.Mem, b.Total())
 		}
 	}
-	fatalIf(writeObservability(observer, *traceOut, *metricsOut))
+	if tracer != nil {
+		fatalIf(writeTrace(tracer, *traceOut))
+		fmt.Printf("trace: %d lifecycle events -> %s\n", tracer.Len(), *traceOut)
+	}
 
 	if *memprofile != "" {
 		f, err := os.Create(*memprofile)
@@ -186,37 +179,8 @@ func main() {
 	}
 }
 
-// writeObservability flushes the run's trace, metrics, and profile output.
-func writeObservability(ob *obs.Observer, tracePath, metricsPath string) error {
-	if ob == nil {
-		return nil
-	}
-	if tracePath != "" && ob.Trace != nil {
-		if err := writeTrace(ob.Trace, tracePath); err != nil {
-			return err
-		}
-		fmt.Printf("trace: %d lifecycle events -> %s\n", ob.Trace.Len(), tracePath)
-	}
-	if metricsPath != "" && ob.Reg != nil {
-		f, err := os.Create(metricsPath)
-		if err != nil {
-			return err
-		}
-		if err := ob.Reg.WriteJSONL(f, ob.Label, ob.FinalCycle); err != nil {
-			f.Close()
-			return err
-		}
-		if err := f.Close(); err != nil {
-			return err
-		}
-		fmt.Printf("metrics: %d metrics -> %s\n", len(ob.Reg.Names()), metricsPath)
-	}
-	if ob.Prof != nil {
-		fmt.Fprint(os.Stderr, ob.Prof.Summary())
-	}
-	return nil
-}
-
+// writeTrace writes the run's lifecycle trace: JSON lines for a .jsonl path,
+// Chrome trace_event JSON for anything else.
 func writeTrace(t *obs.Tracer, path string) error {
 	f, err := os.Create(path)
 	if err != nil {

@@ -1,7 +1,10 @@
 package main_test
 
 import (
+	"bufio"
+	"encoding/json"
 	"errors"
+	"os"
 	"os/exec"
 	"path/filepath"
 	"strings"
@@ -77,5 +80,68 @@ func TestBadFaultSpecExitsTwo(t *testing.T) {
 	var xe *exec.ExitError
 	if !errors.As(err, &xe) || xe.ExitCode() != 2 {
 		t.Errorf("out-of-range channel: err = %v, want exit 2 (output: %s)", err, out)
+	}
+
+	// A flag the command does not define is a usage error too.
+	out, err = exec.Command(bin, "-metrics", "x", "-target", "1000").CombinedOutput()
+	if !errors.As(err, &xe) || xe.ExitCode() != 2 || !strings.Contains(string(out), "-metrics") {
+		t.Errorf("-metrics x: err = %v, want exit 2 naming the flag (output: %s)", err, out)
+	}
+}
+
+// TestTraceOutput: -trace picks the format from the path, JSON lines for
+// .jsonl and Chrome trace_event JSON for anything else, and the run's trace
+// holds the memory requests it made.
+func TestTraceOutput(t *testing.T) {
+	bin := buildCLI(t)
+	dir := t.TempDir()
+	trace := func(name string) string {
+		t.Helper()
+		path := filepath.Join(dir, name)
+		out, err := exec.Command(bin, "-mix", "2-MEM", "-warmup", "2000", "-target", "3000", "-trace", path).CombinedOutput()
+		if err != nil {
+			t.Fatalf("-trace %s: %v\n%s", name, err, out)
+		}
+		if !strings.Contains(string(out), "lifecycle events -> "+path) {
+			t.Errorf("-trace %s: report does not name the trace file:\n%s", name, out)
+		}
+		return path
+	}
+
+	f, err := os.Open(trace("x.jsonl"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	kinds := map[string]int{}
+	sc := bufio.NewScanner(f)
+	for sc.Scan() {
+		var ev struct {
+			Kind string `json:"kind"`
+		}
+		if err := json.Unmarshal(sc.Bytes(), &ev); err != nil {
+			t.Fatalf("x.jsonl line %q: %v", sc.Text(), err)
+		}
+		kinds[ev.Kind]++
+	}
+	if err := sc.Err(); err != nil {
+		t.Fatal(err)
+	}
+	if kinds["enqueue"] == 0 || kinds["done"] == 0 {
+		t.Errorf("x.jsonl has no enqueue or done events: %v", kinds)
+	}
+
+	b, err := os.ReadFile(trace("x.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var chrome struct {
+		TraceEvents []json.RawMessage `json:"traceEvents"`
+	}
+	if err := json.Unmarshal(b, &chrome); err != nil {
+		t.Fatalf("x.json is not JSON: %v", err)
+	}
+	if len(chrome.TraceEvents) == 0 {
+		t.Error("x.json has no traceEvents")
 	}
 }

@@ -9,11 +9,9 @@ import (
 	"fmt"
 	"math/bits"
 	"slices"
-	"strings"
 
 	"smtdram/internal/event"
 	"smtdram/internal/mem"
-	"smtdram/internal/obs"
 	"smtdram/internal/snap"
 )
 
@@ -556,23 +554,6 @@ func (l *Level) complete(at uint64, done event.Filler) {
 		return
 	}
 	l.q.ScheduleFiller(at, done)
-}
-
-// RegisterMetrics exposes the level's counters and live MSHR occupancy
-// through the metrics registry, under "cache.<name>." (the level's configured
-// name, lowercased). Safe on a nil registry.
-func (l *Level) RegisterMetrics(reg *obs.Registry) {
-	if reg == nil {
-		return
-	}
-	prefix := "cache." + strings.ToLower(l.cfg.Name) + "."
-	reg.Gauge(prefix+"accesses", func(uint64) float64 { return float64(l.Stats.Accesses) })
-	reg.Gauge(prefix+"misses", func(uint64) float64 { return float64(l.Stats.Misses) })
-	reg.Gauge(prefix+"merged", func(uint64) float64 { return float64(l.Stats.Merged) })
-	reg.Gauge(prefix+"writebacks", func(uint64) float64 { return float64(l.Stats.Writebacks) })
-	reg.Gauge(prefix+"mshr_full", func(uint64) float64 { return float64(l.Stats.MSHRFull) })
-	reg.Gauge(prefix+"miss_rate", func(uint64) float64 { return l.Stats.MissRate() })
-	reg.Sampled(prefix+"mshr_occupancy", func(uint64) float64 { return float64(len(l.mshrs)) })
 }
 
 // Contains reports whether addr is resident (for tests).

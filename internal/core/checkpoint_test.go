@@ -213,7 +213,7 @@ func TestCheckpointUnsupported(t *testing.T) {
 			c.Faults = &faults.Plan{DropRate: 5e-3, Seed: 11}
 		}},
 		{"observer", func(c *Config) {
-			c.Observe = func() *obs.Observer { return obs.New(obs.Options{Profile: true}) }
+			c.Observe = func() *obs.Observer { return &obs.Observer{Trace: obs.NewTracer()} }
 		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {

@@ -86,7 +86,7 @@ func (k *clock) step() bool {
 	s.q.RunUntil(k.now)
 	s.cpu.Tick(k.now)
 	if s.obs != nil {
-		s.obs.OnCycle(k.now, s.q.Fired())
+		s.obs.OnCycle(k.now)
 	}
 	if c := s.cpu.TotalCommitted; c != k.committed {
 		k.committed, k.lastCommitAt = c, k.now
@@ -131,13 +131,9 @@ func (k *clock) sail() {
 		if land <= from+1 {
 			break
 		}
-		if woke && s.obs != nil {
-			// The cycle that woke the last round is not landing after all.
-			s.obs.OnEventCycle(from+1, s.q.Fired())
-		}
 		s.cpu.TakeWake() // events through from already informed the probe
 		var ea uint64
-		if ea, woke = s.q.DrainQuiet(land, k.wakes); !woke {
+		if ea, woke = s.q.DrainQuiet(land, s.cpu.TakeWake); !woke {
 			ea = land
 		}
 		s.cpu.ApplyQuiet(fx, ea-1-from)
@@ -152,20 +148,6 @@ func (k *clock) sail() {
 	}
 }
 
-// wakes is the span drain's question after each event cycle ea: did its batch
-// deliver CPU-visible state? If not the span sails on, and the observer is
-// shown the event cycle the clock will not land on.
-func (k *clock) wakes(ea uint64) bool {
-	s := k.s
-	if s.cpu.TakeWake() {
-		return true
-	}
-	if s.obs != nil {
-		s.obs.OnEventCycle(ea, s.q.Fired())
-	}
-	return false
-}
-
 // mustLand returns the first cycle at or before target that has to land
 // because something outside the CPU's own probe needs a landed cycle there.
 // It reads and never writes, and every bound it can return lies beyond now,
@@ -173,16 +155,10 @@ func (k *clock) wakes(ea uint64) bool {
 // earlier than necessary is always exact; a new reason to land is one line
 // here.
 func (k *clock) mustLand(target uint64) uint64 {
-	s := k.s
 	target = min(target, k.limit+1)                    // budget: the run ends there
 	target = min(target, tripAt(k.lastCommitAt, k.wd)) // watchdog: the check that trips
-	if s.obs != nil {
-		if b := s.obs.NextBoundary(); b > 0 { // observer: gauges are sampled on landed cycles
-			target = min(target, b)
-		}
-	}
-	if k.failAt > k.now { // failover: until freezes the report's counters on that cycle
-		target = min(target, k.failAt)
+	if k.failAt > k.now {
+		target = min(target, k.failAt) // failover: until freezes the report's counters on that cycle
 	}
 	return target
 }

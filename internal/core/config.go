@@ -185,8 +185,8 @@ type Config struct {
 	PerfectL1, PerfectL2, PerfectL3 bool
 
 	// Observe, when non-nil, is called once per constructed simulator to
-	// build its observability attachment (metrics registry, request-lifecycle
-	// tracer, event-loop profiler — see internal/obs). A factory rather than
+	// build its observability attachment (the request-lifecycle tracer and
+	// the run hooks — see internal/obs). A factory rather than
 	// a value because some drivers (CPIBreakdown, WeightedSpeedup) run
 	// several simulations from one Config; each needs a fresh observer. A nil
 	// return disables observability for that run.

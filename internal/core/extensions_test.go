@@ -80,7 +80,7 @@ func TestCriticalityPolicyEndToEnd(t *testing.T) {
 // no earlier than it was enqueued and completes strictly after its issue; and
 // every event lies inside the machine's geometry.
 func TestTraceEventsConsistent(t *testing.T) {
-	ob := obs.New(obs.Options{Trace: true})
+	ob := &obs.Observer{Trace: obs.NewTracer()}
 	cfg := fastCfg("mcf", "ammp")
 	cfg.Observe = func() *obs.Observer { return ob }
 	res, err := Run(cfg)

@@ -406,7 +406,7 @@ func runOracle(t *testing.T, c oracleConfig) *oracle {
 	case "turnaround":
 		cfg.Mem.TurnaroundNS = 5
 	}
-	ob := obs.New(obs.Options{Trace: true})
+	ob := &obs.Observer{Trace: obs.NewTracer()}
 	cfg.Observe = func() *obs.Observer { return ob }
 	if _, err := Run(cfg); err != nil {
 		t.Fatal(err)

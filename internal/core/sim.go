@@ -255,17 +255,6 @@ func NewSimulator(cfg Config) (*Simulator, error) {
 	}
 	s.cpu.SetTarget(cfg.WarmupInstr, cfg.TargetInstr)
 	s.cpu.SetMemPressure(s.ctrl.Outstanding)
-	if s.obs != nil && s.obs.Reg != nil {
-		reg := s.obs.Reg
-		for _, l := range []*cache.Level{s.l1i, s.l1d, s.l2, s.l3} {
-			l.RegisterMetrics(reg)
-		}
-		s.cpu.RegisterMetrics(reg)
-		reg.Gauge("event.fired", func(uint64) float64 { return float64(s.q.Fired()) })
-		reg.Gauge("event.past_schedules", func(uint64) float64 { return float64(s.q.PastSchedules()) })
-		reg.Gauge("event.max_pending", func(uint64) float64 { return float64(s.q.MaxLen()) })
-		reg.Sampled("event.pending", func(uint64) float64 { return float64(s.q.Len()) })
-	}
 	return s, nil
 }
 

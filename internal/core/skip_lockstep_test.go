@@ -18,9 +18,8 @@ import (
 type lockstepCase struct {
 	name string
 	cfg  func() Config
-	// observe, when set, attaches an observer built from these options to
-	// both machines.
-	observe *obs.Options
+	// traced attaches a lifecycle tracer to both machines.
+	traced bool
 	// restored starts the skipping machine from a warmup checkpoint; the twin
 	// ticks there from cycle 1.
 	restored bool
@@ -38,10 +37,9 @@ type lockstepCase struct {
 // (TestNextWorkAtPredictsQuietCycles) structurally cannot.
 //
 // Because the clock under test is the production one, its landing rules are
-// under the oracle too. The profiled variant asserts the skipping machine's
-// loop profile — fed only landed and sailed-through event cycles — equals the
-// twin's per-cycle one. The sampled variant asserts every registry sample
-// cycle lands and the metrics export equals the twin's. The seeded-fault
+// under the oracle too. The traced variant asserts the skipping machine's
+// request-lifecycle trace — whose memory-side events fire inside sailed spans
+// — is byte-equal to the twin's. The seeded-fault
 // variant routes drop-retry backoff timers through the span drain, where a
 // deadline missing from the event queue would surface as a divergence at its
 // exact cycle. The channel-fail variant asserts the
@@ -107,8 +105,7 @@ func TestSkipLockstepDeep(t *testing.T) {
 		{name: "serialized-fetchstall", cfg: serialized},
 		{name: "icount-8-mem", cfg: icount8},
 		{name: "seeded-faults", cfg: faulty},
-		{name: "observed-default-mix", cfg: base, observe: &obs.Options{Profile: true}},
-		{name: "sampled-default-mix", cfg: base, observe: &obs.Options{Metrics: true, MetricsInterval: 500}},
+		{name: "observed-default-mix", cfg: base, traced: true},
 		{name: "channel-fail", cfg: failing},
 		{name: "restored-default-mix", cfg: shortWarm, restored: true},
 	} {
@@ -128,8 +125,8 @@ func lockstepDeep(t *testing.T, tc lockstepCase) {
 		cfg := tc.cfg()
 		cfg.MaxCycles = limit
 		var ob *obs.Observer
-		if tc.observe != nil {
-			ob = obs.New(*tc.observe)
+		if tc.traced {
+			ob = &obs.Observer{Trace: obs.NewTracer()}
 			cfg.Observe = func() *obs.Observer { return ob }
 		}
 		return cfg, ob
@@ -184,9 +181,6 @@ func lockstepDeep(t *testing.T, tc lockstepCase) {
 				pre = u.cpu.Fingerprint()
 			}
 			u.cpu.Tick(uNow)
-			if uob != nil {
-				uob.OnCycle(uNow, u.q.Fired())
-			}
 			if skipped {
 				if post := u.cpu.Fingerprint(); post != pre {
 					fatalf("twin acted at skipped cycle %d\npre:  %s\npost: %s", uNow, pre, post)
@@ -207,19 +201,12 @@ func lockstepDeep(t *testing.T, tc lockstepCase) {
 		failAt = f.ChannelFail.At
 	}
 	var sawFail bool
-	var nextSample uint64 // the registry's next sample cycle as of the last landing
 	err := k.until(ctx, func() bool {
 		prev := uNow
 		if k.now > prev+1 {
 			landings = append(landings[max(0, len(landings)-11):], [2]uint64{k.now, k.now - 1 - prev})
 		}
 		follow(k.now, true)
-		if sob != nil {
-			if nextSample > 0 && k.now > nextSample {
-				fatalf("the clock sailed from %d to %d across the registry's sample cycle %d", prev, k.now, nextSample)
-			}
-			nextSample = sob.NextBoundary()
-		}
 		sawFail = sawFail || (failAt > 0 && k.now == failAt)
 		assertControllerCovered(t, s, k.now)
 		return s.cpu.AllFinished()
@@ -236,36 +223,21 @@ func lockstepDeep(t *testing.T, tc lockstepCase) {
 	if s.SkipStats().Skipped == 0 {
 		t.Fatal("the clock never sailed: this variant checked nothing about spans")
 	}
-	if tc.observe != nil {
+	if tc.traced {
 		sob.Finish(end)
 		uob.Finish(end)
-	}
-	if sob != nil && sob.Prof != nil {
-		// The skipping machine's profile must be indistinguishable from the
-		// ticked twin's: same cycle count, same events-per-cycle distribution.
-		if sc, uc := sob.Prof.Cycles(), uob.Prof.Cycles(); sc != uc {
-			t.Fatalf("profiled cycle counts diverge: skip=%d tick=%d", sc, uc)
-		}
-		if sh, uh := sob.Prof.Hist.String(), uob.Prof.Hist.String(); sh != uh {
-			t.Fatalf("events-per-cycle histograms diverge:\nskip: %s\ntick: %s", sh, uh)
-		}
-		if sob.Prof.Hist.Count() == 0 {
-			t.Fatal("observed lockstep profiled nothing")
-		}
-	}
-	if sob != nil && sob.Reg != nil {
-		var sm, um bytes.Buffer
-		if err := sob.Reg.WriteJSONL(&sm, "lockstep", end); err != nil {
+		var sj, uj bytes.Buffer
+		if err := sob.Trace.WriteJSONL(&sj); err != nil {
 			t.Fatal(err)
 		}
-		if err := uob.Reg.WriteJSONL(&um, "lockstep", end); err != nil {
+		if err := uob.Trace.WriteJSONL(&uj); err != nil {
 			t.Fatal(err)
 		}
-		if !bytes.Equal(sm.Bytes(), um.Bytes()) {
-			t.Fatal("metrics exports diverge between the clock-driven machine and its ticked twin")
+		if !bytes.Equal(sj.Bytes(), uj.Bytes()) {
+			t.Fatal("lifecycle traces diverge between the clock-driven machine and its ticked twin")
 		}
-		if cycles, _, ok := sob.Reg.Series("event.pending"); !ok || len(cycles) < 100 {
-			t.Fatalf("sampled lockstep took %d samples", len(cycles))
+		if sob.Trace.Len() == 0 {
+			t.Fatal("traced lockstep recorded no events")
 		}
 	}
 	if failAt > 0 {

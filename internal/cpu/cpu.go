@@ -18,7 +18,6 @@ import (
 	"smtdram/internal/cache"
 	"smtdram/internal/event"
 	"smtdram/internal/mem"
-	"smtdram/internal/obs"
 	"smtdram/internal/snap"
 	"smtdram/internal/workload"
 )
@@ -554,28 +553,6 @@ func (c *CPU) LoadsStores(i int) (loads, stores uint64) {
 
 // IMisses returns thread i's instruction-cache miss count.
 func (c *CPU) IMisses(i int) uint64 { return c.threads[i].imisses }
-
-// RegisterMetrics exposes core occupancies and counters through the metrics
-// registry. Safe on a nil registry.
-func (c *CPU) RegisterMetrics(reg *obs.Registry) {
-	if reg == nil {
-		return
-	}
-	reg.Gauge("cpu.committed", func(uint64) float64 { return float64(c.TotalCommitted) })
-	reg.Sampled("cpu.iq_int_used", func(uint64) float64 { return float64(c.intIQUsed) })
-	reg.Sampled("cpu.iq_fp_used", func(uint64) float64 { return float64(c.fpIQUsed) })
-	for i, t := range c.threads {
-		t := t
-		reg.Sampled(fmt.Sprintf("cpu.inflight_loads.t%d", i),
-			func(uint64) float64 { return float64(t.outstanding()) })
-		reg.Sampled(fmt.Sprintf("cpu.rob.t%d", i),
-			func(uint64) float64 { return float64(t.robCount()) })
-		reg.Gauge(fmt.Sprintf("cpu.gated_dispatch.t%d", i),
-			func(uint64) float64 { return float64(t.gated) })
-		reg.Gauge(fmt.Sprintf("cpu.committed.t%d", i),
-			func(uint64) float64 { return float64(t.committed) })
-	}
-}
 
 // SetMemPressure wires the memory controller's live per-thread pending
 // request counts into the Coop fetch policy.

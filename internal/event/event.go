@@ -250,7 +250,7 @@ drained:
 }
 
 // DrainQuiet fires pending events in whole-cycle batches, strictly below
-// bound, invoking stop(c) after each cycle c's batch has fully drained
+// bound, invoking stop after each cycle c's batch has fully drained
 // (including any same- or past-cycle events the callbacks scheduled). It
 // returns (c, true) as soon as stop reports the batch did something the
 // caller must land on, leaving the queue exactly as RunUntil(c) would have —
@@ -262,7 +262,7 @@ drained:
 // next-event scan per batch instead of the scan-plus-RunUntil pair the loop
 // would issue, and stopping at the first batch that delivers CPU-visible
 // state.
-func (q *Queue) DrainQuiet(bound uint64, stop func(at uint64) bool) (at uint64, stopped bool) {
+func (q *Queue) DrainQuiet(bound uint64, stop func() bool) (at uint64, stopped bool) {
 	for {
 		ra, rok := q.ringNextAt()
 		var c uint64
@@ -286,7 +286,7 @@ func (q *Queue) DrainQuiet(bound uint64, stop func(at uint64) bool) (at uint64, 
 		q.base = c
 		q.drainCycle(c)
 		q.base = c + 1
-		if stop(c) {
+		if stop() {
 			return c, true
 		}
 	}

@@ -459,7 +459,7 @@ func checkFiringOrder(t *testing.T, seed uint64) int {
 	quiet := false
 	got := drive(seed, q.ScheduleHandler, func(now uint64) {
 		if quiet = !quiet; quiet { // every other step through the span drain
-			q.DrainQuiet(now+1, func(uint64) bool { return false })
+			q.DrainQuiet(now+1, func() bool { return false })
 		}
 		q.RunUntil(now)
 	})

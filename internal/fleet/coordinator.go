@@ -130,24 +130,24 @@ func NewCoordinator(cfg CoordinatorConfig) *Coordinator {
 	if c.log == nil {
 		c.log = slog.New(slog.NewTextHandler(io.Discard, nil))
 	}
-	c.reg = obs.NewRegistry(1)
+	c.reg = obs.NewRegistry()
 	c.mForwards = c.reg.Counter("fleet_forwards_total")
 	c.mErrors = c.reg.Counter("fleet_forward_errors_total")
 	c.mNoOwner = c.reg.Counter("fleet_no_owner_total")
 	c.mRejected = c.reg.Counter("fleet_quota_rejected_total")
 	c.mEjections = c.reg.Counter("fleet_ejections_total")
 	c.mReadmits = c.reg.Counter("fleet_readmissions_total")
-	c.reg.Gauge("fleet_workers", func(uint64) float64 {
+	c.reg.Gauge("fleet_workers", func() float64 {
 		c.mu.Lock()
 		defer c.mu.Unlock()
 		return float64(len(c.members))
 	})
-	c.reg.Gauge("fleet_workers_ready", func(uint64) float64 {
+	c.reg.Gauge("fleet_workers_ready", func() float64 {
 		c.mu.Lock()
 		defer c.mu.Unlock()
 		return float64(c.ring.Len())
 	})
-	c.reg.Gauge("uptime_seconds", func(uint64) float64 { return time.Since(c.startedAt).Seconds() })
+	c.reg.Gauge("uptime_seconds", func() float64 { return time.Since(c.startedAt).Seconds() })
 
 	for _, raw := range cfg.Workers {
 		m := &member{url: strings.TrimRight(raw, "/")}
@@ -552,7 +552,7 @@ func (c *Coordinator) Handler() http.Handler {
 		labels := []obs.Label{{Key: "node_id", Val: c.cfg.NodeID}, {Key: "role", Val: "coordinator"}}
 		c.metricsMu.Lock()
 		defer c.metricsMu.Unlock()
-		_ = c.reg.WritePrometheus(w, "smtdram", uint64(time.Since(c.startedAt)/time.Second), labels)
+		_ = c.reg.WritePrometheus(w, "smtdram", labels)
 	})
 	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "application/json")

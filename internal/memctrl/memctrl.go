@@ -121,9 +121,8 @@ type Config struct {
 	// records a stream to replay); a run shows its requests through Obs.
 	Trace func(TraceEvent)
 	// Obs, when non-nil, attaches the observability layer: the controller
-	// emits request-lifecycle events into Obs.Trace and registers its
-	// metrics (queue depths, outstanding requests, row-buffer hit rate, bus
-	// utilization) into Obs.Reg. Nil costs the hot path one pointer check.
+	// emits request-lifecycle events into Obs.Trace. Nil costs the hot path
+	// one pointer check.
 	Obs *obs.Observer
 	// Threads is the number of hardware threads (for per-thread stats).
 	Threads int
@@ -393,11 +392,8 @@ func New(q *event.Queue, cfg Config) (*Controller, error) {
 		c.failover = failoverEvent{c: c}
 		c.q.ScheduleHandler(at, &c.failover)
 	}
-	if cfg.Obs != nil {
-		if cfg.Obs.Trace != nil {
-			c.lc = cfg.Obs.Trace
-		}
-		c.registerMetrics(cfg.Obs.Reg)
+	if cfg.Obs != nil && cfg.Obs.Trace != nil {
+		c.lc = cfg.Obs.Trace
 	}
 	return c, nil
 }
@@ -495,54 +491,6 @@ func (c *Controller) requeue(at uint64, e *entry) {
 	cc := c.channels[e.loc.Channel]
 	cc.queue = append(cc.queue, e)
 	c.dispatch(at, cc)
-}
-
-// registerMetrics exposes the controller's live state and counters through
-// the metrics registry. Sampled gauges become cycle-interval time series;
-// plain gauges appear only in the final snapshot.
-func (c *Controller) registerMetrics(reg *obs.Registry) {
-	if reg == nil {
-		return
-	}
-	for i, cc := range c.channels {
-		cc := cc
-		reg.Sampled(fmt.Sprintf("memctrl.queue_depth.ch%d", i),
-			func(uint64) float64 { return float64(len(cc.queue)) })
-		reg.Sampled(fmt.Sprintf("memctrl.in_flight.ch%d", i),
-			func(uint64) float64 { return float64(cc.inFlight) })
-		reg.Sampled(fmt.Sprintf("dram.bus_busy_frac.ch%d", i),
-			func(now uint64) float64 {
-				if now == 0 {
-					return 0
-				}
-				return float64(cc.dev.Stats.BusBusy) / float64(now)
-			})
-	}
-	for t := range c.outstanding {
-		t := t
-		reg.Sampled(fmt.Sprintf("memctrl.outstanding.t%d", t),
-			func(uint64) float64 { return float64(c.outstanding[t]) })
-	}
-	reg.Sampled("memctrl.outstanding.total",
-		func(uint64) float64 { return float64(c.totalOut) })
-	reg.Sampled("memctrl.row_hit_rate",
-		func(uint64) float64 { return 1 - c.RowBufferMissRate() })
-	reg.Gauge("memctrl.reads", func(uint64) float64 { return float64(c.Stats.Reads) })
-	reg.Gauge("memctrl.writes", func(uint64) float64 { return float64(c.Stats.Writes) })
-	reg.Gauge("memctrl.rejected", func(uint64) float64 { return float64(c.Stats.Rejected) })
-	reg.Gauge("memctrl.avg_read_latency", func(uint64) float64 { return c.Stats.AvgReadLatency() })
-	reg.Gauge("dram.row_hits", func(uint64) float64 { h, _, _ := c.RowBufferStats(); return float64(h) })
-	reg.Gauge("dram.row_closed", func(uint64) float64 { _, cl, _ := c.RowBufferStats(); return float64(cl) })
-	reg.Gauge("dram.row_conflicts", func(uint64) float64 { _, _, co := c.RowBufferStats(); return float64(co) })
-	// Fault/resilience metrics exist only when an injector is attached, so
-	// fault-free runs' metrics output is byte-identical to pre-fault builds.
-	if c.inj != nil {
-		reg.Gauge("faults.drops", func(uint64) float64 { return float64(c.inj.Drops) })
-		reg.Gauge("memctrl.retries", func(uint64) float64 { return float64(c.Stats.Retries) })
-		reg.Gauge("memctrl.retry_giveups", func(uint64) float64 { return float64(c.Stats.RetryGiveUps) })
-		reg.Gauge("memctrl.failed_over", func(uint64) float64 { return float64(c.Stats.FailedOver) })
-		reg.Gauge("memctrl.failover_at", func(uint64) float64 { return float64(c.failoverAt) })
-	}
 }
 
 // lcEvent builds the common fields of a lifecycle event for a located
@@ -902,14 +850,4 @@ func (c *Controller) RowBufferStats() (hits, closed, conflicts uint64) {
 		conflicts += cc.dev.Stats.Conflicts
 	}
 	return
-}
-
-// RowBufferMissRate is the system-wide row-buffer miss rate.
-func (c *Controller) RowBufferMissRate() float64 {
-	h, cl, co := c.RowBufferStats()
-	total := h + cl + co
-	if total == 0 {
-		return 0
-	}
-	return float64(cl+co) / float64(total)
 }

@@ -103,7 +103,7 @@ func TestDroppedReadRetriesThenGivesUp(t *testing.T) {
 
 func TestChannelFailoverMigratesAndCompletes(t *testing.T) {
 	var q event.Queue
-	ob := obs.New(obs.Options{Trace: true})
+	ob := &obs.Observer{Trace: obs.NewTracer()}
 	// Channel 1 dies at cycle 60 — while a pile of requests to it is queued.
 	plan := &faults.Plan{ChannelFail: &faults.ChannelFail{Channel: 1, At: 60}}
 	c := newFaultyCtl(t, &q, geo2ch(), plan, ob)
@@ -166,7 +166,7 @@ func TestChannelFailoverMigratesAndCompletes(t *testing.T) {
 
 func TestRetryMilestonesInTrace(t *testing.T) {
 	var q event.Queue
-	ob := obs.New(obs.Options{Trace: true})
+	ob := &obs.Observer{Trace: obs.NewTracer()}
 	c := newFaultyCtl(t, &q, geo1ch(), &faults.Plan{DropRate: 1, Seed: 5}, ob)
 	r := &mem.Request{ID: 1, Addr: 0, Kind: mem.Read, Thread: 0}
 	c.Enqueue(0, r)
@@ -198,7 +198,7 @@ func TestRetryMilestonesInTrace(t *testing.T) {
 // follows exactly maxRetries attempts of that same request.
 func TestRetryBudgetIsPerRequest(t *testing.T) {
 	var q event.Queue
-	ob := obs.New(obs.Options{Trace: true})
+	ob := &obs.Observer{Trace: obs.NewTracer()}
 	c := newFaultyCtl(t, &q, geo1ch(), &faults.Plan{DropRate: 0.6, Seed: 3}, ob)
 	const n = 200
 	for i := 0; i < n; i++ {

@@ -1,16 +1,15 @@
-// Package obs is the simulator-wide observability layer: a metrics registry
-// of counters, gauges, and histograms with optional cycle-interval sampling
-// into time series; a request-lifecycle tracer that records every memory
-// request's enqueue → schedule → precharge/activate/CAS → data-return
-// transitions as structured events (exportable as JSONL and Chrome
-// trace_event JSON for Perfetto/about:tracing); and profiling hooks for the
-// discrete-event loop.
+// Package obs is the simulator-wide observability layer: a request-lifecycle
+// tracer that records every memory request's enqueue → schedule →
+// precharge/activate/CAS → data-return transitions as structured events
+// (exportable as JSONL and Chrome trace_event JSON for Perfetto/about:tracing),
+// the run hooks a serving daemon streams progress through, wall-clock spans,
+// and the daemon's Prometheus registry of counters, gauges and histograms.
 //
 // The package is a leaf: it imports nothing from the simulator, so every
 // component (memctrl, dram, cache, cpu, core) can depend on it. All hooks are
-// nil-safe — a disabled Observer, Registry, Counter, Histogram, or Tracer
-// costs the instrumented code exactly one nil check — so observability is
-// free when off and the simulator's determinism is untouched when on.
+// nil-safe — a disabled Observer, Counter, Histogram, or Tracer costs the
+// instrumented code exactly one nil check — so observability is free when off
+// and the simulator's determinism is untouched when on.
 package obs
 
 // Kind enumerates request-lifecycle transitions. Instant kinds mark a single
@@ -106,20 +105,6 @@ type Sink interface {
 	Emit(Event)
 }
 
-// Options selects which observability subsystems a run enables.
-type Options struct {
-	// Metrics enables the registry (and cycle sampling of Sampled gauges).
-	Metrics bool
-	// MetricsInterval is the sampling period in cycles (default 1000).
-	MetricsInterval uint64
-	// Trace enables the request-lifecycle tracer.
-	Trace bool
-	// Profile enables event-loop profiling.
-	Profile bool
-	// Label tags the run in exported output.
-	Label string
-}
-
 // SkipStats summarizes the two-speed clock's fast-forwarding over one run:
 // how many cycles were skipped (their per-cycle bookkeeping replayed in
 // aggregate rather than ticked), across how many contiguous windows, and the
@@ -149,17 +134,10 @@ func (s SkipStats) Rate() float64 {
 }
 
 // Observer bundles one run's observability state. Components receive it at
-// construction and register their metrics / hold its Trace sink. A nil
-// *Observer disables everything.
+// construction and hold its Trace sink. A nil *Observer disables everything.
 type Observer struct {
-	// Reg is the metrics registry (nil when metrics are off).
-	Reg *Registry
 	// Trace is the lifecycle tracer (nil when tracing is off).
 	Trace *Tracer
-	// Prof is the event-loop profiler (nil when profiling is off).
-	Prof *LoopProf
-	// Label tags the run in exported output.
-	Label string
 	// FinalCycle is the cycle the run finished at (set by Finish).
 	FinalCycle uint64
 	// Skip is the run's two-speed-clock summary (zero when skipping was
@@ -177,11 +155,10 @@ type Observer struct {
 
 	// Progress, when non-nil, fires on the run goroutine roughly every
 	// ProgressInterval landed cycles — the serving daemon's streaming hook.
-	// Unlike registry samples, progress points do NOT constrain the
-	// two-speed clock (NextBoundary ignores them): a fast-forwarded window
-	// simply reports from its landing cycle, which is exactly when something
-	// next happened. The callback may read the simulator freely (same
-	// goroutine) but must not mutate it.
+	// Progress points do not constrain the two-speed clock: a fast-forwarded
+	// window simply reports from its landing cycle, which is exactly when
+	// something next happened. The callback may read the simulator freely
+	// (same goroutine) but must not mutate it.
 	Progress func(now uint64)
 	// ProgressInterval is the minimum cycle gap between Progress calls
 	// (default 10 000 when Progress is set).
@@ -189,38 +166,9 @@ type Observer struct {
 	nextProgress     uint64
 }
 
-// New builds an Observer, or returns nil when every subsystem is off, so
-// callers can pass the result straight into a config's Observe hook.
-func New(o Options) *Observer {
-	if !o.Metrics && !o.Trace && !o.Profile {
-		return nil
-	}
-	ob := &Observer{Label: o.Label}
-	if o.Metrics {
-		iv := o.MetricsInterval
-		if iv == 0 {
-			iv = 1000
-		}
-		ob.Reg = NewRegistry(iv)
-	}
-	if o.Trace {
-		ob.Trace = NewTracer()
-	}
-	if o.Profile {
-		ob.Prof = newLoopProf(ob.Reg)
-	}
-	return ob
-}
-
-// OnCycle is the per-cycle hook the run loop calls after draining the event
-// queue: fired is the cumulative event count from the queue.
-func (ob *Observer) OnCycle(now, fired uint64) {
-	if ob.Prof != nil {
-		ob.Prof.cycle(now, fired)
-	}
-	if ob.Reg != nil {
-		ob.Reg.MaybeSample(now)
-	}
+// OnCycle is the per-cycle hook the run loop calls on every landed cycle,
+// after draining the event queue.
+func (ob *Observer) OnCycle(now uint64) {
 	if ob.Progress != nil && now >= ob.nextProgress {
 		iv := ob.ProgressInterval
 		if iv == 0 {
@@ -231,40 +179,12 @@ func (ob *Observer) OnCycle(now, fired uint64) {
 	}
 }
 
-// NextBoundary returns the next cycle the observer must see land to stay
-// byte-identical across a fast-forward — the registry's next sample cycle —
-// or 0 when nothing constrains the jump. The run loop clamps skip targets to
-// it so sampled gauges are read at exactly the cycles an unskipped run would
-// read them.
-func (ob *Observer) NextBoundary() uint64 {
-	if ob.Reg != nil {
-		return ob.Reg.NextSampleAt()
-	}
-	return 0
-}
-
-// OnEventCycle observes an event cycle a quiet span sailed through: the
-// cycle's events fired at their exact cycle, but the clock never landed, so
-// this stands in for the landed path's per-cycle profiling (the event-free
-// cycles between observed ones the profiler accounts itself). Only loop
-// profiling sees it — registry sampling is bounded by NextBoundary (sample
-// cycles always land), and progress reporting is documented to fire at landed
-// cycles only.
-func (ob *Observer) OnEventCycle(at, fired uint64) {
-	if ob.Prof != nil {
-		ob.Prof.cycle(at, fired)
-	}
-}
-
 // Finish closes the run at its final cycle: open traced requests are
-// cancelled, profiling totals close, and OnFinish (if any) fires.
+// cancelled and OnFinish (if any) fires.
 func (ob *Observer) Finish(now uint64) {
 	ob.FinalCycle = now
 	if ob.Trace != nil {
 		ob.Trace.Finish(now)
-	}
-	if ob.Prof != nil {
-		ob.Prof.finish(now)
 	}
 	if ob.OnFinish != nil {
 		ob.OnFinish(ob)

@@ -8,8 +8,8 @@ import (
 )
 
 // promName sanitizes a registry metric name into the Prometheus exposition
-// alphabet ([a-zA-Z0-9_:]): the registry's dotted names ("event.pending")
-// become underscored ("event_pending"), and any other illegal rune is
+// alphabet ([a-zA-Z0-9_:]): the registry's dotted names ("go.goroutines")
+// become underscored ("go_goroutines"), and any other illegal rune is
 // replaced with '_'. A leading digit gains a '_' prefix.
 func promName(name string) string {
 	var b strings.Builder
@@ -41,9 +41,9 @@ type Label struct {
 }
 
 // WritePrometheus renders the registry in the Prometheus text exposition
-// format (version 0.0.4): every gauge as a gauge evaluated at cycle now,
-// every counter as a counter, and every histogram as the cumulative
-// _bucket/_sum/_count triplet. namespace, when non-empty, prefixes each
+// format (version 0.0.4): every gauge as a gauge evaluated now, every counter
+// as a counter, and every histogram as the cumulative _bucket/_sum/_count
+// triplet. namespace, when non-empty, prefixes each
 // metric name ("smtdram" -> "smtdram_jobs_accepted_total"). labels, when
 // non-empty, ride on every sample; histogram buckets merge them with their
 // `le` label. Output order is registration order, so two renders of the same
@@ -54,7 +54,7 @@ type Label struct {
 // gauge state or histograms another goroutine mutates (the serving daemon)
 // must hold their own lock around both the mutation and the render, as the
 // server's metricsMu does.
-func (r *Registry) WritePrometheus(w io.Writer, namespace string, now uint64, labels []Label) error {
+func (r *Registry) WritePrometheus(w io.Writer, namespace string, labels []Label) error {
 	if r == nil {
 		return nil
 	}
@@ -79,7 +79,7 @@ func (r *Registry) WritePrometheus(w io.Writer, namespace string, now uint64, la
 	}
 	for _, g := range r.gauges {
 		name := prefix + promName(g.name)
-		if _, err := fmt.Fprintf(w, "# TYPE %s gauge\n%s%s %s\n", name, name, ls, promFloat(g.f(now))); err != nil {
+		if _, err := fmt.Fprintf(w, "# TYPE %s gauge\n%s%s %s\n", name, name, ls, promFloat(g.f())); err != nil {
 			return err
 		}
 	}

@@ -19,8 +19,8 @@ func TestPromName(t *testing.T) {
 }
 
 func TestWritePrometheus(t *testing.T) {
-	r := NewRegistry(1000)
-	r.Gauge("queue.depth", func(now uint64) float64 { return float64(now) / 2 })
+	r := NewRegistry()
+	r.Gauge("queue.depth", func() float64 { return 5 })
 	r.Counter("jobs.accepted").Add(3)
 	h := r.Histogram("latency.ms", []uint64{1, 10, 100})
 	h.Observe(5)
@@ -28,7 +28,7 @@ func TestWritePrometheus(t *testing.T) {
 	h.Observe(5000)
 
 	var b strings.Builder
-	if err := r.WritePrometheus(&b, "smtdram", 10, nil); err != nil {
+	if err := r.WritePrometheus(&b, "smtdram", nil); err != nil {
 		t.Fatal(err)
 	}
 	out := b.String()
@@ -49,7 +49,7 @@ func TestWritePrometheus(t *testing.T) {
 	}
 	// A nil registry renders nothing and does not crash.
 	var nilReg *Registry
-	if err := nilReg.WritePrometheus(&b, "x", 0, nil); err != nil {
+	if err := nilReg.WritePrometheus(&b, "x", nil); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -58,7 +58,7 @@ func TestObserverProgressHook(t *testing.T) {
 	var at []uint64
 	ob := &Observer{ProgressInterval: 100, Progress: func(now uint64) { at = append(at, now) }}
 	for now := uint64(1); now <= 250; now++ {
-		ob.OnCycle(now, 0)
+		ob.OnCycle(now)
 	}
 	// First fire at cycle 1 (nextProgress starts at 0), then every >=100.
 	want := []uint64{1, 101, 201}

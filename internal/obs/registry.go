@@ -1,16 +1,6 @@
 package obs
 
-import (
-	"encoding/json"
-	"fmt"
-	"io"
-	"sort"
-	"sync/atomic"
-)
-
-// GaugeFunc reads an instantaneous value; now is the current cycle, so rate
-// gauges (busy fraction, events/cycle) can normalize by elapsed time.
-type GaugeFunc func(now uint64) float64
+import "sync/atomic"
 
 // Counter is a monotonically increasing metric. All methods are nil-safe: a
 // nil *Counter (from a nil Registry) is a no-op, so instrumented code can
@@ -60,12 +50,6 @@ type Histogram struct {
 	max    uint64
 }
 
-// newHistogram builds a standalone histogram (used when no registry exists).
-// bounds must be ascending.
-func newHistogram(name string, bounds []uint64) *Histogram {
-	return &Histogram{name: name, bounds: bounds, counts: make([]uint64, len(bounds)+1)}
-}
-
 // Observe records one value.
 func (h *Histogram) Observe(v uint64) {
 	if h == nil {
@@ -78,25 +62,6 @@ func (h *Histogram) Observe(v uint64) {
 	h.counts[i]++
 	h.n++
 	h.sum += v
-	if v > h.max {
-		h.max = v
-	}
-}
-
-// ObserveN records the same value n times, exactly as n Observe calls would
-// but in O(1) — the two-speed clock uses it to replay a skip window's worth
-// of identical per-cycle observations.
-func (h *Histogram) ObserveN(v, n uint64) {
-	if h == nil || n == 0 {
-		return
-	}
-	i := 0
-	for i < len(h.bounds) && v > h.bounds[i] {
-		i++
-	}
-	h.counts[i] += n
-	h.n += n
-	h.sum += v * n
 	if v > h.max {
 		h.max = v
 	}
@@ -173,83 +138,29 @@ func (h *Histogram) Quantile(q float64) float64 {
 	return float64(h.max)
 }
 
-// String renders "≤b:n" pairs for humans.
-func (h *Histogram) String() string {
-	if h == nil || h.n == 0 {
-		return "(empty)"
-	}
-	out := ""
-	for i, c := range h.counts {
-		if c == 0 {
-			continue
-		}
-		if out != "" {
-			out += " "
-		}
-		if i < len(h.bounds) {
-			out += fmt.Sprintf("≤%d:%d", h.bounds[i], c)
-		} else {
-			out += fmt.Sprintf(">%d:%d", h.bounds[len(h.bounds)-1], c)
-		}
-	}
-	return out
-}
-
 type gauge struct {
-	name    string
-	f       GaugeFunc
-	sampled bool
-	series  []float64 // one value per Registry sample, sampled gauges only
+	name string
+	f    func() float64
 }
 
-// Metric is one (name, value) pair of a final snapshot.
-type Metric struct {
-	Name  string
-	Value float64
-}
-
-// Registry holds a run's metrics and samples its Sampled gauges every
-// interval cycles into time series. It is single-threaded, like the
-// simulator. The zero Registry is not usable; a nil *Registry is and
-// disables everything (registrations return nil-safe handles).
+// Registry holds the serving daemon's metrics for its Prometheus exposition.
+// The zero Registry is usable; a nil *Registry disables everything
+// (registrations return nil-safe handles).
 type Registry struct {
-	interval uint64
-	next     uint64
-	cycles   []uint64 // cycles at which samples were taken
 	gauges   []*gauge
-	byName   map[string]*gauge
 	counters []*Counter
 	hists    []*Histogram
 }
 
-// NewRegistry builds a registry sampling every interval cycles (≥ 1).
-func NewRegistry(interval uint64) *Registry {
-	if interval == 0 {
-		interval = 1000
-	}
-	return &Registry{interval: interval, byName: map[string]*gauge{}}
-}
+// NewRegistry builds an empty registry.
+func NewRegistry() *Registry { return &Registry{} }
 
-// Gauge registers a read-on-demand metric reported only in the final
-// snapshot. Nil registries ignore the registration.
-func (r *Registry) Gauge(name string, f GaugeFunc) { r.addGauge(name, f, false) }
-
-// Sampled registers a gauge that is additionally recorded as a time series
-// every sampling interval.
-func (r *Registry) Sampled(name string, f GaugeFunc) { r.addGauge(name, f, true) }
-
-func (r *Registry) addGauge(name string, f GaugeFunc, sampled bool) {
-	if r == nil {
-		return
+// Gauge registers a metric read on demand at every render. Nil registries
+// ignore the registration.
+func (r *Registry) Gauge(name string, f func() float64) {
+	if r != nil {
+		r.gauges = append(r.gauges, &gauge{name: name, f: f})
 	}
-	if g, ok := r.byName[name]; ok { // re-registration replaces the reader
-		g.f = f
-		g.sampled = g.sampled || sampled
-		return
-	}
-	g := &gauge{name: name, f: f, sampled: sampled}
-	r.gauges = append(r.gauges, g)
-	r.byName[name] = g
 }
 
 // Counter registers (or returns the existing) named counter. A nil registry
@@ -278,7 +189,8 @@ func (r *Registry) CounterFunc(name string, f func() uint64) {
 	}
 }
 
-// Histogram registers (or returns the existing) named histogram.
+// Histogram registers (or returns the existing) named histogram; bounds must
+// be ascending.
 func (r *Registry) Histogram(name string, bounds []uint64) *Histogram {
 	if r == nil {
 		return nil
@@ -288,146 +200,7 @@ func (r *Registry) Histogram(name string, bounds []uint64) *Histogram {
 			return h
 		}
 	}
-	h := newHistogram(name, bounds)
+	h := &Histogram{name: name, bounds: bounds, counts: make([]uint64, len(bounds)+1)}
 	r.hists = append(r.hists, h)
 	return h
-}
-
-// MaybeSample records a sample when the interval has elapsed. The run loop
-// calls this every cycle; off-interval cycles cost one comparison.
-func (r *Registry) MaybeSample(now uint64) {
-	if now < r.next {
-		return
-	}
-	r.cycles = append(r.cycles, now)
-	for _, g := range r.gauges {
-		if g.sampled {
-			g.series = append(g.series, g.f(now))
-		}
-	}
-	r.next = now + r.interval
-}
-
-// NextSampleAt returns the cycle of the next scheduled sample (0 for nil).
-// The two-speed clock never fast-forwards past it, so every sample reads the
-// machine at exactly the cycle an unskipped run would.
-func (r *Registry) NextSampleAt() uint64 {
-	if r == nil {
-		return 0
-	}
-	return r.next
-}
-
-// Series returns a sampled gauge's time series (shared slices; do not
-// mutate). ok is false for unknown or unsampled names.
-func (r *Registry) Series(name string) (cycles []uint64, values []float64, ok bool) {
-	if r == nil {
-		return nil, nil, false
-	}
-	g := r.byName[name]
-	if g == nil || !g.sampled {
-		return nil, nil, false
-	}
-	return r.cycles, g.series, true
-}
-
-// Value evaluates one gauge or counter now. ok is false for unknown names.
-func (r *Registry) Value(name string, now uint64) (float64, bool) {
-	if r == nil {
-		return 0, false
-	}
-	if g := r.byName[name]; g != nil {
-		return g.f(now), true
-	}
-	for _, c := range r.counters {
-		if c.name == name {
-			return float64(c.Value()), true
-		}
-	}
-	return 0, false
-}
-
-// Final snapshots every gauge and counter at cycle now, in registration
-// order (deterministic).
-func (r *Registry) Final(now uint64) []Metric {
-	if r == nil {
-		return nil
-	}
-	out := make([]Metric, 0, len(r.gauges)+len(r.counters))
-	for _, g := range r.gauges {
-		out = append(out, Metric{Name: g.name, Value: g.f(now)})
-	}
-	for _, c := range r.counters {
-		out = append(out, Metric{Name: c.name, Value: float64(c.Value())})
-	}
-	return out
-}
-
-// metricsLine is one JSONL record of the metrics export.
-type metricsLine struct {
-	Type     string             `json:"type"`
-	Label    string             `json:"label,omitempty"`
-	Interval uint64             `json:"interval,omitempty"`
-	Cycle    uint64             `json:"cycle,omitempty"`
-	Values   map[string]float64 `json:"values,omitempty"`
-	Name     string             `json:"name,omitempty"`
-	Bounds   []uint64           `json:"bounds,omitempty"`
-	Counts   []uint64           `json:"counts,omitempty"`
-	Count    uint64             `json:"count,omitempty"`
-	Sum      uint64             `json:"sum,omitempty"`
-	Max      uint64             `json:"max,omitempty"`
-}
-
-// WriteJSONL exports the registry as JSON lines: a meta record, one sample
-// record per interval (sampled gauges only), histogram records, and a final
-// snapshot of every metric at cycle now. Output is deterministic: map keys
-// are marshalled in sorted order and records follow registration order.
-func (r *Registry) WriteJSONL(w io.Writer, label string, now uint64) error {
-	if r == nil {
-		return nil
-	}
-	enc := json.NewEncoder(w)
-	if err := enc.Encode(metricsLine{Type: "meta", Label: label, Interval: r.interval, Cycle: now}); err != nil {
-		return err
-	}
-	for i, cyc := range r.cycles {
-		vals := map[string]float64{}
-		for _, g := range r.gauges {
-			if g.sampled {
-				vals[g.name] = g.series[i]
-			}
-		}
-		if err := enc.Encode(metricsLine{Type: "sample", Cycle: cyc, Values: vals}); err != nil {
-			return err
-		}
-	}
-	for _, h := range r.hists {
-		if err := enc.Encode(metricsLine{
-			Type: "hist", Name: h.name, Bounds: h.bounds, Counts: h.counts,
-			Count: h.n, Sum: h.sum, Max: h.max,
-		}); err != nil {
-			return err
-		}
-	}
-	vals := map[string]float64{}
-	for _, m := range r.Final(now) {
-		vals[m.Name] = m.Value
-	}
-	return enc.Encode(metricsLine{Type: "final", Cycle: now, Values: vals})
-}
-
-// Names lists every registered gauge and counter, sorted (for docs/tests).
-func (r *Registry) Names() []string {
-	if r == nil {
-		return nil
-	}
-	var out []string
-	for _, g := range r.gauges {
-		out = append(out, g.name)
-	}
-	for _, c := range r.counters {
-		out = append(out, c.name)
-	}
-	sort.Strings(out)
-	return out
 }

@@ -107,22 +107,22 @@ func schedLatencyQuantile(s metrics.Sample, q float64) float64 {
 func RegisterRuntimeMetrics(reg *Registry) func() RuntimeVitals {
 	rs := newRuntimeSampler()
 	if reg != nil {
-		reg.Gauge("go.goroutines", func(uint64) float64 {
+		reg.Gauge("go.goroutines", func() float64 {
 			return float64(rs.vitals().Goroutines)
 		})
-		reg.Gauge("go.heap_alloc_bytes", func(uint64) float64 {
+		reg.Gauge("go.heap_alloc_bytes", func() float64 {
 			return float64(rs.vitals().HeapAlloc)
 		})
-		reg.Gauge("go.gc_pause_total_seconds", func(uint64) float64 {
+		reg.Gauge("go.gc_pause_total_seconds", func() float64 {
 			return rs.vitals().GCPauseTotal.Seconds()
 		})
-		reg.Gauge("go.gc_cycles_total", func(uint64) float64 {
+		reg.Gauge("go.gc_cycles_total", func() float64 {
 			return float64(rs.vitals().GCCycles)
 		})
-		reg.Gauge("go.sched_latency_p50_seconds", func(uint64) float64 {
+		reg.Gauge("go.sched_latency_p50_seconds", func() float64 {
 			return rs.vitals().SchedP50
 		})
-		reg.Gauge("go.sched_latency_p99_seconds", func(uint64) float64 {
+		reg.Gauge("go.sched_latency_p99_seconds", func() float64 {
 			return rs.vitals().SchedP99
 		})
 	}

@@ -255,7 +255,7 @@ func TestWriteChromeSpansValid(t *testing.T) {
 // TestHistogramQuantile: interpolation inside buckets, the overflow bucket
 // bounded by the observed max, and edge cases (empty, clamped q).
 func TestHistogramQuantile(t *testing.T) {
-	h := newHistogram("lat", []uint64{10, 100, 1000})
+	h := NewRegistry().Histogram("lat", []uint64{10, 100, 1000})
 	if h.Quantile(0.5) != 0 {
 		t.Fatalf("empty histogram quantile = %v, want 0", h.Quantile(0.5))
 	}
@@ -270,7 +270,7 @@ func TestHistogramQuantile(t *testing.T) {
 	}
 	// Overflow: values beyond the last bound interpolate toward the max, never
 	// beyond it.
-	h2 := newHistogram("lat", []uint64{10})
+	h2 := NewRegistry().Histogram("lat", []uint64{10})
 	h2.Observe(500)
 	h2.Observe(900)
 	if q := h2.Quantile(0.99); q > 900 {

@@ -236,7 +236,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	}
 	s.metricsMu.Lock()
 	defer s.metricsMu.Unlock()
-	_ = s.reg.WritePrometheus(w, "smtdram", uint64(time.Since(s.startedAt)/time.Second), labels)
+	_ = s.reg.WritePrometheus(w, "smtdram", labels)
 }
 
 // handleHealthz is pure liveness: 200 whenever the process can serve HTTP at

@@ -347,20 +347,16 @@ func TestCacheCountersAreCounters(t *testing.T) {
 		t.Fatalf("repeat submission: code %d, want 200 served from cache", rec2.Code)
 	}
 
-	s.metricsMu.Lock()
-	hits, _ := s.reg.Value("cache_hits_total", 0)
-	misses, _ := s.reg.Value("cache_misses_total", 0)
-	s.metricsMu.Unlock()
-	if hits != 1 || misses != 1 {
-		t.Fatalf("hits=%v misses=%v, want 1/1", hits, misses)
+	if st := s.results.Stats(); st.Hits != 1 || st.Misses != 1 {
+		t.Fatalf("hits=%d misses=%d, want 1/1", st.Hits, st.Misses)
 	}
 
 	rec := httptest.NewRecorder()
 	s.handleMetrics(rec, httptest.NewRequest(http.MethodGet, "/metrics", nil))
 	body := rec.Body.String()
 	for _, want := range []string{
-		"# TYPE smtdram_cache_hits_total counter",
-		"# TYPE smtdram_cache_misses_total counter",
+		"# TYPE smtdram_cache_hits_total counter\nsmtdram_cache_hits_total 1\n",
+		"# TYPE smtdram_cache_misses_total counter\nsmtdram_cache_misses_total 1\n",
 	} {
 		if !strings.Contains(body, want) {
 			t.Fatalf("/metrics missing %q in:\n%s", want, body)

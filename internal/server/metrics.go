@@ -61,7 +61,7 @@ func (s *Server) registerMetrics() {
 		1_000, 2_500, 5_000, 10_000, 25_000, 50_000, 100_000, 250_000, 500_000,
 		1_000_000, 2_500_000, 5_000_000, 10_000_000, 30_000_000,
 	}
-	s.reg = obs.NewRegistry(1)
+	s.reg = obs.NewRegistry()
 	s.mAccepted = s.reg.Counter("jobs_accepted_total")
 	s.mRejected = s.reg.Counter("jobs_rejected_total")
 	s.mDeduped = s.reg.Counter("jobs_deduped_total")
@@ -82,13 +82,13 @@ func (s *Server) registerMetrics() {
 		s.poolWaitUs.Observe(usOf(wait))
 		s.metricsMu.Unlock()
 	})
-	s.reg.Gauge("queue_depth", func(uint64) float64 { return float64(len(s.slots)) })
-	s.reg.Gauge("queue_capacity", func(uint64) float64 { return float64(s.cfg.QueueDepth) })
-	s.reg.Gauge("workers", func(uint64) float64 { return float64(s.pool.Jobs()) })
-	s.reg.Gauge("workers_busy", func(uint64) float64 { return float64(s.busy.Load()) })
-	s.reg.Gauge("uptime_seconds", func(uint64) float64 { return time.Since(s.startedAt).Seconds() })
-	s.reg.Gauge("trace_spans_dropped", func(uint64) float64 { return float64(s.spans.Dropped()) })
-	s.reg.Gauge("cache_entries", func(uint64) float64 { return float64(s.results.Stats().Entries) })
+	s.reg.Gauge("queue_depth", func() float64 { return float64(len(s.slots)) })
+	s.reg.Gauge("queue_capacity", func() float64 { return float64(s.cfg.QueueDepth) })
+	s.reg.Gauge("workers", func() float64 { return float64(s.pool.Jobs()) })
+	s.reg.Gauge("workers_busy", func() float64 { return float64(s.busy.Load()) })
+	s.reg.Gauge("uptime_seconds", func() float64 { return time.Since(s.startedAt).Seconds() })
+	s.reg.Gauge("trace_spans_dropped", func() float64 { return float64(s.spans.Dropped()) })
+	s.reg.Gauge("cache_entries", func() float64 { return float64(s.results.Stats().Entries) })
 	s.vitals = obs.RegisterRuntimeMetrics(s.reg)
 	// The result memo counts per lookup: a submission is one Lookup, plus a
 	// hit if the post-admission Join finds a result that landed in between;
@@ -117,22 +117,22 @@ func (s *Server) registerMetrics() {
 	s.reg.CounterFunc("checkpoint_forks_total", func() uint64 { return s.checkpoints.Snapshot().Forks })
 	s.reg.CounterFunc("checkpoint_bypassed_total", func() uint64 { return s.checkpoints.Snapshot().Bypassed })
 	s.reg.CounterFunc("checkpoint_evictions_total", func() uint64 { return s.checkpoints.Snapshot().Evictions })
-	s.reg.Gauge("checkpoint_entries", func(uint64) float64 {
+	s.reg.Gauge("checkpoint_entries", func() float64 {
 		return float64(s.checkpoints.Snapshot().Entries)
 	})
-	s.reg.Gauge("store_entries", func(uint64) float64 {
+	s.reg.Gauge("store_entries", func() float64 {
 		if s.store == nil {
 			return 0
 		}
 		return float64(s.store.Len())
 	})
-	s.reg.Gauge("store_degraded", func(uint64) float64 {
+	s.reg.Gauge("store_degraded", func() float64 {
 		if s.durabilityDegraded() {
 			return 1
 		}
 		return 0
 	})
-	s.reg.Gauge("recovery_outstanding", func(uint64) float64 { return float64(s.recoveryOutstanding()) })
+	s.reg.Gauge("recovery_outstanding", func() float64 { return float64(s.recoveryOutstanding()) })
 }
 
 // usOf converts a duration to whole non-negative microseconds.

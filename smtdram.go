@@ -163,30 +163,25 @@ func RecordTrace(app App, threadID int, seed int64, n uint64, w io.Writer) error
 func NewReplay(r io.Reader) (*Replay, error) { return workload.NewReplay(r) }
 
 // Observability layer (see internal/obs and the README's Observability
-// section): attach an Observer via Config.Observe to record cycle-sampled
-// metrics, a request-lifecycle trace (exportable as JSONL or Chrome
-// trace_event JSON for Perfetto), and event-loop profiling.
+// section): attach an Observer via Config.Observe to record a
+// request-lifecycle trace, exportable as JSONL or Chrome trace_event JSON for
+// Perfetto.
 type (
 	// Observer bundles one run's observability state.
 	Observer = obs.Observer
-	// ObsOptions selects which observability subsystems a run enables.
-	ObsOptions = obs.Options
-	// MetricsRegistry holds a run's metrics and sampled time series.
-	MetricsRegistry = obs.Registry
 	// LifecycleTracer records request-lifecycle events.
 	LifecycleTracer = obs.Tracer
 	// LifecycleEvent is one structured request-lifecycle record.
 	LifecycleEvent = obs.Event
 )
 
-// NewObserver builds an Observer, or nil when every subsystem is off. Typical
-// use:
+// NewTracer builds an empty lifecycle tracer. Typical use:
 //
-//	ob := smtdram.NewObserver(smtdram.ObsOptions{Trace: true, Metrics: true})
+//	ob := &smtdram.Observer{Trace: smtdram.NewTracer()}
 //	cfg.Observe = func() *smtdram.Observer { return ob }
 //	res, _ := smtdram.Run(cfg)
 //	ob.Trace.WriteChrome(f) // open f in ui.perfetto.dev
-func NewObserver(o ObsOptions) *Observer { return obs.New(o) }
+func NewTracer() *LifecycleTracer { return obs.NewTracer() }
 
 // Fault injection and resilience (see DESIGN.md §10): attach a FaultPlan via
 // Config.Faults to inject seeded read drops (retried with backoff) and a hard
