@@ -14,7 +14,7 @@
 // Fleet mode (DESIGN §16) shards the API across worker daemons by
 // configuration fingerprint over a consistent-hash ring:
 //
-//	smtdramd -node-id w1 -data-dir d1 -peers w2=http://127.0.0.1:8322   # worker
+//	smtdramd -node-id w1 -data-dir d1                                   # worker
 //	smtdramd -coordinator -workers http://127.0.0.1:8321,http://127.0.0.1:8322
 //
 // On SIGTERM or SIGINT the daemon stops admitting work (new submissions get
@@ -57,8 +57,6 @@ func main() {
 		ckptDir  = flag.String("checkpoint-dir", "", "persist warmup checkpoints under this directory so figure sweeps fork warm re-runs across restarts (empty: in-memory memoization only)")
 
 		nodeID      = flag.String("node-id", "", "this daemon's fleet node id ([A-Za-z0-9_]+; job ids become j-<node>-<n> and metrics gain node_id/role labels)")
-		peersStr    = flag.String("peers", "", "comma-separated fleet peers as name=url for cache peering (requires -node-id)")
-		peerTimeout = flag.Duration("peer-timeout", 2*time.Second, "per-fetch timeout when consulting fleet peers for a cached entry")
 		tenantRate  = flag.Float64("tenant-rate", 0, "per-tenant admission tokens per second (0 disables tenant quotas)")
 		tenantBurst = flag.Float64("tenant-burst", 0, "per-tenant bucket capacity (default 2×rate, min 1)")
 
@@ -103,15 +101,6 @@ func main() {
 			os.Exit(2)
 		}
 	}
-	peers, err := parsePeers(*peersStr)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "smtdramd:", err)
-		os.Exit(2)
-	}
-	if len(peers) > 0 && *nodeID == "" {
-		fmt.Fprintln(os.Stderr, "smtdramd: -peers requires -node-id")
-		os.Exit(2)
-	}
 
 	// Structured logging: every lifecycle line carries job/flight correlation
 	// keys, so `grep job=j-17` (or a jq filter with -log-json) reconstructs
@@ -139,10 +128,6 @@ func main() {
 		Fsync:            fsync,
 		CheckpointDir:    *ckptDir,
 		NodeID:           *nodeID,
-		PeerTimeout:      *peerTimeout,
-	}
-	if len(peers) > 0 {
-		cfg.PeerFetch = fleet.NewPeerClient(*nodeID, peers, fleet.DefaultVNodes, *peerTimeout, logger)
 	}
 	var quota *fleet.Quota
 	if *tenantRate > 0 {
@@ -228,22 +213,6 @@ func splitNonEmpty(s string) []string {
 		}
 	}
 	return out
-}
-
-// parsePeers parses -peers ("w2=http://host:port,w3=...") into id→URL.
-func parsePeers(s string) (map[string]string, error) {
-	peers := map[string]string{}
-	for _, p := range splitNonEmpty(s) {
-		id, u, ok := strings.Cut(p, "=")
-		if !ok || id == "" || u == "" {
-			return nil, fmt.Errorf("bad -peers element %q (want name=url)", p)
-		}
-		if err := server.ValidNodeID(id); err != nil {
-			return nil, fmt.Errorf("-peers: %w", err)
-		}
-		peers[id] = u
-	}
-	return peers, nil
 }
 
 // serveCoordinator runs the fleet coordinator until SIGTERM/SIGINT.

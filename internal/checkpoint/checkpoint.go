@@ -101,7 +101,7 @@ type cfgKey struct{}
 // races with in-flight lookups.
 func (c *Cache) Persist(st *store.Store) {
 	c.st = st
-	c.memo.Tiers = []*runner.Tier[string, *core.Checkpoint]{{
+	c.memo.Tier = &runner.Tier[string, *core.Checkpoint]{
 		// A read-back is only a hit if its frame actually restores: the
 		// store's own CRC covers what was written, not that what was written
 		// is a decodable checkpoint. Anything else reports corrupt and is
@@ -131,7 +131,7 @@ func (c *Cache) Persist(st *store.Store) {
 			binary.LittleEndian.PutUint64(meta[:], chk.Now)
 			_ = st.Put(keyPrefix+prefix, chk.Data, meta[:])
 		},
-	}}
+	}
 }
 
 // Store returns the backing store, nil when the cache is memory-only.

@@ -313,7 +313,7 @@ func (o Options) newRun() *figRun {
 		jobs = 1
 	}
 	r := &figRun{o: o, pool: runner.New(jobs)}
-	r.memo.Tiers = []*runner.Tier[string, float64]{{
+	r.memo.Tier = &runner.Tier[string, float64]{
 		Get: func(_ context.Context, key string) (float64, error) {
 			r.mu.Lock()
 			defer r.mu.Unlock()
@@ -327,7 +327,7 @@ func (o Options) newRun() *figRun {
 			r.o.Baselines[key] = v
 			r.mu.Unlock()
 		},
-	}}
+	}
 	return r
 }
 
@@ -338,7 +338,7 @@ func (o Options) newRun() *figRun {
 // is submitted at most once, however many mixes share the application.
 func (r *figRun) baseline(app string) func() (float64, error) {
 	key := fmt.Sprintf("%s|%d|%d|%d", app, r.o.Warmup, r.o.Target, r.o.Seed)
-	if v, _, ok := r.memo.Lookup(r.o.Ctx, key, -1); ok {
+	if v, ok := r.memo.Lookup(r.o.Ctx, key); ok {
 		return func() (float64, error) { return v, nil }
 	}
 	ref := r.o.baseConfig(app) // the reference machine, always

@@ -24,9 +24,6 @@ type CoordinatorConfig struct {
 	// NodeID names the coordinator in its own stats/metrics (default
 	// "coordinator").
 	NodeID string
-	// VNodes is the ring's virtual-node count (default DefaultVNodes); it
-	// must match the workers' peering rings.
-	VNodes int
 	// ProbeInterval is the health-probe period (default 500ms);
 	// ProbeTimeout bounds one probe (default max(ProbeInterval, 500ms) —
 	// a fast cadence should not mistake a briefly slow worker for a dead
@@ -46,9 +43,6 @@ type CoordinatorConfig struct {
 func (c CoordinatorConfig) withDefaults() CoordinatorConfig {
 	if c.NodeID == "" {
 		c.NodeID = "coordinator"
-	}
-	if c.VNodes <= 0 {
-		c.VNodes = DefaultVNodes
 	}
 	if c.ProbeInterval <= 0 {
 		c.ProbeInterval = 500 * time.Millisecond
@@ -122,7 +116,7 @@ func NewCoordinator(cfg CoordinatorConfig) *Coordinator {
 		client:    &http.Client{Timeout: cfg.ProbeTimeout},
 		log:       cfg.Logger,
 		byID:      map[string]*member{},
-		ring:      NewRing(cfg.VNodes),
+		ring:      NewRing(DefaultVNodes),
 		startedAt: time.Now(),
 		stop:      make(chan struct{}),
 		done:      make(chan struct{}),
@@ -466,7 +460,6 @@ type FleetStatus struct {
 	UptimeSeconds float64        `json:"uptime_seconds"`
 	Workers       int            `json:"workers"`
 	ReadyWorkers  int            `json:"ready_workers"`
-	VNodes        int            `json:"vnodes"`
 	Forwards      uint64         `json:"forwards"`
 	ForwardErrors uint64         `json:"forward_errors"`
 	NoOwner       uint64         `json:"no_owner_rejections"`
@@ -486,7 +479,6 @@ func (c *Coordinator) Status() FleetStatus {
 		UptimeSeconds: time.Since(c.startedAt).Seconds(),
 		Workers:       len(c.members),
 		ReadyWorkers:  c.ring.Len(),
-		VNodes:        c.cfg.VNodes,
 		Forwards:      c.mForwards.Value(),
 		ForwardErrors: c.mErrors.Value(),
 		NoOwner:       c.mNoOwner.Value(),

@@ -4,12 +4,9 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"errors"
 	"log/slog"
 	"net/http"
 	"net/http/httptest"
-	"os"
-	"path/filepath"
 	"reflect"
 	"strings"
 	"sync/atomic"
@@ -21,7 +18,6 @@ import (
 	"smtdram/internal/obs"
 	"smtdram/internal/server"
 	"smtdram/internal/server/client"
-	"smtdram/internal/store"
 )
 
 type testLogWriter struct{ t *testing.T }
@@ -59,25 +55,6 @@ func directBytes(t *testing.T, req server.SimRequest) []byte {
 		t.Fatal(err)
 	}
 	return b
-}
-
-// seedOwnedBy walks seeds until one's shard key lands on wantOwner in a ring
-// over nodes — deterministic, since ring placement is.
-func seedOwnedBy(t *testing.T, wantOwner string, nodes ...string) (int64, server.SimRequest) {
-	t.Helper()
-	ring := fleet.NewRing(fleet.DefaultVNodes, nodes...)
-	for seed := int64(1); seed < 10_000; seed++ {
-		req := smallSim(seed)
-		key, err := req.ShardKey()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if owner, ok := ring.Owner(key); ok && owner == wantOwner {
-			return seed, req
-		}
-	}
-	t.Fatalf("no seed in [1,10000) lands on %s", wantOwner)
-	return 0, server.SimRequest{}
 }
 
 func startFleet(t *testing.T, cfg fleet.LocalConfig) *fleet.LocalFleet {
@@ -209,128 +186,6 @@ func TestFleetCancelForwarding(t *testing.T) {
 	}
 	if st.State != server.StateCancelled {
 		t.Fatalf("state after cancel = %s, want cancelled", st.State)
-	}
-}
-
-// TestFleetPeering: a key owned by w3 but computed and stored on w1 is
-// served to w3 over the peer protocol — a cross-node cache hit, byte-identical
-// to a direct run.
-func TestFleetPeering(t *testing.T) {
-	f := startFleet(t, fleet.LocalConfig{
-		Nodes: []fleet.LocalNode{
-			{ID: "w1", DataDir: t.TempDir()},
-			{ID: "w2", DataDir: t.TempDir()},
-			{ID: "w3", DataDir: t.TempDir()},
-		},
-		Worker: server.Config{Logger: testLogger(t), CacheEntries: -1},
-	})
-	_, req := seedOwnedBy(t, "w3", "w1", "w2", "w3")
-	want := directBytes(t, req)
-
-	// Seed the entry on w1 by submitting to it directly (workers are full
-	// daemons; direct submissions bypass the ring on purpose here).
-	_, seeded := submitAndWait(t, client.New(f.Workers[0].URL), req)
-	if !bytes.Equal(seeded, want) {
-		t.Fatal("seeding run differs from direct run")
-	}
-
-	st, got := submitAndWait(t, client.New(f.CoordURL), req)
-	if node := fleet.NodeOfJobID(st.ID); node != "w3" {
-		t.Fatalf("coordinator routed to %s, ring says w3", node)
-	}
-	if !st.Peer {
-		t.Fatalf("w3's job not marked as a peer hit: %+v", st)
-	}
-	if !bytes.Equal(got, want) {
-		t.Fatal("peer-served result differs from direct run")
-	}
-	stats, err := client.New(f.Workers[2].URL).Stats(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if stats.Peer.Hits == 0 {
-		t.Fatal("w3 reports no peer hits")
-	}
-}
-
-// TestFleetPeerCorruptQuarantinedAndRecomputed: when the only copy of an
-// entry is corrupt on its holder's disk, the holder quarantines it and
-// reports a miss — corrupt bytes never cross the wire — and the requesting
-// worker recomputes locally, still byte-identical.
-func TestFleetPeerCorruptQuarantinedAndRecomputed(t *testing.T) {
-	w1dir := t.TempDir()
-	f := startFleet(t, fleet.LocalConfig{
-		Nodes: []fleet.LocalNode{
-			{ID: "w1", DataDir: w1dir},
-			{ID: "w2", DataDir: t.TempDir()},
-			{ID: "w3", DataDir: t.TempDir()},
-		},
-		Worker: server.Config{Logger: testLogger(t), CacheEntries: -1},
-	})
-	_, req := seedOwnedBy(t, "w3", "w1", "w2", "w3")
-	want := directBytes(t, req)
-	_, _ = submitAndWait(t, client.New(f.Workers[0].URL), req)
-
-	// Flip one payload byte in w1's on-disk entry, the only one it holds.
-	entries, err := filepath.Glob(filepath.Join(w1dir, "*.res"))
-	if err != nil || len(entries) != 1 {
-		t.Fatalf("w1 holds store entries %v (err %v), want exactly one", entries, err)
-	}
-	path := entries[0]
-	b, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatalf("reading w1's store entry: %v", err)
-	}
-	b[len(b)-8] ^= 0xff
-	if err := os.WriteFile(path, b, 0o644); err != nil {
-		t.Fatal(err)
-	}
-
-	st, got := submitAndWait(t, client.New(f.CoordURL), req)
-	if st.Peer {
-		t.Fatal("corrupt entry was served as a peer hit")
-	}
-	if !bytes.Equal(got, want) {
-		t.Fatal("recomputed result differs from direct run")
-	}
-	w1stats, err := client.New(f.Workers[0].URL).Stats(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if w1stats.Store.Corrupt == 0 {
-		t.Fatal("w1 never detected the corrupt entry")
-	}
-	quarantined, err := os.ReadDir(filepath.Join(w1dir, "quarantine"))
-	if err != nil || len(quarantined) == 0 {
-		t.Fatalf("corrupt entry not quarantined (err=%v, files=%d)", err, len(quarantined))
-	}
-	w3stats, err := client.New(f.Workers[2].URL).Stats(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if w3stats.Peer.Hits != 0 {
-		t.Fatal("w3 counted a peer hit for a corrupt-only key")
-	}
-}
-
-// TestPeerClientRejectsCorruptWire: entries that fail CRC or carry the wrong
-// key are refused at the fetching side, reported as ErrPeerCorrupt.
-func TestPeerClientRejectsCorruptWire(t *testing.T) {
-	garbage := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		_, _ = w.Write([]byte("not a framed entry"))
-	}))
-	defer garbage.Close()
-	wrongKey := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		_, _ = w.Write(store.EncodeEntry("some-other-key", nil, []byte(`{"x":1}`)))
-	}))
-	defer wrongKey.Close()
-
-	for name, url := range map[string]string{"garbage": garbage.URL, "wrong key": wrongKey.URL} {
-		p := fleet.NewPeerClient("self", map[string]string{"peer": url}, 0, time.Second, testLogger(t))
-		_, _, err := p.Fetch(context.Background(), "the-key")
-		if !errors.Is(err, server.ErrPeerCorrupt) {
-			t.Errorf("%s: Fetch err = %v, want ErrPeerCorrupt", name, err)
-		}
 	}
 }
 

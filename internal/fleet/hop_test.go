@@ -2,14 +2,9 @@ package fleet_test
 
 import (
 	"context"
-	"errors"
-	"fmt"
-	"net"
 	"net/http"
-	"net/http/httptest"
 	"runtime"
 	"strings"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -64,33 +59,6 @@ func TestForwardedHitBytes(t *testing.T) {
 		per/1024, (m1.Mallocs-m0.Mallocs)/hits, m1.NumGC-m0.NumGC, hits)
 	if per > bound {
 		t.Fatalf("a forwarded warm hit allocates %.1f KB, bound %d KB", per/1024, bound>>10)
-	}
-}
-
-// TestPeerMissReusesConnection: a peer's 404 answer is read before its body is
-// closed, so one keep-alive connection serves every miss. A body closed unread
-// makes the transport drop the connection and dial anew on the next miss.
-func TestPeerMissReusesConnection(t *testing.T) {
-	peer := server.New(server.Config{NodeID: "w2"})
-	defer peer.Close()
-	var conns atomic.Int64
-	ts := httptest.NewUnstartedServer(peer.Handler())
-	ts.Config.ConnState = func(_ net.Conn, s http.ConnState) {
-		if s == http.StateNew {
-			conns.Add(1)
-		}
-	}
-	ts.Start()
-	defer ts.Close()
-
-	p := fleet.NewPeerClient("w1", map[string]string{"w2": ts.URL}, 0, 0, nil)
-	for i := 0; i < 20; i++ {
-		if _, _, err := p.Fetch(context.Background(), fmt.Sprintf("sim|missing-%d", i)); !errors.Is(err, server.ErrPeerMiss) {
-			t.Fatalf("miss %d: err = %v, want ErrPeerMiss", i, err)
-		}
-	}
-	if n := conns.Load(); n != 1 {
-		t.Fatalf("20 peer misses opened %d connections, want 1", n)
 	}
 }
 

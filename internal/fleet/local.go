@@ -12,13 +12,13 @@ import (
 
 // This file is the in-process fleet harness: N worker daemons and one
 // coordinator on loopback listeners, wired exactly as cmd/smtdramd wires real
-// processes (PeerClient into server.Config.PeerFetch, Quota into Admission,
-// coordinator probing over HTTP). Tests and the fleet benchmark use it so
-// they exercise the same code paths a multi-process deployment runs.
+// processes (Quota into Admission, coordinator probing over HTTP). Tests and
+// the fleet benchmark use it so they exercise the same code paths a
+// multi-process deployment runs.
 
 // LocalNode names one worker in a local fleet. Reusing the same ID and
 // DataDir across StartLocal calls models a worker restarting into its old
-// durable store — the basis of the warm-restart and cache-peering stages.
+// durable store — the basis of the warm-restart stage.
 type LocalNode struct {
 	ID      string
 	DataDir string
@@ -28,8 +28,8 @@ type LocalNode struct {
 type LocalConfig struct {
 	// Nodes lists the workers. IDs must be unique and '-'-free.
 	Nodes []LocalNode
-	// Worker is the per-worker daemon config template; NodeID, DataDir, and
-	// PeerFetch are overwritten per node. Admission is installed from Quota
+	// Worker is the per-worker daemon config template; NodeID and DataDir
+	// are overwritten per node. Admission is installed from Quota
 	// when set.
 	Worker server.Config
 	// Quota, when non-zero, gives every worker its own admission gate built
@@ -38,8 +38,6 @@ type LocalConfig struct {
 	// Coordinator carries probe knobs; Workers is filled in with the bound
 	// listener URLs.
 	Coordinator CoordinatorConfig
-	// PeerTimeout bounds one peer-to-peer entry fetch (default 2s).
-	PeerTimeout time.Duration
 }
 
 // LocalWorker is one running worker daemon.
@@ -73,9 +71,9 @@ type LocalFleet struct {
 	coordHS *http.Server
 }
 
-// StartLocal brings up the fleet: every worker listener binds first so each
-// PeerClient knows all peer URLs at construction, then the daemons start,
-// then the coordinator probes them (synchronously once) and begins serving.
+// StartLocal brings up the fleet: every worker listener binds first, then the
+// daemons start, then the coordinator probes them (synchronously once) and
+// begins serving.
 func StartLocal(cfg LocalConfig) (*LocalFleet, error) {
 	if len(cfg.Nodes) == 0 {
 		return nil, fmt.Errorf("fleet: no nodes")
@@ -99,17 +97,9 @@ func StartLocal(cfg LocalConfig) (*LocalFleet, error) {
 
 	f := &LocalFleet{}
 	for i, n := range cfg.Nodes {
-		peers := map[string]string{}
-		for id, u := range urls {
-			if id != n.ID {
-				peers[id] = u
-			}
-		}
 		wcfg := cfg.Worker
 		wcfg.NodeID = n.ID
 		wcfg.DataDir = n.DataDir
-		wcfg.PeerTimeout = cfg.PeerTimeout
-		wcfg.PeerFetch = NewPeerClient(n.ID, peers, cfg.Coordinator.VNodes, cfg.PeerTimeout, cfg.Worker.Logger)
 		if cfg.Quota.RatePerSec > 0 {
 			wcfg.Admission = NewQuota(cfg.Quota)
 		}

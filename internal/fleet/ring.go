@@ -1,10 +1,9 @@
 // Package fleet turns the single-process smtdramd daemon into a horizontally
 // scalable service (DESIGN §16): a coordinator shards submissions across
 // worker daemons via a consistent-hash ring keyed by the same
-// Config.Fingerprint that names results everywhere else, workers fetch warm
-// results from each other peer-to-peer in the durable store's CRC-framed
-// entry format, and per-tenant token buckets sit in front of the existing
-// bounded queue.
+// Config.Fingerprint that names results everywhere else, and per-tenant token
+// buckets sit in front of the existing bounded queue. Each worker keeps its
+// own durable store; a key a worker does not hold is recomputed there.
 //
 // The ring is the load balancer's whole brain: because a fingerprint fully
 // names a result, routing by fingerprint keeps dedup, LRU locality, and
@@ -110,37 +109,12 @@ func (r *Ring) Nodes() []string {
 // Owner returns the node owning key: the first virtual node clockwise from
 // the key's hash. ok is false on an empty ring.
 func (r *Ring) Owner(key string) (node string, ok bool) {
-	owners := r.Owners(key, 1)
-	if len(owners) == 0 {
+	if len(r.points) == 0 {
 		return "", false
 	}
-	return owners[0], true
-}
-
-// Owners returns up to n distinct nodes in ring order starting at key's
-// position — the owner first, then the nodes that would inherit the key if
-// predecessors left. Cache peering asks the first owners other than itself,
-// because after a membership change they are exactly the nodes that held (or
-// hold) the key.
-func (r *Ring) Owners(key string, n int) []string {
-	if len(r.points) == 0 || n <= 0 {
-		return nil
-	}
-	if n > len(r.nodes) {
-		n = len(r.nodes)
-	}
 	h := keyHash(key)
-	start := sort.Search(len(r.points), func(i int) bool { return r.points[i].hash >= h })
-	out := make([]string, 0, n)
-	seen := map[string]bool{}
-	for i := 0; i < len(r.points) && len(out) < n; i++ {
-		p := r.points[(start+i)%len(r.points)]
-		if !seen[p.node] {
-			seen[p.node] = true
-			out = append(out, p.node)
-		}
-	}
-	return out
+	i := sort.Search(len(r.points), func(i int) bool { return r.points[i].hash >= h })
+	return r.points[i%len(r.points)].node, true
 }
 
 // Shares returns each node's share of the keyspace (arc length / 2^64), a

@@ -110,32 +110,6 @@ func TestRingDeterministicOwnership(t *testing.T) {
 			t.Fatalf("key %q owners diverge across rebuilds: %s / %s / %s", k, oa, ob, oc)
 		}
 	}
-}
-
-// TestRingOwners: the successor list is distinct, starts at the owner, and
-// covers the whole membership when asked.
-func TestRingOwners(t *testing.T) {
-	r := NewRing(DefaultVNodes, "w1", "w2", "w3")
-	for _, k := range ringKeys(200) {
-		owner, _ := r.Owner(k)
-		owners := r.Owners(k, 3)
-		if len(owners) != 3 {
-			t.Fatalf("Owners(%q, 3) = %v", k, owners)
-		}
-		if owners[0] != owner {
-			t.Fatalf("Owners[0] = %s, Owner = %s", owners[0], owner)
-		}
-		seen := map[string]bool{}
-		for _, o := range owners {
-			if seen[o] {
-				t.Fatalf("duplicate owner %s in %v", o, owners)
-			}
-			seen[o] = true
-		}
-	}
-	if got := r.Owners("k", 10); len(got) != 3 {
-		t.Fatalf("Owners capped at membership: got %v", got)
-	}
 	if _, ok := NewRing(0).Owner("k"); ok {
 		t.Fatal("empty ring reported an owner")
 	}

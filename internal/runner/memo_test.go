@@ -73,8 +73,8 @@ func TestMemoCapEvictsLRU(t *testing.T) {
 						t.Fatalf("%s = %+v, %v", op, v, err)
 					}
 				case "look":
-					if v, src, ok := memo.Lookup(bg, key, -1); !ok || src != nil || v != lruValOf(key) {
-						t.Fatalf("%s = %+v, src %v, ok %v; want a memory hit", op, v, src, ok)
+					if v, ok := memo.Lookup(bg, key); !ok || v != lruValOf(key) {
+						t.Fatalf("%s = %+v, ok %v; want a memory hit", op, v, ok)
 					}
 				}
 			}
@@ -84,12 +84,12 @@ func TestMemoCapEvictsLRU(t *testing.T) {
 					st.Evictions, st.Entries, computes.Load(), tc.evictions, tc.entries, tc.computes)
 			}
 			for _, key := range strings.Fields(tc.absent) {
-				if _, _, ok := memo.Lookup(bg, key, -1); ok {
+				if _, ok := memo.Lookup(bg, key); ok {
 					t.Fatalf("%q should be gone", key)
 				}
 			}
 			for _, key := range strings.Fields(tc.present) {
-				if v, _, ok := memo.Lookup(bg, key, -1); !ok || v != lruValOf(key) {
+				if v, ok := memo.Lookup(bg, key); !ok || v != lruValOf(key) {
 					t.Fatalf("%q = %+v, %v; want it cached with its sidecar intact", key, v, ok)
 				}
 			}
@@ -288,51 +288,41 @@ func mapTier(m map[string]int, gets *atomic.Int32, gate chan struct{}) *Tier[str
 	}
 }
 
-// TestMemoTiers: Lookup walks memory then the tiers up to its depth, a hit in
-// a later tier is promoted into memory and the tiers before it, a damaged
-// entry counts corrupt and miss and is recomputed, and a computed value is
-// written through to every tier.
-func TestMemoTiers(t *testing.T) {
-	near, far := map[string]int{"bad": -1}, map[string]int{"deep": 4}
-	var nearGets, farGets atomic.Int32
+// TestMemoTier: a tier hit is promoted into memory, so the repeat reads no
+// tier; a damaged entry counts corrupt and miss and is recomputed; a computed
+// value is written through to the tier.
+func TestMemoTier(t *testing.T) {
+	held := map[string]int{"deep": 4, "bad": -1}
+	var gets atomic.Int32
 	var memo Memo[string, int]
-	t0, t1 := mapTier(near, &nearGets, nil), mapTier(far, &farGets, nil)
-	memo.Tiers = []*Tier[string, int]{t0, t1}
+	tier := mapTier(held, &gets, nil)
+	memo.Tier = tier
 	p := New(2)
 
-	if _, _, ok := memo.Lookup(bg, "deep", 1); ok {
-		t.Fatal("a depth-1 Lookup consulted the second tier")
+	if v, ok := memo.Lookup(bg, "deep"); !ok || v != 4 {
+		t.Fatalf("Lookup(deep) = %d, %v; want 4 from the tier", v, ok)
 	}
-	if v, src, ok := memo.Lookup(bg, "deep", -1); !ok || v != 4 || src != t1 {
-		t.Fatalf("Lookup(deep) = %d, %v, %v; want 4 from the far tier", v, src, ok)
-	}
-	if near["deep"] != 4 {
-		t.Fatal("a far-tier hit was not put into the nearer tier")
-	}
-	before := nearGets.Load()
-	if _, src, ok := memo.Lookup(bg, "deep", -1); !ok || src != nil || nearGets.Load() != before {
+	before := gets.Load()
+	if v, ok := memo.Lookup(bg, "deep"); !ok || v != 4 || gets.Load() != before {
 		t.Fatal("a tier hit was not promoted into memory")
 	}
 
 	if v, err := memoGet(&memo, p, "bad", func() (int, error) { return 3, nil }); v != 3 || err != nil {
 		t.Fatalf("Do over a damaged entry = %d, %v", v, err)
 	}
-	if near["bad"] != 3 || far["bad"] != 3 {
-		t.Fatalf("computed value not written through: near=%d far=%d", near["bad"], far["bad"])
+	if held["bad"] != 3 {
+		t.Fatalf("computed value not written through: tier holds %d", held["bad"])
 	}
-	if st := t0.Stats(); st.Hits != 0 || st.Corrupt != 1 || st.Misses != 3 {
-		t.Fatalf("near tier stats = %+v, want 0 hits, 1 corrupt, 3 misses", st)
+	if st := tier.Stats(); st.Hits != 1 || st.Corrupt != 1 || st.Misses != 1 {
+		t.Fatalf("tier stats = %+v, want 1 hit, 1 corrupt, 1 miss", st)
 	}
-	if st := t1.Stats(); st.Hits != 1 || st.Misses != 1 {
-		t.Fatalf("far tier stats = %+v, want 1 hit, 1 miss", st)
-	}
-	if st := memo.Stats(); st.Hits != 2 || st.Misses != 2 || st.Starts != 1 {
-		t.Fatalf("memo stats = %+v, want 2 hits, 2 misses (a shallow Lookup, Do's Lookup) and 1 start", st)
+	if st := memo.Stats(); st.Hits != 2 || st.Misses != 1 || st.Starts != 1 {
+		t.Fatalf("memo stats = %+v, want 2 hits, 1 miss (Do's Lookup) and 1 start", st)
 	}
 }
 
 // TestMemoConcurrentLookupsProbeOnce: identical concurrent misses read the
-// tiers once; the rest wait for that probe and share its answer.
+// tier once; the rest wait for that probe and share its answer.
 func TestMemoConcurrentLookupsProbeOnce(t *testing.T) {
 	for _, held := range []bool{true, false} {
 		tier := map[string]int{}
@@ -343,7 +333,7 @@ func TestMemoConcurrentLookupsProbeOnce(t *testing.T) {
 		gate := make(chan struct{})
 		var memo Memo[string, int]
 		memo.SetCap(-1) // nothing retained: the waiters must get the probe's own answer
-		memo.Tiers = []*Tier[string, int]{mapTier(tier, &gets, gate)}
+		memo.Tier = mapTier(tier, &gets, gate)
 
 		const n = 8
 		var wg, ready sync.WaitGroup
@@ -354,7 +344,7 @@ func TestMemoConcurrentLookupsProbeOnce(t *testing.T) {
 			go func() {
 				defer wg.Done()
 				ready.Done()
-				if v, _, ok := memo.Lookup(bg, "k", -1); ok && v == 5 {
+				if v, ok := memo.Lookup(bg, "k"); ok && v == 5 {
 					hits.Add(1)
 				}
 			}()
@@ -369,5 +359,42 @@ func TestMemoConcurrentLookupsProbeOnce(t *testing.T) {
 		if want := map[bool]int32{true: n, false: 0}[held]; hits.Load() != want {
 			t.Fatalf("held=%v: %d of %d lookups hit, want %d", held, hits.Load(), n, want)
 		}
+	}
+}
+
+// TestMemoLookupLeavesProbeOnCancel: a Lookup whose context ends while
+// another Lookup reads the tier returns a miss without waiting for the read,
+// and the read still answers its own caller. The tier is released from a
+// goroutine started before the cancelled Lookup, so nothing orders that
+// Lookup's read of the probe against the probe's write of its answer; under
+// -race only the memo's lock can.
+func TestMemoLookupLeavesProbeOnCancel(t *testing.T) {
+	var gets atomic.Int32
+	gate := make(chan struct{})
+	var memo Memo[string, int]
+	memo.Tier = mapTier(map[string]int{"k": 5}, &gets, gate)
+
+	first := make(chan bool)
+	go func() {
+		v, ok := memo.Lookup(bg, "k")
+		first <- ok && v == 5
+	}()
+	for gets.Load() == 0 {
+		time.Sleep(time.Millisecond)
+	}
+	go func() {
+		time.Sleep(100 * time.Millisecond) // far longer than the cancelled Lookup takes
+		close(gate)
+	}()
+	ctx, cancel := context.WithCancel(bg)
+	cancel()
+	if _, ok := memo.Lookup(ctx, "k"); ok {
+		t.Fatal("a cancelled Lookup reported a hit before the tier answered")
+	}
+	if !<-first {
+		t.Fatal("the probing Lookup missed")
+	}
+	if n := gets.Load(); n != 1 {
+		t.Fatalf("tier read %d times, want once", n)
 	}
 }

@@ -202,10 +202,10 @@ func SubmitNamedCtx[T any](p *Pool, ctx context.Context, name string, fn func(co
 // as a miss, and the value is recomputed.
 var ErrMiss = errors.New("runner: memo tier miss")
 
-// Tier is one slower level behind a Memo's memory: a disk store, a fleet
-// peer, a caller-owned map. Get may block on IO and must honour ctx; Put (nil
-// for a read-only tier) receives every value the memo computes or finds in a
-// later tier. Both run with no memo lock held.
+// Tier is the slower level behind a Memo's memory: a disk store or a
+// caller-owned map. Get may block on IO and must honour ctx; Put (nil for a
+// read-only tier) receives every value the memo computes. Both run with no
+// memo lock held.
 type Tier[K comparable, V any] struct {
 	Get func(ctx context.Context, key K) (V, error)
 	Put func(key K, v V)
@@ -225,7 +225,7 @@ func (t *Tier[K, V]) Stats() TierStats {
 }
 
 // MemoStats is a Memo's one counter set. Hits counts Lookups and Joins
-// answered without computing (from memory or a tier), Misses Lookups that
+// answered without computing (from memory or the tier), Misses Lookups that
 // found nothing, Joins callers that attached to a computation in flight,
 // Starts computations started, Evictions resolved entries shed by the cap;
 // Entries is the table size, computations in flight included.
@@ -236,11 +236,11 @@ type MemoStats struct {
 
 // Memo is the repo's one keyed memoization mechanism: a concurrency-safe
 // table of resolved values in LRU order and computations in flight, with
-// optional slower tiers behind it. The daemon's result cache, its
+// an optional slower tier behind it. The daemon's result cache, its
 // warmup-checkpoint cache and a figure sweep's alone-IPC baselines are all
-// instances. The zero Memo is ready to use: unbounded, no tiers.
+// instances. The zero Memo is ready to use: unbounded, no tier.
 //
-// Lookup answers from memory, then the tiers, and never computes. Join
+// Lookup answers from memory, then the tier, and never computes. Join
 // attaches the caller to the key's computation, starting it when there is
 // none; Do is Lookup, then Join, then Wait. A computation runs under a
 // context the memo owns: each attached caller waits under its own, and the
@@ -250,15 +250,15 @@ type MemoStats struct {
 // recomputes. A computation in flight is never evicted, so the table can
 // exceed its cap while more than cap of them are airborne.
 type Memo[K comparable, V any] struct {
-	// Tiers are the levels behind memory, fastest first; set before first
-	// use. A value found in tier i is put into memory and tiers 0..i-1, a
-	// computed value into memory and every tier.
-	Tiers []*Tier[K, V]
+	// Tier is the one level behind memory, nil for none; set before first
+	// use. A value found there is put into memory, a computed value into
+	// memory and the tier.
+	Tier *Tier[K, V]
 
 	mu      sync.Mutex
 	cap     int // 0 unbounded, < 0 retain nothing
 	table   map[K]*memoEntry[K, V]
-	probing map[K]*memoProbe[K, V]
+	probing map[K]*memoProbe[V]
 	lru     list.List // resolved entries, most recent first; values are *memoEntry[K, V]
 	stats   MemoStats
 }
@@ -271,14 +271,13 @@ type memoEntry[K comparable, V any] struct {
 	flight *Flight[V]
 }
 
-// memoProbe is one Lookup reading the tiers for a key; identical concurrent
-// Lookups wait for it instead of repeating the IO.
-type memoProbe[K comparable, V any] struct {
-	done  chan struct{}
-	depth int
-	val   V
-	src   *Tier[K, V]
-	ok    bool
+// memoProbe is one Lookup reading the tier for a key; identical concurrent
+// Lookups wait for it instead of repeating the IO. val and ok are written
+// under the memo's mu.
+type memoProbe[V any] struct {
+	done chan struct{}
+	val  V
+	ok   bool
 }
 
 // Flight is a caller's handle on one computation. Every Join is matched by
@@ -366,32 +365,24 @@ func (m *Memo[K, V]) insertLocked(e *memoEntry[K, V]) {
 	}
 }
 
-// Lookup answers key from memory or, failing that, from the first depth
-// tiers (depth < 0: all of them), promoting a tier hit into memory and the
-// tiers before it. It never computes and never waits for a computation: a key
-// in flight is a miss. src is the tier that answered, nil for memory.
-// Concurrent Lookups of one key read the tiers once.
-func (m *Memo[K, V]) Lookup(ctx context.Context, key K, depth int) (v V, src *Tier[K, V], ok bool) {
-	if depth < 0 || depth > len(m.Tiers) {
-		depth = len(m.Tiers)
-	}
+// Lookup answers key from memory or, failing that, from the tier, promoting
+// a tier hit into memory. It never computes and never waits for a
+// computation: a key in flight is a miss. Concurrent Lookups of one key read
+// the tier once.
+func (m *Memo[K, V]) Lookup(ctx context.Context, key K) (v V, ok bool) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	for {
-		if e := m.table[key]; e != nil {
-			if e.elem == nil {
-				break // in flight: whoever started it already missed the tiers
-			}
+	if e := m.table[key]; e != nil {
+		if e.elem != nil {
 			m.lru.MoveToFront(e.elem)
 			m.stats.Hits++
-			return e.val, nil, true
+			return e.val, true
 		}
+		// In flight: whoever started it already missed the tier.
+	} else if m.Tier != nil {
 		p := m.probing[key]
 		if p == nil {
-			if depth == 0 {
-				break
-			}
-			p = m.probeLocked(ctx, key, depth)
+			p = m.probeLocked(ctx, key)
 		} else {
 			m.mu.Unlock()
 			select {
@@ -402,54 +393,44 @@ func (m *Memo[K, V]) Lookup(ctx context.Context, key K, depth int) (v V, src *Ti
 		}
 		if p.ok {
 			m.stats.Hits++
-			return p.val, p.src, true
-		}
-		if p.depth >= depth || ctx.Err() != nil {
-			break
+			return p.val, true
 		}
 	}
 	m.stats.Misses++
-	return v, nil, false
+	return v, false
 }
 
-// probeLocked reads the first depth tiers for key on behalf of every
-// concurrent Lookup of it. Called with m.mu held; the IO runs unlocked.
-func (m *Memo[K, V]) probeLocked(ctx context.Context, key K, depth int) *memoProbe[K, V] {
-	p := &memoProbe[K, V]{done: make(chan struct{}), depth: depth}
+// probeLocked reads the tier for key on behalf of every concurrent Lookup of
+// it. Called with m.mu held; the IO runs unlocked, and the probe's outcome is
+// published under m.mu so a waiter that gave up early reads it safely.
+func (m *Memo[K, V]) probeLocked(ctx context.Context, key K) *memoProbe[V] {
+	p := &memoProbe[V]{done: make(chan struct{})}
 	if m.probing == nil {
-		m.probing = make(map[K]*memoProbe[K, V])
+		m.probing = make(map[K]*memoProbe[V])
 	}
 	m.probing[key] = p
 	m.mu.Unlock()
-	for i, t := range m.Tiers[:depth] {
-		v, err := t.Get(ctx, key)
-		if err != nil {
-			t.misses.Add(1)
-			if !errors.Is(err, ErrMiss) {
-				t.corrupt.Add(1)
-			}
-			continue
-		}
+	t := m.Tier
+	v, err := t.Get(ctx, key)
+	switch {
+	case err == nil:
 		t.hits.Add(1)
-		p.val, p.src, p.ok = v, t, true
-		m.putTiers(m.Tiers[:i], key, v)
-		break
+	case errors.Is(err, ErrMiss):
+		t.misses.Add(1)
+	default:
+		t.misses.Add(1)
+		t.corrupt.Add(1)
 	}
 	m.mu.Lock()
 	delete(m.probing, key)
-	if p.ok && m.table[key] == nil {
-		m.insertLocked(&memoEntry[K, V]{key: key, val: p.val})
+	if err == nil {
+		p.val, p.ok = v, true
+		if m.table[key] == nil {
+			m.insertLocked(&memoEntry[K, V]{key: key, val: v})
+		}
 	}
 	close(p.done)
 	return p
-}
-
-func (m *Memo[K, V]) putTiers(tiers []*Tier[K, V], key K, v V) {
-	for _, t := range tiers {
-		if t.Put != nil {
-			t.Put(key, v)
-		}
-	}
 }
 
 // Outcome says how a Join attached its caller.
@@ -462,7 +443,7 @@ const (
 )
 
 // Join attaches the caller to key's computation, starting fn on p when none
-// is in flight. It does not read the tiers (Lookup does). parent supplies the
+// is in flight. It does not read the tier (Lookup does). parent supplies the
 // computation's context values and an outer cancellation — a server's
 // shutdown, a sweep's context — but never a single caller's: callers come and
 // go through Wait and Leave.
@@ -521,21 +502,21 @@ func (m *Memo[K, V]) Join(parent context.Context, p *Pool, key K, fn func(contex
 				panic(r) // guard turns it into the future's PanicError
 			}
 		}()
-		if v, err = fn(ctx); err == nil {
+		if v, err = fn(ctx); err == nil && m.Tier != nil && m.Tier.Put != nil {
 			// Write through before the future resolves: a waiter that sees
 			// the value may promise it is durable.
-			m.putTiers(m.Tiers, key, v)
+			m.Tier.Put(key, v)
 		}
 		return v, err
 	})
 	return f, Started
 }
 
-// Do returns key's value: from memory or a tier if present, else by joining
+// Do returns key's value: from memory or the tier if present, else by joining
 // or starting the single computation fn. The computation inherits ctx's
 // values but not its cancellation; ctx only bounds this caller's wait.
 func (m *Memo[K, V]) Do(ctx context.Context, p *Pool, key K, fn func(context.Context) (V, error)) (V, error) {
-	if v, _, ok := m.Lookup(ctx, key, -1); ok {
+	if v, ok := m.Lookup(ctx, key); ok {
 		return v, nil
 	}
 	f, _ := m.Join(context.WithoutCancel(ctx), p, key, fn)

@@ -171,7 +171,7 @@ func (s *Server) recoverFromJournal() {
 			// Done jobs rehydrate from the store; interrupted jobs whose
 			// fingerprint already has a stored result (a sibling finished
 			// and persisted before the crash) rehydrate the same way.
-			if res, _, ok := s.results.Lookup(s.baseCtx, f.fp, s.localDepth()); ok {
+			if res, ok := s.results.Lookup(s.baseCtx, f.fp); ok {
 				s.rehydrateTerminal(id, f.kind, f.fp, StateDone, "", res)
 				s.recRehydrated++
 				// Keep the (tiny) request in the compacted record: if the

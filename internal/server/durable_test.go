@@ -281,3 +281,77 @@ func TestRestartCompactsJournal(t *testing.T) {
 		t.Fatalf("compacted journal has %d records for %s, want 1 (journal: %+v)", n, st.ID, recs)
 	}
 }
+
+// TestCorruptStoreEntryRecomputed: a result entry damaged on disk is never
+// served. After a restart the store's CRC catches the flipped byte, moves the
+// file under quarantine/ and reports it corrupt; the job is recomputed, and
+// both the recovered job and a fresh submission answer the first run's bytes.
+func TestCorruptStoreEntryRecomputed(t *testing.T) {
+	dir := t.TempDir()
+	req := smallSim()
+	ctx := context.Background()
+
+	srv1, c1 := newTestDaemon(t, server.Config{DataDir: dir, Logger: testLogger(t)})
+	st, err := c1.SubmitSim(ctx, req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st, err = c1.Wait(ctx, st.ID, 0); err != nil || st.State != server.StateDone {
+		t.Fatalf("first run: state %s, err %v", st.State, err)
+	}
+	want, err := c1.Result(ctx, st.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv1.Close()
+
+	// Flip one payload byte in the one entry the store holds.
+	entries, err := filepath.Glob(filepath.Join(dir, "*.res"))
+	if err != nil || len(entries) != 1 {
+		t.Fatalf("store entries %v (err %v), want exactly one", entries, err)
+	}
+	b, err := os.ReadFile(entries[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	b[len(b)-8] ^= 0xff
+	if err := os.WriteFile(entries[0], b, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	_, c2 := newTestDaemon(t, server.Config{DataDir: dir, Logger: testLogger(t)})
+	if rec, err := c2.Wait(ctx, st.ID, 0); err != nil || rec.State != server.StateDone {
+		t.Fatalf("recovered job: state %s, err %v", rec.State, err)
+	}
+	st2, err := c2.SubmitSim(ctx, req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st2, err = c2.Wait(ctx, st2.ID, 0); err != nil || st2.State != server.StateDone {
+		t.Fatalf("resubmission: state %s, err %v", st2.State, err)
+	}
+	for _, id := range []string{st.ID, st2.ID} {
+		got, err := c2.Result(ctx, id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if string(got) != string(want) {
+			t.Fatalf("job %s after the corrupt entry:\n got %s\nwant %s", id, got, want)
+		}
+	}
+
+	stats, err := c2.Stats(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if stats.Store.Corrupt != 1 || stats.Store.Hits != 0 {
+		t.Fatalf("store = %+v, want 1 corrupt read and no hit", stats.Store)
+	}
+	if stats.Skip.SimRuns != 1 {
+		t.Fatalf("restarted daemon ran %d simulations, want the one recompute", stats.Skip.SimRuns)
+	}
+	quarantined, err := os.ReadDir(filepath.Join(dir, "quarantine"))
+	if err != nil || len(quarantined) != 1 {
+		t.Fatalf("quarantine holds %d files (err %v), want the corrupt entry", len(quarantined), err)
+	}
+}

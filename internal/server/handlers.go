@@ -261,3 +261,34 @@ func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 	}
 	writeJSON(w, code, rep)
 }
+
+// Role reports how this daemon presents in a fleet: "worker" when it has a
+// node identity, "single" otherwise. (The coordinator is its own process and
+// reports "coordinator".)
+func (s *Server) Role() string {
+	if s.cfg.NodeID != "" {
+		return "worker"
+	}
+	return "single"
+}
+
+// NodeSelf is the /v1/fleet/self payload: the identity probe the coordinator
+// uses to learn a worker's node id and readiness in one round trip.
+type NodeSelf struct {
+	NodeID        string   `json:"node_id"`
+	Role          string   `json:"role"`
+	Ready         bool     `json:"ready"`
+	Reasons       []string `json:"reasons,omitempty"`
+	UptimeSeconds float64  `json:"uptime_seconds"`
+}
+
+func (s *Server) handleFleetSelf(w http.ResponseWriter, r *http.Request) {
+	rep := s.readiness()
+	writeJSON(w, http.StatusOK, NodeSelf{
+		NodeID:        s.cfg.NodeID,
+		Role:          s.Role(),
+		Ready:         rep.Ready,
+		Reasons:       rep.Reasons,
+		UptimeSeconds: time.Since(s.startedAt).Seconds(),
+	})
+}

@@ -26,7 +26,6 @@ type job struct {
 	created time.Time // submit-entry instant; anchors the phase accounting
 	deduped bool
 	cached  bool
-	peer    bool
 
 	// Tracing state, written under Server.mu before the job is reachable (or,
 	// for simEvents, by awaitFlight under Server.mu before detaching): the
@@ -67,7 +66,7 @@ func (j *job) status(includeResult bool) JobStatus {
 	defer j.mu.Unlock()
 	st := JobStatus{
 		ID: j.id, Kind: j.kind, State: j.state, Fingerprint: j.fp,
-		Cached: j.cached, Deduped: j.deduped, Peer: j.peer, Error: j.errMsg,
+		Cached: j.cached, Deduped: j.deduped, Error: j.errMsg,
 		Progress: j.progress,
 	}
 	if j.state == StateDone {

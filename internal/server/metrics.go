@@ -11,7 +11,7 @@ import (
 // Counters are internally atomic; gauges and histograms are single-writer, so
 // metricsMu guards every histogram observation and every render. metricsMu
 // nests OUTSIDE s.mu: never acquire it while holding s.mu. The result memo,
-// its tiers and the checkpoint cache keep their own tallies; the registry
+// its disk tier and the checkpoint cache keep their own tallies; the registry
 // reads those directly (obs.Registry.CounterFunc).
 type metrics struct {
 	metricsMu  sync.Mutex
@@ -34,11 +34,8 @@ type metrics struct {
 	mStoreWriteErrors *obs.Counter
 	mJournalRecords   *obs.Counter
 	mJournalErrors    *obs.Counter
-	// Fleet counters: entries served to peers, and submissions shed by
-	// tenant quota.
-	mPeerServed      *obs.Counter
-	mPeerServeMisses *obs.Counter
-	mQuotaRejected   *obs.Counter
+	// Submissions shed by tenant quota.
+	mQuotaRejected *obs.Counter
 	// End-to-end latency splits by how the job was answered: served (a real
 	// run, or joining one) vs cache (answered from the memo). Folding both
 	// into one histogram would poison the percentiles — cache hits are ~0 ms.
@@ -92,25 +89,20 @@ func (s *Server) registerMetrics() {
 	s.vitals = obs.RegisterRuntimeMetrics(s.reg)
 	// The result memo counts per lookup: a submission is one Lookup, plus a
 	// hit if the post-admission Join finds a result that landed in between;
-	// a peer's ask and a recovery probe are lookups too.
+	// a recovery probe is a lookup too.
 	s.reg.CounterFunc("cache_hits_total", func() uint64 { return s.results.Stats().Hits })
 	s.reg.CounterFunc("cache_misses_total", func() uint64 { return s.results.Stats().Misses })
 	s.mSkipRuns = s.reg.Counter("sim_skip_reports_total")
 	s.mCyclesSkipped = s.reg.Counter("sim_cycles_skipped_total")
 	s.mCyclesWall = s.reg.Counter("sim_cycles_wall_total")
-	// Tier lookups: a corrupt entry counts both corrupt and miss. A tier the
-	// daemon was not configured with is nil and reads zero.
-	s.reg.CounterFunc("store_hits_total", func() uint64 { return s.storeTier.Stats().Hits })
-	s.reg.CounterFunc("store_misses_total", func() uint64 { return s.storeTier.Stats().Misses })
-	s.reg.CounterFunc("store_corrupt_total", func() uint64 { return s.storeTier.Stats().Corrupt })
+	// Disk-tier lookups: a corrupt entry counts both corrupt and miss. With no
+	// store the tier is nil and reads zero.
+	s.reg.CounterFunc("store_hits_total", func() uint64 { return s.results.Tier.Stats().Hits })
+	s.reg.CounterFunc("store_misses_total", func() uint64 { return s.results.Tier.Stats().Misses })
+	s.reg.CounterFunc("store_corrupt_total", func() uint64 { return s.results.Tier.Stats().Corrupt })
 	s.mStoreWriteErrors = s.reg.Counter("store_write_errors_total")
 	s.mJournalRecords = s.reg.Counter("journal_records_total")
 	s.mJournalErrors = s.reg.Counter("journal_errors_total")
-	s.reg.CounterFunc("peer_hits_total", func() uint64 { return s.peerTier.Stats().Hits })
-	s.reg.CounterFunc("peer_misses_total", func() uint64 { return s.peerTier.Stats().Misses })
-	s.reg.CounterFunc("peer_corrupt_total", func() uint64 { return s.peerTier.Stats().Corrupt })
-	s.mPeerServed = s.reg.Counter("peer_served_total")
-	s.mPeerServeMisses = s.reg.Counter("peer_serve_misses_total")
 	s.mQuotaRejected = s.reg.Counter("jobs_quota_rejected_total")
 	s.reg.CounterFunc("checkpoint_hits_total", func() uint64 { return s.checkpoints.Snapshot().Hits })
 	s.reg.CounterFunc("checkpoint_misses_total", func() uint64 { return s.checkpoints.Snapshot().Misses })

@@ -4,14 +4,13 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
-	"time"
 
 	"smtdram/internal/runner"
 	"smtdram/internal/store"
 )
 
 // This file is the daemon's instance of runner.Memo: what a memoized result
-// is, and the two tiers behind memory. Determinism makes the memo cheap to
+// is, and the disk tier behind memory. Determinism makes the memo cheap to
 // trust: a fingerprint fully names a result, so an entry in any tier never
 // goes stale and a re-run produces byte-identical output.
 
@@ -48,30 +47,13 @@ func resultOf(payload, meta []byte) result {
 	return r
 }
 
-// openTiers hangs the configured tiers behind the result memo: the
-// content-addressed disk store, then the fleet's peers. A computed result is
-// written through to the store before any job resolves; a peer hit is
-// written to the store too, so the entry's new owner serves it from disk next
-// time (first-touch anti-entropy).
-func (s *Server) openTiers() {
+// openTier hangs the content-addressed disk store, when open, behind the
+// result memo. A computed result is written through to the store before any
+// job resolves.
+func (s *Server) openTier() {
 	if s.store != nil {
-		s.storeTier = &runner.Tier[string, result]{Get: s.storeGet, Put: s.storePut}
-		s.results.Tiers = append(s.results.Tiers, s.storeTier)
+		s.results.Tier = &runner.Tier[string, result]{Get: s.storeGet, Put: s.storePut}
 	}
-	if s.cfg.PeerFetch != nil {
-		s.peerTier = &runner.Tier[string, result]{Get: s.peerGet}
-		s.results.Tiers = append(s.results.Tiers, s.peerTier)
-	}
-}
-
-// localDepth is the Lookup depth that stops short of the peers: what this
-// node holds itself. A peer's ask and journal recovery use it — asking the
-// fleet on a peer's behalf would bounce the question around the ring.
-func (s *Server) localDepth() int {
-	if s.storeTier != nil {
-		return 1
-	}
-	return 0
 }
 
 // resultFormat prefixes every store key: bump it when Result bytes move under
@@ -104,27 +86,4 @@ func (s *Server) storePut(fp string, r result) {
 				"fp", fp, "err", err)
 		}
 	}
-}
-
-// peerGet asks the fleet for the key's previous owner's copy: membership
-// changed, or the sweep warmed a sibling. The transfer is CRC-verified; an
-// entry that fails it reports corrupt and is recomputed locally — corrupt
-// bytes are never served.
-func (s *Server) peerGet(ctx context.Context, fp string) (result, error) {
-	timeout := s.cfg.PeerTimeout
-	if timeout <= 0 {
-		timeout = 2 * time.Second
-	}
-	ctx, cancel := context.WithTimeout(ctx, timeout)
-	defer cancel()
-	payload, meta, err := s.cfg.PeerFetch.Fetch(ctx, fp)
-	switch {
-	case err == nil:
-		s.log.Info("peer cache hit", "fp", fp)
-		return resultOf(payload, meta), nil
-	case errors.Is(err, ErrPeerCorrupt):
-		s.log.Warn("peer entry corrupt; recomputing locally", "fp", fp, "err", err)
-		return result{}, err
-	}
-	return result{}, runner.ErrMiss
 }

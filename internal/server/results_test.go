@@ -14,7 +14,7 @@ import (
 )
 
 // These tests drive the daemon's own instance of runner.Memo — Config's
-// CacheEntries bound, the bytes-plus-skip value, the store and peer tiers —
+// CacheEntries bound, the bytes-plus-skip value, the store tier —
 // not the memo's mechanics, which internal/runner's table covers.
 
 // cacheOf builds a daemon with the given CacheEntries and returns add/get over
@@ -31,7 +31,7 @@ func cacheOf(t *testing.T, entries int) (s *Server, add func(string, string, *Sk
 		}
 	}
 	get = func(key string) (result, bool) {
-		r, _, ok := s.results.Lookup(context.Background(), key, 0)
+		r, ok := s.results.Lookup(context.Background(), key)
 		return r, ok
 	}
 	return s, add, get
@@ -109,43 +109,6 @@ func TestLRUDisabled(t *testing.T) {
 	}
 }
 
-// TestPeerAskPromotesStoreHit: a peer's ask answered from the disk tier is
-// promoted into memory, so a hot re-owned key is read from disk once — and the
-// ask never goes on to this node's own peers.
-func TestPeerAskPromotesStoreHit(t *testing.T) {
-	dir := t.TempDir()
-	st, err := store.Open(dir, store.FsyncOff)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := result{val: []byte(`{"v":1}`), skip: &SkipInfo{Skipped: 8, Wall: 10, Rate: 0.8}}
-	if err := st.Put(resultFormat+"fp-owned", want.val, want.meta()); err != nil {
-		t.Fatal(err)
-	}
-	peers := &countingPeers{}
-	s := New(Config{Workers: 1, DataDir: dir, NodeID: "w1", PeerFetch: peers})
-	defer s.Close()
-
-	for i, url := range []string{"/v1/peer/result?key=fp-owned", "/v1/peer/result?key=fp-owned", "/v1/peer/result?key=fp-absent"} {
-		rec := httptest.NewRecorder()
-		s.handlePeerResult(rec, httptest.NewRequest(http.MethodGet, url, nil))
-		if i < 2 {
-			key, meta, payload, err := store.DecodeEntry(rec.Body.Bytes())
-			if rec.Code != http.StatusOK || err != nil || key != "fp-owned" || string(payload) != string(want.val) || string(meta) != string(want.meta()) {
-				t.Fatalf("ask %d: code %d, entry %q/%q/%q, %v", i, rec.Code, key, meta, payload, err)
-			}
-		} else if rec.Code != http.StatusNotFound {
-			t.Fatalf("ask for an absent key: code %d, want 404", rec.Code)
-		}
-	}
-	if disk := s.storeTier.Stats(); disk.Hits != 1 || disk.Misses != 1 {
-		t.Fatalf("disk tier = %+v, want 1 hit (the repeat came from memory) and 1 miss", disk)
-	}
-	if n := peers.fetches.Load(); n != 0 {
-		t.Fatalf("a peer's ask was forwarded to %d peers", n)
-	}
-}
-
 // TestStoreKeyCarriesResultFormat: an entry an earlier result format wrote
 // under an unchanged fingerprint is recomputed, not served, and the fresh
 // bytes land under the current format's key.
@@ -168,7 +131,7 @@ func TestStoreKeyCarriesResultFormat(t *testing.T) {
 	if err != nil || runs != 1 || string(r.val) != `{"new":1}` {
 		t.Fatalf("got %q after %d runs (err %v); want the recomputed bytes from one run", r.val, runs, err)
 	}
-	if disk := s.storeTier.Stats(); disk.Hits != 0 || disk.Misses != 1 {
+	if disk := s.results.Tier.Stats(); disk.Hits != 0 || disk.Misses != 1 {
 		t.Fatalf("disk tier = %+v, want the old entry read as a miss", disk)
 	}
 	if payload, _, err := st.Get(resultFormat + "fp-old"); err != nil || string(payload) != `{"new":1}` {
@@ -176,27 +139,19 @@ func TestStoreKeyCarriesResultFormat(t *testing.T) {
 	}
 }
 
-// countingPeers is a PeerFetcher holding nothing, counting the asks; gate,
-// when set, holds every ask until closed.
-type countingPeers struct {
-	fetches atomic.Int32
-	gate    chan struct{}
-}
-
-func (p *countingPeers) Fetch(ctx context.Context, key string) ([]byte, []byte, error) {
-	p.fetches.Add(1)
-	if p.gate != nil {
-		<-p.gate
-	}
-	return nil, nil, ErrPeerMiss
-}
-
 // TestConcurrentMissesProbeTiersOnce: identical submissions arriving together
-// read the disk tier and ask the fleet once between them, then share one run.
+// read the disk tier once between them, then share one run.
 func TestConcurrentMissesProbeTiersOnce(t *testing.T) {
-	peers := &countingPeers{gate: make(chan struct{})}
-	s := New(Config{Workers: 1, QueueDepth: 16, DataDir: t.TempDir(), NodeID: "w1", PeerFetch: peers})
+	s := New(Config{Workers: 1, QueueDepth: 16, DataDir: t.TempDir()})
 	defer s.Close()
+	var reads atomic.Int32
+	gate := make(chan struct{})
+	get := s.results.Tier.Get
+	s.results.Tier.Get = func(ctx context.Context, fp string) (result, error) {
+		reads.Add(1)
+		<-gate // hold the one read until every submission has arrived
+		return get(ctx, fp)
+	}
 	var runs atomic.Int64
 	release := make(chan struct{})
 	close(release)
@@ -213,11 +168,11 @@ func TestConcurrentMissesProbeTiersOnce(t *testing.T) {
 			s.submit(rec, submitReq(), "sim", "fp-together", nil, fn)
 		}(recs[i])
 	}
-	for peers.fetches.Load() == 0 {
+	for reads.Load() == 0 {
 		time.Sleep(time.Millisecond)
 	}
 	time.Sleep(50 * time.Millisecond) // the rest queue behind the one probe
-	close(peers.gate)
+	close(gate)
 	wg.Wait()
 	for _, rec := range recs {
 		if rec.Code != http.StatusAccepted && rec.Code != http.StatusOK {
@@ -227,11 +182,11 @@ func TestConcurrentMissesProbeTiersOnce(t *testing.T) {
 			waitState(t, s, decodeStatus(t, rec).ID, StateDone)
 		}
 	}
-	if got := peers.fetches.Load(); got != 1 {
-		t.Fatalf("fleet asked %d times, want once", got)
+	if got := reads.Load(); got != 1 {
+		t.Fatalf("disk tier read %d times, want once", got)
 	}
-	if disk := s.storeTier.Stats(); disk.Misses != 1 {
-		t.Fatalf("disk tier read %d times, want once", disk.Misses)
+	if disk := s.results.Tier.Stats(); disk.Misses != 1 {
+		t.Fatalf("disk tier counted %d misses, want one", disk.Misses)
 	}
 	if runs.Load() != 1 {
 		t.Fatalf("computation ran %d times, want once", runs.Load())

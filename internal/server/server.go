@@ -2,8 +2,8 @@
 // an HTTP/JSON API that accepts simulation and figure-sweep submissions,
 // runs them on a bounded worker pool, and serves results from a
 // fingerprint-keyed memo (runner.Memo: memory in LRU order, then the disk
-// store, then fleet peers) that also collapses identical in-flight requests
-// into one computation.
+// store) that also collapses identical in-flight requests into one
+// computation.
 //
 // The serving contract mirrors the CLI exactly: a submitted configuration
 // produces a core.Result byte-identical to `smtdram -json` with the same
@@ -28,8 +28,10 @@
 //	GET    /metrics            Prometheus text exposition
 //	GET    /healthz            pure liveness (200 whenever the process serves)
 //	GET    /readyz             readiness: 503 during drain, journal recovery, or store-degraded mode
+//	GET    /v1/fleet/self      fleet identity probe: node id, role, readiness
 //	GET    /debug/trace        Chrome trace_event JSON of the whole span buffer
 //	GET    /debug/dash         live HTML dashboard (SSE-fed)
+//	GET    /debug/dash/stream  the dashboard's SSE stream of Stats snapshots
 package server
 
 import (
@@ -97,12 +99,6 @@ type Config struct {
 	// statelessly, and /metrics and /v1/stats carry node_id/role labels.
 	// Must pass ValidNodeID; empty means a standalone daemon.
 	NodeID string
-	// PeerFetch, when non-nil, adds the peering tier behind the result memo:
-	// on a local store miss the daemon asks fleet peers for the entry before
-	// computing. internal/fleet provides the implementation.
-	PeerFetch PeerFetcher
-	// PeerTimeout bounds one peer fetch (default 2s).
-	PeerTimeout time.Duration
 	// Admission, when non-nil, charges every submission to its tenant's token
 	// bucket in front of the bounded queue.
 	Admission Admission
@@ -183,11 +179,9 @@ type JobStatus struct {
 	State       State  `json:"state"`
 	Fingerprint string `json:"fingerprint"`
 	// Cached marks a submission answered straight from the result cache;
-	// Deduped marks one that joined another submission's in-flight run; Peer
-	// marks a cached answer whose bytes were fetched from a fleet peer.
+	// Deduped marks one that joined another submission's in-flight run.
 	Cached  bool `json:"cached,omitempty"`
 	Deduped bool `json:"deduped,omitempty"`
-	Peer    bool `json:"peer,omitempty"`
 	// Error is set on failed jobs.
 	Error string `json:"error,omitempty"`
 	// Result is the raw result payload, present once State is done.
@@ -208,11 +202,9 @@ type Server struct {
 
 	// results memoizes result bytes by fingerprint: resolved results in LRU
 	// order (CacheEntries), computations in flight (one per fingerprint, see
-	// flight), and behind them the disk store and the fleet's peers
-	// (results.go). storeTier/peerTier are nil when not configured.
-	results   runner.Memo[string, result]
-	storeTier *runner.Tier[string, result]
-	peerTier  *runner.Tier[string, result]
+	// flight), and behind them the disk store (results.go), whose tier is nil
+	// when not configured.
+	results runner.Memo[string, result]
 
 	mu        sync.Mutex
 	jobs      map[string]*job
@@ -284,10 +276,10 @@ func New(cfg Config) *Server {
 	}
 
 	s.registerMetrics()
-	// Open the tiers and replay the journal last: recovery re-enqueues
+	// Open the store and replay the journal last: recovery re-enqueues
 	// interrupted jobs through the flight machinery built above.
 	s.openDurable()
-	s.openTiers()
+	s.openTier()
 	if s.store != nil {
 		s.recoverFromJournal()
 	}
@@ -305,7 +297,6 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("GET /v1/jobs/{id}/trace", s.handleJobTrace)
 	mux.HandleFunc("DELETE /v1/jobs/{id}", s.handleJobDelete)
 	mux.HandleFunc("GET /v1/stats", s.handleStats)
-	mux.HandleFunc("GET /v1/peer/result", s.handlePeerResult)
 	mux.HandleFunc("GET /v1/fleet/self", s.handleFleetSelf)
 	mux.HandleFunc("GET /metrics", s.handleMetrics)
 	mux.HandleFunc("GET /healthz", s.handleHealthz)
@@ -358,36 +349,31 @@ func (s *Server) Close() {
 // submission 200. root/adm are the submission's spans; both end here with the
 // cache-hit outcome. Counters are touched outside s.mu (metricsMu nests
 // outside it — the /metrics render holds it while gauges read s.mu).
-func (s *Server) serveCached(w http.ResponseWriter, kind, fp string, res result, t0 time.Time, root, adm *obs.Span, peer bool) {
+func (s *Server) serveCached(w http.ResponseWriter, kind, fp string, res result, t0 time.Time, root, adm *obs.Span) {
 	s.mu.Lock()
 	j := s.newJobLocked(kind, fp)
 	j.cached = true
-	j.peer = peer
 	j.state = StateDone
 	j.result = res.val
 	j.skip = res.skip
 	j.span = root
 	root.SetAttr("job", j.id)
 	s.mu.Unlock()
-	outcome := "cache_hit"
-	if peer {
-		outcome = "peer_hit"
-	}
-	adm.SetAttr("outcome", outcome)
+	adm.SetAttr("outcome", "cache_hit")
 	adm.End()
 	root.SetAttr("state", string(StateDone))
 	root.End()
 	s.count(s.mAccepted)
 	s.count(s.mCached)
 	s.observeCacheHit(time.Since(t0))
-	s.log.Info("job cache hit", "job", j.id, "kind", kind, "fp", fp, "peer", peer)
+	s.log.Info("job cache hit", "job", j.id, "kind", kind, "fp", fp)
 	writeJSON(w, http.StatusOK, j.status(true))
 }
 
 // submit runs the common submission path: pass the gate (admission.go),
-// answer from the result memo — memory, the disk store, or a fleet peer —
-// or take a queue slot and join the fingerprint's computation, starting fn
-// when none is in flight. reqJSON is the original wire request, journaled
+// answer from the result memo — memory or the disk store — or take a queue
+// slot and join the fingerprint's computation, starting fn when none is in
+// flight. reqJSON is the original wire request, journaled
 // write-ahead so a crashed daemon can re-run the job. r carries the tenant
 // header for admission. Every outcome — even a rejection — leaves a span tree
 // in the serving trace.
@@ -411,11 +397,11 @@ func (s *Server) submit(w http.ResponseWriter, r *http.Request, kind, fp string,
 		endWith("rejected_tenant_quota")
 		return
 	}
-	// One Lookup walks memory → disk → peers (IO outside s.mu), promoting a
-	// hit towards memory; identical concurrent misses share one walk. A
-	// cached answer takes no queue slot.
-	if res, src, ok := s.results.Lookup(r.Context(), fp, -1); ok {
-		s.serveCached(w, kind, fp, res, t0, root, adm, src != nil && src == s.peerTier)
+	// One Lookup walks memory → disk (IO outside s.mu), promoting a disk hit
+	// into memory; identical concurrent misses share one read. A cached
+	// answer takes no queue slot.
+	if res, ok := s.results.Lookup(r.Context(), fp); ok {
+		s.serveCached(w, kind, fp, res, t0, root, adm)
 		return
 	}
 	if !s.takeSlot(w) {
@@ -440,7 +426,7 @@ func (s *Server) submit(w http.ResponseWriter, r *http.Request, kind, fp string,
 		// starting a fresh simulation for bytes the memo holds is wasted work.
 		s.mu.Unlock()
 		<-s.slots // no flight was joined
-		s.serveCached(w, kind, fp, res, t0, root, adm, false)
+		s.serveCached(w, kind, fp, res, t0, root, adm)
 		return
 	}
 	j := s.newJobLocked(kind, fp)

@@ -84,14 +84,8 @@ type Stats struct {
 		// JournalRecords counts write-ahead records appended this process.
 		JournalRecords uint64 `json:"journal_records"`
 	} `json:"store"`
-	// Peer is the fleet-peering tier behind the result memo: entries fetched
-	// from (and served to) other fleet nodes. Corrupt counts peer entries
-	// that failed CRC verification and were recomputed locally instead.
 	Peer struct {
-		Hits    uint64 `json:"hits"`
-		Misses  uint64 `json:"misses"`
-		Corrupt uint64 `json:"corrupt"`
-		Served  uint64 `json:"served"`
+		Hits uint64 `json:"hits"` // always 0: kept only for cmd/bench's fleet.peer_hits row
 	} `json:"peer"`
 	// Recovery reports the startup journal replay: jobs rehydrated from the
 	// store and jobs re-enqueued (outstanding until their re-run finishes).
@@ -174,16 +168,12 @@ func (s *Server) statsSnapshot() Stats {
 		st.Cache.HitRatio = float64(st.Cache.Hits) / float64(lookups)
 	}
 	st.Store.StoreHealth = s.storeHealth()
-	disk, peer := s.storeTier.Stats(), s.peerTier.Stats()
+	disk := s.results.Tier.Stats()
 	st.Store.Hits = disk.Hits
 	st.Store.Misses = disk.Misses
 	st.Store.Corrupt = disk.Corrupt
 	st.Store.WriteErrors = s.mStoreWriteErrors.Value()
 	st.Store.JournalRecords = s.mJournalRecords.Value()
-	st.Peer.Hits = peer.Hits
-	st.Peer.Misses = peer.Misses
-	st.Peer.Corrupt = peer.Corrupt
-	st.Peer.Served = s.mPeerServed.Value()
 	st.Recovery = s.recoveryStatus()
 	st.Skip.SimRuns = s.mSkipRuns.Value()
 	st.Skip.CyclesSkipped = s.mCyclesSkipped.Value()

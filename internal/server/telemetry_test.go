@@ -344,8 +344,7 @@ var daemonFamilies = map[string][]string{
 		"sim_skip_reports_total", "sim_cycles_skipped_total", "sim_cycles_wall_total",
 		"store_hits_total", "store_misses_total", "store_corrupt_total", "store_write_errors_total",
 		"journal_records_total", "journal_errors_total",
-		"peer_hits_total", "peer_misses_total", "peer_corrupt_total", "peer_served_total",
-		"peer_serve_misses_total", "jobs_quota_rejected_total",
+		"jobs_quota_rejected_total",
 		"checkpoint_hits_total", "checkpoint_misses_total", "checkpoint_forks_total",
 		"checkpoint_bypassed_total", "checkpoint_evictions_total",
 	},

@@ -272,22 +272,6 @@ func (s *Store) put(key string, payload, meta []byte) error {
 	return nil
 }
 
-// EncodeEntry frames key, meta, and payload in the store's on-disk entry
-// format (magic, version, length-prefixed fields, trailing CRC32C). Fleet
-// cache peering ships entries between nodes in exactly this framing so the
-// receiver can verify integrity with DecodeEntry before trusting the bytes.
-func EncodeEntry(key string, meta, payload []byte) []byte {
-	return encodeEntry(key, meta, payload)
-}
-
-// DecodeEntry validates an EncodeEntry framing — magic, version, field
-// structure, and CRC32C — and returns its parts. It is the receiver half of
-// peer-to-peer entry transfer: a corrupt or truncated entry fails here and is
-// never served.
-func DecodeEntry(b []byte) (key string, meta, payload []byte, err error) {
-	return decodeEntry(b)
-}
-
 // encodeEntry frames key, meta, and payload with the trailing CRC32C.
 func encodeEntry(key string, meta, payload []byte) []byte {
 	b := make([]byte, 0, len(entryMagic)+1+12+len(key)+len(meta)+len(payload)+4)
