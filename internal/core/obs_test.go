@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"math"
+	"slices"
 	"testing"
 
 	"smtdram/internal/dram"
@@ -24,6 +25,26 @@ func runTraced(t *testing.T, mutate func(*Config)) (*obs.Observer, Result) {
 		t.Fatal(err)
 	}
 	return ob, res
+}
+
+// TestPhaseHookBoundaries: the run loop reports entering warmup at cycle 0,
+// entering measure at the cycle the measured window opens, and the run's end
+// at its final cycle — the boundaries a served job's trace stamps with wall
+// instants.
+func TestPhaseHookBoundaries(t *testing.T) {
+	type boundary struct {
+		name  string
+		cycle uint64
+	}
+	var got []boundary
+	ob, res := runTraced(t, func(cfg *Config) {
+		ob := cfg.Observe()
+		ob.Phase = func(name string, cycle uint64) { got = append(got, boundary{name, cycle}) }
+	})
+	want := []boundary{{"warmup", 0}, {"measure", ob.FinalCycle - res.Cycles}, {"", ob.FinalCycle}}
+	if !slices.Equal(got, want) || want[1].cycle == 0 {
+		t.Fatalf("phase boundaries = %v, want %v", got, want)
+	}
 }
 
 // Every traced request must reach exactly one terminal state (done or

@@ -3,7 +3,6 @@ package core
 import (
 	"context"
 	"fmt"
-	"strconv"
 
 	"smtdram/internal/addrmap"
 	"smtdram/internal/cache"
@@ -345,22 +344,11 @@ func (s *Simulator) Run() (Result, error) {
 // uninterrupted run performs on that same cycle.
 func (s *Simulator) RunContext(ctx context.Context) (Result, error) {
 	k := s.newClock()
-	// Serving traces: when the daemon attached a wall-clock run span, a child
-	// per simulation phase shows where warmup ends and measurement begins in
-	// wall time. Spans are observation only — they never feed back into the
-	// simulation, so results stay byte-identical with tracing on or off.
-	var runSpan, span *obs.Span
-	if s.obs != nil {
-		runSpan = s.obs.RunSpan
-	}
-	// phase ends the open phase at cycle at and, given a name, opens the next.
-	phase := func(name string, at uint64) {
-		cycle := strconv.FormatUint(at, 10)
-		span.SetAttr("end_cycle", cycle)
-		span.End()
-		span = nil
-		if name != "" {
-			span = runSpan.Child(name, obs.A("start_cycle", cycle))
+	// phase reports a phase boundary at the current cycle to the observer's
+	// Phase hook: entering warmup or measure, and "" when the run ends.
+	phase := func(name string) {
+		if s.obs != nil && s.obs.Phase != nil {
+			s.obs.Phase(name, k.now)
 		}
 	}
 	// A run whose budget ends inside warmup never opens a measured window; it
@@ -368,7 +356,7 @@ func (s *Simulator) RunContext(ctx context.Context) (Result, error) {
 	sn := snapshot{caches: make([]cache.Stats, 4), committed: make([]uint64, len(s.cfg.Apps))}
 
 	if !s.cpu.AllWarmed() {
-		phase("warmup", k.now)
+		phase("warmup")
 	}
 	err := k.until(ctx, s.cpu.AllWarmed)
 	if err == nil && s.cpu.AllWarmed() {
@@ -376,12 +364,12 @@ func (s *Simulator) RunContext(ctx context.Context) (Result, error) {
 		// cycle, so results cover only what follows.
 		s.ctrl.FinishStats(k.now)
 		sn = s.takeSnapshot(k.now)
-		phase("measure", k.now)
+		phase("measure")
 		err = k.until(ctx, s.cpu.AllFinished)
 	}
 	// However the run ends — finished, budget spent, cancelled, or aborted by
 	// the watchdog — stats and observer close the same way.
-	phase("", k.now)
+	phase("")
 	s.ctrl.FinishStats(k.now)
 	s.skip.Wall = k.now
 	if s.obs != nil {

@@ -2,8 +2,10 @@
 // tracer that records every memory request's enqueue → schedule →
 // precharge/activate/CAS → data-return transitions as structured events
 // (exportable as JSONL and Chrome trace_event JSON for Perfetto/about:tracing),
-// the run hooks a serving daemon streams progress through, wall-clock spans,
-// and the daemon's Prometheus registry of counters, gauges and histograms.
+// the run hooks a serving daemon streams progress and phase boundaries
+// through, the export of one served job's wall-clock phases beside its cycle
+// trace, and the daemon's Prometheus registry of counters, gauges and
+// histograms.
 //
 // The package is a leaf: it imports nothing from the simulator, so every
 // component (memctrl, dram, cache, cpu, core) can depend on it. All hooks are
@@ -147,11 +149,12 @@ type Observer struct {
 	// harnesses use to flush per-run output.
 	OnFinish func(*Observer)
 
-	// RunSpan, when non-nil, is the wall-clock span covering this run in a
-	// serving trace; the run loop opens "warmup"/"measure" child spans on it
-	// at phase boundaries. Wall-clock only — it never feeds back into the
-	// simulation, so results stay byte-identical with or without it.
-	RunSpan *Span
+	// Phase, when non-nil, fires on the run goroutine at the run loop's
+	// phase boundaries: "warmup" or "measure" as the run enters that phase at
+	// cycle, and "" when the run ends. The serving daemon stamps each with a
+	// wall-clock instant for the job's trace; the hook never feeds back into
+	// the simulation, so results stay byte-identical with or without it.
+	Phase func(name string, cycle uint64)
 
 	// Progress, when non-nil, fires on the run goroutine roughly every
 	// ProgressInterval landed cycles — the serving daemon's streaming hook.

@@ -140,3 +140,39 @@ func TestWriteJSONLRoundTrippable(t *testing.T) {
 		t.Fatalf("phase event must carry end: %s", lines[1])
 	}
 }
+
+// TestHistogramQuantile: interpolation inside buckets, the overflow bucket
+// bounded by the observed max, and edge cases (empty, clamped q).
+func TestHistogramQuantile(t *testing.T) {
+	h := NewRegistry().Histogram("lat", []uint64{10, 100, 1000})
+	if h.Quantile(0.5) != 0 {
+		t.Fatalf("empty histogram quantile = %v, want 0", h.Quantile(0.5))
+	}
+	// 100 observations uniform in (10,100]: the p50 interpolates near the
+	// middle of that bucket.
+	for i := 0; i < 100; i++ {
+		h.Observe(55)
+	}
+	p50 := h.Quantile(0.5)
+	if p50 <= 10 || p50 > 100 {
+		t.Fatalf("p50 = %v, want inside (10,100]", p50)
+	}
+	// Overflow: values beyond the last bound interpolate toward the max, never
+	// beyond it.
+	h2 := NewRegistry().Histogram("lat", []uint64{10})
+	h2.Observe(500)
+	h2.Observe(900)
+	if q := h2.Quantile(0.99); q > 900 {
+		t.Fatalf("overflow p99 = %v exceeds observed max 900", q)
+	}
+	if q := h2.Quantile(1.0); q != 900 {
+		t.Fatalf("p100 = %v, want the max 900", q)
+	}
+	if q := h2.Quantile(2.0); q != 900 {
+		t.Fatalf("clamped q>1 = %v, want 900", q)
+	}
+	var hn *Histogram
+	if hn.Quantile(0.5) != 0 {
+		t.Fatalf("nil histogram quantile nonzero")
+	}
+}

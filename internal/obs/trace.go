@@ -130,7 +130,7 @@ type chromeTrace struct {
 // lifecycle phases render as complete slices and transitions as instants.
 func WriteChrome(w io.Writer, events []Event) error {
 	out := chromeTrace{DisplayTimeUnit: "ms", TraceEvents: []chromeEvent{}}
-	appendLifecycleEvents(&out.TraceEvents, events, 0, 0, "", nil)
+	appendLifecycleEvents(&out.TraceEvents, events, 0, 0, "")
 	enc := json.NewEncoder(w)
 	return enc.Encode(out)
 }
@@ -139,9 +139,8 @@ func WriteChrome(w io.Writer, events []Event) error {
 // pidBase offsets every channel's process id and procPrefix its process name
 // (so a merged two-domain export keeps the cycle lanes distinct from the
 // wall-clock lanes); tsOffset shifts every timestamp (1 cycle → 1 µs), which
-// anchors cycle 0 at a wall-clock instant in merged traces; extraArgs is
-// stamped into every event's args (the job-id correlation bridge).
-func appendLifecycleEvents(out *[]chromeEvent, events []Event, pidBase int, tsOffset uint64, procPrefix string, extraArgs map[string]any) {
+// anchors cycle 0 at a wall-clock instant in merged traces.
+func appendLifecycleEvents(out *[]chromeEvent, events []Event, pidBase int, tsOffset uint64, procPrefix string) {
 	type lane struct{ pid, tid int }
 	seen := map[lane]bool{}
 	for _, e := range events {
@@ -166,9 +165,6 @@ func appendLifecycleEvents(out *[]chromeEvent, events []Event, pidBase int, tsOf
 		}
 		if e.Outcome != "" {
 			args["outcome"] = e.Outcome
-		}
-		for k, v := range extraArgs {
-			args[k] = v
 		}
 		ce := chromeEvent{
 			Name: e.Kind.String(), Cat: reqCat(e.Read),

@@ -144,7 +144,7 @@ func (c *Client) Result(ctx context.Context, id string) (json.RawMessage, error)
 	return raw, err
 }
 
-// Trace fetches one job's Chrome trace_event JSON — the wall-clock span tree
+// Trace fetches one job's Chrome trace_event JSON — its wall-clock phases
 // (admission → queue → run → respond) plus, for jobs submitted with
 // SimRequest.Trace, the cycle-domain request lifecycle, all in one
 // Perfetto-loadable payload.

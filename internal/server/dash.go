@@ -41,8 +41,7 @@ const dashHTML = `<!doctype html>
 <body>
 <h1>smtdramd <small>serving dashboard</small><span id="state">connecting…</span></h1>
 <div class="sub">
-  <a href="/v1/stats">/v1/stats</a> · <a href="/metrics">/metrics</a> ·
-  <a href="/debug/trace">/debug/trace</a> (load in <a href="https://ui.perfetto.dev">Perfetto</a>)
+  <a href="/v1/stats">/v1/stats</a> · <a href="/metrics">/metrics</a>
 </div>
 <div class="grid">
   <div class="card"><h2>Queue</h2><div class="big" id="queue">–</div>
@@ -130,8 +129,7 @@ function render(st) {
     ["heap", fmt(st.runtime.heap_alloc_bytes / 1048576, 1) + " MiB"],
     ["GC cycles", st.runtime.gc_cycles],
     ["GC pause total", fmt(st.runtime.gc_pause_total_seconds * 1000, 1) + " ms"],
-    ["sched p99", fmt(st.runtime.sched_latency_p99_ms, 3) + " ms"],
-    ["trace spans", st.trace.spans + (st.trace.spans_dropped ? " (+" + st.trace.spans_dropped + " dropped)" : "")]]);
+    ["sched p99", fmt(st.runtime.sched_latency_p99_ms, 3) + " ms"]]);
   document.getElementById("phaseTable").innerHTML =
     phaseRow("admission", st.phases.admission) + phaseRow("queue", st.phases.queue) +
     phaseRow("run", st.phases.run) + phaseRow("respond", st.phases.respond) +

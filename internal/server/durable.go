@@ -10,7 +10,6 @@ import (
 	"strings"
 
 	"smtdram/internal/core"
-	"smtdram/internal/obs"
 	"smtdram/internal/runner"
 	"smtdram/internal/store"
 )
@@ -113,7 +112,6 @@ func (s *Server) recoverFromJournal() {
 		s.log.Warn("journal unreadable; starting with an empty job table", "path", path, "err", err)
 		recs = nil
 	}
-	span := s.spans.Start("recovery", obs.A("records", strconv.Itoa(len(recs))))
 	s.recReplayed = len(recs)
 
 	var order []string
@@ -215,9 +213,6 @@ func (s *Server) recoverFromJournal() {
 		}
 	}
 
-	span.SetAttr("rehydrated", strconv.Itoa(s.recRehydrated))
-	span.SetAttr("reenqueued", strconv.Itoa(s.recReenqueued))
-	span.End()
 	if s.recReplayed > 0 {
 		s.log.Info("journal recovery complete",
 			"records", s.recReplayed, "rehydrated", s.recRehydrated, "reenqueued", s.recReenqueued)
@@ -244,6 +239,8 @@ func (s *Server) rehydrateTerminal(id, kind, fp string, state State, errMsg stri
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	j := s.registerJobLocked(id, kind, fp)
+	j.outcome = "recovered"
+	j.tAdmitted, j.tDone = j.created, j.created
 	j.state = state
 	j.errMsg = errMsg
 	j.result = res.val
@@ -288,19 +285,18 @@ func (s *Server) reenqueueRecovered(id string, f *foldedJob) *job {
 		return s.rehydrateTerminal(id, f.kind, f.fp, StateFailed, fmt.Sprintf("recovery: unknown job kind %q", f.kind), result{})
 	}
 
-	root := s.spans.Start("job", obs.A("kind", f.kind), obs.A("fp", f.fp), obs.A("recovered", "true"))
 	s.mu.Lock()
-	fl, res, out := s.joinFlightLocked(f.fp, root, fn)
+	fl, res, out := s.joinFlightLocked(f.fp, fn)
 	if out == runner.Hit {
 		// A sibling re-enqueued just before this job has already finished.
 		s.mu.Unlock()
-		root.End()
 		s.journalAppend(store.Record{Type: store.RecResolved, Job: id, Kind: f.kind, FP: f.fp, State: string(StateDone)})
 		return s.rehydrateTerminal(id, f.kind, f.fp, StateDone, "", res)
 	}
 	j := s.registerJobLocked(id, f.kind, f.fp)
 	j.tAdmitted = j.created
-	s.attachLocked(j, fl, root, out)
+	s.attachLocked(j, fl, out)
+	j.outcome = "recovered"
 	// Take a queue slot if one is free; recovered jobs were admitted before
 	// the crash, so they re-enter even when the queue shrank.
 	select {

@@ -12,6 +12,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"smtdram/internal/obs"
 )
 
 // blockingFn builds a submit fn that parks until release fires (or the flight
@@ -518,5 +520,40 @@ func BenchmarkRegisterJobAtCap(b *testing.B) {
 	b.StopTimer()
 	if len(s.jobs) != s.cfg.MaxTrackedJobs || s.jobs["live"] == nil {
 		b.Fatalf("table holds %d jobs (live kept: %v), want %d", len(s.jobs), s.jobs["live"] != nil, s.cfg.MaxTrackedJobs)
+	}
+}
+
+// TestUnranFailureTrace: a flight that resolves before it runs — the daemon
+// closes while it waits behind a busy worker — fails its job, and the job's
+// trace shows no run, and a queue wait that ends where respond begins, at the
+// resolve instant.
+func TestUnranFailureTrace(t *testing.T) {
+	s := New(Config{Workers: 1, QueueDepth: 4})
+	rec := httptest.NewRecorder()
+	s.submit(rec, submitReq(), "sim", "fp-block", nil, func(fl *flight) func(context.Context) (json.RawMessage, error) {
+		return func(ctx context.Context) (json.RawMessage, error) {
+			s.markRunning(fl)
+			<-ctx.Done()
+			return nil, ctx.Err()
+		}
+	})
+	waitState(t, s, decodeStatus(t, rec).ID, StateRunning)
+	rec = httptest.NewRecorder()
+	s.submit(rec, submitReq(), "sim", "fp-queued", nil, blockingFn(nil, nil, nil))
+	id := decodeStatus(t, rec).ID
+	s.Close()
+	waitState(t, s, id, StateFailed)
+
+	s.mu.Lock()
+	j := s.jobs[id]
+	s.mu.Unlock()
+	tr := s.jobTrace(j)
+	phases := map[string]obs.Phase{}
+	for _, p := range tr.Phases {
+		phases[p.Name] = p
+	}
+	queued, respond := phases["queue_wait"], phases["respond"]
+	if len(tr.Run) != 0 || respond.Start.IsZero() || !queued.End.Equal(respond.Start) || !respond.End.Equal(phases["job"].End) {
+		t.Fatalf("trace of a job whose flight never ran: run %v, phases %+v", tr.Run, tr.Phases)
 	}
 }

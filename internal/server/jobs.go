@@ -26,24 +26,24 @@ type job struct {
 	created time.Time // submit-entry instant; anchors the phase accounting
 	deduped bool
 	cached  bool
+	// outcome is admission's answer: "admitted", "deduped", "cache_hit", or
+	// "recovered" for a job rebuilt from the journal. rode is the flight
+	// the job was attached to (nil for a cache hit), kept once it resolves:
+	// its run record is the run the job's trace shows. Both are written under
+	// Server.mu before the job is reachable.
+	outcome string
+	rode    *flight
 
-	// Tracing state, written under Server.mu before the job is reachable (or,
-	// for simEvents, by awaitFlight under Server.mu before detaching): the
-	// job's root span, its queue-wait child, the flight it rode, and — for
-	// traced simulations — the cycle-domain lifecycle events correlated into
-	// the per-job trace.
-	span      *obs.Span
-	queueSpan *obs.Span
-	flightID  string
-	simEvents []obs.Event
-	simStart  time.Time
-
-	// tAdmitted is set under Server.mu pre-publication; tRunStart under
-	// job.mu (markRunning), or pre-publication for jobs joining a started
-	// flight. With created and the finish instant they telescope: admission +
+	// The job's phase instants, read alike by the phase histograms and the
+	// job's trace. tAdmitted is set under Server.mu pre-publication;
+	// tRunStart under job.mu (markRunning), or pre-publication for jobs
+	// joining a started flight; tDone, the terminal instant (finished,
+	// cancelled, or answered from cache), under job.mu with the terminal
+	// state. With the flight's resolve instant they telescope: admission +
 	// queue + run + respond == end-to-end, exactly.
 	tAdmitted time.Time
 	tRunStart time.Time
+	tDone     time.Time
 
 	// flight is the in-flight computation this job is attached to (nil once
 	// resolved or detached). Guarded by Server.mu.
@@ -79,7 +79,7 @@ func (j *job) status(includeResult bool) JobStatus {
 }
 
 // flight is the daemon's side of one computation in the result memo: the
-// jobs riding it and the trace state they share. The memo owns the
+// jobs riding it and the run record they share. The memo owns the
 // computation itself — its context, who is still attached, when it may be
 // cancelled; every attached job holds one Join on memo. Joiners reach the
 // flight through the memo handle's Tag.
@@ -91,19 +91,29 @@ type flight struct {
 	// Guarded by Server.mu, like everything below.
 	jobs    []*job
 	started bool
-	// rootSpan is the initiating job's root span (set at creation); span is
-	// the "run" child opened when a worker picks the flight up (markRunning)
-	// and ended when the computation resolves. For traced simulations
-	// simStart anchors cycle 0 in wall time and simEvents holds the lifecycle
-	// trace.
-	rootSpan  *obs.Span
-	span      *obs.Span
-	simStart  time.Time
-	simEvents []obs.Event
+	// The run record: a worker picked the flight up at runStart
+	// (markRunning); the computation resolved at resolved — before a run
+	// began, when it was cancelled in the queue — failing with err; phases
+	// are a simulation's warmup and measure as the run loop reported them.
+	// For traced simulations simStart anchors cycle 0 in wall time and
+	// simEvents holds the lifecycle trace.
+	runStart, resolved time.Time
+	err                string
+	phases             []simPhase
+	simStart           time.Time
+	simEvents          []obs.Event
 	// skip is the finished run's two-speed-clock summary (simulation flights
 	// only), written by the compute fn before it returns; it becomes part of
 	// the memoized result.
 	skip *SkipInfo
+}
+
+// simPhase is one run-loop phase of a simulation flight: its wall instants
+// and its cycle bounds. end is zero while the phase is open.
+type simPhase struct {
+	name                 string
+	start, end           time.Time
+	startCycle, endCycle uint64
 }
 
 // computeFn builds the body of one flight: what a job of this fingerprint
@@ -199,8 +209,8 @@ func (s *Server) evictOldestLocked() bool {
 // On runner.Hit the result landed since the caller's Lookup: res holds it and
 // no flight is returned. The caller holds s.mu, which is what lets a joiner
 // read the Tag the starter sets here.
-func (s *Server) joinFlightLocked(fp string, root *obs.Span, fn computeFn) (fl *flight, res result, out runner.Outcome) {
-	fl = &flight{fp: fp, rootSpan: root}
+func (s *Server) joinFlightLocked(fp string, fn computeFn) (fl *flight, res result, out runner.Outcome) {
+	fl = &flight{fp: fp}
 	run := fn(fl)
 	h, out := s.results.Join(s.baseCtx, s.pool, fp, func(ctx context.Context) (result, error) {
 		val, err := run(ctx)
@@ -230,19 +240,18 @@ func (s *Server) joinFlightLocked(fp string, root *obs.Span, fn computeFn) (fl *
 // attachLocked makes j a rider of fl: the one place a job is wired to a
 // flight, for fresh submissions and journal-recovered jobs alike. The caller
 // holds s.mu, has taken j's Join (joinFlightLocked) and set j.tAdmitted.
-func (s *Server) attachLocked(j *job, fl *flight, root *obs.Span, out runner.Outcome) {
+func (s *Server) attachLocked(j *job, fl *flight, out runner.Outcome) {
 	j.deduped = out == runner.Joined
+	j.outcome = "admitted"
+	if j.deduped {
+		j.outcome = "deduped"
+	}
 	j.flight = fl
-	j.flightID = fl.id
-	j.span = root
-	root.SetAttr("job", j.id)
-	root.SetAttr("flight", fl.id)
+	j.rode = fl
 	if fl.started {
 		// Joined a flight already on a worker: the queue phase is empty.
 		j.state = StateRunning
 		j.tRunStart = j.tAdmitted
-	} else {
-		j.queueSpan = root.Child("queue_wait")
 	}
 	fl.jobs = append(fl.jobs, j)
 }
@@ -258,20 +267,14 @@ func (s *Server) awaitFlight(fl *flight) {
 	resolved := time.Now()
 
 	s.mu.Lock()
-	if fl.span != nil {
-		if err != nil {
-			fl.span.SetAttr("error", err.Error())
-		}
-		fl.span.End()
+	fl.resolved = resolved
+	if err != nil {
+		fl.err = err.Error()
 	}
 	jobs := fl.jobs
 	fl.jobs = nil
 	for _, j := range jobs {
 		j.flight = nil
-		// Hand the cycle-domain trace (if any) to every rider, so each job's
-		// /trace shows both clock domains. The slice is immutable from here.
-		j.simEvents = fl.simEvents
-		j.simStart = fl.simStart
 	}
 	s.mu.Unlock()
 
@@ -280,16 +283,15 @@ func (s *Server) awaitFlight(fl *flight) {
 	}
 }
 
-// finishJob moves one job to its terminal state: it frees its slot, closes its
-// span tree, journals and counts the outcome, records the phase-partitioned
-// latency metrics, and only then publishes the state and wakes the
+// finishJob moves one job to its terminal state: it frees its slot, journals
+// and counts the outcome, records the phase-partitioned latency metrics, and
+// only then publishes the state, with its end instant, and wakes the
 // subscribers — so a client that has seen the job finish finds it in every
 // counter and histogram /v1/stats reports. awaitFlight detached j before
 // calling, and cancelJob leaves a detached job alone, so this is j's one
 // terminal transition. resolved is the instant the flight resolved — the
 // run→respond phase boundary shared by every rider.
 func (s *Server) finishJob(j *job, res result, err error, resolved time.Time) {
-	respond := j.span.Child("respond")
 	state, errMsg := StateDone, ""
 	if err != nil {
 		state, errMsg = StateFailed, err.Error()
@@ -299,18 +301,15 @@ func (s *Server) finishJob(j *job, res result, err error, resolved time.Time) {
 	j.mu.Unlock()
 
 	s.releaseSlot(j)
-	respond.End()
-	j.span.SetAttr("state", string(state))
-	j.span.End()
 	done := time.Now()
 	dur := done.Sub(j.created)
 	s.journalAppend(store.Record{Type: store.RecResolved, Job: j.id, Kind: j.kind, FP: j.fp, State: string(state), Error: errMsg})
 	if state == StateFailed {
 		s.count(s.mFailed)
-		s.log.Warn("job failed", "job", j.id, "flight", j.flightID, "dur", dur.Truncate(time.Millisecond), "err", err)
+		s.log.Warn("job failed", "job", j.id, "flight", j.rode.id, "dur", dur.Truncate(time.Millisecond), "err", err)
 	} else {
 		s.count(s.mCompleted)
-		s.log.Info("job done", "job", j.id, "flight", j.flightID, "dur", dur.Truncate(time.Millisecond))
+		s.log.Info("job done", "job", j.id, "flight", j.rode.id, "dur", dur.Truncate(time.Millisecond))
 		// The four phases partition [created, done] exactly:
 		// admission ends at tAdmitted, queue at tRunStart, run at
 		// resolved, respond at done.
@@ -318,7 +317,7 @@ func (s *Server) finishJob(j *job, res result, err error, resolved time.Time) {
 	}
 
 	j.mu.Lock()
-	j.state, j.errMsg = state, errMsg
+	j.state, j.errMsg, j.tDone = state, errMsg, done
 	if err == nil {
 		j.result = res.val
 		j.skip = res.skip
@@ -356,39 +355,32 @@ func (s *Server) cancelJob(j *job) {
 	fl.memo.Leave()
 
 	j.mu.Lock()
-	j.state = StateCancelled
+	j.state, j.tDone = StateCancelled, time.Now()
 	for _, ch := range j.subs {
 		close(ch)
 	}
 	j.subs = nil
-	dur := time.Since(j.created)
+	dur := j.tDone.Sub(j.created)
 	j.mu.Unlock()
 	s.releaseSlot(j)
 	s.count(s.mCancelled)
 	s.journalAppend(store.Record{Type: store.RecCancelled, Job: j.id, Kind: j.kind, FP: j.fp})
-	j.span.SetAttr("state", string(StateCancelled))
-	j.span.End()
-	s.log.Info("job cancelled", "job", j.id, "flight", j.flightID,
+	s.log.Info("job cancelled", "job", j.id, "flight", fl.id,
 		"dur", dur.Truncate(time.Millisecond), "flight_cancelled", lastRider)
 }
 
 // markRunning flips a flight's attached jobs to running; called by the
-// flight's compute fn the moment a pool worker picks it up. It also opens
-// the flight's "run" span (a child of the initiating job's root) and closes
-// every rider's queue_wait span, stamping the run-start instant the phase
-// accounting uses. Returns the run span for the compute fn to hand to the
-// simulator.
-func (s *Server) markRunning(fl *flight) *obs.Span {
+// flight's compute fn the moment a pool worker picks it up. It stamps the
+// run-start instant on the flight's run record and on every rider, where it
+// ends the queue phase.
+func (s *Server) markRunning(fl *flight) {
 	s.mu.Lock()
 	// Read the clock under s.mu: every rider's tAdmitted was stamped under it,
 	// so the run-start instant cannot precede one (a worker can pick the
 	// flight up before the submission that started it has attached).
 	now := time.Now()
 	fl.started = true
-	if fl.span == nil {
-		fl.span = fl.rootSpan.Child("run", obs.A("flight", fl.id))
-	}
-	run := fl.span
+	fl.runStart = now
 	jobs := append([]*job(nil), fl.jobs...)
 	s.mu.Unlock()
 	for _, j := range jobs {
@@ -399,13 +391,24 @@ func (s *Server) markRunning(fl *flight) *obs.Span {
 		if j.tRunStart.IsZero() {
 			j.tRunStart = now
 		}
-		qs := j.queueSpan
-		j.queueSpan = nil
 		j.mu.Unlock()
-		qs.End()
 		s.journalAppend(store.Record{Type: store.RecStarted, Job: j.id})
 	}
-	return run
+}
+
+// markPhase records a run-loop phase boundary on the flight's run record at
+// the wall instant it is reported: the open phase, if any, ends at cycle, and
+// a named boundary opens the next. It is the simulation observer's Phase hook.
+func (s *Server) markPhase(fl *flight, name string, cycle uint64) {
+	now := time.Now()
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if n := len(fl.phases); n > 0 && fl.phases[n-1].end.IsZero() {
+		fl.phases[n-1].end, fl.phases[n-1].endCycle = now, cycle
+	}
+	if name != "" {
+		fl.phases = append(fl.phases, simPhase{name: name, start: now, startCycle: cycle})
+	}
 }
 
 // broadcastProgress fans a progress sample out to every subscriber of every

@@ -84,7 +84,6 @@ func (s *Server) registerMetrics() {
 	s.reg.Gauge("workers", func() float64 { return float64(s.pool.Jobs()) })
 	s.reg.Gauge("workers_busy", func() float64 { return float64(s.busy.Load()) })
 	s.reg.Gauge("uptime_seconds", func() float64 { return time.Since(s.startedAt).Seconds() })
-	s.reg.Gauge("trace_spans_dropped", func() float64 { return float64(s.spans.Dropped()) })
 	s.reg.Gauge("cache_entries", func() float64 { return float64(s.results.Stats().Entries) })
 	s.vitals = obs.RegisterRuntimeMetrics(s.reg)
 	// The result memo counts per lookup: a submission is one Lookup, plus a

@@ -48,7 +48,7 @@ type SimRequest struct {
 	// Faults is a fault-injection spec in the CLI's -faults syntax.
 	Faults string `json:"faults,omitempty"`
 	// Trace additionally records the simulator's cycle-domain request
-	// lifecycle, retrievable merged with the job's wall-clock spans at
+	// lifecycle, retrievable merged with the job's wall-clock phases at
 	// GET /v1/jobs/{id}/trace. Tracing is observation-only — the result
 	// bytes are identical either way — but traced and untraced submissions
 	// get separate cache/dedup keys so an untraced cached result is never

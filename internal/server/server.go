@@ -29,7 +29,6 @@
 //	GET    /healthz            pure liveness (200 whenever the process serves)
 //	GET    /readyz             readiness: 503 during drain, journal recovery, or store-degraded mode
 //	GET    /v1/fleet/self      fleet identity probe: node id, role, readiness
-//	GET    /debug/trace        Chrome trace_event JSON of the whole span buffer
 //	GET    /debug/dash         live HTML dashboard (SSE-fed)
 //	GET    /debug/dash/stream  the dashboard's SSE stream of Stats snapshots
 package server
@@ -70,10 +69,6 @@ type Config struct {
 	// MaxTrackedJobs bounds the job table; the oldest finished jobs are
 	// forgotten beyond it (default 4096).
 	MaxTrackedJobs int
-	// SpanCapacity bounds the wall-clock span buffer behind /debug/trace and
-	// the per-job traces; the oldest finished spans fall off first (default
-	// 8192).
-	SpanCapacity int
 	// Logger receives structured lifecycle logs with job/flight correlation
 	// keys. Nil discards all logging.
 	Logger *slog.Logger
@@ -116,9 +111,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MaxTrackedJobs <= 0 {
 		c.MaxTrackedJobs = 4096
-	}
-	if c.SpanCapacity <= 0 {
-		c.SpanCapacity = 8192
 	}
 	if c.CheckpointEntries == 0 {
 		c.CheckpointEntries = 64
@@ -236,7 +228,6 @@ type Server struct {
 	busy       atomic.Int64 // flights currently executing on a pool worker
 
 	log    *slog.Logger
-	spans  *obs.Spanner // wall-clock serving trace
 	vitals func() obs.RuntimeVitals
 
 	metrics
@@ -257,7 +248,6 @@ func New(cfg Config) *Server {
 	if s.log == nil {
 		s.log = slog.New(slog.NewTextHandler(io.Discard, nil))
 	}
-	s.spans = obs.NewSpanner(cfg.SpanCapacity)
 	s.results.SetCap(cfg.CacheEntries)
 
 	// Warmup-checkpoint cache: memory-only by default, store-backed when a
@@ -301,7 +291,6 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("GET /metrics", s.handleMetrics)
 	mux.HandleFunc("GET /healthz", s.handleHealthz)
 	mux.HandleFunc("GET /readyz", s.handleReadyz)
-	mux.HandleFunc("GET /debug/trace", s.handleDebugTrace)
 	mux.HandleFunc("GET /debug/dash", s.handleDash)
 	mux.HandleFunc("GET /debug/dash/stream", s.handleDashStream)
 	return mux
@@ -346,26 +335,24 @@ func (s *Server) Close() {
 }
 
 // serveCached registers a done-from-cache job holding res and answers the
-// submission 200. root/adm are the submission's spans; both end here with the
-// cache-hit outcome. Counters are touched outside s.mu (metricsMu nests
+// submission 200; its admission runs from submit entry t0 to the answer, with
+// outcome cache_hit. Counters are touched outside s.mu (metricsMu nests
 // outside it — the /metrics render holds it while gauges read s.mu).
-func (s *Server) serveCached(w http.ResponseWriter, kind, fp string, res result, t0 time.Time, root, adm *obs.Span) {
+func (s *Server) serveCached(w http.ResponseWriter, kind, fp string, res result, t0 time.Time) {
 	s.mu.Lock()
 	j := s.newJobLocked(kind, fp)
 	j.cached = true
+	j.outcome = "cache_hit"
 	j.state = StateDone
 	j.result = res.val
 	j.skip = res.skip
-	j.span = root
-	root.SetAttr("job", j.id)
+	j.created = t0
+	j.tDone = time.Now()
+	j.tAdmitted = j.tDone
 	s.mu.Unlock()
-	adm.SetAttr("outcome", "cache_hit")
-	adm.End()
-	root.SetAttr("state", string(StateDone))
-	root.End()
 	s.count(s.mAccepted)
 	s.count(s.mCached)
-	s.observeCacheHit(time.Since(t0))
+	s.observeCacheHit(j.tDone.Sub(t0))
 	s.log.Info("job cache hit", "job", j.id, "kind", kind, "fp", fp)
 	writeJSON(w, http.StatusOK, j.status(true))
 }
@@ -375,37 +362,25 @@ func (s *Server) serveCached(w http.ResponseWriter, kind, fp string, res result,
 // slot and join the fingerprint's computation, starting fn when none is in
 // flight. reqJSON is the original wire request, journaled
 // write-ahead so a crashed daemon can re-run the job. r carries the tenant
-// header for admission. Every outcome — even a rejection — leaves a span tree
-// in the serving trace.
+// header for admission. A rejected submission registers no job.
 func (s *Server) submit(w http.ResponseWriter, r *http.Request, kind, fp string, reqJSON []byte, fn computeFn) {
 	t0 := time.Now()
-	root := s.spans.Start("job", obs.A("kind", kind), obs.A("fp", fp))
-	adm := root.Child("admission")
-	endWith := func(outcome string) { // unadmitted exits: close the tree
-		adm.SetAttr("outcome", outcome)
-		adm.End()
-		root.SetAttr("state", outcome)
-		root.End()
-	}
 	if s.rejectDraining(w) {
-		endWith("draining")
 		return
 	}
 	// Tenant quota first: the bucket prices every submission — cached answers
 	// included — so a tenant hammering warm keys still pays for the requests.
 	if !s.chargeTenant(w, r) {
-		endWith("rejected_tenant_quota")
 		return
 	}
 	// One Lookup walks memory → disk (IO outside s.mu), promoting a disk hit
 	// into memory; identical concurrent misses share one read. A cached
 	// answer takes no queue slot.
 	if res, ok := s.results.Lookup(r.Context(), fp); ok {
-		s.serveCached(w, kind, fp, res, t0, root, adm)
+		s.serveCached(w, kind, fp, res, t0)
 		return
 	}
 	if !s.takeSlot(w) {
-		endWith("rejected_queue_full")
 		return
 	}
 
@@ -417,31 +392,26 @@ func (s *Server) submit(w http.ResponseWriter, r *http.Request, kind, fp string,
 		s.mu.Unlock()
 		<-s.slots // return the queue slot
 		s.rejectDraining(w)
-		endWith("draining")
 		return
 	}
-	fl, res, out := s.joinFlightLocked(fp, root, fn)
+	fl, res, out := s.joinFlightLocked(fp, fn)
 	if out == runner.Hit {
 		// An identical flight completed between the Lookup and admission:
 		// starting a fresh simulation for bytes the memo holds is wasted work.
 		s.mu.Unlock()
 		<-s.slots // no flight was joined
-		s.serveCached(w, kind, fp, res, t0, root, adm)
+		s.serveCached(w, kind, fp, res, t0)
 		return
 	}
 	j := s.newJobLocked(kind, fp)
 	j.created = t0 // anchor phase accounting at submit entry, not allocation
 	j.tAdmitted = time.Now()
-	s.attachLocked(j, fl, root, out)
+	s.attachLocked(j, fl, out)
 	s.mu.Unlock()
 
-	outcome := "admitted"
 	if j.deduped {
-		outcome = "deduped"
 		s.count(s.mDeduped)
 	}
-	adm.SetAttr("outcome", outcome)
-	adm.End()
 	s.count(s.mAccepted)
 	// Write-ahead: the submitted record (with the full request) is on disk
 	// before the client hears "accepted", so an acknowledged job survives a
@@ -457,12 +427,13 @@ func (s *Server) submit(w http.ResponseWriter, r *http.Request, kind, fp string,
 // the same json.Marshal of the same core.Result the CLI's -json flag emits.
 func (s *Server) simFlightFn(fl *flight, cfg core.Config, traced bool) func(context.Context) (json.RawMessage, error) {
 	return func(ctx context.Context) (json.RawMessage, error) {
-		runSpan := s.markRunning(fl)
+		s.markRunning(fl)
 		s.busy.Add(1)
 		defer s.busy.Add(-1)
 		s.count(s.mSimsRun)
 		var sim *core.Simulator
-		ob := &obs.Observer{ProgressInterval: s.cfg.ProgressInterval, RunSpan: runSpan}
+		ob := &obs.Observer{ProgressInterval: s.cfg.ProgressInterval}
+		ob.Phase = func(name string, cycle uint64) { s.markPhase(fl, name, cycle) }
 		ob.Progress = func(now uint64) {
 			if sim == nil {
 				return // constructor-time call; nothing to report yet

@@ -134,10 +134,6 @@ type Stats struct {
 		HitRatio  float64 `json:"hit_ratio"`
 	} `json:"checkpoint"`
 	PoolWait LatencySummary `json:"pool_wait"`
-	Trace    struct {
-		Spans   int    `json:"spans"`
-		Dropped uint64 `json:"spans_dropped"`
-	} `json:"trace"`
 }
 
 // statsSnapshot assembles the current Stats. Lock order: s.mu first (job
@@ -213,9 +209,6 @@ func (s *Server) statsSnapshot() Stats {
 	st.Runtime.GCCycles = v.GCCycles
 	st.Runtime.SchedLatencyP50Ms = v.SchedP50 * 1000
 	st.Runtime.SchedLatencyP99Ms = v.SchedP99 * 1000
-
-	st.Trace.Spans = s.spans.Len()
-	st.Trace.Dropped = s.spans.Dropped()
 	return st
 }
 

@@ -13,16 +13,26 @@ import (
 
 	"smtdram/internal/core"
 	"smtdram/internal/server"
+	"smtdram/internal/server/client"
 )
 
-// TestMetricsScrapeRace hammers /metrics, /v1/stats, and /debug/trace while a
-// burst of submissions (fresh runs, dedup joins, and cache hits) flows through
-// the daemon. Run with -race this is the regression test for the render race:
-// counters increment from worker goroutines while the exposition renders.
+// TestMetricsScrapeRace hammers /metrics, /v1/stats, and the trace of a
+// running job while a burst of submissions (fresh runs, dedup joins, and
+// cache hits) flows through the daemon. Run with -race this is the regression
+// test for the render races: counters increment from worker goroutines while
+// the exposition renders, and the run loop, markRunning and finishJob write a
+// job's phase instants while its trace reads them.
 func TestMetricsScrapeRace(t *testing.T) {
 	_, c := newTestDaemon(t, server.Config{Workers: 4, QueueDepth: 32})
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
 	defer cancel()
+
+	// A job longer than the burst's, whose trace is read while it runs.
+	lw, ltgt := uint64(2_000), uint64(40_000)
+	long, err := c.SubmitSim(ctx, server.SimRequest{Apps: []string{"mcf"}, Warmup: &lw, Target: &ltgt})
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	get := func(path string) error {
 		req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.BaseURL+path, nil)
@@ -42,7 +52,7 @@ func TestMetricsScrapeRace(t *testing.T) {
 	var scrapeErr error
 	var scrapeMu sync.Mutex
 	var wg sync.WaitGroup
-	for _, path := range []string{"/metrics", "/v1/stats", "/debug/trace", "/metrics"} {
+	for _, path := range []string{"/metrics", "/v1/stats", "/v1/jobs/" + long.ID + "/trace", "/metrics"} {
 		wg.Add(1)
 		go func(path string) {
 			defer wg.Done()
@@ -81,6 +91,9 @@ func TestMetricsScrapeRace(t *testing.T) {
 		}(i)
 	}
 	subWg.Wait()
+	if _, err := c.Wait(ctx, long.ID, 0); err != nil {
+		t.Errorf("wait for the long job: %v", err)
+	}
 	close(done)
 	wg.Wait()
 	scrapeMu.Lock()
@@ -96,16 +109,82 @@ type chromeTraceDoc struct {
 		Name  string         `json:"name"`
 		Phase string         `json:"ph"`
 		Pid   int            `json:"pid"`
+		Ts    uint64         `json:"ts"`
+		Dur   uint64         `json:"dur"`
 		Args  map[string]any `json:"args"`
 	} `json:"traceEvents"`
+}
+
+// wallSlice is one wall-clock slice of a job's trace.
+type wallSlice struct {
+	end  uint64 // ts + dur, µs
+	args map[string]any
+}
+
+// readJobTrace fetches a job's trace and checks that every event carries the
+// job id: it returns the wall slices by name and the cycle-event count.
+func readJobTrace(t *testing.T, c *client.Client, id string) (map[string]wallSlice, int) {
+	t.Helper()
+	raw, err := c.Trace(context.Background(), id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var doc chromeTraceDoc
+	if err := json.Unmarshal(raw, &doc); err != nil {
+		t.Fatalf("trace is not valid Chrome JSON: %v", err)
+	}
+	wall := map[string]wallSlice{}
+	var cycle int
+	for _, ev := range doc.TraceEvents {
+		if ev.Phase == "M" {
+			continue
+		}
+		if ev.Args["job"] != id {
+			t.Fatalf("event %q missing job=%s correlation: %v", ev.Name, id, ev.Args)
+		}
+		if ev.Pid != 1 {
+			cycle++
+			continue
+		}
+		if _, dup := wall[ev.Name]; dup {
+			t.Fatalf("trace holds two %q slices", ev.Name)
+		}
+		wall[ev.Name] = wallSlice{end: ev.Ts + ev.Dur, args: ev.Args}
+	}
+	return wall, cycle
+}
+
+// waitRunning polls a job until a worker has picked it up.
+func waitRunning(t *testing.T, c *client.Client, id string) {
+	t.Helper()
+	for deadline := time.Now().Add(30 * time.Second); ; time.Sleep(time.Millisecond) {
+		st, err := c.Job(context.Background(), id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st.State == server.StateRunning {
+			return
+		}
+		if st.State.Terminal() || time.Now().After(deadline) {
+			t.Fatalf("job %s is %s, want running", id, st.State)
+		}
+	}
+}
+
+// blockerSim is a simulation long enough to hold a worker until cancelled.
+func blockerSim() server.SimRequest {
+	w, tgt := uint64(2_000), uint64(50_000_000)
+	return server.SimRequest{Apps: []string{"mcf"}, Warmup: &w, Target: &tgt}
 }
 
 // TestTracedJobTwoDomainTrace is the tentpole acceptance test: a job
 // submitted with trace=true serves a result byte-identical to a direct run,
 // and its /trace payload is one Chrome JSON document holding both clock
-// domains — wall-clock daemon spans (admission/queue/run/respond plus the run
-// loop's warmup/measure phases) and the simulation's cycle-domain lifecycle —
-// every event correlated by the job id.
+// domains — the job's wall-clock phases (admission/queue/run/respond plus the
+// run loop's warmup/measure) and the simulation's cycle-domain lifecycle —
+// every event correlated by the job id. A deduped rider's trace shows its own
+// admission and respond and the run of the flight it rode; a cache hit's
+// shows its admission and no run.
 func TestTracedJobTwoDomainTrace(t *testing.T) {
 	req := smallSim()
 	req.Trace = true
@@ -122,62 +201,169 @@ func TestTracedJobTwoDomainTrace(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	_, c := newTestDaemon(t, server.Config{Logger: testLogger(t)})
+	// A blocker holds the one worker while two identical traced submissions
+	// queue behind it, so the second rides the first's flight.
+	_, c := newTestDaemon(t, server.Config{Workers: 1, Logger: testLogger(t)})
 	ctx := context.Background()
-	st, err := c.SubmitSim(ctx, req)
+	blocker, err := c.SubmitSim(ctx, blockerSim())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st, err = c.Wait(ctx, st.ID, 0); err != nil {
-		t.Fatal(err)
-	}
-	if st.State != server.StateDone {
-		t.Fatalf("traced job = %s (%s), want done", st.State, st.Error)
-	}
-	got, err := c.Result(ctx, st.ID)
+	waitRunning(t, c, blocker.ID)
+	first, err := c.SubmitSim(ctx, req)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(got, want) {
-		t.Fatalf("traced result differs from direct run:\n got %s\nwant %s", got, want)
+	rider, err := c.SubmitSim(ctx, req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !rider.Deduped {
+		t.Fatalf("second submission %+v did not ride the first's flight", rider)
+	}
+	if _, err := c.Cancel(ctx, blocker.ID); err != nil {
+		t.Fatal(err)
+	}
+	for _, id := range []string{first.ID, rider.ID} {
+		st, err := c.Wait(ctx, id, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st.State != server.StateDone {
+			t.Fatalf("traced job %s = %s (%s), want done", id, st.State, st.Error)
+		}
+		got, err := c.Result(ctx, id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Fatalf("traced result of %s differs from direct run:\n got %s\nwant %s", id, got, want)
+		}
+	}
+	hit, err := c.SubmitSim(ctx, req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !hit.Cached {
+		t.Fatalf("third submission %+v was not answered from the cache", hit)
 	}
 
-	raw, err := c.Trace(ctx, st.ID)
+	ran := []string{"run", "warmup", "measure", "respond"}
+	for _, row := range []struct {
+		name, id, outcome string
+		want, absent      []string
+		cycle             bool
+	}{
+		{"initiator", first.ID, "admitted", append([]string{"job", "admission", "queue_wait"}, ran...), nil, true},
+		{"deduped rider", rider.ID, "deduped", append([]string{"job", "admission"}, ran...), nil, true},
+		{"cache hit", hit.ID, "cache_hit", []string{"job", "admission"}, append([]string{"queue_wait"}, ran...), false},
+	} {
+		t.Run(row.name, func(t *testing.T) {
+			wall, cycle := readJobTrace(t, c, row.id)
+			for _, name := range row.want {
+				if _, ok := wall[name]; !ok {
+					t.Fatalf("trace is missing the %q slice (have %v)", name, wall)
+				}
+			}
+			for _, name := range row.absent {
+				if _, ok := wall[name]; ok {
+					t.Fatalf("trace holds a %q slice it should not", name)
+				}
+			}
+			if got := wall["admission"].args["outcome"]; got != row.outcome {
+				t.Fatalf("admission outcome = %v, want %s", got, row.outcome)
+			}
+			if (cycle > 0) != row.cycle {
+				t.Fatalf("trace has %d cycle-domain events, want them: %v", cycle, row.cycle)
+			}
+		})
+	}
+}
+
+// TestJobTraceOutlivesCacheHits: a job's trace lasts as long as the job
+// table tracks the job. The table holds 4,096 jobs by default, so after 4,094
+// cache hits the first job is still tracked, and its trace still holds its
+// seven wall phases.
+func TestJobTraceOutlivesCacheHits(t *testing.T) {
+	_, c := newTestDaemon(t, server.Config{})
+	ctx := context.Background()
+	st, err := c.SubmitSim(ctx, smallSim())
 	if err != nil {
 		t.Fatal(err)
 	}
-	var doc chromeTraceDoc
-	if err := json.Unmarshal(raw, &doc); err != nil {
-		t.Fatalf("trace is not valid Chrome JSON: %v", err)
+	if st, err = c.Wait(ctx, st.ID, 0); err != nil || st.State != server.StateDone {
+		t.Fatalf("job %s: %s, %v", st.ID, st.State, err)
 	}
-	var wall, cycle int
-	names := map[string]bool{}
-	for _, ev := range doc.TraceEvents {
-		if ev.Phase == "M" {
-			continue
-		}
-		if ev.Args["job"] != st.ID {
-			t.Fatalf("event %q missing job=%s correlation: %v", ev.Name, st.ID, ev.Args)
-		}
-		names[ev.Name] = true
-		if ev.Pid == 1 {
-			wall++
-		} else {
-			cycle++
+	before, _ := readJobTrace(t, c, st.ID)
+	if len(before) != 7 {
+		t.Fatalf("finished job's trace holds %d wall slices, want 7: %v", len(before), before)
+	}
+
+	const hits, clients = 4094, 4
+	var wg sync.WaitGroup
+	for g := 0; g < clients; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := g; i < hits; i += clients {
+				hit, err := c.SubmitSim(ctx, smallSim())
+				if err != nil || !hit.Cached {
+					t.Errorf("cache hit %d: %+v, %v", i, hit, err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if stats, err := c.Stats(ctx); err != nil || stats.Jobs.Tracked != hits+1 {
+		t.Fatalf("the table tracks %d jobs (%v), want %d", stats.Jobs.Tracked, err, hits+1)
+	}
+	after, _ := readJobTrace(t, c, st.ID)
+	if len(after) != 7 {
+		t.Fatalf("after %d cache hits the first job's trace holds %d wall slices, want 7: %v", hits, len(after), after)
+	}
+}
+
+// TestQueuedCancelEndsQueueWait: a job cancelled while queued behind a busy
+// worker has a closed trace: its queue_wait ends at the cancel instant, where
+// the job ends, and nothing is left open and drawn on to now.
+func TestQueuedCancelEndsQueueWait(t *testing.T) {
+	_, c := newTestDaemon(t, server.Config{Workers: 1})
+	ctx := context.Background()
+	blocker, err := c.SubmitSim(ctx, blockerSim())
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitRunning(t, c, blocker.ID)
+	queued, err := c.SubmitSim(ctx, smallSim())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st, err := c.Cancel(ctx, queued.ID); err != nil || st.State != server.StateCancelled {
+		t.Fatalf("cancel: %+v, %v", st, err)
+	}
+	time.Sleep(20 * time.Millisecond) // an open phase would be drawn on past the cancel
+
+	wall, _ := readJobTrace(t, c, queued.ID)
+	for name, sl := range wall {
+		if sl.args["open"] != nil {
+			t.Fatalf("the cancelled job's %q slice is open: %v", name, sl.args)
 		}
 	}
-	if wall == 0 || cycle == 0 {
-		t.Fatalf("trace has wall=%d cycle=%d events, want both domains", wall, cycle)
+	job, qw := wall["job"], wall["queue_wait"]
+	if qw.args == nil || qw.end != job.end {
+		t.Fatalf("queue_wait ends at %dµs, want the cancel instant %dµs (slices %v)", qw.end, job.end, wall)
 	}
-	for _, span := range []string{"job", "admission", "run", "respond", "warmup", "measure"} {
-		if !names[span] {
-			t.Fatalf("trace is missing the %q span (have %v)", span, names)
-		}
+	if _, ok := wall["run"]; ok {
+		t.Fatalf("a job cancelled while queued shows a run")
+	}
+	if job.args["state"] != string(server.StateCancelled) {
+		t.Fatalf("job slice state = %v, want cancelled", job.args["state"])
 	}
 }
 
 // TestUntracedJobTraceWallOnly: without trace=true the job still has its
-// wall-clock span tree, just no cycle-domain events.
+// wall-clock phases, just no cycle-domain events.
 func TestUntracedJobTraceWallOnly(t *testing.T) {
 	_, c := newTestDaemon(t, server.Config{})
 	ctx := context.Background()
@@ -208,7 +394,7 @@ func TestUntracedJobTraceWallOnly(t *testing.T) {
 		}
 	}
 	if wall == 0 {
-		t.Fatalf("untraced job has no wall-clock spans")
+		t.Fatalf("untraced job has no wall-clock phases")
 	}
 	if cycle != 0 {
 		t.Fatalf("untraced job leaked %d cycle-domain events", cycle)
@@ -281,9 +467,6 @@ func TestStatsPhasePartition(t *testing.T) {
 	if st.Runtime.Goroutines <= 0 {
 		t.Fatalf("runtime vitals missing: %+v", st.Runtime)
 	}
-	if st.Trace.Spans == 0 {
-		t.Fatalf("no spans retained after serving jobs")
-	}
 }
 
 // TestMetricsExpositionStrictlyValid runs the strict Prometheus parser over
@@ -331,8 +514,7 @@ func TestMetricsExpositionStrictlyValid(t *testing.T) {
 // something reads it: the dashboard, a recipe, CI or cmd/bench.
 var daemonFamilies = map[string][]string{
 	"gauge": {
-		"queue_depth", "queue_capacity", "workers", "workers_busy", "uptime_seconds",
-		"trace_spans_dropped", "cache_entries",
+		"queue_depth", "queue_capacity", "workers", "workers_busy", "uptime_seconds", "cache_entries",
 		"go_goroutines", "go_heap_alloc_bytes", "go_gc_pause_total_seconds", "go_gc_cycles_total",
 		"go_sched_latency_p50_seconds", "go_sched_latency_p99_seconds",
 		"checkpoint_entries", "store_entries", "store_degraded", "recovery_outstanding",
