@@ -19,6 +19,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"runtime"
 	"runtime/pprof"
@@ -167,7 +168,15 @@ func main() {
 	}
 	if tracer != nil {
 		fatalIf(writeTrace(tracer, *traceOut))
-		fmt.Printf("trace: %d lifecycle events -> %s\n", tracer.Len(), *traceOut)
+		// With -json, stdout carries the result bytes alone.
+		out := io.Writer(os.Stdout)
+		if *jsonOut {
+			out = os.Stderr
+		}
+		fmt.Fprintf(out, "trace: %d lifecycle events -> %s\n", tracer.Len(), *traceOut)
+		m, err := cfg.Mem.TraceMachine()
+		fatalIf(err)
+		reportAttribution(out, obs.Attribute(tracer.Events(), m))
 	}
 
 	if *memprofile != "" {
@@ -246,6 +255,59 @@ func report(cfg core.Config, res core.Result, st obs.SkipStats) {
 		fmt.Printf("  %s: %.1f%%", b.Label, 100*b.Frac)
 	}
 	fmt.Println()
+}
+
+// reportAttribution prints the trace's read-latency split per thread, in
+// mean cycles per read, and the scheduler's choice counts.
+func reportAttribution(w io.Writer, a obs.Attribution) {
+	fmt.Fprintf(w, "DRAM read latency over the whole trace, mean cycles per read: queued while its bank served an\n")
+	fmt.Fprintf(w, "older or a younger (overtaken) request, while the window was full, or with its bank free; then served\n")
+	fmt.Fprintf(w, "%-3s %7s %8s %8s %9s %8s %8s %8s %8s %8s\n",
+		"t", "reads", "latency", "older", "overtaken", "window", "bankfree", "prep", "buswait", "transfer")
+	row := func(label string, n uint64, s obs.LatencySplit) {
+		if n == 0 {
+			return
+		}
+		per := func(v uint64) float64 { return float64(v) / float64(n) }
+		fmt.Fprintf(w, "%-3s %7d %8.1f %8.1f %9.1f %8.1f %8.1f %8.1f %8.1f %8.1f\n", label, n, per(s.Total()),
+			per(s.Older), per(s.Overtaken), per(s.WindowFull), per(s.BankFree), per(s.Prep), per(s.BusWait), per(s.Transfer))
+	}
+	var all obs.ThreadReads
+	for i, tr := range a.ByThread() {
+		row(fmt.Sprint(i), tr.Reads, tr.Sum)
+		all.Reads += tr.Reads
+		all.Sum = all.Sum.Plus(tr.Sum)
+	}
+	row("all", all.Reads, all.Sum)
+	if a.Unsplit > 0 {
+		fmt.Fprintf(w, "not split: %d reads (in flight at the end, retried, or failed over)\n", a.Unsplit)
+	}
+	var dispatches uint64
+	for _, n := range a.Choices {
+		dispatches += n
+	}
+	if dispatches == 0 {
+		return
+	}
+	const pooled = 8
+	fmt.Fprintf(w, "choices at %d dispatches (queued requests with a free bank):", dispatches)
+	for k := 0; k < len(a.Choices) && k <= pooled; k++ {
+		n, label := a.Choices[k], fmt.Sprint(k)
+		if k == pooled {
+			label += "+"
+			for _, m := range a.Choices[k+1:] {
+				n += m
+			}
+		}
+		if n > 0 {
+			fmt.Fprintf(w, "  %s: %.1f%%", label, 100*float64(n)/float64(dispatches))
+		}
+	}
+	fmt.Fprintln(w)
+	if a.ReadyReads > 0 {
+		fmt.Fprintf(w, "oldest ready read dispatched at %d of %d dispatches with a read ready (%.1f%%)\n",
+			a.OldestPicked, a.ReadyReads, 100*float64(a.OldestPicked)/float64(a.ReadyReads))
+	}
 }
 
 func timedOut(res core.Result) string {

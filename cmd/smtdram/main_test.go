@@ -144,4 +144,29 @@ func TestTraceOutput(t *testing.T) {
 	if len(chrome.TraceEvents) == 0 {
 		t.Error("x.json has no traceEvents")
 	}
+
+	// The report ends with the trace's read-latency table and choice counts;
+	// with -json they go to stderr and stdout is the result alone.
+	out, err := exec.Command(bin, "-mix", "2-MEM", "-warmup", "2000", "-target", "3000", "-trace", filepath.Join(dir, "y.jsonl")).Output()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{"\nall ", "choices at ", "oldest ready read dispatched"} {
+		if !strings.Contains(string(out), want) {
+			t.Errorf("-trace report lacks %q:\n%s", want, out)
+		}
+	}
+	cmd := exec.Command(bin, "-mix", "2-MEM", "-warmup", "2000", "-target", "3000", "-json", "-trace", filepath.Join(dir, "z.jsonl"))
+	var stderr strings.Builder
+	cmd.Stderr = &stderr
+	if out, err = cmd.Output(); err != nil {
+		t.Fatal(err)
+	}
+	var res map[string]any
+	if err := json.Unmarshal(out, &res); err != nil {
+		t.Errorf("-json -trace stdout is not one JSON value: %v\n%s", err, out)
+	}
+	if !strings.Contains(stderr.String(), "choices at ") {
+		t.Errorf("-json -trace stderr lacks the trace report:\n%s", stderr.String())
+	}
 }

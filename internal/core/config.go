@@ -131,6 +131,24 @@ func (m MemConfig) Params() (dram.Params, error) {
 	return p, nil
 }
 
+// TraceMachine is what obs.Attribute needs of this memory system beyond its
+// lifecycle trace: each channel's in-flight window, and how long a bank stays
+// busy after a transfer (tRP under close page).
+func (m MemConfig) TraceMachine() (obs.Machine, error) {
+	p, err := m.Params()
+	if err != nil {
+		return obs.Machine{}, err
+	}
+	tm := obs.Machine{Window: m.MaxInFlight}
+	if tm.Window == 0 {
+		tm.Window = memctrl.DefaultMaxInFlight
+	}
+	if p.Mode == dram.ClosePage {
+		tm.BankHold = p.TRP
+	}
+	return tm, nil
+}
+
 // Config is the full machine + experiment configuration.
 type Config struct {
 	// Apps names the application run on each hardware thread (Table 2

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"smtdram/internal/dram"
+	"smtdram/internal/memctrl"
 	"smtdram/internal/obs"
 )
 
@@ -172,6 +173,82 @@ func TestTraceMatchesResult(t *testing.T) {
 	}
 	if reqCycles != weighted {
 		t.Fatalf("trace request-cycles %d != Σ i·OutstandingHist[i] %d", reqCycles, weighted)
+	}
+}
+
+// TestAttributionMatchesResult runs obs.Attribute over real traces, open page
+// under hit-first and close page under FCFS: every read's parts sum to its
+// latency exactly; the reads recount as in TestTraceMatchesResult, and their
+// latencies average to the Result's, per thread and overall; and every
+// dispatch finds its own bank free, which holds only if the trace's bank
+// spans, tRP after a close-page transfer included, are the model's.
+func TestAttributionMatchesResult(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		mut  func(*Config)
+	}{
+		{"open page, hit-first", func(*Config) {}},
+		{"close page, fcfs", func(cfg *Config) {
+			cfg.Mem.PageMode = dram.ClosePage
+			cfg.Mem.Policy = memctrl.FCFS
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var cfg Config
+			ob, res := runTraced(t, func(c *Config) {
+				c.WarmupInstr = 0 // the trace and the Result cover one window
+				tc.mut(c)
+				cfg = *c
+			})
+			m, err := cfg.Mem.TraceMachine()
+			if err != nil {
+				t.Fatal(err)
+			}
+			a := obs.Attribute(ob.Trace.Events(), m)
+			if uint64(len(a.Reads)+a.Unsplit) != res.MemReads {
+				t.Fatalf("%d reads split + %d unsplit, result %d", len(a.Reads), a.Unsplit, res.MemReads)
+			}
+			threadLat := make([]uint64, len(res.Apps))
+			threadReads := make([]uint64, len(res.Apps))
+			var latSum uint64
+			for _, r := range a.Reads {
+				if r.Total() != r.Done-r.Enqueue {
+					t.Fatalf("read %d: parts %+v sum to %d, latency %d", r.ReqID, r.LatencySplit, r.Total(), r.Done-r.Enqueue)
+				}
+				threadLat[r.Thread] += r.Done - r.Enqueue
+				threadReads[r.Thread]++
+				latSum += r.Done - r.Enqueue
+			}
+			if got, want := float64(latSum), res.AvgReadLatency*float64(res.MemReads); math.Abs(got-want) > 1e-6*want {
+				t.Fatalf("split reads' latency sums to %.0f, result %.0f", got, want)
+			}
+			for i, n := range threadReads {
+				if got, want := float64(threadLat[i])/float64(n), res.ThreadAvgReadLatency[i]; math.Abs(got-want) > 1e-9*want {
+					t.Fatalf("thread %d: split reads average %.3f cycles, result %.3f", i, got, want)
+				}
+			}
+			var older uint64
+			for i, tr := range a.ByThread() {
+				t.Logf("thread %d: %d reads, %+v", i, tr.Reads, tr.Sum)
+				older += tr.Sum.Older
+			}
+			if older == 0 {
+				t.Fatal("a memory-bound pair never queued behind its own bank")
+			}
+			var dispatches uint64
+			for _, e := range ob.Trace.Events() {
+				if e.Kind == obs.KIssue {
+					dispatches++
+				}
+			}
+			var counted uint64
+			for _, n := range a.Choices {
+				counted += n
+			}
+			if counted != dispatches || a.Choices[0] != 0 {
+				t.Fatalf("choice counts %v over %d dispatches: each dispatch must find its own bank free", a.Choices, dispatches)
+			}
+		})
 	}
 }
 

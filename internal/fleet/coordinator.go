@@ -122,7 +122,7 @@ func NewCoordinator(cfg CoordinatorConfig) *Coordinator {
 		done:      make(chan struct{}),
 	}
 	if c.log == nil {
-		c.log = slog.New(slog.NewTextHandler(io.Discard, nil))
+		c.log = server.DiscardLogger()
 	}
 	c.reg = obs.NewRegistry()
 	c.mForwards = c.reg.Counter("fleet_forwards_total")
@@ -159,10 +159,11 @@ func (c *Coordinator) Close() {
 	<-c.done
 }
 
-// proxyFor builds the member's reverse proxy. FlushInterval -1 flushes every
-// write immediately, which is what keeps forwarded SSE progress streams live
-// instead of buffered; response bodies otherwise pass through untouched, so
-// coordinator-served result bytes are the worker's bytes.
+// proxyFor builds the member's reverse proxy. ReverseProxy flushes a
+// text/event-stream response, and any of unknown length, after every write,
+// which keeps forwarded SSE progress streams live; a JSON reply of known
+// length is copied through and flushed once. Response bodies pass through
+// untouched, so coordinator-served result bytes are the worker's bytes.
 func (c *Coordinator) proxyFor(m *member) *httputil.ReverseProxy {
 	target, err := url.Parse(m.url)
 	if err != nil {
@@ -173,8 +174,7 @@ func (c *Coordinator) proxyFor(m *member) *httputil.ReverseProxy {
 			pr.SetURL(target)
 			pr.Out.Host = target.Host
 		},
-		FlushInterval: -1,
-		BufferPool:    proxyBufs,
+		BufferPool: proxyBufs,
 		ErrorHandler: func(w http.ResponseWriter, r *http.Request, err error) {
 			c.count(c.mErrors)
 			c.mu.Lock()

@@ -127,7 +127,10 @@ func TestFleetForwardByteIdentityAndCacheHit(t *testing.T) {
 }
 
 // TestFleetSSEForwarding: progress events stream live through the
-// coordinator's reverse proxy and end with a terminal event.
+// coordinator's reverse proxy and end with a terminal event. Live means the
+// first progress event arrives while the job, polled through the
+// coordinator, is not yet done: a proxy that held the stream back until the
+// worker closed it would deliver every event after the run.
 func TestFleetSSEForwarding(t *testing.T) {
 	f := startFleet(t, fleet.LocalConfig{
 		Nodes:  []fleet.LocalNode{{ID: "w1"}, {ID: "w2"}},
@@ -147,6 +150,15 @@ func TestFleetSSEForwarding(t *testing.T) {
 	var terminal string
 	err = c.Events(ctx, st.ID, func(ev client.Event) error {
 		if ev.Name == "progress" {
+			if progress == 0 {
+				now, err := c.Job(ctx, st.ID)
+				if err != nil {
+					return err
+				}
+				if now.State == server.StateDone {
+					t.Errorf("first progress event arrived after the job was done")
+				}
+			}
 			progress++
 		} else {
 			terminal = ev.Name

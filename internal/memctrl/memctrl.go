@@ -105,7 +105,7 @@ type Config struct {
 	QueueDepth int
 	// MaxInFlight bounds how many requests a channel dispatches before the
 	// earliest completes; small windows keep scheduling decisions late and
-	// therefore better informed (default 4).
+	// therefore better informed (default DefaultMaxInFlight).
 	MaxInFlight int
 	// AgeThreshold is the outstanding-request count beyond which AgeBased
 	// promotes the oldest request (the paper uses 8).
@@ -141,12 +141,15 @@ const (
 	retryBackoff = 16
 )
 
+// DefaultMaxInFlight is the in-flight window of a Config that sets none.
+const DefaultMaxInFlight = 4
+
 func (c Config) withDefaults() Config {
 	if c.QueueDepth == 0 {
 		c.QueueDepth = 64
 	}
 	if c.MaxInFlight == 0 {
-		c.MaxInFlight = 4
+		c.MaxInFlight = DefaultMaxInFlight
 	}
 	if c.AgeThreshold == 0 {
 		c.AgeThreshold = 8

@@ -1,12 +1,15 @@
 package server
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
 	"net/http"
+	"strconv"
+	"sync"
 	"time"
 
 	"smtdram/internal/obs"
@@ -21,6 +24,50 @@ func writeJSON(w http.ResponseWriter, code int, v any) {
 	enc := json.NewEncoder(w)
 	_ = enc.Encode(v)
 }
+
+// writeStatus writes a job's status with exactly the bytes
+// json.NewEncoder(w).Encode(st) would, trailing newline included, in one
+// write with its Content-Length. The result and progress payloads are copied
+// in verbatim instead of being validated and compacted again: both are
+// json.Marshal output already (see result). It relies on Result, Progress
+// and Skip being JobStatus's last three fields, in that order;
+// TestWriteStatusBytes holds it to the encoder.
+func writeStatus(w http.ResponseWriter, code int, st JobStatus) {
+	res, prog, skip := st.Result, st.Progress, st.Skip
+	st.Result, st.Progress, st.Skip = nil, nil, nil
+	buf := statusBufs.Get().(*bytes.Buffer)
+	buf.Reset()
+	enc := json.NewEncoder(buf)
+	_ = enc.Encode(st)          // strings, bools and a state: cannot fail
+	buf.Truncate(buf.Len() - 2) // reopen the object: drop "}\n"
+	if len(res) > 0 {
+		buf.WriteString(`,"result":`)
+		buf.Write(res)
+	}
+	if len(prog) > 0 {
+		buf.WriteString(`,"progress":`)
+		buf.Write(prog)
+	}
+	if skip != nil {
+		buf.WriteString(`,"skip":`)
+		_ = enc.Encode(skip) // plain numeric struct: cannot fail
+		buf.Truncate(buf.Len() - 1)
+	}
+	buf.WriteString("}\n")
+	w.Header().Set("Content-Type", "application/json")
+	w.Header().Set("Content-Length", strconv.Itoa(buf.Len()))
+	w.WriteHeader(code)
+	_, _ = w.Write(buf.Bytes())
+	if buf.Cap() <= maxPooledStatus {
+		statusBufs.Put(buf)
+	}
+}
+
+// statusBufs holds writeStatus's buffers; one that grew past maxPooledStatus
+// for a large figure result is left to the collector.
+var statusBufs = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+
+const maxPooledStatus = 64 << 10
 
 func writeErr(w http.ResponseWriter, code int, msg string) {
 	writeJSON(w, code, struct {
@@ -65,9 +112,7 @@ func (s *Server) handleSim(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusBadRequest, err.Error())
 		return
 	}
-	fp := simShardKey(cfg, req.Trace)
-	reqJSON, _ := json.Marshal(req) // canonical form for the write-ahead journal
-	s.submit(w, r, "sim", fp, reqJSON, func(fl *flight) func(context.Context) (json.RawMessage, error) {
+	s.submit(w, r, "sim", simShardKey(cfg, req.Trace), req, func(fl *flight) func(context.Context) (json.RawMessage, error) {
 		return s.simFlightFn(fl, cfg, req.Trace)
 	})
 }
@@ -82,8 +127,7 @@ func (s *Server) handleFigures(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusBadRequest, err.Error())
 		return
 	}
-	reqJSON, _ := json.Marshal(req)
-	s.submit(w, r, "figure", "fig|"+req.key(), reqJSON, func(fl *flight) func(context.Context) (json.RawMessage, error) {
+	s.submit(w, r, "figure", "fig|"+req.key(), req, func(fl *flight) func(context.Context) (json.RawMessage, error) {
 		return s.figFlightFn(fl, req)
 	})
 }
@@ -106,7 +150,7 @@ func (s *Server) handleJobGet(w http.ResponseWriter, r *http.Request) {
 	if j == nil {
 		return
 	}
-	writeJSON(w, http.StatusOK, j.status(true))
+	writeStatus(w, http.StatusOK, j.status(true))
 }
 
 // handleJobResult serves the raw result bytes — exactly what a CLI
@@ -147,7 +191,7 @@ func (s *Server) handleJobDelete(w http.ResponseWriter, r *http.Request) {
 	}
 
 	s.cancelJob(j)
-	writeJSON(w, http.StatusOK, j.status(false))
+	writeStatus(w, http.StatusOK, j.status(false))
 }
 
 // subscribe registers an SSE listener on j. The returned channel receives

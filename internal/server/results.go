@@ -19,6 +19,11 @@ import (
 // responses without copying — and the producing run's two-speed-clock summary
 // (nil for figure sweeps), which rides beside the byte-identical payload so a
 // cached answer reports the skip statistics the original run did.
+//
+// val is always compact json.Marshal output: a computed result enters the
+// memo as simFlightFn's or figFlightFn's Marshal, and the disk tier hands back
+// the checksummed bytes that were put, which journal recovery reads through
+// the same memo. writeStatus splices val into a reply as it stands.
 type result struct {
 	val  []byte
 	skip *SkipInfo

@@ -39,6 +39,7 @@ import (
 	"encoding/json"
 	"io"
 	"log/slog"
+	"math"
 	"net/http"
 	"sync"
 	"sync/atomic"
@@ -233,6 +234,12 @@ type Server struct {
 	metrics
 }
 
+// DiscardLogger is the logger of a daemon or coordinator given none. Its
+// handler is enabled at no level, so a discarded record is never formatted.
+func DiscardLogger() *slog.Logger {
+	return slog.New(slog.NewTextHandler(io.Discard, &slog.HandlerOptions{Level: slog.Level(math.MaxInt)}))
+}
+
 // New builds a Server.
 func New(cfg Config) *Server {
 	cfg = cfg.withDefaults()
@@ -246,7 +253,7 @@ func New(cfg Config) *Server {
 	s.baseCtx, s.baseStop = context.WithCancel(context.Background())
 	s.log = cfg.Logger
 	if s.log == nil {
-		s.log = slog.New(slog.NewTextHandler(io.Discard, nil))
+		s.log = DiscardLogger()
 	}
 	s.results.SetCap(cfg.CacheEntries)
 
@@ -354,16 +361,17 @@ func (s *Server) serveCached(w http.ResponseWriter, kind, fp string, res result,
 	s.count(s.mCached)
 	s.observeCacheHit(j.tDone.Sub(t0))
 	s.log.Info("job cache hit", "job", j.id, "kind", kind, "fp", fp)
-	writeJSON(w, http.StatusOK, j.status(true))
+	writeStatus(w, http.StatusOK, j.status(true))
 }
 
 // submit runs the common submission path: pass the gate (admission.go),
 // answer from the result memo — memory or the disk store — or take a queue
 // slot and join the fingerprint's computation, starting fn when none is in
-// flight. reqJSON is the original wire request, journaled
-// write-ahead so a crashed daemon can re-run the job. r carries the tenant
+// flight. req is the decoded wire request; an admitted job journals its
+// canonical JSON write-ahead, so a crashed daemon can re-run it, and a cached
+// answer journals nothing, so it never encodes it. r carries the tenant
 // header for admission. A rejected submission registers no job.
-func (s *Server) submit(w http.ResponseWriter, r *http.Request, kind, fp string, reqJSON []byte, fn computeFn) {
+func (s *Server) submit(w http.ResponseWriter, r *http.Request, kind, fp string, req any, fn computeFn) {
 	t0 := time.Now()
 	if s.rejectDraining(w) {
 		return
@@ -416,9 +424,10 @@ func (s *Server) submit(w http.ResponseWriter, r *http.Request, kind, fp string,
 	// Write-ahead: the submitted record (with the full request) is on disk
 	// before the client hears "accepted", so an acknowledged job survives a
 	// crash at any later point.
+	reqJSON, _ := json.Marshal(req) // a decoded request re-encodes: cannot fail
 	s.journalAppend(store.Record{Type: store.RecSubmitted, Job: j.id, Kind: kind, FP: fp, Request: reqJSON})
 	s.log.Info("job accepted", "job", j.id, "kind", kind, "fp", fp, "flight", fl.id, "deduped", j.deduped)
-	writeJSON(w, http.StatusAccepted, j.status(false))
+	writeStatus(w, http.StatusAccepted, j.status(false))
 }
 
 // simFlightFn builds the compute function for one simulation flight: run the
