@@ -4,9 +4,13 @@ import (
 	"context"
 	"crypto/sha256"
 	"encoding/hex"
+	"encoding/json"
 	"testing"
 
+	"smtdram/internal/addrmap"
+	"smtdram/internal/dram"
 	"smtdram/internal/memctrl"
+	"smtdram/internal/workload"
 )
 
 // goldenFrames are two warmup checkpoints pinned by length and digest: the
@@ -55,4 +59,72 @@ func TestCheckpointGoldenFrames(t *testing.T) {
 			}
 		})
 	}
+}
+
+// goldenResults pins json.Marshal(Result) by length and SHA-256 for every
+// scheduling policy on two machines: four MEM threads on DDR (open page, XOR
+// mapping) and eight on Direct RDRAM (close page, page mapping — the machine
+// of the mem8_rdram_close benchmark). The figures page runs FCFS on DDR only,
+// so these are the one check that every policy's bytes on RDRAM close page
+// stay put under a refactor.
+var goldenResults = map[string]struct {
+	size   int
+	sha256 string
+}{
+	"4-mem-ddr-open-xor/age-based":             {1284, "ca34f696511595a3e42d043a3af06ec2fb29f9ae2ce20f8bb4196176ef7ba808"},
+	"4-mem-ddr-open-xor/criticality-based":     {1283, "2fda1a746d5aa40ae07aa87aca72c85d0cbcb240348de25622adf10e675bab3c"},
+	"4-mem-ddr-open-xor/fcfs":                  {1310, "2f752896ae423321320820228f7ebe564e7840aea4345870a85550a845974cbf"},
+	"4-mem-ddr-open-xor/hit-first":             {1287, "fa671b33f331321489daec08af457b4d639ff0a629abac053f5b805807498c1d"},
+	"4-mem-ddr-open-xor/iq-based":              {1273, "28c1515b8a69ed14e783d17774b0bd6cc8d7185092eb46c05f55d35df2174994"},
+	"4-mem-ddr-open-xor/request-based":         {1289, "8d6542e75c8fc361636fc255eee4e8d18a5fb5d82777e06e32a43476a42a43eb"},
+	"4-mem-ddr-open-xor/rob-based":             {1291, "823e944054fdaf812b2d0b185f8bd1a9fed77e32f3ecd9105c5b0dfe1f92c541"},
+	"8-mem-rdram-close-page/age-based":         {1516, "267d17b804454a9eb7e0b6e053272c0d17f4721c8dc3514177b5397fb37fb0c8"},
+	"8-mem-rdram-close-page/criticality-based": {1556, "91700763da615357a304216ca828313677f7832c01ef14416868cfc3ddc33f9e"},
+	"8-mem-rdram-close-page/fcfs":              {1547, "fe9129f6b4b7c7893be40226f88e8c87c3b64af7f6148e91c53c4d69f0b6e3e1"},
+	"8-mem-rdram-close-page/hit-first":         {1528, "a6a0c20587d9ce31ade7f57f10dfa150b1ff22b0dc15d98bd11a9425fafa3667"},
+	"8-mem-rdram-close-page/iq-based":          {1536, "907013ee897f58bfb7039a6af07ea6a8e711557d3e2ce368e36146746e7964f9"},
+	"8-mem-rdram-close-page/request-based":     {1556, "ec61204e090aed7a250728342f864295c9cbe1abe20aa9301878046f8b499dcb"},
+	"8-mem-rdram-close-page/rob-based":         {1527, "d563831799589d29f6faa5eedf81b215adffe91d6058494c8b41654bb5b6ef25"},
+}
+
+func TestGoldenResults(t *testing.T) {
+	four := DefaultConfig(mixApps(t, "4-MEM")...)
+	eight := DefaultConfig(mixApps(t, "8-MEM")...)
+	eight.Mem.Kind, eight.Mem.PageMode, eight.Mem.Scheme = RDRAM, dram.ClosePage, addrmap.Page
+	for _, m := range []struct {
+		name string
+		cfg  Config
+	}{{"4-mem-ddr-open-xor", four}, {"8-mem-rdram-close-page", eight}} {
+		for _, p := range memctrl.AllPolicies() {
+			name := m.name + "/" + p.String()
+			t.Run(name, func(t *testing.T) {
+				t.Parallel()
+				cfg := m.cfg
+				cfg.WarmupInstr, cfg.TargetInstr = 10000, 10000
+				cfg.Mem.Policy = p
+				res, err := Run(cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				b, err := json.Marshal(res)
+				if err != nil {
+					t.Fatal(err)
+				}
+				sum := sha256.Sum256(b)
+				want := goldenResults[name]
+				if got := hex.EncodeToString(sum[:]); len(b) != want.size || got != want.sha256 {
+					t.Errorf("Result bytes moved; got\n\t%q: {%d, %q},\nwant {%d, %q}", name, len(b), got, want.size, want.sha256)
+				}
+			})
+		}
+	}
+}
+
+func mixApps(t *testing.T, name string) []string {
+	t.Helper()
+	m, err := workload.MixByName(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return m.Apps
 }
