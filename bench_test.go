@@ -170,8 +170,8 @@ func TestPinnedCounts(t *testing.T) {
 
 // BenchmarkParallelFigures measures the parallel experiment scheduler on a
 // figure-sized sweep (Figure 6: 9 mixes × 3 channel counts plus the shared
-// alone-IPC baselines). The jobs=1 case is the sequential path (the pool runs
-// each future lazily inline); jobs=GOMAXPROCS fans the independent runs out
+// alone-IPC baselines). The jobs=1 case is the sequential path (one worker
+// goroutine runs the jobs in submission order); jobs=GOMAXPROCS fans the independent runs out
 // across workers. Output is byte-identical either way — the speedup is pure
 // wall clock, so on a single-core host the two cases coincide.
 func BenchmarkParallelFigures(b *testing.B) {

@@ -169,9 +169,9 @@ func usageErr(msg string) {
 // tracer to every simulation a figure runs and writes each run's Chrome trace
 // into traceDir as the run finishes. Returns nil when no directory is given.
 //
-// With -jobs > 1 the Observe/OnFinish hooks fire on worker goroutines, so the
-// run counter is atomic; run numbering follows start order, which is only
-// deterministic at -jobs 1.
+// The Observe/OnFinish hooks fire on worker goroutines, concurrently when
+// -jobs > 1, so the run counter is atomic; run numbering follows start order,
+// which is submission order, and so deterministic, at -jobs 1.
 func traceConfigurer(traceDir string) func(*core.Config) {
 	if traceDir == "" {
 		return nil

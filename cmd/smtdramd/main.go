@@ -8,7 +8,7 @@
 //
 //	smtdramd                                  # serve on 127.0.0.1:8321
 //	smtdramd -addr :9000 -queue 128 -workers 8
-//	smtdramd -data-dir /var/lib/smtdram       # durable: results + job journal survive kill -9
+//	smtdramd -data-dir /var/lib/smtdram       # durable: results, warmup checkpoints and the job journal survive kill -9
 //	smtdramd -data-dir d -fsync always        # also survive OS crash / power loss
 //
 // Fleet mode (DESIGN §16) shards the API across worker daemons by
@@ -52,9 +52,8 @@ func main() {
 		quiet    = flag.Bool("quiet", false, "suppress per-job log lines (warnings and errors still print)")
 		logJSON  = flag.Bool("log-json", false, "emit structured logs as JSON instead of text")
 
-		dataDir  = flag.String("data-dir", "", "directory for the content-addressed result store and write-ahead job journal (empty: memory-only)")
+		dataDir  = flag.String("data-dir", "", "directory for the content-addressed store of results and warmup checkpoints, and the write-ahead job journal (empty: memory-only)")
 		fsyncStr = flag.String("fsync", "off", `journal/store fsync policy: "off" (survives kill -9) or "always" (also survives OS crash)`)
-		ckptDir  = flag.String("checkpoint-dir", "", "persist warmup checkpoints under this directory so figure sweeps fork warm re-runs across restarts (empty: in-memory memoization only)")
 
 		nodeID      = flag.String("node-id", "", "this daemon's fleet node id ([A-Za-z0-9_]+; job ids become j-<node>-<n> and metrics gain node_id/role labels)")
 		tenantRate  = flag.Float64("tenant-rate", 0, "per-tenant admission tokens per second (0 disables tenant quotas)")
@@ -126,70 +125,76 @@ func main() {
 		Logger:           logger,
 		DataDir:          *dataDir,
 		Fsync:            fsync,
-		CheckpointDir:    *ckptDir,
 		NodeID:           *nodeID,
 	}
 	var quota *fleet.Quota
 	if *tenantRate > 0 {
 		quota = fleet.NewQuota(fleet.QuotaConfig{RatePerSec: *tenantRate, Burst: *tenantBurst})
 	}
+	ln, err := net.Listen("tcp", *addr)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "smtdramd:", err)
+		os.Exit(1)
+	}
 	if *coordinator {
-		if err := serveCoordinator(fleet.CoordinatorConfig{
+		coord := fleet.NewCoordinator(fleet.CoordinatorConfig{
 			Workers:       workerURLs,
 			ProbeInterval: *probeIntv,
 			FailAfter:     *failAfter,
 			Quota:         quota,
 			Logger:        logger,
-		}, *addr); err != nil {
-			fmt.Fprintln(os.Stderr, "smtdramd:", err)
-			os.Exit(1)
+		})
+		// A coordinator holds no jobs: there is nothing to drain.
+		err = serve(ln, coord.Handler(), 5*time.Second, func(context.Context) {},
+			"role", "coordinator", "workers", len(workerURLs), "ready", coord.ReadyWorkers())
+		coord.Close()
+	} else {
+		if quota != nil {
+			cfg.Admission = quota
 		}
-		return
+		srv := server.New(cfg)
+		err = serve(ln, srv.Handler(), *drainT, func(ctx context.Context) {
+			if err := srv.Drain(ctx); err != nil {
+				slog.Warn("drain timed out; in-flight jobs were cancelled", "err", err)
+			} else {
+				slog.Info("drained cleanly")
+			}
+		}, "queue", cfg.QueueDepth, "workers", workersOf(cfg))
+		if err != nil {
+			srv.Close()
+		}
 	}
-	if quota != nil {
-		cfg.Admission = quota
-	}
-
-	if err := serve(cfg, *addr, *drainT); err != nil {
+	if err != nil {
 		fmt.Fprintln(os.Stderr, "smtdramd:", err)
 		os.Exit(1)
 	}
 }
 
-// serve runs the daemon until SIGTERM/SIGINT, then drains and shuts down.
-func serve(cfg server.Config, addr string, drainTimeout time.Duration) error {
-	srv := server.New(cfg)
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return err
-	}
-	hs := &http.Server{Handler: srv.Handler()}
-
+// serve answers h on ln until SIGTERM or SIGINT, then runs drain under a
+// timeout context and shuts the HTTP server down within the same deadline.
+// A serve error returns at once, without drain. attrs ride on the
+// "listening" log line.
+func serve(ln net.Listener, h http.Handler, timeout time.Duration, drain func(ctx context.Context), attrs ...any) error {
+	sig := make(chan os.Signal, 1)
+	signal.Notify(sig, syscall.SIGTERM, syscall.SIGINT)
+	hs := &http.Server{Handler: h}
 	errCh := make(chan error, 1)
 	go func() {
 		if err := hs.Serve(ln); err != nil && err != http.ErrServerClosed {
 			errCh <- err
 		}
 	}()
-	slog.Info("listening", "addr", "http://"+ln.Addr().String(), "queue", cfg.QueueDepth, "workers", workersOf(cfg))
+	slog.Info("listening", append([]any{"addr", "http://" + ln.Addr().String()}, attrs...)...)
 
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, syscall.SIGTERM, syscall.SIGINT)
 	select {
 	case err := <-errCh:
-		srv.Close()
 		return err
 	case got := <-sig:
-		slog.Info("draining", "signal", got.String(), "timeout", drainTimeout)
+		slog.Info("draining", "signal", got.String(), "timeout", timeout)
 	}
-
-	ctx, cancel := context.WithTimeout(context.Background(), drainTimeout)
+	ctx, cancel := context.WithTimeout(context.Background(), timeout)
 	defer cancel()
-	if err := srv.Drain(ctx); err != nil {
-		slog.Warn("drain timed out; in-flight jobs were cancelled", "err", err)
-	} else {
-		slog.Info("drained cleanly")
-	}
+	drain(ctx)
 	if err := hs.Shutdown(ctx); err != nil {
 		_ = hs.Close()
 	}
@@ -213,38 +218,4 @@ func splitNonEmpty(s string) []string {
 		}
 	}
 	return out
-}
-
-// serveCoordinator runs the fleet coordinator until SIGTERM/SIGINT.
-func serveCoordinator(cfg fleet.CoordinatorConfig, addr string) error {
-	coord := fleet.NewCoordinator(cfg)
-	defer coord.Close()
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return err
-	}
-	hs := &http.Server{Handler: coord.Handler()}
-	errCh := make(chan error, 1)
-	go func() {
-		if err := hs.Serve(ln); err != nil && err != http.ErrServerClosed {
-			errCh <- err
-		}
-	}()
-	slog.Info("coordinating", "addr", "http://"+ln.Addr().String(),
-		"workers", len(cfg.Workers), "ready", coord.ReadyWorkers())
-
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, syscall.SIGTERM, syscall.SIGINT)
-	select {
-	case err := <-errCh:
-		return err
-	case got := <-sig:
-		slog.Info("shutting down coordinator", "signal", got.String())
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-	defer cancel()
-	if err := hs.Shutdown(ctx); err != nil {
-		_ = hs.Close()
-	}
-	return nil
 }

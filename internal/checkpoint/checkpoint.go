@@ -70,14 +70,13 @@ type Stats struct {
 type Cache struct {
 	pool *runner.Pool
 	memo runner.Memo[string, *core.Checkpoint]
-	st   *store.Store
 
 	forks, bypassed atomic.Uint64
 }
 
 // New builds an in-memory cache. Attach a persistence tier with Persist.
 func New() *Cache {
-	return &Cache{pool: runner.NewPooled(0)}
+	return &Cache{pool: runner.New(0)}
 }
 
 // Open builds a cache persisted under dir (creating it if needed).
@@ -100,7 +99,6 @@ type cfgKey struct{}
 // before simulating warmup. Install before the first Run; later attachment
 // races with in-flight lookups.
 func (c *Cache) Persist(st *store.Store) {
-	c.st = st
 	c.memo.Tier = &runner.Tier[string, *core.Checkpoint]{
 		// A read-back is only a hit if its frame actually restores: the
 		// store's own CRC covers what was written, not that what was written
@@ -132,14 +130,6 @@ func (c *Cache) Persist(st *store.Store) {
 			_ = st.Put(keyPrefix+prefix, chk.Data, meta[:])
 		},
 	}
-}
-
-// Store returns the backing store, nil when the cache is memory-only.
-func (c *Cache) Store() *store.Store {
-	if c == nil {
-		return nil
-	}
-	return c.st
 }
 
 // SetCap bounds the in-memory tier to n checkpoints with LRU eviction

@@ -256,19 +256,20 @@ func TestCorruptStoreEntryRecomputes(t *testing.T) {
 	} {
 		t.Run(name, func(t *testing.T) {
 			dir := t.TempDir()
-			c, err := Open(dir, store.FsyncOff)
+			st, err := store.Open(dir, store.FsyncOff)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := c.Store().Put(keyPrefix+cfg.WarmupFingerprint(), payload, now[:]); err != nil {
+			if err := st.Put(keyPrefix+cfg.WarmupFingerprint(), payload, now[:]); err != nil {
 				t.Fatal(err)
 			}
+			c := New()
+			c.Persist(st)
 			if got := run(t, c, cfg); !bytes.Equal(got, wantJSON) {
 				t.Fatalf("run over unusable entry diverged\ngot:  %s\nwant: %s", got, wantJSON)
 			}
-			st := c.Snapshot()
-			if st.Misses != 1 || st.Hits != 0 {
-				t.Fatalf("counters = %+v, want the unusable entry to recompute as a miss", st)
+			if cs := c.Snapshot(); cs.Misses != 1 || cs.Hits != 0 {
+				t.Fatalf("counters = %+v, want the unusable entry to recompute as a miss", cs)
 			}
 
 			// The recompute overwrote the bad entry: a fresh cache now hits cleanly.

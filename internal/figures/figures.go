@@ -35,7 +35,8 @@ type Options struct {
 	// Seed drives the generators.
 	Seed int64
 	// Jobs bounds how many simulations run concurrently (the -jobs flag).
-	// 0 and 1 both mean sequential execution on the calling goroutine.
+	// 0 and 1 both mean sequential execution, on one worker goroutine in
+	// submission order.
 	// Figure output is byte-identical for every value: runs are collected in
 	// submission order and each simulation is a pure function of its Config.
 	Jobs int
@@ -51,7 +52,7 @@ type Options struct {
 	// variant edits it. cmd/experiments uses it to attach the observability
 	// layer. Configure itself is only invoked on the calling goroutine, but
 	// any hooks it installs on the Config (e.g. Observe) fire on worker
-	// goroutines when Jobs > 1 and must be safe for concurrent use.
+	// goroutines and, when Jobs > 1, must be safe for concurrent use.
 	Configure func(*core.Config)
 	// Checkpoints, when non-nil, memoizes warmup across runs: every
 	// checkpointable simulation forks from a cached warmup-boundary machine
@@ -299,7 +300,8 @@ func (g Grid) Render(w io.Writer, f Format) error {
 
 // figRun is the orchestration context for one sweep: the worker pool that
 // fans independent simulations out, and the single-flight memo that backs the
-// alone-IPC baseline cache. Jobs <= 1 degenerates to lazy inline execution.
+// alone-IPC baseline cache. Jobs <= 1 runs every simulation on one worker
+// goroutine, in submission order.
 type figRun struct {
 	o    Options
 	pool *runner.Pool

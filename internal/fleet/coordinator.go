@@ -24,12 +24,10 @@ type CoordinatorConfig struct {
 	// NodeID names the coordinator in its own stats/metrics (default
 	// "coordinator").
 	NodeID string
-	// ProbeInterval is the health-probe period (default 500ms);
-	// ProbeTimeout bounds one probe (default max(ProbeInterval, 500ms) —
-	// a fast cadence should not mistake a briefly slow worker for a dead
-	// one).
+	// ProbeInterval is the health-probe period (default 500ms). One probe
+	// may take max(ProbeInterval, 500ms): a fast cadence should not mistake
+	// a briefly slow worker for a dead one.
 	ProbeInterval time.Duration
-	ProbeTimeout  time.Duration
 	// FailAfter ejects a worker from the ring after this many consecutive
 	// failed probes (default 3); one successful probe re-admits it.
 	FailAfter int
@@ -46,12 +44,6 @@ func (c CoordinatorConfig) withDefaults() CoordinatorConfig {
 	}
 	if c.ProbeInterval <= 0 {
 		c.ProbeInterval = 500 * time.Millisecond
-	}
-	if c.ProbeTimeout <= 0 {
-		c.ProbeTimeout = c.ProbeInterval
-		if c.ProbeTimeout < 500*time.Millisecond {
-			c.ProbeTimeout = 500 * time.Millisecond
-		}
 	}
 	if c.FailAfter <= 0 {
 		c.FailAfter = 3
@@ -113,7 +105,7 @@ func NewCoordinator(cfg CoordinatorConfig) *Coordinator {
 	cfg = cfg.withDefaults()
 	c := &Coordinator{
 		cfg:       cfg,
-		client:    &http.Client{Timeout: cfg.ProbeTimeout},
+		client:    &http.Client{Timeout: max(cfg.ProbeInterval, 500*time.Millisecond)},
 		log:       cfg.Logger,
 		byID:      map[string]*member{},
 		ring:      NewRing(DefaultVNodes),
@@ -532,10 +524,6 @@ func (c *Coordinator) Handler() http.Handler {
 	mux.HandleFunc("GET /v1/jobs/{id}/trace", c.handleJob)
 	mux.HandleFunc("DELETE /v1/jobs/{id}", c.handleJob)
 	mux.HandleFunc("GET /v1/fleet", func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", "application/json")
-		_ = json.NewEncoder(w).Encode(c.Status())
-	})
-	mux.HandleFunc("GET /v1/stats", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "application/json")
 		_ = json.NewEncoder(w).Encode(c.Status())
 	})

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"log/slog"
 	"net/http"
 	"net/http/httptest"
@@ -123,6 +124,13 @@ func TestFleetForwardByteIdentityAndCacheHit(t *testing.T) {
 	}
 	if !bytes.Equal(got2, want) {
 		t.Fatalf("cached fleet result differs from direct run")
+	}
+	// A worker's stats live on the worker; the coordinator's status is
+	// /v1/fleet. A client asking the coordinator for server.Stats gets a 404,
+	// not a FleetStatus to decode.
+	var apiErr *client.APIError
+	if _, err := c.Stats(context.Background()); !errors.As(err, &apiErr) || apiErr.Code != http.StatusNotFound {
+		t.Fatalf("client.Stats against the coordinator: %v; want a 404 (its status is /v1/fleet)", err)
 	}
 }
 

@@ -12,8 +12,8 @@ import (
 
 // This file is the in-process fleet harness: N worker daemons and one
 // coordinator on loopback listeners, wired exactly as cmd/smtdramd wires real
-// processes (Quota into Admission, coordinator probing over HTTP). Tests and
-// the fleet benchmark use it so they exercise the same code paths a
+// processes (the coordinator probes its workers over HTTP). Tests and the
+// fleet benchmark use it so they exercise the same code paths a
 // multi-process deployment runs.
 
 // LocalNode names one worker in a local fleet. Reusing the same ID and
@@ -29,12 +29,8 @@ type LocalConfig struct {
 	// Nodes lists the workers. IDs must be unique and '-'-free.
 	Nodes []LocalNode
 	// Worker is the per-worker daemon config template; NodeID and DataDir
-	// are overwritten per node. Admission is installed from Quota
-	// when set.
+	// are overwritten per node.
 	Worker server.Config
-	// Quota, when non-zero, gives every worker its own admission gate built
-	// from this config (fleet-wide quotas belong on the coordinator).
-	Quota QuotaConfig
 	// Coordinator carries probe knobs; Workers is filled in with the bound
 	// listener URLs.
 	Coordinator CoordinatorConfig
@@ -100,9 +96,6 @@ func StartLocal(cfg LocalConfig) (*LocalFleet, error) {
 		wcfg := cfg.Worker
 		wcfg.NodeID = n.ID
 		wcfg.DataDir = n.DataDir
-		if cfg.Quota.RatePerSec > 0 {
-			wcfg.Admission = NewQuota(cfg.Quota)
-		}
 		srv := server.New(wcfg)
 		hs := &http.Server{Handler: srv.Handler()}
 		w := &LocalWorker{ID: n.ID, URL: urls[n.ID], Server: srv, ln: lns[i], hs: hs}

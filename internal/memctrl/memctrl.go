@@ -28,7 +28,7 @@ const (
 	// (the single-threaded state of the art).
 	HitFirst
 	// AgeBased is HitFirst plus promotion of the oldest request whenever
-	// more than AgeThreshold requests are outstanding.
+	// more than ageThreshold requests are outstanding.
 	AgeBased
 	// RequestBased is the thread-aware scheme: among same-type requests,
 	// the thread with the fewest pending memory requests goes first.
@@ -107,9 +107,6 @@ type Config struct {
 	// earliest completes; small windows keep scheduling decisions late and
 	// therefore better informed (default DefaultMaxInFlight).
 	MaxInFlight int
-	// AgeThreshold is the outstanding-request count beyond which AgeBased
-	// promotes the oldest request (the paper uses 8).
-	AgeThreshold int
 	// ThreadAwareFirst inverts the paper's priority chain, ranking the
 	// thread-aware criterion above hit-first. Section 3.2 argues this is
 	// the wrong order for SMT ("the sustained memory bandwidth is more
@@ -144,15 +141,16 @@ const (
 // DefaultMaxInFlight is the in-flight window of a Config that sets none.
 const DefaultMaxInFlight = 4
 
+// ageThreshold is the outstanding-request count beyond which AgeBased
+// promotes the oldest request (the paper uses 8).
+const ageThreshold = 8
+
 func (c Config) withDefaults() Config {
 	if c.QueueDepth == 0 {
 		c.QueueDepth = 64
 	}
 	if c.MaxInFlight == 0 {
 		c.MaxInFlight = DefaultMaxInFlight
-	}
-	if c.AgeThreshold == 0 {
-		c.AgeThreshold = 8
 	}
 	if c.Threads == 0 {
 		c.Threads = 1
@@ -169,9 +167,9 @@ func (c Config) Validate() error {
 	if err := c.Mapper.Validate(); err != nil {
 		return err
 	}
-	if c.QueueDepth < 0 || c.MaxInFlight < 0 || c.AgeThreshold < 0 {
-		return fmt.Errorf("memctrl: negative queue/window bound (depth %d, in-flight %d, age %d)",
-			c.QueueDepth, c.MaxInFlight, c.AgeThreshold)
+	if c.QueueDepth < 0 || c.MaxInFlight < 0 {
+		return fmt.Errorf("memctrl: negative queue/window bound (depth %d, in-flight %d)",
+			c.QueueDepth, c.MaxInFlight)
 	}
 	if c.Threads < 0 {
 		return fmt.Errorf("memctrl: negative thread count %d", c.Threads)
@@ -716,14 +714,14 @@ func (c *Controller) armRetry(now uint64, cc *channelCtl) {
 // under the configured policy, or -1 when no queued request's bank is ready.
 // Two overrides apply to every policy: when the queue is nearly full, the
 // oldest startable entry is served to prevent write starvation from
-// deadlocking the hierarchy; and AgeBased promotes the oldest entry past the
-// configured outstanding threshold.
+// deadlocking the hierarchy; and AgeBased promotes the oldest entry past
+// ageThreshold outstanding requests.
 func (c *Controller) pick(now uint64, cc *channelCtl) int {
 	if c.cfg.Policy == FCFS {
 		return c.pickFCFS(now, cc)
 	}
 	oldestOnly := len(cc.queue) >= c.cfg.QueueDepth*3/4 ||
-		(c.cfg.Policy == AgeBased && len(cc.queue)+cc.inFlight > c.cfg.AgeThreshold)
+		(c.cfg.Policy == AgeBased && len(cc.queue)+cc.inFlight > ageThreshold)
 	best := -1
 	for i := range cc.queue {
 		if cc.dev.BankReadyAt(cc.queue[i].loc.Chip, cc.queue[i].loc.Bank) > now {

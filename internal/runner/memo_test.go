@@ -101,7 +101,7 @@ func TestMemoCapEvictsLRU(t *testing.T) {
 // the memo transiently exceeds its cap instead — and resolved entries around
 // it are shed first.
 func TestMemoCapNeverEvictsInFlight(t *testing.T) {
-	p := NewPooled(2)
+	p := New(2)
 	var memo Memo[string, int]
 	memo.SetCap(1)
 
@@ -179,7 +179,7 @@ func TestMemoCapLoweredShedsOnNextInsert(t *testing.T) {
 // not to the caller that happened to start it. Cancelling the first caller
 // after a second has joined leaves the second with the value, computed once.
 func TestMemoWaiterCancelDoesNotFailOthers(t *testing.T) {
-	p := NewPooled(2)
+	p := New(2)
 	var memo Memo[string, int]
 	var runs atomic.Int32
 	started, release := make(chan struct{}), make(chan struct{})
@@ -230,7 +230,7 @@ func TestMemoWaiterCancelDoesNotFailOthers(t *testing.T) {
 // computation's context is cancelled and the key is free at once — the next
 // Join starts a fresh computation instead of boarding the doomed one.
 func TestMemoLastLeaveCancelsAndFrees(t *testing.T) {
-	p := NewPooled(2)
+	p := New(2)
 	var memo Memo[string, int]
 	cancelled := make(chan struct{})
 	f1, _ := memo.Join(bg, p, "k", func(ctx context.Context) (int, error) {

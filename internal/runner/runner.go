@@ -8,10 +8,9 @@
 // consumed by Wait-ing futures in submission order on the submitting
 // goroutine. Each simulation is a pure function of its Config (private
 // event queue, private rng), so the assembled output is byte-identical to a
-// sequential run regardless of the completion order of the workers. A pool
-// with Jobs()==1 degenerates to lazy inline execution: each job runs on the
-// submitting goroutine at its future's first Wait — exactly the pre-pool
-// compute/collect interleaving, with no goroutines involved.
+// sequential run regardless of the completion order of the workers. Jobs
+// start in submission order, so a 1-job pool runs them one after another in
+// exactly that order.
 package runner
 
 import (
@@ -26,82 +25,97 @@ import (
 	"time"
 )
 
-// Pool bounds how many submitted jobs run concurrently.
+// Pool runs submitted jobs on at most Jobs() worker goroutines, starting them
+// in submission order. A worker exits when it finds the queue empty, so an
+// idle pool holds no goroutine.
 type Pool struct {
 	jobs int
-	sem  chan struct{}
-	// instr, when set, observes every pooled job's slot wait (submission →
-	// worker-slot acquisition). See Instrument.
+	// instr, when set, observes every job's slot wait (submission → start on
+	// a worker). See Instrument.
 	instr func(name string, wait time.Duration)
+
+	mu      sync.Mutex
+	queue   []func() // submitted and not yet started, oldest first
+	workers int      // goroutines draining queue
 }
 
 // New builds a pool running up to jobs submissions concurrently. jobs < 1
-// selects runtime.GOMAXPROCS(0). A 1-job pool runs each submission inline,
-// deferred to its future's first Wait.
+// selects runtime.GOMAXPROCS(0).
 func New(jobs int) *Pool {
 	if jobs < 1 {
 		jobs = runtime.GOMAXPROCS(0)
 	}
-	p := &Pool{jobs: jobs}
-	if jobs > 1 {
-		p.sem = make(chan struct{}, jobs)
-	}
-	return p
-}
-
-// NewPooled builds a pool that always runs submissions on worker goroutines,
-// even at jobs == 1. The serving daemon needs this form: its futures are
-// awaited from per-flight goroutines, so lazy inline execution — which
-// assumes the submitting goroutine does the waiting, and whose Future is not
-// safe for concurrent Waits — would both race and break the concurrency
-// bound. jobs < 1 selects runtime.GOMAXPROCS(0).
-func NewPooled(jobs int) *Pool {
-	if jobs < 1 {
-		jobs = runtime.GOMAXPROCS(0)
-	}
-	return &Pool{jobs: jobs, sem: make(chan struct{}, jobs)}
+	return &Pool{jobs: jobs}
 }
 
 // Jobs reports the concurrency bound.
 func (p *Pool) Jobs() int { return p.jobs }
 
 // Instrument installs a queue-wait observer: fn fires on the worker goroutine
-// the moment a pooled job acquires its slot, carrying the job's label and how
-// long it sat queued behind the concurrency bound. The serving daemon feeds
-// this into its pool-wait histogram. fn must be safe to call from many worker
-// goroutines at once. Lazy (1-job) pools never queue, so fn never fires for
-// them. Install before the first Submit; later installation races with
+// the moment a job starts, carrying the job's label and how long it sat
+// queued behind the concurrency bound. The serving daemon feeds this into its
+// pool-wait histogram. fn must be safe to call from many worker goroutines at
+// once. Install before the first Submit; later installation races with
 // in-flight jobs reading the hook.
 func (p *Pool) Instrument(fn func(name string, wait time.Duration)) { p.instr = fn }
 
+// enqueue appends job to the queue and starts a worker when fewer than jobs
+// are draining it.
+func (p *Pool) enqueue(job func()) {
+	p.mu.Lock()
+	p.queue = append(p.queue, job)
+	start := p.workers < p.jobs
+	if start {
+		p.workers++
+	}
+	p.mu.Unlock()
+	if start {
+		go p.work()
+	}
+}
+
+// work runs queued jobs, oldest first, until the queue is empty.
+func (p *Pool) work() {
+	for {
+		p.mu.Lock()
+		if len(p.queue) == 0 {
+			p.workers--
+			p.mu.Unlock()
+			return
+		}
+		job := p.queue[0]
+		p.queue[0] = nil
+		p.queue = p.queue[1:]
+		p.mu.Unlock()
+		job()
+	}
+}
+
 // Future is the pending result of one submitted job.
 type Future[T any] struct {
-	fn   func() (T, error) // non-nil: lazy (1-job pool), runs at first Wait
-	done chan struct{}     // non-nil: running on a worker goroutine
+	done chan struct{} // closed once val and err are set
 	val  T
 	err  error
 }
 
-// Wait returns the job's result, blocking until the worker finishes (pooled
-// jobs) or running the job now (1-job pools, which defer execution to Wait so
-// sequential mode interleaves compute and collection exactly like a plain
-// loop). Wait may be called more than once; lazy futures must be awaited on
-// the submitting goroutine, pooled futures from anywhere.
+// Wait blocks until the job has finished and returns its result. It may be
+// called more than once, from any goroutine.
 func (f *Future[T]) Wait() (T, error) {
-	if f.fn != nil {
-		fn := f.fn
-		f.fn = nil
-		f.val, f.err = fn()
-	} else if f.done != nil {
-		<-f.done
-	}
+	<-f.done
 	return f.val, f.err
 }
 
-// resolved builds an already-completed future carrying v. The baseline memo
-// uses it to hand out cached values through the same Wait interface.
+// closed is the done channel of every already-resolved future.
+var closed = func() chan struct{} {
+	c := make(chan struct{})
+	close(c)
+	return c
+}()
+
+// resolved builds an already-completed future carrying v. The memo uses it
+// to hand out cached values through the same Wait interface.
 func resolved[T any](v T, err error) *Future[T] {
-	return &Future[T]{val: v, err: err}
+	return &Future[T]{done: closed, val: v, err: err}
 }
 
 // PanicError is the error a Future carries when its job panicked. The panic
@@ -127,9 +141,8 @@ func (e *PanicError) Error() string {
 }
 
 // guard runs fn, converting a panic into a *PanicError so one crashing
-// simulation cannot take down a whole sweep. It covers both execution paths:
-// pooled worker goroutines (where an unrecovered panic would kill the
-// process) and lazy Wait-time execution on the submitting goroutine.
+// simulation cannot take down a whole sweep: on a worker goroutine an
+// unrecovered panic would kill the process.
 func guard[T any](name string, fn func() (T, error)) (val T, err error) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -139,12 +152,12 @@ func guard[T any](name string, fn func() (T, error)) (val T, err error) {
 	return fn()
 }
 
-// Submit schedules fn on the pool and returns its future. On a 1-job pool fn
-// is deferred until the future's first Wait (on the calling goroutine);
-// otherwise it runs on a worker goroutine once a slot frees up. fn must not
-// Wait on other futures of the same pool (a job waiting on an unscheduled job
-// could deadlock a full pool); waiting belongs on the submitting goroutine.
-// A panicking fn fails only its own future (see PanicError).
+// Submit schedules fn on the pool and returns its future; fn runs on a worker
+// goroutine once the jobs submitted before it have started and a slot is
+// free. fn must not Wait on other futures of the same pool (a job waiting on
+// an unscheduled job could deadlock a full pool); waiting belongs on the
+// submitting goroutine. A panicking fn fails only its own future (see
+// PanicError).
 func Submit[T any](p *Pool, fn func() (T, error)) *Future[T] {
 	return SubmitNamed(p, "", fn)
 }
@@ -157,43 +170,35 @@ func SubmitNamed[T any](p *Pool, name string, fn func() (T, error)) *Future[T] {
 }
 
 // SubmitNamedCtx schedules fn with a cancellation context. A job whose ctx is
-// cancelled while it is still queued (waiting for a pool slot, or awaiting a
-// lazy Wait) resolves to ctx.Err() without ever running fn, so abandoned work
-// costs no CPU; a job already running receives ctx and is expected to observe
-// the cancellation itself (core.Simulator.RunContext checks it at its
-// watchdog boundaries). Cancellation never poisons the pool: the slot is
-// released as usual and later submissions run normally.
+// cancelled while it is still queued resolves to ctx.Err() at once, and fn
+// never runs, so abandoned work costs no CPU; a job already running receives
+// ctx and is expected to observe the cancellation itself
+// (core.Simulator.RunContext checks it at its watchdog boundaries).
+// Cancellation never poisons the pool: later submissions run normally.
 func SubmitNamedCtx[T any](p *Pool, ctx context.Context, name string, fn func(context.Context) (T, error)) *Future[T] {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	run := func() (T, error) {
-		if err := ctx.Err(); err != nil {
-			var zero T
-			return zero, err
-		}
-		return guard(name, func() (T, error) { return fn(ctx) })
-	}
-	if p.sem == nil {
-		return &Future[T]{fn: run}
-	}
 	f := &Future[T]{done: make(chan struct{})}
+	// Whichever comes first owns f: the cancellation, or the worker that
+	// stops it from firing.
+	stop := context.AfterFunc(ctx, func() {
+		f.err = ctx.Err()
+		close(f.done)
+	})
 	queued := time.Now()
-	go func() {
-		select {
-		case p.sem <- struct{}{}:
-		case <-ctx.Done():
-			f.err = ctx.Err()
-			close(f.done)
-			return
+	p.enqueue(func() {
+		if !stop() {
+			return // cancelled while queued
 		}
-		defer func() { <-p.sem }()
 		if p.instr != nil {
 			p.instr(name, time.Since(queued))
 		}
-		f.val, f.err = run()
+		if f.err = ctx.Err(); f.err == nil {
+			f.val, f.err = guard(name, func() (T, error) { return fn(ctx) })
+		}
 		close(f.done)
-	}()
+	})
 	return f
 }
 
@@ -297,17 +302,14 @@ type Flight[V any] struct {
 
 // Wait blocks until the computation finishes or ctx is done. In the second
 // case the caller leaves the flight and gets ctx.Err(); the computation goes
-// on for whoever is still attached. On a lazy (1-job) pool the computation
-// runs here, on the calling goroutine.
+// on for whoever is still attached.
 func (f *Flight[V]) Wait(ctx context.Context) (V, error) {
-	if f.fut.done != nil {
-		select {
-		case <-f.fut.done:
-		case <-ctx.Done():
-			f.Leave()
-			var zero V
-			return zero, ctx.Err()
-		}
+	select {
+	case <-f.fut.done:
+	case <-ctx.Done():
+		f.Leave()
+		var zero V
+		return zero, ctx.Err()
 	}
 	v, err := f.fut.Wait()
 	if err != nil && f.detach != nil {

@@ -11,25 +11,6 @@ import (
 	"time"
 )
 
-func TestSequentialRunsLazilyAtWait(t *testing.T) {
-	p := New(1)
-	if p.Jobs() != 1 {
-		t.Fatalf("1-job pool has %d jobs", p.Jobs())
-	}
-	runs := 0
-	f := Submit(p, func() (int, error) { runs++; return 7, nil })
-	if runs != 0 {
-		t.Fatal("1-job pool must defer execution to Wait")
-	}
-	v, err := f.Wait()
-	if v != 7 || err != nil {
-		t.Fatalf("Wait = %d, %v", v, err)
-	}
-	if _, _ = f.Wait(); runs != 1 {
-		t.Fatalf("job ran %d times, want exactly once", runs)
-	}
-}
-
 func TestDefaultJobsIsGOMAXPROCS(t *testing.T) {
 	if New(0).Jobs() < 1 || New(-3).Jobs() < 1 {
 		t.Fatal("jobs < 1 must clamp to a positive bound")
@@ -58,29 +39,58 @@ func TestSubmissionOrderCollection(t *testing.T) {
 }
 
 func TestConcurrencyBound(t *testing.T) {
-	const bound = 3
-	p := New(bound)
-	var cur, peak int32
-	var futs []*Future[struct{}]
-	for i := 0; i < 20; i++ {
-		futs = append(futs, Submit(p, func() (struct{}, error) {
-			n := atomic.AddInt32(&cur, 1)
-			for {
-				old := atomic.LoadInt32(&peak)
-				if n <= old || atomic.CompareAndSwapInt32(&peak, old, n) {
-					break
+	for _, bound := range []int32{1, 3} {
+		p := New(int(bound))
+		var cur, peak int32
+		var futs []*Future[struct{}]
+		for i := 0; i < 20; i++ {
+			futs = append(futs, Submit(p, func() (struct{}, error) {
+				n := atomic.AddInt32(&cur, 1)
+				for {
+					old := atomic.LoadInt32(&peak)
+					if n <= old || atomic.CompareAndSwapInt32(&peak, old, n) {
+						break
+					}
 				}
-			}
-			time.Sleep(time.Millisecond)
-			atomic.AddInt32(&cur, -1)
-			return struct{}{}, nil
-		}))
+				time.Sleep(time.Millisecond)
+				atomic.AddInt32(&cur, -1)
+				return struct{}{}, nil
+			}))
+		}
+		for _, f := range futs {
+			f.Wait()
+		}
+		if got := atomic.LoadInt32(&peak); got > bound {
+			t.Fatalf("observed %d concurrent jobs, bound %d", got, bound)
+		}
 	}
-	for _, f := range futs {
-		f.Wait()
+}
+
+// TestOneJobPoolRunsInSubmissionOrder: a 1-job pool is sequential, and its
+// jobs start in the order they were submitted whatever order they are
+// awaited in (experiments -jobs 1 numbers its trace files by start order).
+func TestOneJobPoolRunsInSubmissionOrder(t *testing.T) {
+	p := New(1)
+	var mu sync.Mutex
+	var order []int
+	futs := make([]*Future[int], 50)
+	for i := range futs {
+		futs[i] = Submit(p, func() (int, error) {
+			mu.Lock()
+			order = append(order, i)
+			mu.Unlock()
+			return i, nil
+		})
 	}
-	if got := atomic.LoadInt32(&peak); got > bound {
-		t.Fatalf("observed %d concurrent jobs, bound %d", got, bound)
+	for i := len(futs) - 1; i >= 0; i-- {
+		if v, err := futs[i].Wait(); v != i || err != nil {
+			t.Fatalf("job %d: got %d, %v", i, v, err)
+		}
+	}
+	for i, got := range order {
+		if got != i {
+			t.Fatalf("start order %v, want submission order", order)
+		}
 	}
 }
 
@@ -164,26 +174,13 @@ func TestPanickingJobFailsOnlyItsFuture(t *testing.T) {
 	if len(pe.Stack) == 0 || !strings.Contains(err.Error(), "doomed-run") {
 		t.Fatalf("PanicError missing stack or label: %v", err)
 	}
+	// Wait is idempotent: the second call replays the same error.
+	if _, err2 := boom.Wait(); err2 != err {
+		t.Fatalf("second Wait = %v, want the cached %v", err2, err)
+	}
 	// The pool must still schedule work after absorbing a panic.
 	if v, err := Submit(p, func() (int, error) { return 8, nil }).Wait(); err != nil || v != 8 {
 		t.Fatalf("post-panic submission = %d, %v", v, err)
-	}
-}
-
-func TestPanicRecoveryOnLazyPool(t *testing.T) {
-	p := New(1)
-	f := Submit(p, func() (int, error) { panic(42) })
-	_, err := f.Wait()
-	var pe *PanicError
-	if !errors.As(err, &pe) {
-		t.Fatalf("lazy panicking future returned %v, want *PanicError", err)
-	}
-	if pe.Value != 42 {
-		t.Fatalf("panic value = %v, want 42", pe.Value)
-	}
-	// Wait is idempotent: the second call replays the same error.
-	if _, err2 := f.Wait(); err2 != err {
-		t.Fatalf("second Wait = %v, want the cached %v", err2, err)
 	}
 }
 
@@ -212,20 +209,6 @@ func TestSubmitCtxCancelledWhileQueuedNeverRuns(t *testing.T) {
 	// The pool is not poisoned: later submissions still run.
 	if v, err := Submit(p, func() (int, error) { return 9, nil }).Wait(); err != nil || v != 9 {
 		t.Fatalf("post-cancel submission = %d, %v", v, err)
-	}
-}
-
-func TestSubmitCtxCancelledOnLazyPool(t *testing.T) {
-	p := New(1)
-	ctx, cancel := context.WithCancel(context.Background())
-	var ran bool
-	f := SubmitNamedCtx(p, ctx, "lazy", func(context.Context) (int, error) { ran = true; return 1, nil })
-	cancel()
-	if _, err := f.Wait(); !errors.Is(err, context.Canceled) {
-		t.Fatalf("lazy cancelled job returned %v, want context.Canceled", err)
-	}
-	if ran {
-		t.Fatal("lazy cancelled job ran its fn")
 	}
 }
 
@@ -273,7 +256,7 @@ func TestMemoErrorNotCached(t *testing.T) {
 }
 
 func TestMemoPanicNotCached(t *testing.T) {
-	for _, jobs := range []int{1, 4} { // lazy and pooled execution paths
+	for _, jobs := range []int{1, 4} {
 		p := New(jobs)
 		var memo Memo[string, int]
 		calls := 0
@@ -334,11 +317,11 @@ func TestMemoGetCtxReportsCreated(t *testing.T) {
 	}
 }
 
-// TestInstrumentObservesSlotWait: the hook fires once per pooled job with its
+// TestInstrumentObservesSlotWait: the hook fires once per job with its
 // label, and a job queued behind a saturated pool reports a wait at least as
 // long as the blocking job's runtime.
 func TestInstrumentObservesSlotWait(t *testing.T) {
-	p := NewPooled(1)
+	p := New(1)
 	var mu sync.Mutex
 	waits := map[string]time.Duration{}
 	p.Instrument(func(name string, wait time.Duration) {
@@ -374,20 +357,5 @@ func TestInstrumentObservesSlotWait(t *testing.T) {
 	}
 	if waits["holder"] > 20*time.Millisecond {
 		t.Fatalf("holder job reports %v slot wait on an empty pool", waits["holder"])
-	}
-}
-
-// TestInstrumentNeverFiresOnLazyPools: a 1-job pool runs inline at
-// Wait and has no queue, so the hook must stay silent.
-func TestInstrumentNeverFiresOnLazyPools(t *testing.T) {
-	p := New(1)
-	fired := atomic.Int32{}
-	p.Instrument(func(string, time.Duration) { fired.Add(1) })
-	f := Submit(p, func() (int, error) { return 3, nil })
-	if v, err := f.Wait(); v != 3 || err != nil {
-		t.Fatalf("Wait = %d, %v", v, err)
-	}
-	if fired.Load() != 0 {
-		t.Fatalf("instrument hook fired %d times on a lazy pool", fired.Load())
 	}
 }

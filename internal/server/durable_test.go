@@ -10,6 +10,7 @@ import (
 
 	"smtdram/internal/core"
 	"smtdram/internal/server"
+	"smtdram/internal/server/client"
 	"smtdram/internal/store"
 )
 
@@ -353,5 +354,57 @@ func TestCorruptStoreEntryRecomputed(t *testing.T) {
 	quarantined, err := os.ReadDir(filepath.Join(dir, "quarantine"))
 	if err != nil || len(quarantined) != 1 {
 		t.Fatalf("quarantine holds %d files (err %v), want the corrupt entry", len(quarantined), err)
+	}
+}
+
+// TestCheckpointsLiveInTheDataDir: warmup checkpoints share the data
+// directory's one store. Fig 6 before a restart leaves its frames there, so
+// Fig 7 after it, which shares Fig 6's 2C-1G, 4C-1G and 8C-1G warmup
+// prefixes, forks from frames read back from disk: more hits and fewer
+// simulated warmups than the same figure on a daemon with no store, and the
+// same bytes.
+func TestCheckpointsLiveInTheDataDir(t *testing.T) {
+	dir := t.TempDir()
+	ctx := context.Background()
+	runFig := func(c *client.Client, fig string) (json.RawMessage, server.Stats) {
+		t.Helper()
+		st, err := c.SubmitFigure(ctx, server.FigRequest{Fig: fig, Warmup: 2000, Target: 2000})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st, err = c.Wait(ctx, st.ID, 0); err != nil {
+			t.Fatal(err)
+		}
+		if st.State != server.StateDone {
+			t.Fatalf("fig %s = %s (%s), want done", fig, st.State, st.Error)
+		}
+		stats, err := c.Stats(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return st.Result, stats
+	}
+
+	srv1, c1 := newTestDaemon(t, server.Config{DataDir: dir, Logger: testLogger(t)})
+	_, before := runFig(c1, "6")
+	if before.Checkpoint.Misses == 0 || before.Store.Entries <= 1 {
+		t.Fatalf("fig 6 left %d store entries after %d warmups; want its result and its frames",
+			before.Store.Entries, before.Checkpoint.Misses)
+	}
+	srv1.Close()
+
+	_, c2 := newTestDaemon(t, server.Config{DataDir: dir, Logger: testLogger(t)})
+	got, after := runFig(c2, "7")
+	_, c3 := newTestDaemon(t, server.Config{Logger: testLogger(t)})
+	want, alone := runFig(c3, "7")
+	if string(got) != string(want) {
+		t.Fatal("fig 7 forked from stored frames differs from fig 7 on a daemon with no store")
+	}
+	if after.Checkpoint.Hits <= alone.Checkpoint.Hits || after.Checkpoint.Misses >= alone.Checkpoint.Misses {
+		t.Fatalf("after restart: checkpoint hits %d, misses %d; with no store: hits %d, misses %d — want frames read back from the data dir",
+			after.Checkpoint.Hits, after.Checkpoint.Misses, alone.Checkpoint.Hits, alone.Checkpoint.Misses)
+	}
+	if after.Store.Degraded {
+		t.Fatalf("store health = %+v, want not degraded", after.Store.StoreHealth)
 	}
 }

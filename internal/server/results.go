@@ -53,11 +53,14 @@ func resultOf(payload, meta []byte) result {
 }
 
 // openTier hangs the content-addressed disk store, when open, behind the
-// result memo. A computed result is written through to the store before any
-// job resolves.
+// result memo and the checkpoint cache: one store per daemon, with
+// checkpoints under their own key namespace. A computed result is written
+// through to the store before any job resolves, so a store write failure of
+// either kind degrades the daemon's durability and turns /readyz unready.
 func (s *Server) openTier() {
 	if s.store != nil {
 		s.results.Tier = &runner.Tier[string, result]{Get: s.storeGet, Put: s.storePut}
+		s.checkpoints.Persist(s.store)
 	}
 }
 

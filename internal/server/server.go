@@ -74,22 +74,15 @@ type Config struct {
 	// keys. Nil discards all logging.
 	Logger *slog.Logger
 	// DataDir enables the durability layer: a content-addressed on-disk
-	// result store and a write-ahead job journal live under it, and startup
-	// replays the journal to recover jobs interrupted by a crash. Empty
-	// keeps the daemon memory-only.
+	// store of results and warmup checkpoints (DESIGN §15) and a write-ahead
+	// job journal live under it, and startup replays the journal to recover
+	// jobs interrupted by a crash. Empty keeps the daemon memory-only.
 	DataDir string
 	// Fsync is the store/journal flush policy. The default (off) is durable
 	// against process death — SIGKILL included — because writes have crossed
 	// into the kernel; FsyncAlways additionally survives OS crash and power
 	// loss.
 	Fsync store.FsyncPolicy
-	// CheckpointDir persists warmup checkpoints (DESIGN §15) under its own
-	// content-addressed store, so figure sweeps fork warm re-runs across
-	// daemon restarts. Empty keeps warmup memoization in-memory only.
-	CheckpointDir string
-	// CheckpointEntries bounds the in-memory checkpoint tier (default 64;
-	// 0 keeps the default, negative removes the bound).
-	CheckpointEntries int
 	// NodeID names this daemon in a fleet (DESIGN §16). When set, job ids
 	// become "j-<node>-<n>" so a coordinator can route job lookups
 	// statelessly, and /metrics and /v1/stats carry node_id/role labels.
@@ -113,11 +106,12 @@ func (c Config) withDefaults() Config {
 	if c.MaxTrackedJobs <= 0 {
 		c.MaxTrackedJobs = 4096
 	}
-	if c.CheckpointEntries == 0 {
-		c.CheckpointEntries = 64
-	}
 	return c
 }
+
+// checkpointEntries bounds the in-memory tier of the warmup-checkpoint cache;
+// an evicted frame is read back from the store when one is open.
+const checkpointEntries = 64
 
 // State is a job's lifecycle phase.
 type State string
@@ -206,7 +200,7 @@ type Server struct {
 	startedAt time.Time
 
 	// checkpoints memoizes warmup prefixes for the figure-sweep path
-	// (DESIGN §15); always non-nil, store-backed when CheckpointDir is set.
+	// (DESIGN §15); always non-nil, and backed by store when that is open.
 	checkpoints *checkpoint.Cache
 
 	// Durability layer (durable.go). store/journal are nil when DataDir is
@@ -245,7 +239,7 @@ func New(cfg Config) *Server {
 	cfg = cfg.withDefaults()
 	s := &Server{
 		cfg:       cfg,
-		pool:      runner.NewPooled(cfg.Workers),
+		pool:      runner.New(cfg.Workers),
 		jobs:      map[string]*job{},
 		slots:     make(chan struct{}, cfg.QueueDepth),
 		startedAt: time.Now(),
@@ -256,21 +250,8 @@ func New(cfg Config) *Server {
 		s.log = DiscardLogger()
 	}
 	s.results.SetCap(cfg.CacheEntries)
-
-	// Warmup-checkpoint cache: memory-only by default, store-backed when a
-	// checkpoint directory is configured. An unopenable directory degrades to
-	// memory-only memoization rather than refusing to serve.
 	s.checkpoints = checkpoint.New()
-	if cfg.CheckpointDir != "" {
-		if c, err := checkpoint.Open(cfg.CheckpointDir, cfg.Fsync); err != nil {
-			s.log.Warn("checkpoint store unavailable; memoizing warmups in memory only", "dir", cfg.CheckpointDir, "err", err)
-		} else {
-			s.checkpoints = c
-		}
-	}
-	if cfg.CheckpointEntries > 0 {
-		s.checkpoints.SetCap(cfg.CheckpointEntries)
-	}
+	s.checkpoints.SetCap(checkpointEntries)
 
 	s.registerMetrics()
 	// Open the store and replay the journal last: recovery re-enqueues
