@@ -11,6 +11,8 @@ import (
 
 	"smtdram/internal/checkpoint"
 	"smtdram/internal/core"
+	"smtdram/internal/memctrl"
+	"smtdram/internal/obs"
 	"smtdram/internal/workload"
 )
 
@@ -214,31 +216,34 @@ func TestPaperClaims(t *testing.T) {
 	tiny.Checkpoints, warm.Checkpoints = checkpoint.New(), checkpoint.New()
 
 	type atFn func(fig, row, col string) float64
+	// splitFn is a mix's DRAM read latency, summed over its reads and split
+	// by obs.Attribute, from a traced run on the default machine under p.
+	type splitFn func(mix string, p memctrl.Policy) obs.LatencySplit
 	claims := []struct {
 		name      string
 		mixes     []string
 		o         Options
 		deviation string // empty: the paper's sentence holds; else why it does not
 		sentence  string
-		holds     func(at atFn) bool
+		holds     func(at atFn, _ splitFn) bool
 	}{
 		{"fig3 ILP retains", []string{"2-ILP", "2-MEM"}, warm, "",
 			"ILP mixes lose almost nothing to main memory (≈99% of infinite-L3 performance retained)",
-			func(at atFn) bool { return at("3", "2-ILP", "DWarn%") >= 85 }},
+			func(at atFn, _ splitFn) bool { return at("3", "2-ILP", "DWarn%") >= 85 }},
 		{"fig3 MEM loses", []string{"2-ILP", "2-MEM"}, warm, "",
 			"DRAM is a major bottleneck for MEM mixes (2-MEM retains ≈26.6%)",
-			func(at atFn) bool { return at("3", "2-MEM", "DWarn%") <= 70 }},
+			func(at atFn, _ splitFn) bool { return at("3", "2-MEM", "DWarn%") <= 70 }},
 		{"fig3 MEM loses more than ILP", []string{"2-ILP", "2-MEM"}, warm, "",
 			"MEM workloads lose more to DRAM than ILP workloads",
-			func(at atFn) bool { return at("3", "2-MEM", "DWarn%") < at("3", "2-ILP", "DWarn%") }},
+			func(at atFn, _ splitFn) bool { return at("3", "2-MEM", "DWarn%") < at("3", "2-ILP", "DWarn%") }},
 		{"fig3 DWarn separation", []string{"8-MIX"}, tiny,
 			"deviation 1: the synthetic MIX workloads are more memory-bound than the paper's, so even DWarn retains little",
 			"on 8-MIX DWarn retains 93.1% where ICOUNT retains 39.6%; here DWarn retains under twice ICOUNT's share",
-			func(at atFn) bool { return at("3", "8-MIX", "DWarn%") < 2*at("3", "8-MIX", "ICOUNT%") }},
+			func(at atFn, _ splitFn) bool { return at("3", "8-MIX", "DWarn%") < 2*at("3", "8-MIX", "ICOUNT%") }},
 
 		{"fig4 is a distribution", []string{"4-ILP", "4-MEM"}, tiny, "",
 			"the outstanding-request buckets are fractions of busy time",
-			func(at atFn) bool {
+			func(at atFn, _ splitFn) bool {
 				for _, mix := range []string{"4-ILP", "4-MEM"} {
 					if at("4", mix, "1")+at("4", mix, "2-4")+at("4", mix, "5-8")+at("4", mix, "9-16")+at("4", mix, ">16") > 1.0001 {
 						return false
@@ -248,55 +253,98 @@ func TestPaperClaims(t *testing.T) {
 			}},
 		{"fig4 MEM above ILP", []string{"4-ILP", "4-MEM"}, tiny, "",
 			"MEM workloads show more concurrency than ILP workloads at equal thread count",
-			func(at atFn) bool {
+			func(at atFn, _ splitFn) bool {
 				tail := func(mix string) float64 { return at("4", mix, "5-8") + at("4", mix, "9-16") + at("4", mix, ">16") }
 				return tail("4-MEM") > tail("4-ILP")
 			}},
 		{"fig5 MEM spreads over threads", []string{"4-MEM"}, tiny, "",
 			"4-MEM's concurrent requests usually involve two or more of its four threads",
-			func(at atFn) bool { return at("5", "4-MEM", "2")+at("5", "4-MEM", "3")+at("5", "4-MEM", "4") >= 0.5 }},
+			func(at atFn, _ splitFn) bool {
+				return at("5", "4-MEM", "2")+at("5", "4-MEM", "3")+at("5", "4-MEM", "4") >= 0.5
+			}},
 
 		// 8 channels must clearly beat 2; 4-vs-8 can be noisy at this scale
 		// (returns diminish once bandwidth stops being the bottleneck).
 		{"fig6 channels help MEM", []string{"4-MEM"}, tiny, "",
 			"more channels monotonically help MEM mixes",
-			func(at atFn) bool { return at("6", "4-MEM", "8ch") > 1.05 && at("6", "4-MEM", "4ch") > 1 }},
+			func(at atFn, _ splitFn) bool { return at("6", "4-MEM", "8ch") > 1.05 && at("6", "4-MEM", "4ch") > 1 }},
 		{"fig7 ganging loses", []string{"4-MEM"}, tiny, "",
 			"independent channels beat ganged ones: 8C-1G outperforms 8C-4G on 4-MEM",
-			func(at atFn) bool { return at("7", "4-MEM", "8C-1G") > at("7", "4-MEM", "8C-4G") }},
+			func(at atFn, _ splitFn) bool { return at("7", "4-MEM", "8C-1G") > at("7", "4-MEM", "8C-4G") }},
 
 		{"fig8 XOR no worse", []string{"4-MEM"}, tiny, "",
 			"XOR mapping is never clearly worse than page mapping on DDR",
-			func(at atFn) bool { return at("8", "4-MEM", "xor") <= at("8", "4-MEM", "page")+0.03 }},
+			func(at atFn, _ splitFn) bool { return at("8", "4-MEM", "xor") <= at("8", "4-MEM", "page")+0.03 }},
 		{"fig8 XOR gain on DDR", []string{"4-MEM"}, tiny,
 			"deviation 2: uniform-random cold pools lack the regular bank-conflict patterns XOR breaks, and 8 banks leave it nothing to permute over",
 			"page → XOR reduces DDR miss rates moderately (2-MIX 40.1% → 33.4%); here the cut on 4-MEM is under 3 points",
-			func(at atFn) bool { return at("8", "4-MEM", "page")-at("8", "4-MEM", "xor") < 0.03 }},
+			func(at atFn, _ splitFn) bool { return at("8", "4-MEM", "page")-at("8", "4-MEM", "xor") < 0.03 }},
 		{"fig9 XOR gains with banks", []string{"4-MEM"}, tiny, "",
 			"XOR cuts the miss rate on 4-MEM by more on Direct Rambus (32 banks a chip) than on DDR",
-			func(at atFn) bool {
+			func(at atFn, _ splitFn) bool {
 				return at("9", "4-MEM", "page")-at("9", "4-MEM", "xor") > at("8", "4-MEM", "page")-at("8", "4-MEM", "xor")
 			}},
 
 		{"fig10 hit-first beats FCFS", []string{"4-MEM"}, tiny, "",
 			"hit-first outperforms FCFS on 4-MEM",
-			func(at atFn) bool { return at("10", "4-MEM", "hit-first") > 1 }},
+			func(at atFn, _ splitFn) bool { return at("10", "4-MEM", "hit-first") > 1 }},
 		{"fig10 request-based beats FCFS", []string{"4-MEM"}, tiny, "",
 			"request-based outperforms FCFS on 4-MEM",
-			func(at atFn) bool { return at("10", "4-MEM", "request-based") > 1 }},
+			func(at atFn, _ splitFn) bool { return at("10", "4-MEM", "request-based") > 1 }},
 		{"fig10 thread-aware gain at 2 threads", []string{"2-MEM"}, tiny,
-			"deviation 3: the 2-MEM pair does not saturate two DDR channels, so there is little queueing to reorder",
+			"deviation 3: 2-MEM keeps few requests outstanding (0.1% of busy time above 16, the paper 4.2%), so its scheduler seldom has a choice to reorder",
 			"request-based gains 29.8% on 2-MEM, far above hit-first; here it stays within 5% of hit-first",
-			func(at atFn) bool { return at("10", "2-MEM", "request-based") < 1.05*at("10", "2-MEM", "hit-first") }},
+			func(at atFn, _ splitFn) bool {
+				return at("10", "2-MEM", "request-based") < 1.05*at("10", "2-MEM", "hit-first")
+			}},
 		{"fig10 hit-first gain", []string{"4-MEM"}, tiny,
 			"deviation 4: FCFS is implemented literally (arrival order + read bypass, head-of-line blocking), weaker than the paper's apparent baseline",
 			"hit-first gains at most 3.2% over FCFS; here it alone recovers over 10%",
-			func(at atFn) bool { return at("10", "4-MEM", "hit-first") > 1.10 }},
+			func(at atFn, _ splitFn) bool { return at("10", "4-MEM", "hit-first") > 1.10 }},
+
+		// What queueing there is, and why, from the lifecycle trace.
+		{"attribution FCFS blocks at the head", nil, tiny, "",
+			"FCFS's head-of-line blocking is what the reordering schedulers remove: on 4-MEM an FCFS read waits with its own bank free, a hit-first read never does",
+			func(_ atFn, split splitFn) bool {
+				return split("4-MEM", memctrl.FCFS).BankFree > 0 && split("4-MEM", memctrl.HitFirst).BankFree == 0
+			}},
+		{"attribution 2-MEM seldom overtaken", nil, tiny, "",
+			"on 2-MEM under hit-first a read is seldom overtaken: under 5% of its queueing is behind a younger request, so there is little order for a thread-aware scheduler to change",
+			func(_ atFn, split splitFn) bool {
+				s := split("2-MEM", memctrl.HitFirst)
+				return s.Overtaken*20 < s.Older+s.Overtaken+s.WindowFull+s.BankFree
+			}},
 	}
 
 	grids := map[string]Grid{} // figure × mixes × options → its one run
+	splits := map[string]obs.LatencySplit{}
 	for _, c := range claims {
 		t.Run(c.name, func(t *testing.T) {
+			split := func(mix string, p memctrl.Policy) obs.LatencySplit {
+				key := fmt.Sprint(mix, p, c.o.Warmup, c.o.Target)
+				if s, ok := splits[key]; ok {
+					return s
+				}
+				cfg := c.o.baseConfig(mixesNamed(t, mix)[0].Apps...)
+				cfg.Mem.Policy = p
+				ob := &obs.Observer{Trace: obs.NewTracer()}
+				cfg.Observe = func() *obs.Observer { return ob }
+				if _, err := core.Run(cfg); err != nil {
+					t.Fatal(err)
+				}
+				m, err := cfg.Mem.TraceMachine()
+				if err != nil {
+					t.Fatal(err)
+				}
+				var s obs.LatencySplit
+				for _, r := range obs.Attribute(ob.Trace.Events(), m).Reads {
+					s = s.Plus(r.LatencySplit)
+				}
+				t.Logf("%s %v: queueing older %d, overtaken %d, window full %d, bank free %d cycles",
+					mix, p, s.Older, s.Overtaken, s.WindowFull, s.BankFree)
+				splits[key] = s
+				return s
+			}
 			at := func(fig, row, col string) float64 {
 				key := fmt.Sprint(fig, c.mixes, c.o.Warmup, c.o.Target)
 				g, ok := grids[key]
@@ -313,7 +361,7 @@ func TestPaperClaims(t *testing.T) {
 				}
 				return v
 			}
-			switch holds := c.holds(at); {
+			switch holds := c.holds(at, split); {
 			case !holds && c.deviation == "":
 				t.Errorf("the paper's claim no longer holds: %s", c.sentence)
 			case !holds:
