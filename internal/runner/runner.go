@@ -63,32 +63,27 @@ func (p *Pool) Instrument(fn func(name string, wait time.Duration)) { p.instr = 
 // are draining it.
 func (p *Pool) enqueue(job func()) {
 	p.mu.Lock()
+	defer p.mu.Unlock()
 	p.queue = append(p.queue, job)
-	start := p.workers < p.jobs
-	if start {
+	if p.workers < p.jobs {
 		p.workers++
-	}
-	p.mu.Unlock()
-	if start {
 		go p.work()
 	}
 }
 
 // work runs queued jobs, oldest first, until the queue is empty.
 func (p *Pool) work() {
-	for {
-		p.mu.Lock()
-		if len(p.queue) == 0 {
-			p.workers--
-			p.mu.Unlock()
-			return
-		}
+	p.mu.Lock()
+	for len(p.queue) > 0 {
 		job := p.queue[0]
-		p.queue[0] = nil
+		p.queue[0] = nil // the queue's array must not keep a finished job's result alive
 		p.queue = p.queue[1:]
 		p.mu.Unlock()
 		job()
+		p.mu.Lock()
 	}
+	p.workers--
+	p.mu.Unlock()
 }
 
 // Future is the pending result of one submitted job.
