@@ -53,10 +53,10 @@ func resultOf(payload, meta []byte) result {
 }
 
 // openTier hangs the content-addressed disk store, when open, behind the
-// result memo and the checkpoint cache: one store per daemon, with
-// checkpoints under their own key namespace. A computed result is written
-// through to the store before any job resolves, so a store write failure of
-// either kind degrades the daemon's durability and turns /readyz unready.
+// result memo and the warmup-checkpoint cache, whose entries it keeps under
+// their own key namespace. A computed result is written through to the store
+// before any job resolves. A failed write of either kind degrades the store,
+// and /readyz reports it.
 func (s *Server) openTier() {
 	if s.store != nil {
 		s.results.Tier = &runner.Tier[string, result]{Get: s.storeGet, Put: s.storePut}
