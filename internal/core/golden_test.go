@@ -10,7 +10,6 @@ import (
 	"smtdram/internal/addrmap"
 	"smtdram/internal/dram"
 	"smtdram/internal/memctrl"
-	"smtdram/internal/workload"
 )
 
 // goldenFrames are two warmup checkpoints pinned by length and digest: the
@@ -88,8 +87,8 @@ var goldenResults = map[string]struct {
 }
 
 func TestGoldenResults(t *testing.T) {
-	four := DefaultConfig(mixApps(t, "4-MEM")...)
-	eight := DefaultConfig(mixApps(t, "8-MEM")...)
+	four, eight := mixCfg(t, "4-MEM", 10000), mixCfg(t, "8-MEM", 10000)
+	four.TargetInstr, eight.TargetInstr = 10000, 10000
 	eight.Mem.Kind, eight.Mem.PageMode, eight.Mem.Scheme = RDRAM, dram.ClosePage, addrmap.Page
 	for _, m := range []struct {
 		name string
@@ -100,7 +99,6 @@ func TestGoldenResults(t *testing.T) {
 			t.Run(name, func(t *testing.T) {
 				t.Parallel()
 				cfg := m.cfg
-				cfg.WarmupInstr, cfg.TargetInstr = 10000, 10000
 				cfg.Mem.Policy = p
 				res, err := Run(cfg)
 				if err != nil {
@@ -118,13 +116,4 @@ func TestGoldenResults(t *testing.T) {
 			})
 		}
 	}
-}
-
-func mixApps(t *testing.T, name string) []string {
-	t.Helper()
-	m, err := workload.MixByName(name)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return m.Apps
 }

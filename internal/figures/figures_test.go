@@ -225,7 +225,7 @@ func TestPaperClaims(t *testing.T) {
 		o         Options
 		deviation string // empty: the paper's sentence holds; else why it does not
 		sentence  string
-		holds     func(at atFn, _ splitFn) bool
+		holds     func(at atFn, split splitFn) bool
 	}{
 		{"fig3 ILP retains", []string{"2-ILP", "2-MEM"}, warm, "",
 			"ILP mixes lose almost nothing to main memory (≈99% of infinite-L3 performance retained)",

@@ -39,46 +39,50 @@ func TestSubmissionOrderCollection(t *testing.T) {
 }
 
 func TestConcurrencyBound(t *testing.T) {
-	for _, bound := range []int32{1, 3} {
-		p := New(int(bound))
-		var cur, peak int32
-		var futs []*Future[struct{}]
-		for i := 0; i < 20; i++ {
-			futs = append(futs, Submit(p, func() (struct{}, error) {
-				n := atomic.AddInt32(&cur, 1)
-				for {
-					old := atomic.LoadInt32(&peak)
-					if n <= old || atomic.CompareAndSwapInt32(&peak, old, n) {
-						break
-					}
+	const bound = 3
+	p := New(bound)
+	var cur, peak int32
+	var futs []*Future[struct{}]
+	for i := 0; i < 20; i++ {
+		futs = append(futs, Submit(p, func() (struct{}, error) {
+			n := atomic.AddInt32(&cur, 1)
+			for {
+				old := atomic.LoadInt32(&peak)
+				if n <= old || atomic.CompareAndSwapInt32(&peak, old, n) {
+					break
 				}
-				time.Sleep(time.Millisecond)
-				atomic.AddInt32(&cur, -1)
-				return struct{}{}, nil
-			}))
-		}
-		for _, f := range futs {
-			f.Wait()
-		}
-		if got := atomic.LoadInt32(&peak); got > bound {
-			t.Fatalf("observed %d concurrent jobs, bound %d", got, bound)
-		}
+			}
+			time.Sleep(time.Millisecond)
+			atomic.AddInt32(&cur, -1)
+			return struct{}{}, nil
+		}))
+	}
+	for _, f := range futs {
+		f.Wait()
+	}
+	if got := atomic.LoadInt32(&peak); got > bound {
+		t.Fatalf("observed %d concurrent jobs, bound %d", got, bound)
 	}
 }
 
-// TestOneJobPoolRunsInSubmissionOrder: a 1-job pool is sequential, and its
-// jobs start in the order they were submitted whatever order they are
+// TestOneJobPoolRunsInSubmissionOrder: a 1-job pool runs one job at a time,
+// and its jobs start in the order they were submitted whatever order they are
 // awaited in (experiments -jobs 1 numbers its trace files by start order).
 func TestOneJobPoolRunsInSubmissionOrder(t *testing.T) {
 	p := New(1)
 	var mu sync.Mutex
 	var order []int
+	var running atomic.Int32
 	futs := make([]*Future[int], 50)
 	for i := range futs {
 		futs[i] = Submit(p, func() (int, error) {
+			if running.Add(1) != 1 {
+				t.Error("two jobs of a 1-job pool ran at once")
+			}
 			mu.Lock()
 			order = append(order, i)
 			mu.Unlock()
+			running.Add(-1)
 			return i, nil
 		})
 	}

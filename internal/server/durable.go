@@ -316,7 +316,8 @@ type StoreHealth struct {
 	// Degraded reports a store or journal that hit an IO error and fell
 	// back to memory-only operation (sticky until restart).
 	Degraded bool `json:"degraded"`
-	Entries  int  `json:"entries"`
+	// Entries counts the store's entries: results and warmup checkpoints.
+	Entries int `json:"entries"`
 }
 
 // RecoveryStatus reports startup journal recovery progress.
