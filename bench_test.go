@@ -555,26 +555,6 @@ func optsWS(o figures.Options, cfg core.Config) (float64, core.Result, error) {
 	return figures.WS(o, cfg)
 }
 
-// BenchmarkAblationPrefetch enables Table 1's prefetch MSHRs (next-line
-// prefetching at the L2) on a streaming mix.
-func BenchmarkAblationPrefetch(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		off := benchCfg("swim", "lucas")
-		ro, err := core.Run(off)
-		if err != nil {
-			b.Fatal(err)
-		}
-		on := benchCfg("swim", "lucas")
-		on.L2.PrefetchNextLine = true
-		on.L2.PrefetchMSHRs = 4
-		rp, err := core.Run(on)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(rp.TotalIPC()/ro.TotalIPC(), "prefetch-on/off-IPC")
-	}
-}
-
 // BenchmarkAblationRefresh measures the cost of realistic all-bank refresh
 // (7.8 µs tREFI / 70 ns tRFC), which the paper's model omits.
 func BenchmarkAblationRefresh(b *testing.B) {
@@ -610,27 +590,6 @@ func BenchmarkAblationTurnaround(b *testing.B) {
 			b.Fatal(err)
 		}
 		b.ReportMetric(ri.TotalIPC()/rp.TotalIPC(), "ideal/turnaround-IPC")
-	}
-}
-
-// BenchmarkCriticalityScheduling measures the Section 3.1 criticality-based
-// policy (not in Figure 10) against FCFS on a MIX workload, where critical
-// demand loads compete with writeback traffic.
-func BenchmarkCriticalityScheduling(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		fc := benchCfg("gzip", "mcf", "bzip2", "ammp")
-		fc.Mem.Policy = memctrl.FCFS
-		rf, err := core.Run(fc)
-		if err != nil {
-			b.Fatal(err)
-		}
-		cr := benchCfg("gzip", "mcf", "bzip2", "ammp")
-		cr.Mem.Policy = memctrl.CriticalityBased
-		rc, err := core.Run(cr)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(rc.TotalIPC()/rf.TotalIPC(), "critical/fcfs-IPC")
 	}
 }
 

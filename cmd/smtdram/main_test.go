@@ -54,9 +54,10 @@ func TestBadFaultSpecExitsTwo(t *testing.T) {
 
 	// Every other name the flags carry goes through the same resolver and
 	// gets the same answer: an unresolvable one is a usage error, not a
-	// failed simulation.
+	// failed simulation. A removed policy is as unknown as a made-up one.
 	for _, args := range [][]string{
 		{"-policy", "bogus"},
+		{"-policy", "criticality-based"},
 		{"-dram", "bogus"},
 		{"-fetch", "bogus"},
 		{"-scheme", "bogus"},
@@ -69,8 +70,11 @@ func TestBadFaultSpecExitsTwo(t *testing.T) {
 		if !errors.As(err, &xe) || xe.ExitCode() != 2 {
 			t.Errorf("%v: err = %v, want exit 2 (output: %s)", args, err, out)
 		}
-		if !strings.Contains(string(out), "bogus") && !strings.Contains(string(out), "nosuchapp") {
+		if !strings.Contains(string(out), args[1]) {
 			t.Errorf("%v: stderr %q does not name the bad value", args, out)
+		}
+		if args[0] == "-policy" && !strings.Contains(string(out), "want one of fcfs, hit-first, age-based, request-based, rob-based, iq-based)") {
+			t.Errorf("%v: stderr %q does not list the six policies", args, out)
 		}
 	}
 

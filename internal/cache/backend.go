@@ -62,8 +62,7 @@ func (p *pooledReq) complete(at uint64) {
 // rejects with a typed error.
 func (p *pooledReq) SnapRef() snap.Ref {
 	ref := snap.Ref{Kind: snap.KMemBackendReq, Args: []uint64{
-		p.req.ID, p.req.Addr, uint64(p.req.Kind), snap.Zig(int64(p.req.Thread)),
-		snap.BoolArg(p.req.Critical), p.req.Arrive,
+		p.req.ID, p.req.Addr, uint64(p.req.Kind), snap.Zig(int64(p.req.Thread)), p.req.Arrive,
 		snap.Zig(int64(p.req.State.ROBOccupancy)),
 		snap.Zig(int64(p.req.State.IQOccupancy)),
 	}}
@@ -99,7 +98,6 @@ func (b *MemBackend) ReadLine(now uint64, addr uint64, meta Meta, done event.Fil
 	p.req.Addr = addr
 	p.req.Kind = mem.Read
 	p.req.Thread = meta.Thread
-	p.req.Critical = meta.Critical
 	p.req.State = meta.State
 	p.done = done
 	return b.submit(now, p)
@@ -112,7 +110,6 @@ func (b *MemBackend) WriteLine(now uint64, addr uint64, meta Meta) bool {
 	p.req.Addr = addr
 	p.req.Kind = mem.Write
 	p.req.Thread = meta.Thread
-	p.req.Critical = false
 	p.req.State = meta.State
 	p.done = nil
 	return b.submit(now, p)

@@ -21,8 +21,6 @@ type Meta struct {
 	// Thread is the issuing hardware thread (mem.InvalidThread for
 	// writebacks).
 	Thread int
-	// Critical marks demand accesses the processor is stalled on.
-	Critical bool
 	// State is the thread's resource-occupancy snapshot at issue time.
 	State mem.ThreadState
 }
@@ -57,12 +55,6 @@ type Config struct {
 	// Perfect makes every access hit, modeling the paper's infinitely large
 	// cache runs used to attribute CPI to hierarchy levels.
 	Perfect bool
-	// PrefetchNextLine enables next-line prefetching on demand misses,
-	// through the dedicated PrefetchMSHRs pool (Table 1: 4/cache).
-	PrefetchNextLine bool
-	// PrefetchMSHRs bounds concurrent prefetches (default 4 when
-	// prefetching is enabled).
-	PrefetchMSHRs int
 }
 
 // Validate rejects configurations the set math cannot support.
@@ -86,15 +78,14 @@ func (c Config) Validate() error {
 	return nil
 }
 
-// A line is one way of one set, one word: tag<<flagBits under the three flags
+// A line is one way of one set, one word: tag<<flagBits under the two flags
 // (zero: an empty way), stored in the level's word width. A set keeps its ways
 // most recently used first, and nothing invalidates a line, so empty ways
 // trail the valid ones and the LRU victim is always the last way.
 const (
-	lineValid      = 1 << iota
-	lineDirty      // written since the fill
-	linePrefetched // installed by a prefetch, not yet demanded
-	flagBits       = iota
+	lineValid = 1 << iota
+	lineDirty // written since the fill
+	flagBits  = iota
 )
 
 // mshr tracks one outstanding miss. MSHRs are recycled through the level's
@@ -214,13 +205,7 @@ type Level struct {
 	// reaches an L1.
 	Wake func()
 
-	// prefetch machinery (see prefetch.go)
-	pfInFlight int
-	pfPending  map[uint64]struct{}
-
 	Stats Stats
-	// Prefetch counts prefetcher activity (zero when disabled).
-	Prefetch prefetchStats
 }
 
 type wbEntry struct {
@@ -246,14 +231,7 @@ func New(q *event.Queue, cfg Config, lower Backend) (*Level, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	if cfg.PrefetchNextLine && cfg.PrefetchMSHRs == 0 {
-		cfg.PrefetchMSHRs = 4
-	}
-	l := &Level{
-		cfg: cfg, q: q, lower: lower,
-		mshrs:     make([]*mshr, 0, cfg.MSHRs),
-		pfPending: make(map[uint64]struct{}),
-	}
+	l := &Level{cfg: cfg, q: q, lower: lower, mshrs: make([]*mshr, 0, cfg.MSHRs)}
 	l.wbretry = wbRetry{l: l}
 	if !cfg.Perfect {
 		l.nsets = uint64(cfg.SizeBytes / cfg.LineBytes / cfg.Assoc)
@@ -313,8 +291,8 @@ func (l *Level) victimAddr(set, tag uint64) uint64 { return (tag*l.nsets + set) 
 // word returns the line in slab slot i.
 func (l *Level) word(i uint64) uint64 { return binary.LittleEndian.Uint64(l.lines[i*l.wb:]) & l.wmask }
 
-// flags returns slot i's first byte, which holds the word's low bits: all
-// three flags.
+// flags returns slot i's first byte, which holds the word's low bits: both
+// flags.
 func (l *Level) flags(i uint64) *byte { return &l.lines[i*l.wb] }
 
 // setWord stores w in slot i and leaves the bytes behind it as they are.
@@ -328,7 +306,7 @@ func (l *Level) setWord(i, w uint64) {
 func (l *Level) lookup(la uint64) (set uint64, way int) {
 	si, tag := l.index(la)
 	set = si * l.assoc
-	want, mask := tag<<flagBits|lineValid, l.wmask&^(lineDirty|linePrefetched)
+	want, mask := tag<<flagBits|lineValid, l.wmask&^lineDirty
 	ways, wb := l.lines[set*l.wb:], l.wb
 	for i := range l.assoc {
 		if binary.LittleEndian.Uint64(ways[i*wb:])&mask == want {
@@ -359,8 +337,7 @@ func (l *Level) ReadLine(now uint64, addr uint64, meta Meta, done event.Filler) 
 		l.complete(now+l.cfg.Latency, done)
 		return true
 	}
-	if s, ok := l.touch(la); ok {
-		l.notePrefetchHit(now, la, s, meta)
+	if _, ok := l.touch(la); ok {
 		l.complete(now+l.cfg.Latency, done)
 		return true
 	}
@@ -377,8 +354,7 @@ func (l *Level) Probe(now uint64, addr uint64, meta Meta, fill event.Filler) (hi
 	if l.cfg.Perfect {
 		return true, true
 	}
-	if s, ok := l.touch(la); ok {
-		l.notePrefetchHit(now, la, s, meta)
+	if _, ok := l.touch(la); ok {
 		return true, true
 	}
 	return false, l.miss(now, la, meta, fill, false)
@@ -472,7 +448,6 @@ func (l *Level) miss(now uint64, la uint64, meta Meta, done event.Filler, dirty 
 		l.MissBegin(meta)
 	}
 	l.q.ScheduleHandler(now+l.cfg.Latency, m)
-	l.maybePrefetch(now, la, meta)
 	return true
 }
 
@@ -499,8 +474,8 @@ func (l *Level) releaseMSHR(m *mshr) {
 // lower level refused. A handful of cycles: short against DRAM latencies.
 const retryGap = 8
 
-// install places la at the front of its set with flags (lineDirty,
-// linePrefetched or neither) set, evicting the last way, which is empty or
+// install places la at the front of its set with flags (lineDirty or
+// nothing) set, evicting the last way, which is empty or
 // the LRU line; a dirty victim is written back down.
 func (l *Level) install(now uint64, la uint64, flags uint64) {
 	si, tag := l.index(la)

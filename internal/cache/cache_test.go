@@ -42,14 +42,14 @@ func TestValidate(t *testing.T) {
 		}
 	}
 	// A word holds a tag, the address less its line offset and set index,
-	// under three flag bits: 48-6-9+3 and 48-6-12+3 bits fit five bytes for
-	// Table 1's 512-set L1s and 4,096-set L2, 48-6-14+3 four for its L3.
+	// under two flag bits: 48-6-9+2 bits fit five bytes for Table 1's 512-set
+	// L1s, 48-6-12+2 and 48-6-14+2 four for its 4,096-set L2 and its L3.
 	for _, c := range []struct {
 		cfg Config
 		wb  uint64
 	}{
 		{Config{Name: "L1", SizeBytes: 64 << 10, Assoc: 2, LineBytes: 64, MSHRs: 16}, 5},
-		{Config{Name: "L2", SizeBytes: 512 << 10, Assoc: 2, LineBytes: 64, MSHRs: 16}, 5},
+		{Config{Name: "L2", SizeBytes: 512 << 10, Assoc: 2, LineBytes: 64, MSHRs: 16}, 4},
 		{Config{Name: "L3", SizeBytes: 4 << 20, Assoc: 4, LineBytes: 64, MSHRs: 16}, 4},
 	} {
 		if l, err := New(&event.Queue{}, c.cfg, nil); err != nil || l.wb != c.wb {
@@ -397,7 +397,7 @@ func TestMemBackendTranslation(t *testing.T) {
 	var q event.Queue
 	ctrl := &fakeCtrl{}
 	b := NewMemBackend(&q, ctrl)
-	meta := Meta{Thread: 3, Critical: true, State: mem.ThreadState{ROBOccupancy: 100, IQOccupancy: 9}}
+	meta := Meta{Thread: 3, State: mem.ThreadState{ROBOccupancy: 100, IQOccupancy: 9}}
 	var at uint64
 	if !b.ReadLine(5, 0xABC0, meta, event.FillFunc(func(a uint64) { at = a })) {
 		t.Fatal("ReadLine rejected")
@@ -406,7 +406,7 @@ func TestMemBackendTranslation(t *testing.T) {
 		t.Fatalf("controller saw %d requests", len(ctrl.got))
 	}
 	r := ctrl.got[0]
-	if r.Thread != 3 || !r.Critical || r.State.ROBOccupancy != 100 || r.Kind != mem.Read {
+	if r.Thread != 3 || r.State.ROBOccupancy != 100 || r.Kind != mem.Read {
 		t.Fatalf("request fields wrong: %+v", r)
 	}
 	r.OnComplete(99)

@@ -24,8 +24,8 @@ import (
 const addrSpace = uint64(1) << mem.AddrBits
 
 type refLine struct {
-	la                uint64
-	dirty, prefetched bool
+	la    uint64
+	dirty bool
 }
 
 type refModel struct {
@@ -33,7 +33,6 @@ type refModel struct {
 	nsets      uint64
 	sets       map[uint64][]refLine // least recently used first
 	stats      Stats
-	pf         prefetchStats
 	writebacks []uint64
 	evicted    []uint64
 }
@@ -67,49 +66,22 @@ func (m *refModel) install(r refLine) {
 	m.sets[m.set(r.la)] = append(s[:len(s):len(s)], r)
 }
 
-// prefetch is maybePrefetch with nothing in flight: the next line is fetched
-// unless it is resident. The fill lands after the demand fill that caused it.
-func (m *refModel) prefetch(la uint64) (next uint64, issued bool) {
-	if !m.cfg.PrefetchNextLine {
-		return 0, false
-	}
-	next = (la + uint64(m.cfg.LineBytes)) % addrSpace
-	if m.find(next) >= 0 {
-		m.pf.Dropped++
-		return 0, false
-	}
-	m.pf.Issued++
-	return next, true
-}
-
 // access is ReadLine, Probe (demand reads) and Store; it reports a hit.
 func (m *refModel) access(la uint64, store bool) bool {
 	m.stats.Accesses++
 	if i := m.find(la); i >= 0 {
-		r := m.touch(la, i)
-		switch {
-		case store:
+		if r := m.touch(la, i); store {
 			r.dirty = true
-		case r.prefetched:
-			r.prefetched = false
-			m.pf.Useful++
-			if next, ok := m.prefetch(la); ok {
-				m.install(refLine{la: next, prefetched: true})
-			}
 		}
 		return true
 	}
 	m.stats.Misses++
-	next, ok := m.prefetch(la)
 	m.install(refLine{la: la, dirty: store})
-	if ok {
-		m.install(refLine{la: next, prefetched: true})
-	}
 	return false
 }
 
 // writeLine is a writeback from above: it dirties a resident line or installs
-// the whole line, with no fetch and no prefetch.
+// the whole line, with no fetch.
 func (m *refModel) writeLine(la uint64) {
 	m.stats.Accesses++
 	if i := m.find(la); i >= 0 {
@@ -146,8 +118,8 @@ func sameResidents(t *testing.T, l *Level, m *refModel, op int) {
 				t.Fatalf("op %d: line %#x is way %d of its set, the model has it %d from the front", op, r.la, i, len(s)-1-j)
 			}
 			w := l.word(set + uint64(i))
-			if dirty, pf := w&lineDirty != 0, w&linePrefetched != 0; dirty != r.dirty || pf != r.prefetched {
-				t.Fatalf("op %d: line %#x is dirty=%v prefetched=%v, model says %v/%v", op, r.la, dirty, pf, r.dirty, r.prefetched)
+			if dirty := w&lineDirty != 0; dirty != r.dirty {
+				t.Fatalf("op %d: line %#x is dirty=%v, model says %v", op, r.la, dirty, r.dirty)
 			}
 		}
 	}
@@ -166,13 +138,11 @@ func validLines(l *Level) (n int) {
 // matchModel runs ops seeded accesses through a level of cfg and through the
 // model, checking after each that they agree, and returns the model. The
 // addresses fall on every set, a few times their capacity in lines, so sets
-// overflow and lines come back; some runs of consecutive lines give the
-// prefetcher something to be right about. Past 1,024 sets a window of 64 sets
-// spread from the first to the last stands for them all, so that a stream
-// still revisits its lines. With top, the span
-// ends at the top of the address space, where tags are widest and the next
-// line wraps to line 0; one access in eight also sets bits above it, which
-// the level drops.
+// overflow and lines come back; some runs of consecutive lines walk across
+// sets. Past 1,024 sets a window of 64 sets spread from the first to the last
+// stands for them all, so that a stream still revisits its lines. With top,
+// the span ends at the top of the address space, where tags are widest; one
+// access in eight also sets bits above it, which the level drops.
 func matchModel(t *testing.T, cfg Config, top bool, seed int64, ops int) *refModel {
 	t.Helper()
 	var q event.Queue
@@ -242,13 +212,13 @@ func matchModel(t *testing.T, cfg Config, top bool, seed int64, ops int) *refMod
 		if !filled {
 			t.Fatalf("op %d: ReadLine(%#x) never completed", op, addr)
 		}
-		if l.Stats != m.stats || l.Prefetch != m.pf {
-			t.Fatalf("op %d (%#x): stats %+v %+v, model %+v %+v", op, addr, l.Stats, l.Prefetch, m.stats, m.pf)
+		if l.Stats != m.stats {
+			t.Fatalf("op %d (%#x): stats %+v, model %+v", op, addr, l.Stats, m.stats)
 		}
 		if !slices.Equal(lower.writes, m.writebacks) {
 			t.Fatalf("op %d (%#x): writebacks diverge\nlevel: %#x\nmodel: %#x", op, addr, tail(lower.writes), tail(m.writebacks))
 		}
-		if l.Contains(addr) != (m.find(la) >= 0) { // a prefetch can evict it from a one-way set
+		if !l.Contains(addr) || m.find(la) < 0 {
 			t.Fatalf("op %d: %#x resident=%v after its own access, model %v", op, addr, l.Contains(addr), m.find(la) >= 0)
 		}
 		for _, v := range m.evicted {
@@ -268,44 +238,43 @@ func TestLevelMatchesReferenceModel(t *testing.T) {
 	for _, g := range []struct {
 		name                   string
 		size, assoc, lineBytes int
-		prefetch               bool
 		top                    bool // addresses from the top of the address space
 		wb                     uint64
 	}{
-		{"8 sets 2-way", 1024, 2, 64, false, false, 6},
-		{"8 sets 2-way, prefetching", 1024, 2, 64, true, false, 6},
-		{"512 sets 3-way", 96 << 10, 3, 64, false, false, 5},
-		{"768 sets 2-way, prefetching", 96 << 10, 2, 64, true, false, 5},
-		{"one set 4-way, prefetching", 256, 4, 64, true, false, 6},
-		{"one set of 8-byte lines, top of memory", 32, 4, 8, true, true, 6},
-		{"3 sets of 128-byte lines, top of memory", 384 * 2, 2, 128, false, true, 6},
-		{"Table 1 L1, top of memory", 64 << 10, 2, 64, true, true, 5},
-		{"Table 1 L3, top of memory", 4 << 20, 4, 64, false, true, 4},
-		{"widest words: one set of 1-byte lines, top of memory", 4, 4, 1, true, true, 7},
+		{"8 sets 2-way", 1024, 2, 64, false, 6},
+		{"512 sets 3-way", 96 << 10, 3, 64, false, 5},
+		{"768 sets 2-way", 96 << 10, 2, 64, false, 5},
+		{"one set 4-way", 256, 4, 64, false, 6},
+		{"one set of 8-byte lines, top of memory", 32, 4, 8, true, 6},
+		{"3 sets of 128-byte lines, top of memory", 384 * 2, 2, 128, true, 6},
+		{"Table 1 L1, top of memory", 64 << 10, 2, 64, true, 5},
+		{"Table 1 L2, top of memory", 512 << 10, 2, 64, true, 4},
+		{"Table 1 L3, top of memory", 4 << 20, 4, 64, true, 4},
+		{"widest words: one set of 1-byte lines, top of memory", 4, 4, 1, true, 7},
 	} {
 		t.Run(g.name, func(t *testing.T) {
-			cfg := Config{Name: "L", SizeBytes: g.size, Assoc: g.assoc, LineBytes: g.lineBytes, Latency: 1, MSHRs: 4, PrefetchNextLine: g.prefetch}
+			cfg := Config{Name: "L", SizeBytes: g.size, Assoc: g.assoc, LineBytes: g.lineBytes, Latency: 1, MSHRs: 4}
 			if l, _ := New(&event.Queue{}, cfg, nil); l.wb != g.wb {
 				t.Fatalf("%d-byte words, want %d", l.wb, g.wb)
 			}
 			m := matchModel(t, cfg, g.top, 18, 20_000)
-			if m.stats.Writebacks == 0 || m.stats.Misses == 0 || m.stats.Misses == m.stats.Accesses || (g.prefetch && m.pf.Useful == 0) {
-				t.Fatalf("stream exercised too little: %+v %+v", m.stats, m.pf)
+			if m.stats.Writebacks == 0 || m.stats.Misses == 0 || m.stats.Misses == m.stats.Accesses {
+				t.Fatalf("stream exercised too little: %+v", m.stats)
 			}
 		})
 	}
 }
 
 // FuzzLevelMatchesReferenceModel draws the geometry too: up to 2,048 sets of
-// up to eight ways of lines from 1 to 128 bytes. The seed's low bits turn on
-// prefetching and addresses from the top of the address space.
+// up to eight ways of lines from 1 to 128 bytes. The seed's bit 1 turns on
+// addresses from the top of the address space.
 func FuzzLevelMatchesReferenceModel(f *testing.F) {
 	f.Add(uint16(8), uint8(2), uint8(6), int64(1))
 	f.Add(uint16(0), uint8(3), uint8(0), int64(3))
 	f.Add(uint16(767), uint8(1), uint8(7), int64(2))
 	f.Fuzz(func(t *testing.T, sets uint16, assoc, lineLog uint8, seed int64) {
 		nsets, ways, lineBytes := 1+int(sets)%2048, 1+int(assoc)%8, 1<<(lineLog%8)
-		cfg := Config{Name: "L", SizeBytes: nsets * ways * lineBytes, Assoc: ways, LineBytes: lineBytes, Latency: 1, MSHRs: 4, PrefetchNextLine: seed&1 != 0}
+		cfg := Config{Name: "L", SizeBytes: nsets * ways * lineBytes, Assoc: ways, LineBytes: lineBytes, Latency: 1, MSHRs: 4}
 		matchModel(t, cfg, seed&2 != 0, seed, 2_000)
 	})
 }
@@ -381,7 +350,7 @@ func churn(l *Level, q *event.Queue, seed int64, ops int) {
 // into a level that has run gives the machine restoring into a fresh one
 // gives: the same bytes when saved again, the same slab word for word.
 func TestRestoreIntoUsedLevel(t *testing.T) {
-	cfg := Config{Name: "L", SizeBytes: 96 << 10, Assoc: 3, LineBytes: 64, Latency: 1, MSHRs: 4, PrefetchNextLine: true}
+	cfg := Config{Name: "L", SizeBytes: 96 << 10, Assoc: 3, LineBytes: 64, Latency: 1, MSHRs: 4}
 	build := func(seed int64, ops int) *Level {
 		q := &event.Queue{}
 		l, err := New(q, cfg, NewFixedLatency(q, 10))
@@ -406,7 +375,7 @@ func TestRestoreIntoUsedLevel(t *testing.T) {
 		if again := levelFrame(t, l); !bytes.Equal(again, frame) {
 			t.Fatalf("%s: re-saved frame differs (%d vs %d bytes)", name, len(again), len(frame))
 		}
-		if !reflect.DeepEqual(l.lines, src.lines) || l.Stats != src.Stats || l.Prefetch != src.Prefetch {
+		if !reflect.DeepEqual(l.lines, src.lines) || l.Stats != src.Stats {
 			t.Fatalf("%s: restored level differs from the one saved", name)
 		}
 	}
@@ -417,8 +386,8 @@ func TestRestoreIntoUsedLevel(t *testing.T) {
 // lines than the payload holds, a word with bits above the level's word width,
 // a set the hit and install paths could not have left: a valid way behind an
 // empty one (the victim is the last way, so the frame would change which line
-// is evicted), or one tag in two ways; and a miss or prefetch whose address is
-// off a line boundary or past the address space.
+// is evicted), or one tag in two ways; and a miss whose address is off a line
+// boundary or past the address space.
 func TestLineSectionRejects(t *testing.T) {
 	cfg := Config{Name: "L", SizeBytes: 12 * 64, Assoc: 3, LineBytes: 64, Latency: 1, MSHRs: 1}
 	var q event.Queue
@@ -463,28 +432,9 @@ func TestLineSectionRejects(t *testing.T) {
 		t.Fatal("the three listed lines did not land in slots 3, 4 and 9")
 	}
 	// mshrAt lists no lines and one clean miss on la with no waiters.
-	mshrAt := func(la uint64) []byte { return craft(0, 1, la, 0, 0, 0, 0, 0, 0, 0) }
+	mshrAt := func(la uint64) []byte { return craft(0, 1, la, 0, 0, 0, 0, 0, 0) }
 	if err := loadLevel(empty, mshrAt(64)); err != nil || empty.mshrFor(64) == nil {
 		t.Fatalf("a well-formed one-miss section: %v", err)
-	}
-	// The head ends: the prefetch line-address count (0), perfect (no), the
-	// bitmap length. pending lists la there and nothing else in the section.
-	if !bytes.Equal(head[len(head)-3:], []byte{0, 0, 8}) {
-		t.Fatalf("an empty level's head no longer ends in its prefetch list, perfect flag and bitmap length: % x", head[len(head)-3:])
-	}
-	pending := func(la uint64) []byte {
-		return seal(slices.Concat(head[:len(head)-3], binary.AppendUvarint([]byte{1}, la), []byte{0, 8}), 0, noMSHRs)
-	}
-	err = loadLevel(empty, pending(64))
-	if _, ok := empty.pfPending[64]; err != nil || !ok {
-		t.Fatalf("a well-formed section with one prefetch pending: %v", err)
-	}
-	for _, la := range []uint64{addrSpace, 64 + 8, 64} {
-		for _, ref := range []snap.Ref{(&pfIssue{l: empty, la: la}).SnapRef(), (&pfFill{l: empty, la: la}).SnapRef()} {
-			if _, err := empty.ResolveRef(&ref); (la == 64) != (err == nil) || err != nil && !errors.Is(err, snap.ErrCorrupt) {
-				t.Errorf("prefetch ref kind %d of %#x: %v", ref.Kind, la, err)
-			}
-		}
 	}
 	for _, tc := range []struct {
 		name  string
@@ -493,14 +443,12 @@ func TestLineSectionRejects(t *testing.T) {
 	}{
 		{"bit past the slab", craft(1<<12, line(7), noMSHRs), snap.ErrCorrupt},
 		{"listed line lacks the valid flag", craft(1<<3, 7<<flagBits|lineDirty, noMSHRs), snap.ErrCorrupt},
-		{"a word wider than six bytes", craft(1<<3, line(1<<45), noMSHRs), snap.ErrCorrupt},
+		{"a word wider than six bytes", craft(1<<3, line(1<<46), noMSHRs), snap.ErrCorrupt},
 		{"two lines listed, one present", craft(1<<3|1<<4, line(7)), snap.ErrTruncated},
 		{"a valid way behind an empty one", craft(1<<4, line(7), noMSHRs), snap.ErrCorrupt},
 		{"one tag in two ways of a set", craft(1<<3|1<<4, line(7), line(7)|lineDirty, noMSHRs), snap.ErrCorrupt},
 		{"a miss past the address space", mshrAt(addrSpace + 64), snap.ErrCorrupt},
 		{"a miss off a line boundary", mshrAt(64 + 8), snap.ErrCorrupt},
-		{"a prefetch past the address space", pending(addrSpace + 64), snap.ErrCorrupt},
-		{"a prefetch off a line boundary", pending(64 + 8), snap.ErrCorrupt},
 	} {
 		if err := loadLevel(empty, tc.frame); !errors.Is(err, tc.want) {
 			t.Errorf("%s: got %v, want %v", tc.name, err, tc.want)

@@ -1,8 +1,8 @@
 package cache
 
 // The cache hierarchy's snapshot walks (DESIGN §15): each Level walks its
-// valid lines in recency order, MSHR file (including waiter references),
-// writeback buffer, and prefetch state; the MemBackend walks its retry buffer and
+// valid lines in recency order, MSHR file (including waiter references) and
+// writeback buffer; the MemBackend walks its retry buffer and
 // request-ID counter. References to pending completions are typed snap.Refs,
 // resolved back to live objects by the core resolver when loading.
 
@@ -31,44 +31,8 @@ func (l *Level) SetSnapID(id uint8) { l.snapID = id }
 // whose committed-store buffer holds the same record.
 func SnapMeta(c *snap.Codec, m *Meta) {
 	c.Int(&m.Thread)
-	c.Bool(&m.Critical)
 	c.Int(&m.State.ROBOccupancy)
 	c.Int(&m.State.IQOccupancy)
-}
-
-// metaArgs and metaFromArgs are the same record in the uint64 Ref-arg space
-// (a scheduled prefetch issue carries its Meta in its reference).
-func metaArgs(m Meta) []uint64 {
-	return []uint64{
-		snap.Zig(int64(m.Thread)), snap.BoolArg(m.Critical),
-		snap.Zig(int64(m.State.ROBOccupancy)),
-		snap.Zig(int64(m.State.IQOccupancy)),
-	}
-}
-
-func metaFromArgs(a []uint64) (Meta, error) {
-	if len(a) != 4 {
-		return Meta{}, fmt.Errorf("%w: meta needs 4 args, got %d", snap.ErrCorrupt, len(a))
-	}
-	return Meta{
-		Thread:   int(snap.Unzig(a[0])),
-		Critical: a[1] != 0,
-		State: mem.ThreadState{
-			ROBOccupancy: int(snap.Unzig(a[2])),
-			IQOccupancy:  int(snap.Unzig(a[3])),
-		},
-	}, nil
-}
-
-// sortedKeys lists m's keys in ascending order: a set is walked sorted, so
-// saving the same state twice yields the same bytes.
-func sortedKeys(m map[uint64]struct{}) []uint64 {
-	keys := make([]uint64, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	slices.Sort(keys)
-	return keys
 }
 
 // Snap walks the level's mutable state. The configuration is not in the
@@ -88,28 +52,11 @@ func (l *Level) Snap(c *snap.Codec, resolve event.Resolver) error {
 	c.U64(&l.Stats.Merged)
 	c.U64(&l.Stats.Writebacks)
 	c.U64(&l.Stats.MSHRFull)
-	c.U64(&l.Prefetch.Issued)
-	c.U64(&l.Prefetch.Useful)
-	c.U64(&l.Prefetch.Late)
-	c.U64(&l.Prefetch.Dropped)
 
 	snap.Slice(c, &l.pendingWB, func(e *wbEntry) {
 		c.U64(&e.addr)
 		SnapMeta(c, &e.meta)
 	})
-
-	snap.U64As(c, &l.pfInFlight)
-	pf := sortedKeys(l.pfPending)
-	snap.Slice(c, &pf, c.U64)
-	if c.Loading() {
-		clear(l.pfPending)
-		for _, la := range pf {
-			if la != l.lineAddr(la) {
-				c.Fail(fmt.Errorf("%w: %s prefetch of %#x is not a line address", snap.ErrCorrupt, l.cfg.Name, la))
-			}
-			l.pfPending[la] = struct{}{}
-		}
-	}
 
 	perfect := l.cfg.Perfect
 	if c.Bool(&perfect); perfect != l.cfg.Perfect {
@@ -162,11 +109,11 @@ func (l *Level) Snap(c *snap.Codec, resolve event.Resolver) error {
 	}
 
 	// The MSHR file by ascending line address, so that saving the same state
-	// twice yields the same bytes. A miss's address, like a prefetch's, must be
-	// a line address: a bit past the address space would put its fill's tag
-	// into the next way's bytes. Loading recreates each entry from the pool
-	// before its waiters are read: the references to it — a lower level's
-	// waiter, an event — resolve through the file.
+	// twice yields the same bytes. A miss's address must be a line address: a
+	// bit past the address space would put its fill's tag into the next way's
+	// bytes. Loading recreates each entry from the pool before its waiters are
+	// read: the references to it — a lower level's waiter, an event — resolve
+	// through the file.
 	ms := l.mshrs
 	if c.Loading() {
 		for _, m := range ms {
@@ -202,9 +149,6 @@ func (l *Level) Snap(c *snap.Codec, resolve event.Resolver) error {
 
 // ResolveRef maps a cache-kind reference back to this level's live object.
 func (l *Level) ResolveRef(ref *snap.Ref) (any, error) {
-	if k := ref.Kind; (k == snap.KCachePfIssue || k == snap.KCachePfFill) && len(ref.Args) > 1 && ref.Args[1] != l.lineAddr(ref.Args[1]) {
-		return nil, fmt.Errorf("%w: %s prefetch of %#x is not a line address", snap.ErrCorrupt, l.cfg.Name, ref.Args[1])
-	}
 	switch ref.Kind {
 	case snap.KCacheMSHR:
 		if len(ref.Args) != 2 {
@@ -217,20 +161,6 @@ func (l *Level) ResolveRef(ref *snap.Ref) (any, error) {
 		return m, nil
 	case snap.KCacheWBRetry:
 		return &l.wbretry, nil
-	case snap.KCachePfIssue:
-		if len(ref.Args) != 6 {
-			return nil, fmt.Errorf("%w: prefetch-issue ref needs 6 args", snap.ErrCorrupt)
-		}
-		m, err := metaFromArgs(ref.Args[2:])
-		if err != nil {
-			return nil, err
-		}
-		return &pfIssue{l: l, la: ref.Args[1], meta: m}, nil
-	case snap.KCachePfFill:
-		if len(ref.Args) != 2 {
-			return nil, fmt.Errorf("%w: prefetch-fill ref needs 2 args", snap.ErrCorrupt)
-		}
-		return &pfFill{l: l, la: ref.Args[1]}, nil
 	default:
 		return nil, fmt.Errorf("%w: ref kind %d is not a cache kind", snap.ErrCorrupt, ref.Kind)
 	}
@@ -259,8 +189,8 @@ func (b *MemBackend) ResolveRef(ref *snap.Ref, resolve event.Resolver) (any, err
 	case snap.KMemBackend:
 		return b, nil
 	case snap.KMemBackendReq:
-		if len(ref.Args) != 8 {
-			return nil, fmt.Errorf("%w: request ref needs 8 args", snap.ErrCorrupt)
+		if len(ref.Args) != 7 {
+			return nil, fmt.Errorf("%w: request ref needs 7 args", snap.ErrCorrupt)
 		}
 		id := ref.Args[0]
 		if b.restoreReqs == nil {
@@ -274,11 +204,10 @@ func (b *MemBackend) ResolveRef(ref *snap.Ref, resolve event.Resolver) (any, err
 		p.req.Addr = ref.Args[1]
 		p.req.Kind = mem.Kind(ref.Args[2])
 		p.req.Thread = int(snap.Unzig(ref.Args[3]))
-		p.req.Critical = ref.Args[4] != 0
-		p.req.Arrive = ref.Args[5]
+		p.req.Arrive = ref.Args[4]
 		p.req.State = mem.ThreadState{
-			ROBOccupancy: int(snap.Unzig(ref.Args[6])),
-			IQOccupancy:  int(snap.Unzig(ref.Args[7])),
+			ROBOccupancy: int(snap.Unzig(ref.Args[5])),
+			IQOccupancy:  int(snap.Unzig(ref.Args[6])),
 		}
 		p.done = nil
 		if ref.Inner != nil {

@@ -23,28 +23,25 @@ import (
 // A new field fails this test until it is listed, which is the moment to
 // decide which it is and, if it is state, to add it to the walk.
 var snapshotFieldClass = map[string]string{
-	"Level.cfg":        "wiring",
-	"Level.q":          "wiring",
-	"Level.lower":      "wiring",
-	"Level.lines":      "serialized", // the valid ones, in slot (so recency) order; an empty way is its zero bit in the bitmap
-	"Level.wb":         "wiring",
-	"Level.wmask":      "wiring",
-	"Level.assoc":      "wiring",
-	"Level.nsets":      "wiring",
-	"Level.lineShift":  "wiring",
-	"Level.setShift":   "wiring",
-	"Level.mshrs":      "serialized",
-	"Level.snapID":     "wiring", // written, but as a guard: loading compares it and never assigns it
-	"Level.pendingWB":  "serialized",
-	"Level.wbretry":    "wiring",
-	"Level.freeMSHRs":  "wiring",
-	"Level.MissBegin":  "wiring",
-	"Level.MissEnd":    "wiring",
-	"Level.Wake":       "wiring",
-	"Level.pfInFlight": "serialized",
-	"Level.pfPending":  "serialized",
-	"Level.Stats":      "serialized",
-	"Level.Prefetch":   "serialized",
+	"Level.cfg":       "wiring",
+	"Level.q":         "wiring",
+	"Level.lower":     "wiring",
+	"Level.lines":     "serialized", // the valid ones, in slot (so recency) order; an empty way is its zero bit in the bitmap
+	"Level.wb":        "wiring",
+	"Level.wmask":     "wiring",
+	"Level.assoc":     "wiring",
+	"Level.nsets":     "wiring",
+	"Level.lineShift": "wiring",
+	"Level.setShift":  "wiring",
+	"Level.mshrs":     "serialized",
+	"Level.snapID":    "wiring", // written, but as a guard: loading compares it and never assigns it
+	"Level.pendingWB": "serialized",
+	"Level.wbretry":   "wiring",
+	"Level.freeMSHRs": "wiring",
+	"Level.MissBegin": "wiring",
+	"Level.MissEnd":   "wiring",
+	"Level.Wake":      "wiring",
+	"Level.Stats":     "serialized",
 
 	"mshr.addr":    "serialized",
 	"mshr.waiters": "serialized",
@@ -56,9 +53,8 @@ var snapshotFieldClass = map[string]string{
 	"wbEntry.addr": "serialized",
 	"wbEntry.meta": "serialized",
 
-	"Meta.Thread":   "serialized",
-	"Meta.Critical": "serialized",
-	"Meta.State":    "serialized",
+	"Meta.Thread": "serialized",
+	"Meta.State":  "serialized",
 
 	"ThreadState.ROBOccupancy": "serialized",
 	"ThreadState.IQOccupancy":  "serialized",
@@ -68,11 +64,6 @@ var snapshotFieldClass = map[string]string{
 	"Stats.Merged":     "serialized",
 	"Stats.Writebacks": "serialized",
 	"Stats.MSHRFull":   "serialized",
-
-	"prefetchStats.Issued":  "serialized",
-	"prefetchStats.Useful":  "serialized",
-	"prefetchStats.Late":    "serialized",
-	"prefetchStats.Dropped": "serialized",
 
 	"MemBackend.q":           "wiring",
 	"MemBackend.ctrl":        "wiring",
@@ -93,7 +84,7 @@ func TestSnapshotFieldCoverage(t *testing.T) {
 	seen := map[string]bool{}
 	for _, typ := range []reflect.Type{
 		reflect.TypeOf(Level{}), reflect.TypeOf(mshr{}), reflect.TypeOf(wbEntry{}),
-		reflect.TypeOf(Meta{}), reflect.TypeOf(mem.ThreadState{}), reflect.TypeOf(Stats{}), reflect.TypeOf(prefetchStats{}),
+		reflect.TypeOf(Meta{}), reflect.TypeOf(mem.ThreadState{}), reflect.TypeOf(Stats{}),
 		reflect.TypeOf(MemBackend{}), reflect.TypeOf(pooledReq{}),
 	} {
 		for i := 0; i < typ.NumField(); i++ {

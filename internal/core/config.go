@@ -156,9 +156,8 @@ type Config struct {
 	// is set, Apps only labels the threads.
 	Apps []string
 	// Sources, when non-nil, supplies each thread's instruction stream
-	// directly — e.g. workload.Replay traces recorded with
-	// workload.Record — instead of the synthetic generators. Must match
-	// Apps in length.
+	// directly instead of the synthetic generators. Must match Apps in
+	// length.
 	Sources []cpu.Source
 	// Seed drives all generators; same seed = same simulation.
 	Seed int64

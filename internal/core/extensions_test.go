@@ -8,7 +8,7 @@ import (
 )
 
 // End-to-end coverage for the beyond-the-paper extensions: refresh, bus
-// turnaround, prefetching, the criticality policy, and DRAM tracing.
+// turnaround, and DRAM tracing.
 
 func TestRefreshCostsPerformance(t *testing.T) {
 	ideal, err := Run(fastCfg("swim"))
@@ -44,34 +44,6 @@ func TestTurnaroundCostsPerformance(t *testing.T) {
 	}
 	if pen.TotalIPC() > ideal.TotalIPC() {
 		t.Fatalf("turnaround penalty improved IPC: %.4f vs %.4f", pen.TotalIPC(), ideal.TotalIPC())
-	}
-}
-
-func TestPrefetchHelpsStreamingEndToEnd(t *testing.T) {
-	off, err := Run(fastCfg("swim"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := fastCfg("swim")
-	cfg.L2.PrefetchNextLine = true
-	on, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if on.IPC[0] <= off.IPC[0] {
-		t.Fatalf("L2 next-line prefetch did not help swim: %.3f vs %.3f", on.IPC[0], off.IPC[0])
-	}
-}
-
-func TestCriticalityPolicyEndToEnd(t *testing.T) {
-	cfg := fastCfg("gzip", "mcf")
-	cfg.Mem.Policy = memctrl.CriticalityBased
-	res, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.TotalIPC() <= 0 {
-		t.Fatal("criticality-based run made no progress")
 	}
 }
 

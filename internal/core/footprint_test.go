@@ -24,8 +24,10 @@ func mixCfg(t testing.TB, mix string, warmup uint64) Config {
 }
 
 // TestMachineFootprint: the eight-thread Table 1 machine is 75,776 cache
-// lines (0.31 MB: 5-byte words in the L1s and L2, 4-byte words in the L3)
-// plus the core, the controller and the generators, 0.56 MB in all. The
+// lines (0.31 MB: 5-byte words in the L1s, 4-byte words in the L2 and L3)
+// plus the core, the controller and the generators, 0.56 MB in all (556,472
+// bytes; 565,112 while a line word carried a prefetched flag, which took the
+// L2's words to 5 bytes). The
 // core's share is 2,048 ROB slots of 72 bytes (147 KB) and a 96-entry issue
 // queue of 56-byte entries (5.4 KB); the machine was 0.67 MB while every ROB
 // slot carried a waiting uop's wakeup state and producer seqs (120 bytes, a
@@ -56,7 +58,7 @@ func TestMachineFootprint(t *testing.T) {
 // TestCheckpointFrameSize: a frame lists the lines its warmup left valid, so
 // a short warmup's frame is a fraction of the hierarchy's capacity (which
 // alone used to cost 379 KB, five bytes an empty line), and a valid line is
-// one varint. The sizes are deterministic: 50,192 and 237,542 bytes, under
+// one varint. The sizes are deterministic: 49,489 and 237,103 bytes, under
 // ceilings about 10% above.
 func TestCheckpointFrameSize(t *testing.T) {
 	for _, tc := range []struct {

@@ -152,7 +152,7 @@ func robustFrames(t testing.TB) (cfgs []Config, frames [][]byte) {
 }
 
 // levelSection is where a cache level's section starts in a payload — its
-// marker, then some twenty bytes of counters, buffers and prefetch state —
+// marker, then five varint counters and its writeback buffer —
 // and where its line bitmap's first word is (the bitmap is 128 bytes for an
 // L1, 8 KB for the L3; the valid lines it lists follow it).
 type levelSection struct{ at, bitmap int }
@@ -179,19 +179,14 @@ func levelSections(t testing.TB, payload []byte) []levelSection {
 		}
 		r.Expect(marker)
 		r.U8()                   // the level's id
-		for i := 0; i < 9; i++ { // the demand and prefetch counters
+		for i := 0; i < 5; i++ { // the counters
 			r.U64()
 		}
 		for n := r.U64(); n > 0 && r.Err() == nil; n-- { // writeback buffer: address + cache.Meta
 			r.U64()
 			r.I64()
-			r.Bool()
 			r.I64()
 			r.I64()
-		}
-		r.U64()                                          // prefetches in flight
-		for n := r.U64(); n > 0 && r.Err() == nil; n-- { // their line addresses
-			r.U64()
 		}
 		if perfect, n := r.Bool(), r.U64(); perfect || n == 0 || n%8 != 0 || r.Err() != nil { // then the bitmap's words
 			t.Fatalf("the cache level section at %d does not read as a level's head up to its bitmap (%v): update this reader", at, r.Err())

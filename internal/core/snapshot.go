@@ -19,7 +19,7 @@ import (
 
 const (
 	ckptMagic   = "SMTC"
-	ckptVersion = 10         // 10: a thread frame is its stream cursors and the live parts of the pending and frontend rings
+	ckptVersion = 11         // 11: a cache level has no prefetch state, a line word no prefetched flag, and a request no critical bit
 	sectionSim  = 0x434F5245 // "CORE"
 )
 
@@ -195,7 +195,7 @@ func (s *Simulator) resolveRef(ref *snap.Ref, role uint8) (any, error) {
 	switch ref.Kind {
 	case snap.KCPULoadFill, snap.KCPUIFill, snap.KCPUBranch:
 		return s.cpu.ResolveRef(ref, role)
-	case snap.KCacheMSHR, snap.KCacheWBRetry, snap.KCachePfIssue, snap.KCachePfFill:
+	case snap.KCacheMSHR, snap.KCacheWBRetry:
 		if len(ref.Args) < 1 {
 			return nil, fmt.Errorf("%w: cache ref missing level id", snap.ErrCorrupt)
 		}

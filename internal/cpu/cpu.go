@@ -619,10 +619,9 @@ func (c *CPU) Tick(now uint64) {
 func (c *CPU) Acted() bool { return c.acted }
 
 // meta builds the thread-state snapshot piggybacked on memory requests.
-func (c *CPU) meta(t *thread, critical bool) cache.Meta {
+func (c *CPU) meta(t *thread) cache.Meta {
 	return cache.Meta{
-		Thread:   t.id,
-		Critical: critical,
+		Thread: t.id,
 		State: mem.ThreadState{
 			ROBOccupancy: t.robCount(),
 			IQOccupancy:  t.iqInt,
@@ -661,7 +660,7 @@ func (c *CPU) fetchThread(now uint64, t *thread, budget int) int {
 		if line != t.curILine {
 			f := c.getIFill()
 			f.t, f.line, f.epoch = t, line, t.epoch
-			hit, accepted := c.l1i.Probe(now, line, c.meta(t, false), f)
+			hit, accepted := c.l1i.Probe(now, line, c.meta(t), f)
 			if hit || !accepted {
 				// The cache retains the callback only for an accepted miss.
 				f.t = nil
@@ -1039,7 +1038,7 @@ func (c *CPU) issueALU(now uint64, t *thread, u *uop) {
 func (c *CPU) issueLoad(now uint64, t *thread, u *uop) bool {
 	f := c.getLoadFill()
 	f.t, f.seq, f.epoch = t, u.seq, u.epoch
-	ok := c.l1d.ReadLine(now+1, u.in.Addr, c.meta(t, true), f)
+	ok := c.l1d.ReadLine(now+1, u.in.Addr, c.meta(t), f)
 	if !ok {
 		f.t = nil
 		c.freeLoadFills = append(c.freeLoadFills, f)
@@ -1165,7 +1164,7 @@ func (c *CPU) commit(now uint64) {
 					break // stall commit
 				}
 				c.pendingStores, c.psHead = pushDeque(c.pendingStores, c.psHead,
-					pendingStore{addr: u.in.Addr, meta: c.meta(t, false)})
+					pendingStore{addr: u.in.Addr, meta: c.meta(t)})
 				c.sqUsed--
 				t.sq--
 			}

@@ -65,8 +65,6 @@ type Request struct {
 	// Thread is the hardware-thread that caused the request, or
 	// InvalidThread for writebacks.
 	Thread int
-	// Critical marks demand requests the processor is stalled on.
-	Critical bool
 	// Arrive is the cycle the request entered the memory controller queue;
 	// the controller fills it in.
 	Arrive uint64

@@ -19,7 +19,7 @@ import (
 // visit the window where a read waits out its backoff with its channel's queue
 // and in-flight window both empty, which only totalOut sees.
 func TestBusyControllerAlwaysHasAnEvent(t *testing.T) {
-	for _, pol := range AllPolicies() {
+	for _, pol := range Policies() {
 		for _, window := range []int{1, 4} {
 			for _, plan := range []*faults.Plan{nil, {DropRate: 0.5, Seed: 3}} {
 				t.Run(fmt.Sprintf("%v/window%d/%s", pol, window, plan), func(t *testing.T) {

@@ -39,21 +39,15 @@ const (
 	// IQBased prioritizes the thread holding the most integer issue-queue
 	// entries.
 	IQBased
-	// CriticalityBased prioritizes requests carrying the critical word the
-	// processor is stalled on (Section 3.1's fourth single-threaded policy;
-	// in this model, demand loads are critical and prefetches/writebacks
-	// are not).
-	CriticalityBased
 )
 
 var policyNames = map[Policy]string{
-	FCFS:             "fcfs",
-	HitFirst:         "hit-first",
-	AgeBased:         "age-based",
-	RequestBased:     "request-based",
-	ROBBased:         "rob-based",
-	IQBased:          "iq-based",
-	CriticalityBased: "criticality-based",
+	FCFS:         "fcfs",
+	HitFirst:     "hit-first",
+	AgeBased:     "age-based",
+	RequestBased: "request-based",
+	ROBBased:     "rob-based",
+	IQBased:      "iq-based",
 }
 
 func (p Policy) String() string {
@@ -76,7 +70,7 @@ func ParsePolicy(s string) (Policy, error) {
 // PolicyNames lists the names ParsePolicy accepts, for error and usage text.
 func PolicyNames() string {
 	var names []string
-	for _, p := range AllPolicies() {
+	for _, p := range Policies() {
 		names = append(names, p.String())
 	}
 	return strings.Join(names, ", ")
@@ -85,12 +79,6 @@ func PolicyNames() string {
 // Policies lists the paper's Figure 10 policies in presentation order.
 func Policies() []Policy {
 	return []Policy{FCFS, HitFirst, AgeBased, RequestBased, ROBBased, IQBased}
-}
-
-// AllPolicies additionally includes the single-threaded criticality-based
-// policy from Section 3.1, which Figure 10 omits.
-func AllPolicies() []Policy {
-	return append(Policies(), CriticalityBased)
 }
 
 // Config parameterizes a Controller.
@@ -815,10 +803,6 @@ func (c *Controller) threadAware(a, b *entry) (better, decided bool) {
 	case IQBased:
 		if av, bv := a.req.State.IQOccupancy, b.req.State.IQOccupancy; av != bv {
 			return av > bv, true // most integer IQ entries first
-		}
-	case CriticalityBased:
-		if ac, bc := a.req.Critical, b.req.Critical; ac != bc {
-			return ac, true // the request the processor stalls on first
 		}
 	}
 	return false, false

@@ -172,37 +172,6 @@ func TestWritesCountInOutstanding(t *testing.T) {
 	}
 }
 
-func TestCriticalityBasedPriority(t *testing.T) {
-	var q event.Queue
-	c := newCtl(t, &q, CriticalityBased, 1)
-	var d doneRec
-	mk := func(id uint64, bank, row int, critical bool) *mem.Request {
-		r := d.req(id, addrFor(bank, row), mem.Read, 0)
-		r.Critical = critical
-		return r
-	}
-	c.Enqueue(0, mk(0, 0, 0, false)) // in flight
-	c.Enqueue(0, mk(1, 1, 1, false)) // non-critical (e.g. prefetch)
-	c.Enqueue(0, mk(2, 2, 2, true))  // critical demand load → first
-	q.RunUntil(1 << 20)
-	if d.order[1] != 2 {
-		t.Fatalf("completion order %v: critical request must be served first", d.order)
-	}
-}
-
-func TestAllPoliciesIncludesCriticality(t *testing.T) {
-	all := AllPolicies()
-	if len(all) != len(Policies())+1 {
-		t.Fatalf("AllPolicies = %d entries", len(all))
-	}
-	if all[len(all)-1] != CriticalityBased {
-		t.Fatal("criticality-based missing from AllPolicies")
-	}
-	if p, err := ParsePolicy("criticality-based"); err != nil || p != CriticalityBased {
-		t.Fatalf("ParsePolicy(criticality-based) = %v, %v", p, err)
-	}
-}
-
 func TestTraceHook(t *testing.T) {
 	var q event.Queue
 	m, _ := addrmap.NewMapper(geo1ch(), addrmap.Page)

@@ -249,10 +249,19 @@ func (s *Server) rehydrateTerminal(id, kind, fp string, state State, errMsg stri
 	return j
 }
 
+// failRecovered settles a journaled job that cannot be re-run: its id answers
+// failed with msg, and the journal records the failure, so a later restart
+// reads it back instead of parsing the request again.
+func (s *Server) failRecovered(id string, f *foldedJob, msg string) {
+	s.journalAppend(store.Record{Type: store.RecResolved, Job: id, Kind: f.kind, FP: f.fp, State: string(StateFailed), Error: msg})
+	s.rehydrateTerminal(id, f.kind, f.fp, StateFailed, msg, result{})
+}
+
 // reenqueueRecovered rebuilds the flight for a job that was queued or
 // running at crash time and re-runs it under its original id. A request that
-// no longer parses (schema drift across a binary upgrade) fails the job
-// rather than dropping it.
+// no longer parses (schema drift across a binary upgrade, such as a policy
+// since removed) fails the job rather than dropping it, and returns nil: the
+// job is not re-enqueued.
 func (s *Server) reenqueueRecovered(id string, f *foldedJob) *job {
 	var fn computeFn
 	switch f.kind {
@@ -264,7 +273,8 @@ func (s *Server) reenqueueRecovered(id string, f *foldedJob) *job {
 			cfg, err = req.Config()
 		}
 		if err != nil {
-			return s.rehydrateTerminal(id, f.kind, f.fp, StateFailed, "recovery: "+err.Error(), result{})
+			s.failRecovered(id, f, "recovery: "+err.Error())
+			return nil
 		}
 		fn = func(fl *flight) func(context.Context) (json.RawMessage, error) {
 			return s.simFlightFn(fl, cfg, req.Trace)
@@ -276,13 +286,15 @@ func (s *Server) reenqueueRecovered(id string, f *foldedJob) *job {
 			err = req.validate()
 		}
 		if err != nil {
-			return s.rehydrateTerminal(id, f.kind, f.fp, StateFailed, "recovery: "+err.Error(), result{})
+			s.failRecovered(id, f, "recovery: "+err.Error())
+			return nil
 		}
 		fn = func(fl *flight) func(context.Context) (json.RawMessage, error) {
 			return s.figFlightFn(fl, req)
 		}
 	default:
-		return s.rehydrateTerminal(id, f.kind, f.fp, StateFailed, fmt.Sprintf("recovery: unknown job kind %q", f.kind), result{})
+		s.failRecovered(id, f, fmt.Sprintf("recovery: unknown job kind %q", f.kind))
+		return nil
 	}
 
 	s.mu.Lock()

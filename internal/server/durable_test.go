@@ -3,8 +3,11 @@ package server_test
 import (
 	"context"
 	"encoding/json"
+	"net/http"
 	"os"
 	"path/filepath"
+	"slices"
+	"strings"
 	"testing"
 	"time"
 
@@ -121,24 +124,10 @@ func TestRecoveryReenqueuesInterruptedJob(t *testing.T) {
 
 	// Hand-write the crashed daemon's journal: job j-7 accepted, never
 	// resolved.
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		t.Fatal(err)
-	}
-	jp := filepath.Join(dir, "journal.wal")
-	jn, err := store.OpenJournal(jp, store.FsyncOff)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rec := store.Record{
+	writeJournal(t, dir, store.Record{
 		Type: store.RecSubmitted, Job: "j-7", Kind: "sim",
 		FP: "sim|" + cfg.Fingerprint(), Request: reqJSON,
-	}
-	if err := jn.Append(rec); err != nil {
-		t.Fatal(err)
-	}
-	if err := jn.Close(); err != nil {
-		t.Fatal(err)
-	}
+	})
 
 	_, c := newTestDaemon(t, server.Config{DataDir: dir, Logger: testLogger(t)})
 	ctx := context.Background()
@@ -181,6 +170,96 @@ func TestRecoveryReenqueuesInterruptedJob(t *testing.T) {
 	}
 	if st2.ID == "j-7" {
 		t.Fatalf("fresh submission reused recovered id j-7")
+	}
+}
+
+// writeJournal hand-writes a crashed daemon's journal into dir.
+func writeJournal(t *testing.T, dir string, recs ...store.Record) {
+	t.Helper()
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	jn, err := store.OpenJournal(filepath.Join(dir, "journal.wal"), store.FsyncOff)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range recs {
+		if err := jn.Append(r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := jn.Close(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestRecoveryFailsUnparsableJob: a journaled job whose request the binary no
+// longer accepts (here a scheduling policy since removed) fails under its id
+// instead of re-running, is not counted as re-enqueued, and its failure is
+// journaled, so a second restart reads the same failure back without parsing
+// the request again.
+func TestRecoveryFailsUnparsableJob(t *testing.T) {
+	dir := t.TempDir()
+	good := smallSim()
+	cfg, err := good.Config()
+	if err != nil {
+		t.Fatal(err)
+	}
+	goodJSON, err := json.Marshal(good)
+	if err != nil {
+		t.Fatal(err)
+	}
+	writeJournal(t, dir,
+		store.Record{Type: store.RecSubmitted, Job: "j-7", Kind: "sim", FP: "sim|" + cfg.Fingerprint(), Request: goodJSON},
+		store.Record{Type: store.RecSubmitted, Job: "j-8", Kind: "sim", FP: "sim|stale",
+			Request: json.RawMessage(`{"apps":["mcf"],"policy":"criticality-based"}`)},
+	)
+	ctx := context.Background()
+
+	// check asserts j-8's failure and the recovery count of one daemon.
+	check := func(c *client.Client, reenqueued int) {
+		t.Helper()
+		st, err := c.Job(ctx, "j-8")
+		if err != nil {
+			t.Fatalf("j-8: %v", err)
+		}
+		if st.State != server.StateFailed || !strings.HasPrefix(st.Error, "recovery:") {
+			t.Fatalf("j-8: state %s, error %q; want failed with a recovery: error", st.State, st.Error)
+		}
+		stats, err := c.Stats(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if stats.Recovery.Reenqueued != reenqueued {
+			t.Fatalf("recovery re-enqueued %d jobs, want %d", stats.Recovery.Reenqueued, reenqueued)
+		}
+	}
+
+	srv1, c1 := newTestDaemon(t, server.Config{DataDir: dir, Logger: testLogger(t)})
+	check(c1, 1)
+	if st, err := c1.Wait(ctx, "j-7", 0); err != nil || st.State != server.StateDone {
+		t.Fatalf("j-7: state %s (%v), want done", st.State, err)
+	}
+	srv1.Close()
+	recs, err := store.ReadJournal(filepath.Join(dir, "journal.wal"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.ContainsFunc(recs, func(r store.Record) bool {
+		return r.Job == "j-8" && r.Type == store.RecResolved && r.State == string(server.StateFailed) && strings.HasPrefix(r.Error, "recovery:")
+	}) {
+		t.Fatalf("the journal holds no failure for j-8: %+v", recs)
+	}
+
+	_, c2 := newTestDaemon(t, server.Config{DataDir: dir, Logger: testLogger(t)})
+	check(c2, 0)
+	resp, err := http.Get(c2.BaseURL + "/readyz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("/readyz after the second restart: %d, want 200", resp.StatusCode)
 	}
 }
 

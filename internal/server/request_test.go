@@ -40,7 +40,7 @@ func TestSimRequestResolves(t *testing.T) {
 		{"dram", server.SimRequest{Apps: apps, DRAM: "RDRAM"}, func(c *core.Config) { c.Mem.Kind = core.RDRAM }},
 		{"scheme", server.SimRequest{Apps: apps, Scheme: "Page"}, func(c *core.Config) { c.Mem.Scheme = addrmap.Page }},
 		{"pagemode", server.SimRequest{Apps: apps, PageMode: "CLOSE"}, func(c *core.Config) { c.Mem.PageMode = dram.ClosePage }},
-		{"policy", server.SimRequest{Apps: apps, Policy: "criticality-based"}, func(c *core.Config) { c.Mem.Policy = memctrl.CriticalityBased }},
+		{"policy", server.SimRequest{Apps: apps, Policy: "IQ-Based"}, func(c *core.Config) { c.Mem.Policy = memctrl.IQBased }},
 		{"fetch", server.SimRequest{Apps: apps, Fetch: "coop"}, func(c *core.Config) { c.CPU.Policy = cpu.Coop }},
 		{"counts", server.SimRequest{Apps: apps, Warmup: &warm, Target: &target, Seed: &seed},
 			func(c *core.Config) { c.WarmupInstr, c.TargetInstr, c.Seed = 0, 1234, 7 }},
@@ -68,6 +68,7 @@ func TestSimRequestResolves(t *testing.T) {
 		{Apps: apps, Scheme: "bogus"},
 		{Apps: apps, PageMode: "bogus"},
 		{Apps: apps, Policy: "bogus"},
+		{Apps: apps, Policy: "criticality-based"}, // removed policy: unknown
 		{Apps: apps, Fetch: "bogus"},
 		{Apps: apps, Faults: "bogus:rate=1"},
 		{Apps: apps, Faults: "bitflip:rate=1e-6"},            // removed clause: unknown

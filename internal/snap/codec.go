@@ -223,11 +223,3 @@ func Slice[T any](c *Codec, s *[]T, elem func(*T)) {
 		}
 	}
 }
-
-// BoolArg is a flag in the uint64 Ref-arg space.
-func BoolArg(b bool) uint64 {
-	if b {
-		return 1
-	}
-	return 0
-}

@@ -334,15 +334,10 @@ const (
 	KCacheMSHR
 	// KCacheWBRetry is a level's writeback drain handler: args levelID.
 	KCacheWBRetry
-	// KCachePfIssue is a scheduled prefetch issue: args levelID, line
-	// address, then the 4-word request meta.
-	KCachePfIssue
-	// KCachePfFill is a prefetch fill continuation: args levelID, line addr.
-	KCachePfFill
 	// KMemBackend is the memory backend's pending-retry drain handler.
 	KMemBackend
 	// KMemBackendReq is a pooled memory request: args id, addr, kind,
-	// zig(thread), critical, arrive, then the 2-word thread state; Inner is
+	// zig(thread), arrive, then the 2-word thread state; Inner is
 	// the completion fill.
 	KMemBackendReq
 	// KMemEntry is a controller queue entry: args channel, seq, queuedBehind;

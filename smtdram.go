@@ -26,8 +26,6 @@
 package smtdram
 
 import (
-	"io"
-
 	"smtdram/internal/addrmap"
 	"smtdram/internal/core"
 	"smtdram/internal/cpu"
@@ -147,20 +145,9 @@ func Mixes() []Mix { return workload.Mixes() }
 func MixByName(name string) (Mix, error) { return workload.MixByName(name) }
 
 // Source produces a thread's dynamic instruction stream. The synthetic
-// application models implement it; so does Replay, for recorded traces.
+// application models implement it; a caller can feed a thread any other
+// stream through Config.Sources.
 type Source = cpu.Source
-
-// Replay replays a recorded instruction trace as a Source.
-type Replay = workload.Replay
-
-// RecordTrace captures n instructions of an application model's stream into
-// w, in the compact binary trace format readable by NewReplay.
-func RecordTrace(app App, threadID int, seed int64, n uint64, w io.Writer) error {
-	return workload.Record(app, threadID, seed, n, w)
-}
-
-// NewReplay decodes a recorded instruction trace.
-func NewReplay(r io.Reader) (*Replay, error) { return workload.NewReplay(r) }
 
 // Observability layer (see internal/obs and the README's Observability
 // section): attach an Observer via Config.Observe to record a

@@ -1,7 +1,6 @@
 package smtdram
 
 import (
-	"bytes"
 	"testing"
 )
 
@@ -100,54 +99,6 @@ func TestPublicRunAlone(t *testing.T) {
 	}
 	if ipc <= 0.5 {
 		t.Fatalf("sixtrack alone IPC = %v", ipc)
-	}
-}
-
-func TestTraceReplayEndToEnd(t *testing.T) {
-	// Record two traces from the synthetic models, then run the simulator
-	// from the traces: results must match a generator-driven run exactly.
-	var bufs [2]bytes.Buffer
-	apps := []string{"gzip", "mcf"}
-	for i, name := range apps {
-		app, err := AppByName(name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		// Record enough to cover warmup+target plus pipeline slack.
-		if err := RecordTrace(app, i, 42, 120_000, &bufs[i]); err != nil {
-			t.Fatal(err)
-		}
-	}
-	sources := make([]Source, 2)
-	for i := range sources {
-		rep, err := NewReplay(&bufs[i])
-		if err != nil {
-			t.Fatal(err)
-		}
-		sources[i] = rep
-	}
-	traced := DefaultConfig(apps...)
-	traced.WarmupInstr, traced.TargetInstr = 20_000, 20_000
-	traced.Sources = sources
-	rt, err := Run(traced)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	direct := DefaultConfig(apps...)
-	direct.WarmupInstr, direct.TargetInstr = 20_000, 20_000
-	rd, err := Run(direct)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The faster thread loops its finite trace while the slow thread
-	// finishes, perturbing shared-cache contention slightly; IPCs must
-	// still agree within a fraction of a percent.
-	for i := range rd.IPC {
-		if diff := rt.IPC[i]/rd.IPC[i] - 1; diff > 0.01 || diff < -0.01 {
-			t.Fatalf("thread %d: trace-driven IPC %v vs generator-driven %v (%.2f%%)",
-				i, rt.IPC[i], rd.IPC[i], 100*diff)
-		}
 	}
 }
 
