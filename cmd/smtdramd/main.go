@@ -55,7 +55,7 @@ func main() {
 		dataDir  = flag.String("data-dir", "", "directory for the content-addressed store of results and warmup checkpoints, and the write-ahead job journal (empty: memory-only)")
 		fsyncStr = flag.String("fsync", "off", `journal/store fsync policy: "off" (survives kill -9) or "always" (also survives OS crash)`)
 
-		nodeID      = flag.String("node-id", "", "this daemon's fleet node id ([A-Za-z0-9_]+; job ids become j-<node>-<n> and metrics gain node_id/role labels)")
+		nodeID      = flag.String("node-id", "", "this daemon's fleet node id ([A-Za-z0-9_]+; job ids become j-<node>-<n> and /v1/stats names the node)")
 		tenantRate  = flag.Float64("tenant-rate", 0, "per-tenant admission tokens per second (0 disables tenant quotas)")
 		tenantBurst = flag.Float64("tenant-burst", 0, "per-tenant bucket capacity (default 2×rate, min 1)")
 

@@ -11,9 +11,9 @@ import (
 	"net/url"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
-	"smtdram/internal/obs"
 	"smtdram/internal/server"
 )
 
@@ -21,7 +21,7 @@ import (
 type CoordinatorConfig struct {
 	// Workers lists the worker daemons' base URLs.
 	Workers []string
-	// NodeID names the coordinator in its own stats/metrics (default
+	// NodeID names the coordinator on its /v1/fleet status (default
 	// "coordinator").
 	NodeID string
 	// ProbeInterval is the health-probe period (default 500ms). One probe
@@ -86,16 +86,12 @@ type Coordinator struct {
 	stop      chan struct{}
 	done      chan struct{}
 
-	// Metrics mirror the worker daemons' registry idiom; metricsMu guards
-	// renders (counters are atomic).
-	metricsMu  sync.Mutex
-	reg        *obs.Registry
-	mForwards  *obs.Counter
-	mErrors    *obs.Counter
-	mNoOwner   *obs.Counter
-	mRejected  *obs.Counter
-	mEjections *obs.Counter
-	mReadmits  *obs.Counter
+	// Fleet-wide counters for /v1/fleet; each member's own tallies live on
+	// the member under mu.
+	mForwards atomic.Uint64
+	mErrors   atomic.Uint64
+	mNoOwner  atomic.Uint64
+	mRejected atomic.Uint64
 }
 
 // NewCoordinator builds and starts a coordinator: one synchronous probe pass
@@ -116,25 +112,6 @@ func NewCoordinator(cfg CoordinatorConfig) *Coordinator {
 	if c.log == nil {
 		c.log = server.DiscardLogger()
 	}
-	c.reg = obs.NewRegistry()
-	c.mForwards = c.reg.Counter("fleet_forwards_total")
-	c.mErrors = c.reg.Counter("fleet_forward_errors_total")
-	c.mNoOwner = c.reg.Counter("fleet_no_owner_total")
-	c.mRejected = c.reg.Counter("fleet_quota_rejected_total")
-	c.mEjections = c.reg.Counter("fleet_ejections_total")
-	c.mReadmits = c.reg.Counter("fleet_readmissions_total")
-	c.reg.Gauge("fleet_workers", func() float64 {
-		c.mu.Lock()
-		defer c.mu.Unlock()
-		return float64(len(c.members))
-	})
-	c.reg.Gauge("fleet_workers_ready", func() float64 {
-		c.mu.Lock()
-		defer c.mu.Unlock()
-		return float64(c.ring.Len())
-	})
-	c.reg.Gauge("uptime_seconds", func() float64 { return time.Since(c.startedAt).Seconds() })
-
 	for _, raw := range cfg.Workers {
 		m := &member{url: strings.TrimRight(raw, "/")}
 		m.proxy = c.proxyFor(m)
@@ -168,7 +145,7 @@ func (c *Coordinator) proxyFor(m *member) *httputil.ReverseProxy {
 		},
 		BufferPool: proxyBufs,
 		ErrorHandler: func(w http.ResponseWriter, r *http.Request, err error) {
-			c.count(c.mErrors)
+			c.mErrors.Add(1)
 			c.mu.Lock()
 			m.proxyErrors++
 			id := m.id
@@ -180,8 +157,6 @@ func (c *Coordinator) proxyFor(m *member) *httputil.ReverseProxy {
 		},
 	}
 }
-
-func (c *Coordinator) count(m *obs.Counter) { m.Inc() }
 
 // proxyBufSize is the size of the buffer ReverseProxy copies a response
 // through — the size it allocates for itself when it has no pool.
@@ -270,7 +245,6 @@ func (c *Coordinator) probe(m *member) {
 			c.ring.Add(m.id)
 			if m.ejections > 0 || m.readmissions > 0 || m.ready {
 				m.readmissions++
-				c.count(c.mReadmits)
 			}
 			c.log.Info("worker joined ring", "node", m.id, "url", m.url, "ready_nodes", c.ring.Len())
 		}
@@ -283,7 +257,6 @@ func (c *Coordinator) probe(m *member) {
 		if m.id != "" && c.ring.Has(m.id) {
 			c.ring.Remove(m.id)
 			m.ejections++
-			c.count(c.mEjections)
 			c.log.Warn("worker ejected from ring", "node", m.id, "url", m.url,
 				"after_failures", m.consecFails, "err", m.lastErr, "ready_nodes", c.ring.Len())
 		}
@@ -351,7 +324,7 @@ func (c *Coordinator) handleSubmit(w http.ResponseWriter, r *http.Request) {
 			tenant = "default"
 		}
 		if ok, retry := c.cfg.Quota.Charge(tenant); !ok {
-			c.count(c.mRejected)
+			c.mRejected.Add(1)
 			secs := int((retry + time.Second - 1) / time.Second)
 			if secs < 1 {
 				secs = 1
@@ -373,12 +346,12 @@ func (c *Coordinator) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	}
 	m, ok := c.routeByKey(key)
 	if !ok {
-		c.count(c.mNoOwner)
+		c.mNoOwner.Add(1)
 		w.Header().Set("Retry-After", "1")
 		writeJSONErr(w, http.StatusServiceUnavailable, "no ready workers in the fleet")
 		return
 	}
-	c.count(c.mForwards)
+	c.mForwards.Add(1)
 	r.Body = io.NopCloser(bytes.NewReader(body.Bytes()))
 	r.ContentLength = int64(body.Len())
 	m.proxy.ServeHTTP(w, r)
@@ -471,10 +444,10 @@ func (c *Coordinator) Status() FleetStatus {
 		UptimeSeconds: time.Since(c.startedAt).Seconds(),
 		Workers:       len(c.members),
 		ReadyWorkers:  c.ring.Len(),
-		Forwards:      c.mForwards.Value(),
-		ForwardErrors: c.mErrors.Value(),
-		NoOwner:       c.mNoOwner.Value(),
-		QuotaRejected: c.mRejected.Value(),
+		Forwards:      c.mForwards.Load(),
+		ForwardErrors: c.mErrors.Load(),
+		NoOwner:       c.mNoOwner.Load(),
+		QuotaRejected: c.mRejected.Load(),
 	}
 	for _, m := range c.members {
 		st.Members = append(st.Members, MemberStatus{
@@ -513,7 +486,7 @@ func writeJSONErr(w http.ResponseWriter, code int, msg string) {
 }
 
 // Handler returns the coordinator's HTTP mux: the worker API re-exposed
-// fleet-wide, plus fleet status and its own observability endpoints.
+// fleet-wide, plus fleet status and the coordinator's own health probes.
 func (c *Coordinator) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v1/sim", c.handleSubmit)
@@ -526,13 +499,6 @@ func (c *Coordinator) Handler() http.Handler {
 	mux.HandleFunc("GET /v1/fleet", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "application/json")
 		_ = json.NewEncoder(w).Encode(c.Status())
-	})
-	mux.HandleFunc("GET /metrics", func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-		labels := []obs.Label{{Key: "node_id", Val: c.cfg.NodeID}, {Key: "role", Val: "coordinator"}}
-		c.metricsMu.Lock()
-		defer c.metricsMu.Unlock()
-		_ = c.reg.WritePrometheus(w, "smtdram", labels)
 	})
 	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "application/json")
@@ -548,6 +514,5 @@ func (c *Coordinator) Handler() http.Handler {
 		w.WriteHeader(code)
 		fmt.Fprintf(w, `{"ready":%t,"ready_workers":%d}`+"\n", ready, c.ReadyWorkers())
 	})
-	mux.HandleFunc("GET /debug/dash", c.handleDash)
 	return mux
 }

@@ -8,15 +8,12 @@ import (
 	"log/slog"
 	"net/http"
 	"net/http/httptest"
-	"reflect"
-	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"smtdram/internal/core"
 	"smtdram/internal/fleet"
-	"smtdram/internal/obs"
 	"smtdram/internal/server"
 	"smtdram/internal/server/client"
 )
@@ -365,62 +362,34 @@ func TestNodeOfJobID(t *testing.T) {
 	}
 }
 
-// TestMetricsExpositionLabeled runs the strict exposition parser over a fleet
-// worker's and the coordinator's /metrics after real traffic. Both render
-// every sample with node_id/role labels (histogram buckets merge them with
-// le), a form a standalone daemon's unlabeled exposition never exercises. The
-// coordinator's family set is exactly coordinatorFamilies.
-func TestMetricsExpositionLabeled(t *testing.T) {
+// TestNodeIdentifiesItself: each process of a fleet names itself on its one
+// readout — a worker on /v1/stats, the coordinator on /v1/fleet — and serves
+// no other rendering of its counters.
+func TestNodeIdentifiesItself(t *testing.T) {
 	f := startFleet(t, fleet.LocalConfig{
 		Nodes:  []fleet.LocalNode{{ID: "w1"}},
 		Worker: server.Config{Logger: testLogger(t)},
 	})
-	submitAndWait(t, client.New(f.CoordURL), smallSim(1))
-	for _, tc := range []struct{ url, labels string }{
-		{f.Workers[0].URL, `node_id="w1",role="worker"`},
-		{f.CoordURL, `node_id="coordinator",role="coordinator"`},
-	} {
-		resp, err := http.Get(tc.url + "/metrics")
-		if err != nil {
-			t.Fatal(err)
-		}
-		fams, err := obs.ParsePrometheus(resp.Body)
-		resp.Body.Close()
-		if err != nil {
-			t.Fatalf("%s/metrics violates the format: %v", tc.url, err)
-		}
-		if len(fams) == 0 {
-			t.Fatalf("%s/metrics has no families", tc.url)
-		}
-		if tc.url == f.CoordURL {
-			got := map[string]string{}
-			for name, fam := range fams {
-				got[name] = fam.Type
+	st, err := client.New(f.Workers[0].URL).Stats(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.NodeID != "w1" || st.Role != "worker" {
+		t.Errorf("worker stats name %q/%q, want w1/worker", st.NodeID, st.Role)
+	}
+	if fs := f.Coord.Status(); fs.NodeID != "coordinator" || fs.Role != "coordinator" {
+		t.Errorf("fleet status names %q/%q, want coordinator/coordinator", fs.NodeID, fs.Role)
+	}
+	for _, base := range []string{f.Workers[0].URL, f.CoordURL} {
+		for _, path := range []string{"/metrics", "/debug/dash", "/debug/dash/stream"} {
+			resp, err := http.Get(base + path)
+			if err != nil {
+				t.Fatal(err)
 			}
-			if !reflect.DeepEqual(got, coordinatorFamilies) {
-				t.Errorf("coordinator families = %v, want %v", got, coordinatorFamilies)
-			}
-		}
-		for _, fam := range fams {
-			for key := range fam.Samples {
-				if !strings.Contains(key, "{"+tc.labels) {
-					t.Fatalf("%s/metrics: sample %q lacks labels %s", tc.url, key, tc.labels)
-				}
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusNotFound {
+				t.Errorf("GET %s%s = %d, want 404", base, path, resp.StatusCode)
 			}
 		}
 	}
-}
-
-// coordinatorFamilies is the coordinator's whole /metrics family set by type.
-// A series joins it on purpose, when something reads it.
-var coordinatorFamilies = map[string]string{
-	"smtdram_fleet_forwards_total":       "counter",
-	"smtdram_fleet_forward_errors_total": "counter",
-	"smtdram_fleet_no_owner_total":       "counter",
-	"smtdram_fleet_quota_rejected_total": "counter",
-	"smtdram_fleet_ejections_total":      "counter",
-	"smtdram_fleet_readmissions_total":   "counter",
-	"smtdram_fleet_workers":              "gauge",
-	"smtdram_fleet_workers_ready":        "gauge",
-	"smtdram_uptime_seconds":             "gauge",
 }

@@ -4,12 +4,12 @@
 // (exportable as JSONL and Chrome trace_event JSON for Perfetto/about:tracing),
 // the run hooks a serving daemon streams progress and phase boundaries
 // through, the export of one served job's wall-clock phases beside its cycle
-// trace, and the daemon's Prometheus registry of counters, gauges and
-// histograms.
+// trace, the latency histograms behind the daemon's /v1/stats, and its Go
+// runtime sampler.
 //
 // The package is a leaf: it imports nothing from the simulator, so every
 // component (memctrl, dram, cache, cpu, core) can depend on it. All hooks are
-// nil-safe — a disabled Observer, Counter, Histogram, or Tracer costs the
+// nil-safe — a disabled Observer, Histogram, or Tracer costs the
 // instrumented code exactly one nil check — so observability is free when off
 // and the simulator's determinism is untouched when on.
 package obs

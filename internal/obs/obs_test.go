@@ -7,19 +7,10 @@ import (
 	"testing"
 )
 
-// Nil handles must be safe no-ops so instrumented code never branches on
-// whether observability is enabled.
+// A nil histogram must be a safe no-op so instrumented code never branches
+// on whether it is enabled.
 func TestNilSafety(t *testing.T) {
-	var r *Registry
-	r.Gauge("g", func() float64 { return 1 })
-	r.CounterFunc("f", func() uint64 { return 1 })
-	c := r.Counter("c")
-	c.Inc()
-	c.Add(5)
-	if c.Value() != 0 {
-		t.Fatal("nil counter must read 0")
-	}
-	h := r.Histogram("h", []uint64{1, 2})
+	var h *Histogram
 	h.Observe(7)
 	if h.Count() != 0 || h.Mean() != 0 || h.Max() != 0 || h.Quantile(0.5) != 0 {
 		t.Fatal("nil histogram must read zero")
@@ -27,7 +18,7 @@ func TestNilSafety(t *testing.T) {
 }
 
 func TestHistogramBuckets(t *testing.T) {
-	h := NewRegistry().Histogram("h", []uint64{1, 4})
+	h := NewHistogram([]uint64{1, 4})
 	for _, v := range []uint64{0, 1, 2, 4, 5, 100} {
 		h.Observe(v)
 	}
@@ -144,7 +135,7 @@ func TestWriteJSONLRoundTrippable(t *testing.T) {
 // TestHistogramQuantile: interpolation inside buckets, the overflow bucket
 // bounded by the observed max, and edge cases (empty, clamped q).
 func TestHistogramQuantile(t *testing.T) {
-	h := NewRegistry().Histogram("lat", []uint64{10, 100, 1000})
+	h := NewHistogram([]uint64{10, 100, 1000})
 	if h.Quantile(0.5) != 0 {
 		t.Fatalf("empty histogram quantile = %v, want 0", h.Quantile(0.5))
 	}
@@ -159,7 +150,7 @@ func TestHistogramQuantile(t *testing.T) {
 	}
 	// Overflow: values beyond the last bound interpolate toward the max, never
 	// beyond it.
-	h2 := NewRegistry().Histogram("lat", []uint64{10})
+	h2 := NewHistogram([]uint64{10})
 	h2.Observe(500)
 	h2.Observe(900)
 	if q := h2.Quantile(0.99); q > 900 {
@@ -174,5 +165,23 @@ func TestHistogramQuantile(t *testing.T) {
 	var hn *Histogram
 	if hn.Quantile(0.5) != 0 {
 		t.Fatalf("nil histogram quantile nonzero")
+	}
+}
+
+func TestObserverProgressHook(t *testing.T) {
+	var at []uint64
+	ob := &Observer{ProgressInterval: 100, Progress: func(now uint64) { at = append(at, now) }}
+	for now := uint64(1); now <= 250; now++ {
+		ob.OnCycle(now)
+	}
+	// First fire at cycle 1 (nextProgress starts at 0), then every >=100.
+	want := []uint64{1, 101, 201}
+	if len(at) != len(want) {
+		t.Fatalf("progress fired at %v, want %v", at, want)
+	}
+	for i := range want {
+		if at[i] != want[i] {
+			t.Fatalf("progress fired at %v, want %v", at, want)
+		}
 	}
 }

@@ -17,12 +17,11 @@ type RuntimeVitals struct {
 	SchedP99     float64
 }
 
-// runtimeSampler caches one snapshot of the runtime's vitals so a single
-// /metrics render — which evaluates every gauge — calls
-// runtime.ReadMemStats and metrics.Read once, not once per gauge. The cache
-// expires after runtimeSampleTTL, which also bounds the stop-the-world cost
-// of ReadMemStats under aggressive scraping. All reads go through vitals(),
-// which locks, so concurrent scrapers never race.
+// runtimeSampler caches one snapshot of the runtime's vitals for
+// runtimeSampleTTL, which bounds the stop-the-world cost of
+// runtime.ReadMemStats under aggressive polling of /v1/stats (a client
+// polling every millisecond triggers at most ten reads a second). All reads
+// go through vitals(), which locks, so concurrent readers never race.
 type runtimeSampler struct {
 	mu      sync.Mutex
 	taken   time.Time
@@ -32,12 +31,18 @@ type runtimeSampler struct {
 
 const runtimeSampleTTL = 100 * time.Millisecond
 
-func newRuntimeSampler() *runtimeSampler {
-	return &runtimeSampler{
+// NewRuntimeSampler returns a reader of the Go runtime's health: goroutine
+// count, heap usage, cumulative GC pause time and cycle count, and scheduler
+// latency quantiles. The reader is safe to call concurrently, and returns
+// the same snapshot to every call within runtimeSampleTTL of the read that
+// took it.
+func NewRuntimeSampler() func() RuntimeVitals {
+	rs := &runtimeSampler{
 		samples: []metrics.Sample{
 			{Name: "/sched/latencies:seconds"},
 		},
 	}
+	return rs.vitals
 }
 
 func (rs *runtimeSampler) vitals() RuntimeVitals {
@@ -95,36 +100,4 @@ func schedLatencyQuantile(s metrics.Sample, q float64) float64 {
 		}
 	}
 	return 0
-}
-
-// RegisterRuntimeMetrics registers Go runtime health gauges on reg: goroutine
-// count, heap usage, cumulative GC pause time and cycle count, and scheduler
-// latency quantiles. The gauges are safe to evaluate concurrently (the
-// sampler locks internally), and one render triggers at most one
-// ReadMemStats. No-op on a nil registry. Returns a reader for callers (the
-// daemon's /v1/stats) that want the same snapshot without going through
-// gauge evaluation.
-func RegisterRuntimeMetrics(reg *Registry) func() RuntimeVitals {
-	rs := newRuntimeSampler()
-	if reg != nil {
-		reg.Gauge("go.goroutines", func() float64 {
-			return float64(rs.vitals().Goroutines)
-		})
-		reg.Gauge("go.heap_alloc_bytes", func() float64 {
-			return float64(rs.vitals().HeapAlloc)
-		})
-		reg.Gauge("go.gc_pause_total_seconds", func() float64 {
-			return rs.vitals().GCPauseTotal.Seconds()
-		})
-		reg.Gauge("go.gc_cycles_total", func() float64 {
-			return float64(rs.vitals().GCCycles)
-		})
-		reg.Gauge("go.sched_latency_p50_seconds", func() float64 {
-			return rs.vitals().SchedP50
-		})
-		reg.Gauge("go.sched_latency_p99_seconds", func() float64 {
-			return rs.vitals().SchedP99
-		})
-	}
-	return rs.vitals
 }

@@ -45,8 +45,8 @@ func (s *Server) chargeTenant(w http.ResponseWriter, r *http.Request) bool {
 	if ok {
 		return true
 	}
-	s.count(s.mQuotaRejected)
-	s.count(s.mRejected)
+	s.mQuotaRejected.Add(1)
+	s.mRejected.Add(1)
 	secs := max(1, int((retry+time.Second-1)/time.Second))
 	w.Header().Set("Retry-After", strconv.Itoa(secs))
 	w.Header().Set("X-Smtdram-Tenant", tenant)
@@ -61,7 +61,7 @@ func (s *Server) takeSlot(w http.ResponseWriter) bool {
 		return true
 	default:
 	}
-	s.count(s.mRejected)
+	s.mRejected.Add(1)
 	w.Header().Set("Retry-After", "1")
 	writeErr(w, http.StatusTooManyRequests, fmt.Sprintf("job queue full (%d queued or running); retry later", s.cfg.QueueDepth))
 	return false

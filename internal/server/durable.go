@@ -57,13 +57,12 @@ func (s *Server) journalAppend(r store.Record) {
 		return
 	}
 	if err := s.journal.Append(r); err != nil {
-		s.count(s.mJournalErrors)
 		if !errors.Is(err, store.ErrDegraded) {
 			s.log.Warn("journal append failed; write-ahead durability disabled", "job", r.Job, "err", err)
 		}
 		return
 	}
-	s.count(s.mJournalRecords)
+	s.mJournalRecords.Add(1)
 }
 
 // durabilityDegraded reports whether the configured disk tier is not fully

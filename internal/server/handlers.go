@@ -11,8 +11,6 @@ import (
 	"strconv"
 	"sync"
 	"time"
-
-	"smtdram/internal/obs"
 )
 
 // maxBodyBytes bounds request bodies; configurations are tiny.
@@ -267,20 +265,6 @@ func (s *Server) handleJobEvents(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-}
-
-func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	// Fleet nodes label every sample with their identity so a multi-node
-	// scrape stays distinguishable; standalone daemons render unlabeled,
-	// byte-compatible with pre-fleet scrapes.
-	var labels []obs.Label
-	if s.cfg.NodeID != "" {
-		labels = []obs.Label{{Key: "node_id", Val: s.cfg.NodeID}, {Key: "role", Val: s.Role()}}
-	}
-	s.metricsMu.Lock()
-	defer s.metricsMu.Unlock()
-	_ = s.reg.WritePrometheus(w, "smtdram", labels)
 }
 
 // handleHealthz is pure liveness: 200 whenever the process can serve HTTP at

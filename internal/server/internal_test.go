@@ -328,8 +328,7 @@ func TestSSEStreamDeterministic(t *testing.T) {
 }
 
 // TestCacheCountersAreCounters: a repeated submission is served from cache,
-// the hit/miss counters track it, and /metrics exposes them with counter
-// semantics (the _total suffix promises rate()-ability to Prometheus tooling).
+// and the /v1/stats snapshot counts one hit and one miss.
 func TestCacheCountersAreCounters(t *testing.T) {
 	s := New(Config{Workers: 1, QueueDepth: 4})
 	defer s.Close()
@@ -349,20 +348,8 @@ func TestCacheCountersAreCounters(t *testing.T) {
 		t.Fatalf("repeat submission: code %d, want 200 served from cache", rec2.Code)
 	}
 
-	if st := s.results.Stats(); st.Hits != 1 || st.Misses != 1 {
-		t.Fatalf("hits=%d misses=%d, want 1/1", st.Hits, st.Misses)
-	}
-
-	rec := httptest.NewRecorder()
-	s.handleMetrics(rec, httptest.NewRequest(http.MethodGet, "/metrics", nil))
-	body := rec.Body.String()
-	for _, want := range []string{
-		"# TYPE smtdram_cache_hits_total counter\nsmtdram_cache_hits_total 1\n",
-		"# TYPE smtdram_cache_misses_total counter\nsmtdram_cache_misses_total 1\n",
-	} {
-		if !strings.Contains(body, want) {
-			t.Fatalf("/metrics missing %q in:\n%s", want, body)
-		}
+	if c := s.statsSnapshot().Cache; c.Hits != 1 || c.Misses != 1 || c.HitRatio != 0.5 {
+		t.Fatalf("cache stats = %+v, want 1 hit, 1 miss, ratio 0.5", c)
 	}
 }
 

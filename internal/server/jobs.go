@@ -305,10 +305,10 @@ func (s *Server) finishJob(j *job, res result, err error, resolved time.Time) {
 	dur := done.Sub(j.created)
 	s.journalAppend(store.Record{Type: store.RecResolved, Job: j.id, Kind: j.kind, FP: j.fp, State: string(state), Error: errMsg})
 	if state == StateFailed {
-		s.count(s.mFailed)
+		s.mFailed.Add(1)
 		s.log.Warn("job failed", "job", j.id, "flight", j.rode.id, "dur", dur.Truncate(time.Millisecond), "err", err)
 	} else {
-		s.count(s.mCompleted)
+		s.mCompleted.Add(1)
 		s.log.Info("job done", "job", j.id, "flight", j.rode.id, "dur", dur.Truncate(time.Millisecond))
 		// The four phases partition [created, done] exactly:
 		// admission ends at tAdmitted, queue at tRunStart, run at
@@ -363,7 +363,7 @@ func (s *Server) cancelJob(j *job) {
 	dur := j.tDone.Sub(j.created)
 	j.mu.Unlock()
 	s.releaseSlot(j)
-	s.count(s.mCancelled)
+	s.mCancelled.Add(1)
 	s.journalAppend(store.Record{Type: store.RecCancelled, Job: j.id, Kind: j.kind, FP: j.fp})
 	s.log.Info("job cancelled", "job", j.id, "flight", fl.id,
 		"dur", dur.Truncate(time.Millisecond), "flight_cancelled", lastRider)

@@ -88,7 +88,7 @@ func (s *Server) storeGet(_ context.Context, fp string) (result, error) {
 // recomputation, and /readyz turns unready.
 func (s *Server) storePut(fp string, r result) {
 	if err := s.store.Put(resultFormat+fp, r.val, r.meta()); err != nil {
-		s.count(s.mStoreWriteErrors)
+		s.mStoreWriteErrors.Add(1)
 		if !errors.Is(err, store.ErrDegraded) {
 			s.log.Warn("store write failed; degrading to memory-only result serving",
 				"fp", fp, "err", err)

@@ -13,7 +13,7 @@
 // full), request dedup (two identical in-flight submissions share one
 // simulation), result caching (a repeated configuration is answered without
 // simulating), per-job cancellation threaded into the run loop, streaming
-// progress over SSE, Prometheus metrics, and graceful drain.
+// progress over SSE, a JSON stats snapshot, and graceful drain.
 //
 // Endpoints:
 //
@@ -25,12 +25,9 @@
 //	DELETE /v1/jobs/{id}       cancel a queued or running job
 //	GET    /v1/jobs/{id}/trace Chrome trace_event JSON for one job (wall + cycle domains)
 //	GET    /v1/stats           JSON stats snapshot (per-phase latency percentiles)
-//	GET    /metrics            Prometheus text exposition
 //	GET    /healthz            pure liveness (200 whenever the process serves)
 //	GET    /readyz             readiness: 503 during drain, journal recovery, or store-degraded mode
 //	GET    /v1/fleet/self      fleet identity probe: node id, role, readiness
-//	GET    /debug/dash         live HTML dashboard (SSE-fed)
-//	GET    /debug/dash/stream  the dashboard's SSE stream of Stats snapshots
 package server
 
 import (
@@ -85,7 +82,7 @@ type Config struct {
 	Fsync store.FsyncPolicy
 	// NodeID names this daemon in a fleet (DESIGN §16). When set, job ids
 	// become "j-<node>-<n>" so a coordinator can route job lookups
-	// statelessly, and /metrics and /v1/stats carry node_id/role labels.
+	// statelessly, and /v1/stats carries its node_id and role.
 	// Must pass ValidNodeID; empty means a standalone daemon.
 	NodeID string
 	// Admission, when non-nil, charges every submission to its tenant's token
@@ -276,11 +273,8 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("DELETE /v1/jobs/{id}", s.handleJobDelete)
 	mux.HandleFunc("GET /v1/stats", s.handleStats)
 	mux.HandleFunc("GET /v1/fleet/self", s.handleFleetSelf)
-	mux.HandleFunc("GET /metrics", s.handleMetrics)
 	mux.HandleFunc("GET /healthz", s.handleHealthz)
 	mux.HandleFunc("GET /readyz", s.handleReadyz)
-	mux.HandleFunc("GET /debug/dash", s.handleDash)
-	mux.HandleFunc("GET /debug/dash/stream", s.handleDashStream)
 	return mux
 }
 
@@ -324,8 +318,7 @@ func (s *Server) Close() {
 
 // serveCached registers a done-from-cache job holding res and answers the
 // submission 200; its admission runs from submit entry t0 to the answer, with
-// outcome cache_hit. Counters are touched outside s.mu (metricsMu nests
-// outside it — the /metrics render holds it while gauges read s.mu).
+// outcome cache_hit. Counters and histograms are touched outside s.mu.
 func (s *Server) serveCached(w http.ResponseWriter, kind, fp string, res result, t0 time.Time) {
 	s.mu.Lock()
 	j := s.newJobLocked(kind, fp)
@@ -338,8 +331,8 @@ func (s *Server) serveCached(w http.ResponseWriter, kind, fp string, res result,
 	j.tDone = time.Now()
 	j.tAdmitted = j.tDone
 	s.mu.Unlock()
-	s.count(s.mAccepted)
-	s.count(s.mCached)
+	s.mAccepted.Add(1)
+	s.mCached.Add(1)
 	s.observeCacheHit(j.tDone.Sub(t0))
 	s.log.Info("job cache hit", "job", j.id, "kind", kind, "fp", fp)
 	writeStatus(w, http.StatusOK, j.status(true))
@@ -399,9 +392,9 @@ func (s *Server) submit(w http.ResponseWriter, r *http.Request, kind, fp string,
 	s.mu.Unlock()
 
 	if j.deduped {
-		s.count(s.mDeduped)
+		s.mDeduped.Add(1)
 	}
-	s.count(s.mAccepted)
+	s.mAccepted.Add(1)
 	// Write-ahead: the submitted record (with the full request) is on disk
 	// before the client hears "accepted", so an acknowledged job survives a
 	// crash at any later point.
@@ -420,7 +413,6 @@ func (s *Server) simFlightFn(fl *flight, cfg core.Config, traced bool) func(cont
 		s.markRunning(fl)
 		s.busy.Add(1)
 		defer s.busy.Add(-1)
-		s.count(s.mSimsRun)
 		var sim *core.Simulator
 		ob := &obs.Observer{ProgressInterval: s.cfg.ProgressInterval}
 		ob.Phase = func(name string, cycle uint64) { s.markPhase(fl, name, cycle) }
@@ -457,7 +449,7 @@ func (s *Server) simFlightFn(fl *flight, cfg core.Config, traced bool) func(cont
 		}
 		s.mu.Unlock()
 		if skip != nil {
-			s.mSkipRuns.Inc()
+			s.mSkipRuns.Add(1)
 			s.mCyclesSkipped.Add(skip.Skipped)
 			s.mCyclesWall.Add(skip.Wall)
 		}

@@ -15,7 +15,6 @@ import (
 	"time"
 
 	"smtdram/internal/core"
-	"smtdram/internal/obs"
 	"smtdram/internal/server"
 	"smtdram/internal/server/client"
 )
@@ -29,22 +28,6 @@ func newTestDaemon(t *testing.T, cfg server.Config) (*server.Server, *client.Cli
 		srv.Close()
 	})
 	return srv, client.New(ts.URL)
-}
-
-// scrapeMetrics reads the daemon's /metrics through the strict exposition
-// parser.
-func scrapeMetrics(t *testing.T, c *client.Client) map[string]*obs.PromFamily {
-	t.Helper()
-	resp, err := http.Get(c.BaseURL + "/metrics")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	fams, err := obs.ParsePrometheus(resp.Body)
-	if err != nil {
-		t.Fatalf("daemon exposition violates the format: %v", err)
-	}
-	return fams
 }
 
 // testLogWriter routes the daemon's slog output into the test log.
@@ -152,11 +135,13 @@ func TestCacheHitSecondSubmission(t *testing.T) {
 	if !bytes.Equal(st2.Result, first) {
 		t.Fatalf("cached result differs from the original")
 	}
-	fams := scrapeMetrics(t, c)
-	for _, name := range []string{"smtdram_jobs_cached_total", "smtdram_sims_run_total"} {
-		if f := fams[name]; f == nil || f.Samples[name] != 1 {
-			t.Fatalf("%s = %+v, want 1 (exactly one simulation)", name, f)
-		}
+	stats, err := c.Stats(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if stats.Jobs.Cached != 1 || stats.Skip.SimRuns != 1 {
+		t.Fatalf("jobs.cached = %d, skip.sim_runs = %d, want 1 and 1 (exactly one simulation)",
+			stats.Jobs.Cached, stats.Skip.SimRuns)
 	}
 }
 

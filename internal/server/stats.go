@@ -1,8 +1,6 @@
 package server
 
 import (
-	"encoding/json"
-	"fmt"
 	"net/http"
 	"time"
 
@@ -41,7 +39,7 @@ func summarizeUs(h *obs.Histogram) LatencySummary {
 // for every job, so the phase means (weighted by count) sum to the served
 // mean up to microsecond truncation.
 type Stats struct {
-	// NodeID and Role identify this daemon in a fleet scrape ("" / "single"
+	// NodeID and Role identify this daemon in a fleet ("" / "single"
 	// standalone, the node id / "worker" on a fleet node).
 	NodeID        string  `json:"node_id,omitempty"`
 	Role          string  `json:"role"`
@@ -144,14 +142,14 @@ func (s *Server) statsSnapshot() Stats {
 	st.Role = s.Role()
 	st.UptimeSeconds = time.Since(s.startedAt).Seconds()
 	st.Draining = s.draining.Load()
-	st.Jobs.Accepted = s.mAccepted.Value()
-	st.Jobs.Rejected = s.mRejected.Value()
-	st.Jobs.QuotaRejected = s.mQuotaRejected.Value()
-	st.Jobs.Deduped = s.mDeduped.Value()
-	st.Jobs.Cached = s.mCached.Value()
-	st.Jobs.Completed = s.mCompleted.Value()
-	st.Jobs.Failed = s.mFailed.Value()
-	st.Jobs.Cancelled = s.mCancelled.Value()
+	st.Jobs.Accepted = s.mAccepted.Load()
+	st.Jobs.Rejected = s.mRejected.Load()
+	st.Jobs.QuotaRejected = s.mQuotaRejected.Load()
+	st.Jobs.Deduped = s.mDeduped.Load()
+	st.Jobs.Cached = s.mCached.Load()
+	st.Jobs.Completed = s.mCompleted.Load()
+	st.Jobs.Failed = s.mFailed.Load()
+	st.Jobs.Cancelled = s.mCancelled.Load()
 	st.Queue.Depth = len(s.slots)
 	st.Queue.Capacity = s.cfg.QueueDepth
 	st.Workers.Total = s.pool.Jobs()
@@ -168,12 +166,12 @@ func (s *Server) statsSnapshot() Stats {
 	st.Store.Hits = disk.Hits
 	st.Store.Misses = disk.Misses
 	st.Store.Corrupt = disk.Corrupt
-	st.Store.WriteErrors = s.mStoreWriteErrors.Value()
-	st.Store.JournalRecords = s.mJournalRecords.Value()
+	st.Store.WriteErrors = s.mStoreWriteErrors.Load()
+	st.Store.JournalRecords = s.mJournalRecords.Load()
 	st.Recovery = s.recoveryStatus()
-	st.Skip.SimRuns = s.mSkipRuns.Value()
-	st.Skip.CyclesSkipped = s.mCyclesSkipped.Value()
-	st.Skip.CyclesWall = s.mCyclesWall.Value()
+	st.Skip.SimRuns = s.mSkipRuns.Load()
+	st.Skip.CyclesSkipped = s.mCyclesSkipped.Load()
+	st.Skip.CyclesWall = s.mCyclesWall.Load()
 	if st.Skip.CyclesWall > 0 {
 		st.Skip.Rate = float64(st.Skip.CyclesSkipped) / float64(st.Skip.CyclesWall)
 	}
@@ -214,44 +212,4 @@ func (s *Server) statsSnapshot() Stats {
 
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, s.statsSnapshot())
-}
-
-// handleDashStream feeds the /debug/dash page: one SSE "stats" event per
-// second carrying a Stats snapshot, until the client hangs up.
-func (s *Server) handleDashStream(w http.ResponseWriter, r *http.Request) {
-	flusher, ok := w.(http.Flusher)
-	if !ok {
-		writeErr(w, http.StatusNotImplemented, "streaming unsupported by this connection")
-		return
-	}
-	w.Header().Set("Content-Type", "text/event-stream")
-	w.Header().Set("Cache-Control", "no-cache")
-	w.WriteHeader(http.StatusOK)
-
-	emit := func() bool {
-		b, err := json.Marshal(s.statsSnapshot())
-		if err != nil {
-			return false
-		}
-		if _, err := fmt.Fprintf(w, "event: stats\ndata: %s\n\n", b); err != nil {
-			return false
-		}
-		flusher.Flush()
-		return true
-	}
-	if !emit() {
-		return
-	}
-	tick := time.NewTicker(time.Second)
-	defer tick.Stop()
-	for {
-		select {
-		case <-tick.C:
-			if !emit() {
-				return
-			}
-		case <-r.Context().Done():
-			return
-		}
-	}
 }

@@ -6,7 +6,6 @@ import (
 	"encoding/json"
 	"io"
 	"net/http"
-	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -16,13 +15,13 @@ import (
 	"smtdram/internal/server/client"
 )
 
-// TestMetricsScrapeRace hammers /metrics, /v1/stats, and the trace of a
-// running job while a burst of submissions (fresh runs, dedup joins, and
-// cache hits) flows through the daemon. Run with -race this is the regression
-// test for the render races: counters increment from worker goroutines while
-// the exposition renders, and the run loop, markRunning and finishJob write a
+// TestStatsScrapeRace hammers /v1/stats and the trace of a running job while
+// a burst of submissions (fresh runs, dedup joins, and cache hits) flows
+// through the daemon. Run with -race this is the regression test for the
+// read races: counters and histograms change from worker goroutines while the
+// snapshot reads them, and the run loop, markRunning and finishJob write a
 // job's phase instants while its trace reads them.
-func TestMetricsScrapeRace(t *testing.T) {
+func TestStatsScrapeRace(t *testing.T) {
 	_, c := newTestDaemon(t, server.Config{Workers: 4, QueueDepth: 32})
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
 	defer cancel()
@@ -52,7 +51,7 @@ func TestMetricsScrapeRace(t *testing.T) {
 	var scrapeErr error
 	var scrapeMu sync.Mutex
 	var wg sync.WaitGroup
-	for _, path := range []string{"/metrics", "/v1/stats", "/v1/jobs/" + long.ID + "/trace", "/metrics"} {
+	for _, path := range []string{"/v1/stats", "/v1/stats", "/v1/jobs/" + long.ID + "/trace", "/v1/stats"} {
 		wg.Add(1)
 		go func(path string) {
 			defer wg.Done()
@@ -466,122 +465,5 @@ func TestStatsPhasePartition(t *testing.T) {
 	}
 	if st.Runtime.Goroutines <= 0 {
 		t.Fatalf("runtime vitals missing: %+v", st.Runtime)
-	}
-}
-
-// TestMetricsExpositionStrictlyValid runs the strict Prometheus parser over
-// the live daemon's full /metrics output after real traffic, and holds the
-// family set to exactly daemonFamilies.
-func TestMetricsExpositionStrictlyValid(t *testing.T) {
-	_, c := newTestDaemon(t, server.Config{})
-	ctx := context.Background()
-
-	st, err := c.SubmitSim(ctx, smallSim())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err = c.Wait(ctx, st.ID, 0); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := c.SubmitSim(ctx, smallSim()); err != nil { // one cache hit
-		t.Fatal(err)
-	}
-
-	got := map[string]string{}
-	for name, f := range scrapeMetrics(t, c) {
-		got[name] = f.Type
-	}
-	want := map[string]string{}
-	for typ, names := range daemonFamilies {
-		for _, n := range names {
-			want["smtdram_"+n] = typ
-		}
-	}
-	for name, typ := range want {
-		if got[name] != typ {
-			t.Errorf("family %s: type %q, want %q", name, got[name], typ)
-		}
-	}
-	for name, typ := range got {
-		if _, ok := want[name]; !ok {
-			t.Errorf("unlisted family %s (%s): add it to daemonFamilies if it has a reader", name, typ)
-		}
-	}
-}
-
-// daemonFamilies is the standalone daemon's whole /metrics family set by
-// type, without the "smtdram_" namespace. A series joins it on purpose, when
-// something reads it: the dashboard, a recipe, CI or cmd/bench.
-var daemonFamilies = map[string][]string{
-	"gauge": {
-		"queue_depth", "queue_capacity", "workers", "workers_busy", "uptime_seconds", "cache_entries",
-		"go_goroutines", "go_heap_alloc_bytes", "go_gc_pause_total_seconds", "go_gc_cycles_total",
-		"go_sched_latency_p50_seconds", "go_sched_latency_p99_seconds",
-		"checkpoint_entries", "store_entries", "store_degraded", "recovery_outstanding",
-	},
-	"counter": {
-		"jobs_accepted_total", "jobs_rejected_total", "jobs_deduped_total", "jobs_cached_total",
-		"jobs_completed_total", "jobs_failed_total", "jobs_cancelled_total", "sims_run_total",
-		"cache_hits_total", "cache_misses_total",
-		"sim_skip_reports_total", "sim_cycles_skipped_total", "sim_cycles_wall_total",
-		"store_hits_total", "store_misses_total", "store_corrupt_total", "store_write_errors_total",
-		"journal_records_total", "journal_errors_total",
-		"jobs_quota_rejected_total",
-		"checkpoint_hits_total", "checkpoint_misses_total", "checkpoint_forks_total",
-		"checkpoint_bypassed_total", "checkpoint_evictions_total",
-	},
-	"histogram": {
-		"job_latency_served_us", "job_latency_cache_us",
-		"phase_admission_us", "phase_queue_us", "phase_run_us", "phase_respond_us", "pool_wait_us",
-	},
-}
-
-// TestDebugDashServes: the dashboard page is self-contained HTML wired to the
-// SSE stream, and the stream's first event arrives immediately with a valid
-// Stats payload.
-func TestDebugDashServes(t *testing.T) {
-	_, c := newTestDaemon(t, server.Config{})
-
-	resp, err := http.Get(c.BaseURL + "/debug/dash")
-	if err != nil {
-		t.Fatal(err)
-	}
-	body, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if ct := resp.Header.Get("Content-Type"); !strings.HasPrefix(ct, "text/html") {
-		t.Fatalf("dash content-type = %q", ct)
-	}
-	page := string(body)
-	if !strings.Contains(page, "EventSource") || !strings.Contains(page, "/debug/dash/stream") {
-		t.Fatalf("dash page is not wired to the SSE stream")
-	}
-
-	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.BaseURL+"/debug/dash/stream", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sresp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sresp.Body.Close()
-	buf := make([]byte, 8192)
-	n, err := sresp.Body.Read(buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	first := string(buf[:n])
-	if !strings.HasPrefix(first, "event: stats\ndata: ") {
-		t.Fatalf("first SSE frame = %q", first)
-	}
-	var st server.Stats
-	payload := strings.TrimPrefix(strings.SplitN(first, "\n", 3)[1], "data: ")
-	if err := json.Unmarshal([]byte(payload), &st); err != nil {
-		t.Fatalf("stream payload is not a Stats snapshot: %v", err)
-	}
-	if st.Queue.Capacity <= 0 {
-		t.Fatalf("stream Stats missing queue capacity: %+v", st.Queue)
 	}
 }
