@@ -52,7 +52,7 @@ func main() {
 		jsonOut  = flag.Bool("json", false, "print the result as JSON instead of the text report (byte-identical to the daemon's /result payload)")
 		dump     = flag.Bool("dump-config", false, "print the Table 1 configuration and exit")
 
-		faultSpec = flag.String("faults", "", "fault-injection plan, e.g. 'drop:rate=1e-3,seed=7;channel-fail:ch=1,at=2000000' (clauses: drop, channel-fail, seed)")
+		faultSpec = flag.String("faults", "", "fault-injection plan, e.g. 'drop:rate=1e-3,seed=7' (clauses: drop, seed)")
 
 		traceOut = flag.String("trace", "", "write a request-lifecycle trace to this file (.jsonl = JSON lines, anything else = Chrome trace_event JSON for Perfetto)")
 
@@ -238,12 +238,6 @@ func report(cfg core.Config, res core.Result, st obs.SkipStats) {
 		100*res.RowBufferMissRate, res.RowHits, res.RowClosed, res.RowConflicts)
 	if f := res.Faults; f != nil {
 		fmt.Printf("faults: %d drops, %d retried, %d gave up\n", f.Drops, f.Retries, f.RetryGiveUps)
-		if rep := res.Failover; rep != nil {
-			fmt.Printf("failover: channel %d failed at cycle %d, %d queued requests migrated\n",
-				rep.FailedChannel, rep.AtCycle, f.FailedOver)
-			fmt.Printf("  IPC %.3f -> %.3f, avg read latency %.0f -> %.0f cycles\n",
-				rep.PreIPC, rep.PostIPC, rep.PreAvgReadLat, rep.PostAvgReadLat)
-		}
 	}
 	fmt.Printf("caches:\n")
 	for _, c := range res.Caches {
@@ -280,7 +274,7 @@ func reportAttribution(w io.Writer, a obs.Attribution) {
 	}
 	row("all", all.Reads, all.Sum)
 	if a.Unsplit > 0 {
-		fmt.Fprintf(w, "not split: %d reads (in flight at the end, retried, or failed over)\n", a.Unsplit)
+		fmt.Fprintf(w, "not split: %d reads (in flight at the end, or retried)\n", a.Unsplit)
 	}
 	var dispatches uint64
 	for _, n := range a.Choices {

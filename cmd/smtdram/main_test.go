@@ -32,11 +32,11 @@ func TestBadFaultSpecExitsTwo(t *testing.T) {
 		"frobnicate:rate=1",                  // unknown clause
 		"bitflip:rate=1e-6",                  // removed clause: unknown
 		"stuckrow:ch=0,chip=0,bank=1,row=42", // removed clause: unknown
+		"channel-fail:ch=1,at=100",           // removed clause: unknown
 		"drop:rate=abc",                      // malformed number
 		"drop:rate=1e-6,rate=0.5",            // duplicate key
 		"drop:rate=0.1;drop:rate=0.2",        // repeated clause
 		"drop:rate=NaN",                      // parses, fails validation
-		"channel-fail:ch=0",                  // missing at=
 	} {
 		out, err := exec.Command(bin, "-faults", spec, "-target", "1000").CombinedOutput()
 		var xe *exec.ExitError
@@ -78,12 +78,12 @@ func TestBadFaultSpecExitsTwo(t *testing.T) {
 		}
 	}
 
-	// An out-of-range channel is caught by Validate behind the same exit-2
-	// path: the spec parses, but cannot run on the machine the flags shape.
-	out, err := exec.Command(bin, "-faults", "channel-fail:ch=9,at=100", "-channels", "4", "-target", "1000").CombinedOutput()
+	// A machine Validate refuses is caught behind the same exit-2 path: the
+	// flags parse, but shape a machine that cannot run.
+	out, err := exec.Command(bin, "-channels", "3", "-target", "1000").CombinedOutput()
 	var xe *exec.ExitError
 	if !errors.As(err, &xe) || xe.ExitCode() != 2 {
-		t.Errorf("out-of-range channel: err = %v, want exit 2 (output: %s)", err, out)
+		t.Errorf("-channels 3: err = %v, want exit 2 (output: %s)", err, out)
 	}
 
 	// A flag the command does not define is a usage error too.

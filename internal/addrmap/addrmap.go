@@ -115,12 +115,6 @@ func (g Geometry) locFromBankID(id int) Loc {
 type Mapper struct {
 	Geo    Geometry
 	Scheme Scheme
-
-	// failed is 1 + the index of a hard-failed channel, or 0 when the
-	// system is healthy (so the zero Mapper is undegraded). In degraded
-	// mode Map redirects the failed channel's traffic across the survivors;
-	// see WithoutChannel.
-	failed int
 }
 
 // NewMapper validates the geometry and returns a Mapper.
@@ -131,51 +125,8 @@ func NewMapper(g Geometry, s Scheme) (Mapper, error) {
 	return Mapper{Geo: g, Scheme: s}, nil
 }
 
-// Validate checks the mapper's geometry and (when degraded) that the failed
-// channel is in range and leaves at least one survivor.
-func (m Mapper) Validate() error {
-	if err := m.Geo.Validate(); err != nil {
-		return err
-	}
-	if m.failed != 0 {
-		ch := m.failed - 1
-		if ch < 0 || ch >= m.Geo.Channels {
-			return fmt.Errorf("addrmap: failed channel %d out of range (%d channels)", ch, m.Geo.Channels)
-		}
-		if m.Geo.Channels < 2 {
-			return fmt.Errorf("addrmap: cannot degrade a %d-channel system (no failover target)", m.Geo.Channels)
-		}
-	}
-	return nil
-}
-
-// FailedChannel returns the hard-failed channel index, or -1 when healthy.
-func (m Mapper) FailedChannel() int { return m.failed - 1 }
-
-// WithoutChannel returns a degraded copy of the mapper in which traffic that
-// would decode to channel ch fails over to the surviving channels. The
-// redirect is a pure function of the decoded location (no state), so the
-// degraded mapping is deterministic, and it spreads a failed channel's rows
-// across every survivor rather than doubling up one neighbour: survivor
-// index = (row + bank + chip) mod (channels-1), skipping ch.
-//
-// The degraded mapping is intentionally not a bijection on the surviving
-// banks — two addresses may now share a bank — which is exactly the
-// capacity/conflict cost a real interleaved system pays after mapping out a
-// channel. Unmap stays defined only for the healthy mapping.
-func (m Mapper) WithoutChannel(ch int) (Mapper, error) {
-	if ch < 0 || ch >= m.Geo.Channels {
-		return Mapper{}, fmt.Errorf("addrmap: failed channel %d out of range (%d channels)", ch, m.Geo.Channels)
-	}
-	if m.Geo.Channels < 2 {
-		return Mapper{}, fmt.Errorf("addrmap: cannot degrade a %d-channel system (no failover target)", m.Geo.Channels)
-	}
-	if m.failed != 0 {
-		return Mapper{}, fmt.Errorf("addrmap: channel %d already failed (multi-channel failure is not modeled)", m.failed-1)
-	}
-	m.failed = ch + 1
-	return m, nil
-}
+// Validate checks the mapper's geometry.
+func (m Mapper) Validate() error { return m.Geo.Validate() }
 
 // Map decodes a physical byte address. Addresses are first split into
 // (pageIndex, column); the page index is then distributed over banks
@@ -197,21 +148,7 @@ func (m Mapper) Map(addr uint64) Loc {
 	loc := g.locFromBankID(int(bank))
 	loc.Row = row
 	loc.Col = col
-	if m.failed != 0 && loc.Channel == m.failed-1 {
-		loc.Channel = m.failover(loc)
-	}
 	return loc
-}
-
-// failover picks the surviving channel for a location that decoded to the
-// failed channel.
-func (m Mapper) failover(l Loc) int {
-	survivors := m.Geo.Channels - 1
-	idx := int((l.Row + uint64(l.Bank) + uint64(l.Chip)) % uint64(survivors))
-	if idx >= m.failed-1 {
-		idx++ // skip the dead channel
-	}
-	return idx
 }
 
 // Unmap is the exact inverse of Map; it exists so tests can prove the

@@ -223,99 +223,14 @@ func TestSchemeString(t *testing.T) {
 	}
 }
 
-func TestWithoutChannelAvoidsFailedChannel(t *testing.T) {
-	g := Geometry{Channels: 4, ChipsPerChannel: 1, BanksPerChip: 4, PageBytes: 2048, LineBytes: 64}
-	for _, scheme := range []Scheme{Page, XOR} {
-		m, err := NewMapper(g, scheme)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for failed := 0; failed < g.Channels; failed++ {
-			dm, err := m.WithoutChannel(failed)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if dm.FailedChannel() != failed {
-				t.Fatalf("FailedChannel = %d, want %d", dm.FailedChannel(), failed)
-			}
-			hit := make([]int, g.Channels)
-			for a := uint64(0); a < 1<<20; a += 64 {
-				l := dm.Map(a)
-				if l.Channel == failed {
-					t.Fatalf("scheme %v: address %#x still maps to failed channel %d", scheme, a, failed)
-				}
-				hit[l.Channel]++
-			}
-			for ch, n := range hit {
-				if ch != failed && n == 0 {
-					t.Errorf("scheme %v, failed %d: survivor channel %d received no traffic", scheme, failed, ch)
-				}
-			}
-		}
-	}
-}
-
-func TestWithoutChannelDeterministicAndStableOutsideFailure(t *testing.T) {
-	g := Geometry{Channels: 2, ChipsPerChannel: 1, BanksPerChip: 4, PageBytes: 2048, LineBytes: 64}
-	m, _ := NewMapper(g, XOR)
-	d1, _ := m.WithoutChannel(1)
-	d2, _ := m.WithoutChannel(1)
-	for a := uint64(0); a < 1<<18; a += 64 {
-		healthy := m.Map(a)
-		l1, l2 := d1.Map(a), d2.Map(a)
-		if l1 != l2 {
-			t.Fatalf("degraded mapping not deterministic at %#x: %+v vs %+v", a, l1, l2)
-		}
-		if healthy.Channel != 1 && l1 != healthy {
-			t.Fatalf("address %#x not on the failed channel moved: %+v -> %+v", a, healthy, l1)
-		}
-		if healthy.Channel == 1 {
-			want := healthy
-			want.Channel = l1.Channel
-			if l1 != want {
-				t.Fatalf("failover changed more than the channel at %#x: %+v -> %+v", a, healthy, l1)
-			}
-		}
-	}
-}
-
-func TestWithoutChannelErrors(t *testing.T) {
-	g := Geometry{Channels: 2, ChipsPerChannel: 1, BanksPerChip: 4, PageBytes: 2048, LineBytes: 64}
-	m, _ := NewMapper(g, Page)
-	if _, err := m.WithoutChannel(2); err == nil {
-		t.Error("out-of-range channel accepted")
-	}
-	if _, err := m.WithoutChannel(-1); err == nil {
-		t.Error("negative channel accepted")
-	}
-	d, _ := m.WithoutChannel(0)
-	if _, err := d.WithoutChannel(1); err == nil {
-		t.Error("double failure accepted")
-	}
-	one := Geometry{Channels: 1, ChipsPerChannel: 1, BanksPerChip: 4, PageBytes: 2048, LineBytes: 64}
-	m1, _ := NewMapper(one, Page)
-	if _, err := m1.WithoutChannel(0); err == nil {
-		t.Error("failing the only channel accepted")
-	}
-}
-
 func TestMapperValidate(t *testing.T) {
 	g := Geometry{Channels: 2, ChipsPerChannel: 1, BanksPerChip: 4, PageBytes: 2048, LineBytes: 64}
 	m, _ := NewMapper(g, XOR)
 	if err := m.Validate(); err != nil {
 		t.Errorf("healthy mapper rejected: %v", err)
 	}
-	d, _ := m.WithoutChannel(1)
-	if err := d.Validate(); err != nil {
-		t.Errorf("degraded mapper rejected: %v", err)
-	}
 	bad := Mapper{Geo: Geometry{Channels: 3, ChipsPerChannel: 1, BanksPerChip: 4, PageBytes: 2048, LineBytes: 64}}
 	if err := bad.Validate(); err == nil {
 		t.Error("non-power-of-two channel count accepted")
-	}
-	outOfRange := m
-	outOfRange.failed = 9
-	if err := outOfRange.Validate(); err == nil {
-		t.Error("out-of-range failover target accepted")
 	}
 }

@@ -16,7 +16,6 @@ type clock struct {
 	limit    uint64 // the cycle budget: nothing lands past it
 	wd       uint64 // the watchdog's no-commit window
 	skipping bool   // false ticks every cycle (Config.DisableClockSkip)
-	failAt   uint64 // the cycle the plan fails a channel, which must land; 0 if it fails none
 
 	// committed and lastCommitAt track the last landed cycle an instruction
 	// committed on, which is all the watchdog needs (see tripAt).
@@ -31,10 +30,9 @@ func (s *Simulator) newClock() *clock {
 	if wd == 0 {
 		wd = 500_000
 	}
-	_, failAt := s.ctrl.Injector().ChannelFailAt()
 	return &clock{
 		s: s, now: s.at, limit: s.cfg.maxCycles(), wd: wd,
-		skipping: !s.cfg.DisableClockSkip, failAt: failAt,
+		skipping:  !s.cfg.DisableClockSkip,
 		committed: s.cpu.TotalCommitted, lastCommitAt: s.at,
 	}
 }
@@ -43,8 +41,7 @@ func (s *Simulator) newClock() *clock {
 // carries the duties of every landing: cancellation and the progress watchdog
 // at 1024-cycle boundaries (one ctx.Err() load per 1024 cycles is noise; a
 // machine that commits nothing for wd cycles is livelocked, not slow, and
-// aborts with a structured error instead of burning the rest of the budget),
-// and the failover snapshot on the cycle a planned channel failure executes.
+// aborts with a structured error instead of burning the rest of the budget).
 // On an error the clock stands on the cycle that raised it.
 func (k *clock) until(ctx context.Context, done func() bool) error {
 	s := k.s
@@ -56,10 +53,6 @@ func (k *clock) until(ctx context.Context, done func() bool) error {
 			if k.now == tripAt(k.lastCommitAt, k.wd) {
 				return &NoProgressError{Cycle: k.now, Window: k.wd, Committed: s.cpu.TotalCommitted}
 			}
-		}
-		if k.now == k.failAt {
-			s.fsn = &failSnap{atCycle: k.now, committed: s.cpu.TotalCommitted,
-				reads: s.ctrl.Stats.Reads, latSum: s.ctrl.Stats.ReadLatencySum}
 		}
 	}
 	return nil
@@ -157,9 +150,6 @@ func (k *clock) sail() {
 func (k *clock) mustLand(target uint64) uint64 {
 	target = min(target, k.limit+1)                    // budget: the run ends there
 	target = min(target, tripAt(k.lastCommitAt, k.wd)) // watchdog: the check that trips
-	if k.failAt > k.now {
-		target = min(target, k.failAt) // failover: until freezes the report's counters on that cycle
-	}
 	return target
 }
 

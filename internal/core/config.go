@@ -174,8 +174,8 @@ type Config struct {
 
 	// Faults, when non-nil and non-empty, attaches the fault-injection
 	// subsystem (see internal/faults): seeded read drops retried with
-	// backoff, and a hard channel failure at a given cycle. Nil keeps the
-	// memory path byte-identical to a fault-free build.
+	// backoff. Nil keeps the memory path byte-identical to a fault-free
+	// build.
 	Faults *faults.Plan
 	// WatchdogCycles is the no-progress bound: if no instruction commits for
 	// this many cycles the run aborts with a *NoProgressError instead of
@@ -272,7 +272,7 @@ func (c Config) Validate() error {
 	if _, err := c.Mem.Params(); err != nil {
 		return err
 	}
-	if err := c.Faults.Validate(geo.Channels); err != nil {
+	if err := c.Faults.Validate(); err != nil {
 		return err
 	}
 	return nil

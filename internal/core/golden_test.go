@@ -70,18 +70,18 @@ var goldenResults = map[string]struct {
 	size   int
 	sha256 string
 }{
-	"4-mem-ddr-open-xor/age-based":         {1284, "ca34f696511595a3e42d043a3af06ec2fb29f9ae2ce20f8bb4196176ef7ba808"},
-	"4-mem-ddr-open-xor/fcfs":              {1310, "2f752896ae423321320820228f7ebe564e7840aea4345870a85550a845974cbf"},
-	"4-mem-ddr-open-xor/hit-first":         {1287, "fa671b33f331321489daec08af457b4d639ff0a629abac053f5b805807498c1d"},
-	"4-mem-ddr-open-xor/iq-based":          {1273, "28c1515b8a69ed14e783d17774b0bd6cc8d7185092eb46c05f55d35df2174994"},
-	"4-mem-ddr-open-xor/request-based":     {1289, "8d6542e75c8fc361636fc255eee4e8d18a5fb5d82777e06e32a43476a42a43eb"},
-	"4-mem-ddr-open-xor/rob-based":         {1291, "823e944054fdaf812b2d0b185f8bd1a9fed77e32f3ecd9105c5b0dfe1f92c541"},
-	"8-mem-rdram-close-page/age-based":     {1516, "267d17b804454a9eb7e0b6e053272c0d17f4721c8dc3514177b5397fb37fb0c8"},
-	"8-mem-rdram-close-page/fcfs":          {1547, "fe9129f6b4b7c7893be40226f88e8c87c3b64af7f6148e91c53c4d69f0b6e3e1"},
-	"8-mem-rdram-close-page/hit-first":     {1528, "a6a0c20587d9ce31ade7f57f10dfa150b1ff22b0dc15d98bd11a9425fafa3667"},
-	"8-mem-rdram-close-page/iq-based":      {1536, "907013ee897f58bfb7039a6af07ea6a8e711557d3e2ce368e36146746e7964f9"},
-	"8-mem-rdram-close-page/request-based": {1556, "ec61204e090aed7a250728342f864295c9cbe1abe20aa9301878046f8b499dcb"},
-	"8-mem-rdram-close-page/rob-based":     {1527, "d563831799589d29f6faa5eedf81b215adffe91d6058494c8b41654bb5b6ef25"},
+	"4-mem-ddr-open-xor/age-based":         {1268, "8574c353f7e0e1c3783b8726e987f3d1b0874282ce69fa4c3e5998a30254a977"},
+	"4-mem-ddr-open-xor/fcfs":              {1294, "158c08315f16b2e4e8196a91d2c127a7c1697977e82255b0669d7f9c42031312"},
+	"4-mem-ddr-open-xor/hit-first":         {1271, "1cda277ee2842f7fc8a6f1a4880f091885baf30226c463a74bf1d69914c1e43f"},
+	"4-mem-ddr-open-xor/iq-based":          {1257, "d16c2e7cd31ed21f2f8b429537218a689370970fc77b45446dbf2a3905c43096"},
+	"4-mem-ddr-open-xor/request-based":     {1273, "bc3c03e53d29ae3f53e3e799cbd2e41b90e92a539145ff12e7649f8d786458d5"},
+	"4-mem-ddr-open-xor/rob-based":         {1275, "ec3729641f7a19ef9b3eecc3799e7100a8ec73d83d5b9e58caeab141a503cd3b"},
+	"8-mem-rdram-close-page/age-based":     {1500, "0b27c74ab815979502bf2b3ddd9835ca9264a274ac4dcf20ccf63d91a25d0863"},
+	"8-mem-rdram-close-page/fcfs":          {1531, "4e266d49f66b35963ab1b0e4b9fba9cd2c57d1ccaa9cef6916d91e7e4681530a"},
+	"8-mem-rdram-close-page/hit-first":     {1512, "f80e7a56c3ca8cc6b3afb026fb8d5bc2ae4a1b378e058508702346fa52f2df61"},
+	"8-mem-rdram-close-page/iq-based":      {1520, "d461b43047a04edc7c48c9e4c63f68cf0d527d0f628a5cb27a28d4956ec72f34"},
+	"8-mem-rdram-close-page/request-based": {1540, "bea7fb54f7dba1e919c53a2c3de7827431e1f30d26b8f9ee5bd293a411dbdabe"},
+	"8-mem-rdram-close-page/rob-based":     {1511, "339cfdf376b86ea51e7ed113fafe190e5b28bbd0ce609862a525e72c15530ea6"},
 }
 
 func TestGoldenResults(t *testing.T) {

@@ -19,18 +19,13 @@ func faultyCfg(plan *faults.Plan, apps ...string) Config {
 }
 
 func TestValidateRejectsBadFaultPlan(t *testing.T) {
-	// The default machine has 2 logical channels; failing channel 5 is out of
-	// range and must be rejected before the machine is even built.
-	cfg := faultyCfg(&faults.Plan{ChannelFail: &faults.ChannelFail{Channel: 5, At: 1000}}, "mcf")
-	if err := cfg.Validate(); err == nil {
-		t.Fatal("Validate accepted a channel-fail clause outside the geometry")
-	}
-	if _, err := NewSimulator(cfg); err == nil {
-		t.Fatal("NewSimulator accepted a channel-fail clause outside the geometry")
-	}
-	cfg = faultyCfg(&faults.Plan{DropRate: 1.5}, "mcf")
+	// A drop rate above 1 must be rejected before the machine is even built.
+	cfg := faultyCfg(&faults.Plan{DropRate: 1.5}, "mcf")
 	if err := cfg.Validate(); err == nil {
 		t.Fatal("Validate accepted a drop rate above 1")
+	}
+	if _, err := NewSimulator(cfg); err == nil {
+		t.Fatal("NewSimulator accepted a drop rate above 1")
 	}
 }
 
@@ -65,34 +60,6 @@ func TestFaultAccountingExact(t *testing.T) {
 	// Every drop is either retried or given up on, exactly once.
 	if f.Drops == 0 || f.Drops != f.Retries+f.RetryGiveUps {
 		t.Fatalf("accounting: %d drops != %d retried + %d gave up", f.Drops, f.Retries, f.RetryGiveUps)
-	}
-	if res.Failover != nil {
-		t.Fatal("failover report without a channel-fail clause")
-	}
-}
-
-func TestChannelFailRunCompletesViaFailover(t *testing.T) {
-	plan := &faults.Plan{ChannelFail: &faults.ChannelFail{Channel: 1, At: 40_000}}
-	res, err := Run(faultyCfg(plan, "mcf", "art"))
-	if err != nil {
-		t.Fatalf("channel-fail run must complete via failover, got %v", err)
-	}
-	rep := res.Failover
-	if rep == nil {
-		t.Fatal("no failover report after a planned channel failure")
-	}
-	if rep.FailedChannel != 1 || rep.AtCycle < 40_000 {
-		t.Fatalf("failover report = %+v, want channel 1 at ≥40000", rep)
-	}
-	if rep.PreIPC <= 0 || rep.PostIPC <= 0 {
-		t.Fatalf("failover report missing IPC on one side: %+v", rep)
-	}
-	if rep.PreAvgReadLat <= 0 || rep.PostAvgReadLat <= 0 {
-		t.Fatalf("failover report missing latency on one side: %+v", rep)
-	}
-	// Losing half the DRAM system must not come for free.
-	if rep.PostAvgReadLat <= rep.PreAvgReadLat {
-		t.Errorf("read latency did not degrade after losing a channel: %+v", rep)
 	}
 }
 

@@ -58,9 +58,6 @@ type Result struct {
 	// Faults summarizes fault injection and the resilience machinery's
 	// response (nil on fault-free runs).
 	Faults *FaultReport
-	// Failover reports the throughput/latency degradation around a
-	// mid-run hard channel failure (nil when no channel failed).
-	Failover *FailoverReport
 }
 
 // FaultReport is the end-of-run fault accounting. The contract is exact:
@@ -68,24 +65,9 @@ type Result struct {
 type FaultReport struct {
 	// Drops is the number of reads the injector dropped.
 	Drops uint64
-	// Controller response: backoff re-queues, reads delivered after
-	// exhausting retries, and requests migrated off a failed channel.
-	Retries, RetryGiveUps, FailedOver uint64
-}
-
-// FailoverReport measures the cost of losing a channel mid-run: whole-machine
-// IPC and mean DRAM read latency before the failure cycle versus after it.
-type FailoverReport struct {
-	// FailedChannel is the hard-failed logical channel.
-	FailedChannel int
-	// AtCycle is the cycle the failover executed.
-	AtCycle uint64
-	// PreIPC and PostIPC are committed instructions per cycle summed over
-	// threads, before and after the failure.
-	PreIPC, PostIPC float64
-	// PreAvgReadLat and PostAvgReadLat are the mean DRAM read latencies in
-	// cycles on each side of the failure.
-	PreAvgReadLat, PostAvgReadLat float64
+	// Controller response: backoff re-queues and reads delivered after
+	// exhausting retries.
+	Retries, RetryGiveUps uint64
 }
 
 // NoProgressError is returned by Run when the watchdog trips: no instruction
@@ -128,7 +110,6 @@ type Simulator struct {
 	mb   *cache.MemBackend
 	gens []*workload.Gen // nil when cfg.Sources drives the threads
 	obs  *obs.Observer
-	fsn  *failSnap
 	skip obs.SkipStats
 
 	// at is the cycle the machine stands at: 0 as built, the warmup boundary
@@ -148,15 +129,6 @@ func (s *Simulator) recordSkip(k uint64) {
 	if k > s.skip.Longest {
 		s.skip.Longest = k
 	}
-}
-
-// failSnap freezes the counters the failover report needs at the cycle the
-// channel failure executed.
-type failSnap struct {
-	atCycle   uint64
-	committed uint64
-	reads     uint64
-	latSum    uint64
 }
 
 // Observer returns the run's observability attachment (nil when disabled).
@@ -458,24 +430,7 @@ func (s *Simulator) collect(now uint64, sn snapshot) Result {
 	if inj := s.ctrl.Injector(); inj != nil {
 		r.Faults = &FaultReport{
 			Drops:   inj.Drops,
-			Retries: st.Retries, RetryGiveUps: st.RetryGiveUps, FailedOver: st.FailedOver,
-		}
-		if ch, at := s.ctrl.Failover(); at > 0 && s.fsn != nil {
-			f := s.fsn
-			rep := &FailoverReport{FailedChannel: ch, AtCycle: at}
-			if f.atCycle > 0 {
-				rep.PreIPC = float64(f.committed) / float64(f.atCycle)
-			}
-			if now > f.atCycle {
-				rep.PostIPC = float64(s.cpu.TotalCommitted-f.committed) / float64(now-f.atCycle)
-			}
-			if f.reads > 0 {
-				rep.PreAvgReadLat = float64(f.latSum) / float64(f.reads)
-			}
-			if dr := st.Reads - f.reads; dr > 0 {
-				rep.PostAvgReadLat = float64(st.ReadLatencySum-f.latSum) / float64(dr)
-			}
-			r.Failover = rep
+			Retries: st.Retries, RetryGiveUps: st.RetryGiveUps,
 		}
 	}
 	return r

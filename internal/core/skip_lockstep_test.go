@@ -3,10 +3,8 @@ package core
 import (
 	"bytes"
 	"context"
-	"reflect"
 	"testing"
 
-	"smtdram/internal/cache"
 	"smtdram/internal/cpu"
 	"smtdram/internal/dram"
 	"smtdram/internal/faults"
@@ -39,14 +37,12 @@ type lockstepCase struct {
 // Because the clock under test is the production one, its landing rules are
 // under the oracle too. The traced variant asserts the skipping machine's
 // request-lifecycle trace — whose memory-side events fire inside sailed spans
-// — is byte-equal to the twin's. The seeded-fault
-// variant routes drop-retry backoff timers through the span drain, where a
-// deadline missing from the event queue would surface as a divergence at its
-// exact cycle. The channel-fail variant asserts the
-// planned failure's cycle lands and the failover report equals a ticked run's.
-// The restored variant starts the clock from a warmup checkpoint, and the
-// icount variant puts ICOUNT's fixed gate under the oracle (the others run
-// DWarn and Fetch-Stall). Every variant must skip, so none can pass by ticking.
+// — is byte-equal to the twin's. The seeded-fault variant routes drop-retry
+// backoff timers through the span drain, where a deadline missing from the
+// event queue would surface as a divergence at its exact cycle. The restored
+// variant starts the clock from a warmup checkpoint, and the icount variant
+// puts ICOUNT's fixed gate under the oracle (the others run DWarn and
+// Fetch-Stall). Every variant must skip, so none can pass by ticking.
 func TestSkipLockstepDeep(t *testing.T) {
 	base := func() Config {
 		cfg := fastCfg("mcf", "ammp", "swim", "lucas")
@@ -75,17 +71,9 @@ func TestSkipLockstepDeep(t *testing.T) {
 	faulty := func() Config {
 		// Seeded drops arm retry backoff timers whose expiries are in-span
 		// events; the event queue must carry them or the twin acts mid-span.
-		// The channel failure re-homes the retries still waiting out theirs.
-		cfg := faultyCfg(&faults.Plan{DropRate: 5e-3, Seed: 11,
-			ChannelFail: &faults.ChannelFail{Channel: 1, At: 40_000}},
-			"mcf", "art", "swim", "lucas")
+		cfg := faultyCfg(&faults.Plan{DropRate: 5e-3, Seed: 11}, "mcf", "art", "swim", "lucas")
 		cfg.WarmupInstr = 60_000
 		cfg.TargetInstr = 40_000
-		return cfg
-	}
-	failing := func() Config {
-		cfg := base()
-		cfg.Faults = &faults.Plan{ChannelFail: &faults.ChannelFail{Channel: 1, At: 40_000}}
 		return cfg
 	}
 	shortWarm := func() Config {
@@ -106,7 +94,6 @@ func TestSkipLockstepDeep(t *testing.T) {
 		{name: "icount-8-mem", cfg: icount8},
 		{name: "seeded-faults", cfg: faulty},
 		{name: "observed-default-mix", cfg: base, traced: true},
-		{name: "channel-fail", cfg: failing},
 		{name: "restored-default-mix", cfg: shortWarm, restored: true},
 	} {
 		t.Run(tc.name, func(t *testing.T) { lockstepDeep(t, tc) })
@@ -196,18 +183,12 @@ func lockstepDeep(t *testing.T, tc lockstepCase) {
 	if k.now != uNow {
 		t.Fatalf("clock starts at cycle %d, twin stands at %d", k.now, uNow)
 	}
-	var failAt uint64 // the planned channel failure's cycle, 0 without one
-	if f := scfg.Faults; f != nil && f.ChannelFail != nil {
-		failAt = f.ChannelFail.At
-	}
-	var sawFail bool
 	err := k.until(ctx, func() bool {
 		prev := uNow
 		if k.now > prev+1 {
 			landings = append(landings[max(0, len(landings)-11):], [2]uint64{k.now, k.now - 1 - prev})
 		}
 		follow(k.now, true)
-		sawFail = sawFail || (failAt > 0 && k.now == failAt)
 		assertControllerCovered(t, s, k.now)
 		return s.cpu.AllFinished()
 	})
@@ -238,22 +219,6 @@ func lockstepDeep(t *testing.T, tc lockstepCase) {
 		}
 		if sob.Trace.Len() == 0 {
 			t.Fatal("traced lockstep recorded no events")
-		}
-	}
-	if failAt > 0 {
-		if !sawFail || s.fsn == nil || s.fsn.atCycle != failAt {
-			t.Fatalf("planned failure at %d: landed there %v, snapshot %+v", failAt, sawFail, s.fsn)
-		}
-		// The report against a machine the production loop ticks through the
-		// same budget: same end cycle, so the same post-failure window.
-		ucfg.DisableClockSkip = true
-		want, err := Run(ucfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got := s.collect(k.now, snapshot{caches: make([]cache.Stats, 4), committed: make([]uint64, len(scfg.Apps))})
-		if want.Failover == nil || !reflect.DeepEqual(got.Failover, want.Failover) {
-			t.Fatalf("failover reports diverge:\nskip: %+v\ntick: %+v", got.Failover, want.Failover)
 		}
 	}
 }

@@ -12,9 +12,7 @@ import (
 //	serialized — walked by walk (snapshot.go): a component through its own
 //	             Snap, a register directly;
 //	derived    — rebuilt from serialized state;
-//	wiring     — configuration and plumbing the restore target already has;
-//	fault-only — set only under a fault plan, which CheckpointSupported
-//	             refuses.
+//	wiring     — configuration and plumbing the restore target already has.
 //
 // A new field fails this test until it is listed, which is the moment to
 // decide which it is and, if it is state, to add it to the walk.
@@ -30,7 +28,6 @@ var snapshotFieldClass = map[string]string{
 	"Simulator.mb":   "serialized",
 	"Simulator.gens": "serialized",
 	"Simulator.obs":  "wiring", // nil: an attached observer is refused too
-	"Simulator.fsn":  "fault-only",
 	"Simulator.skip": "serialized",
 	"Simulator.at":   "serialized", // the watchdog's registers are derived from it (clock.go)
 
@@ -47,9 +44,9 @@ func TestSnapshotFieldCoverage(t *testing.T) {
 			name := typ.Name() + "." + typ.Field(i).Name
 			seen[name] = true
 			switch snapshotFieldClass[name] {
-			case "serialized", "derived", "wiring", "fault-only":
+			case "serialized", "derived", "wiring":
 			case "":
-				t.Errorf("%s is not classified: list it as serialized, derived, wiring or fault-only, and cover it in snapshot.go", name)
+				t.Errorf("%s is not classified: list it as serialized, derived or wiring, and cover it in snapshot.go", name)
 			default:
 				t.Errorf("%s has unknown class %q", name, snapshotFieldClass[name])
 			}

@@ -3,17 +3,14 @@
 // run should experience, and an Injector executes the plan with a seeded
 // generator so that two runs of the same spec are byte-identical.
 //
-// Two fault classes are modeled — the two that move simulated time:
-//
-//   - drop: a read's data is lost inside the controller (timeout/CRC-fail on
-//     the link), recovered by bounded retry with exponential backoff;
-//   - channel-fail: a whole channel dies at a given cycle; traffic fails
-//     over to the surviving channels via the degraded address remap.
+// One fault class is modeled: drop, a read's data lost inside the controller
+// (timeout/CRC-fail on the link), recovered by bounded retry with exponential
+// backoff.
 //
 // The spec grammar is semicolon-separated clauses of comma-separated k=v
 // pairs, each clause at most once, e.g.:
 //
-//	drop:rate=1e-3,seed=7;channel-fail:ch=1,at=2000000
+//	drop:rate=1e-3,seed=7
 //
 // The package is a leaf below memctrl/core: it imports nothing from the
 // simulator, so every layer can consume a Plan or an Injector.
@@ -25,14 +22,6 @@ import (
 	"strings"
 )
 
-// ChannelFail kills a whole logical channel at a given cycle.
-type ChannelFail struct {
-	// Channel is the logical channel index that dies.
-	Channel int
-	// At is the cycle the failure strikes.
-	At uint64
-}
-
 // Plan is a parsed fault-injection specification. The zero Plan injects
 // nothing; a nil *Plan disables the subsystem entirely (and is what every
 // fault-free run carries, so the hot path pays only nil checks).
@@ -42,34 +31,20 @@ type Plan struct {
 	DropRate float64
 	// Seed drives the injector's generator (default 1).
 	Seed uint64
-	// ChannelFail, when non-nil, is the hard channel failure.
-	ChannelFail *ChannelFail
 }
 
 // Empty reports whether the plan injects nothing.
 func (p *Plan) Empty() bool {
-	return p == nil || (p.DropRate == 0 && p.ChannelFail == nil)
+	return p == nil || p.DropRate == 0
 }
 
-// Validate checks the plan against the machine it will run on. channels is
-// the logical channel count of the DRAM system.
-func (p *Plan) Validate(channels int) error {
+// Validate checks the plan's values.
+func (p *Plan) Validate() error {
 	if p == nil {
 		return nil
 	}
 	if !(p.DropRate >= 0 && p.DropRate <= 1) { // also rejects NaN
 		return fmt.Errorf("faults: drop rate %g outside [0,1]", p.DropRate)
-	}
-	if f := p.ChannelFail; f != nil {
-		if f.Channel < 0 || f.Channel >= channels {
-			return fmt.Errorf("faults: failing channel %d out of range (%d channels)", f.Channel, channels)
-		}
-		if channels < 2 {
-			return fmt.Errorf("faults: cannot fail channel %d of a %d-channel system (no survivor to fail over to)", f.Channel, channels)
-		}
-		if f.At == 0 {
-			return fmt.Errorf("faults: channel-fail cycle must be positive")
-		}
 	}
 	return nil
 }
@@ -83,9 +58,6 @@ func (p *Plan) String() string {
 	var parts []string
 	if p.DropRate > 0 {
 		parts = append(parts, fmt.Sprintf("drop:rate=%g", p.DropRate))
-	}
-	if f := p.ChannelFail; f != nil {
-		parts = append(parts, fmt.Sprintf("channel-fail:ch=%d,at=%d", f.Channel, f.At))
 	}
 	if p.Seed != 0 && p.Seed != 1 {
 		parts = append(parts, fmt.Sprintf("seed:v=%d", p.Seed))
@@ -127,15 +99,6 @@ func Parse(spec string) (*Plan, error) {
 			if err := kv.seed(p); err != nil {
 				return nil, err
 			}
-		case "channel-fail":
-			var f ChannelFail
-			if f.Channel, err = kv.num("ch"); err != nil {
-				return nil, err
-			}
-			if f.At, err = kv.u64("at"); err != nil {
-				return nil, err
-			}
-			p.ChannelFail = &f
 		case "seed":
 			if err := kv.seed(p); err != nil {
 				return nil, err
@@ -149,7 +112,7 @@ func Parse(spec string) (*Plan, error) {
 				delete(kv.m, "v")
 			}
 		default:
-			return nil, fmt.Errorf("faults: unknown clause %q (want drop, channel-fail, or seed)", kind)
+			return nil, fmt.Errorf("faults: unknown clause %q (want drop or seed)", kind)
 		}
 		if err := kv.leftover(); err != nil {
 			return nil, err
@@ -201,32 +164,6 @@ func (kv *kvSet) rate(key string) (float64, error) {
 		return 0, fmt.Errorf("faults: %s: %s=%q: %v", kv.clause, key, v, err)
 	}
 	return f, nil
-}
-
-func (kv *kvSet) num(key string) (int, error) {
-	v, ok := kv.m[key]
-	if !ok {
-		return 0, fmt.Errorf("faults: %s: missing %s=", kv.clause, key)
-	}
-	delete(kv.m, key)
-	n, err := strconv.Atoi(v)
-	if err != nil {
-		return 0, fmt.Errorf("faults: %s: %s=%q: %v", kv.clause, key, v, err)
-	}
-	return n, nil
-}
-
-func (kv *kvSet) u64(key string) (uint64, error) {
-	v, ok := kv.m[key]
-	if !ok {
-		return 0, fmt.Errorf("faults: %s: missing %s=", kv.clause, key)
-	}
-	delete(kv.m, key)
-	n, err := strconv.ParseUint(v, 10, 64)
-	if err != nil {
-		return 0, fmt.Errorf("faults: %s: %s=%q: %v", kv.clause, key, v, err)
-	}
-	return n, nil
 }
 
 // seed consumes an optional seed= key (allowed in the drop and seed clauses;

@@ -24,15 +24,12 @@ func TestParseEmptySpecIsNilPlan(t *testing.T) {
 }
 
 func TestParseFullSpec(t *testing.T) {
-	p, err := Parse("drop:rate=1e-7,seed=7;channel-fail:ch=1,at=2000000")
+	p, err := Parse("drop:rate=1e-7,seed=7")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if p.DropRate != 1e-7 || p.Seed != 7 {
 		t.Fatalf("rate/seed = %g/%d", p.DropRate, p.Seed)
-	}
-	if p.ChannelFail == nil || p.ChannelFail.Channel != 1 || p.ChannelFail.At != 2000000 {
-		t.Fatalf("channel-fail = %+v", p.ChannelFail)
 	}
 }
 
@@ -41,11 +38,10 @@ func TestParseErrors(t *testing.T) {
 		"frobnicate:rate=1",                  // unknown clause
 		"bitflip:rate=1e-6",                  // a removed clause is an unknown one
 		"stuckrow:ch=0,chip=0,bank=1,row=42", // likewise
+		"channel-fail:ch=1,at=100",           // likewise
 		"drop:rate=abc",                      // bad float
 		"drop:rate=1,oops=2",                 // unknown key
 		"drop:rate",                          // not key=value
-		"channel-fail:ch=0",                  // missing at=
-		"channel-fail:ch=0,at=1;channel-fail:ch=1,at=2", // duplicate
 	} {
 		if _, err := Parse(spec); err == nil {
 			t.Errorf("Parse(%q) succeeded, want error", spec)
@@ -61,24 +57,24 @@ func TestSpecHolesRejected(t *testing.T) {
 		"drop:rate=NaN",
 		"drop:rate=nan,seed=3",
 		"drop:rate=0.1;drop:rate=0.2",
-		"drop:rate=0.1;channel-fail:ch=1,at=5;drop:rate=0.1",
+		"drop:rate=0.1;seed:v=5;drop:rate=0.1",
 		"seed:v=3;seed:v=4",
 	} {
 		p, err := Parse(spec)
 		if err == nil {
-			err = p.Validate(2)
+			err = p.Validate()
 		}
 		if err == nil {
 			t.Errorf("%q parsed and validated as %+v, want an error", spec, p)
 		}
 	}
-	if err := (&Plan{DropRate: math.NaN()}).Validate(2); err == nil {
+	if err := (&Plan{DropRate: math.NaN()}).Validate(); err == nil {
 		t.Error("Validate accepted a NaN drop rate")
 	}
 }
 
 func TestStringRoundTrips(t *testing.T) {
-	p, err := Parse("drop:rate=0.25,seed=9;channel-fail:ch=0,at=500")
+	p, err := Parse("drop:rate=0.25,seed=9")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,23 +85,17 @@ func TestStringRoundTrips(t *testing.T) {
 	if p2.String() != p.String() {
 		t.Fatalf("round trip changed the plan: %q -> %q", p.String(), p2.String())
 	}
-	if p2.Seed != 9 || p2.DropRate != 0.25 || p2.ChannelFail == nil {
+	if p2.Seed != 9 || p2.DropRate != 0.25 {
 		t.Fatalf("round trip lost fields: %+v", p2)
 	}
 }
 
 func TestValidate(t *testing.T) {
-	if err := (&Plan{DropRate: 2}).Validate(2); err == nil {
+	if err := (&Plan{DropRate: 2}).Validate(); err == nil {
 		t.Error("rate > 1 accepted")
 	}
-	if err := (&Plan{ChannelFail: &ChannelFail{Channel: 2, At: 5}}).Validate(2); err == nil {
-		t.Error("out-of-range failing channel accepted")
-	}
-	if err := (&Plan{ChannelFail: &ChannelFail{Channel: 0, At: 5}}).Validate(1); err == nil {
-		t.Error("channel-fail with no survivor accepted")
-	}
-	ok := &Plan{DropRate: 1e-7, Seed: 3, ChannelFail: &ChannelFail{Channel: 1, At: 100}}
-	if err := ok.Validate(2); err != nil {
+	ok := &Plan{DropRate: 1e-7, Seed: 3}
+	if err := ok.Validate(); err != nil {
 		t.Errorf("valid plan rejected: %v", err)
 	}
 }
@@ -145,24 +135,12 @@ func TestNilInjectorIsInert(t *testing.T) {
 	if in.Drop() {
 		t.Fatal("nil injector dropped a read")
 	}
-	if ch, at := in.ChannelFailAt(); ch != -1 || at != 0 {
-		t.Fatalf("nil injector reports failover (%d, %d)", ch, at)
-	}
 	if in.Plan() != nil {
 		t.Fatal("nil injector has a plan")
 	}
-	// A channel-fail-only plan builds an injector that never draws.
-	cf := NewInjector(&Plan{ChannelFail: &ChannelFail{Channel: 1, At: 9}})
-	if cf.Drop() || cf.rng != 1 {
-		t.Fatalf("a plan without a drop rate drew: rng %d", cf.rng)
-	}
-}
-
-func TestChannelFailAt(t *testing.T) {
-	in := NewInjector(&Plan{ChannelFail: &ChannelFail{Channel: 1, At: 777}})
-	ch, at := in.ChannelFailAt()
-	if ch != 1 || at != 777 {
-		t.Fatalf("ChannelFailAt = (%d, %d)", ch, at)
+	// A plan without a drop rate injects nothing, so it builds no injector.
+	if NewInjector(&Plan{Seed: 9}) != nil {
+		t.Fatal("a plan without a drop rate built an injector")
 	}
 }
 
@@ -192,7 +170,7 @@ func TestParseEdgeCases(t *testing.T) {
 	for _, spec := range []string{
 		";;drop:rate=1e-6;;",
 		"  Drop : rate=1e-6  ",
-		"drop:rate=1e-6;\n channel-fail:ch=1,at=5",
+		"drop:rate=1e-6;\n seed:v=5",
 	} {
 		if _, err := Parse(spec); err != nil {
 			t.Errorf("Parse(%q): %v, want success", spec, err)
@@ -203,18 +181,18 @@ func TestParseEdgeCases(t *testing.T) {
 		spec, wantSub string
 	}{
 		{"drop:rate=1e-6,rate=1e-3", "duplicate key"},
-		{"channel-fail:ch=0,CH=1,at=1", "duplicate key"},
+		{"seed:v=1,V=2", "duplicate key"},
 		{"drop:=1e-6", "empty key"},
 		{"drop:rate=", "invalid syntax"},
 		{"drop:rate=1e", "invalid syntax"},
-		{"channel-fail:ch=0,at=-1", "invalid syntax"}, // at is unsigned
-		{"channel-fail:ch=0,at=99999999999999999999", "value out of range"},
-		{"channel-fail:ch=zero,at=1", "invalid syntax"},
+		{"seed:v=99999999999999999999", "value out of range"},
+		{"drop:rate=1e-6,seed=zero", "invalid syntax"},
 		{"seed:v=-3", "invalid syntax"},
 		{"drop:rate=1e-6,seed=1.5", "invalid syntax"},
 		{"drop:rate=0.1;drop:rate=0.2", "more than one drop clause"},
 		{"bitflip:rate=1e-6", "unknown clause"},
 		{"stuckrow:ch=0,row=3", "unknown clause"},
+		{"channel-fail:ch=1,at=100", "unknown clause"},
 	} {
 		_, err := Parse(tc.spec)
 		if err == nil {
@@ -228,29 +206,22 @@ func TestParseEdgeCases(t *testing.T) {
 }
 
 // TestValidateRanges pins the range checks the CLI relies on for exit-2 flag
-// validation: channels beyond the machine shape and rates outside [0,1] must
-// be rejected.
+// validation: rates outside [0,1] must be rejected.
 func TestValidateRanges(t *testing.T) {
-	if err := (&Plan{ChannelFail: &ChannelFail{Channel: -1, At: 5}}).Validate(4); err == nil {
-		t.Error("negative failing channel accepted")
-	}
-	if err := (&Plan{ChannelFail: &ChannelFail{Channel: 1, At: 0}}).Validate(4); err == nil {
-		t.Error("channel-fail at cycle 0 accepted")
-	}
-	if err := (&Plan{DropRate: -0.1}).Validate(4); err == nil {
+	if err := (&Plan{DropRate: -0.1}).Validate(); err == nil {
 		t.Error("negative drop rate accepted")
 	}
-	if err := (&Plan{DropRate: 1.1}).Validate(4); err == nil {
+	if err := (&Plan{DropRate: 1.1}).Validate(); err == nil {
 		t.Error("drop rate above 1 accepted")
 	}
-	if err := (&Plan{DropRate: math.Inf(1)}).Validate(4); err == nil {
+	if err := (&Plan{DropRate: math.Inf(1)}).Validate(); err == nil {
 		t.Error("infinite drop rate accepted")
 	}
 }
 
 // TestDocsQuoteValidSpecs: every -faults '…' spec the docs and CI quote
-// parses and validates on the default two-channel machine, so a clause the
-// grammar drops cannot survive in a copy-paste example.
+// parses and validates, so a clause the grammar drops cannot survive in a
+// copy-paste example.
 func TestDocsQuoteValidSpecs(t *testing.T) {
 	quoted := regexp.MustCompile(`-faults\s+'([^']*)'`)
 	for _, doc := range []string{"README.md", "EXPERIMENTS.md", ".claude/skills/verify/SKILL.md", ".github/workflows/ci.yml"} {
@@ -265,7 +236,7 @@ func TestDocsQuoteValidSpecs(t *testing.T) {
 		for _, m := range specs {
 			p, err := Parse(m[1])
 			if err == nil {
-				err = p.Validate(2)
+				err = p.Validate()
 			}
 			if err == nil && p.Empty() {
 				err = errors.New("the plan injects nothing")

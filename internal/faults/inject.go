@@ -34,15 +34,6 @@ func (in *Injector) Plan() *Plan {
 	return in.plan
 }
 
-// ChannelFailAt returns the channel-fail clause's (channel, cycle), or
-// (-1, 0) when the plan has none.
-func (in *Injector) ChannelFailAt() (channel int, at uint64) {
-	if in == nil || in.plan.ChannelFail == nil {
-		return -1, 0
-	}
-	return in.plan.ChannelFail.Channel, in.plan.ChannelFail.At
-}
-
 // next is a splitmix64 step: a full-period, statistically strong 64-bit
 // generator in three lines, with no shared state and no allocation.
 func (in *Injector) next() uint64 {

@@ -112,8 +112,8 @@ type Config struct {
 	// Threads is the number of hardware threads (for per-thread stats).
 	Threads int
 	// Injector, when non-nil, is the fault-injection subsystem: reads may
-	// be dropped and retried with backoff, and a channel may hard-fail
-	// mid-run. Nil (every fault-free run) costs one pointer check per read.
+	// be dropped and retried with backoff. Nil (every fault-free run) costs
+	// one pointer check per read.
 	Injector *faults.Injector
 }
 
@@ -147,10 +147,9 @@ func (c Config) withDefaults() Config {
 }
 
 // Validate rejects incoherent controller configurations: a broken mapper
-// (zero channels, non-power-of-two interleave units, failover target out of
-// range), negative queue/window bounds, or a fault plan that does not
-// fit the geometry. core calls this during machine assembly; New also calls
-// it, so hand-built controllers get the same checks.
+// (zero channels, non-power-of-two interleave units), negative queue/window
+// bounds, or an invalid fault plan. core calls this during machine assembly;
+// New also calls it, so hand-built controllers get the same checks.
 func (c Config) Validate() error {
 	if err := c.Mapper.Validate(); err != nil {
 		return err
@@ -162,7 +161,7 @@ func (c Config) Validate() error {
 	if c.Threads < 0 {
 		return fmt.Errorf("memctrl: negative thread count %d", c.Threads)
 	}
-	if err := c.Injector.Plan().Validate(c.Mapper.Geo.Channels); err != nil {
+	if err := c.Injector.Plan().Validate(); err != nil {
 		return err
 	}
 	return nil
@@ -250,7 +249,6 @@ type channelCtl struct {
 	queue      []*entry
 	inFlight   int
 	retryArmed bool
-	failed     bool       // hard channel failure: never dispatches again
 	retry      retryEvent // pre-bound bank-ready wake-up (one per channel)
 }
 
@@ -294,11 +292,9 @@ type Stats struct {
 	//
 	// Retries is the number of backoff re-queues of dropped reads;
 	// RetryGiveUps counts reads delivered with the loss surfaced after
-	// exhausting maxRetries, so every drop is exactly one of the two;
-	// FailedOver counts queued requests migrated off a hard-failed channel.
+	// exhausting maxRetries, so every drop is exactly one of the two.
 	Retries      uint64
 	RetryGiveUps uint64
-	FailedOver   uint64
 }
 
 // BusyCycles is the total time the DRAM system had work outstanding.
@@ -325,15 +321,8 @@ type Controller struct {
 	channels []*channelCtl
 	seq      uint64
 
-	// mapper is the live address mapping; it starts as cfg.Mapper and is
-	// swapped for a degraded remap when a channel hard-fails.
-	mapper addrmap.Mapper
 	// inj is the fault injector (nil on fault-free runs).
 	inj *faults.Injector
-	// failover is the pre-bound channel-death event; failoverAt is the
-	// cycle it fired (0 = not yet / no plan).
-	failover   failoverEvent
-	failoverAt uint64
 
 	// lc receives request-lifecycle events; nil when tracing is disabled.
 	lc obs.Sink
@@ -364,7 +353,6 @@ func New(q *event.Queue, cfg Config) (*Controller, error) {
 	c := &Controller{
 		cfg:         cfg,
 		q:           q,
-		mapper:      cfg.Mapper,
 		inj:         cfg.Injector,
 		outstanding: make([]int, cfg.Threads),
 	}
@@ -377,66 +365,10 @@ func New(q *event.Queue, cfg Config) (*Controller, error) {
 		cc.retry = retryEvent{c: c, cc: cc}
 		c.channels = append(c.channels, cc)
 	}
-	if _, at := c.inj.ChannelFailAt(); at > 0 {
-		c.failover = failoverEvent{c: c}
-		c.q.ScheduleHandler(at, &c.failover)
-	}
 	if cfg.Obs != nil && cfg.Obs.Trace != nil {
 		c.lc = cfg.Obs.Trace
 	}
 	return c, nil
-}
-
-// failoverEvent fires at the planned channel-death cycle.
-type failoverEvent struct{ c *Controller }
-
-func (f *failoverEvent) OnEvent(at uint64) { f.c.failChannel(at) }
-
-// failChannel executes the hard channel failure: the live mapper degrades so
-// no new traffic decodes to the dead channel, and every request queued there
-// migrates to its failover home on a surviving channel. Requests already
-// dispatched to the dead channel's banks complete (their data was latched
-// before the failure); the migrated ones keep their arrival time, so the
-// latency cost of failing over is visible in the read-latency stats.
-func (c *Controller) failChannel(at uint64) {
-	ch, _ := c.inj.ChannelFailAt()
-	degraded, err := c.mapper.WithoutChannel(ch)
-	if err != nil {
-		// Validated at construction; a failure here means the plan and the
-		// geometry disagree, which Validate already rejects.
-		return
-	}
-	c.mapper = degraded
-	c.failoverAt = at
-	cc := c.channels[ch]
-	cc.failed = true
-	migrated := cc.queue
-	cc.queue = nil
-	for _, e := range migrated {
-		e.loc = c.mapper.Map(e.req.Addr)
-		c.channels[e.loc.Channel].queue = append(c.channels[e.loc.Channel].queue, e)
-		c.Stats.FailedOver++
-		if c.lc != nil {
-			ev := lcEvent(obs.KFailover, at, at, e.req, e.loc)
-			ev.Outcome = fmt.Sprintf("ch%d failed", ch)
-			c.lc.Emit(ev)
-		}
-	}
-	for _, tc := range c.channels {
-		if !tc.failed && len(tc.queue) > 0 {
-			c.dispatch(at, tc)
-		}
-	}
-}
-
-// Failover reports the failed channel and the cycle the failover executed
-// ((-1, 0) when no channel has failed).
-func (c *Controller) Failover() (channel int, at uint64) {
-	if c.failoverAt == 0 {
-		return -1, 0
-	}
-	ch, _ := c.inj.ChannelFailAt()
-	return ch, c.failoverAt
 }
 
 // Injector exposes the fault injector (nil on fault-free runs) so drivers
@@ -472,11 +404,8 @@ func (c *Controller) retryDropped(at uint64, e *entry) bool {
 	return true
 }
 
-// requeue returns a backoff-expired entry to its channel queue, re-decoding
-// the address through the live mapper first (a failover may have moved the
-// request's home while it waited).
+// requeue returns a backoff-expired entry to its channel queue.
 func (c *Controller) requeue(at uint64, e *entry) {
-	e.loc = c.mapper.Map(e.req.Addr)
 	cc := c.channels[e.loc.Channel]
 	cc.queue = append(cc.queue, e)
 	c.dispatch(at, cc)
@@ -525,7 +454,7 @@ func (c *Controller) Busy() bool { return c.totalOut != 0 }
 // Enqueue accepts a request. It returns false when the target channel's
 // queue is full; the caller (an L3 MSHR) must retry.
 func (c *Controller) Enqueue(now uint64, r *mem.Request) bool {
-	loc := c.mapper.Map(r.Addr)
+	loc := c.cfg.Mapper.Map(r.Addr)
 	cc := c.channels[loc.Channel]
 	if len(cc.queue) >= c.cfg.QueueDepth {
 		c.Stats.Rejected++
@@ -602,9 +531,6 @@ func (c *Controller) snapshot(now uint64) {
 // When nothing is startable, a wake-up is armed for the earliest bank-free
 // time.
 func (c *Controller) dispatch(now uint64, cc *channelCtl) {
-	if cc.failed {
-		return
-	}
 	for cc.inFlight < c.cfg.MaxInFlight && len(cc.queue) > 0 {
 		idx := c.pick(now, cc)
 		if idx < 0 {

@@ -13,6 +13,10 @@ func geo1ch() addrmap.Geometry {
 	return addrmap.Geometry{Channels: 1, ChipsPerChannel: 1, BanksPerChip: 4, PageBytes: 2048, LineBytes: 64}
 }
 
+func geo2ch() addrmap.Geometry {
+	return addrmap.Geometry{Channels: 2, ChipsPerChannel: 1, BanksPerChip: 4, PageBytes: 2048, LineBytes: 64}
+}
+
 func newCtl(t *testing.T, q *event.Queue, pol Policy, threads int) *Controller {
 	t.Helper()
 	m, err := addrmap.NewMapper(geo1ch(), addrmap.Page)

@@ -12,13 +12,9 @@ import (
 	"smtdram/internal/obs"
 )
 
-func geo2ch() addrmap.Geometry {
-	return addrmap.Geometry{Channels: 2, ChipsPerChannel: 1, BanksPerChip: 4, PageBytes: 2048, LineBytes: 64}
-}
-
-func newFaultyCtl(t *testing.T, q *event.Queue, geo addrmap.Geometry, plan *faults.Plan, ob *obs.Observer) *Controller {
+func newFaultyCtl(t *testing.T, q *event.Queue, plan *faults.Plan, ob *obs.Observer) *Controller {
 	t.Helper()
-	m, err := addrmap.NewMapper(geo, addrmap.Page)
+	m, err := addrmap.NewMapper(geo1ch(), addrmap.Page)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,11 +51,11 @@ func TestConfigValidate(t *testing.T) {
 	if err := bad.withDefaults().Validate(); err == nil {
 		t.Error("zero-channel mapper accepted")
 	}
-	// A fault plan that does not fit the geometry (channel 1 of 1).
+	// A fault plan whose drop rate is not a probability.
 	bad = base
-	bad.Injector = faults.NewInjector(&faults.Plan{ChannelFail: &faults.ChannelFail{Channel: 1, At: 10}})
+	bad.Injector = faults.NewInjector(&faults.Plan{DropRate: 2})
 	if err := bad.withDefaults().Validate(); err == nil {
-		t.Error("fault plan outside the geometry accepted")
+		t.Error("drop rate 2 accepted")
 	}
 	var q event.Queue
 	if _, err := New(&q, bad); err == nil {
@@ -72,7 +68,7 @@ func TestConfigValidate(t *testing.T) {
 
 func TestDroppedReadRetriesThenGivesUp(t *testing.T) {
 	var q event.Queue
-	c := newFaultyCtl(t, &q, geo1ch(), &faults.Plan{DropRate: 1, Seed: 3}, nil)
+	c := newFaultyCtl(t, &q, &faults.Plan{DropRate: 1, Seed: 3}, nil)
 	var doneAt uint64
 	r := &mem.Request{ID: 1, Addr: 0, Kind: mem.Read, Thread: 0,
 		OnComplete: func(at uint64) { doneAt = at }}
@@ -101,73 +97,10 @@ func TestDroppedReadRetriesThenGivesUp(t *testing.T) {
 	}
 }
 
-func TestChannelFailoverMigratesAndCompletes(t *testing.T) {
-	var q event.Queue
-	ob := &obs.Observer{Trace: obs.NewTracer()}
-	// Channel 1 dies at cycle 60 — while a pile of requests to it is queued.
-	plan := &faults.Plan{ChannelFail: &faults.ChannelFail{Channel: 1, At: 60}}
-	c := newFaultyCtl(t, &q, geo2ch(), plan, ob)
-
-	// Page mapping over 2 channels: page index alternates channels
-	// (channel-major BankID), so odd page indices land on channel 1.
-	var done int
-	const n = 24
-	for i := 0; i < n; i++ {
-		r := &mem.Request{ID: uint64(i + 1), Addr: uint64(i) * 2048, Kind: mem.Read, Thread: 0,
-			OnComplete: func(uint64) { done++ }}
-		if !c.Enqueue(0, r) {
-			t.Fatal("Enqueue rejected")
-		}
-	}
-	q.RunUntil(1 << 20)
-	if done != n {
-		t.Fatalf("%d of %d reads completed after failover", done, n)
-	}
-	if ch, at := c.Failover(); ch != 1 || at != 60 {
-		t.Fatalf("Failover() = (%d, %d), want (1, 60)", ch, at)
-	}
-	if c.Stats.FailedOver == 0 {
-		t.Fatal("no requests migrated off the failed channel")
-	}
-	// The dead channel must never dispatch again and new traffic must avoid
-	// it: enqueue another round and check it all lands on channel 0.
-	before := c.QueueLen(1)
-	for i := 0; i < 4; i++ {
-		r := &mem.Request{ID: uint64(100 + i), Addr: uint64(2*i+1) * 2048, Kind: mem.Read, Thread: 0,
-			OnComplete: func(uint64) { done++ }}
-		if !c.Enqueue(1<<20, r) {
-			t.Fatal("Enqueue rejected after failover")
-		}
-	}
-	if c.QueueLen(1) != before {
-		t.Fatal("post-failover traffic still queued on the dead channel")
-	}
-	q.RunUntil(1 << 21)
-	if done != n+4 {
-		t.Fatalf("%d of %d post-failover reads completed", done-n, 4)
-	}
-	// The lifecycle trace must carry the failover milestones.
-	var failovers int
-	for _, e := range ob.Trace.Events() {
-		if e.Kind == obs.KFailover {
-			failovers++
-			if e.Channel == 1 {
-				t.Fatalf("failover milestone still points at the dead channel: %+v", e)
-			}
-		}
-	}
-	if failovers == 0 {
-		t.Fatal("no KFailover milestones in the trace")
-	}
-	if uint64(failovers) != c.Stats.FailedOver {
-		t.Fatalf("%d failover milestones for %d migrated requests", failovers, c.Stats.FailedOver)
-	}
-}
-
 func TestRetryMilestonesInTrace(t *testing.T) {
 	var q event.Queue
 	ob := &obs.Observer{Trace: obs.NewTracer()}
-	c := newFaultyCtl(t, &q, geo1ch(), &faults.Plan{DropRate: 1, Seed: 5}, ob)
+	c := newFaultyCtl(t, &q, &faults.Plan{DropRate: 1, Seed: 5}, ob)
 	r := &mem.Request{ID: 1, Addr: 0, Kind: mem.Read, Thread: 0}
 	c.Enqueue(0, r)
 	q.RunUntil(1 << 20)
@@ -199,7 +132,7 @@ func TestRetryMilestonesInTrace(t *testing.T) {
 func TestRetryBudgetIsPerRequest(t *testing.T) {
 	var q event.Queue
 	ob := &obs.Observer{Trace: obs.NewTracer()}
-	c := newFaultyCtl(t, &q, geo1ch(), &faults.Plan{DropRate: 0.6, Seed: 3}, ob)
+	c := newFaultyCtl(t, &q, &faults.Plan{DropRate: 0.6, Seed: 3}, ob)
 	const n = 200
 	for i := 0; i < n; i++ {
 		at := uint64(i) << 12 // long after the previous request's last retry

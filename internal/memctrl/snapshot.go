@@ -4,10 +4,10 @@ package memctrl
 // serialize as their request's reference (the request wrapper lives in the
 // cache backend; entry.loc is re-decoded through the mapper on restore);
 // dispatched entries sit in the event queue as their own completion handlers
-// and round-trip as KMemEntry references. Fault-injection runs arm events
-// (backoff retries, channel failover) whose mid-flight state the codec does
-// not model, so controllers with an injector attached refuse to snapshot, and
-// the frame has no name or slot for anything only they can hold.
+// and round-trip as KMemEntry references. Fault-injection runs arm backoff
+// retries whose mid-flight state the codec does not model, so controllers
+// with an injector attached refuse to snapshot, and the frame has no name or
+// slot for anything only they can hold.
 
 import (
 	"fmt"
@@ -85,7 +85,7 @@ func (c *Controller) Snap(s *snap.Codec, resolve event.Resolver) error {
 			s.Int(&e.queuedBehind)
 			event.Link(s, &e.req, event.RoleHandler, resolve)
 			if s.Loading() && s.Err() == nil {
-				e.loc = c.mapper.Map(e.req.Addr)
+				e.loc = c.cfg.Mapper.Map(e.req.Addr)
 			}
 		})
 	}
@@ -110,7 +110,7 @@ func (c *Controller) ResolveRef(ref *snap.Ref, resolve event.Resolver) (any, err
 			return nil, err
 		}
 		e := c.getEntry()
-		e.req, e.loc = req, c.mapper.Map(req.Addr)
+		e.req, e.loc = req, c.cfg.Mapper.Map(req.Addr)
 		if e.loc.Channel != int(ch) {
 			return nil, fmt.Errorf("%w: entry ref channel %d, mapper says %d", snap.ErrCorrupt, ch, e.loc.Channel)
 		}

@@ -27,10 +27,7 @@ var snapshotFieldClass = map[string]string{
 	"Controller.q":           "wiring",
 	"Controller.channels":    "wiring", // the slice; each channel's state is listed below
 	"Controller.seq":         "serialized",
-	"Controller.mapper":      "fault-only", // cfg.Mapper until a failover swaps it
 	"Controller.inj":         "wiring",
-	"Controller.failover":    "wiring",
-	"Controller.failoverAt":  "fault-only",
 	"Controller.lc":          "wiring",
 	"Controller.freeEntries": "wiring",
 	"Controller.outstanding": "serialized",
@@ -43,7 +40,6 @@ var snapshotFieldClass = map[string]string{
 	"channelCtl.queue":      "serialized",
 	"channelCtl.inFlight":   "serialized",
 	"channelCtl.retryArmed": "serialized",
-	"channelCtl.failed":     "fault-only",
 	"channelCtl.retry":      "wiring",
 
 	"entry.req":          "serialized", // as its request's reference
@@ -65,7 +61,6 @@ var snapshotFieldClass = map[string]string{
 	"Stats.ThreadSpreadHist":     "serialized",
 	"Stats.Retries":              "fault-only",
 	"Stats.RetryGiveUps":         "fault-only",
-	"Stats.FailedOver":           "fault-only",
 }
 
 func TestSnapshotFieldCoverage(t *testing.T) {

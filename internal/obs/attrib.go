@@ -61,7 +61,7 @@ type Attribution struct {
 	// enqueue order.
 	Reads []ReadLatency
 	// Unsplit counts the other enqueued reads: in flight when the run ended,
-	// or retried after a dropped transfer, or moved off a failed channel.
+	// or retried after a dropped transfer.
 	Unsplit int
 	// Choices[k] counts the dispatches at which k requests queued on the
 	// channel, the dispatched one included, had a free bank: the scheduler's
@@ -114,9 +114,8 @@ type traced struct {
 //
 // All-bank refresh does not appear in the trace, so on a machine that
 // refreshes, a read waiting out a refresh counts it as BankFree or
-// WindowFull. A read retried after a dropped transfer or moved off a failed
-// channel is left unsplit, and no choice count includes a request queued
-// again that way.
+// WindowFull. A read retried after a dropped transfer is left unsplit, and
+// no choice count includes a request queued again that way.
 func Attribute(events []Event, m Machine) Attribution {
 	type bankKey struct{ ch, chip, bank int }
 	bankOf := map[bankKey]int{}
@@ -198,7 +197,7 @@ func Attribute(events []Event, m Machine) Attribution {
 			if r != nil {
 				r.finished, r.done = true, e.At
 			}
-		case KRetry, KFailover:
+		case KRetry:
 			if r != nil {
 				r.moved = true
 			}

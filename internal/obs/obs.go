@@ -46,10 +46,6 @@ const (
 	// carries the retry's attempt number, or "gave up" when retries were
 	// exhausted and the read is delivered with the loss counted (instant).
 	KRetry
-	// KFailover: the request was migrated off a hard-failed channel; the
-	// Channel field is the new home and Outcome names the failed channel
-	// (instant).
-	KFailover
 )
 
 var kindNames = [...]string{
@@ -64,7 +60,6 @@ var kindNames = [...]string{
 	KDone:      "done",
 	KCancel:    "cancel",
 	KRetry:     "retry",
-	KFailover:  "failover",
 }
 
 func (k Kind) String() string {

@@ -194,8 +194,8 @@ func writeJournal(t *testing.T, dir string, recs ...store.Record) {
 }
 
 // TestRecoveryFailsUnparsableJob: a journaled job whose request the binary no
-// longer accepts (here a scheduling policy since removed) fails under its id
-// instead of re-running, is not counted as re-enqueued, and its failure is
+// longer accepts (here a scheduling policy or a fault clause since removed)
+// fails under its id instead of re-running, is not counted as re-enqueued, and its failure is
 // journaled, so a second restart reads the same failure back without parsing
 // the request again.
 func TestRecoveryFailsUnparsableJob(t *testing.T) {
@@ -213,18 +213,24 @@ func TestRecoveryFailsUnparsableJob(t *testing.T) {
 		store.Record{Type: store.RecSubmitted, Job: "j-7", Kind: "sim", FP: "sim|" + cfg.Fingerprint(), Request: goodJSON},
 		store.Record{Type: store.RecSubmitted, Job: "j-8", Kind: "sim", FP: "sim|stale",
 			Request: json.RawMessage(`{"apps":["mcf"],"policy":"criticality-based"}`)},
+		store.Record{Type: store.RecSubmitted, Job: "j-9", Kind: "sim", FP: "sim|stale-faults",
+			Request: json.RawMessage(`{"apps":["mcf"],"faults":"channel-fail:ch=1,at=100"}`)},
 	)
 	ctx := context.Background()
 
-	// check asserts j-8's failure and the recovery count of one daemon.
+	stale := []string{"j-8", "j-9"}
+	// check asserts the stale jobs' failures and the recovery count of one
+	// daemon.
 	check := func(c *client.Client, reenqueued int) {
 		t.Helper()
-		st, err := c.Job(ctx, "j-8")
-		if err != nil {
-			t.Fatalf("j-8: %v", err)
-		}
-		if st.State != server.StateFailed || !strings.HasPrefix(st.Error, "recovery:") {
-			t.Fatalf("j-8: state %s, error %q; want failed with a recovery: error", st.State, st.Error)
+		for _, id := range stale {
+			st, err := c.Job(ctx, id)
+			if err != nil {
+				t.Fatalf("%s: %v", id, err)
+			}
+			if st.State != server.StateFailed || !strings.HasPrefix(st.Error, "recovery:") {
+				t.Fatalf("%s: state %s, error %q; want failed with a recovery: error", id, st.State, st.Error)
+			}
 		}
 		stats, err := c.Stats(ctx)
 		if err != nil {
@@ -245,10 +251,12 @@ func TestRecoveryFailsUnparsableJob(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !slices.ContainsFunc(recs, func(r store.Record) bool {
-		return r.Job == "j-8" && r.Type == store.RecResolved && r.State == string(server.StateFailed) && strings.HasPrefix(r.Error, "recovery:")
-	}) {
-		t.Fatalf("the journal holds no failure for j-8: %+v", recs)
+	for _, id := range stale {
+		if !slices.ContainsFunc(recs, func(r store.Record) bool {
+			return r.Job == id && r.Type == store.RecResolved && r.State == string(server.StateFailed) && strings.HasPrefix(r.Error, "recovery:")
+		}) {
+			t.Fatalf("the journal holds no failure for %s: %+v", id, recs)
+		}
 	}
 
 	_, c2 := newTestDaemon(t, server.Config{DataDir: dir, Logger: testLogger(t)})

@@ -73,10 +73,10 @@ func TestSimRequestResolves(t *testing.T) {
 		{Apps: apps, Faults: "bogus:rate=1"},
 		{Apps: apps, Faults: "bitflip:rate=1e-6"},            // removed clause: unknown
 		{Apps: apps, Faults: "stuckrow:ch=0,chip=abc,row=3"}, // removed clause: unknown
+		{Apps: apps, Faults: "channel-fail:ch=1,at=100"},     // removed clause: unknown
 		{Apps: apps, Faults: "drop:rate=NaN"},                // fails every range comparison
 		{Apps: apps, Faults: "drop:rate=0.1;drop:rate=0.2"},  // the second clause would win silently
 		{Apps: apps, Gang: 3},                                // fails Validate: two channels do not gang by three
-		{Apps: apps, Channels: 4, Faults: "channel-fail:ch=9,at=100"},
 	} {
 		if _, err := bad.Config(); err == nil {
 			t.Errorf("%+v resolved without error", bad)

@@ -66,8 +66,9 @@ func (s *Server) openTier() {
 
 // resultFormat prefixes every store key: bump it when Result bytes move under
 // unchanged fingerprints, so a data directory an earlier build wrote recomputes
-// (format 1 had no prefix; 2 reduced FaultReport to drops, retries, failover).
-const resultFormat = "r2|"
+// (format 1 had no prefix; 2 reduced FaultReport to drops, retries, failover;
+// 3 removed the failover report and the migrated-request count).
+const resultFormat = "r3|"
 
 // storeGet reads the disk tier. A corrupt entry has already been quarantined
 // by the store; it reports as such and the result is recomputed.

@@ -118,8 +118,10 @@ func TestStoreKeyCarriesResultFormat(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := st.Put("fp-old", []byte(`{"old":1}`), nil); err != nil { // format 1: the bare fingerprint
-		t.Fatal(err)
+	for _, key := range []string{"fp-old", "r2|fp-old"} { // formats 1 (the bare fingerprint) and 2
+		if err := st.Put(key, []byte(`{"old":1}`), nil); err != nil {
+			t.Fatal(err)
+		}
 	}
 	s := New(Config{Workers: 1, DataDir: dir})
 	defer s.Close()

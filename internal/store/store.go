@@ -16,7 +16,7 @@
 //     store to memory-only mode: reads keep working where possible, writes
 //     become no-ops, the daemon keeps serving from its in-memory LRU and
 //     recomputation. Degradation is sticky until restart and is surfaced
-//     through Degraded() for /readyz and a Prometheus gauge;
+//     through Degraded() for /readyz and /v1/stats (.store.degraded);
 //  3. corrupt entry — quarantined under <dir>/quarantine and reported as a
 //     miss; the caller recomputes and rewrites it.
 //

@@ -171,23 +171,17 @@ type (
 func NewTracer() *LifecycleTracer { return obs.NewTracer() }
 
 // Fault injection and resilience (see DESIGN.md §10): attach a FaultPlan via
-// Config.Faults to inject seeded read drops (retried with backoff) and a hard
-// mid-run channel failure; Result.Faults and Result.Failover report what
-// happened and what it cost.
+// Config.Faults to inject seeded read drops, retried with backoff;
+// Result.Faults reports what happened.
 type (
 	// FaultPlan describes what to inject; nil injects nothing.
 	FaultPlan = faults.Plan
-	// ChannelFail hard-fails one channel at a planned cycle.
-	ChannelFail = faults.ChannelFail
-	// FaultReport is the end-of-run drop/retry/failover accounting.
+	// FaultReport is the end-of-run drop/retry accounting.
 	FaultReport = core.FaultReport
-	// FailoverReport measures IPC and latency around a channel failure.
-	FailoverReport = core.FailoverReport
 	// NoProgressError is Run's structured livelock-watchdog abort.
 	NoProgressError = core.NoProgressError
 )
 
 // ParseFaultPlan parses a fault spec like
-// "drop:rate=1e-3,seed=7;channel-fail:ch=1,at=2000000" (the smtdram -faults
-// syntax). An empty spec returns (nil, nil).
+// "drop:rate=1e-3,seed=7" (the smtdram -faults syntax). An empty spec returns (nil, nil).
 func ParseFaultPlan(spec string) (*FaultPlan, error) { return faults.Parse(spec) }
