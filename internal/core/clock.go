@@ -42,9 +42,13 @@ func (s *Simulator) newClock() *clock {
 // at 1024-cycle boundaries (one ctx.Err() load per 1024 cycles is noise; a
 // machine that commits nothing for wd cycles is livelocked, not slow, and
 // aborts with a structured error instead of burning the rest of the budget).
-// On an error the clock stands on the cycle that raised it.
+// On an error the clock stands on the cycle that raised it. The instruction
+// supply runs ahead only while until does: however it returns, the
+// generators stand settled at what the CPU consumed.
 func (k *clock) until(ctx context.Context, done func() bool) error {
 	s := k.s
+	s.sup.Start()
+	defer s.sup.Stop()
 	for !done() && k.step() {
 		if k.now&1023 == 0 {
 			if err := ctx.Err(); err != nil {

@@ -5,6 +5,7 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
+	"runtime"
 	"testing"
 
 	"smtdram/internal/addrmap"
@@ -44,7 +45,17 @@ func goldenFrames() []struct {
 	}
 }
 
-func TestCheckpointGoldenFrames(t *testing.T) {
+func TestCheckpointGoldenFrames(t *testing.T) { checkGoldenFrames(t) }
+
+// TestCheckpointGoldenFramesInline pins the same frames with one P: the
+// instruction supply then has no helper and fills every block inline, through
+// the same fill.
+func TestCheckpointGoldenFramesInline(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	checkGoldenFrames(t)
+}
+
+func checkGoldenFrames(t *testing.T) {
 	for _, g := range goldenFrames() {
 		t.Run(g.name, func(t *testing.T) {
 			chk, err := WarmupCheckpoint(context.Background(), g.cfg)
@@ -84,7 +95,17 @@ var goldenResults = map[string]struct {
 	"8-mem-rdram-close-page/rob-based":     {1511, "339cfdf376b86ea51e7ed113fafe190e5b28bbd0ce609862a525e72c15530ea6"},
 }
 
-func TestGoldenResults(t *testing.T) {
+func TestGoldenResults(t *testing.T) { checkGoldenResults(t, true) }
+
+// TestGoldenResultsInline pins the same bytes with one P, where every block
+// of instructions is filled inline. Its cases run one after another: the
+// setting is restored only once they are done.
+func TestGoldenResultsInline(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	checkGoldenResults(t, false)
+}
+
+func checkGoldenResults(t *testing.T, parallel bool) {
 	four, eight := mixCfg(t, "4-MEM", 10000), mixCfg(t, "8-MEM", 10000)
 	four.TargetInstr, eight.TargetInstr = 10000, 10000
 	eight.Mem.Kind, eight.Mem.PageMode, eight.Mem.Scheme = RDRAM, dram.ClosePage, addrmap.Page
@@ -95,7 +116,9 @@ func TestGoldenResults(t *testing.T) {
 		for _, p := range memctrl.Policies() {
 			name := m.name + "/" + p.String()
 			t.Run(name, func(t *testing.T) {
-				t.Parallel()
+				if parallel {
+					t.Parallel()
+				}
 				cfg := m.cfg
 				cfg.Mem.Policy = p
 				res, err := Run(cfg)

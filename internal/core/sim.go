@@ -108,7 +108,12 @@ type Simulator struct {
 	l2   *cache.Level
 	l3   *cache.Level
 	mb   *cache.MemBackend
-	gens []*workload.Gen // nil when cfg.Sources drives the threads
+	// gens are the threads' generators, nil when cfg.Sources drives the
+	// threads, and the snapshot walk's view of them. sup feeds the CPU from
+	// them and settles them when the clock stops, so outside clock.until each
+	// stands exactly at what its thread has consumed.
+	gens []*workload.Gen
+	sup  *workload.Supply
 	obs  *obs.Observer
 	skip obs.SkipStats
 
@@ -203,10 +208,10 @@ func NewSimulator(cfg Config) (*Simulator, error) {
 	s.l2.SetSnapID(2)
 	s.l3.SetSnapID(3)
 
-	gens := make([]cpu.Source, len(cfg.Apps))
+	srcs := make([]cpu.Source, len(cfg.Apps))
 	for i, name := range cfg.Apps {
 		if cfg.Sources != nil {
-			gens[i] = cfg.Sources[i]
+			srcs[i] = cfg.Sources[i]
 			continue
 		}
 		app, err := workload.ByName(name)
@@ -217,10 +222,13 @@ func NewSimulator(cfg Config) (*Simulator, error) {
 		if err != nil {
 			return nil, err
 		}
-		gens[i] = g
 		s.gens = append(s.gens, g)
 	}
-	s.cpu, err = cpu.New(&s.q, cfg.CPU, gens, s.l1i, s.l1d)
+	s.sup = workload.NewSupply(s.gens)
+	for i, f := range s.sup.Feeds() {
+		srcs[i] = f
+	}
+	s.cpu, err = cpu.New(&s.q, cfg.CPU, srcs, s.l1i, s.l1d)
 	if err != nil {
 		return nil, err
 	}

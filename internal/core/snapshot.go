@@ -113,8 +113,10 @@ func RunFromCheckpoint(ctx context.Context, cfg Config, chk *Checkpoint) (Result
 	return s.RunContext(ctx)
 }
 
-// encode seals the machine's walk into a checkpoint frame.
+// encode seals the machine's walk into a checkpoint frame, written from
+// settled generators (a no-op outside the clock, where they always are).
 func (s *Simulator) encode() ([]byte, error) {
+	s.sup.Stop()
 	w := &snap.Writer{}
 	if err := s.walk(snap.Saving(w)); err != nil {
 		return nil, err

@@ -27,6 +27,7 @@ var snapshotFieldClass = map[string]string{
 	"Simulator.l3":   "serialized",
 	"Simulator.mb":   "serialized",
 	"Simulator.gens": "serialized",
+	"Simulator.sup":  "wiring", // settled outside the clock: its generators are gens
 	"Simulator.obs":  "wiring", // nil: an attached observer is refused too
 	"Simulator.skip": "serialized",
 	"Simulator.at":   "serialized", // the watchdog's registers are derived from it (clock.go)

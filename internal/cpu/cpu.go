@@ -475,8 +475,10 @@ type CPU struct {
 	TotalCommitted uint64
 }
 
-// Source produces a thread's dynamic instruction stream. *workload.Gen is
-// the production implementation; tests substitute scripted streams.
+// Source produces a thread's dynamic instruction stream. In production it is
+// a *workload.Feed, which hands out a generator's instructions from blocks
+// filled ahead; cmd/bench's twin wires *workload.Gen directly, and tests
+// substitute scripted streams.
 type Source interface {
 	Next() workload.Instr
 }
