@@ -26,8 +26,10 @@ func mixCfg(t testing.TB, mix string, warmup uint64) Config {
 // TestMachineFootprint: the eight-thread Table 1 machine is 75,776 cache
 // lines (0.31 MB: 5-byte words in the L1s, 4-byte words in the L2 and L3)
 // plus the core, the controller and the generators, 0.56 MB in all (558,120
-// bytes, 1,648 of them the instruction supply and its per-thread feeds, whose
-// blocks are taken at run time from a pool; 565,112 while a line word carried
+// bytes, 1,648 of them the instruction supply and its per-thread feeds; while
+// its clock runs the machine also holds 16 blocks of 13,504 bytes, 216 KB,
+// taken from and given back to workload's idle list, which this count does not
+// see; 565,112 while a line word carried
 // a prefetched flag, which took the L2's words to 5 bytes). The
 // core's share is 2,048 ROB slots of 72 bytes (147 KB) and a 96-entry issue
 // queue of 56-byte entries (5.4 KB); the machine was 0.67 MB while every ROB

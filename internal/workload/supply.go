@@ -7,12 +7,18 @@ package workload
 // stands exactly where its thread's consumption does, so Gen.Snap, Generated
 // and the checkpoint format see the same generator they did without a supply.
 
-import "runtime"
+import (
+	"fmt"
+	"runtime"
+	"runtime/debug"
+	"sync"
+)
 
 // blockLen is the handoff size. Much smaller blocks spend the gain on
 // synchronisation (handoffs of 64 instructions gained nothing on the 8-ILP
 // mix); 256 ran as fast as 512 there, at half the memory: a block is 8 KB of
-// instructions and a 5 KB mark, two per thread.
+// instructions and a 5 KB mark (13,504 bytes), two per thread: 216 KB for an
+// eight-thread machine while its clock runs.
 const blockLen = 256
 
 // block is blockLen consecutive instructions of one thread and mark, the
@@ -22,28 +28,37 @@ type block struct {
 	mark Gen
 }
 
-// idle holds blocks between runs: a run takes two per thread and Stop gives
-// them back. It is not a sync.Pool, which under the race detector drops a
-// quarter of what is put into it; blocks would then be allocated afresh run
-// after run, and TestPinnedCounts fails its B/op ceilings under -race. The
-// bound caps what an idle process keeps at 64 blocks (0.86 MB): four
-// eight-thread runs at once.
-var idle = make(chan *block, 64)
+// idle holds the blocks no run is using: a run takes two per thread as its
+// feeds are first read, and Stop gives them back. Nothing is dropped from it,
+// so the process never holds more blocks than it once had in use at once (two
+// per thread of every run live then), and a run allocates blocks only when
+// more threads run at once than ever before. It is not a sync.Pool, which
+// under the race detector drops a quarter of what is put into it; blocks
+// would then be allocated afresh run after run, and TestPinnedCounts fails
+// its B/op ceilings under -race.
+var idle struct {
+	sync.Mutex
+	blocks []*block
+}
 
 func getBlock() *block {
-	select {
-	case b := <-idle:
-		return b
-	default:
+	idle.Lock()
+	n := len(idle.blocks)
+	if n == 0 {
+		idle.Unlock()
 		return new(block)
 	}
+	b := idle.blocks[n-1]
+	idle.blocks[n-1] = nil
+	idle.blocks = idle.blocks[:n-1]
+	idle.Unlock()
+	return b
 }
 
 func putBlock(b *block) {
-	select {
-	case idle <- b:
-	default:
-	}
+	idle.Lock()
+	idle.blocks = append(idle.blocks, b)
+	idle.Unlock()
 }
 
 // Supply feeds a machine's threads from their generators.
@@ -65,7 +80,7 @@ type Feed struct {
 	// until it signals done, and leaves in panicked what its fill raised.
 	pending  bool
 	done     chan struct{}
-	panicked any
+	panicked *fillPanic
 }
 
 // NewSupply builds the supply over gens, one Feed each, in order. It takes no
@@ -101,13 +116,34 @@ func help(reqs <-chan *Feed, exited chan<- struct{}) {
 }
 
 // fillSpare is the helper's fill. A panic in it is handed to the simulation
-// goroutine, which raises it again when it waits for the block.
+// goroutine, which raises it again when it waits for the block, as a
+// fillPanic that carries the helper's stack: the simulation goroutine's own
+// stack would show only its fetch, not the generator frame that failed.
 func (f *Feed) fillSpare() {
 	defer func() {
-		f.panicked = recover()
+		if r := recover(); r != nil {
+			f.panicked = &fillPanic{value: r, stack: debug.Stack()}
+		}
 		f.done <- struct{}{}
 	}()
 	f.fill(f.spare)
+}
+
+// fillPanic is a helper fill's panic as raised again on the simulation
+// goroutine: what the fill raised, and the helper's stack where it did.
+type fillPanic struct {
+	value any
+	stack []byte
+}
+
+func (p *fillPanic) Error() string {
+	return fmt.Sprintf("%v\n\nraised by an instruction fill on the supply helper:\n%s", p.value, p.stack)
+}
+
+// Unwrap gives errors.As the raised value, when it is an error.
+func (p *fillPanic) Unwrap() error {
+	err, _ := p.value.(error)
+	return err
 }
 
 // Stop waits for the fills in flight, puts every generator back where its

@@ -2,6 +2,7 @@ package workload
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"runtime"
 	"testing"
@@ -21,16 +22,32 @@ func supplyGens(t *testing.T, seed int64) []*Gen {
 	return gens
 }
 
+// goroutinesBack waits for the goroutine count to return to base: a helper
+// that has signalled its exit may take a moment to be gone from the count.
+func goroutinesBack(t *testing.T, base int, what string) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > base {
+		if time.Now().After(deadline) {
+			t.Fatalf("%s: %d goroutines, %d before", what, runtime.NumGoroutine(), base)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
 // A supply hands out each generator's own stream, and Stop leaves each
 // generator exactly as one stepped that many times directly would be: the
 // same snapshot bytes, the same Generated count, the same next instruction.
 // The counts put Stop at a block's start, inside it, on its last
 // instruction, at its end and inside the next ones, for the first block and
-// the second; both schedules go through the same fill.
+// the second; both schedules go through the same fill. The inline schedule's
+// Stop, with no Start before it, must start nothing, and the helper's must end
+// it.
 func TestSupplySettlesAtConsumption(t *testing.T) {
 	for _, sched := range []string{"helper", "inline"} {
 		for _, n := range []int{0, 1, blockLen - 1, blockLen, blockLen + 1, 2*blockLen - 1, 2 * blockLen, 2*blockLen + 1, 1500} {
 			t.Run(fmt.Sprintf("%s/%d", sched, n), func(t *testing.T) {
+				base := runtime.NumGoroutine()
 				gens, refs := supplyGens(t, 7), supplyGens(t, 7)
 				sup := NewSupply(gens)
 				// Settling twice, and resuming after a settle, must both
@@ -57,6 +74,7 @@ func TestSupplySettlesAtConsumption(t *testing.T) {
 					}
 				}
 				sup.Stop()
+				goroutinesBack(t, base, sched+" supply after Stop")
 				for i, g := range gens {
 					sameNext(t, supplyApps[i], g, refs[i], 1)
 				}
@@ -65,43 +83,9 @@ func TestSupplySettlesAtConsumption(t *testing.T) {
 	}
 }
 
-// goroutinesBack waits for the goroutine count to return to base: a helper
-// that has signalled its exit may take a moment to be gone from the count.
-func goroutinesBack(t *testing.T, base int, what string) {
-	t.Helper()
-	deadline := time.Now().Add(5 * time.Second)
-	for runtime.NumGoroutine() > base {
-		if time.Now().After(deadline) {
-			t.Fatalf("%s: %d goroutines, %d before", what, runtime.NumGoroutine(), base)
-		}
-		time.Sleep(time.Millisecond)
-	}
-}
-
-// Stop on a supply that never started changes nothing and ends nothing, and
-// a started supply's helper is gone once Stop returns.
-func TestSupplyStopWithoutStart(t *testing.T) {
-	base := runtime.NumGoroutine()
-	gens := supplyGens(t, 3)
-	sup := NewSupply(gens)
-	sup.Stop()
-	for i, g := range gens {
-		if !bytes.Equal(genFrame(t, g), genFrame(t, mustGen(t, supplyApps[i], i, 3))) {
-			t.Fatalf("thread %d: Stop moved a generator that was never read", i)
-		}
-	}
-	if got := runtime.NumGoroutine(); got > base {
-		t.Fatalf("Stop without Start: %d goroutines, %d before", got, base)
-	}
-	sup.Start()
-	sup.Feeds()[0].Next()
-	sup.Stop()
-	sup.Stop()
-	goroutinesBack(t, base, "Start, Next, Stop, Stop")
-}
-
 // A panic in a fill the helper ran is raised again on the goroutine that
-// reads the block, and Stop then settles the generator at what was read. A
+// reads the block, with the helper's stack, which names the generator frame
+// that failed; Stop then settles the generator at what was read. A
 // panic in a fill nothing read is dropped with the block, as on one P, where
 // that fill would not have run. The generator's stream geometry is zeroed
 // after construction, so its first stream reference divides by zero; the seed
@@ -158,8 +142,18 @@ func TestSupplyHelperPanic(t *testing.T) {
 			func() {
 				defer func() {
 					r := recover()
-					if _, ok := r.(runtime.Error); (r != nil) != tc.wantPanic || (r != nil && !ok) {
-						t.Errorf("after %d instructions: panic %v (%T), want a runtime error: %v", read, r, r, tc.wantPanic)
+					if (r != nil) != tc.wantPanic {
+						t.Errorf("after %d instructions: panic %v, want one: %v", read, r, tc.wantPanic)
+					}
+					if r == nil {
+						return
+					}
+					var rt runtime.Error
+					if err, ok := r.(error); !ok || !errors.As(err, &rt) {
+						t.Errorf("panic %v (%T) does not carry the fill's runtime error", r, r)
+					}
+					if p, ok := r.(*fillPanic); !ok || !bytes.Contains(p.stack, []byte("workload.(*Gen).Next")) {
+						t.Errorf("panic %T does not carry the helper's stack through Gen.Next:\n%v", r, r)
 					}
 				}()
 				for ; read < tc.read; read++ {
@@ -179,5 +173,39 @@ func TestSupplyHelperPanic(t *testing.T) {
 			}
 			goroutinesBack(t, base, "after a helper panic")
 		})
+	}
+}
+
+// Blocks come back to the idle list whatever the number of runs that held
+// them at once, so a second round of as many runs takes every block from it
+// and allocates none. Twelve three-thread runs hold 72 blocks at once.
+func TestIdleBlocksCoverPeakUse(t *testing.T) {
+	idleLen := func() int {
+		idle.Lock()
+		defer idle.Unlock()
+		return len(idle.blocks)
+	}
+	sups := make([]*Supply, 12)
+	for k := range sups {
+		sups[k] = NewSupply(supplyGens(t, int64(k)))
+	}
+	round := func() {
+		for _, sup := range sups {
+			for _, f := range sup.Feeds() {
+				f.Next()
+			}
+		}
+		for _, sup := range sups {
+			sup.Stop()
+		}
+	}
+	round()
+	after := idleLen()
+	if want := 2 * len(sups) * len(supplyApps); after < want {
+		t.Fatalf("%d idle blocks after %d runs that held %d at once", after, len(sups), want)
+	}
+	round()
+	if got := idleLen(); got != after {
+		t.Fatalf("a second round left %d idle blocks, the first %d: it allocated blocks", got, after)
 	}
 }
